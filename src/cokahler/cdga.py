@@ -273,11 +273,6 @@ class Subcomplex:
         return linalg.in_row_space(list(parent_coords),
                                    self._rows.get(p, []), self._pivots.get(p, []))
 
-    def contains_element(self, elem: Element) -> bool:
-        if elem.is_zero():
-            return True
-        return self.contains(elem.degree, self.parent.coords(elem.degree, elem))
-
     def coords(self, p: int, parent_coords) -> list[Fraction]:
         """Coordinates in the canonical basis; raises if not a member."""
         vec = list(parent_coords)

@@ -152,6 +152,8 @@ def _cmd_classify(model) -> int:
 def _cmd_lefschetz(args, model) -> int:
     rep = verify_lefschetz_iso(model)
     print(f"n = {rep.n}; co-Kahler hypothesis: {rep.hypothesis_cokahler}")
+    if rep.note:
+        return _hypothesis_exit(args, rep.note)
     for d in rep.degrees:
         print(f"  p={d.degree}: rank {d.rank} "
               f"of {d.source_dim}->{d.target_dim}, iso: {d.isomorphism}")
@@ -183,7 +185,7 @@ def _cmd_verbitsky(args, model) -> int:
 def _cmd_split(args, model) -> int:
     verdict = classify(model)
     split = omega_splitting(model)
-    basic = verify_basic_match(model, co_kahler=verdict.coKahler)
+    basic = verify_basic_match(model)
     coh = splitting_check(model)
     top = model.ce().top
     print(f"Omega_eta dims: {_fmt([split.omega_eta.dim(p) for p in range(top + 1)])}")

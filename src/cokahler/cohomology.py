@@ -74,9 +74,6 @@ class CohomologyRing:
             return []
         return self.slices[p].representatives
 
-    def representative_elements(self, p: int):
-        return [self.complex.element(p, row) for row in self.representatives(p)]
-
     def representative_of(self, p: int, class_coords) -> list[Fraction]:
         """Cocycle coordinates of a class given by coefficients on the
         representative basis."""
@@ -147,10 +144,6 @@ class CohomologyRing:
             y = linalg.unit_vector(self.dim(q), j)
             self._cup_cache[key] = self.cup(p, x, q, y)
         return self._cup_cache[key]
-
-    def cup_table(self, p: int, q: int) -> list[list[list[Fraction]]]:
-        return [[self.cup_basis(p, i, q, j) for j in range(self.dim(q))]
-                for i in range(self.dim(p))]
 
 
 @dataclass

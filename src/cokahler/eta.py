@@ -20,13 +20,7 @@ from .cdga import (Derivation, Subcomplex, supercommutator,
 from .cohomology import inclusion_induced_map
 from .errors import StructureError
 from .exterior import Element
-from .geometry import LieModel
-
-
-def _derived_cache(m: LieModel) -> dict:
-    if not hasattr(m, "_derived"):
-        m._derived = {}
-    return m._derived
+from .geometry import LieModel, classify, is_parallel_covector, once_per_model
 
 
 @dataclass
@@ -71,12 +65,10 @@ def eta_operator(m: LieModel, eta: Element) -> EtaOperator:
     return EtaOperator(eta, rho, d_eta)
 
 
+@once_per_model
 def build_d_eta(m: LieModel) -> EtaOperator:
     """The eta-operator package of the model's own 1-form eta."""
-    cache = _derived_cache(m)
-    if "eta_op" not in cache:
-        cache["eta_op"] = eta_operator(m, m.eta_element())
-    return cache["eta_op"]
+    return eta_operator(m, m.eta_element())
 
 
 @dataclass
@@ -123,12 +115,10 @@ def kernel_subcomplex(dga, op: Derivation) -> Subcomplex:
     return Subcomplex(dga, spans, check_closed=True)
 
 
+@once_per_model
 def invariant_forms(m: LieModel) -> Subcomplex:
     """Omega_eta: the forms annihilated by the Lie derivative along xi."""
-    cache = _derived_cache(m)
-    if "omega_eta" not in cache:
-        cache["omega_eta"] = kernel_subcomplex(m.ce(), m.lie_xi())
-    return cache["omega_eta"]
+    return kernel_subcomplex(m.ce(), m.lie_xi())
 
 
 @dataclass
@@ -179,11 +169,11 @@ class OmegaSplitting:
     ok: bool
 
 
-def omega_splitting(m: LieModel, sub: Subcomplex | None = None) -> OmegaSplitting:
+@once_per_model
+def omega_splitting(m: LieModel) -> OmegaSplitting:
     """Split the L_xi-invariant forms into the iota_xi kernel and its
     eta-multiples, verifying directness and the eta-wedge description."""
-    if sub is None:
-        sub = invariant_forms(m)
+    sub = invariant_forms(m)
     dga = m.ce()
     iota = m.iota_xi()
     eta = m.eta_element()
@@ -223,12 +213,12 @@ def omega_splitting(m: LieModel, sub: Subcomplex | None = None) -> OmegaSplittin
     return OmegaSplitting(sub, omega1, omega2, direct, eta_match, ok)
 
 
-def basic_complex(m: LieModel, xi=None) -> Subcomplex:
+@once_per_model
+def basic_complex(m: LieModel) -> Subcomplex:
     """Basic forms of the rank-1 foliation spanned by xi:
     iota_xi alpha = 0 and iota_xi d alpha = 0."""
-    vec = _frac(xi) if xi is not None else m._require("xi")
     dga = m.ce()
-    iota = m.iota(vec)
+    iota = m.iota_xi()
     spans = {}
     for p in range(dga.top + 1):
         n = dga.dim(p)
@@ -240,10 +230,6 @@ def basic_complex(m: LieModel, xi=None) -> Subcomplex:
     return Subcomplex(dga, spans, check_closed=True)
 
 
-def _frac(seq):
-    return [Fraction(v) for v in seq]
-
-
 @dataclass
 class BasicMatchReport:
     """Degreewise comparison of Omega_1 with the basic complex of xi."""
@@ -252,17 +238,14 @@ class BasicMatchReport:
     asserted: bool    # contract applies only under the co-Kahler hypothesis
 
 
-def verify_basic_match(m: LieModel, co_kahler: bool | None = None) -> BasicMatchReport:
+def verify_basic_match(m: LieModel) -> BasicMatchReport:
     split = omega_splitting(m)
     basic = basic_complex(m)
     per_degree = [linalg.same_span(
         [list(r) for r in split.omega1.basis_vectors(p)],
         [list(r) for r in basic.basis_vectors(p)])
         for p in range(m.ce().top + 1)]
-    if co_kahler is None:
-        from .geometry import classify
-        co_kahler = classify(m).coKahler
-    return BasicMatchReport(per_degree, all(per_degree), co_kahler)
+    return BasicMatchReport(per_degree, all(per_degree), classify(m).coKahler)
 
 
 @dataclass
@@ -289,7 +272,6 @@ class QuasiIsoReport:
 def verify_parallel_form_quism(m: LieModel) -> QuasiIsoReport:
     """Check that ker(d_eta) includes quasi-isomorphically into the full
     complex; binding when eta is parallel, informational otherwise."""
-    from .geometry import is_parallel_covector
     parallel, _ = is_parallel_covector(m, m._require("eta"))
     dga = m.ce()
     sub = kernel_subcomplex(dga, build_d_eta(m).d_eta)

@@ -10,6 +10,7 @@ Chevalley-Eilenberg complex carries the differential calculus.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,6 +29,22 @@ def _frac_vector(seq) -> Vector:
 
 def _frac_matrix(rows) -> Matrix:
     return [[Fraction(v) for v in row] for row in rows]
+
+
+def once_per_model(build):
+    """Memoize ``build(m)`` on the model instance, so each derived object is
+    built, and self-checked, once per model and then shared.  A build that
+    raises stores nothing.  The memo lives on the instance, not in a global
+    cache, so it dies with the model."""
+    key = build.__qualname__
+
+    @functools.wraps(build)
+    def memoized(m):
+        memo = m._derived
+        if key not in memo:
+            memo[key] = build(m)
+        return memo[key]
+    return memoized
 
 
 class LieModel:
@@ -81,10 +98,7 @@ class LieModel:
         if automorphism is not None:
             mat, order = automorphism
             self.automorphism = (_frac_matrix(mat), int(order))
-        self._algebra: GradedAlgebra | None = None
-        self._ce: DGA | None = None
-        self._gamma = None
-        self._metric_inv: Matrix | None = None
+        self._derived: dict = {}    # see once_per_model
         if not check_d_squared(self.ce()):
             raise StructureError(
                 f"structure constants of {name!r} violate the Jacobi identity")
@@ -126,23 +140,21 @@ class LieModel:
 
     # -- the Chevalley-Eilenberg complex --------------------------------------
 
+    @once_per_model
     def algebra(self) -> GradedAlgebra:
-        if self._algebra is None:
-            gens = [Generator(f"e{i + 1}", 1) for i in range(self.dimension)]
-            self._algebra = GradedAlgebra(gens)
-        return self._algebra
+        return GradedAlgebra([Generator(f"e{i + 1}", 1)
+                              for i in range(self.dimension)])
 
+    @once_per_model
     def ce(self) -> DGA:
         """CE complex: d e^k = -sum_{i<j} c^k_ij e^i e^j."""
-        if self._ce is None:
-            alg = self.algebra()
-            images: dict[int, Element] = {}
-            for (i, j), comps in self.brackets.items():
-                for k, c in comps.items():
-                    term = alg.monomial(i, j, coeff=-c)
-                    images[k] = images.get(k, alg.zero(2)) + term
-            self._ce = DGA(alg, Derivation(alg, 1, images, name="d"))
-        return self._ce
+        alg = self.algebra()
+        images: dict[int, Element] = {}
+        for (i, j), comps in self.brackets.items():
+            for k, c in comps.items():
+                term = alg.monomial(i, j, coeff=-c)
+                images[k] = images.get(k, alg.zero(2)) + term
+        return DGA(alg, Derivation(alg, 1, images, name="d"))
 
     def covector_element(self, coords) -> Element:
         return self.algebra().element(1, _frac_vector(coords))
@@ -154,10 +166,9 @@ class LieModel:
 
     # -- metric moves ----------------------------------------------------------
 
+    @once_per_model
     def metric_inverse(self) -> Matrix:
-        if self._metric_inv is None:
-            self._metric_inv = linalg.inverse(self.metric)
-        return self._metric_inv
+        return linalg.inverse(self.metric)
 
     def sharp(self, covector) -> Vector:
         """Metric isomorphism T*->T (inverse metric applied to components)."""
@@ -207,6 +218,7 @@ class LieModel:
             raise StructureError(f"model {self.name!r} has no xi")
         return self.iota(self.xi)
 
+    @once_per_model
     def lie_xi(self) -> Derivation:
         return self.lie(self._require("xi"))
 
@@ -218,26 +230,24 @@ class LieModel:
 
     # -- Levi-Civita connection --------------------------------------------------
 
+    @once_per_model
     def levi_civita(self):
         """Connection coefficients Gamma[i][j] = components of nabla_{X_i} X_j,
         from the Koszul formula for left-invariant metrics."""
-        if self._gamma is None:
-            n = self.dimension
-            g = self.metric
-            ginv = self.metric_inverse()
-            gamma = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    rhs = []
-                    for k in range(n):
-                        val = (self.inner(self.bracket(i, j), _unit(n, k))
-                               - self.inner(self.bracket(j, k), _unit(n, i))
-                               + self.inner(self.bracket(k, i), _unit(n, j)))
-                        rhs.append(val / 2)
-                    gamma[i][j] = linalg.mat_vec(ginv, rhs)
-            self._gamma = gamma
-            _check_connection(self, gamma)
-        return self._gamma
+        n = self.dimension
+        ginv = self.metric_inverse()
+        gamma = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                rhs = []
+                for k in range(n):
+                    val = (self.inner(self.bracket(i, j), _unit(n, k))
+                           - self.inner(self.bracket(j, k), _unit(n, i))
+                           + self.inner(self.bracket(k, i), _unit(n, j)))
+                    rhs.append(val / 2)
+                gamma[i][j] = linalg.mat_vec(ginv, rhs)
+        _check_connection(self, gamma)
+        return gamma
 
     def nabla(self, i: int, vector) -> Vector:
         """nabla_{X_i} of a vector field with constant components."""
@@ -351,6 +361,7 @@ def fundamental_form(m: LieModel) -> Element:
     return omega
 
 
+@once_per_model
 def omega_element(m: LieModel) -> Element:
     """The working 2-form: fundamental form, cross-checked against any
     user-supplied override."""
@@ -468,6 +479,7 @@ class StructureVerdict:
     witnesses: dict[str, str] = field(default_factory=dict)
 
 
+@once_per_model
 def classify(m: LieModel) -> StructureVerdict:
     """Full structure verdict.  The three characterizations of co-Kahler
     (cosymplectic and normal; parallel J) are computed independently and

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from . import linalg
 from .cdga import DGA, AlgebraMap, Subcomplex, embed_element, free_line_dga, \
     invariant_subalgebra, tensor_product
+from .cohomology import InducedMap, _map_from_columns
 from .errors import StructureError
 from .exterior import Element
 from .eta import omega_splitting, split_form
@@ -64,13 +65,8 @@ def lefschetz_map(m: LieModel, alpha: Element) -> Element:
 
 
 @dataclass
-class LefschetzDegree:
-    degree: int
-    matrix: linalg.Matrix
-    source_dim: int
-    target_dim: int
-    rank: int
-    isomorphism: bool
+class LefschetzDegree(InducedMap):
+    """The induced map H^p_eta -> H^{2n+1-p}_eta."""
     kernel_witnesses: list[str]
     component_split_ok: bool
 
@@ -80,7 +76,10 @@ class LefschetzReport:
     n: int
     hypothesis_cokahler: bool
     degrees: list[LefschetzDegree]
-    top_class_nonzero: bool    # omega^n ^ eta represents a nonzero top class
+    # omega^n ^ eta represents a nonzero top class; None when not computed
+    top_class_nonzero: bool | None
+    # set when the map does not descend to cohomology and nothing was computed
+    note: str | None
 
     @property
     def all_iso(self) -> bool:
@@ -95,70 +94,72 @@ class LefschetzReport:
 
 def verify_lefschetz_iso(m: LieModel) -> LefschetzReport:
     """Induced Lefschetz matrices on the invariant cohomology for p <= n,
-    with the component bookkeeping of the splitting."""
+    with the component bookkeeping of the splitting.
+
+    Off cosymplectic models the map does not descend to cohomology; the
+    report then carries a note and no degrees."""
     n = _contact_rank(m)
-    co_kahler = classify(m).coKahler
+    verdict = classify(m)
+    if not verdict.cosymplectic:
+        return LefschetzReport(
+            n, verdict.coKahler, [], None,
+            "model is not cosymplectic: the Lefschetz map does not descend "
+            "to cohomology; no ranks computed")
     split = omega_splitting(m)
     sub = split.omega_eta
     ring = sub.cohomology()
-    ring1 = split.omega1.cohomology()
     degrees = []
     for p in range(n + 1):
         q = 2 * n + 1 - p
+        spans = (_class_span(m, split, q, with_eta=True),
+                 _class_span(m, split, q, with_eta=False))
         cols = []
         comp_ok = True
         for rep in ring.representatives(p):
             elem = sub.element(p, rep)
-            image = lefschetz_map(m, elem)
-            image_coords = sub.coords(q, m.ce().coords(q, image))
-            cols.append(ring.class_of(q, image_coords))
-            comp_ok &= _component_split_ok(m, sub, ring, ring1, split, elem, q)
-        src, tgt = ring.dim(p), ring.dim(q)
-        matrix = [[col[i] for col in cols] for i in range(tgt)]
-        rk = linalg.rank(matrix) if cols and tgt else 0
-        iso = rk == src == tgt
-        witnesses = []
-        if src and rk < src:
-            for kv in linalg.kernel_basis(matrix, src):
-                witnesses.append(repr(sub.element(p, ring.representative_of(p, kv))))
-        degrees.append(LefschetzDegree(p, matrix, src, tgt, rk, iso,
-                                       witnesses, comp_ok))
+            cols.append(_class(m, sub, q, lefschetz_map(m, elem)))
+            comp_ok &= _component_split_ok(m, split, spans, elem, q)
+        ind = _map_from_columns(p, cols, ring.dim(p), ring.dim(q))
+        witnesses = [repr(sub.element(p, ring.representative_of(p, kv)))
+                     for kv in ind.kernel_classes]
+        degrees.append(LefschetzDegree(**vars(ind), kernel_witnesses=witnesses,
+                                       component_split_ok=comp_ok))
     top = _omega_power(omega_element(m), n).wedge(m.eta_element())
-    top_coords = sub.coords(2 * n + 1, m.ce().coords(2 * n + 1, top))
-    top_nonzero = any(ring.class_of(2 * n + 1, top_coords))
-    return LefschetzReport(n, co_kahler, degrees, top_nonzero)
+    top_nonzero = any(_class(m, sub, 2 * n + 1, top))
+    return LefschetzReport(n, verdict.coKahler, degrees, top_nonzero, None)
 
 
-def _component_split_ok(m, sub, ring, ring1, split, elem, q) -> bool:
+def _class(m: LieModel, sub: Subcomplex, q: int, form: Element) -> list:
+    """Coordinates of the class of a closed form of Omega_eta in H^q_eta."""
+    return sub.cohomology().class_of(q, sub.coords(q, m.ce().coords(q, form)))
+
+
+def _h1_forms(m: LieModel, split, q: int, with_eta: bool) -> list[Element]:
+    """The representatives of H^q_1, or the eta-multiples of those of
+    H^{q-1}_1, as forms of degree q."""
+    p = q - 1 if with_eta else q
+    forms = [split.omega1.element(p, rep)
+             for rep in split.omega1.cohomology().representatives(p)]
+    return [m.eta_element().wedge(f) for f in forms] if with_eta else forms
+
+
+def _class_span(m: LieModel, split, q: int, with_eta: bool):
+    """Row-reduced span, in H^q_eta, of [eta] ^ H^{q-1}_1 or of H^q_1."""
+    rows = [_class(m, split.omega_eta, q, f)
+            for f in _h1_forms(m, split, q, with_eta)]
+    return linalg.rref(rows) if rows else ([], [])
+
+
+def _component_split_ok(m, split, spans, elem, q) -> bool:
     """The two split components land where the splitting says they must:
-    L(alpha_1) in [eta] ^ H_1 and L(alpha_2) in H_1."""
+    L(alpha_1) in [eta] ^ H_1 and L(alpha_2) in H_1.  ``spans`` holds the
+    row-reduced class spans of [eta] ^ H_1 and of H_1 in degree q."""
     pair = split_form(m, elem)
-    eta = m.eta_element()
-    ce = m.ce()
-
-    def class_in_eta_h1(image: Element) -> bool:
-        span = []
-        for rep in ring1.representatives(q - 1):
-            vec = eta.wedge(split.omega1.element(q - 1, rep))
-            span.append(ring.class_of(q, sub.coords(q, ce.coords(q, vec))))
-        target = ring.class_of(q, sub.coords(q, ce.coords(q, image)))
-        rows, pivots = linalg.rref(span) if span else ([], [])
-        return linalg.in_row_space(target, rows, pivots)
-
-    def class_in_h1(image: Element) -> bool:
-        span = []
-        for rep in ring1.representatives(q):
-            vec = split.omega1.element(q, rep)
-            span.append(ring.class_of(q, sub.coords(q, ce.coords(q, vec))))
-        target = ring.class_of(q, sub.coords(q, ce.coords(q, image)))
-        rows, pivots = linalg.rref(span) if span else ([], [])
-        return linalg.in_row_space(target, rows, pivots)
-
     ok = True
-    if not pair.alpha1.is_zero():
-        ok &= class_in_eta_h1(lefschetz_map(m, pair.alpha1))
-    if not pair.alpha2.is_zero():
-        ok &= class_in_h1(lefschetz_map(m, pair.alpha2))
+    for part, (rows, pivots) in zip((pair.alpha1, pair.alpha2), spans):
+        if not part.is_zero():
+            image = _class(m, split.omega_eta, q, lefschetz_map(m, part))
+            ok &= linalg.in_row_space(image, rows, pivots)
     return ok
 
 
@@ -174,25 +175,16 @@ class SplittingReport:
 
 def splitting_check(m: LieModel) -> SplittingReport:
     split = omega_splitting(m)
-    sub = split.omega_eta
-    ring = sub.cohomology()
+    ring = split.omega_eta.cohomology()
     ring1 = split.omega1.cohomology()
-    eta = m.eta_element()
-    ce = m.ce()
     per_degree = []
-    for p in range(ce.top + 1):
-        want = ring1.dim(p) + (ring1.dim(p - 1) if p >= 1 else 0)
-        cols = []
-        for rep in ring1.representatives(p):
-            vec = split.omega1.element(p, rep)
-            cols.append(ring.class_of(p, sub.coords(p, ce.coords(p, vec))))
-        if p >= 1:
-            for rep in ring1.representatives(p - 1):
-                vec = eta.wedge(split.omega1.element(p - 1, rep))
-                cols.append(ring.class_of(p, sub.coords(p, ce.coords(p, vec))))
-        matrix = [[col[i] for col in cols] for i in range(ring.dim(p))]
-        rk = linalg.rank(matrix) if cols and ring.dim(p) else 0
-        per_degree.append(want == ring.dim(p) and rk == want == ring.dim(p))
+    for p in range(m.ce().top + 1):
+        want = ring1.dim(p) + ring1.dim(p - 1)
+        forms = _h1_forms(m, split, p, with_eta=False) + \
+            _h1_forms(m, split, p, with_eta=True)
+        cols = [_class(m, split.omega_eta, p, f) for f in forms]
+        ind = _map_from_columns(p, cols, want, ring.dim(p))
+        per_degree.append(want == ring.dim(p) and ind.rank == want)
     return SplittingReport(ring.betti(), ring1.betti(), per_degree,
                            all(per_degree))
 

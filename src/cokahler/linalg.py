@@ -164,16 +164,8 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     return all(ra == rb for ra, rb in zip(a, b))
 
 
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(v == 0 for row in a for v in row)
-
-
 def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(nrows: int, ncols: int) -> Matrix:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
 
 
 def unit_vector(n: int, j: int) -> Vector:
@@ -226,16 +218,6 @@ def inverse(mat: Matrix) -> Matrix:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in rows]
-
-
-def row_space(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Canonical (rref) basis of the row space."""
-    return rref(mat)
-
-
-def column_space(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Canonical (rref) basis of the column space, as row vectors."""
-    return rref(transpose(mat))
 
 
 def transpose(mat: Matrix) -> Matrix:

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import linalg
 from .cdga import DGA, Derivation, embed_element, tensor_product, free_line_dga
+from .cohomology import InducedMap, _map_from_columns
 from .errors import StructureError
 from .exterior import Element, Generator, GradedAlgebra
 
@@ -103,8 +104,8 @@ class _Builder:
         self.images.append([Fraction(v) for v in target_coords])
         self._dga = None
 
-    def induced_map(self, p: int):
-        """Columns of H^p(model) -> H^p(target) plus both rings."""
+    def induced_map(self, p: int) -> InducedMap:
+        """The map H^p(model) -> H^p(target)."""
         model = self.dga()
         ring_m = model.cohomology()
         ring_t = self.target.cohomology()
@@ -113,7 +114,7 @@ class _Builder:
             elem = model.element(p, rep)
             vec = _push(model.algebra, self.images, elem, self.target)
             cols.append(ring_t.class_of(p, vec))
-        return cols, ring_m, ring_t
+        return _map_from_columns(p, cols, ring_m.dim(p), ring_t.dim(p))
 
 
 def minimal_model(target, cap: int) -> SullivanModel:
@@ -133,8 +134,9 @@ def minimal_model(target, cap: int) -> SullivanModel:
 
 def _extend_surjective(builder: _Builder, p: int):
     """Add closed degree-p generators until H^p maps onto the target."""
-    cols, _, ring_t = builder.induced_map(p)
-    image_rows = [list(c) for c in cols if any(c)]
+    ring_t = builder.target.cohomology()
+    image_rows = [c for c in linalg.transpose(builder.induced_map(p).matrix)
+                  if any(c)]
     for i in range(ring_t.dim(p)):
         unit = linalg.unit_vector(ring_t.dim(p), i)
         rows, pivots = linalg.rref(image_rows) if image_rows else ([], [])
@@ -149,18 +151,12 @@ def _kill_kernel(builder: _Builder, p: int):
     """Add degree-p generators with dy = z for kernel classes z of the map
     on H^{p+1}, until that map is injective."""
     for _ in range(_STAGE_CAP):
-        cols, ring_m, ring_t = builder.induced_map(p + 1)
-        src = ring_m.dim(p + 1)
-        if src == 0:
-            return
-        tgt = ring_t.dim(p + 1)
-        matrix = [[col[i] for col in cols] for i in range(tgt)]
-        kernel = linalg.kernel_basis(matrix, src)
+        kernel = builder.induced_map(p + 1).kernel_classes
         if not kernel:
             return
-        z_class = kernel[0]
         model = builder.dga()
-        z = model.element(p + 1, ring_m.representative_of(p + 1, z_class))
+        z = model.element(p + 1, model.cohomology().representative_of(
+            p + 1, kernel[0]))
         pushed = _push(model.algebra, builder.images, z, builder.target)
         w = builder.target.solve_d(p, pushed)
         if w is None:
@@ -182,16 +178,8 @@ def _finalize(builder: _Builder) -> SullivanModel:
         if lhs != rhs:
             raise StructureError("comparison map is not a chain map")
     minimal = _is_minimal(model)
-    iso = []
-    for p in range(builder.cap + 1):
-        cols, ring_m, ring_t = builder.induced_map(p)
-        matrix = [[col[i] for col in cols] for i in range(ring_t.dim(p))]
-        rk = linalg.rank(matrix) if cols and ring_t.dim(p) else 0
-        iso.append(rk == ring_m.dim(p) == ring_t.dim(p))
-    cols, ring_m, ring_t = builder.induced_map(builder.cap + 1)
-    matrix = [[col[i] for col in cols] for i in range(ring_t.dim(builder.cap + 1))]
-    rk = linalg.rank(matrix) if cols and ring_t.dim(builder.cap + 1) else 0
-    injective = rk == ring_m.dim(builder.cap + 1)
+    iso = [builder.induced_map(p).isomorphism for p in range(builder.cap + 1)]
+    injective = builder.induced_map(builder.cap + 1).injective
     return SullivanModel(model, builder.target, builder.images, builder.cap,
                          minimal, iso, injective)
 

@@ -182,7 +182,7 @@ def _contact_sections(model: LieModel, report, asserted: _Asserted,
                      f"(holds: {quism.conclusion})")
 
     split = omega_splitting(model)
-    basic = verify_basic_match(model, co_kahler=verdict.coKahler)
+    basic = verify_basic_match(model)
     coh_split = splitting_check(model)
     report["splitting"] = {
         "omega_eta_dims": [split.omega_eta.dim(p)
@@ -224,6 +224,8 @@ def _contact_sections(model: LieModel, report, asserted: _Asserted,
         asserted.add("lefschetz_isomorphism", lef.all_iso and
                      lef.top_class_nonzero,
                      "Lefschetz map is an isomorphism for 0 <= p <= n")
+    elif lef.note:
+        notes.append(lef.note)
     else:
         notes.append("not co-Kahler: Lefschetz ranks reported without a "
                      f"verdict (all iso: {lef.all_iso})")

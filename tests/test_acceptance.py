@@ -102,7 +102,7 @@ def test_criterion_4_splitting_and_basic_cohomology():
             ok &= split.omega1.dim(p) + split.omega2.dim(p) == \
                 split.omega_eta.dim(p)
             ok &= split.direct_sum[p] and split.eta_wedge_match[p]
-        ok &= verify_basic_match(m, co_kahler=True).equal
+        ok &= verify_basic_match(m).equal
         coh = splitting_check(m)
         ok &= coh.ok
         for p in range(top + 1):

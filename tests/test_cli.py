@@ -141,6 +141,50 @@ def test_contactless_model_rejected_for_classify(capsys):
     assert code == 2 and "structure" in err
 
 
+NIL5 = """\
+# [X1, X2] = X4 with xi = X1, eta = e1: d(omega) != 0, so not cosymplectic
+name: nil5
+dimension: 5
+
+[brackets]
+1 2 4 1
+
+[metric]
+identity
+
+[xi]
+X1
+
+[eta]
+e1
+
+[J]
+0 0 0 0 0
+0 0 -1 0 0
+0 1 0 0 0
+0 0 0 0 -1
+0 0 0 1 0
+"""
+
+
+def test_non_cosymplectic_model_is_a_hypothesis_not_an_error(capsys, tmp_path):
+    path = tmp_path / "nil5.model"
+    path.write_text(NIL5)
+    for command in ("classify", "betti", "lefschetz", "verbitsky", "split",
+                    "massey", "minimal", "canonicalize"):
+        code, _, err = run(capsys, "--informational", command, str(path))
+        assert code == 0, (command, err)
+    code, out, _ = run(capsys, "--informational", "report", "--json",
+                       str(path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["classification"]["cosymplectic"] is False
+    assert data["lefschetz"]["degrees"] == []
+    assert any("does not descend" in note for note in data["notes"])
+    code, out, _ = run(capsys, "lefschetz", str(path))
+    assert code == 1 and "note:" in out and "does not descend" in out
+
+
 def test_canonicalize_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "canonicalize", "torus3")
     assert code == 0
