@@ -3,9 +3,12 @@
 Models are files in the documented format or names of bundled corpus models
 (torus3, torus5, heisenberg, t2-rot4-mapping-torus, t2-negid-mapping-torus).
 
-Exit codes: 0 when every asserted verdict passes, 1 on a failed verdict or a
+Each subcommand prints one report section and exits by that section's
+verdicts: 0 when every asserted verdict passes, 1 on a failed verdict or a
 violated hypothesis (the latter suppressed by --informational), 2 on bad
-input.  COKAHLER_MAX_DEGREE sets the default minimal-model degree cap.
+input or a model without the structure the section needs.  `report` runs
+every section and exits by all of its asserted verdicts.
+COKAHLER_MAX_DEGREE sets the default minimal-model degree cap.
 """
 
 from __future__ import annotations
@@ -14,25 +17,25 @@ import argparse
 import os
 import sys
 
-from .cohomology import kunneth_convolution
 from .errors import ModelParseError, StructureError
-from .eta import omega_splitting, verify_basic_match, verify_parallel_form_quism
-from .geometry import classify
-from .lefschetz import (mapping_torus_model, model_automorphism,
-                        splitting_check, verify_lefschetz_iso)
-from .massey import degree_one_massey_scan
-from .minimal import minimal_model, model_tensor_split_check
 from .modelfile import resolve, serialize
-from .report import build_report, render_json, render_text
+from .report import build_report, render_json, render_text, run_section
 
 _OK, _FAIL, _ERROR = 0, 1, 2
 
 
-def _default_cap() -> int:
+def _degree_cap(flag: str | None) -> int:
+    """--max-degree, else $COKAHLER_MAX_DEGREE, else 3, as given; anything
+    but an integer >= 1 is an input error."""
+    source, text = ("--max-degree", flag) if flag is not None else \
+        ("COKAHLER_MAX_DEGREE", os.environ.get("COKAHLER_MAX_DEGREE", "3"))
     try:
-        return max(1, int(os.environ.get("COKAHLER_MAX_DEGREE", "3")))
+        cap = int(text)
     except ValueError:
-        return 3
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {text!r}")
+    return cap
 
 
 def main(argv=None) -> int:
@@ -52,6 +55,8 @@ def main(argv=None) -> int:
             cmd.add_argument(flag, **kwargs)
         return cmd
 
+    cap_flag = dict(default=None, metavar="N",
+                    help="degree cap (default: $COKAHLER_MAX_DEGREE or 3)")
     add("classify", "almost-contact / cosymplectic / normal / co-Kahler verdict")
     add("betti", "Betti numbers of the Chevalley-Eilenberg complex")
     add("lefschetz", "Lefschetz isomorphism report (co-Kahler hypothesis)")
@@ -60,9 +65,7 @@ def main(argv=None) -> int:
     add("split", "invariant-form and cohomology splitting checks")
     add("massey", "degree-1 triple Massey products (formality obstructions)")
     add("minimal", "bounded-degree Sullivan minimal model",
-        **{"--max-degree": dict(type=int, default=None, metavar="N",
-                                help="degree cap (default: "
-                                     "$COKAHLER_MAX_DEGREE or 3)")})
+        **{"--max-degree": cap_flag})
     add("mapping-torus", "mapping-torus model from the automorphism block",
         **{"--order": dict(type=int, default=None, metavar="M",
                            help="expected automorphism order (default: from "
@@ -70,8 +73,7 @@ def main(argv=None) -> int:
     report_cmd = add("report", "run every applicable check",
                      **{"--json": dict(action="store_true",
                                        help="machine-readable output"),
-                        "--max-degree": dict(type=int, default=None,
-                                             metavar="N")})
+                        "--max-degree": cap_flag})
     report_cmd.add_argument("--all", action="store_true",
                             help="run all checks (the default; kept for "
                                  "scripting clarity)")
@@ -82,172 +84,139 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         mf = resolve(args.model)
-    except (ModelParseError, OSError) as exc:
+        cap = _degree_cap(args.max_degree) if "max_degree" in args else 3
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _ERROR
     try:
-        return _dispatch(args, mf)
+        return _dispatch(args, mf, cap)
     except (StructureError, ModelParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _ERROR
 
 
-def _hypothesis_exit(args, message: str) -> int:
-    print(f"note: {message}")
-    return _OK if args.informational else _FAIL
-
-
-def _dispatch(args, mf) -> int:
+def _dispatch(args, mf, cap: int) -> int:
     if args.command == "canonicalize":
         sys.stdout.write(serialize(mf))
         return _OK
-    if args.command == "betti":
-        model = mf.to_lie_model()
-        print(f"{model.name}: betti {_fmt(model.ce().cohomology().betti())}")
-        return _OK
-    if args.command == "mapping-torus":
-        return _cmd_mapping_torus(args, mf)
     if args.command == "report":
-        cap = args.max_degree if args.max_degree else _default_cap()
         report = build_report(mf, max_degree=cap)
         sys.stdout.write(render_json(report) if args.json
                          else render_text(report))
-        return _OK if report["ok"] else _FAIL
-
-    model = mf.to_lie_model()
-    if args.command == "massey":
-        return _cmd_massey(args, model)
-    if args.command == "minimal":
-        return _cmd_minimal(args, model)
-    if not mf.has_contact_structure():
-        print(f"error: {model.name} carries no (J, xi, eta) structure",
-              file=sys.stderr)
-        return _ERROR
-    if args.command == "classify":
-        return _cmd_classify(model)
-    if args.command == "lefschetz":
-        return _cmd_lefschetz(args, model)
-    if args.command == "verbitsky":
-        return _cmd_verbitsky(args, model)
-    if args.command == "split":
-        return _cmd_split(args, model)
-    raise AssertionError(f"unhandled command {args.command}")
+        asserted, hypothesis = report["asserted"], None
+    else:
+        key, show = _VIEWS[args.command]
+        sec = run_section(mf.to_lie_model(), key, max_degree=cap,
+                          order=getattr(args, "order", None))
+        show(sec)
+        if sec.hypothesis:
+            print(f"note: {sec.hypothesis}")
+        asserted, hypothesis = sec.asserted, sec.hypothesis
+    if not all(r["ok"] for r in asserted) or \
+            (hypothesis and not args.informational):
+        return _FAIL
+    return _OK
 
 
 def _fmt(seq) -> str:
     return "(" + ", ".join(str(v) for v in seq) + ")"
 
 
-def _cmd_classify(model) -> int:
-    verdict = classify(model)
-    for key in ("almost_contact", "cosymplectic", "normal", "coKahler",
-                "killing_xi", "parallel_xi", "parallel_eta", "parallel_J",
-                "unimodular"):
-        print(f"{key}: {getattr(verdict, key)}")
-    for name, witness in sorted(verdict.witnesses.items()):
+def _show_classification(sec) -> None:
+    for key, value in sec.record.items():
+        if key != "witnesses":
+            print(f"{key}: {value}")
+    for name, witness in sec.record["witnesses"].items():
         print(f"witness[{name}]: {witness}")
-    return _OK
 
 
-def _cmd_lefschetz(args, model) -> int:
-    rep = verify_lefschetz_iso(model)
-    print(f"n = {rep.n}; co-Kahler hypothesis: {rep.hypothesis_cokahler}")
-    if rep.note:
-        return _hypothesis_exit(args, rep.note)
-    for d in rep.degrees:
-        print(f"  p={d.degree}: rank {d.rank} "
-              f"of {d.source_dim}->{d.target_dim}, iso: {d.isomorphism}")
-        for w in d.kernel_witnesses:
+def _show_betti(sec) -> None:
+    print(f"{sec.record['name']}: betti {_fmt(sec.record['betti'])}")
+
+
+def _show_lefschetz(sec) -> None:
+    rec = sec.record
+    print(f"n = {rec['n']}; co-Kahler hypothesis: "
+          f"{rec['hypothesis_cokahler']}")
+    for d in rec["degrees"]:
+        print(f"  p={d['p']}: rank {d['rank']} "
+              f"of {d['source_dim']}->{d['target_dim']}, "
+              f"iso: {d['isomorphism']}")
+        for w in d["kernel_witnesses"]:
             print(f"    kernel witness: {w}")
-    print(f"top class omega^n ^ eta nonzero: {rep.top_class_nonzero}")
-    if not rep.hypothesis_cokahler:
-        return _hypothesis_exit(args, "model is not co-Kahler; ranks are "
-                                      "informational")
-    return _OK if rep.ok else _FAIL
+    if rec["top_class_nonzero"] is not None:
+        print(f"top class omega^n ^ eta nonzero: {rec['top_class_nonzero']}")
 
 
-def _cmd_verbitsky(args, model) -> int:
-    rep = verify_parallel_form_quism(model)
-    print(f"eta parallel: {rep.eta_parallel}")
-    print(f"ker(d_eta) betti: {_fmt(rep.sub_betti)}; "
-          f"full betti: {_fmt(rep.full_betti)}")
-    print(f"degreewise isomorphism: {rep.degreewise_iso}")
-    for p, witnesses in sorted(rep.kernel_witnesses.items()):
+def _show_quism(sec) -> None:
+    rec = sec.record
+    print(f"eta parallel: {rec['eta_parallel']}")
+    print(f"ker(d_eta) betti: {_fmt(rec['betti_kernel'])}; "
+          f"full betti: {_fmt(rec['betti_full'])}")
+    print(f"degreewise isomorphism: {rec['degreewise_iso']}")
+    for p, witnesses in rec["kernel_witnesses"].items():
         for w in witnesses:
             print(f"  H^{p} kernel witness: {w}")
-    print(f"quasi-isomorphism: {rep.conclusion}")
-    if not rep.eta_parallel:
-        return _hypothesis_exit(args, "eta is not parallel; the verdict is "
-                                      "informational")
-    return _OK if rep.conclusion else _FAIL
+    print(f"quasi-isomorphism: {rec['quasi_isomorphism']}")
 
 
-def _cmd_split(args, model) -> int:
-    verdict = classify(model)
-    split = omega_splitting(model)
-    basic = verify_basic_match(model)
-    coh = splitting_check(model)
-    top = model.ce().top
-    print(f"Omega_eta dims: {_fmt([split.omega_eta.dim(p) for p in range(top + 1)])}")
-    print(f"Omega_1   dims: {_fmt([split.omega1.dim(p) for p in range(top + 1)])}")
-    print(f"Omega_2   dims: {_fmt([split.omega2.dim(p) for p in range(top + 1)])}")
-    print(f"direct sum (p>0): {all(split.direct_sum)}")
-    print(f"Omega_2 = eta ^ Omega_1: {all(split.eta_wedge_match)}")
-    print(f"Omega_1 = basic complex: {basic.equal}")
-    print(f"H_eta betti: {_fmt(coh.dims_eta)}; H_1 betti: {_fmt(coh.dims_basic)}")
-    print(f"H^p_eta = H^p_1 + [eta]^H^(p-1)_1: {coh.ok}")
-    ok = split.ok and basic.equal and coh.ok
-    if not verdict.coKahler:
-        return _hypothesis_exit(args, "model is not co-Kahler; splitting "
-                                      "reported informationally")
-    return _OK if ok else _FAIL
+def _show_splitting(sec) -> None:
+    rec = sec.record
+    print(f"Omega_eta dims: {_fmt(rec['omega_eta_dims'])}")
+    print(f"Omega_1   dims: {_fmt(rec['omega1_dims'])}")
+    print(f"Omega_2   dims: {_fmt(rec['omega2_dims'])}")
+    print(f"direct sum (p>0): {all(rec['direct_sum'])}")
+    print(f"Omega_2 = eta ^ Omega_1: {all(rec['eta_wedge_match'])}")
+    print(f"Omega_1 = basic complex: {all(rec['omega1_equals_basic'])}")
+    print(f"H_eta betti: {_fmt(rec['betti_eta'])}; "
+          f"H_1 betti: {_fmt(rec['betti_omega1'])}")
+    print(f"H^p_eta = H^p_1 + [eta]^H^(p-1)_1: "
+          f"{all(rec['cohomology_split'])}")
 
 
-def _cmd_massey(args, model) -> int:
-    scan = degree_one_massey_scan(model.ce().cohomology())
-    print(f"degree-1 triple products defined: {len(scan.triples)}")
-    for (i, j, k), t in scan.triples:
-        value = model.ce().element(t.value_degree, t.value_cochain)
-        print(f"  <h{i + 1}, h{j + 1}, h{k + 1}>: value {value!r}, "
-              f"indeterminacy dim {t.indeterminacy_dim}, vanishes: {t.vanishes}")
-    print(f"status: {scan.status}")
-    return _OK
+def _show_massey(sec) -> None:
+    triples = sec.record["degree_one_triples"]
+    print(f"degree-1 triple products defined: {len(triples)}")
+    for t in triples:
+        i, j, k = t["classes"]
+        print(f"  <h{i + 1}, h{j + 1}, h{k + 1}>: value {t['value_cochain']}, "
+              f"indeterminacy dim {t['indeterminacy_dim']}, "
+              f"vanishes: {t['vanishes']}")
+    print(f"status: {sec.record['status']}")
 
 
-def _cmd_minimal(args, model) -> int:
-    cap = args.max_degree if args.max_degree else _default_cap()
-    mm = minimal_model(model.ce(), cap)
-    counts = mm.generator_counts()
-    print(f"generators by degree: "
-          f"{ {k: counts[k] for k in sorted(counts)} }")
-    print(f"minimal (decomposable differential): {mm.minimal}")
-    print(f"H^p isomorphism for p <= {cap}: {mm.iso_degrees}")
-    print(f"injective in degree {cap + 1}: {mm.injective_above}")
-    ok = mm.minimal and mm.quasi_iso
-    if model.xi is not None and model.eta is not None and model.J is not None \
-            and classify(model).coKahler:
-        tensor = model_tensor_split_check(model, cap)
-        print(f"tensor split (counts and Betti): {tensor.ok}")
-        ok = ok and tensor.ok
-    return _OK if ok else _FAIL
+def _show_minimal(sec) -> None:
+    rec = sec.record
+    cap = rec["max_degree"]
+    print(f"generators by degree: {rec['generator_counts']}")
+    print(f"minimal (decomposable differential): {rec['minimal']}")
+    print(f"H^p isomorphism for p <= {cap}: {rec['quasi_iso_degrees']}")
+    print(f"injective in degree {cap + 1}: {rec['injective_above']}")
+    for r in sec.asserted:
+        if r["check"] == "minimal_model_tensor_split":
+            print(f"tensor split (counts and Betti): {r['ok']}")
 
 
-def _cmd_mapping_torus(args, mf) -> int:
-    model = mf.to_lie_model()
-    if model.automorphism is None:
-        print(f"error: {model.name} has no automorphism block",
-              file=sys.stderr)
-        return _ERROR
-    phi, file_order = model_automorphism(model)
-    order = args.order if args.order is not None else file_order
-    torus = mapping_torus_model(model.ce(), phi, order)
-    convolved = kunneth_convolution(torus.fiber_fixed_betti, (1, 1))
-    print(f"automorphism order: {order}")
-    print(f"fixed subcomplex betti: {_fmt(torus.fiber_fixed_betti)}")
-    print(f"mapping torus betti:    {_fmt(torus.betti)}")
+def _show_mapping_torus(sec) -> None:
+    rec = sec.record
+    print(f"automorphism order: {rec['order']}")
+    print(f"fixed subcomplex betti: {_fmt(rec['fixed_betti'])}")
+    print(f"mapping torus betti:    {_fmt(rec['betti'])}")
     print(f"fixed betti * (1,1) == mapping torus betti: "
-          f"{convolved == torus.betti}")
-    return _OK if convolved == torus.betti else _FAIL
+          f"{rec['fixed_convolved'] == rec['betti']}")
+
+
+# subcommand -> (the report section it prints, its formatter)
+_VIEWS = {
+    "classify": ("classification", _show_classification),
+    "betti": ("model", _show_betti),
+    "lefschetz": ("lefschetz", _show_lefschetz),
+    "verbitsky": ("parallel_form_quism", _show_quism),
+    "split": ("splitting", _show_splitting),
+    "massey": ("massey", _show_massey),
+    "minimal": ("minimal_model", _show_minimal),
+    "mapping-torus": ("mapping_torus", _show_mapping_torus),
+}
 
 
 if __name__ == "__main__":

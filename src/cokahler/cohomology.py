@@ -19,12 +19,11 @@ from .errors import StructureError
 @dataclass
 class DegreeSlice:
     """One degree of a cohomology ring."""
-    degree: int
     dimension: int
-    representatives: linalg.Matrix          # rows, in complex coordinates
+    representatives: linalg.Matrix          # rref rows, in complex coordinates
+    rep_pivots: list[int]
     image_rows: linalg.Matrix               # rref basis of im(d)
     image_pivots: list[int]
-    kernel_dim: int
 
 
 class CohomologyRing:
@@ -36,7 +35,7 @@ class CohomologyRing:
         for p in range(cx.top + 1):
             n = cx.dim(p)
             if n == 0:
-                self.slices.append(DegreeSlice(p, 0, [], [], [], 0))
+                self.slices.append(DegreeSlice(0, [], [], [], []))
                 continue
             kernel = linalg.kernel_basis(cx.d_matrix(p), n)
             img_vectors = []
@@ -46,15 +45,15 @@ class CohomologyRing:
                 img_vectors = [[prev[i][j] for i in range(n)] for j in range(ncols)]
             img_rows, img_pivots = linalg.rref(img_vectors) if img_vectors else ([], [])
             reduced = [linalg.residual(v, img_rows, img_pivots) for v in kernel]
-            reps, _ = linalg.rref([r for r in reduced if any(r)]) if reduced else ([], [])
+            reps, rep_pivots = linalg.rref([r for r in reduced if any(r)]) \
+                if reduced else ([], [])
             dim_h = len(reps)
             if dim_h != len(kernel) - len(img_rows):
                 raise StructureError(
                     f"rank-nullity mismatch in degree {p}: "
                     f"{dim_h} != {len(kernel)} - {len(img_rows)}")
             self.slices.append(
-                DegreeSlice(p, dim_h, reps, img_rows, img_pivots, len(kernel)))
-        self._solve_cache: dict[int, tuple] = {}
+                DegreeSlice(dim_h, reps, rep_pivots, img_rows, img_pivots))
         self._cup_cache: dict[tuple, list[Fraction]] = {}
 
     @property
@@ -91,8 +90,10 @@ class CohomologyRing:
     def class_of(self, p: int, cocycle_coords) -> list[Fraction]:
         """Coordinates of [v] on the representative basis of H^p.
 
-        Deterministic: solves v = sum a_i rep_i + d w with free variables 0.
-        Raises if v is not closed.
+        The representatives vanish on the image pivots and are in rref, so
+        reducing v = sum a_i rep_i + d w modulo the image leaves sum a_i rep_i,
+        whose entries at the representatives' pivots are the a_i.  Raises if
+        v is not closed or the reduction is not that combination.
         """
         vec = list(cocycle_coords)
         if p < 0 or p > self.top:
@@ -103,28 +104,11 @@ class CohomologyRing:
         if any(dv):
             raise StructureError(f"vector of degree {p} is not closed")
         s = self.slices[p]
-        if p not in self._solve_cache:
-            n = self.complex.dim(p)
-            prev = self.complex.d_matrix(p - 1) if p > 0 else []
-            img_cols = len(prev[0]) if prev else 0
-            cols = len(s.representatives) + img_cols
-            mat = [[Fraction(0)] * cols for _ in range(n)]
-            for j, rep in enumerate(s.representatives):
-                for i in range(n):
-                    mat[i][j] = rep[i]
-            for j in range(img_cols):
-                for i in range(n):
-                    mat[i][len(s.representatives) + j] = prev[i][j]
-            self._solve_cache[p] = mat
-        mat = self._solve_cache[p]
-        if not mat or not mat[0]:
-            if any(vec):
-                raise StructureError(f"nonzero vector in a zero H^{p}")
-            return []
-        sol = linalg.solve(mat, vec)
-        if sol is None:
+        rest = linalg.residual(vec, s.image_rows, s.image_pivots)
+        coeffs = [Fraction(rest[c]) for c in s.rep_pivots]
+        if rest != self.representative_of(p, coeffs):
             raise StructureError(f"vector is not in Z^{p}")
-        return sol[:s.dimension]
+        return coeffs
 
     def class_of_element(self, elem) -> list[Fraction]:
         p = elem.degree

@@ -20,7 +20,7 @@ from .cdga import (Derivation, Subcomplex, supercommutator,
 from .cohomology import inclusion_induced_map
 from .errors import StructureError
 from .exterior import Element
-from .geometry import LieModel, classify, is_parallel_covector, once_per_model
+from .geometry import LieModel, is_parallel_covector, once_per_model
 
 
 @dataclass
@@ -235,7 +235,6 @@ class BasicMatchReport:
     """Degreewise comparison of Omega_1 with the basic complex of xi."""
     per_degree: list[bool]
     equal: bool
-    asserted: bool    # contract applies only under the co-Kahler hypothesis
 
 
 def verify_basic_match(m: LieModel) -> BasicMatchReport:
@@ -245,7 +244,7 @@ def verify_basic_match(m: LieModel) -> BasicMatchReport:
         [list(r) for r in split.omega1.basis_vectors(p)],
         [list(r) for r in basic.basis_vectors(p)])
         for p in range(m.ce().top + 1)]
-    return BasicMatchReport(per_degree, all(per_degree), classify(m).coKahler)
+    return BasicMatchReport(per_degree, all(per_degree))
 
 
 @dataclass
@@ -259,19 +258,10 @@ class QuasiIsoReport:
     conclusion: bool              # inclusion is a quasi-isomorphism
     kernel_witnesses: dict[int, list[str]]
 
-    @property
-    def asserted(self) -> bool:
-        """Whether the parallel-form hypothesis makes the verdict binding."""
-        return self.eta_parallel
-
-    @property
-    def ok(self) -> bool:
-        return self.conclusion if self.eta_parallel else True
-
 
 def verify_parallel_form_quism(m: LieModel) -> QuasiIsoReport:
     """Check that ker(d_eta) includes quasi-isomorphically into the full
-    complex; binding when eta is parallel, informational otherwise."""
+    complex; the verdict is a theorem when eta is parallel."""
     parallel, _ = is_parallel_covector(m, m._require("eta"))
     dga = m.ce()
     sub = kernel_subcomplex(dga, build_d_eta(m).d_eta)

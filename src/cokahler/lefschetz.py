@@ -85,12 +85,6 @@ class LefschetzReport:
     def all_iso(self) -> bool:
         return all(d.isomorphism for d in self.degrees)
 
-    @property
-    def ok(self) -> bool:
-        """Binding only under the co-Kahler hypothesis."""
-        return (self.all_iso and self.top_class_nonzero) \
-            if self.hypothesis_cokahler else True
-
 
 def verify_lefschetz_iso(m: LieModel) -> LefschetzReport:
     """Induced Lefschetz matrices on the invariant cohomology for p <= n,
@@ -202,15 +196,11 @@ class MappingTorus:
     circle_generator: str
 
 
-def mapping_torus_model(k_dga: DGA, phi: AlgebraMap, order: int,
-                        circle_name: str | None = None) -> MappingTorus:
+def mapping_torus_model(k_dga: DGA, phi: AlgebraMap,
+                        order: int) -> MappingTorus:
     """Model of the mapping torus of a finite-order automorphism."""
     used = {g.name for g in k_dga.algebra.generators}
-    name = circle_name
-    if name is None:
-        name = next(c for c in ("t", "s", "u", "z") if c not in used)
-    elif name in used:
-        raise StructureError(f"circle generator name {name!r} collides")
+    name = next(c for c in ("t", "s", "u", "z") if c not in used)
     fixed_k = invariant_subalgebra(k_dga, phi, order)
     total = tensor_product(k_dga, free_line_dga(name))
     images = {}

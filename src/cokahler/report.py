@@ -1,18 +1,23 @@
 """Verification reports: one record per theorem-level check per model.
 
-``build_report`` runs everything applicable to a model file and returns a
-JSON-safe dict (Fractions as strings, tuples as lists, keys stable).
-Binding verdicts land in ``asserted``; checks whose hypotheses the model
-violates are reported informationally in ``notes`` instead.
+Each check is one section function.  It returns the section's record, the
+verdicts it asserts, its other notes, and the note that the model violates
+the section's own hypothesis (Lefschetz, quasi-isomorphism, splitting).
+``build_report`` runs every section that applies to a model file and
+returns a JSON-safe dict (Fractions as strings, tuples as lists, keys
+stable): binding verdicts land in ``asserted``, everything else in
+``notes``.  The CLI prints one section through ``run_section``.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cdga import check_d_squared, check_leibniz, supercommutes_with_d
 from .cohomology import kunneth_convolution
+from .errors import StructureError
 from .eta import (basic_complex, build_d_eta, omega_splitting,
                   verify_basic_match, verify_d_eta_equals_lie,
                   verify_parallel_form_quism)
@@ -39,22 +44,121 @@ def _plain(value):
     return value
 
 
-class _Asserted:
-    """Collects binding verdicts, each tied to the invariant it checks."""
+@dataclass
+class Section:
+    """One report section.  ``record`` is None when the section does not
+    apply; ``hypothesis`` is the note saying that the model violates the
+    section's own hypothesis, None when it holds."""
+    record: dict | None
+    asserted: list[dict] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+    hypothesis: str | None = None
 
-    def __init__(self):
-        self.records: list[dict] = []
-
-    def add(self, check: str, ok: bool, invariant: str):
-        self.records.append({"check": check, "ok": bool(ok),
-                             "invariant": invariant})
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r["ok"] for r in self.records)
+    def check(self, name: str, ok: bool, invariant: str) -> None:
+        """Record a binding verdict tied to the invariant it checks."""
+        self.asserted.append({"check": name, "ok": bool(ok),
+                              "invariant": invariant})
 
 
-def operator_identity_report(m: LieModel, asserted: _Asserted) -> dict:
+# Report sections in report order, each with the structure it needs.  The
+# section function of key k is ``_k_section``, looked up when it runs.
+SECTIONS = {
+    "model": None,
+    "classification": "contact",
+    "operator_identities": "contact",
+    "d_eta_equals_lie": "contact",
+    "parallel_form_quism": "contact",
+    "splitting": "contact",
+    "lefschetz": "contact",
+    "massey": None,
+    "minimal_model": None,
+    "mapping_torus": "automorphism",
+}
+# the CLI runs these on any model, the report only with a contact structure
+_REPORT_NEEDS_CONTACT = ("massey", "minimal_model")
+
+
+def _has_contact(model: LieModel) -> bool:
+    return None not in (model.xi, model.eta, model.J)
+
+
+def _missing(model: LieModel, needs: str | None) -> str | None:
+    """What the model lacks of the structure ``needs``, or None."""
+    if needs == "contact" and not _has_contact(model):
+        return f"{model.name} carries no (J, xi, eta) structure"
+    if needs == "automorphism" and model.automorphism is None:
+        return f"{model.name} has no automorphism block"
+    return None
+
+
+def _section(key: str, model: LieModel, cap: int,
+             order: int | None) -> Section:
+    return globals()[f"_{key}_section"](model, cap, order)
+
+
+def run_section(model: LieModel, key: str, max_degree: int = 3,
+                order: int | None = None) -> Section:
+    """One section on one model; ``order`` replaces the order of the
+    model's automorphism block.  Raises StructureError when the model lacks
+    the structure the section needs."""
+    missing = _missing(model, SECTIONS[key])
+    if missing:
+        raise StructureError(missing)
+    return _section(key, model, max_degree, order)
+
+
+def build_report(mf: ModelFile, max_degree: int = 3) -> dict:
+    model = mf.to_lie_model()
+    report: dict = {}
+    asserted: list[dict] = []
+    notes: list[str] = []
+    if not _has_contact(model):
+        notes.append("no contact structure (J, xi, eta): geometric checks "
+                     "skipped")
+    for key, needs in SECTIONS.items():
+        if _missing(model, "contact" if key in _REPORT_NEEDS_CONTACT
+                    else needs):
+            continue
+        sec = _section(key, model, max_degree, None)
+        if sec.record is not None:
+            report[key] = sec.record
+        asserted += sec.asserted
+        notes += sec.notes + ([sec.hypothesis] if sec.hypothesis else [])
+    report["asserted"] = asserted
+    report["notes"] = notes
+    report["ok"] = all(r["ok"] for r in asserted)
+    return _plain(report)
+
+
+def _co_kahler(model: LieModel) -> bool:
+    return _has_contact(model) and classify(model).coKahler
+
+
+def _model_section(model: LieModel, cap, order) -> Section:
+    return Section({
+        "name": model.name,
+        "dimension": model.dimension,
+        "betti": list(model.ce().cohomology().betti()),
+        "unimodular": model.is_unimodular(),
+    })
+
+
+def _classification_section(model: LieModel, cap, order) -> Section:
+    verdict = classify(model)
+    sec = Section({**vars(verdict),
+                   "witnesses": dict(sorted(verdict.witnesses.items()))})
+    sec.check("classification_consistency",
+              verdict.coKahler == (verdict.cosymplectic and verdict.normal)
+              == verdict.parallel_J,
+              "co-Kahler iff cosymplectic and normal iff parallel J")
+    return sec
+
+
+def _operator_identities_section(model: LieModel, cap, order) -> Section:
+    return operator_identity_report(model)
+
+
+def operator_identity_report(m: LieModel) -> Section:
     """iota^2 = 0, Cartan via the coadjoint construction, Leibniz for the
     working derivations, and {d, d_eta} = 0, all as exact identities."""
     dga = m.ce()
@@ -93,6 +197,7 @@ def operator_identity_report(m: LieModel, asserted: _Asserted) -> dict:
         super_ok = supercommutes_with_d(dga, op.d_eta)
     out["leibniz_operators"] = leibniz_ops
     out["d_eta_supercommutes_with_d"] = super_ok
+    sec = Section(out)
     for key, invariant in (
             ("iota_squared_zero", "iota_X composed with itself vanishes"),
             ("cartan_formula", "{d, iota_X} equals the coadjoint Lie derivative"),
@@ -100,95 +205,54 @@ def operator_identity_report(m: LieModel, asserted: _Asserted) -> dict:
             ("leibniz_d", "d satisfies the graded Leibniz rule"),
             ("leibniz_operators", "iota, L and d_eta satisfy Leibniz"),
             ("d_eta_supercommutes_with_d", "{d, d_eta} = 0")):
-        asserted.add(key, out[key], invariant)
-    return out
+        sec.check(key, out[key], invariant)
+    return sec
 
 
-def build_report(mf: ModelFile, max_degree: int = 3) -> dict:
-    model = mf.to_lie_model()
-    asserted = _Asserted()
-    notes: list[str] = []
-    report: dict = {
-        "model": {
-            "name": model.name,
-            "dimension": model.dimension,
-            "betti": list(model.ce().cohomology().betti()),
-            "unimodular": model.is_unimodular(),
-        },
-    }
-    if mf.has_contact_structure():
-        _contact_sections(model, report, asserted, notes, max_degree)
-    else:
-        notes.append("no contact structure (J, xi, eta): geometric checks "
-                     "skipped")
-    if mf.automorphism is not None:
-        report["mapping_torus"] = _mapping_torus_section(model, asserted)
-    report["asserted"] = asserted.records
-    report["notes"] = notes
-    report["ok"] = asserted.all_ok
-    return _plain(report)
+def _d_eta_equals_lie_section(model: LieModel, cap, order) -> Section:
+    if model.flat(model.xi) != model.eta:
+        return Section(None, notes=["eta is not the metric dual of xi: "
+                                    "d_eta = L_xi not applicable"])
+    comparison = verify_d_eta_equals_lie(model)
+    sec = Section({
+        "equal": comparison.equal, "degreewise": comparison.degreewise,
+        "degree0": comparison.degree0, "degree1": comparison.degree1})
+    sec.check("d_eta_equals_lie", comparison.equal,
+              "d_eta = L_xi whenever eta is the metric dual of xi")
+    return sec
 
 
-def _contact_sections(model: LieModel, report, asserted: _Asserted,
-                      notes, max_degree: int):
-    verdict = classify(model)
-    report["classification"] = {
-        "almost_contact": verdict.almost_contact,
-        "cosymplectic": verdict.cosymplectic,
-        "normal": verdict.normal,
-        "coKahler": verdict.coKahler,
-        "killing_xi": verdict.killing_xi,
-        "parallel_xi": verdict.parallel_xi,
-        "parallel_eta": verdict.parallel_eta,
-        "parallel_J": verdict.parallel_J,
-        "unimodular": verdict.unimodular,
-        "witnesses": dict(sorted(verdict.witnesses.items())),
-    }
-    asserted.add("classification_consistency",
-                 verdict.coKahler == (verdict.cosymplectic and verdict.normal)
-                 == verdict.parallel_J,
-                 "co-Kahler iff cosymplectic and normal iff parallel J")
-    report["operator_identities"] = operator_identity_report(model, asserted)
-
-    # d_eta versus the Lie derivative
-    if model.flat(model.xi) == model.eta:
-        comparison = verify_d_eta_equals_lie(model)
-        report["d_eta_equals_lie"] = {
-            "equal": comparison.equal, "degreewise": comparison.degreewise,
-            "degree0": comparison.degree0, "degree1": comparison.degree1}
-        asserted.add("d_eta_equals_lie", comparison.equal,
-                     "d_eta = L_xi whenever eta is the metric dual of xi")
-    else:
-        notes.append("eta is not the metric dual of xi: d_eta = L_xi not "
-                     "applicable")
-
+def _parallel_form_quism_section(model: LieModel, cap, order) -> Section:
     quism = verify_parallel_form_quism(model)
-    report["parallel_form_quism"] = {
+    sec = Section({
         "eta_parallel": quism.eta_parallel,
         "degreewise_iso": quism.degreewise_iso,
         "ranks": quism.ranks,
         "betti_kernel": list(quism.sub_betti),
         "betti_full": list(quism.full_betti),
         "quasi_isomorphism": quism.conclusion,
-        "kernel_witnesses": {str(k): v for k, v in quism.kernel_witnesses.items()},
-    }
+        "kernel_witnesses": quism.kernel_witnesses,
+    })
     if quism.eta_parallel:
-        asserted.add("parallel_form_quism", quism.conclusion,
-                     "ker(d_eta) includes quasi-isomorphically when eta is "
-                     "parallel")
+        sec.check("parallel_form_quism", quism.conclusion,
+                  "ker(d_eta) includes quasi-isomorphically when eta is "
+                  "parallel")
     else:
-        notes.append("eta not parallel: quasi-isomorphism of ker(d_eta) "
-                     "reported without a verdict "
-                     f"(holds: {quism.conclusion})")
+        sec.hypothesis = ("eta not parallel: quasi-isomorphism of ker(d_eta) "
+                          "reported without a verdict "
+                          f"(holds: {quism.conclusion})")
+    return sec
 
+
+def _splitting_section(model: LieModel, cap, order) -> Section:
     split = omega_splitting(model)
     basic = verify_basic_match(model)
     coh_split = splitting_check(model)
-    report["splitting"] = {
-        "omega_eta_dims": [split.omega_eta.dim(p)
-                           for p in range(model.ce().top + 1)],
-        "omega1_dims": [split.omega1.dim(p) for p in range(model.ce().top + 1)],
-        "omega2_dims": [split.omega2.dim(p) for p in range(model.ce().top + 1)],
+    top = model.ce().top
+    sec = Section({
+        "omega_eta_dims": [split.omega_eta.dim(p) for p in range(top + 1)],
+        "omega1_dims": [split.omega1.dim(p) for p in range(top + 1)],
+        "omega2_dims": [split.omega2.dim(p) for p in range(top + 1)],
         "direct_sum": split.direct_sum,
         "eta_wedge_match": split.eta_wedge_match,
         "omega1_equals_basic": basic.per_degree,
@@ -196,20 +260,24 @@ def _contact_sections(model: LieModel, report, asserted: _Asserted,
         "betti_omega1": list(coh_split.dims_basic),
         "betti_basic": list(basic_complex(model).betti()),
         "cohomology_split": coh_split.per_degree_ok,
-    }
-    if verdict.coKahler:
-        asserted.add("omega_splitting", split.ok,
-                     "Omega_eta = Omega_1 + eta^Omega_1 directly, p > 0")
-        asserted.add("omega1_equals_basic", basic.equal,
-                     "the iota-kernel equals the basic complex of xi")
-        asserted.add("cohomology_splitting", coh_split.ok,
-                     "H^p_eta = H^p_1 + [eta]^H^{p-1}_1")
+    })
+    if _co_kahler(model):
+        sec.check("omega_splitting", split.ok,
+                  "Omega_eta = Omega_1 + eta^Omega_1 directly, p > 0")
+        sec.check("omega1_equals_basic", basic.equal,
+                  "the iota-kernel equals the basic complex of xi")
+        sec.check("cohomology_splitting", coh_split.ok,
+                  "H^p_eta = H^p_1 + [eta]^H^{p-1}_1")
     else:
-        notes.append("not co-Kahler: splitting checks reported without a "
-                     f"verdict (splitting holds: {split.ok and coh_split.ok})")
+        sec.hypothesis = ("not co-Kahler: splitting checks reported without "
+                          "a verdict (splitting holds: "
+                          f"{split.ok and coh_split.ok})")
+    return sec
 
+
+def _lefschetz_section(model: LieModel, cap, order) -> Section:
     lef = verify_lefschetz_iso(model)
-    report["lefschetz"] = {
+    sec = Section({
         "n": lef.n,
         "hypothesis_cokahler": lef.hypothesis_cokahler,
         "top_class_nonzero": lef.top_class_nonzero,
@@ -219,31 +287,20 @@ def _contact_sections(model: LieModel, report, asserted: _Asserted,
             "kernel_witnesses": d.kernel_witnesses,
             "component_split_ok": d.component_split_ok,
         } for d in lef.degrees],
-    }
-    if verdict.coKahler:
-        asserted.add("lefschetz_isomorphism", lef.all_iso and
-                     lef.top_class_nonzero,
-                     "Lefschetz map is an isomorphism for 0 <= p <= n")
-    elif lef.note:
-        notes.append(lef.note)
+    })
+    if lef.hypothesis_cokahler:
+        sec.check("lefschetz_isomorphism",
+                  lef.all_iso and lef.top_class_nonzero,
+                  "Lefschetz map is an isomorphism for 0 <= p <= n")
     else:
-        notes.append("not co-Kahler: Lefschetz ranks reported without a "
-                     f"verdict (all iso: {lef.all_iso})")
+        sec.hypothesis = lef.note or ("not co-Kahler: Lefschetz ranks "
+                                      "reported without a verdict "
+                                      f"(all iso: {lef.all_iso})")
+    return sec
 
+
+def _massey_section(model: LieModel, cap, order) -> Section:
     scan = degree_one_massey_scan(model.ce().cohomology())
-    report["massey"] = _massey_section(model, scan)
-    if verdict.coKahler:
-        asserted.add("massey_formality_obstruction", not scan.obstructed,
-                     "degree-1 triple Massey products vanish on formal models")
-    elif scan.obstructed:
-        notes.append("nonvanishing triple Massey product: the model is not "
-                     "formal (no verdict asserted; model is not co-Kahler)")
-
-    report["minimal_model"] = _minimal_section(model, verdict.coKahler,
-                                               asserted, notes, max_degree)
-
-
-def _massey_section(model: LieModel, scan) -> dict:
     triples = []
     for (i, j, k), t in scan.triples:
         triples.append({
@@ -254,56 +311,63 @@ def _massey_section(model: LieModel, scan) -> dict:
             "indeterminacy_dim": t.indeterminacy_dim,
             "vanishes": t.vanishes,
         })
-    return {"status": scan.status, "degree_one_triples": triples}
+    sec = Section({"status": scan.status, "degree_one_triples": triples})
+    if _co_kahler(model):
+        sec.check("massey_formality_obstruction", not scan.obstructed,
+                  "degree-1 triple Massey products vanish on formal models")
+    elif scan.obstructed:
+        sec.notes.append("nonvanishing triple Massey product: the model is "
+                         "not formal (no verdict asserted; model is not "
+                         "co-Kahler)")
+    return sec
 
 
-def _minimal_section(model: LieModel, co_kahler: bool, asserted: _Asserted,
-                     notes, max_degree: int) -> dict:
-    mm = minimal_model(model.ce(), max_degree)
-    out = {
-        "max_degree": max_degree,
-        "generator_counts": {str(k): v for k, v in
-                             sorted(mm.generator_counts().items())},
+def _minimal_model_section(model: LieModel, cap: int, order) -> Section:
+    mm = minimal_model(model.ce(), cap)
+    sec = Section({
+        "max_degree": cap,
+        "generator_counts": dict(sorted(mm.generator_counts().items())),
         "minimal": mm.minimal,
         "quasi_iso_degrees": mm.iso_degrees,
         "injective_above": mm.injective_above,
-    }
-    asserted.add("minimal_model", mm.minimal and mm.quasi_iso,
-                 "the model is minimal and exact through the degree cap")
-    if co_kahler:
-        tensor = model_tensor_split_check(model, max_degree)
-        out["tensor_split"] = {
-            "counts_invariant": {str(k): v for k, v in
-                                 sorted(tensor.counts_eta.items())},
-            "counts_basic": {str(k): v for k, v in
-                             sorted(tensor.counts_basic.items())},
+    })
+    sec.check("minimal_model", mm.minimal and mm.quasi_iso,
+              "the model is minimal and exact through the degree cap")
+    if _co_kahler(model):
+        tensor = model_tensor_split_check(model, cap)
+        sec.record["tensor_split"] = {
+            "counts_invariant": dict(sorted(tensor.counts_eta.items())),
+            "counts_basic": dict(sorted(tensor.counts_basic.items())),
             "counts_match": tensor.counts_match,
             "betti_invariant_model": list(tensor.betti_eta),
             "betti_tensor_model": list(tensor.betti_tensor),
             "betti_match": tensor.betti_match,
             "cochain_split_ok": tensor.cochain_split_ok,
         }
-        asserted.add("minimal_model_tensor_split", tensor.ok,
-                     "the invariant-forms model splits off a circle factor")
+        sec.check("minimal_model_tensor_split", tensor.ok,
+                  "the invariant-forms model splits off a circle factor")
     else:
-        notes.append("not co-Kahler: minimal-model tensor splitting not "
-                     "asserted")
-    return out
+        sec.notes.append("not co-Kahler: minimal-model tensor splitting not "
+                         "asserted")
+    return sec
 
 
-def _mapping_torus_section(model: LieModel, asserted: _Asserted) -> dict:
-    phi, order = model_automorphism(model)
+def _mapping_torus_section(model: LieModel, cap,
+                           order: int | None) -> Section:
+    phi, file_order = model_automorphism(model)
+    order = file_order if order is None else order
     torus = mapping_torus_model(model.ce(), phi, order)
     convolved = kunneth_convolution(torus.fiber_fixed_betti, (1, 1))
-    asserted.add("mapping_torus_betti", convolved == torus.betti,
-                 "mapping-torus Betti equals fixed Betti convolved with (1,1)")
-    return {
+    sec = Section({
         "order": order,
         "betti": list(torus.betti),
         "fixed_betti": list(torus.fiber_fixed_betti),
         "fixed_convolved": list(convolved),
         "circle_generator": torus.circle_generator,
-    }
+    })
+    sec.check("mapping_torus_betti", convolved == torus.betti,
+              "mapping-torus Betti equals fixed Betti convolved with (1,1)")
+    return sec
 
 
 def render_json(report: dict) -> str:

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from cokahler import linalg
 from cokahler.cdga import (AlgebraMap, DGA, Derivation, Subcomplex,
                            check_d_squared, check_leibniz, extend_derivation,
                            free_line_dga, invariant_subalgebra,
@@ -20,6 +21,7 @@ from cokahler.cdga import (AlgebraMap, DGA, Derivation, Subcomplex,
 from cokahler.cohomology import inclusion_induced_map, kunneth_convolution
 from cokahler.errors import StructureError
 from cokahler.exterior import Element, Generator, GradedAlgebra
+from cokahler.geometry import LieModel
 
 
 def ce_algebra(n, prefix="e"):
@@ -205,6 +207,32 @@ def test_class_of_sees_exactness():
     assert ring.class_of_element(e12) == [0, 0]
     e13 = dga.algebra.monomial("e1", "e3")
     assert any(ring.class_of_element(e13))
+
+
+def test_class_of_returns_the_coefficients_on_the_representatives():
+    # R x| R^4 with ad X1 rotating two planes with weights 1 and 2, written
+    # in a basis that mixes the planes, so that im d meets the pivot columns
+    # of the representatives (in degree 3)
+    rot5 = LieModel(5, {(0, 1): {2: 1}, (0, 2): {1: -1},
+                        (0, 3): {2: 1, 4: 2}, (0, 4): {1: -1, 3: -2}}).ce()
+    rng = random.Random(11)
+    for dga in (heisenberg_dga(), rot5):
+        ring = dga.cohomology()
+        for p in range(dga.top + 1):
+            n = dga.dim(p)
+            a = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                 for _ in range(ring.dim(p))]
+            v = ring.representative_of(p, a)
+            if p > 0:
+                w = [Fraction(rng.randint(-5, 5)) for _ in range(dga.dim(p - 1))]
+                dw = linalg.mat_vec(dga.d_matrix(p - 1), w)
+                v = [x + y for x, y in zip(v, dw)]
+            assert ring.class_of(p, v) == a
+            not_closed = [j for j in range(n)
+                          if any(row[j] for row in dga.d_matrix(p))]
+            if not_closed:
+                with pytest.raises(StructureError):
+                    ring.class_of(p, linalg.unit_vector(n, not_closed[0]))
 
 
 def test_cup_products():

@@ -185,6 +185,73 @@ def test_non_cosymplectic_model_is_a_hypothesis_not_an_error(capsys, tmp_path):
     assert code == 1 and "note:" in out and "does not descend" in out
 
 
+def test_degree_cap_is_an_integer_of_at_least_one(capsys, monkeypatch):
+    monkeypatch.delenv("COKAHLER_MAX_DEGREE", raising=False)
+    for argv in (("minimal", "torus3", "--max-degree", "0"),
+                 ("minimal", "torus3", "--max-degree", "-1"),
+                 ("minimal", "torus3", "--max-degree", "two"),
+                 ("report", "torus3", "--max-degree", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+    for value in ("abc", "0", "-2", ""):
+        monkeypatch.setenv("COKAHLER_MAX_DEGREE", value)
+        code, out, err = run(capsys, "minimal", "torus3")
+        assert code == 2 and out == "", value
+        assert err.startswith("error:") and "COKAHLER_MAX_DEGREE" in err
+    monkeypatch.setenv("COKAHLER_MAX_DEGREE", "1")
+    code, out, _ = run(capsys, "minimal", "torus3")
+    assert code == 0 and "p <= 1:" in out
+    code, out, _ = run(capsys, "minimal", "torus3", "--max-degree", "2")
+    assert code == 0 and "p <= 2:" in out
+
+
+# subcommand -> (the asserted checks of the report section it prints, the
+# starts of the report notes that say the section's hypothesis fails)
+SECTION_VERDICTS = {
+    "classify": ({"classification_consistency"}, ()),
+    "betti": (set(), ()),
+    "lefschetz": ({"lefschetz_isomorphism"},
+                  ("not co-Kahler: Lefschetz", "model is not cosymplectic")),
+    "verbitsky": ({"parallel_form_quism"}, ("eta not parallel",)),
+    "split": ({"omega_splitting", "omega1_equals_basic",
+               "cohomology_splitting"}, ("not co-Kahler: splitting",)),
+    "massey": ({"massey_formality_obstruction"}, ()),
+    "minimal": ({"minimal_model", "minimal_model_tensor_split"}, ()),
+    "mapping-torus": ({"mapping_torus_betti"}, ()),
+}
+
+
+def test_subcommands_exit_as_their_report_sections_say(capsys, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.delenv("COKAHLER_MAX_DEGREE", raising=False)
+    nil5 = tmp_path / "nil5.model"
+    nil5.write_text(NIL5)
+    seen_exits = set()
+    for model in ("torus3", "torus5", "heisenberg", "t2-rot4-mapping-torus",
+                  "t2-negid-mapping-torus", str(nil5)):
+        code, out, _ = run(capsys, "report", "--json", model)
+        report = json.loads(out)
+        assert code == (0 if report["ok"] else 1)
+        for command, (checks, starts) in SECTION_VERDICTS.items():
+            if "classification" not in report and \
+                    command not in ("betti", "massey", "minimal",
+                                    "mapping-torus"):
+                continue            # needs (J, xi, eta): exit 2, tested above
+            if command == "mapping-torus" and "mapping_torus" not in report:
+                continue
+            ok = all(r["ok"] for r in report["asserted"] if r["check"] in checks)
+            hypothesis = [n for n in report["notes"] if n.startswith(starts)]
+            for flags in ((), ("--informational",)):
+                code, out, err = run(capsys, *flags, command, model)
+                want = 0 if ok and (flags or not hypothesis) else 1
+                assert code == want, (model, command, flags, err)
+                printed = [line[len("note: "):] for line in out.splitlines()
+                           if line.startswith("note: ")]
+                assert printed == hypothesis, (model, command)
+                seen_exits.add(code)
+    assert seen_exits == {0, 1}
+
+
 def test_canonicalize_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "canonicalize", "torus3")
     assert code == 0

@@ -16,6 +16,7 @@ from cokahler.eta import (basic_complex, build_d_eta, eta_operator,
                           split_form, verify_basic_match, verify_d_eta_equals_lie,
                           verify_parallel_form_quism)
 from cokahler.geometry import LieModel
+from cokahler.report import run_section
 
 
 def oracle_kernel_dims(op, alg):
@@ -185,14 +186,19 @@ def test_basic_equals_omega1(contact_models):
     for m in contact_models:
         report = verify_basic_match(m)
         assert report.equal
-        assert report.asserted == (m.name in ("torus3", "torus5"))
+        binding = [r["check"] for r in run_section(m, "splitting").asserted]
+        assert ("omega1_equals_basic" in binding) == \
+            (m.name in ("torus3", "torus5"))
 
 
 def test_parallel_form_quism_tori(cokahler_models):
     for m in cokahler_models:
         report = verify_parallel_form_quism(m)
         assert report.eta_parallel
-        assert all(report.degreewise_iso) and report.conclusion and report.ok
+        assert all(report.degreewise_iso) and report.conclusion
+        sec = run_section(m, "parallel_form_quism")
+        assert [(r["check"], r["ok"]) for r in sec.asserted] == \
+            [("parallel_form_quism", True)]
 
 
 def test_parallel_form_quism_heisenberg(heisenberg):
@@ -200,7 +206,9 @@ def test_parallel_form_quism_heisenberg(heisenberg):
     assert not report.eta_parallel
     assert report.degreewise_iso == [True, True, False, True]
     assert not report.conclusion
-    assert report.ok                 # informational: hypothesis fails
+    sec = run_section(heisenberg, "parallel_form_quism")
+    assert sec.asserted == []        # informational: hypothesis fails
+    assert sec.hypothesis.startswith("eta not parallel")
     assert report.kernel_witnesses[2] == ["e1^e2"]
     # oracle: the induced H^2 matrix has rank 1 although both sides have dim 2
     assert report.ranks[2] == 1

