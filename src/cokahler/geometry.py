@@ -236,15 +236,13 @@ class LieModel:
         from the Koszul formula for left-invariant metrics."""
         n = self.dimension
         ginv = self.metric_inverse()
+        # low[a][b][c] = g([X_a, X_b], X_c)
+        low = [[self.flat(self.bracket(a, b)) for b in range(n)] for a in range(n)]
         gamma = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                rhs = []
-                for k in range(n):
-                    val = (self.inner(self.bracket(i, j), _unit(n, k))
-                           - self.inner(self.bracket(j, k), _unit(n, i))
-                           + self.inner(self.bracket(k, i), _unit(n, j)))
-                    rhs.append(val / 2)
+                rhs = [(low[i][j][k] - low[j][k][i] + low[k][i][j]) / 2
+                       for k in range(n)]
                 gamma[i][j] = linalg.mat_vec(ginv, rhs)
         _check_connection(self, gamma)
         return gamma
@@ -286,9 +284,12 @@ def _check_connection(m: LieModel, gamma):
             for k in range(n):
                 if gamma[i][j][k] - gamma[j][i][k] != br[k]:
                     raise StructureError("Koszul connection is not torsion-free")
+    # low[i][j][k] = g(nabla_{X_i} X_j, X_k); g is symmetric (_check_metric)
+    low = [[m.flat(gamma[i][j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
             for k in range(n):
-                if m.inner(gamma[i][j], _unit(n, k)) + \
-                        m.inner(_unit(n, j), gamma[i][k]) != 0:
+                if low[i][j][k] + low[i][k][j] != 0:
                     raise StructureError("Koszul connection is not metric")
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from cokahler import linalg
 from cokahler.cdga import (AlgebraMap, DGA, Derivation, Subcomplex,
@@ -20,8 +21,10 @@ from cokahler.cdga import (AlgebraMap, DGA, Derivation, Subcomplex,
                            tensor_product)
 from cokahler.cohomology import inclusion_induced_map, kunneth_convolution
 from cokahler.errors import StructureError
+from cokahler.eta import build_d_eta
 from cokahler.exterior import Element, Generator, GradedAlgebra
 from cokahler.geometry import LieModel
+from cokahler.modelfile import CORPUS_MODELS, load_corpus
 
 
 def ce_algebra(n, prefix="e"):
@@ -100,6 +103,153 @@ def test_extension_is_unique():
 
 def test_leibniz_on_all_basis_products():
     assert check_leibniz(heisenberg_dga().d)
+
+
+def leibniz_all_pairs(der):
+    """Reference check: the Leibniz rule on every pair of basis monomials."""
+    alg = der.algebra
+    for p in range(alg.top + 1):
+        for q in range(alg.top + 1 - p):
+            for k1 in alg.basis(p):
+                a = Element(alg, p, {k1: Fraction(1)})
+                for k2 in alg.basis(q):
+                    b = Element(alg, q, {k2: Fraction(1)})
+                    sign = -1 if (p * der.degree) % 2 else 1
+                    rhs = der.apply(a).wedge(b) + a.wedge(der.apply(b)).scale(sign)
+                    if der.apply(a.wedge(b)) != rhs:
+                        return False
+    return True
+
+
+class WrongOn(Derivation):
+    """A linear map equal to ``der`` except that the basis monomial ``key``
+    also maps to ``extra``."""
+
+    def __init__(self, der, key, extra):
+        super().__init__(der.algebra, der.degree, der.images)
+        self.key = key
+        self.extra = extra
+
+    def apply(self, elem):
+        out = super().apply(elem)
+        c = elem.terms.get(self.key)
+        return out + self.extra.scale(c) if c else out
+
+
+def rot5_model():
+    """R x| R^4, ad X1 rotating (X2, X3) with weight 1 and (X4, X5) with 2."""
+    return LieModel(5, {(0, 1): {2: 1}, (0, 2): {1: -1},
+                        (0, 3): {4: 2}, (0, 4): {3: -2}},
+                    xi=[1, 0, 0, 0, 0], eta=[1, 0, 0, 0, 0])
+
+
+def graded_algebra():
+    """x, z odd and y even, truncated above degree 6; d z = y^2."""
+    alg = GradedAlgebra([Generator("x", 1), Generator("y", 2),
+                         Generator("z", 3)], max_degree=6)
+    return alg, extend_derivation(alg, {"z": alg.monomial("y", "y")}, 1)
+
+
+def test_leibniz_check_rejects_a_fault_on_one_degree_three_monomial():
+    d = rot5_model().ce().d
+    alg = d.algebra
+    assert check_leibniz(d)
+    # e1 wedges the fault to zero, so only the pairs (e2, e3^e4), (e3, e2^e4)
+    # and (e4, e2^e3) can see it
+    bad = WrongOn(d, alg.monomial("e2", "e3", "e4").terms.popitem()[0],
+                  alg.monomial("e1", "e2", "e3", "e4"))
+    assert not check_leibniz(bad)
+    assert not leibniz_all_pairs(bad)
+
+
+def test_leibniz_check_rejects_a_fault_on_a_product_of_non_generators():
+    lie = rot5_model().lie_xi()
+    alg = lie.algebra
+    assert check_leibniz(lie)
+    # e1^e2^e3^e4 = (e1^e2)^(e3^e4)
+    bad = WrongOn(lie, alg.monomial("e1", "e2", "e3", "e4").terms.popitem()[0],
+                  alg.monomial("e2", "e3", "e4", "e5"))
+    assert not check_leibniz(bad)
+    assert not leibniz_all_pairs(bad)
+
+
+def test_leibniz_check_rejects_a_nonzero_image_of_one():
+    lie = rot5_model().lie_xi()
+    alg = lie.algebra
+    bad = WrongOn(lie, alg.unit().terms.popitem()[0], alg.unit())
+    assert not bad.apply(alg.unit()).is_zero()
+    assert not check_leibniz(bad)
+    assert not leibniz_all_pairs(bad)
+
+
+def test_leibniz_check_rejects_a_fault_with_even_generators_and_a_cap():
+    alg, d = graded_algebra()
+    assert not alg.bitmask
+    assert check_leibniz(d) and leibniz_all_pairs(d)
+    bad = WrongOn(d, alg.monomial("x", "y").terms.popitem()[0],
+                  alg.monomial("y", "y"))
+    assert not check_leibniz(bad)
+    assert not leibniz_all_pairs(bad)
+
+
+def test_leibniz_check_agrees_with_all_pairs_on_corpus_operators():
+    for name in CORPUS_MODELS:
+        m = load_corpus(name).to_lie_model()
+        if m.xi is None or m.eta is None:
+            continue
+        op = build_d_eta(m)
+        for der in (m.ce().d, m.iota_xi(), m.lie_xi(), op.d_eta, op.rho):
+            assert check_leibniz(der) == leibniz_all_pairs(der)
+
+
+def leibniz_expansion(der, elem):
+    """Reference apply: sum over generator occurrences of
+    (-1)^{|D||left|} left * D(g) * right, built with monomial and wedge."""
+    alg = der.algebra
+    out = alg.zero(elem.degree + der.degree)
+    for key, coeff in elem.terms.items():
+        idx = alg.key_indices(key)
+        prefix_deg = 0
+        for t, gi in enumerate(idx):
+            sign = -1 if (der.degree * prefix_deg) % 2 else 1
+            left = alg.monomial(*idx[:t], coeff=coeff * sign)
+            right = alg.monomial(*idx[t + 1:])
+            out = out + left.wedge(der.image_of(gi)).wedge(right)
+            prefix_deg += alg.degree_of(gi)
+    return out
+
+
+@st.composite
+def algebras(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        return GradedAlgebra([Generator(f"e{i + 1}", 1) for i in range(n)])
+    degrees = [2] + draw(st.lists(st.integers(1, 3), max_size=3))
+    return GradedAlgebra([Generator(f"x{i + 1}", deg)
+                          for i, deg in enumerate(degrees)],
+                         max_degree=draw(st.integers(2, 6)))
+
+
+def elements(draw, alg, degree):
+    keys = alg.basis(degree)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(keys),
+                           max_size=len(keys)))
+    return Element(alg, degree, {k: Fraction(c) for k, c in zip(keys, coeffs)})
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_matches_the_leibniz_expansion(data):
+    alg = data.draw(algebras())
+    degree = data.draw(st.sampled_from([-1, 0, 1]))
+    images = {i: elements(data.draw, alg, gen.degree + degree)
+              for i, gen in enumerate(alg.generators)}
+    der = Derivation(alg, degree, images)
+    elem = elements(data.draw, alg, data.draw(st.integers(0, alg.top)))
+    got = der.apply(elem)
+    assert got == leibniz_expansion(der, elem)
+    assert got.degree == elem.degree + degree
+    assert all(type(c) is Fraction for c in got.terms.values())
 
 
 def random_derivation(alg, rng, degree):

@@ -222,3 +222,48 @@ def test_d_eta_supercommutes_and_is_a_derivation(contact_models):
         assert supercommutes_with_d(m.ce(), op.d_eta)
         assert check_leibniz(op.d_eta)
         assert check_leibniz(op.rho)
+
+
+OPERATOR_RECORDS = ("iota_squared_zero", "cartan_formula", "d_squared_zero",
+                    "leibniz_d", "leibniz_operators",
+                    "d_eta_supercommutes_with_d")
+
+
+def rot5_1_2():
+    """R x| R^4 with ad X1 rotating (X2, X3) with weight 1 and (X4, X5) with
+    weight 2: co-Kahler with d != 0 and L_xi != 0."""
+    J = [[0, 0, 0, 0, 0], [0, 0, -1, 0, 0], [0, 1, 0, 0, 0],
+         [0, 0, 0, 0, -1], [0, 0, 0, 1, 0]]
+    return LieModel(5, {(0, 1): {2: 1}, (0, 2): {1: -1},
+                        (0, 3): {4: 2}, (0, 4): {3: -2}}, name="rot5-1-2",
+                    xi=[1, 0, 0, 0, 0], eta=[1, 0, 0, 0, 0], J=J)
+
+
+def test_operator_identities_on_rot5():
+    m = rot5_1_2()
+    assert not m.ce().d.is_zero() and not m.lie_xi().is_zero()
+    sec = run_section(m, "operator_identities")
+    assert sec.record == {key: True for key in OPERATOR_RECORDS}
+    assert [a["check"] for a in sec.asserted] == list(OPERATOR_RECORDS)
+    assert all(a["ok"] for a in sec.asserted)
+
+
+def test_operator_identities_see_a_broken_lie_xi():
+    m = rot5_1_2()
+    lie = m.lie_xi()
+    alg = m.algebra()
+    key = alg.monomial("e2", "e3", "e4").terms.popitem()[0]
+    extra = alg.monomial("e2", "e3", "e5")
+    honest = lie.apply
+
+    def broken(elem):
+        out = honest(elem)
+        c = elem.terms.get(key)
+        return out + extra.scale(c) if c else out
+
+    lie.apply = broken
+    assert m.lie_xi() is lie
+    record = run_section(m, "operator_identities").record
+    assert record["leibniz_operators"] is False
+    assert all(record[name] for name in OPERATOR_RECORDS
+               if name != "leibniz_operators")
