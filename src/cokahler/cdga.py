@@ -269,8 +269,7 @@ class Subcomplex:
     monomial basis), so two subcomplexes with equal spans have equal bases.
     """
 
-    def __init__(self, parent: DGA, spans: dict[int, list[list[Fraction]]],
-                 check_closed: bool = True):
+    def __init__(self, parent: DGA, spans: dict[int, list[list[Fraction]]]):
         self.parent = parent
         self._rows: dict[int, linalg.Matrix] = {}
         self._pivots: dict[int, list[int]] = {}
@@ -281,10 +280,8 @@ class Subcomplex:
             self._pivots[p] = pivots
         self._d_matrices: dict[int, linalg.Matrix] = {}
         self._cohomology = None
-        self.closed = True
-        if check_closed:
-            for p in range(parent.top + 1):
-                self.d_matrix(p)  # raises on a closure failure
+        for p in range(parent.top + 1):
+            self.d_matrix(p)  # raises on a closure failure
 
     @property
     def top(self) -> int:
@@ -301,9 +298,7 @@ class Subcomplex:
         return [self.parent.element(p, row) for row in self.basis_vectors(p)]
 
     def contains(self, p: int, parent_coords) -> bool:
-        if all(v == 0 for v in parent_coords):
-            return True
-        return linalg.in_row_space(list(parent_coords),
+        return linalg.in_row_space(parent_coords,
                                    self._rows.get(p, []), self._pivots.get(p, []))
 
     def coords(self, p: int, parent_coords) -> list[Fraction]:
@@ -314,12 +309,7 @@ class Subcomplex:
         return [vec[c] for c in self._pivots.get(p, [])]
 
     def parent_coords(self, p: int, coords) -> list[Fraction]:
-        n = self.parent.dim(p)
-        out = [Fraction(0)] * n
-        for c, row in zip(coords, self._rows.get(p, [])):
-            if c:
-                out = [out[j] + c * row[j] for j in range(n)]
-        return out
+        return linalg.combine(coords, self._rows.get(p, []), self.parent.dim(p))
 
     def element(self, p: int, coords) -> Element:
         return self.parent.element(p, self.parent_coords(p, coords))
@@ -335,7 +325,7 @@ class Subcomplex:
                     raise StructureError(
                         f"subspace is not closed under d in degree {p}: "
                         f"d({elem!r}) leaves the subspace")
-                cols.append(self.coords(p + 1, img))
+                cols.append([img[c] for c in self._pivots.get(p + 1, [])])
             target = self.dim(p + 1)
             self._d_matrices[p] = [[col[i] for col in cols] for i in range(target)]
         return self._d_matrices[p]
@@ -367,11 +357,6 @@ class Subcomplex:
     def __repr__(self) -> str:
         dims = ",".join(str(self.dim(p)) for p in range(self.top + 1))
         return f"<Subcomplex dims ({dims})>"
-
-
-def full_subcomplex(dga: DGA) -> Subcomplex:
-    spans = {p: linalg.identity(dga.dim(p)) for p in range(dga.top + 1)}
-    return Subcomplex(dga, spans, check_closed=False)
 
 
 def embed_element(elem: Element, target: GradedAlgebra) -> Element:
@@ -493,4 +478,4 @@ def invariant_subalgebra(dga: DGA, phi: AlgebraMap, order: int) -> Subcomplex:
         n = dga.dim(p)
         diff = linalg.mat_sub(phi.matrix(p), linalg.identity(n))
         spans[p] = linalg.kernel_basis(diff, n)
-    return Subcomplex(dga, spans, check_closed=True)
+    return Subcomplex(dga, spans)

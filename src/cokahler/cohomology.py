@@ -76,16 +76,8 @@ class CohomologyRing:
     def representative_of(self, p: int, class_coords) -> list[Fraction]:
         """Cocycle coordinates of a class given by coefficients on the
         representative basis."""
-        n = self.complex.dim(p)
-        out = [Fraction(0)] * n
-        for c, row in zip(class_coords, self.representatives(p)):
-            if c:
-                out = [out[j] + c * row[j] for j in range(n)]
-        return out
-
-    def is_exact(self, p: int, cocycle_coords) -> bool:
-        s = self.slices[p]
-        return linalg.in_row_space(list(cocycle_coords), s.image_rows, s.image_pivots)
+        return linalg.combine(class_coords, self.representatives(p),
+                              self.complex.dim(p))
 
     def class_of(self, p: int, cocycle_coords) -> list[Fraction]:
         """Coordinates of [v] on the representative basis of H^p.
@@ -109,10 +101,6 @@ class CohomologyRing:
         if rest != self.representative_of(p, coeffs):
             raise StructureError(f"vector is not in Z^{p}")
         return coeffs
-
-    def class_of_element(self, elem) -> list[Fraction]:
-        p = elem.degree
-        return self.class_of(p, self.complex.coords(p, elem))
 
     def cup(self, p: int, x_class, q: int, y_class) -> list[Fraction]:
         """Cup product of two classes, as a class in degree p + q."""

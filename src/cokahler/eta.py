@@ -112,7 +112,7 @@ def kernel_subcomplex(dga, op: Derivation) -> Subcomplex:
             "its kernel need not be a subcomplex")
     spans = {p: linalg.kernel_basis(op.matrix(p), dga.dim(p))
              for p in range(dga.top + 1)}
-    return Subcomplex(dga, spans, check_closed=True)
+    return Subcomplex(dga, spans)
 
 
 @once_per_model
@@ -192,8 +192,8 @@ def omega_splitting(m: LieModel) -> OmegaSplitting:
         spans2[p] = _restricted_kernel(
             m, sub, p,
             lambda vec, p=p: dga.coords(p + 1, eta.wedge(dga.element(p, vec))))
-    omega1 = Subcomplex(dga, spans1, check_closed=True)
-    omega2 = Subcomplex(dga, spans2, check_closed=True)
+    omega1 = Subcomplex(dga, spans1)
+    omega2 = Subcomplex(dga, spans2)
     direct = [True]
     eta_match = [True]
     for p in range(1, top + 1):
@@ -227,7 +227,7 @@ def basic_complex(m: LieModel) -> Subcomplex:
             d_then_iota = linalg.mat_mul(iota.matrix(p + 1), dga.d_matrix(p))
             rows += [list(r) for r in d_then_iota]
         spans[p] = linalg.kernel_basis(rows, n)
-    return Subcomplex(dga, spans, check_closed=True)
+    return Subcomplex(dga, spans)
 
 
 @dataclass

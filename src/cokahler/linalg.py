@@ -6,6 +6,13 @@ clearing denominators, which keeps intermediate entries small without modular
 arithmetic.  Everything downstream (rank, kernels, reduced echelon forms,
 solving) is deterministic: pivots are always the first usable column, and
 free variables are ordered by column index.
+
+The matrices met here (CE differentials, ι_ξ, cocycles) are mostly zeros, so
+products, reductions and elimination steps touch only nonzero entries: no
+``Fraction`` operation ever runs on a zero.  This changes no output.  The
+reduced row echelon form of a row space is unique, and rank, kernel bases and
+solutions (free variables zero) are functions of it, so skipping zeros in
+exact arithmetic cannot move a single value.
 """
 
 from __future__ import annotations
@@ -16,25 +23,50 @@ from math import gcd, lcm
 Vector = list[Fraction]
 Matrix = list[Vector]
 
+_ZERO = Fraction(0)
+
+
+def _clear_denominators(row: Vector) -> tuple[int, list[int]]:
+    """(m, m * row) for the lcm m of the row's denominators; zeros stay 0."""
+    nonzero = [(j, f.numerator, f.denominator) for j, f in enumerate(row) if f]
+    mult = lcm(*(q for _, _, q in nonzero))
+    ints = [0] * len(row)
+    for j, p, q in nonzero:
+        ints[j] = p * (mult // q)
+    return mult, ints
+
 
 def _int_rows(mat: Matrix) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (row space preserved)."""
     out = []
     for row in mat:
-        mult = lcm(*(f.denominator for f in row)) if row else 1
-        ints = [int(f * mult) for f in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        ints = _clear_denominators(row)[1]
+        g = gcd(*ints)
         if g > 1:
             ints = [v // g for v in ints]
         out.append(ints)
     return out
 
 
+def _eliminate_below(rows: list[list[int]], r: int, c: int, prev: int) -> int:
+    """One Bareiss step: clear column c under row r; returns the pivot."""
+    top = rows[r]
+    piv = top[c]
+    # the one-step division stays exact only if every row below is
+    # updated, including rows with a zero factor
+    for i in range(r + 1, len(rows)):
+        row = rows[i]
+        fac = row[c]
+        if fac:
+            rows[i] = [(piv * a - fac * b) // prev for a, b in zip(row, top)]
+        elif piv != prev:
+            rows[i] = [piv * a // prev if a else 0 for a in row]
+    return piv
+
+
 def _bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form.  Returns (echelon rows, pivot columns)."""
-    rows = [row[:] for row in rows]
+    rows = list(rows)
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
@@ -48,15 +80,8 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
             continue
         if sel != r:
             rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            fac = rows[i][c]
-            # the one-step division stays exact only if every row below is
-            # updated, including rows with a zero factor
-            rows[i] = [(piv * rows[i][j] - fac * rows[r][j]) // prev
-                       for j in range(ncols)]
+        prev = _eliminate_below(rows, r, c, prev)
         pivots.append(c)
-        prev = piv
         r += 1
     return rows, pivots
 
@@ -68,19 +93,18 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """
     if not mat:
         return [], []
-    ncols = len(mat[0])
     ech, pivots = _bareiss(_int_rows(mat))
-    rows = [[Fraction(v) for v in ech[i]] for i in range(len(pivots))]
-    # normalize pivots to 1, then eliminate above
-    for i, c in enumerate(pivots):
-        piv = rows[i][c]
-        rows[i] = [v / piv for v in rows[i]]
-    for i in range(len(pivots) - 1, -1, -1):
+    rows = [[Fraction(v, row[c]) if v else _ZERO for v in row]
+            for row, c in zip(ech, pivots)]
+    # eliminate above each pivot, last pivot first
+    for i in range(len(pivots) - 1, 0, -1):
         c = pivots[i]
-        for k in range(i):
-            fac = rows[k][c]
+        nonzero = [(j, v) for j, v in enumerate(rows[i]) if v]
+        for row in rows[:i]:
+            fac = row[c]
             if fac:
-                rows[k] = [rows[k][j] - fac * rows[i][j] for j in range(ncols)]
+                for j, v in nonzero:
+                    row[j] -= fac * v
     return rows, pivots
 
 
@@ -95,11 +119,11 @@ def kernel_basis(mat: Matrix, ncols: int) -> list[Vector]:
     if not mat:
         return [unit_vector(ncols, j) for j in range(ncols)]
     rows, pivots = rref(mat)
-    free = [j for j in range(ncols) if j not in pivots]
+    pivot_set = set(pivots)
+    free = [j for j in range(ncols) if j not in pivot_set]
     basis = []
     for j in free:
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
+        vec = unit_vector(ncols, j)
         for i, c in enumerate(pivots):
             vec[c] = -rows[i][j]
         basis.append(vec)
@@ -109,15 +133,17 @@ def kernel_basis(mat: Matrix, ncols: int) -> list[Vector]:
 def residual(vec: Vector, rows: Matrix, pivots: list[int]) -> Vector:
     """Reduce vec modulo the row space given in rref form."""
     out = list(vec)
-    for i, c in enumerate(pivots):
+    for row, c in zip(rows, pivots):
         fac = out[c]
         if fac:
-            out = [out[j] - fac * rows[i][j] for j in range(len(out))]
+            for j, v in enumerate(row):
+                if v:
+                    out[j] -= fac * v
     return out
 
 
 def in_row_space(vec: Vector, rows: Matrix, pivots: list[int]) -> bool:
-    return all(v == 0 for v in residual(vec, rows, pivots))
+    return not any(residual(vec, rows, pivots))
 
 
 def solve(mat: Matrix, rhs: Vector, column_order: list[int] | None = None):
@@ -145,13 +171,33 @@ def solve(mat: Matrix, rhs: Vector, column_order: list[int] | None = None):
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a or not b:
         return [[Fraction(0)] * (len(b[0]) if b else 0) for _ in a]
-    n = len(b)
-    return [[sum((row[k] * b[k][j] for k in range(n)), Fraction(0))
-             for j in range(len(b[0]))] for row in a]
+    ncols = len(b[0])
+    b_nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    out = []
+    for row in a:
+        acc = [_ZERO] * ncols
+        for e, nonzero in zip(row, b_nonzero):
+            if e:
+                for j, x in nonzero:
+                    acc[j] += e * x
+        out.append(acc)
+    return out
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((row[k] * v[k] for k in range(len(v))), Fraction(0)) for row in a]
+    nonzero = [(k, x) for k, x in enumerate(v) if x]
+    return [sum((row[k] * x for k, x in nonzero if row[k]), _ZERO) for row in a]
+
+
+def combine(coeffs: Vector, rows: Matrix, n: int) -> Vector:
+    """The length-n vector sum of coeffs[i] * rows[i]."""
+    out = [_ZERO] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, v in enumerate(row):
+                if v:
+                    out[j] += c * v
+    return out
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -186,13 +232,12 @@ def det(mat: Matrix) -> Fraction:
     n = len(mat)
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
-    int_rows = []
+    scale = 1
+    rows = []
     for row in mat:
-        mult = lcm(*(f.denominator for f in row)) if row else 1
+        mult, ints = _clear_denominators(row)
         scale *= mult
-        int_rows.append([int(f * mult) for f in row])
-    rows = int_rows
+        rows.append(ints)
     prev = 1
     sign = 1
     for c in range(n):
@@ -202,18 +247,14 @@ def det(mat: Matrix) -> Fraction:
         if sel != c:
             rows[c], rows[sel] = rows[sel], rows[c]
             sign = -sign
-        piv = rows[c][c]
-        for i in range(c + 1, n):
-            rows[i] = [(piv * rows[i][j] - rows[i][c] * rows[c][j]) // prev
-                       for j in range(n)]
-        prev = piv
-    return Fraction(sign * rows[n - 1][n - 1]) / scale
+        prev = _eliminate_below(rows, c, c, prev)
+    return Fraction(sign * rows[n - 1][n - 1], scale)
 
 
 def inverse(mat: Matrix) -> Matrix:
     """Inverse of a square rational matrix; raises ValueError if singular."""
     n = len(mat)
-    aug = [list(mat[i]) + list(identity(n)[i]) for i in range(n)]
+    aug = [list(row) + unit for row, unit in zip(mat, identity(n))]
     rows, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

@@ -66,7 +66,9 @@ def _push(alg: GradedAlgebra, images, elem: Element, target) -> list[Fraction]:
             gd = alg.degree_of(i)
             vec = target.wedge_coords(deg, vec, gd, images[i])
             deg += gd
-        out = [out[t] + vec[t] for t in range(len(out))]
+        for t, v in enumerate(vec):
+            if v:
+                out[t] += v
     return out
 
 

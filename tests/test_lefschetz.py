@@ -66,7 +66,7 @@ def test_lefschetz_closed_to_closed_exact_to_exact(torus5, heisenberg):
                     continue
                 img = lefschetz_map(m, d_beta)
                 coords = sub.coords(img.degree, m.ce().coords(img.degree, img))
-                assert ring.is_exact(img.degree, coords)
+                assert not any(ring.class_of(img.degree, coords))
 
 
 def test_lefschetz_iso_on_tori(torus3, torus5):

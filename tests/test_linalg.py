@@ -120,3 +120,66 @@ def test_residual_reduces_into_complement():
     assert linalg.residual(vec, rows, pivots) == [0, 0, Fraction(5)]
     assert linalg.in_row_space([Fraction(2), Fraction(4), Fraction(0)],
                                rows, pivots)
+
+
+# -- mostly-zero matrices --------------------------------------------------------
+#
+# CE differentials and cocycles are mostly zeros, and products and elimination
+# skip zero entries, so these cases hold 60-90 % zeros.
+
+SPARSE_CASES = [(seed, zeros) for seed in range(8) for zeros in (0.6, 0.75, 0.9)]
+
+
+def sparse_matrix(rng, nrows, ncols, zeros):
+    return [[Fraction(0) if rng.random() < zeros else
+             Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def from_sympy(mat):
+    return [[Fraction(int(v.p), int(v.q)) for v in mat.row(i)]
+            for i in range(mat.rows)]
+
+
+def sparse_case(seed, zeros):
+    rng = random.Random(1000 + seed)
+    nrows, ncols = rng.randint(5, 12), rng.randint(5, 12)
+    return rng, sparse_matrix(rng, nrows, ncols, zeros), ncols
+
+
+@pytest.mark.parametrize("seed,zeros", SPARSE_CASES)
+def test_sparse_rref_rank_and_kernel_match_sympy(seed, zeros):
+    _, mat, ncols = sparse_case(seed, zeros)
+    ref, ref_pivots = to_sympy(mat).rref()
+    rows, pivots = linalg.rref(mat)
+    assert pivots == list(ref_pivots)
+    assert rows == from_sympy(ref)[:len(ref_pivots)]
+    assert linalg.rank(mat) == len(ref_pivots)
+    kernel = [[Fraction(int(v.p), int(v.q)) for v in vec]
+              for vec in to_sympy(mat).nullspace()]
+    assert linalg.kernel_basis(mat, ncols) == kernel
+
+
+@pytest.mark.parametrize("seed,zeros", SPARSE_CASES)
+def test_sparse_solve_and_products_match_sympy(seed, zeros):
+    rng, mat, ncols = sparse_case(seed, zeros)
+    x = sparse_matrix(rng, 1, ncols, zeros)[0]
+    rhs = linalg.mat_vec(mat, x)
+    assert rhs == from_sympy((to_sympy(mat) * to_sympy([x]).T).T)[0]
+    sol, params = to_sympy(mat).gauss_jordan_solve(to_sympy([rhs]).T)
+    want = from_sympy(sol.subs({t: 0 for t in params}).T)[0]
+    assert linalg.solve(mat, rhs) == want
+    other = sparse_matrix(rng, ncols, rng.randint(1, 9), zeros)
+    assert linalg.mat_mul(mat, other) == \
+        from_sympy(to_sympy(mat) * to_sympy(other))
+
+
+def test_rows_with_a_zero_factor_are_rescaled_when_the_pivot_changes():
+    # the first pivot is 3; the row (0, 1, 0) has a zero factor under it and
+    # must become (0, 3, 0), or the next step's division by 3 truncates and
+    # the third row reads (0, 0, 0)
+    mat = [[Fraction(v) for v in row]
+           for row in ((3, 0, 1), (0, 1, 0), (-2, 3, 0))]
+    assert linalg.rank(mat) == 3
+    assert linalg.rref(mat) == (linalg.identity(3), [0, 1, 2])
+    assert linalg.det(mat) == to_sympy(mat).det() == 2
