@@ -142,7 +142,26 @@ def supercommutator(f: Derivation, g: Derivation) -> Derivation:
     return der
 
 
-class DGA:
+class CochainComplex:
+    """What DGAs and subcomplexes share, through ``dim`` and ``d_matrix``."""
+
+    _cohomology = None
+
+    def solve_d(self, p: int, target):
+        """Coordinates x in degree p with d x = target (degree p+1), or None."""
+        mat = self.d_matrix(p)
+        if not mat:
+            return None if any(target) else [Fraction(0)] * self.dim(p)
+        return linalg.solve(mat, list(target))
+
+    def cohomology(self):
+        if self._cohomology is None:
+            from .cohomology import CohomologyRing
+            self._cohomology = CohomologyRing(self)
+        return self._cohomology
+
+
+class DGA(CochainComplex):
     """Free graded-commutative algebra with a degree +1 differential."""
 
     def __init__(self, algebra: GradedAlgebra, differential: Derivation):
@@ -152,7 +171,6 @@ class DGA:
             raise StructureError("differential must have degree +1")
         self.algebra = algebra
         self.d = differential
-        self._cohomology = None
 
     @property
     def top(self) -> int:
@@ -177,22 +195,6 @@ class DGA:
     def wedge_coords(self, p: int, v, q: int, w) -> list[Fraction]:
         prod = self.element(p, v).wedge(self.element(q, w))
         return [Fraction(0)] * self.dim(p + q) if prod.is_zero() else prod.coords()
-
-    def solve_d(self, p: int, target, column_order=None):
-        """Coordinates x in degree p with d x = target (degree p+1), or None."""
-        n = self.dim(p)
-        if n == 0:
-            return [] if all(v == 0 for v in target) else None
-        mat = self.d_matrix(p)
-        if not mat:
-            return [Fraction(0)] * n if all(v == 0 for v in target) else None
-        return linalg.solve(mat, list(target), column_order=column_order)
-
-    def cohomology(self):
-        if self._cohomology is None:
-            from .cohomology import CohomologyRing
-            self._cohomology = CohomologyRing(self)
-        return self._cohomology
 
     def __repr__(self) -> str:
         names = ",".join(g.name for g in self.algebra.generators)
@@ -262,7 +264,7 @@ def supercommutes_with_d(dga: DGA, op: Derivation) -> bool:
     return True
 
 
-class Subcomplex:
+class Subcomplex(CochainComplex):
     """Degreewise subspace of a DGA, closed under d.
 
     Bases are stored canonically (reduced echelon rows over the parent
@@ -279,7 +281,6 @@ class Subcomplex:
             self._rows[p] = rows
             self._pivots[p] = pivots
         self._d_matrices: dict[int, linalg.Matrix] = {}
-        self._cohomology = None
         for p in range(parent.top + 1):
             self.d_matrix(p)  # raises on a closure failure
 
@@ -335,21 +336,6 @@ class Subcomplex:
         if prod.is_zero():
             return [Fraction(0)] * self.dim(p + q)
         return self.coords(p + q, self.parent.coords(p + q, prod))
-
-    def solve_d(self, p: int, target, column_order=None):
-        n = self.dim(p)
-        if n == 0:
-            return [] if all(v == 0 for v in target) else None
-        mat = self.d_matrix(p)
-        if not mat:
-            return [Fraction(0)] * n if all(v == 0 for v in target) else None
-        return linalg.solve(mat, list(target), column_order=column_order)
-
-    def cohomology(self):
-        if self._cohomology is None:
-            from .cohomology import CohomologyRing
-            self._cohomology = CohomologyRing(self)
-        return self._cohomology
 
     def betti(self) -> tuple[int, ...]:
         return self.cohomology().betti()

@@ -108,7 +108,8 @@ def _dispatch(args, mf, cap: int) -> int:
         key, show = _VIEWS[args.command]
         sec = run_section(mf.to_lie_model(), key, max_degree=cap,
                           order=getattr(args, "order", None))
-        show(sec)
+        if sec.record is not None:
+            show(sec)
         if sec.hypothesis:
             print(f"note: {sec.hypothesis}")
         asserted, hypothesis = sec.asserted, sec.hypothesis

@@ -146,25 +146,18 @@ def in_row_space(vec: Vector, rows: Matrix, pivots: list[int]) -> bool:
     return not any(residual(vec, rows, pivots))
 
 
-def solve(mat: Matrix, rhs: Vector, column_order: list[int] | None = None):
-    """One solution of mat @ x = rhs (free variables zero), or None.
-
-    ``column_order`` permutes the columns before elimination, which selects a
-    different pivot set and hence a different particular solution; the default
-    is the natural order.
-    """
+def solve(mat: Matrix, rhs: Vector):
+    """One solution of mat @ x = rhs (free variables zero), or None."""
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     if nrows == 0:
         return [Fraction(0)] * ncols if all(v == 0 for v in rhs) else None
-    order = column_order if column_order is not None else list(range(ncols))
-    aug = [[mat[i][j] for j in order] + [rhs[i]] for i in range(nrows)]
-    rows, pivots = rref(aug)
+    rows, pivots = rref([[*mat[i], rhs[i]] for i in range(nrows)])
     if ncols in pivots:
         return None
     sol = [Fraction(0)] * ncols
     for i, c in enumerate(pivots):
-        sol[order[c]] = rows[i][ncols]
+        sol[c] = rows[i][ncols]
     return sol
 
 

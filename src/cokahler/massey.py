@@ -44,13 +44,9 @@ class MasseyTriple:
         return len(self.indeterminacy_rows)
 
 
-def triple_massey(ring: CohomologyRing, x: tuple, y: tuple, z: tuple,
-                  column_order: list[int] | None = None) -> MasseyTriple:
-    """<x, y, z> for classes given as (degree, class coordinates).
-
-    ``column_order`` selects the echelon pivot order used for the bounding
-    cochains; the vanishing verdict is independent of it.
-    """
+def triple_massey(ring: CohomologyRing, x: tuple, y: tuple,
+                  z: tuple) -> MasseyTriple:
+    """<x, y, z> for classes given as (degree, class coordinates)."""
     (px, xc), (py, yc), (pz, zc) = x, y, z
     cx = ring.complex
     a = ring.representative_of(px, xc)
@@ -62,8 +58,8 @@ def triple_massey(ring: CohomologyRing, x: tuple, y: tuple, z: tuple,
         raise StructureError("x y is nonzero in cohomology; <x,y,z> undefined")
     if any(ring.class_of(py + pz, bc)):
         raise StructureError("y z is nonzero in cohomology; <x,y,z> undefined")
-    u = cx.solve_d(px + py - 1, ab, column_order=column_order)
-    v = cx.solve_d(py + pz - 1, bc, column_order=column_order)
+    u = cx.solve_d(px + py - 1, ab)
+    v = cx.solve_d(py + pz - 1, bc)
     if u is None or v is None:
         raise StructureError("exact product has no primitive; corrupt complex")
     s = px + py + pz - 1

@@ -2,9 +2,12 @@
 
 Generators are added degree by degree against a target cochain algebra: in
 each degree p, first closed generators until H^p maps onto H^p of the target,
-then generators killing the kernel of the map on H^{p+1}.  Degree-1
-generators are therefore added in stages, which is exactly what
-non-simply-connected (nilmanifold-type) targets require; the differential
+then generators killing the kernel of the map on H^{p+1}, in whole rounds:
+a round adds one generator y with dy = z for every basis class z of the
+kernel, and the model is rebuilt once per round.  New generators can spawn
+new kernel classes, so rounds repeat until the map is injective; degree-1
+generators therefore arrive in stages, which is exactly what
+non-simply-connected (nilmanifold-type) targets require.  The differential
 of every added generator is decomposable by construction, since it is a
 cocycle of degree p+1 in an algebra generated below degree p+1.
 
@@ -23,11 +26,11 @@ from .cohomology import InducedMap, _map_from_columns
 from .errors import StructureError
 from .exterior import Element, Generator, GradedAlgebra
 
-# desk-scale budgets: corpus models stabilize within a couple of rounds, and
-# non-nilpotent targets (whose models are infinitely generated per degree)
-# must fail fast instead of grinding
+# The only budget: kill rounds per degree.  A nilpotent target closes each
+# stage after a few rounds.  A non-nilpotent target has a model that is
+# infinitely generated in some degree, so every round leaves a new kernel;
+# the construction stops at this bound instead of growing without end.
 _STAGE_CAP = 12
-_GENERATOR_CAP = 32
 
 
 @dataclass
@@ -49,14 +52,15 @@ class SullivanModel:
 
     def push(self, elem: Element) -> list[Fraction]:
         """Image of a model element in target coordinates."""
-        return _push(self.dga.algebra, self.images, elem, self.target)
+        return _push(self.images, elem, self.target)
 
     @property
     def quasi_iso(self) -> bool:
         return all(self.iso_degrees) and self.injective_above
 
 
-def _push(alg: GradedAlgebra, images, elem: Element, target) -> list[Fraction]:
+def _push(images, elem: Element, target) -> list[Fraction]:
+    alg = elem.algebra
     out = [Fraction(0)] * target.dim(elem.degree)
     unit = [Fraction(1)] if target.dim(0) else []
     for key, coeff in elem.terms.items():
@@ -73,8 +77,9 @@ def _push(alg: GradedAlgebra, images, elem: Element, target) -> list[Fraction]:
 
 
 class _Builder:
-    """Mutable construction state; the algebra is rebuilt as generators
-    arrive (names are stable, so re-embedding the differential is safe)."""
+    """Mutable construction state.  The model DGA and its induced maps are
+    built on demand and dropped when generators arrive (names are stable, so
+    re-embedding the differential is safe)."""
 
     def __init__(self, target, cap: int):
         self.target = target
@@ -83,40 +88,39 @@ class _Builder:
         self.d_images: dict[str, Element] = {}
         self.images: list[list[Fraction]] = []
         self._dga: DGA | None = None
+        self._maps: dict[int, InducedMap] = {}
 
     def dga(self) -> DGA:
         if self._dga is None:
             alg = GradedAlgebra(self.gens, max_degree=self.cap + 2)
-            images = {}
-            for name, img in self.d_images.items():
-                if not img.is_zero():
-                    images[alg.index(name)] = embed_element(img, alg)
+            images = {alg.index(name): embed_element(img, alg)
+                      for name, img in self.d_images.items()}
             self._dga = DGA(alg, Derivation(alg, 1, images, name="d"))
         return self._dga
 
     def add_generator(self, degree: int, d_image: Element | None,
                       target_coords: list[Fraction]):
-        if len(self.gens) >= _GENERATOR_CAP:
-            raise StructureError("minimal model construction exceeded the "
-                                 "generator budget; target looks non-nilpotent")
         name = f"x{len(self.gens) + 1}"
         self.gens = self.gens + [Generator(name, degree)]
         if d_image is not None and not d_image.is_zero():
             self.d_images[name] = d_image
         self.images.append([Fraction(v) for v in target_coords])
         self._dga = None
+        self._maps = {}
 
     def induced_map(self, p: int) -> InducedMap:
-        """The map H^p(model) -> H^p(target)."""
-        model = self.dga()
-        ring_m = model.cohomology()
-        ring_t = self.target.cohomology()
-        cols = []
-        for rep in ring_m.representatives(p):
-            elem = model.element(p, rep)
-            vec = _push(model.algebra, self.images, elem, self.target)
-            cols.append(ring_t.class_of(p, vec))
-        return _map_from_columns(p, cols, ring_m.dim(p), ring_t.dim(p))
+        """The map H^p(model) -> H^p(target), once per built model."""
+        if p not in self._maps:
+            model = self.dga()
+            ring_m = model.cohomology()
+            ring_t = self.target.cohomology()
+            cols = []
+            for rep in ring_m.representatives(p):
+                vec = _push(self.images, model.element(p, rep), self.target)
+                cols.append(ring_t.class_of(p, vec))
+            self._maps[p] = _map_from_columns(p, cols, ring_m.dim(p),
+                                              ring_t.dim(p))
+        return self._maps[p]
 
 
 def minimal_model(target, cap: int) -> SullivanModel:
@@ -150,23 +154,27 @@ def _extend_surjective(builder: _Builder, p: int):
 
 
 def _kill_kernel(builder: _Builder, p: int):
-    """Add degree-p generators with dy = z for kernel classes z of the map
-    on H^{p+1}, until that map is injective."""
-    for _ in range(_STAGE_CAP):
+    """Kill the kernel of the map on H^{p+1} in rounds: each round adds a
+    degree-p generator y with dy = z for every basis class z of the kernel,
+    until the map is injective or the round bound is spent."""
+    for rounds in range(_STAGE_CAP + 1):
         kernel = builder.induced_map(p + 1).kernel_classes
         if not kernel:
             return
-        model = builder.dga()
-        z = model.element(p + 1, model.cohomology().representative_of(
-            p + 1, kernel[0]))
-        pushed = _push(model.algebra, builder.images, z, builder.target)
-        w = builder.target.solve_d(p, pushed)
-        if w is None:
+        if rounds == _STAGE_CAP:
             raise StructureError(
-                "kernel class pushes to a non-exact cocycle; broken morphism")
-        builder.add_generator(p, z, w)
-    raise StructureError(
-        f"degree {p} stage did not stabilize in {_STAGE_CAP} rounds")
+                f"degree {p} stage did not stabilize in {_STAGE_CAP} rounds")
+        model = builder.dga()
+        ring = model.cohomology()
+        cocycles = [model.element(p + 1, ring.representative_of(p + 1, k))
+                    for k in kernel]
+        for z in cocycles:
+            w = builder.target.solve_d(
+                p, _push(builder.images, z, builder.target))
+            if w is None:
+                raise StructureError("kernel class pushes to a non-exact "
+                                     "cocycle; broken morphism")
+            builder.add_generator(p, z, w)
 
 
 def _finalize(builder: _Builder) -> SullivanModel:
@@ -174,7 +182,7 @@ def _finalize(builder: _Builder) -> SullivanModel:
     alg = model.algebra
     # chain-map check: pushing commutes with the differentials
     for i, gen in enumerate(alg.generators):
-        lhs = _push(alg, builder.images, model.d.image_of(i), builder.target)
+        lhs = _push(builder.images, model.d.image_of(i), builder.target)
         rhs = linalg.mat_vec(builder.target.d_matrix(gen.degree),
                              builder.images[i])
         if lhs != rhs:

@@ -245,6 +245,11 @@ def _parallel_form_quism_section(model: LieModel, cap, order) -> Section:
 
 
 def _splitting_section(model: LieModel, cap, order) -> Section:
+    d_eta = model.ce().d.apply(model.eta_element())
+    if not d_eta.is_zero():
+        return Section(None, hypothesis=(
+            f"d(eta) = {d_eta!r} is not zero: the eta-multiples are not "
+            "closed under d, so no splitting is computed"))
     split = omega_splitting(model)
     basic = verify_basic_match(model)
     coh_split = splitting_check(model)

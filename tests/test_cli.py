@@ -185,6 +185,52 @@ def test_non_cosymplectic_model_is_a_hypothesis_not_an_error(capsys, tmp_path):
     assert code == 1 and "note:" in out and "does not descend" in out
 
 
+HEIS5 = """\
+# 5-dim Heisenberg [X2, X3] = X1 = [X4, X5] with xi = X1, eta = e1: d(eta) != 0
+name: heis5
+dimension: 5
+
+[brackets]
+2 3 1 1
+4 5 1 1
+
+[metric]
+identity
+
+[xi]
+X1
+
+[eta]
+e1
+
+[J]
+0 0 0 0 0
+0 0 -1 0 0
+0 1 0 0 0
+0 0 0 0 -1
+0 0 0 1 0
+"""
+
+
+def test_splitting_with_non_closed_eta_is_a_hypothesis(capsys, tmp_path):
+    # the eta-multiples are not closed under d when d(eta) != 0, so the
+    # splitting section has nothing to compute: a note, not an error
+    path = tmp_path / "heis5.model"
+    path.write_text(HEIS5)
+    code, out, _ = run(capsys, "split", str(path))
+    assert code == 1
+    assert out.startswith("note: d(eta) = ") and len(out.splitlines()) == 1
+    code, _, err = run(capsys, "--informational", "split", str(path))
+    assert code == 0, err
+    code, out, err = run(capsys, "--informational", "report", "--json",
+                         str(path))
+    assert code == 0, err
+    data = json.loads(out)
+    assert "splitting" not in data
+    assert data["classification"]["cosymplectic"] is False
+    assert any(note.startswith("d(eta) = ") for note in data["notes"])
+
+
 def test_degree_cap_is_an_integer_of_at_least_one(capsys, monkeypatch):
     monkeypatch.delenv("COKAHLER_MAX_DEGREE", raising=False)
     for argv in (("minimal", "torus3", "--max-degree", "0"),
@@ -214,7 +260,8 @@ SECTION_VERDICTS = {
                   ("not co-Kahler: Lefschetz", "model is not cosymplectic")),
     "verbitsky": ({"parallel_form_quism"}, ("eta not parallel",)),
     "split": ({"omega_splitting", "omega1_equals_basic",
-               "cohomology_splitting"}, ("not co-Kahler: splitting",)),
+               "cohomology_splitting"},
+              ("not co-Kahler: splitting", "d(eta) = ")),
     "massey": ({"massey_formality_obstruction"}, ()),
     "minimal": ({"minimal_model", "minimal_model_tensor_split"}, ()),
     "mapping-torus": ({"mapping_torus_betti"}, ()),
@@ -226,9 +273,11 @@ def test_subcommands_exit_as_their_report_sections_say(capsys, tmp_path,
     monkeypatch.delenv("COKAHLER_MAX_DEGREE", raising=False)
     nil5 = tmp_path / "nil5.model"
     nil5.write_text(NIL5)
+    heis5 = tmp_path / "heis5.model"
+    heis5.write_text(HEIS5)
     seen_exits = set()
     for model in ("torus3", "torus5", "heisenberg", "t2-rot4-mapping-torus",
-                  "t2-negid-mapping-torus", str(nil5)):
+                  "t2-negid-mapping-torus", str(nil5), str(heis5)):
         code, out, _ = run(capsys, "report", "--json", model)
         report = json.loads(out)
         assert code == (0 if report["ok"] else 1)

@@ -1,12 +1,31 @@
 """Bounded-degree Sullivan models and the tensor-splitting comparison."""
 
+import importlib.util
+from functools import cache
+from pathlib import Path
+
 import pytest
 
+from cokahler import load_corpus, loads
 from cokahler.cdga import DGA, extend_derivation
+from cokahler.cli import main
 from cokahler.errors import StructureError
 from cokahler.eta import invariant_forms, omega_splitting
 from cokahler.exterior import Generator, GradedAlgebra
 from cokahler.minimal import minimal_model, model_tensor_split_check
+from cokahler.report import run_section
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@cache
+def perfbench_models():
+    """The benchmark's model generators, read-only."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_models", PERFBENCH / "models.py")
+    models = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(models)
+    return models
 
 
 def test_torus3_is_its_own_model(torus3):
@@ -100,13 +119,35 @@ def test_tensor_split_requires_cokahler(heisenberg):
         model_tensor_split_check(heisenberg, 3)
 
 
-def test_non_nilpotent_target_fails_fast(heisenberg):
-    # Omega_eta of the Heisenberg model has zero differential but a
-    # non-nilpotent ring (e2 . e2^e3 = 0 spawns an infinite degree-2 tower,
-    # as for a wedge of spheres); the construction must refuse, not grind
-    sub = invariant_forms(heisenberg)
-    with pytest.raises(StructureError):
-        minimal_model(sub, 2)
+@pytest.mark.parametrize("label", ["heisenberg", "nil5"])
+def test_non_nilpotent_target_fails_fast(label):
+    # Omega_eta of these models has a non-nilpotent ring (for Heisenberg,
+    # zero differential and e2 . e2^e3 = 0, which spawns an infinite degree-2
+    # tower, as for a wedge of spheres); every kill round leaves a new
+    # kernel, so the construction must stop at the round bound, not grind
+    mf = load_corpus(label) if label == "heisenberg" else \
+        loads(perfbench_models().nil5_text())
+    m = mf.to_lie_model()
+    with pytest.raises(StructureError, match="did not stabilize"):
+        minimal_model(invariant_forms(m), 3)
+
+
+@pytest.mark.parametrize("weights, counts", [
+    # Sym^2 of the nine invariant 2-classes maps onto the nine
+    # (2,2)-classes of H^4, leaving 45 - 9 = 36 degree-3 generators
+    ((1, 1, 1), {1: 1, 2: 9, 3: 36}),
+    ((1, 1, 2), {1: 1, 2: 5, 3: 12}),
+], ids=["1-1-1", "1-1-2"])
+def test_rot7_with_repeated_weights(weights, counts, capsys, tmp_path):
+    text = perfbench_models().rot_text(weights)
+    sec = run_section(loads(text).to_lie_model(), "minimal_model")
+    assert {r["check"]: r["ok"] for r in sec.asserted} == {
+        "minimal_model": True, "minimal_model_tensor_split": True}
+    assert sec.record["generator_counts"] == counts
+    path = tmp_path / "rot7.model"
+    path.write_text(text)
+    assert main(["minimal", str(path)]) == 0
+    assert f"generators by degree: {counts}" in capsys.readouterr().out
 
 
 def test_quasi_iso_matrices_are_chain_maps(heisenberg):
