@@ -1,12 +1,13 @@
 """Differentials, graded derivations, subcomplexes and algebra maps.
 
 A derivation is determined by its generator images and extended by the graded
-Leibniz rule; the differential of a DGA is a degree +1 derivation.  Operator
-identities (d squared, supercommutators, chain-map conditions) are checked
-exactly, basis monomial by basis monomial, which is the column-by-column form
-of the corresponding matrix identity.  The Leibniz rule itself is checked on
-(generator, basis monomial) pairs, which implies the full rule (see
-``check_leibniz``).
+Leibniz rule; the differential of a DGA is a degree +1 derivation.  Every
+operator identity (d squared, supercommutators, chain maps, and the report's
+iota squared, d_eta = L_xi and Cartan's formula, where the literal {d, iota_X}
+meets the coadjoint Lie derivative) is checked exactly by ``disagreement``,
+basis monomial by basis monomial: the column-by-column form of the matrix
+identity.  Leibniz is checked on (generator, basis monomial) pairs, which
+implies the full rule (see ``check_leibniz``).
 """
 
 from __future__ import annotations
@@ -82,15 +83,7 @@ class Derivation:
 
     def matrix(self, p: int) -> linalg.Matrix:
         """Matrix of the derivation from degree p to degree p + |f|."""
-        if p not in self._matrices:
-            alg = self.algebra
-            target = alg.dim(p + self.degree)
-            cols = []
-            for key in alg.basis(p):
-                img = self.apply(Element(alg, p, {key: Fraction(1)}))
-                cols.append(alg.coords(img) if target else [])
-            self._matrices[p] = [[col[i] for col in cols] for i in range(target)]
-        return self._matrices[p]
+        return _basis_matrix(self, p)
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images.values())
@@ -98,6 +91,32 @@ class Derivation:
     def __repr__(self) -> str:
         label = self.name or "derivation"
         return f"<{label}: degree {self.degree:+d} on {len(self.algebra)} generators>"
+
+
+def _basis_matrix(op, p: int) -> linalg.Matrix:
+    """Matrix of ``op.apply`` from degree p to degree p + ``op.degree``, one
+    column per basis monomial, cached in ``op._matrices`` (write-once)."""
+    if p not in op._matrices:
+        alg = op.algebra
+        target = alg.dim(p + op.degree)
+        cols = [alg.coords(op.apply(Element(alg, p, {key: Fraction(1)})))
+                for key in alg.basis(p)] if target else []
+        op._matrices[p] = [[col[i] for col in cols] for i in range(target)]
+    return op._matrices[p]
+
+
+def disagreement(lhs, rhs, alg: GradedAlgebra, degrees=None) -> Element | None:
+    """The first basis monomial, in degree order, on which the linear maps
+    ``lhs`` and ``rhs`` (callables on elements of ``alg``) differ, or None
+    when they agree.  ``rhs=None`` stands for the zero map; ``degrees``
+    restricts the check to those degrees (default: 0 through top)."""
+    for p in range(alg.top + 1) if degrees is None else degrees:
+        for key in alg.basis(p):
+            mono = Element(alg, p, {key: Fraction(1)})
+            out = lhs(mono)
+            if (not out.is_zero()) if rhs is None else out != rhs(mono):
+                return mono
+    return None
 
 
 def extend_derivation(algebra: GradedAlgebra, images: dict, degree: int,
@@ -131,14 +150,12 @@ def supercommutator(f: Derivation, g: Derivation) -> Derivation:
             images[i] = img
     name = f"{{{f.name or 'f'},{g.name or 'g'}}}"
     der = Derivation(alg, f.degree + g.degree, images, name=name)
-    for p in range(alg.top + 1):
-        for key in alg.basis(p):
-            mono = Element(alg, p, {key: Fraction(1)})
-            direct = f.apply(g.apply(mono)) - g.apply(f.apply(mono)).scale(sign)
-            if der.apply(mono) != direct:
-                raise StructureError(
-                    f"supercommutator extension disagrees with composition on "
-                    f"{alg.key_str(key)}")
+    bad = disagreement(
+        der.apply, lambda x: f.apply(g.apply(x)) - g.apply(f.apply(x)).scale(sign),
+        alg)
+    if bad is not None:
+        raise StructureError(
+            f"supercommutator extension disagrees with composition on {bad!r}")
     return der
 
 
@@ -203,13 +220,8 @@ class DGA(CochainComplex):
 
 def check_d_squared(dga: DGA) -> bool:
     """True iff d(d(m)) = 0 for every basis monomial in every degree."""
-    alg = dga.algebra
-    for p in range(alg.top + 1):
-        for key in alg.basis(p):
-            mono = Element(alg, p, {key: Fraction(1)})
-            if not dga.d.apply(dga.d.apply(mono)).is_zero():
-                return False
-    return True
+    d = dga.d.apply
+    return disagreement(lambda x: d(d(x)), None, dga.algebra) is None
 
 
 def check_leibniz(der: Derivation) -> bool:
@@ -253,15 +265,11 @@ def check_leibniz(der: Derivation) -> bool:
 
 def supercommutes_with_d(dga: DGA, op: Derivation) -> bool:
     """Whether {d, op} vanishes on every basis monomial."""
-    alg = dga.algebra
     sign = -1 if (op.degree % 2) else 1
-    for p in range(alg.top + 1):
-        for key in alg.basis(p):
-            mono = Element(alg, p, {key: Fraction(1)})
-            anti = dga.d.apply(op.apply(mono)) - op.apply(dga.d.apply(mono)).scale(sign)
-            if not anti.is_zero():
-                return False
-    return True
+    d = dga.d.apply
+    return disagreement(lambda x: d(op.apply(x)),
+                        lambda x: op.apply(d(x)).scale(sign),
+                        dga.algebra) is None
 
 
 class Subcomplex(CochainComplex):
@@ -387,6 +395,8 @@ def free_line_dga(name: str = "t") -> DGA:
 class AlgebraMap:
     """Degree-preserving algebra endomorphism given by generator images."""
 
+    degree = 0
+
     def __init__(self, algebra: GradedAlgebra, images: dict, name: str = ""):
         self.algebra = algebra
         self.name = name
@@ -419,13 +429,7 @@ class AlgebraMap:
         return self.apply(elem)
 
     def matrix(self, p: int) -> linalg.Matrix:
-        if p not in self._matrices:
-            alg = self.algebra
-            n = alg.dim(p)
-            cols = [alg.coords(self.apply(Element(alg, p, {key: Fraction(1)})))
-                    for key in alg.basis(p)]
-            self._matrices[p] = [[col[i] for col in cols] for i in range(n)]
-        return self._matrices[p]
+        return _basis_matrix(self, p)
 
     def is_automorphism(self) -> bool:
         return all(linalg.rank(self.matrix(p)) == self.algebra.dim(p)
@@ -434,18 +438,14 @@ class AlgebraMap:
     def has_order(self, m: int) -> bool:
         if m < 1:
             return False
-        return all(linalg.mat_eq(linalg.mat_pow(self.matrix(p), m),
-                                 linalg.identity(self.algebra.dim(p)))
+        return all(linalg.mat_pow(self.matrix(p), m)
+                   == linalg.identity(self.algebra.dim(p))
                    for p in range(1, self.algebra.top + 1))
 
     def commutes_with(self, der: Derivation) -> bool:
-        alg = self.algebra
-        for p in range(alg.top + 1):
-            for key in alg.basis(p):
-                mono = Element(alg, p, {key: Fraction(1)})
-                if self.apply(der.apply(mono)) != der.apply(self.apply(mono)):
-                    return False
-        return True
+        return disagreement(lambda x: self.apply(der.apply(x)),
+                            lambda x: der.apply(self.apply(x)),
+                            self.algebra) is None
 
 
 def invariant_subalgebra(dga: DGA, phi: AlgebraMap, order: int) -> Subcomplex:

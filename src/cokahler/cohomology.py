@@ -85,7 +85,9 @@ class CohomologyRing:
         The representatives vanish on the image pivots and are in rref, so
         reducing v = sum a_i rep_i + d w modulo the image leaves sum a_i rep_i,
         whose entries at the representatives' pivots are the a_i.  Raises if
-        v is not closed or the reduction is not that combination.
+        v is not closed or the reduction is not that combination.  The
+        coordinates must be Fractions, as every caller in the package passes
+        them; the returned a_i are read off unconverted.
         """
         vec = list(cocycle_coords)
         if p < 0 or p > self.top:
@@ -97,7 +99,7 @@ class CohomologyRing:
             raise StructureError(f"vector of degree {p} is not closed")
         s = self.slices[p]
         rest = linalg.residual(vec, s.image_rows, s.image_pivots)
-        coeffs = [Fraction(rest[c]) for c in s.rep_pivots]
+        coeffs = [rest[c] for c in s.rep_pivots]
         if rest != self.representative_of(p, coeffs):
             raise StructureError(f"vector is not in Z^{p}")
         return coeffs

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cdga import (Derivation, Subcomplex, supercommutator,
+from .cdga import (Derivation, Subcomplex, disagreement, supercommutator,
                    supercommutes_with_d)
 from .cohomology import inclusion_induced_map
 from .errors import StructureError
@@ -91,13 +91,8 @@ def verify_d_eta_equals_lie(m: LieModel) -> DEtaLieReport:
     d_eta = build_d_eta(m).d_eta
     lie = m.lie_xi()
     alg = m.algebra()
-    degreewise = []
-    for p in range(alg.top + 1):
-        ok = all(
-            d_eta.apply(Element(alg, p, {key: Fraction(1)}))
-            == lie.apply(Element(alg, p, {key: Fraction(1)}))
-            for key in alg.basis(p))
-        degreewise.append(ok)
+    degreewise = [disagreement(d_eta.apply, lie.apply, alg, [p]) is None
+                  for p in range(alg.top + 1)]
     return DEtaLieReport(all(degreewise), degreewise,
                          degreewise[0], degreewise[1] if len(degreewise) > 1 else True)
 
@@ -169,10 +164,24 @@ class OmegaSplitting:
     ok: bool
 
 
+def splitting_obstruction(m: LieModel) -> str | None:
+    """The note that d(eta) is not zero, which leaves the eta-multiples
+    unclosed under d and so the splitting undefined; None when d(eta) = 0."""
+    d_eta = m.ce().d.apply(m.eta_element())
+    if d_eta.is_zero():
+        return None
+    return (f"d(eta) = {d_eta!r} is not zero: the eta-multiples are not "
+            "closed under d, so no splitting is computed")
+
+
 @once_per_model
 def omega_splitting(m: LieModel) -> OmegaSplitting:
     """Split the L_xi-invariant forms into the iota_xi kernel and its
-    eta-multiples, verifying directness and the eta-wedge description."""
+    eta-multiples, verifying directness and the eta-wedge description.
+    Raises the ``splitting_obstruction`` note when d(eta) is not zero."""
+    obstruction = splitting_obstruction(m)
+    if obstruction:
+        raise StructureError(obstruction)
     sub = invariant_forms(m)
     dga = m.ce()
     iota = m.iota_xi()

@@ -197,12 +197,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[a[i][j] - b[i][j] for j in range(len(a[i]))] for i in range(len(a))]
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(ra == rb for ra, rb in zip(a, b))
-
-
 def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cdga import DGA, Derivation, embed_element, tensor_product, free_line_dga
-from .cohomology import InducedMap, _map_from_columns
+from .cdga import DGA, Derivation, embed_element
+from .cohomology import InducedMap, _map_from_columns, kunneth_convolution
 from .errors import StructureError
 from .exterior import Element, Generator, GradedAlgebra
 
@@ -243,10 +243,10 @@ def model_tensor_split_check(m, cap: int) -> TensorSplitReport:
     counts_match = all(
         counts_eta.get(p, 0) == counts_basic.get(p, 0) + (1 if p == 1 else 0)
         for p in range(1, cap + 1))
-    circle = free_line_dga("eta_gen")
-    product = tensor_product(model_basic.dga, circle, max_degree=cap + 2)
     betti_eta = model_eta.dga.cohomology().betti()[:cap + 1]
-    betti_tensor = product.cohomology().betti()[:cap + 1]
+    # M(Omega_1) tensor the circle model Lambda(eta), by Kunneth
+    betti_tensor = kunneth_convolution(
+        model_basic.dga.cohomology().betti(), (1, 1))[:cap + 1]
     cochain_ok = split.ok
     return TensorSplitReport(
         counts_eta, counts_basic, counts_match,

@@ -15,12 +15,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cdga import check_d_squared, check_leibniz, supercommutes_with_d
+from .cdga import (check_d_squared, check_leibniz, disagreement,
+                   supercommutes_with_d)
 from .cohomology import kunneth_convolution
 from .errors import StructureError
 from .eta import (basic_complex, build_d_eta, omega_splitting,
-                  verify_basic_match, verify_d_eta_equals_lie,
-                  verify_parallel_form_quism)
+                  splitting_obstruction, verify_basic_match,
+                  verify_d_eta_equals_lie, verify_parallel_form_quism)
 from .exterior import Element
 from .geometry import LieModel, classify
 from .lefschetz import (mapping_torus_model, model_automorphism,
@@ -159,28 +160,20 @@ def _operator_identities_section(model: LieModel, cap, order) -> Section:
 
 
 def operator_identity_report(m: LieModel) -> Section:
-    """iota^2 = 0, Cartan via the coadjoint construction, Leibniz for the
-    working derivations, and {d, d_eta} = 0, all as exact identities."""
+    """iota^2 = 0, Cartan's {d, iota_X} against the coadjoint construction,
+    Leibniz for the working derivations, and {d, d_eta} = 0, all exact."""
     dga = m.ce()
     alg = m.algebra()
+    d = dga.d.apply
     out: dict = {}
     iota_sq = True
     cartan = True
     for i in range(m.dimension):
         basis_vec = [Fraction(int(t == i)) for t in range(m.dimension)]
-        iota = m.iota(basis_vec)
-        for p in range(alg.top + 1):
-            for key in alg.basis(p):
-                mono = Element(alg, p, {key: Fraction(1)})
-                if not iota.apply(iota.apply(mono)).is_zero():
-                    iota_sq = False
-        lie = m.lie(basis_vec)
-        coad = m.lie_coadjoint(basis_vec)
-        for p in range(alg.top + 1):
-            for key in alg.basis(p):
-                mono = Element(alg, p, {key: Fraction(1)})
-                if lie.apply(mono) != coad.apply(mono):
-                    cartan = False
+        iota = m.iota(basis_vec).apply
+        iota_sq &= disagreement(lambda x: iota(iota(x)), None, alg) is None
+        cartan &= disagreement(lambda x: d(iota(x)) + iota(d(x)),
+                               m.lie_coadjoint(basis_vec), alg) is None
     out["iota_squared_zero"] = iota_sq
     out["cartan_formula"] = cartan
     out["d_squared_zero"] = check_d_squared(dga)
@@ -245,11 +238,9 @@ def _parallel_form_quism_section(model: LieModel, cap, order) -> Section:
 
 
 def _splitting_section(model: LieModel, cap, order) -> Section:
-    d_eta = model.ce().d.apply(model.eta_element())
-    if not d_eta.is_zero():
-        return Section(None, hypothesis=(
-            f"d(eta) = {d_eta!r} is not zero: the eta-multiples are not "
-            "closed under d, so no splitting is computed"))
+    obstruction = splitting_obstruction(model)
+    if obstruction:
+        return Section(None, hypothesis=obstruction)
     split = omega_splitting(model)
     basic = verify_basic_match(model)
     coh_split = splitting_check(model)

@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from cokahler import linalg
 from cokahler.cdga import (AlgebraMap, DGA, Derivation, Subcomplex,
-                           check_d_squared, check_leibniz, extend_derivation,
-                           free_line_dga, invariant_subalgebra,
-                           supercommutator, supercommutes_with_d,
-                           tensor_product)
+                           check_d_squared, check_leibniz, disagreement,
+                           extend_derivation, free_line_dga,
+                           invariant_subalgebra, supercommutator,
+                           supercommutes_with_d, tensor_product)
 from cokahler.cohomology import inclusion_induced_map, kunneth_convolution
 from cokahler.errors import StructureError
 from cokahler.eta import build_d_eta
@@ -278,6 +278,64 @@ def test_supercommutator_antisymmetry(seed):
         for key in alg.basis(p):
             mono = Element(alg, p, {key: Fraction(1)})
             assert fg.apply(mono) == gf.apply(mono).scale(-sign)
+
+
+def faulty(f, mono, extra):
+    """The map ``f``, except that the basis monomial ``mono`` also maps to
+    ``extra``."""
+    (key, _), = mono.terms.items()
+
+    def apply(elem):
+        c = elem.terms.get(key)
+        return f(elem) + extra.scale(c) if c else f(elem)
+    return apply
+
+
+def test_disagreement_returns_the_first_differing_monomial_in_degree_order():
+    d = rot5_model().ce().d
+    alg = d.algebra
+    e35, e45 = alg.monomial("e3", "e5"), alg.monomial("e4", "e5")
+    e234 = alg.monomial("e2", "e3", "e4")
+    assert disagreement(d, d, alg) is None
+    # a single fault on a degree-3 monomial, seen from either side
+    bad = faulty(d, e234, alg.monomial("e1", "e2", "e3", "e4"))
+    assert disagreement(bad, d, alg) == e234
+    assert disagreement(d, bad, alg) == e234
+    # faults on e4^e5 and e3^e5 come before it, and e3^e5 is first
+    worse = faulty(faulty(bad, e45, alg.monomial("e1", "e4", "e5")),
+                   e35, alg.monomial("e1", "e3", "e5"))
+    keys = alg.basis(2)
+    assert keys.index(next(iter(e35.terms))) < keys.index(next(iter(e45.terms)))
+    assert disagreement(worse, d, alg) == e35
+    assert disagreement(worse, d, alg, degrees=[3]) == e234
+    assert disagreement(worse, d, alg, degrees=[3, 2]) == e234
+    assert disagreement(worse, d, alg, degrees=[0, 1, 4, 5]) is None
+
+
+def test_disagreement_with_none_compares_with_zero():
+    d = rot5_model().ce().d
+    alg = d.algebra
+    assert d.apply(alg.gen("e1")).is_zero() and not d.apply(alg.gen("e2")).is_zero()
+    assert disagreement(d, None, alg) == alg.gen("e2")
+    assert disagreement(lambda x: d(d(x)), None, alg) is None
+    assert disagreement(d, None, alg, degrees=[0]) is None
+    assert disagreement(d, lambda x: alg.zero(x.degree + 1), alg) == alg.gen("e2")
+
+
+def test_supercommutator_checks_its_extension_against_the_composition():
+    alg = ce_algebra(3)
+    number = extend_derivation(alg, dict(enumerate(alg.gens())), 0)
+    e12 = alg.monomial("e1", "e2")
+    # zero on every generator, so zero as a derivation, but e1^e2 -> e1^e2^e3
+    bad = WrongOn(Derivation(alg, 1, {}), e12.terms.popitem()[0],
+                  alg.monomial("e1", "e2", "e3"))
+    assert all(bad.apply(g).is_zero() for g in alg.gens())
+    assert not bad.apply(alg.monomial("e1", "e2")).is_zero()
+    # the extension is zero, the composition is -e1^e2^e3 on e1^e2
+    with pytest.raises(StructureError,
+                       match=r"disagrees with composition on e1\^e2$"):
+        supercommutator(bad, number)
+    assert supercommutator(Derivation(alg, 1, {}), number).is_zero()
 
 
 def test_cartan_supercommutator_is_lie_derivative():

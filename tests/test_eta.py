@@ -8,15 +8,18 @@ derivative (coadjoint formula).
 import pytest
 import sympy
 
-from cokahler import linalg
-from cokahler.cdga import extend_derivation
+from cokahler import cdga, geometry, linalg
+from cokahler import eta as eta_module
+from cokahler.cdga import Derivation, extend_derivation
 from cokahler.errors import StructureError
 from cokahler.eta import (basic_complex, build_d_eta, eta_operator,
                           invariant_forms, kernel_subcomplex, omega_splitting,
-                          split_form, verify_basic_match, verify_d_eta_equals_lie,
-                          verify_parallel_form_quism)
+                          split_form, splitting_obstruction, verify_basic_match,
+                          verify_d_eta_equals_lie, verify_parallel_form_quism)
 from cokahler.geometry import LieModel
-from cokahler.report import run_section
+from cokahler.lefschetz import splitting_check
+from cokahler.modelfile import load_corpus
+from cokahler.report import build_report, operator_identity_report, run_section
 
 
 def oracle_kernel_dims(op, alg):
@@ -267,3 +270,61 @@ def test_operator_identities_see_a_broken_lie_xi():
     assert record["leibniz_operators"] is False
     assert all(record[name] for name in OPERATOR_RECORDS
                if name != "leibniz_operators")
+
+
+def test_operator_identities_see_a_wrong_coadjoint_derivative(monkeypatch):
+    # Cartan's verdict compares {d, iota_X} with lie_coadjoint(X); make the
+    # latter wrong on the generator e3 for every X
+    honest = LieModel.lie_coadjoint
+
+    def wrong(self, vector):
+        der = honest(self, vector)
+        alg = self.algebra()
+        images = dict(der.images)
+        images[2] = der.image_of(2) + alg.gen("e5")
+        return Derivation(alg, 0, images, name="L_wrong")
+
+    m = rot5_1_2()
+    assert operator_identity_report(m).record["cartan_formula"] is True
+    monkeypatch.setattr(LieModel, "lie_coadjoint", wrong)
+    record = operator_identity_report(m).record
+    assert record["cartan_formula"] is False
+    assert all(record[name] for name in OPERATOR_RECORDS
+               if name != "cartan_formula")
+
+
+def test_report_builds_one_supercommutator_per_memoized_operator(monkeypatch):
+    # L_xi and d_eta; the Cartan check composes d and iota_X directly
+    honest = cdga.supercommutator
+    calls = []
+
+    def counted(f, g):
+        calls.append((f.name, g.name))
+        return honest(f, g)
+
+    for module in (cdga, geometry, eta_module):
+        monkeypatch.setattr(module, "supercommutator", counted)
+    assert build_report(load_corpus("torus5"))["ok"]
+    assert sorted(calls) == [("d", "iota"), ("d", "rho_eta")]
+
+
+def heis5():
+    """5-dim Heisenberg [X2, X3] = X1 = [X4, X5] with xi = X1, eta = e1:
+    d(eta) = -e2^e3 - e4^e5 is not zero."""
+    J = [[0, 0, 0, 0, 0], [0, 0, -1, 0, 0], [0, 1, 0, 0, 0],
+         [0, 0, 0, 0, -1], [0, 0, 0, 1, 0]]
+    return LieModel(5, {(1, 2): {0: 1}, (3, 4): {0: 1}}, name="heis5",
+                    xi=[1, 0, 0, 0, 0], eta=[1, 0, 0, 0, 0], J=J)
+
+
+def test_splitting_states_that_d_eta_is_not_zero():
+    m = heis5()
+    note = splitting_obstruction(m)
+    assert note.startswith("d(eta) = ") and note.endswith(
+        "so no splitting is computed")
+    for call in (omega_splitting, verify_basic_match, splitting_check):
+        with pytest.raises(StructureError, match=r"d\(eta\)") as info:
+            call(m)
+        assert str(info.value) == note
+    assert run_section(m, "splitting").hypothesis == note
+    assert splitting_obstruction(rot5_1_2()) is None
