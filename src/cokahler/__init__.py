@@ -18,7 +18,7 @@ from .eta import (EtaOperator, SplitPair, basic_complex, build_d_eta,
                   eta_operator, invariant_forms, kernel_subcomplex,
                   omega_splitting, split_form, verify_basic_match,
                   verify_d_eta_equals_lie, verify_parallel_form_quism)
-from .exterior import Element, Generator, GradedAlgebra, wedge
+from .exterior import Element, Generator, GradedAlgebra
 from .geometry import (LieModel, StructureVerdict, classify, fundamental_form,
                        is_killing, is_parallel_covector, is_parallel_tensor,
                        is_parallel_vector, nijenhuis_normality,
@@ -51,5 +51,5 @@ __all__ = [
     "supercommutator", "tensor_product", "triple_massey",
     "validate_almost_contact", "verify_basic_match",
     "verify_d_eta_equals_lie", "verify_lefschetz_iso",
-    "verify_parallel_form_quism", "wedge",
+    "verify_parallel_form_quism",
 ]

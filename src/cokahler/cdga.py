@@ -160,7 +160,8 @@ def supercommutator(f: Derivation, g: Derivation) -> Derivation:
 
 
 class CochainComplex:
-    """What DGAs and subcomplexes share, through ``dim`` and ``d_matrix``."""
+    """What DGAs and subcomplexes share, through ``dim``, ``d_matrix``,
+    ``element`` and ``coords(p, elem)``."""
 
     _cohomology = None
 
@@ -170,6 +171,10 @@ class CochainComplex:
         if not mat:
             return None if any(target) else [Fraction(0)] * self.dim(p)
         return linalg.solve(mat, list(target))
+
+    def wedge_coords(self, p: int, v, q: int, w) -> list[Fraction]:
+        """Coordinates of the product of two elements given by coordinates."""
+        return self.coords(p + q, self.element(p, v).wedge(self.element(q, w)))
 
     def cohomology(self):
         if self._cohomology is None:
@@ -208,10 +213,6 @@ class DGA(CochainComplex):
         if elem.is_zero():
             return [Fraction(0)] * self.dim(p)
         return self.algebra.coords(elem)
-
-    def wedge_coords(self, p: int, v, q: int, w) -> list[Fraction]:
-        prod = self.element(p, v).wedge(self.element(q, w))
-        return [Fraction(0)] * self.dim(p + q) if prod.is_zero() else prod.coords()
 
     def __repr__(self) -> str:
         names = ",".join(g.name for g in self.algebra.generators)
@@ -310,9 +311,9 @@ class Subcomplex(CochainComplex):
         return linalg.in_row_space(parent_coords,
                                    self._rows.get(p, []), self._pivots.get(p, []))
 
-    def coords(self, p: int, parent_coords) -> list[Fraction]:
+    def coords(self, p: int, elem: Element) -> list[Fraction]:
         """Coordinates in the canonical basis; raises if not a member."""
-        vec = list(parent_coords)
+        vec = self.parent.coords(p, elem)
         if not self.contains(p, vec):
             raise StructureError(f"vector is not in the degree {p} subspace")
         return [vec[c] for c in self._pivots.get(p, [])]
@@ -339,12 +340,6 @@ class Subcomplex(CochainComplex):
             self._d_matrices[p] = [[col[i] for col in cols] for i in range(target)]
         return self._d_matrices[p]
 
-    def wedge_coords(self, p: int, v, q: int, w) -> list[Fraction]:
-        prod = self.element(p, v).wedge(self.element(q, w))
-        if prod.is_zero():
-            return [Fraction(0)] * self.dim(p + q)
-        return self.coords(p + q, self.parent.coords(p + q, prod))
-
     def betti(self) -> tuple[int, ...]:
         return self.cohomology().betti()
 
@@ -364,7 +359,7 @@ def embed_element(elem: Element, target: GradedAlgebra) -> Element:
     return out
 
 
-def tensor_product(a: DGA, b: DGA, max_degree: int | None = None) -> DGA:
+def tensor_product(a: DGA, b: DGA) -> DGA:
     """Free graded-commutative product with the Koszul-signed differential
     d(x y) = dx y + (-1)^{|x|} x dy."""
     names_a = {g.name for g in a.algebra.generators}
@@ -373,10 +368,8 @@ def tensor_product(a: DGA, b: DGA, max_degree: int | None = None) -> DGA:
     if clash:
         raise StructureError(f"generator name collision: {sorted(clash)}")
     gens = a.algebra.generators + b.algebra.generators
-    cap = max_degree
-    if cap is None and any(g.degree % 2 == 0 for g in gens):
-        cap = a.top + b.top
-    algebra = GradedAlgebra(gens, max_degree=cap)
+    even = any(g.degree % 2 == 0 for g in gens)
+    algebra = GradedAlgebra(gens, max_degree=a.top + b.top if even else None)
     images = {}
     for src in (a, b):
         for i, gen in enumerate(src.algebra.generators):

@@ -1,10 +1,13 @@
 """Cohomology of finite cochain complexes over the rationals.
 
 Works uniformly over anything with the complex interface (``dim``,
-``d_matrix``, ``element``, ``wedge_coords``, ``top``): full DGAs and
-subcomplexes alike.  Representatives are canonical: kernel vectors are
-reduced modulo the image and re-echelonized, so the same subspace always
-yields the same representative cocycles.
+``d_matrix``, ``element``, ``coords(p, elem)``, ``top``): full DGAs and
+subcomplexes alike.  A ring computes a degree on first use, from the
+differentials into and out of that degree only.  Representatives are
+canonical: kernel vectors are reduced modulo the image and re-echelonized,
+so the same subspace always yields the same representative cocycles.
+Every map on cohomology (an inclusion, a minimal model's comparison map,
+the Lefschetz map) is built by ``induced_map``.
 """
 
 from __future__ import annotations
@@ -31,47 +34,46 @@ class CohomologyRing:
 
     def __init__(self, cx):
         self.complex = cx
-        self.slices: list[DegreeSlice] = []
-        for p in range(cx.top + 1):
-            n = cx.dim(p)
-            if n == 0:
-                self.slices.append(DegreeSlice(0, [], [], [], []))
-                continue
-            kernel = linalg.kernel_basis(cx.d_matrix(p), n)
-            img_vectors = []
-            if p > 0:
-                prev = cx.d_matrix(p - 1)
-                ncols = len(prev[0]) if prev else 0
-                img_vectors = [[prev[i][j] for i in range(n)] for j in range(ncols)]
-            img_rows, img_pivots = linalg.rref(img_vectors) if img_vectors else ([], [])
-            reduced = [linalg.residual(v, img_rows, img_pivots) for v in kernel]
-            reps, rep_pivots = linalg.rref([r for r in reduced if any(r)]) \
-                if reduced else ([], [])
-            dim_h = len(reps)
-            if dim_h != len(kernel) - len(img_rows):
-                raise StructureError(
-                    f"rank-nullity mismatch in degree {p}: "
-                    f"{dim_h} != {len(kernel)} - {len(img_rows)}")
-            self.slices.append(
-                DegreeSlice(dim_h, reps, rep_pivots, img_rows, img_pivots))
+        self._slices: dict[int, DegreeSlice] = {}
         self._cup_cache: dict[tuple, list[Fraction]] = {}
+
+    def _slice(self, p: int) -> DegreeSlice:
+        """H^p, computed on first use from the differentials into and out
+        of degree p and checked against rank-nullity (zero off 0..top)."""
+        if p in self._slices:
+            return self._slices[p]
+        cx = self.complex
+        n = cx.dim(p)
+        kernel = linalg.kernel_basis(cx.d_matrix(p), n) if n else []
+        img_vectors = []
+        if p > 0 and n:
+            prev = cx.d_matrix(p - 1)
+            ncols = len(prev[0]) if prev else 0
+            img_vectors = [[prev[i][j] for i in range(n)] for j in range(ncols)]
+        img_rows, img_pivots = linalg.rref(img_vectors) if img_vectors else ([], [])
+        reduced = [linalg.residual(v, img_rows, img_pivots) for v in kernel]
+        reps, rep_pivots = linalg.rref([r for r in reduced if any(r)]) \
+            if reduced else ([], [])
+        dim_h = len(reps)
+        if dim_h != len(kernel) - len(img_rows):
+            raise StructureError(
+                f"rank-nullity mismatch in degree {p}: "
+                f"{dim_h} != {len(kernel)} - {len(img_rows)}")
+        self._slices[p] = DegreeSlice(dim_h, reps, rep_pivots, img_rows, img_pivots)
+        return self._slices[p]
 
     @property
     def top(self) -> int:
         return self.complex.top
 
     def dim(self, p: int) -> int:
-        if p < 0 or p > self.top:
-            return 0
-        return self.slices[p].dimension
+        return self._slice(p).dimension
 
     def betti(self) -> tuple[int, ...]:
-        return tuple(s.dimension for s in self.slices)
+        return tuple(self.dim(p) for p in range(self.top + 1))
 
     def representatives(self, p: int) -> linalg.Matrix:
-        if p < 0 or p > self.top:
-            return []
-        return self.slices[p].representatives
+        return self._slice(p).representatives
 
     def representative_of(self, p: int, class_coords) -> list[Fraction]:
         """Cocycle coordinates of a class given by coefficients on the
@@ -97,7 +99,7 @@ class CohomologyRing:
         dv = linalg.mat_vec(self.complex.d_matrix(p), vec)
         if any(dv):
             raise StructureError(f"vector of degree {p} is not closed")
-        s = self.slices[p]
+        s = self._slice(p)
         rest = linalg.residual(vec, s.image_rows, s.image_pivots)
         coeffs = [rest[c] for c in s.rep_pivots]
         if rest != self.representative_of(p, coeffs):
@@ -122,9 +124,9 @@ class CohomologyRing:
 
 @dataclass
 class InducedMap:
-    """Matrix of a chain map on H^p, with rank bookkeeping."""
-    degree: int
-    matrix: linalg.Matrix          # dim H^p(target) rows x dim H^p(source) cols
+    """Matrix of a chain map from H^p, with rank bookkeeping."""
+    degree: int                    # p, the source degree
+    matrix: linalg.Matrix          # dim H^q(target) rows x dim H^p(source) cols
     source_dim: int
     target_dim: int
     rank: int
@@ -143,23 +145,39 @@ class InducedMap:
         return self.injective and self.surjective
 
 
-def inclusion_induced_map(sub, p: int) -> InducedMap:
-    """Map H^p(sub) -> H^p(parent) induced by a subcomplex inclusion."""
-    sub_ring = sub.cohomology()
-    parent_ring = sub.parent.cohomology()
+def induced_map(source, p: int, target, q: int, push) -> InducedMap:
+    """The map H^p(source) -> H^q(target) of a cochain map ``push``, which
+    sends the coordinates of a degree-p cocycle of ``source`` to those of a
+    degree-q cocycle of ``target``.  Column j is the class of the image of
+    the j-th representative."""
+    ring_s = source.cohomology()
+    ring_t = target.cohomology()
     cols = []
-    for rep in sub_ring.representatives(p):
-        parent_vec = sub.parent_coords(p, rep)
-        cols.append(parent_ring.class_of(p, parent_vec))
-    return _map_from_columns(p, cols, sub_ring.dim(p), parent_ring.dim(p))
-
-
-def _map_from_columns(p: int, cols: linalg.Matrix, source_dim: int,
-                      target_dim: int) -> InducedMap:
+    for rep in ring_s.representatives(p):
+        cols.append(ring_t.class_of(q, push(rep)))
+    source_dim = ring_s.dim(p)
+    target_dim = ring_t.dim(q)
     matrix = [[col[i] for col in cols] for i in range(target_dim)]
     rk = linalg.rank(matrix) if matrix and cols else 0
     kernel = linalg.kernel_basis(matrix, source_dim) if source_dim else []
     return InducedMap(p, matrix, source_dim, target_dim, rk, kernel)
+
+
+def kernel_witnesses(source, ind: InducedMap) -> list[str]:
+    """The cocycles of ``source`` representing the kernel basis of an
+    induced map, as element strings."""
+    ring = source.cohomology()
+    out = []
+    for kv in ind.kernel_classes:
+        rep = ring.representative_of(ind.degree, kv)
+        out.append(repr(source.element(ind.degree, rep)))
+    return out
+
+
+def inclusion_induced_map(sub, p: int) -> InducedMap:
+    """Map H^p(sub) -> H^p(parent) induced by a subcomplex inclusion."""
+    return induced_map(sub, p, sub.parent, p,
+                       lambda rep: sub.parent_coords(p, rep))
 
 
 def kunneth_convolution(betti_a, betti_b) -> tuple[int, ...]:

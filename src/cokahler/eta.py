@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import linalg
 from .cdga import (Derivation, Subcomplex, disagreement, supercommutator,
                    supercommutes_with_d)
-from .cohomology import inclusion_induced_map
+from .cohomology import inclusion_induced_map, kernel_witnesses
 from .errors import StructureError
 from .exterior import Element
 from .geometry import LieModel, is_parallel_covector, once_per_model
@@ -33,12 +33,6 @@ class EtaOperator:
     @property
     def form_degree(self) -> int:
         return self.eta.degree
-
-    def eta_bar(self, one_form: Element) -> Element:
-        """The underlying degree k-2 map on 1-forms (rho restricted)."""
-        if one_form.degree != 1 and not one_form.is_zero():
-            raise StructureError("eta_bar acts on 1-forms")
-        return self.rho.apply(one_form)
 
 
 def eta_operator(m: LieModel, eta: Element) -> EtaOperator:
@@ -280,9 +274,6 @@ def verify_parallel_form_quism(m: LieModel) -> QuasiIsoReport:
         iso.append(ind.isomorphism)
         ranks.append(ind.rank)
         if not ind.injective:
-            ring = sub.cohomology()
-            witnesses[p] = [
-                repr(sub.element(p, ring.representative_of(p, kv)))
-                for kv in ind.kernel_classes]
+            witnesses[p] = kernel_witnesses(sub, ind)
     return QuasiIsoReport(parallel, iso, ranks, sub.betti(),
                           dga.cohomology().betti(), all(iso), witnesses)

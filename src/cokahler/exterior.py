@@ -374,7 +374,3 @@ class Element:
                 bits.append(f"{c}*{mono}")
         out = " + ".join(bits)
         return out.replace("+ -", "- ")
-
-
-def wedge(a: Element, b: Element) -> Element:
-    return a.wedge(b)

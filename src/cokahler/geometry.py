@@ -116,27 +116,27 @@ class LieModel:
             out[k] = sign * c
         return out
 
-    def bracket_vectors(self, x: Vector, y: Vector) -> Vector:
-        out = [Fraction(0)] * self.dimension
-        for i, xv in enumerate(x):
-            if not xv:
-                continue
-            for j, yv in enumerate(y):
-                if not yv:
-                    continue
-                br = self.bracket(i, j)
-                out = [out[k] + xv * yv * br[k] for k in range(self.dimension)]
+    def ad(self, vector) -> Matrix:
+        """Matrix of ad_X: column j is [X, X_j], in one pass over the
+        brackets [X_i, X_j] = c^k_ij X_k with i < j."""
+        vec = _frac_vector(vector)
+        n = self.dimension
+        out = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), comps in self.brackets.items():
+            for k, c in comps.items():
+                if vec[i]:
+                    out[k][j] += vec[i] * c
+                if vec[j]:
+                    out[k][i] -= vec[j] * c
         return out
 
-    def ad_matrix(self, i: int) -> Matrix:
-        """Matrix of ad_{X_i}: columns are [X_i, X_j]."""
-        cols = [self.bracket(i, j) for j in range(self.dimension)]
-        return [[cols[j][k] for j in range(self.dimension)]
-                for k in range(self.dimension)]
+    def bracket_vectors(self, x: Vector, y: Vector) -> Vector:
+        return linalg.mat_vec(self.ad(x), y)
 
     def is_unimodular(self) -> bool:
-        return all(sum(self.ad_matrix(i)[k][k] for k in range(self.dimension)) == 0
-                   for i in range(self.dimension))
+        n = self.dimension
+        return all(sum(self.ad(linalg.unit_vector(n, i))[k][k]
+                       for k in range(n)) == 0 for i in range(n))
 
     # -- the Chevalley-Eilenberg complex --------------------------------------
 
@@ -156,13 +156,10 @@ class LieModel:
                 images[k] = images.get(k, alg.zero(2)) + term
         return DGA(alg, Derivation(alg, 1, images, name="d"))
 
-    def covector_element(self, coords) -> Element:
-        return self.algebra().element(1, _frac_vector(coords))
-
     def eta_element(self) -> Element:
         if self.eta is None:
             raise StructureError(f"model {self.name!r} has no eta")
-        return self.covector_element(self.eta)
+        return self.algebra().element(1, self.eta)
 
     # -- metric moves ----------------------------------------------------------
 
@@ -200,15 +197,10 @@ class LieModel:
     def lie_coadjoint(self, vector) -> Derivation:
         """Lie derivative built without d or iota: on invariant 1-forms,
         (L_X e^k)(Y) = -e^k([X, Y])."""
-        vec = _frac_vector(vector)
         alg = self.algebra()
         images = {}
-        for k in range(self.dimension):
-            img = alg.zero(1)
-            for j in range(self.dimension):
-                coeff = -self.bracket_vectors(vec, _unit(self.dimension, j))[k]
-                if coeff:
-                    img = img + alg.gen(j).scale(coeff)
+        for k, row in enumerate(self.ad(vector)):
+            img = alg.element(1, [-c for c in row])
             if not img.is_zero():
                 images[k] = img
         return Derivation(alg, 0, images, name="L_coadjoint")
@@ -256,10 +248,6 @@ class LieModel:
             if c:
                 out = [out[k] + c * gamma[i][j][k] for k in range(self.dimension)]
         return out
-
-
-def _unit(n: int, k: int) -> Vector:
-    return linalg.unit_vector(n, k)
 
 
 def _check_metric(g: Matrix, n: int):
@@ -386,12 +374,12 @@ def omega_element(m: LieModel) -> Element:
 def is_killing(m: LieModel, vector) -> tuple[bool, str | None]:
     """Whether L_X g = 0; witness value is (L_X g)(X_i, X_j) at the first
     failing slot."""
-    vec = _frac_vector(vector)
+    g_ad = linalg.mat_mul(m.metric, m.ad(vector))
     n = m.dimension
     for i in range(n):
         for j in range(i, n):
-            val = -(m.inner(m.bracket_vectors(vec, _unit(n, i)), _unit(n, j))
-                    + m.inner(_unit(n, i), m.bracket_vectors(vec, _unit(n, j))))
+            # g([X, X_i], X_j) + g(X_i, [X, X_j]); g is symmetric
+            val = -(g_ad[j][i] + g_ad[i][j])
             if val:
                 return False, f"(X{i + 1},X{j + 1}): value {val}"
     return True, None
@@ -426,7 +414,7 @@ def is_parallel_tensor(m: LieModel, matrix) -> tuple[bool, str | None]:
         for j in range(n):
             ty = [t[k][j] for k in range(n)]
             first = m.nabla(i, ty)
-            second = linalg.mat_vec(t, m.nabla(i, _unit(n, j)))
+            second = linalg.mat_vec(t, m.nabla(i, linalg.unit_vector(n, j)))
             diff = [first[k] - second[k] for k in range(n)]
             if any(diff):
                 return False, f"(nabla_X{i + 1} T)(X{j + 1}) = {_fmt_vector(diff)}"
@@ -443,7 +431,7 @@ def nijenhuis_normality(m: LieModel) -> tuple[bool, str | None]:
     n = m.dimension
     for i in range(n):
         for j in range(i + 1, n):
-            xi_v, xj_v = _unit(n, i), _unit(n, j)
+            xi_v, xj_v = linalg.unit_vector(n, i), linalg.unit_vector(n, j)
             jx = [J[k][i] for k in range(n)]
             jy = [J[k][j] for k in range(n)]
             term = linalg.mat_vec(linalg.mat_mul(J, J), m.bracket(i, j))

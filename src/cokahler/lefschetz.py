@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from . import linalg
 from .cdga import DGA, AlgebraMap, Subcomplex, embed_element, free_line_dga, \
     invariant_subalgebra, tensor_product
-from .cohomology import InducedMap, _map_from_columns
+from .cohomology import InducedMap, induced_map, kernel_witnesses
 from .errors import StructureError
 from .exterior import Element
 from .eta import omega_splitting, split_form
-from .geometry import LieModel, classify, omega_element
+from .geometry import LieModel, classify, omega_element, once_per_model
 
 
 def _contact_rank(m: LieModel) -> int:
@@ -102,46 +102,50 @@ def verify_lefschetz_iso(m: LieModel) -> LefschetzReport:
     split = omega_splitting(m)
     sub = split.omega_eta
     ring = sub.cohomology()
+    classes = split_classes(m)
     degrees = []
     for p in range(n + 1):
         q = 2 * n + 1 - p
-        spans = (_class_span(m, split, q, with_eta=True),
-                 _class_span(m, split, q, with_eta=False))
-        cols = []
+        h1, eta_h1 = classes[q]
+        spans = (linalg.rref(eta_h1), linalg.rref(h1))
+        ind = induced_map(
+            sub, p, sub, q,
+            lambda rep: sub.coords(q, lefschetz_map(m, sub.element(p, rep))))
         comp_ok = True
         for rep in ring.representatives(p):
-            elem = sub.element(p, rep)
-            cols.append(_class(m, sub, q, lefschetz_map(m, elem)))
-            comp_ok &= _component_split_ok(m, split, spans, elem, q)
-        ind = _map_from_columns(p, cols, ring.dim(p), ring.dim(q))
-        witnesses = [repr(sub.element(p, ring.representative_of(p, kv)))
-                     for kv in ind.kernel_classes]
-        degrees.append(LefschetzDegree(**vars(ind), kernel_witnesses=witnesses,
-                                       component_split_ok=comp_ok))
+            comp_ok &= _component_split_ok(m, split, spans,
+                                           sub.element(p, rep), q)
+        degrees.append(LefschetzDegree(
+            **vars(ind), kernel_witnesses=kernel_witnesses(sub, ind),
+            component_split_ok=comp_ok))
     top = _omega_power(omega_element(m), n).wedge(m.eta_element())
-    top_nonzero = any(_class(m, sub, 2 * n + 1, top))
+    top_nonzero = any(_class(sub, 2 * n + 1, top))
     return LefschetzReport(n, verdict.coKahler, degrees, top_nonzero, None)
 
 
-def _class(m: LieModel, sub: Subcomplex, q: int, form: Element) -> list:
+def _class(sub: Subcomplex, q: int, form: Element) -> list:
     """Coordinates of the class of a closed form of Omega_eta in H^q_eta."""
-    return sub.cohomology().class_of(q, sub.coords(q, m.ce().coords(q, form)))
+    return sub.cohomology().class_of(q, sub.coords(q, form))
 
 
-def _h1_forms(m: LieModel, split, q: int, with_eta: bool) -> list[Element]:
-    """The representatives of H^q_1, or the eta-multiples of those of
-    H^{q-1}_1, as forms of degree q."""
-    p = q - 1 if with_eta else q
-    forms = [split.omega1.element(p, rep)
-             for rep in split.omega1.cohomology().representatives(p)]
-    return [m.eta_element().wedge(f) for f in forms] if with_eta else forms
-
-
-def _class_span(m: LieModel, split, q: int, with_eta: bool):
-    """Row-reduced span, in H^q_eta, of [eta] ^ H^{q-1}_1 or of H^q_1."""
-    rows = [_class(m, split.omega_eta, q, f)
-            for f in _h1_forms(m, split, q, with_eta)]
-    return linalg.rref(rows) if rows else ([], [])
+@once_per_model
+def split_classes(m: LieModel) -> list[tuple[list, list]]:
+    """Entry q holds the classes in H^q_eta of the representatives of
+    H^q_1, and of eta ^ the representatives of H^{q-1}_1."""
+    split = omega_splitting(m)
+    omega1 = split.omega1
+    ring1 = omega1.cohomology()
+    eta = m.eta_element()
+    table = []
+    for q in range(m.ce().top + 1):
+        h1, eta_h1 = [], []
+        for rep in ring1.representatives(q):
+            h1.append(_class(split.omega_eta, q, omega1.element(q, rep)))
+        for rep in ring1.representatives(q - 1):
+            form = eta.wedge(omega1.element(q - 1, rep))
+            eta_h1.append(_class(split.omega_eta, q, form))
+        table.append((h1, eta_h1))
+    return table
 
 
 def _component_split_ok(m, split, spans, elem, q) -> bool:
@@ -152,7 +156,7 @@ def _component_split_ok(m, split, spans, elem, q) -> bool:
     ok = True
     for part, (rows, pivots) in zip((pair.alpha1, pair.alpha2), spans):
         if not part.is_zero():
-            image = _class(m, split.omega_eta, q, lefschetz_map(m, part))
+            image = _class(split.omega_eta, q, lefschetz_map(m, part))
             ok &= linalg.in_row_space(image, rows, pivots)
     return ok
 
@@ -172,13 +176,10 @@ def splitting_check(m: LieModel) -> SplittingReport:
     ring = split.omega_eta.cohomology()
     ring1 = split.omega1.cohomology()
     per_degree = []
-    for p in range(m.ce().top + 1):
+    for p, (h1, eta_h1) in enumerate(split_classes(m)):
         want = ring1.dim(p) + ring1.dim(p - 1)
-        forms = _h1_forms(m, split, p, with_eta=False) + \
-            _h1_forms(m, split, p, with_eta=True)
-        cols = [_class(m, split.omega_eta, p, f) for f in forms]
-        ind = _map_from_columns(p, cols, want, ring.dim(p))
-        per_degree.append(want == ring.dim(p) and ind.rank == want)
+        per_degree.append(want == ring.dim(p) and
+                          linalg.rank(h1 + eta_h1) == want)
     return SplittingReport(ring.betti(), ring1.betti(), per_degree,
                            all(per_degree))
 

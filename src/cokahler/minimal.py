@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import linalg
 from .cdga import DGA, Derivation, embed_element
-from .cohomology import InducedMap, _map_from_columns, kunneth_convolution
+from .cohomology import InducedMap, induced_map, kunneth_convolution
 from .errors import StructureError
 from .exterior import Element, Generator, GradedAlgebra
 
@@ -112,14 +112,10 @@ class _Builder:
         """The map H^p(model) -> H^p(target), once per built model."""
         if p not in self._maps:
             model = self.dga()
-            ring_m = model.cohomology()
-            ring_t = self.target.cohomology()
-            cols = []
-            for rep in ring_m.representatives(p):
-                vec = _push(self.images, model.element(p, rep), self.target)
-                cols.append(ring_t.class_of(p, vec))
-            self._maps[p] = _map_from_columns(p, cols, ring_m.dim(p),
-                                              ring_t.dim(p))
+            self._maps[p] = induced_map(
+                model, p, self.target, p,
+                lambda rep: _push(self.images, model.element(p, rep),
+                                  self.target))
         return self._maps[p]
 
 
@@ -139,18 +135,24 @@ def minimal_model(target, cap: int) -> SullivanModel:
 
 
 def _extend_surjective(builder: _Builder, p: int):
-    """Add closed degree-p generators until H^p maps onto the target."""
+    """Add closed degree-p generators until H^p maps onto the target.
+
+    The classes added are the target basis classes e_i outside the image
+    plus e_0 ... e_{i-1}, in order: the greedy choice.  One rref of the
+    columns [image | I] finds them all, because a column of a matrix is a
+    pivot column of its rref exactly when it lies outside the span of the
+    columns before it; so the pivots on the identity side are those e_i.
+    """
+    ind = builder.induced_map(p)
+    dim = ind.target_dim
+    augmented = []
+    for i in range(dim):
+        augmented.append(ind.matrix[i] + linalg.unit_vector(dim, i))
     ring_t = builder.target.cohomology()
-    image_rows = [c for c in linalg.transpose(builder.induced_map(p).matrix)
-                  if any(c)]
-    for i in range(ring_t.dim(p)):
-        unit = linalg.unit_vector(ring_t.dim(p), i)
-        rows, pivots = linalg.rref(image_rows) if image_rows else ([], [])
-        if linalg.in_row_space(unit, rows, pivots):
-            continue
-        rep = ring_t.representative_of(p, unit)
-        builder.add_generator(p, None, rep)
-        image_rows.append(unit)
+    for col in linalg.rref(augmented)[1]:
+        if col >= ind.source_dim:
+            unit = linalg.unit_vector(dim, col - ind.source_dim)
+            builder.add_generator(p, None, ring_t.representative_of(p, unit))
 
 
 def _kill_kernel(builder: _Builder, p: int):
@@ -205,6 +207,13 @@ def _is_minimal(model: DGA) -> bool:
     return True
 
 
+def _betti_through(model: SullivanModel, cap: int) -> tuple[int, ...]:
+    """The model's Betti numbers in degrees 0 .. min(cap, top); no degree
+    above the cap is computed."""
+    ring = model.dga.cohomology()
+    return tuple(ring.dim(p) for p in range(min(cap, ring.top) + 1))
+
+
 @dataclass
 class TensorSplitReport:
     """Minimal-model comparison ℳ(Omega_eta) against ℳ(Omega_1) (x) (eta)."""
@@ -243,10 +252,10 @@ def model_tensor_split_check(m, cap: int) -> TensorSplitReport:
     counts_match = all(
         counts_eta.get(p, 0) == counts_basic.get(p, 0) + (1 if p == 1 else 0)
         for p in range(1, cap + 1))
-    betti_eta = model_eta.dga.cohomology().betti()[:cap + 1]
+    betti_eta = _betti_through(model_eta, cap)
     # M(Omega_1) tensor the circle model Lambda(eta), by Kunneth
     betti_tensor = kunneth_convolution(
-        model_basic.dga.cohomology().betti(), (1, 1))[:cap + 1]
+        _betti_through(model_basic, cap), (1, 1))[:cap + 1]
     cochain_ok = split.ok
     return TensorSplitReport(
         counts_eta, counts_basic, counts_match,

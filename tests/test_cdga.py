@@ -19,7 +19,9 @@ from cokahler.cdga import (AlgebraMap, DGA, Derivation, Subcomplex,
                            extend_derivation, free_line_dga,
                            invariant_subalgebra, supercommutator,
                            supercommutes_with_d, tensor_product)
-from cokahler.cohomology import inclusion_induced_map, kunneth_convolution
+from cokahler.cohomology import (CohomologyRing, inclusion_induced_map,
+                                 induced_map, kernel_witnesses,
+                                 kunneth_convolution)
 from cokahler.errors import StructureError
 from cokahler.eta import build_d_eta
 from cokahler.exterior import Element, Generator, GradedAlgebra
@@ -489,6 +491,87 @@ def test_noninjective_induced_map_on_heisenberg():
     killed = sub.element(2, sub.cohomology().representative_of(
         2, ind.kernel_classes[0]))
     assert killed == alg.monomial("e1", "e2")
+
+
+def test_induced_map_of_the_identity_push_is_the_identity():
+    dga = heisenberg_dga()
+    for p in range(dga.top + 1):
+        ind = induced_map(dga, p, dga, p, lambda rep: rep)
+        n = dga.cohomology().dim(p)
+        assert ind.isomorphism and ind.kernel_classes == []
+        assert ind.matrix == linalg.identity(n)
+
+
+def test_induced_map_of_the_zero_push_kills_every_class():
+    dga = heisenberg_dga()
+    ring = dga.cohomology()
+    for p in range(dga.top + 1):
+        ind = induced_map(dga, p, dga, p,
+                          lambda rep: [Fraction(0)] * len(rep))
+        assert ind.rank == 0 and ind.source_dim == ring.dim(p)
+        assert ind.kernel_classes == linalg.identity(ring.dim(p))
+        assert kernel_witnesses(dga, ind) == [
+            repr(dga.element(p, rep)) for rep in ring.representatives(p)]
+    ind = induced_map(dga, 2, dga, 2, lambda rep: [Fraction(0)] * len(rep))
+    assert kernel_witnesses(dga, ind) == ["e1^e3", "e2^e3"]
+
+
+def heisenberg_lie_kernel():
+    """ker(L_X1) in the Heisenberg complex: span(e1, e2) in degree 1 and
+    span(e1^e2, e2^e3) in degree 2."""
+    dga = heisenberg_dga()
+    alg = dga.algebra
+    iota = extend_derivation(alg, {"e1": alg.scalar(1)}, -1)
+    lie = supercommutator(dga.d, iota)
+    return Subcomplex(dga, {p: linalg.kernel_basis(lie.matrix(p), alg.dim(p))
+                            for p in range(4)})
+
+
+def test_subcomplex_coords_take_an_element():
+    sub = heisenberg_lie_kernel()
+    alg = sub.parent.algebra
+    e1, e2, e3 = alg.gens()
+    assert sub.coords(1, e1.scale(2) - e2.scale(3)) == [2, -3]
+    assert sub.coords(2, alg.monomial("e2", "e3")) == [0, 1]
+    assert sub.coords(1, alg.zero(1)) == [0, 0]
+    with pytest.raises(StructureError, match="not in the degree 1 subspace"):
+        sub.coords(1, e3)
+
+
+def test_wedge_coords_agree_on_a_dga_and_its_full_subcomplex():
+    dga = heisenberg_dga()
+    full = Subcomplex(dga, {p: linalg.identity(dga.dim(p))
+                            for p in range(dga.top + 1)})
+    for p, q in ((0, 1), (1, 1), (1, 2), (2, 2)):
+        for i in range(dga.dim(p)):
+            for j in range(dga.dim(q)):
+                v = linalg.unit_vector(dga.dim(p), i)
+                w = linalg.unit_vector(dga.dim(q), j)
+                assert full.wedge_coords(p, v, q, w) == \
+                    dga.wedge_coords(p, v, q, w)
+    # on a proper subcomplex the product is read in the subcomplex basis
+    sub = heisenberg_lie_kernel()
+    e1, e2 = linalg.unit_vector(2, 0), linalg.unit_vector(2, 1)
+    assert sub.wedge_coords(1, e1, 1, e2) == [1, 0]
+    assert sub.wedge_coords(1, e2, 1, e1) == [-1, 0]
+    assert sub.wedge_coords(1, e1, 2, [0, 1]) == [1]   # e1^e2^e3
+
+
+def test_a_ring_computes_a_degree_when_first_asked():
+    dga = abelian_dga(5)
+    read = []
+    honest = dga.d_matrix
+
+    def spy(p):
+        read.append(p)
+        return honest(p)
+
+    dga.d_matrix = spy
+    ring = CohomologyRing(dga)
+    assert read == []
+    assert ring.dim(3) == 10
+    assert set(read) == {2, 3}
+    assert ring.betti() == (1, 5, 10, 10, 5, 1)
 
 
 def test_subcomplex_closure_failure_raises():

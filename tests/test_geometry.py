@@ -230,6 +230,21 @@ def test_omega_override_cross_check():
         omega_element(bad)
 
 
+def test_ad_columns_are_brackets():
+    # R x_D R^4 with weights 1 and 2: ad(X1) rotates (X2, X3) and (X4, X5)
+    m = LieModel(5, {(0, 1): {2: 1}, (0, 2): {1: -1}, (0, 3): {4: 2},
+                     (0, 4): {3: -2}})
+    x = [Fraction(1), Fraction(2), Fraction(-1, 2), 0, Fraction(3)]
+    ad = m.ad(x)
+    for j in range(5):
+        want = [sum(x[i] * m.bracket(i, j)[k] for i in range(5))
+                for k in range(5)]
+        assert [ad[k][j] for k in range(5)] == want
+    assert m.bracket_vectors(x, [0, 0, 1, 0, 0]) == [0, Fraction(-1), 0, 0, 0]
+    assert m.ad([0, 1, 0, 0, 0]) == [[0] * 5, [0] * 5, [-1, 0, 0, 0, 0],
+                                     [0] * 5, [0] * 5]
+
+
 def test_unimodularity():
     assert LieModel(3, {(0, 1): {2: 1}}).is_unimodular()
     # [X1, X2] = X2 has tr(ad_X1) = 1

@@ -1,8 +1,12 @@
 """Lefschetz maps, cohomology splitting, mapping tori."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 import sympy
 
+from cokahler import build_report, lefschetz, loads
 from cokahler.cdga import (AlgebraMap, DGA, extend_derivation, free_line_dga,
                            tensor_product)
 from cokahler.cohomology import kunneth_convolution
@@ -65,7 +69,7 @@ def test_lefschetz_closed_to_closed_exact_to_exact(torus5, heisenberg):
                 if d_beta.is_zero():
                     continue
                 img = lefschetz_map(m, d_beta)
-                coords = sub.coords(img.degree, m.ce().coords(img.degree, img))
+                coords = sub.coords(img.degree, img)
                 assert not any(ring.class_of(img.degree, coords))
 
 
@@ -188,3 +192,27 @@ def test_mapping_torus_circle_name_collision():
     phi = AlgebraMap(alg, {"t": alg.gen("t")})
     torus = mapping_torus_model(dga, phi, 1)
     assert torus.circle_generator != "t"
+
+
+def test_split_classes_are_built_once_per_model(monkeypatch):
+    # splitting_check and the Lefschetz component check read one table of
+    # the classes of H_1 and eta ^ H_1; the Lefschetz matrix itself goes
+    # through induced_map, not _class
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_models",
+        Path(__file__).resolve().parent.parent / "perfbench" / "models.py")
+    models = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(models)
+    honest = lefschetz._class
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(lefschetz, "_class", counted)
+    for mf, expect in ((load_corpus("torus5"), 49),
+                       (loads(models.rot_text((1, 2))), 13)):
+        calls.clear()
+        assert build_report(mf)["ok"]
+        assert len(calls) == expect

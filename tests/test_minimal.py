@@ -9,10 +9,12 @@ import pytest
 from cokahler import load_corpus, loads
 from cokahler.cdga import DGA, extend_derivation
 from cokahler.cli import main
+from cokahler.cohomology import InducedMap
 from cokahler.errors import StructureError
 from cokahler.eta import invariant_forms, omega_splitting
 from cokahler.exterior import Generator, GradedAlgebra
-from cokahler.minimal import minimal_model, model_tensor_split_check
+from cokahler.minimal import (_extend_surjective, minimal_model,
+                              model_tensor_split_check)
 from cokahler.report import run_section
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -158,3 +160,35 @@ def test_quasi_iso_matrices_are_chain_maps(heisenberg):
         import cokahler.linalg as la
         d_pushed = la.mat_vec(target.d_matrix(gen.degree), mm.images[i])
         assert pushed_d == d_pushed
+
+
+class SurjectivityFake:
+    """A builder whose model maps H^p onto span(e_0 + e_1) in a
+    3-dimensional H^p of the target; it records the classes it is given."""
+
+    def __init__(self):
+        self.target = self
+        self.added = []
+
+    def cohomology(self):
+        return self
+
+    def dim(self, p):
+        return 3
+
+    def representative_of(self, p, class_coords):
+        return list(class_coords)
+
+    def induced_map(self, p):
+        return InducedMap(p, [[1], [1], [0]], 1, 3, 1, [])
+
+    def add_generator(self, degree, d_image, target_coords):
+        assert d_image is None
+        self.added.append(target_coords)
+
+
+def test_extend_surjective_adds_the_greedy_classes():
+    # e_0 is outside span(e_0 + e_1); e_1 then lies in span(e_0 + e_1, e_0)
+    fake = SurjectivityFake()
+    _extend_surjective(fake, 2)
+    assert fake.added == [[1, 0, 0], [0, 0, 1]]

@@ -19,7 +19,8 @@ from cokahler import build_report, load_corpus, loads, render_json
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LABELS = ("torus3", "torus5", "heisenberg", "t2-rot4-mapping-torus",
-          "t2-negid-mapping-torus", "rot5-1-2", "h3xR2", "torus7")
+          "t2-negid-mapping-torus", "rot5-1-2", "h3xR2", "torus7",
+          "rot7-1-1-3")
 
 
 @cache
