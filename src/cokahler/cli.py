@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Models are files in the documented format or names of bundled corpus models
-(torus3, torus5, heisenberg, t2-rot4-mapping-torus, t2-negid-mapping-torus).
+(torus3, torus5, heisenberg, kx5, t2-rot4-mapping-torus,
+t2-negid-mapping-torus).
 
 Each subcommand prints one report section and exits by that section's
 verdicts: 0 when every asserted verdict passes, 1 on a failed verdict or a

@@ -257,11 +257,18 @@ def _check_metric(g: Matrix, n: int):
         for j in range(i):
             if g[i][j] != g[j][i]:
                 raise StructureError(f"metric is not symmetric at ({i},{j})")
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in g[:k]]
-        if linalg.det(minor) <= 0:
-            raise StructureError(
-                f"metric is not positive definite (leading {k}x{k} minor)")
+    # elimination without row exchanges: while the leading minors are
+    # positive, the k-th pivot is minor_k / minor_{k-1} (Sylvester), so the
+    # first pivot <= 0 names the first leading minor <= 0
+    rows = [list(row) for row in g]
+    for k in range(n):
+        if rows[k][k] <= 0:
+            raise StructureError("metric is not positive definite "
+                                 f"(leading {k + 1}x{k + 1} minor)")
+        for row in rows[k + 1:]:
+            fac = row[k] / rows[k][k]
+            if fac:
+                row[k:] = [a - fac * b for a, b in zip(row[k:], rows[k][k:])]
 
 
 def _check_connection(m: LieModel, gamma):
@@ -429,19 +436,20 @@ def nijenhuis_normality(m: LieModel) -> tuple[bool, str | None]:
             f"almost-contact identities fail: {verdict.witnesses}")
     J, xi, eta = m.J, m.xi, m.eta
     n = m.dimension
+    jj = linalg.mat_mul(J, J)
+    cols = linalg.transpose(J)
     for i in range(n):
         for j in range(i + 1, n):
             xi_v, xj_v = linalg.unit_vector(n, i), linalg.unit_vector(n, j)
-            jx = [J[k][i] for k in range(n)]
-            jy = [J[k][j] for k in range(n)]
-            term = linalg.mat_vec(linalg.mat_mul(J, J), m.bracket(i, j))
-            term = [term[k] + m.bracket_vectors(jx, jy)[k] for k in range(n)]
+            jx, jy = cols[i], cols[j]
+            br = m.bracket(i, j)
+            jjb = linalg.mat_vec(jj, br)
+            bjj = m.bracket_vectors(jx, jy)
             jb1 = linalg.mat_vec(J, m.bracket_vectors(jx, xj_v))
             jb2 = linalg.mat_vec(J, m.bracket_vectors(xi_v, jy))
-            term = [term[k] - jb1[k] - jb2[k] for k in range(n)]
-            d_eta = -sum((eta[k] * m.bracket(i, j)[k] for k in range(n)),
-                         Fraction(0))
-            term = [term[k] + 2 * d_eta * xi[k] for k in range(n)]
+            d_eta = -sum((eta[k] * br[k] for k in range(n)), Fraction(0))
+            term = [jjb[k] + bjj[k] - jb1[k] - jb2[k] + 2 * d_eta * xi[k]
+                    for k in range(n)]
             if any(term):
                 return False, f"[J,J]+2deta(x)xi at (X{i + 1},X{j + 1}) = " \
                               f"{_fmt_vector(term)}"

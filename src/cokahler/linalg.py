@@ -1,18 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of ``fractions.Fraction``.  The elimination core
-is fraction-free (Bareiss one-step division) on integer rows obtained by
-clearing denominators, which keeps intermediate entries small without modular
-arithmetic.  Everything downstream (rank, kernels, reduced echelon forms,
-solving) is deterministic: pivots are always the first usable column, and
-free variables are ordered by column index.
+Matrices are lists of rows of ``fractions.Fraction``.  One sparse integer
+echelon underlies rank and the reduced echelon form: each row becomes a
+``{column: int}`` dict with its denominators and content cleared, and is
+reduced at its leading column against the primitive pivot rows found so far,
+until it vanishes or leads a new pivot column.  Dividing out each row's
+content keeps the integers small without modular arithmetic.  Everything
+downstream (rank, kernels, reduced echelon forms, solving) is deterministic:
+pivots are always the first usable column, and free variables are ordered by
+column index.
 
 The matrices met here (CE differentials, ι_ξ, cocycles) are mostly zeros, so
 products, reductions and elimination steps touch only nonzero entries: no
-``Fraction`` operation ever runs on a zero.  This changes no output.  The
-reduced row echelon form of a row space is unique, and rank, kernel bases and
-solutions (free variables zero) are functions of it, so skipping zeros in
-exact arithmetic cannot move a single value.
+arithmetic ever runs on a zero.  This changes no output.  The reduced row
+echelon form of a row space is unique, and rank, kernel bases and solutions
+(free variables zero) are functions of it, so neither the sparse storage nor
+the order of elimination can move a single value.
 """
 
 from __future__ import annotations
@@ -26,64 +29,43 @@ Matrix = list[Vector]
 _ZERO = Fraction(0)
 
 
-def _clear_denominators(row: Vector) -> tuple[int, list[int]]:
-    """(m, m * row) for the lcm m of the row's denominators; zeros stay 0."""
-    nonzero = [(j, f.numerator, f.denominator) for j, f in enumerate(row) if f]
-    mult = lcm(*(q for _, _, q in nonzero))
-    ints = [0] * len(row)
-    for j, p, q in nonzero:
-        ints[j] = p * (mult // q)
-    return mult, ints
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-def _int_rows(mat: Matrix) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (row space preserved)."""
-    out = []
+def _eliminate(row: dict[int, int], piv: dict[int, int],
+               c: int) -> dict[int, int]:
+    """The primitive combination of row and piv with no entry in column c."""
+    g = gcd(row[c], piv[c])
+    a, b = row[c] // g, piv[c] // g
+    out = {j: b * v for j, v in row.items()}
+    for j, v in piv.items():
+        w = out.get(j, 0) - a * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    return _primitive(out)
+
+
+def _echelon(mat: Matrix) -> dict[int, dict[int, int]]:
+    """Primitive integer rows spanning mat's row space, keyed by their
+    distinct leading columns (the pivot columns of rref(mat))."""
+    pivots: dict[int, dict[int, int]] = {}
     for row in mat:
-        ints = _clear_denominators(row)[1]
-        g = gcd(*ints)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
-
-
-def _eliminate_below(rows: list[list[int]], r: int, c: int, prev: int) -> int:
-    """One Bareiss step: clear column c under row r; returns the pivot."""
-    top = rows[r]
-    piv = top[c]
-    # the one-step division stays exact only if every row below is
-    # updated, including rows with a zero factor
-    for i in range(r + 1, len(rows)):
-        row = rows[i]
-        fac = row[c]
-        if fac:
-            rows[i] = [(piv * a - fac * b) // prev for a, b in zip(row, top)]
-        elif piv != prev:
-            rows[i] = [piv * a // prev if a else 0 for a in row]
-    return piv
-
-
-def _bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form.  Returns (echelon rows, pivot columns)."""
-    rows = list(rows)
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        sel = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if sel is None:
-            continue
-        if sel != r:
-            rows[r], rows[sel] = rows[sel], rows[r]
-        prev = _eliminate_below(rows, r, c, prev)
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+        nonzero = [(j, f) for j, f in enumerate(row) if f]
+        mult = lcm(*(f.denominator for _, f in nonzero))
+        ints = _primitive({j: f.numerator * (mult // f.denominator)
+                           for j, f in nonzero})
+        while ints:
+            c = min(ints)
+            if c not in pivots:
+                pivots[c] = ints
+                break
+            ints = _eliminate(ints, pivots[c], c)
+    return pivots
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
@@ -91,27 +73,27 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
 
     Zero rows are dropped, so R has exactly rank(mat) rows.
     """
-    if not mat:
-        return [], []
-    ech, pivots = _bareiss(_int_rows(mat))
-    rows = [[Fraction(v, row[c]) if v else _ZERO for v in row]
-            for row, c in zip(ech, pivots)]
+    ncols = len(mat[0]) if mat else 0
+    ech = _echelon(mat)
+    pivots = sorted(ech)
     # eliminate above each pivot, last pivot first
-    for i in range(len(pivots) - 1, 0, -1):
-        c = pivots[i]
-        nonzero = [(j, v) for j, v in enumerate(rows[i]) if v]
-        for row in rows[:i]:
-            fac = row[c]
-            if fac:
-                for j, v in nonzero:
-                    row[j] -= fac * v
+    for c in reversed(pivots):
+        row = ech[c]
+        for c2 in [j for j in row if j != c and j in ech]:
+            row = _eliminate(row, ech[c2], c2)
+        ech[c] = row
+    rows = []
+    for c in pivots:
+        lead = ech[c][c]
+        dense = [_ZERO] * ncols
+        for j, v in ech[c].items():
+            dense[j] = Fraction(v, lead)
+        rows.append(dense)
     return rows, pivots
 
 
 def rank(mat: Matrix) -> int:
-    if not mat:
-        return 0
-    return len(_bareiss(_int_rows(mat))[1])
+    return len(_echelon(mat))
 
 
 def kernel_basis(mat: Matrix, ncols: int) -> list[Vector]:
@@ -212,30 +194,6 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     for _ in range(k):
         out = mat_mul(out, a)
     return out
-
-
-def det(mat: Matrix) -> Fraction:
-    """Determinant via fraction-free elimination with denominator tracking."""
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    scale = 1
-    rows = []
-    for row in mat:
-        mult, ints = _clear_denominators(row)
-        scale *= mult
-        rows.append(ints)
-    prev = 1
-    sign = 1
-    for c in range(n):
-        sel = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if sel is None:
-            return Fraction(0)
-        if sel != c:
-            rows[c], rows[sel] = rows[sel], rows[c]
-            sign = -sign
-        prev = _eliminate_below(rows, c, c, prev)
-    return Fraction(sign * rows[n - 1][n - 1], scale)
 
 
 def inverse(mat: Matrix) -> Matrix:

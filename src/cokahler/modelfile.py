@@ -39,7 +39,7 @@ from .errors import ModelParseError
 from .geometry import LieModel
 
 _SECTIONS = ("brackets", "metric", "xi", "eta", "J", "omega", "automorphism")
-CORPUS_MODELS = ("torus3", "torus5", "heisenberg",
+CORPUS_MODELS = ("torus3", "torus5", "heisenberg", "kx5",
                  "t2-rot4-mapping-torus", "t2-negid-mapping-torus")
 
 

@@ -23,7 +23,7 @@ from .eta import (basic_complex, build_d_eta, omega_splitting,
                   splitting_obstruction, verify_basic_match,
                   verify_d_eta_equals_lie, verify_parallel_form_quism)
 from .exterior import Element
-from .geometry import LieModel, classify
+from .geometry import LieModel, classify, validate_almost_contact
 from .lefschetz import (mapping_torus_model, model_automorphism,
                         splitting_check, verify_lefschetz_iso)
 from .massey import degree_one_massey_scan
@@ -132,7 +132,8 @@ def build_report(mf: ModelFile, max_degree: int = 3) -> dict:
 
 
 def _co_kahler(model: LieModel) -> bool:
-    return _has_contact(model) and classify(model).coKahler
+    return _has_contact(model) and validate_almost_contact(model).ok \
+        and classify(model).coKahler
 
 
 def _model_section(model: LieModel, cap, order) -> Section:

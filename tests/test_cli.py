@@ -12,6 +12,8 @@ import pytest
 
 import cokahler
 from cokahler.cli import main
+from cokahler.modelfile import loads
+from cokahler.report import run_section
 
 
 def run(capsys, *argv):
@@ -183,6 +185,47 @@ def test_non_cosymplectic_model_is_a_hypothesis_not_an_error(capsys, tmp_path):
     assert any("does not descend" in note for note in data["notes"])
     code, out, _ = run(capsys, "lefschetz", str(path))
     assert code == 1 and "note:" in out and "does not descend" in out
+
+
+ETA_OFF_XI = """\
+# flat 5-torus with eta = e2, so eta(xi) = 0: not almost contact
+name: eta-off-xi
+dimension: 5
+
+[brackets]
+
+[metric]
+identity
+
+[xi]
+X1
+
+[eta]
+e2
+
+[J]
+0 0 0 0 0
+0 0 -1 0 0
+0 1 0 0 0
+0 0 0 0 -1
+0 0 0 1 0
+"""
+
+
+def test_sections_not_needing_the_structure_run_when_it_fails(capsys,
+                                                              tmp_path):
+    # the almost-contact identities fail, which only the sections built on
+    # the classification need; the others read the model as not co-Kahler
+    path = tmp_path / "eta-off-xi.model"
+    path.write_text(ETA_OFF_XI)
+    for command in ("betti", "verbitsky", "massey", "minimal"):
+        code, _, err = run(capsys, command, str(path))
+        assert (code, err) == (0, ""), command
+    sec = run_section(loads(ETA_OFF_XI).to_lie_model(), "minimal_model")
+    assert any(note.startswith("not co-Kahler") for note in sec.notes)
+    for command in ("classify", "lefschetz", "report"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2 and "not almost contact" in err, command
 
 
 HEIS5 = """\

@@ -328,3 +328,18 @@ def test_splitting_states_that_d_eta_is_not_zero():
         assert str(info.value) == note
     assert run_section(m, "splitting").hypothesis == note
     assert splitting_obstruction(rot5_1_2()) is None
+
+
+def test_kx5_is_co_kahler_with_a_differential_on_omega1():
+    # [X2, X4] = X5 and [X2, X5] = -X4 leave xi = X1 out, so d does not
+    # vanish on Omega_1 and every binding verdict meets a differential there
+    mf = load_corpus("kx5")
+    m = mf.to_lie_model()
+    assert geometry.classify(m).coKahler
+    report = build_report(mf)
+    assert [r["ok"] for r in report["asserted"]] == [True] * 16
+    assert report["notes"] == []
+    assert report["model"]["betti"] == [1, 3, 4, 4, 3, 1]
+    omega1 = omega_splitting(m).omega1
+    for p in (1, 2):
+        assert any(any(row) for row in omega1.d_matrix(p))

@@ -7,6 +7,8 @@ import pytest
 import sympy
 
 from cokahler import linalg
+from cokahler.errors import StructureError
+from cokahler.geometry import LieModel
 
 
 def random_matrix(rng, nrows, ncols, denom=4):
@@ -77,21 +79,43 @@ def test_solve_sets_free_variables_to_zero():
     assert linalg.solve(mat, [Fraction(1)]) == [Fraction(1), Fraction(0)]
 
 
+def leading_minors(mat):
+    return [to_sympy([row[:k] for row in mat[:k]]).det()
+            for k in range(1, len(mat) + 1)]
+
+
 @pytest.mark.parametrize("seed", range(8))
-def test_det_matches_sympy(seed):
+def test_metric_check_matches_sympy_leading_minors(seed):
+    # the metric is rejected exactly when a leading minor is <= 0, and the
+    # message names the first such minor
     rng = random.Random(seed)
-    n = rng.randint(1, 5)
-    mat = random_matrix(rng, n, n)
-    got = linalg.det(mat)
-    want = to_sympy(mat).det()
-    assert sympy.Rational(got.numerator, got.denominator) == want
+    outcomes = set()
+    for trial in range(8):
+        n = rng.randint(1, 5)
+        mat = random_matrix(rng, n, n)
+        # a shift of 40 makes the matrix diagonally dominant, hence definite
+        shift = 40 if trial % 2 else 0
+        for i in range(n):
+            mat[i][i] += shift
+            for j in range(i):
+                mat[i][j] = mat[j][i]
+        bad = next((k for k, minor in enumerate(leading_minors(mat), 1)
+                    if minor <= 0), None)
+        outcomes.add(bad is None)
+        if bad is None:
+            assert LieModel(n, {}, metric=mat).metric == mat
+        else:
+            with pytest.raises(StructureError,
+                               match=rf"\(leading {bad}x{bad} minor\)$"):
+                LieModel(n, {}, metric=mat)
+    assert outcomes == {True, False}
 
 
 def test_inverse_round_trip():
     rng = random.Random(7)
     while True:
         mat = random_matrix(rng, 4, 4)
-        if linalg.det(mat) != 0:
+        if linalg.rank(mat) == 4:
             break
     inv = linalg.inverse(mat)
     assert linalg.mat_mul(mat, inv) == linalg.identity(4)
@@ -143,17 +167,36 @@ def sparse_case(seed, zeros):
     return rng, sparse_matrix(rng, nrows, ncols, zeros), ncols
 
 
-@pytest.mark.parametrize("seed,zeros", SPARSE_CASES)
-def test_sparse_rref_rank_and_kernel_match_sympy(seed, zeros):
-    _, mat, ncols = sparse_case(seed, zeros)
+def assert_elimination_matches_sympy(rng, mat, ncols):
     ref, ref_pivots = to_sympy(mat).rref()
-    rows, pivots = linalg.rref(mat)
-    assert pivots == list(ref_pivots)
-    assert rows == from_sympy(ref)[:len(ref_pivots)]
-    assert linalg.rank(mat) == len(ref_pivots)
+    want = (from_sympy(ref)[:len(ref_pivots)], list(ref_pivots))
     kernel = [[Fraction(int(v.p), int(v.q)) for v in vec]
               for vec in to_sympy(mat).nullspace()]
-    assert linalg.kernel_basis(mat, ncols) == kernel
+    # row order, nonzero row scaling and repeated rows leave the row space,
+    # hence the reduced form, the rank and the kernel, unchanged
+    shuffled = rng.sample(mat, len(mat))
+    factors = [Fraction(rng.choice((-5, -1, 2, 7)), rng.choice((1, 3, 4)))
+               for _ in mat]
+    scaled = [[f * v for v in row] for f, row in zip(factors, mat)]
+    repeated = mat + rng.sample(mat, len(mat))[:3]
+    for variant in (mat, shuffled, scaled, repeated):
+        assert linalg.rref(variant) == want
+        assert linalg.rank(variant) == len(ref_pivots)
+        assert linalg.kernel_basis(variant, ncols) == kernel
+
+
+@pytest.mark.parametrize("seed,zeros", SPARSE_CASES)
+def test_sparse_rref_rank_and_kernel_match_sympy(seed, zeros):
+    rng, mat, ncols = sparse_case(seed, zeros)
+    assert_elimination_matches_sympy(rng, mat, ncols)
+
+
+@pytest.mark.parametrize("ncols", (8, 11))
+def test_hilbert_rref_rank_and_kernel_match_sympy(ncols):
+    # entries 1/(i+j+1): every row has a large lcm of denominators, and the
+    # eliminated rows grow large integers with a common content to remove
+    mat = [[Fraction(1, i + j + 1) for j in range(ncols)] for i in range(8)]
+    assert_elimination_matches_sympy(random.Random(ncols), mat, ncols)
 
 
 @pytest.mark.parametrize("seed,zeros", SPARSE_CASES)
@@ -171,11 +214,10 @@ def test_sparse_solve_and_products_match_sympy(seed, zeros):
 
 
 def test_rows_with_a_zero_factor_are_rescaled_when_the_pivot_changes():
-    # the first pivot is 3; the row (0, 1, 0) has a zero factor under it and
-    # must become (0, 3, 0), or the next step's division by 3 truncates and
-    # the third row reads (0, 0, 0)
+    # the first pivot is 3 and the row (0, 1, 0) has a zero factor under it;
+    # a fraction-free elimination that leaves that row unscaled truncates at
+    # the next division by 3 and reads the third row as (0, 0, 0)
     mat = [[Fraction(v) for v in row]
            for row in ((3, 0, 1), (0, 1, 0), (-2, 3, 0))]
     assert linalg.rank(mat) == 3
     assert linalg.rref(mat) == (linalg.identity(3), [0, 1, 2])
-    assert linalg.det(mat) == to_sympy(mat).det() == 2
