@@ -111,8 +111,8 @@ def _dispatch(args, mf, cap: int) -> int:
                           order=getattr(args, "order", None))
         if sec.record is not None:
             show(sec)
-        if sec.hypothesis:
-            print(f"note: {sec.hypothesis}")
+        for note in sec.notes + ([sec.hypothesis] if sec.hypothesis else []):
+            print(f"note: {note}")
         asserted, hypothesis = sec.asserted, sec.hypothesis
     if not all(r["ok"] for r in asserted) or \
             (hypothesis and not args.informational):

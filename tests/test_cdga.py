@@ -204,6 +204,16 @@ def test_leibniz_check_agrees_with_all_pairs_on_corpus_operators():
             assert check_leibniz(der) == leibniz_all_pairs(der)
 
 
+def test_leibniz_check_reads_generator_images_through_apply():
+    # every product with y lies above the cap, so a map that differs from a
+    # derivation only on y is still a derivation there
+    alg = GradedAlgebra([Generator("x", 1), Generator("y", 2)], max_degree=2)
+    number = extend_derivation(alg, dict(enumerate(alg.gens())), 0)
+    twisted = WrongOn(number, alg.gen("y").terms.popitem()[0], alg.gen("y"))
+    assert twisted.apply(alg.gen("y")) != twisted.image_of(1)
+    assert check_leibniz(twisted) and leibniz_all_pairs(twisted)
+
+
 def leibniz_expansion(der, elem):
     """Reference apply: sum over generator occurrences of
     (-1)^{|D||left|} left * D(g) * right, built with monomial and wedge."""
@@ -265,6 +275,47 @@ def random_derivation(alg, rng, degree):
                  if rng.random() < 0.5}
         images[i] = Element(alg, target, terms)
     return Derivation(alg, degree, images)
+
+
+def fresh_operators():
+    """kx5's d, iota_xi, L_xi, d_eta and rho_eta, and the truncated
+    even-generator differential, each with a cold cache."""
+    m = load_corpus("kx5").to_lie_model()
+    op = build_d_eta(m)
+    return [m.ce().d, m.iota_xi(), m.lie_xi(), op.d_eta, op.rho,
+            graded_algebra()[1]]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_cached_apply_matches_the_leibniz_expansion(warm):
+    rng = random.Random(13)
+    for der in fresh_operators():
+        alg = der.algebra
+        if warm:                    # fill the cache in reverse basis order
+            for p in reversed(range(alg.top + 1)):
+                for key in reversed(alg.basis(p)):
+                    der.apply(Element(alg, p, {key: Fraction(1)}))
+        for _ in range(40):
+            p = rng.randint(0, alg.top)
+            elem = Element(alg, p, {
+                k: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for k in alg.basis(p) if rng.random() < 0.5})
+            assert der.apply(elem) == leibniz_expansion(der, elem), \
+                (der, elem)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_leibniz_check_agrees_with_all_pairs_on_a_truncated_algebra(seed):
+    rng = random.Random(seed)
+    alg, _ = graded_algebra()
+    degree = rng.choice([-1, 0, 1])
+    der = random_derivation(alg, rng, degree)
+    p = rng.choice([q for q in range(alg.top + 1) if alg.basis(q + degree)])
+    key = rng.choice(alg.basis(p))
+    extra = alg.element(p + degree, [rng.randint(-2, 2)
+                                     for _ in alg.basis(p + degree)])
+    for op in (der, WrongOn(der, key, extra)):
+        assert check_leibniz(op) == leibniz_all_pairs(op)
 
 
 @pytest.mark.parametrize("seed", range(6))

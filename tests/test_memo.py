@@ -1,12 +1,17 @@
-"""Derived objects are built once per model and shared, never across models."""
+"""Derived objects are built once per model and shared, never across models;
+a derivation expands each basis monomial once."""
+
+from collections import Counter
 
 import pytest
 
+from cokahler.cdga import Derivation
 from cokahler.errors import StructureError
 from cokahler.eta import (basic_complex, build_d_eta, invariant_forms,
                           omega_splitting)
 from cokahler.geometry import LieModel, classify, omega_element
-from cokahler.modelfile import load_corpus
+from cokahler.modelfile import load_corpus, loads
+from cokahler.report import build_report
 
 BUILDERS = {
     "algebra": lambda m: m.algebra(),
@@ -43,3 +48,58 @@ def test_failed_build_is_not_memoized():
     for _ in range(2):
         with pytest.raises(StructureError, match="not almost contact"):
             classify(m)
+
+
+ROT7_123 = """\
+# R x_D R^6, ad X1 rotating (X2, X3), (X4, X5), (X6, X7) with weights 1, 2, 3
+name: rot7-1-2-3
+dimension: 7
+
+[brackets]
+1 2 3 1
+1 3 2 -1
+1 4 5 2
+1 5 4 -2
+1 6 7 3
+1 7 6 -3
+
+[metric]
+identity
+
+[xi]
+X1
+
+[eta]
+e1
+
+[J]
+0 0 0 0 0 0 0
+0 0 -1 0 0 0 0
+0 1 0 0 0 0 0
+0 0 0 0 -1 0 0
+0 0 0 1 0 0 0
+0 0 0 0 0 0 -1
+0 0 0 0 0 1 0
+"""
+
+
+@pytest.mark.parametrize("name", ["rot7-1-2-3", "kx5"])
+def test_a_report_expands_each_monomial_once_per_derivation(monkeypatch,
+                                                             name):
+    fills = Counter()
+    expand = Derivation._expand
+
+    def counting(der, key):
+        fills[der, key] += 1
+        return expand(der, key)
+
+    monkeypatch.setattr(Derivation, "_expand", counting)
+    mf = loads(ROT7_123) if name == "rot7-1-2-3" else load_corpus(name)
+    m = mf.to_lie_model()       # checks d squared = 0: the first fills of d
+    monkeypatch.setattr(mf, "to_lie_model", lambda: m)
+    build_report(mf)
+    assert max(fills.values()) == 1
+    # d is read on every monomial below the top degree, one fill each
+    d, alg = m.ce().d, m.algebra()
+    assert {key for der, key in fills if der is d} == \
+        {key for p in range(alg.top) for key in alg.basis(p)}
