@@ -9,6 +9,9 @@ meets the coadjoint Lie derivative) is checked exactly by ``disagreement``,
 basis monomial by basis monomial: the column-by-column form of the matrix
 identity.  Leibniz is checked on (generator, basis monomial) pairs, which
 implies the full rule (see ``check_leibniz``).
+
+Coordinates are ``linalg`` sparse vectors; a degree-p matrix has one sparse
+row per target basis monomial, filled from each source monomial's image.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from fractions import Fraction
 from . import linalg
 from .errors import StructureError
 from .exterior import Element, Generator, GradedAlgebra
+
+_ONE = Fraction(1)
 
 
 class Derivation:
@@ -70,7 +75,8 @@ class Derivation:
             for k, c in cache[key].items():
                 term = c if coeff == 1 else coeff * c
                 terms[k] = terms[k] + term if k in terms else term
-        return Element(alg, degree, terms)
+        return Element._trusted(alg, degree,
+                                {k: c for k, c in terms.items() if c})
 
     def _expand(self, key) -> dict:
         """D(left g right) = (-1)^{|D||left|} left D(g) right, summed over
@@ -111,13 +117,19 @@ class Derivation:
 
 def _basis_matrix(op, p: int) -> linalg.Matrix:
     """Matrix of ``op.apply`` from degree p to degree p + ``op.degree``, one
-    column per basis monomial, cached in ``op._matrices`` (write-once)."""
+    sparse row per target basis monomial, filled from each source basis
+    monomial's image and cached in ``op._matrices`` (write-once)."""
     if p not in op._matrices:
         alg = op.algebra
-        target = alg.dim(p + op.degree)
-        cols = [alg.coords(op.apply(Element(alg, p, {key: Fraction(1)})))
-                for key in alg.basis(p)] if target else []
-        op._matrices[p] = [[col[i] for col in cols] for i in range(target)]
+        q = p + op.degree
+        rows: linalg.Matrix = [{} for _ in range(alg.dim(q))]
+        if rows:
+            index = alg.basis_index(q)
+            for j, key in enumerate(alg.basis(p)):
+                image = op.apply(Element._trusted(alg, p, {key: _ONE}))
+                for k, c in image.terms.items():
+                    rows[index[k]][j] = c
+        op._matrices[p] = rows
     return op._matrices[p]
 
 
@@ -128,7 +140,7 @@ def disagreement(lhs, rhs, alg: GradedAlgebra, degrees=None) -> Element | None:
     restricts the check to those degrees (default: 0 through top)."""
     for p in range(alg.top + 1) if degrees is None else degrees:
         for key in alg.basis(p):
-            mono = Element(alg, p, {key: Fraction(1)})
+            mono = Element._trusted(alg, p, {key: _ONE})
             out = lhs(mono)
             if (not out.is_zero()) if rhs is None else out != rhs(mono):
                 return mono
@@ -181,14 +193,11 @@ class CochainComplex:
 
     _cohomology = None
 
-    def solve_d(self, p: int, target):
+    def solve_d(self, p: int, target: linalg.Vector) -> linalg.Vector | None:
         """Coordinates x in degree p with d x = target (degree p+1), or None."""
-        mat = self.d_matrix(p)
-        if not mat:
-            return None if any(target) else [Fraction(0)] * self.dim(p)
-        return linalg.solve(mat, list(target))
+        return linalg.solve(self.d_matrix(p), target, self.dim(p))
 
-    def wedge_coords(self, p: int, v, q: int, w) -> list[Fraction]:
+    def wedge_coords(self, p: int, v, q: int, w) -> linalg.Vector:
         """Coordinates of the product of two elements given by coordinates."""
         return self.coords(p + q, self.element(p, v).wedge(self.element(q, w)))
 
@@ -223,11 +232,11 @@ class DGA(CochainComplex):
     def element(self, p: int, coords) -> Element:
         return self.algebra.element(p, coords)
 
-    def coords(self, p: int, elem: Element) -> list[Fraction]:
-        if elem.degree != p and not elem.is_zero():
-            raise StructureError(f"element has degree {elem.degree}, expected {p}")
+    def coords(self, p: int, elem: Element) -> linalg.Vector:
         if elem.is_zero():
-            return [Fraction(0)] * self.dim(p)
+            return {}
+        if elem.degree != p:
+            raise StructureError(f"element has degree {elem.degree}, expected {p}")
         return self.algebra.coords(elem)
 
     def __repr__(self) -> str:
@@ -265,7 +274,7 @@ def check_leibniz(der: Derivation) -> bool:
     vanish there, while merged keys are not truncated.
     """
     alg = der.algebra
-    table = {key: der.apply(Element(alg, q, {key: Fraction(1)})).terms
+    table = {key: der.apply(Element._trusted(alg, q, {key: _ONE})).terms
              for q in range(alg.top + 1) for key in alg.basis(q)}
     if table[alg.basis(0)[0]]:
         return False
@@ -307,18 +316,20 @@ class Subcomplex(CochainComplex):
     """Degreewise subspace of a DGA, closed under d.
 
     Bases are stored canonically (reduced echelon rows over the parent
-    monomial basis), so two subcomplexes with equal spans have equal bases.
+    monomial basis, as sparse vectors), so two subcomplexes with equal spans
+    have equal bases.  A member's coordinates are its entries at the pivots.
     """
 
-    def __init__(self, parent: DGA, spans: dict[int, list[list[Fraction]]]):
+    def __init__(self, parent: DGA, spans: dict[int, linalg.Matrix]):
         self.parent = parent
         self._rows: dict[int, linalg.Matrix] = {}
         self._pivots: dict[int, list[int]] = {}
+        self._position: dict[int, dict[int, int]] = {}   # pivot -> index
         for p in range(parent.top + 1):
-            vecs = spans.get(p, [])
-            rows, pivots = linalg.rref(vecs) if vecs else ([], [])
+            rows, pivots = linalg.rref(spans.get(p, []))
             self._rows[p] = rows
             self._pivots[p] = pivots
+            self._position[p] = {c: i for i, c in enumerate(pivots)}
         self._d_matrices: dict[int, linalg.Matrix] = {}
         for p in range(parent.top + 1):
             self.d_matrix(p)  # raises on a closure failure
@@ -337,37 +348,43 @@ class Subcomplex(CochainComplex):
     def basis_elements(self, p: int) -> list[Element]:
         return [self.parent.element(p, row) for row in self.basis_vectors(p)]
 
-    def contains(self, p: int, parent_coords) -> bool:
+    def contains(self, p: int, parent_coords: linalg.Vector) -> bool:
         return linalg.in_row_space(parent_coords,
                                    self._rows.get(p, []), self._pivots.get(p, []))
 
-    def coords(self, p: int, elem: Element) -> list[Fraction]:
+    def _coords_of(self, p: int, vec: linalg.Vector) -> linalg.Vector:
+        """Coordinates of a member given by its parent coordinates."""
+        position = self._position.get(p, {})
+        return {position[c]: v for c, v in vec.items() if c in position}
+
+    def coords(self, p: int, elem: Element) -> linalg.Vector:
         """Coordinates in the canonical basis; raises if not a member."""
         vec = self.parent.coords(p, elem)
         if not self.contains(p, vec):
             raise StructureError(f"vector is not in the degree {p} subspace")
-        return [vec[c] for c in self._pivots.get(p, [])]
+        return self._coords_of(p, vec)
 
-    def parent_coords(self, p: int, coords) -> list[Fraction]:
-        return linalg.combine(coords, self._rows.get(p, []), self.parent.dim(p))
+    def parent_coords(self, p: int, coords: linalg.Vector) -> linalg.Vector:
+        return linalg.combine(coords, self._rows.get(p, []))
 
-    def element(self, p: int, coords) -> Element:
+    def element(self, p: int, coords: linalg.Vector) -> Element:
         return self.parent.element(p, self.parent_coords(p, coords))
 
     def d_matrix(self, p: int) -> linalg.Matrix:
         if p not in self._d_matrices:
+            # the parent's d by columns: the image of a row is a combination
+            columns = linalg.transpose(self.parent.d_matrix(p),
+                                       self.parent.dim(p))
             cols = []
-            parent_d = self.parent.d_matrix(p)
             for row in self.basis_vectors(p):
-                img = linalg.mat_vec(parent_d, row)
+                img = linalg.combine(row, columns)
                 if not self.contains(p + 1, img):
                     elem = self.parent.element(p, row)
                     raise StructureError(
                         f"subspace is not closed under d in degree {p}: "
                         f"d({elem!r}) leaves the subspace")
-                cols.append([img[c] for c in self._pivots.get(p + 1, [])])
-            target = self.dim(p + 1)
-            self._d_matrices[p] = [[col[i] for col in cols] for i in range(target)]
+                cols.append(self._coords_of(p + 1, img))
+            self._d_matrices[p] = linalg.transpose(cols, self.dim(p + 1))
         return self._d_matrices[p]
 
     def betti(self) -> tuple[int, ...]:

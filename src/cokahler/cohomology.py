@@ -2,7 +2,10 @@
 
 Works uniformly over anything with the complex interface (``dim``,
 ``d_matrix``, ``element``, ``coords(p, elem)``, ``top``): full DGAs and
-subcomplexes alike.  A ring computes a degree on first use, from the
+subcomplexes alike.  Cochains, representatives and classes are ``linalg``
+sparse vectors (``{index: Fraction}``, no zero values) on the complex's
+basis or on the representative basis of H^p, and every matrix is a list of
+such rows.  A ring computes a degree on first use, from the
 differentials into and out of that degree only.  Representatives are
 canonical: kernel vectors are reduced modulo the image and re-echelonized,
 so the same subspace always yields the same representative cocycles.
@@ -18,6 +21,8 @@ from fractions import Fraction
 from . import linalg
 from .errors import StructureError
 
+_ONE = Fraction(1)
+
 
 @dataclass
 class DegreeSlice:
@@ -27,6 +32,7 @@ class DegreeSlice:
     rep_pivots: list[int]
     image_rows: linalg.Matrix               # rref basis of im(d)
     image_pivots: list[int]
+    d_columns: linalg.Matrix                # d out of degree p, by columns
 
 
 class CohomologyRing:
@@ -35,7 +41,7 @@ class CohomologyRing:
     def __init__(self, cx):
         self.complex = cx
         self._slices: dict[int, DegreeSlice] = {}
-        self._cup_cache: dict[tuple, list[Fraction]] = {}
+        self._cup_cache: dict[tuple, linalg.Vector] = {}
 
     def _slice(self, p: int) -> DegreeSlice:
         """H^p, computed on first use from the differentials into and out
@@ -44,22 +50,23 @@ class CohomologyRing:
             return self._slices[p]
         cx = self.complex
         n = cx.dim(p)
-        kernel = linalg.kernel_basis(cx.d_matrix(p), n) if n else []
-        img_vectors = []
+        d_out = cx.d_matrix(p)
+        kernel = linalg.kernel_basis(d_out, n)
+        img_rows, img_pivots = [], []
         if p > 0 and n:
             prev = cx.d_matrix(p - 1)
-            ncols = len(prev[0]) if prev else 0
-            img_vectors = [[prev[i][j] for i in range(n)] for j in range(ncols)]
-        img_rows, img_pivots = linalg.rref(img_vectors) if img_vectors else ([], [])
+            if any(prev):
+                img_rows, img_pivots = linalg.rref(
+                    linalg.transpose(prev, cx.dim(p - 1)))
         reduced = [linalg.residual(v, img_rows, img_pivots) for v in kernel]
-        reps, rep_pivots = linalg.rref([r for r in reduced if any(r)]) \
-            if reduced else ([], [])
+        reps, rep_pivots = linalg.rref([r for r in reduced if r])
         dim_h = len(reps)
         if dim_h != len(kernel) - len(img_rows):
             raise StructureError(
                 f"rank-nullity mismatch in degree {p}: "
                 f"{dim_h} != {len(kernel)} - {len(img_rows)}")
-        self._slices[p] = DegreeSlice(dim_h, reps, rep_pivots, img_rows, img_pivots)
+        self._slices[p] = DegreeSlice(dim_h, reps, rep_pivots, img_rows,
+                                      img_pivots, linalg.transpose(d_out, n))
         return self._slices[p]
 
     @property
@@ -75,50 +82,47 @@ class CohomologyRing:
     def representatives(self, p: int) -> linalg.Matrix:
         return self._slice(p).representatives
 
-    def representative_of(self, p: int, class_coords) -> list[Fraction]:
+    def representative_of(self, p: int,
+                          class_coords: linalg.Vector) -> linalg.Vector:
         """Cocycle coordinates of a class given by coefficients on the
         representative basis."""
-        return linalg.combine(class_coords, self.representatives(p),
-                              self.complex.dim(p))
+        return linalg.combine(class_coords, self.representatives(p))
 
-    def class_of(self, p: int, cocycle_coords) -> list[Fraction]:
+    def class_of(self, p: int, cocycle_coords: linalg.Vector) -> linalg.Vector:
         """Coordinates of [v] on the representative basis of H^p.
 
         The representatives vanish on the image pivots and are in rref, so
         reducing v = sum a_i rep_i + d w modulo the image leaves sum a_i rep_i,
         whose entries at the representatives' pivots are the a_i.  Raises if
-        v is not closed or the reduction is not that combination.  The
-        coordinates must be Fractions, as every caller in the package passes
-        them; the returned a_i are read off unconverted.
+        v is not closed or the reduction is not that combination.  Like every
+        ``linalg`` vector, v holds Fractions and no zeros; the returned a_i
+        are read off unconverted.
         """
-        vec = list(cocycle_coords)
+        vec = cocycle_coords
         if p < 0 or p > self.top:
-            if any(vec):
+            if vec:
                 raise StructureError(f"no cohomology in degree {p}")
-            return []
-        dv = linalg.mat_vec(self.complex.d_matrix(p), vec)
-        if any(dv):
-            raise StructureError(f"vector of degree {p} is not closed")
+            return {}
         s = self._slice(p)
+        if linalg.combine(vec, s.d_columns):
+            raise StructureError(f"vector of degree {p} is not closed")
         rest = linalg.residual(vec, s.image_rows, s.image_pivots)
-        coeffs = [rest[c] for c in s.rep_pivots]
+        coeffs = {i: rest[c] for i, c in enumerate(s.rep_pivots) if c in rest}
         if rest != self.representative_of(p, coeffs):
             raise StructureError(f"vector is not in Z^{p}")
         return coeffs
 
-    def cup(self, p: int, x_class, q: int, y_class) -> list[Fraction]:
+    def cup(self, p: int, x_class, q: int, y_class) -> linalg.Vector:
         """Cup product of two classes, as a class in degree p + q."""
         xv = self.representative_of(p, x_class)
         yv = self.representative_of(q, y_class)
         prod = self.complex.wedge_coords(p, xv, q, yv)
         return self.class_of(p + q, prod)
 
-    def cup_basis(self, p: int, i: int, q: int, j: int) -> list[Fraction]:
+    def cup_basis(self, p: int, i: int, q: int, j: int) -> linalg.Vector:
         key = (p, i, q, j)
         if key not in self._cup_cache:
-            x = linalg.unit_vector(self.dim(p), i)
-            y = linalg.unit_vector(self.dim(q), j)
-            self._cup_cache[key] = self.cup(p, x, q, y)
+            self._cup_cache[key] = self.cup(p, {i: _ONE}, q, {j: _ONE})
         return self._cup_cache[key]
 
 
@@ -152,14 +156,12 @@ def induced_map(source, p: int, target, q: int, push) -> InducedMap:
     the j-th representative."""
     ring_s = source.cohomology()
     ring_t = target.cohomology()
-    cols = []
-    for rep in ring_s.representatives(p):
-        cols.append(ring_t.class_of(q, push(rep)))
+    cols = [ring_t.class_of(q, push(rep)) for rep in ring_s.representatives(p)]
     source_dim = ring_s.dim(p)
     target_dim = ring_t.dim(q)
-    matrix = [[col[i] for col in cols] for i in range(target_dim)]
-    rk = linalg.rank(matrix) if matrix and cols else 0
-    kernel = linalg.kernel_basis(matrix, source_dim) if source_dim else []
+    matrix = linalg.transpose(cols, target_dim)
+    rk = linalg.rank(matrix)
+    kernel = linalg.kernel_basis(matrix, source_dim)
     return InducedMap(p, matrix, source_dim, target_dim, rk, kernel)
 
 

@@ -12,7 +12,6 @@ spanned by xi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .cdga import (Derivation, Subcomplex, disagreement, supercommutator,
@@ -45,7 +44,7 @@ def eta_operator(m: LieModel, eta: Element) -> EtaOperator:
     dga = m.ce()
     images = {}
     for i in range(m.dimension):
-        nu_sharp = m.sharp(linalg.unit_vector(m.dimension, i))
+        nu_sharp = m.sharp([int(t == i) for t in range(m.dimension)])
         img = m.iota(nu_sharp).apply(eta)
         if not img.is_zero():
             images[i] = img
@@ -133,17 +132,13 @@ def split_form(m: LieModel, alpha: Element) -> SplitPair:
     return SplitPair(alpha1, alpha2)
 
 
-def _restricted_kernel(m: LieModel, sub: Subcomplex, p: int,
-                       operator_columns) -> list[list[Fraction]]:
-    """Kernel, inside a subcomplex degree, of a linear map given by its
-    action on the subcomplex basis (parent coordinates); returns parent
-    coordinate vectors."""
+def _restricted_kernel(sub: Subcomplex, p: int, target_dim: int,
+                       operator_columns) -> linalg.Matrix:
+    """Kernel, inside a subcomplex degree, of a linear map into a space of
+    dimension ``target_dim``, given by its action on the subcomplex basis
+    (parent coordinates); returns parent coordinate vectors."""
     cols = [operator_columns(vec) for vec in sub.basis_vectors(p)]
-    if not cols:
-        return []
-    rows = len(cols[0])
-    mat = [[col[i] for col in cols] for i in range(rows)]
-    kern = linalg.kernel_basis(mat, sub.dim(p))
+    kern = linalg.kernel_basis(linalg.transpose(cols, target_dim), sub.dim(p))
     return [sub.parent_coords(p, v) for v in kern]
 
 
@@ -185,7 +180,7 @@ def omega_splitting(m: LieModel) -> OmegaSplitting:
     spans2: dict[int, list] = {}
     for p in range(top + 1):
         spans1[p] = _restricted_kernel(
-            m, sub, p,
+            sub, p, dga.dim(p - 1),
             lambda vec, p=p: dga.coords(p - 1, iota.apply(dga.element(p, vec))))
         if p == 0:
             # the unit is an eta-multiple only trivially; keep degree 0 in
@@ -193,7 +188,7 @@ def omega_splitting(m: LieModel) -> OmegaSplitting:
             spans2[0] = []
             continue
         spans2[p] = _restricted_kernel(
-            m, sub, p,
+            sub, p, dga.dim(p + 1),
             lambda vec, p=p: dga.coords(p + 1, eta.wedge(dga.element(p, vec))))
     omega1 = Subcomplex(dga, spans1)
     omega2 = Subcomplex(dga, spans2)
@@ -201,9 +196,8 @@ def omega_splitting(m: LieModel) -> OmegaSplitting:
     eta_match = [True]
     for p in range(1, top + 1):
         dims_add = omega1.dim(p) + omega2.dim(p) == sub.dim(p)
-        stacked = [list(r) for r in omega1.basis_vectors(p)] + \
-                  [list(r) for r in omega2.basis_vectors(p)]
-        independent = linalg.rank(stacked) == len(stacked) if stacked else True
+        stacked = omega1.basis_vectors(p) + omega2.basis_vectors(p)
+        independent = linalg.rank(stacked) == len(stacked)
         direct.append(dims_add and independent)
         wedge_span = [dga.coords(p, eta.wedge(dga.element(p - 1, row)))
                       for row in omega1.basis_vectors(p - 1)]
@@ -224,12 +218,9 @@ def basic_complex(m: LieModel) -> Subcomplex:
     iota = m.iota_xi()
     spans = {}
     for p in range(dga.top + 1):
-        n = dga.dim(p)
-        rows = [list(r) for r in iota.matrix(p)]
-        if dga.dim(p + 1) > 0:
-            d_then_iota = linalg.mat_mul(iota.matrix(p + 1), dga.d_matrix(p))
-            rows += [list(r) for r in d_then_iota]
-        spans[p] = linalg.kernel_basis(rows, n)
+        rows = iota.matrix(p) + linalg.mat_mul(iota.matrix(p + 1),
+                                               dga.d_matrix(p))
+        spans[p] = linalg.kernel_basis(rows, dga.dim(p))
     return Subcomplex(dga, spans)
 
 
@@ -243,10 +234,9 @@ class BasicMatchReport:
 def verify_basic_match(m: LieModel) -> BasicMatchReport:
     split = omega_splitting(m)
     basic = basic_complex(m)
-    per_degree = [linalg.same_span(
-        [list(r) for r in split.omega1.basis_vectors(p)],
-        [list(r) for r in basic.basis_vectors(p)])
-        for p in range(m.ce().top + 1)]
+    per_degree = [linalg.same_span(split.omega1.basis_vectors(p),
+                                   basic.basis_vectors(p))
+                  for p in range(m.ce().top + 1)]
     return BasicMatchReport(per_degree, all(per_degree))
 
 

@@ -9,6 +9,11 @@ rationals.  Monomial keys come in two encodings, chosen once per algebra:
 * otherwise: a sorted index tuple, odd generators at most once, even
   generators with multiplicity, canonicalized with explicit Koszul signs.
 
+Coordinates on the degree-p basis are ``linalg`` sparse vectors
+(``{basis index: Fraction}``, no zeros), which ``element`` and ``coords``
+map to monomial keys and back.  Only the public ``Element`` constructor
+checks key degrees; keys the algebra made itself are trusted.
+
 Algebras and elements are immutable after construction.
 """
 
@@ -238,17 +243,15 @@ class GradedAlgebra:
             return self.zero(degree)
         return Element(self, degree, {key: coeff})
 
-    def element(self, p: int, coords) -> "Element":
+    def element(self, p: int, coords: dict[int, Fraction]) -> "Element":
+        """The element with the given sparse coordinates on ``basis(p)``."""
         keys = self.basis(p)
-        terms = {k: Fraction(c) for k, c in zip(keys, coords) if c != 0}
-        return Element(self, p, terms)
+        return Element._trusted(self, p, {keys[i]: c for i, c in coords.items()})
 
-    def coords(self, elem: "Element") -> list[Fraction]:
+    def coords(self, elem: "Element") -> dict[int, Fraction]:
+        """Sparse coordinates on the basis of the element's degree."""
         index = self.basis_index(elem.degree)
-        out = [Fraction(0)] * len(index)
-        for key, c in elem.terms.items():
-            out[index[key]] = c
-        return out
+        return {index[key]: c for key, c in elem.terms.items()}
 
 
 class Element:
@@ -265,6 +268,15 @@ class Element:
                 raise StructureError(
                     f"monomial {algebra.key_str(key)} has degree "
                     f"{algebra.key_degree(key)}, element claims {degree}")
+
+    @classmethod
+    def _trusted(cls, algebra: GradedAlgebra, degree: int,
+                 terms: dict) -> "Element":
+        """An element from nonzero terms on keys of the given degree that
+        the algebra itself made: nothing is filtered or checked."""
+        elem = object.__new__(cls)
+        elem.algebra, elem.degree, elem.terms = algebra, degree, terms
+        return elem
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -284,19 +296,23 @@ class Element:
                 f"cannot add degree {self.degree} to degree {other.degree}")
         terms = dict(self.terms)
         for k, v in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + v
-        return Element(self.algebra, self.degree, terms)
+            terms[k] = terms[k] + v if k in terms else v
+        return Element._trusted(self.algebra, self.degree,
+                                {k: v for k, v in terms.items() if v})
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, self.degree, {k: -v for k, v in self.terms.items()})
+        return Element._trusted(self.algebra, self.degree,
+                                {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def scale(self, c) -> "Element":
         c = Fraction(c)
-        return Element(self.algebra, self.degree,
-                       {k: c * v for k, v in self.terms.items()})
+        if not c:
+            return self.algebra.zero(self.degree)
+        return Element._trusted(self.algebra, self.degree,
+                                {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Rational):
@@ -327,11 +343,11 @@ class Element:
                     terms[key] = acc
                 else:
                     terms.pop(key, None)
-        return Element(alg, degree, terms)
+        return Element._trusted(alg, degree, terms)
 
     __xor__ = wedge
 
-    def coords(self) -> list[Fraction]:
+    def coords(self) -> dict[int, Fraction]:
         return self.algebra.coords(self)
 
     def coefficient(self, *names) -> Fraction:

@@ -31,6 +31,42 @@ def _frac_matrix(rows) -> Matrix:
     return [[Fraction(v) for v in row] for row in rows]
 
 
+# Dense helpers for the n x n tangent-space matrices (metric, J, ad, Gamma).
+
+def _mat_vec(a: Matrix, v: Vector) -> Vector:
+    return [sum((x * y for x, y in zip(row, v) if x and y), Fraction(0))
+            for row in a]
+
+
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    cols = _transpose(b)
+    return [_mat_vec(cols, row) for row in a]
+
+
+def _transpose(mat: Matrix) -> Matrix:
+    return [list(col) for col in zip(*mat)]
+
+
+def _identity(n: int) -> Matrix:
+    return [_unit_vector(n, i) for i in range(n)]
+
+
+def _unit_vector(n: int, j: int) -> Vector:
+    vec = [Fraction(0)] * n
+    vec[j] = Fraction(1)
+    return vec
+
+
+def _inverse(mat: Matrix) -> Matrix:
+    """Inverse of a square rational matrix; raises ValueError if singular."""
+    n = len(mat)
+    aug = [linalg.sparse(row + unit) for row, unit in zip(mat, _identity(n))]
+    rows, pivots = linalg.rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [linalg.dense(row, 2 * n)[n:] for row in rows]
+
+
 def once_per_model(build):
     """Memoize ``build(m)`` on the model instance, so each derived object is
     built, and self-checked, once per model and then shared.  A build that
@@ -79,7 +115,7 @@ class LieModel:
             if clean:
                 self.brackets[(i, j)] = clean
         self.metric = _frac_matrix(metric) if metric is not None \
-            else linalg.identity(dimension)
+            else _identity(dimension)
         _check_metric(self.metric, dimension)
         self.xi = _frac_vector(xi) if xi is not None else None
         self.eta = _frac_vector(eta) if eta is not None else None
@@ -131,11 +167,11 @@ class LieModel:
         return out
 
     def bracket_vectors(self, x: Vector, y: Vector) -> Vector:
-        return linalg.mat_vec(self.ad(x), y)
+        return _mat_vec(self.ad(x), y)
 
     def is_unimodular(self) -> bool:
         n = self.dimension
-        return all(sum(self.ad(linalg.unit_vector(n, i))[k][k]
+        return all(sum(self.ad(_unit_vector(n, i))[k][k]
                        for k in range(n)) == 0 for i in range(n))
 
     # -- the Chevalley-Eilenberg complex --------------------------------------
@@ -159,23 +195,23 @@ class LieModel:
     def eta_element(self) -> Element:
         if self.eta is None:
             raise StructureError(f"model {self.name!r} has no eta")
-        return self.algebra().element(1, self.eta)
+        return self.algebra().element(1, linalg.sparse(self.eta))
 
     # -- metric moves ----------------------------------------------------------
 
     @once_per_model
     def metric_inverse(self) -> Matrix:
-        return linalg.inverse(self.metric)
+        return _inverse(self.metric)
 
     def sharp(self, covector) -> Vector:
         """Metric isomorphism T*->T (inverse metric applied to components)."""
-        return linalg.mat_vec(self.metric_inverse(), _frac_vector(covector))
+        return _mat_vec(self.metric_inverse(), _frac_vector(covector))
 
     def flat(self, vector) -> Vector:
-        return linalg.mat_vec(self.metric, _frac_vector(vector))
+        return _mat_vec(self.metric, _frac_vector(vector))
 
     def inner(self, x: Vector, y: Vector) -> Fraction:
-        gx = linalg.mat_vec(self.metric, list(x))
+        gx = _mat_vec(self.metric, list(x))
         return sum((gx[i] * y[i] for i in range(self.dimension)), Fraction(0))
 
     # -- contraction and Lie derivative -----------------------------------------
@@ -200,7 +236,7 @@ class LieModel:
         alg = self.algebra()
         images = {}
         for k, row in enumerate(self.ad(vector)):
-            img = alg.element(1, [-c for c in row])
+            img = alg.element(1, linalg.sparse([-c for c in row]))
             if not img.is_zero():
                 images[k] = img
         return Derivation(alg, 0, images, name="L_coadjoint")
@@ -235,7 +271,7 @@ class LieModel:
             for j in range(n):
                 rhs = [(low[i][j][k] - low[j][k][i] + low[k][i][j]) / 2
                        for k in range(n)]
-                gamma[i][j] = linalg.mat_vec(ginv, rhs)
+                gamma[i][j] = _mat_vec(ginv, rhs)
         _check_connection(self, gamma)
         return gamma
 
@@ -308,7 +344,7 @@ def validate_almost_contact(m: LieModel) -> AlmostContactVerdict:
     n = m.dimension
     J, xi, eta, g = m.J, m.xi, m.eta, m.metric
     witnesses: dict[str, str] = {}
-    jj = linalg.mat_mul(J, J)
+    jj = _mat_mul(J, J)
     for i in range(n):
         for j in range(n):
             want = -Fraction(int(i == j)) + xi[i] * eta[j]
@@ -321,8 +357,8 @@ def validate_almost_contact(m: LieModel) -> AlmostContactVerdict:
     pairing = sum((eta[i] * xi[i] for i in range(n)), Fraction(0))
     if pairing != 1:
         witnesses["eta(xi)"] = f"value {pairing}"
-    jt = linalg.transpose(J)
-    lhs = linalg.mat_mul(jt, linalg.mat_mul(g, J))
+    jt = _transpose(J)
+    lhs = _mat_mul(jt, _mat_mul(g, J))
     for i in range(n):
         for j in range(n):
             want = g[i][j] - eta[i] * eta[j]
@@ -343,7 +379,7 @@ def fundamental_form(m: LieModel) -> Element:
         raise StructureError(
             f"almost-contact identities fail: {verdict.witnesses}")
     n = m.dimension
-    jt_g = linalg.mat_mul(linalg.transpose(m.J), m.metric)
+    jt_g = _mat_mul(_transpose(m.J), m.metric)
     alg = m.algebra()
     omega = alg.zero(2)
     for i in range(n):
@@ -381,7 +417,7 @@ def omega_element(m: LieModel) -> Element:
 def is_killing(m: LieModel, vector) -> tuple[bool, str | None]:
     """Whether L_X g = 0; witness value is (L_X g)(X_i, X_j) at the first
     failing slot."""
-    g_ad = linalg.mat_mul(m.metric, m.ad(vector))
+    g_ad = _mat_mul(m.metric, m.ad(vector))
     n = m.dimension
     for i in range(n):
         for j in range(i, n):
@@ -421,7 +457,7 @@ def is_parallel_tensor(m: LieModel, matrix) -> tuple[bool, str | None]:
         for j in range(n):
             ty = [t[k][j] for k in range(n)]
             first = m.nabla(i, ty)
-            second = linalg.mat_vec(t, m.nabla(i, linalg.unit_vector(n, j)))
+            second = _mat_vec(t, m.nabla(i, _unit_vector(n, j)))
             diff = [first[k] - second[k] for k in range(n)]
             if any(diff):
                 return False, f"(nabla_X{i + 1} T)(X{j + 1}) = {_fmt_vector(diff)}"
@@ -436,17 +472,17 @@ def nijenhuis_normality(m: LieModel) -> tuple[bool, str | None]:
             f"almost-contact identities fail: {verdict.witnesses}")
     J, xi, eta = m.J, m.xi, m.eta
     n = m.dimension
-    jj = linalg.mat_mul(J, J)
-    cols = linalg.transpose(J)
+    jj = _mat_mul(J, J)
+    cols = _transpose(J)
     for i in range(n):
         for j in range(i + 1, n):
-            xi_v, xj_v = linalg.unit_vector(n, i), linalg.unit_vector(n, j)
+            xi_v, xj_v = _unit_vector(n, i), _unit_vector(n, j)
             jx, jy = cols[i], cols[j]
             br = m.bracket(i, j)
-            jjb = linalg.mat_vec(jj, br)
+            jjb = _mat_vec(jj, br)
             bjj = m.bracket_vectors(jx, jy)
-            jb1 = linalg.mat_vec(J, m.bracket_vectors(jx, xj_v))
-            jb2 = linalg.mat_vec(J, m.bracket_vectors(xi_v, jy))
+            jb1 = _mat_vec(J, m.bracket_vectors(jx, xj_v))
+            jb2 = _mat_vec(J, m.bracket_vectors(xi_v, jy))
             d_eta = -sum((eta[k] * br[k] for k in range(n)), Fraction(0))
             term = [jjb[k] + bjj[k] - jb1[k] - jb2[k] + 2 * d_eta * xi[k]
                     for k in range(n)]

@@ -119,17 +119,17 @@ def verify_lefschetz_iso(m: LieModel) -> LefschetzReport:
             **vars(ind), kernel_witnesses=kernel_witnesses(sub, ind),
             component_split_ok=comp_ok))
     top = _omega_power(omega_element(m), n).wedge(m.eta_element())
-    top_nonzero = any(_class(sub, 2 * n + 1, top))
+    top_nonzero = bool(_class(sub, 2 * n + 1, top))
     return LefschetzReport(n, verdict.coKahler, degrees, top_nonzero, None)
 
 
-def _class(sub: Subcomplex, q: int, form: Element) -> list:
+def _class(sub: Subcomplex, q: int, form: Element) -> linalg.Vector:
     """Coordinates of the class of a closed form of Omega_eta in H^q_eta."""
     return sub.cohomology().class_of(q, sub.coords(q, form))
 
 
 @once_per_model
-def split_classes(m: LieModel) -> list[tuple[list, list]]:
+def split_classes(m: LieModel) -> list[tuple[linalg.Matrix, linalg.Matrix]]:
     """Entry q holds the classes in H^q_eta of the representatives of
     H^q_1, and of eta ^ the representatives of H^{q-1}_1."""
     split = omega_splitting(m)

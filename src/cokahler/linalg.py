@@ -1,32 +1,48 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse vectors.
 
-Matrices are lists of rows of ``fractions.Fraction``.  One sparse integer
-echelon underlies rank and the reduced echelon form: each row becomes a
-``{column: int}`` dict with its denominators and content cleared, and is
-reduced at its leading column against the primitive pivot rows found so far,
-until it vanishes or leads a new pivot column.  Dividing out each row's
-content keeps the integers small without modular arithmetic.  Everything
-downstream (rank, kernels, reduced echelon forms, solving) is deterministic:
-pivots are always the first usable column, and free variables are ordered by
-column index.
+A vector is a ``{index: Fraction}`` dict with no zero values, and a matrix
+is a list of such rows; the number of columns is the caller's to know.
+Cochains, cohomology classes and the matrices between them are mostly
+zeros, so every function here reads only stored entries and never tests a
+zero.  ``sparse`` and ``dense`` are the only converters to and from
+length-n ``Fraction`` lists.
 
-The matrices met here (CE differentials, ι_ξ, cocycles) are mostly zeros, so
-products, reductions and elimination steps touch only nonzero entries: no
-arithmetic ever runs on a zero.  This changes no output.  The reduced row
-echelon form of a row space is unique, and rank, kernel bases and solutions
-(free variables zero) are functions of it, so neither the sparse storage nor
-the order of elimination can move a single value.
+One sparse integer echelon underlies rank and the reduced echelon form:
+each row becomes a ``{column: int}`` dict with its denominators and content
+cleared, and is reduced at its leading column against the primitive pivot
+rows found so far, until it vanishes or leads a new pivot column.  Dividing
+out each row's content keeps the integers small without modular
+arithmetic.  Everything downstream (rank, kernels, reduced echelon forms,
+solving) is deterministic: pivots are always the first usable column, and
+free variables are ordered by column index.  The reduced row echelon form
+of a row space is unique, and rank, kernel bases and solutions (free
+variables zero) are functions of it, so neither the storage nor the order
+of elimination can move a single value.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
-Vector = list[Fraction]
+Vector = dict[int, Fraction]
 Matrix = list[Vector]
 
-_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def sparse(values) -> Vector:
+    """The sparse vector of a sequence of rationals."""
+    return {j: Fraction(v) for j, v in enumerate(values) if v}
+
+
+def dense(vec: Vector, n: int) -> list[Fraction]:
+    """The length-n ``Fraction`` list of a sparse vector."""
+    out = [Fraction(0)] * n
+    for j, v in vec.items():
+        out[j] = v
+    return out
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -55,10 +71,9 @@ def _echelon(mat: Matrix) -> dict[int, dict[int, int]]:
     distinct leading columns (the pivot columns of rref(mat))."""
     pivots: dict[int, dict[int, int]] = {}
     for row in mat:
-        nonzero = [(j, f) for j, f in enumerate(row) if f]
-        mult = lcm(*(f.denominator for _, f in nonzero))
+        mult = lcm(*(f.denominator for f in row.values()))
         ints = _primitive({j: f.numerator * (mult // f.denominator)
-                           for j, f in nonzero})
+                           for j, f in row.items()})
         while ints:
             c = min(ints)
             if c not in pivots:
@@ -69,11 +84,10 @@ def _echelon(mat: Matrix) -> dict[int, dict[int, int]]:
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form over Fraction; returns (R, pivot columns).
+    """Reduced row echelon form; returns (R, pivot columns).
 
     Zero rows are dropped, so R has exactly rank(mat) rows.
     """
-    ncols = len(mat[0]) if mat else 0
     ech = _echelon(mat)
     pivots = sorted(ech)
     # eliminate above each pivot, last pivot first
@@ -85,10 +99,7 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     rows = []
     for c in pivots:
         lead = ech[c][c]
-        dense = [_ZERO] * ncols
-        for j, v in ech[c].items():
-            dense[j] = Fraction(v, lead)
-        rows.append(dense)
+        rows.append({j: Fraction(v, lead) for j, v in ech[c].items()})
     return rows, pivots
 
 
@@ -98,95 +109,99 @@ def rank(mat: Matrix) -> int:
 
 def kernel_basis(mat: Matrix, ncols: int) -> list[Vector]:
     """Basis of {x : mat @ x = 0}, one vector per free column, ascending."""
-    if not mat:
-        return [unit_vector(ncols, j) for j in range(ncols)]
     rows, pivots = rref(mat)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        vec = unit_vector(ncols, j)
-        for i, c in enumerate(pivots):
-            vec[c] = -rows[i][j]
-        basis.append(vec)
-    return basis
+    basis = {j: {j: _ONE} for j in range(ncols)}
+    for c in pivots:
+        del basis[c]
+    for row, c in zip(rows, pivots):
+        for j, v in row.items():
+            if j != c:
+                basis[j][c] = -v
+    return list(basis.values())
 
 
 def residual(vec: Vector, rows: Matrix, pivots: list[int]) -> Vector:
-    """Reduce vec modulo the row space given in rref form."""
-    out = list(vec)
-    for row, c in zip(rows, pivots):
-        fac = out[c]
-        if fac:
-            for j, v in enumerate(row):
-                if v:
-                    out[j] -= fac * v
+    """Reduce vec modulo the row space given in rref form.
+
+    Each row vanishes at the other rows' pivots, so the factor of a row is
+    vec's own entry at its pivot, and only the pivots vec holds are visited.
+    """
+    out = dict(vec)
+    for c, fac in vec.items():
+        i = bisect_left(pivots, c)
+        if i < len(pivots) and pivots[i] == c:
+            for j, v in rows[i].items():
+                w = out.get(j, 0) - fac * v
+                if w:
+                    out[j] = w
+                else:
+                    del out[j]
     return out
 
 
 def in_row_space(vec: Vector, rows: Matrix, pivots: list[int]) -> bool:
-    return not any(residual(vec, rows, pivots))
+    return not residual(vec, rows, pivots)
 
 
-def solve(mat: Matrix, rhs: Vector):
-    """One solution of mat @ x = rhs (free variables zero), or None."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    if nrows == 0:
-        return [Fraction(0)] * ncols if all(v == 0 for v in rhs) else None
-    rows, pivots = rref([[*mat[i], rhs[i]] for i in range(nrows)])
+def solve(mat: Matrix, rhs: Vector, ncols: int) -> Vector | None:
+    """One solution of mat @ x = rhs over ``ncols`` unknowns (free variables
+    zero), or None."""
+    if max(rhs, default=-1) >= len(mat):
+        return None
+    rows, pivots = rref([{**row, ncols: rhs[i]} if i in rhs else row
+                         for i, row in enumerate(mat)])
     if ncols in pivots:
         return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][ncols]
-    return sol
+    return {c: row[ncols] for row, c in zip(rows, pivots) if ncols in row}
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return [[Fraction(0)] * (len(b[0]) if b else 0) for _ in a]
-    ncols = len(b[0])
-    b_nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
     out = []
     for row in a:
-        acc = [_ZERO] * ncols
-        for e, nonzero in zip(row, b_nonzero):
-            if e:
-                for j, x in nonzero:
-                    acc[j] += e * x
-        out.append(acc)
+        acc: Vector = {}
+        for k, e in row.items():
+            for j, x in b[k].items():
+                acc[j] = acc[j] + e * x if j in acc else e * x
+        out.append({j: v for j, v in acc.items() if v})
     return out
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    nonzero = [(k, x) for k, x in enumerate(v) if x]
-    return [sum((row[k] * x for k, x in nonzero if row[k]), _ZERO) for row in a]
+    out = {}
+    for i, row in enumerate(a):
+        acc = 0
+        for k, x in row.items():
+            if k in v:
+                acc += x * v[k]
+        if acc:
+            out[i] = acc
+    return out
 
 
-def combine(coeffs: Vector, rows: Matrix, n: int) -> Vector:
-    """The length-n vector sum of coeffs[i] * rows[i]."""
-    out = [_ZERO] * n
-    for c, row in zip(coeffs, rows):
-        if c:
-            for j, v in enumerate(row):
-                if v:
-                    out[j] += c * v
+def combine(coeffs: Vector, rows: Matrix) -> Vector:
+    """The vector sum of coeffs[i] * rows[i]."""
+    out: Vector = {}
+    for i, c in coeffs.items():
+        for j, v in rows[i].items():
+            out[j] = out[j] + c * v if j in out else c * v
+    return {j: v for j, v in out.items() if v}
+
+
+def transpose(mat: Matrix, ncols: int) -> Matrix:
+    """The ncols rows of the transpose of mat."""
+    out: Matrix = [{} for _ in range(ncols)]
+    for i, row in enumerate(mat):
+        for j, v in row.items():
+            out[j][i] = v
     return out
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[a[i][j] - b[i][j] for j in range(len(a[i]))] for i in range(len(a))]
+    return [combine({0: _ONE, 1: -_ONE}, [ra, rb]) for ra, rb in zip(a, b)]
 
 
 def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def unit_vector(n: int, j: int) -> Vector:
-    vec = [Fraction(0)] * n
-    vec[j] = Fraction(1)
-    return vec
+    return [{i: _ONE} for i in range(n)]
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
@@ -196,26 +211,6 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     return out
 
 
-def inverse(mat: Matrix) -> Matrix:
-    """Inverse of a square rational matrix; raises ValueError if singular."""
-    n = len(mat)
-    aug = [list(row) + unit for row, unit in zip(mat, identity(n))]
-    rows, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
-
-
-def transpose(mat: Matrix) -> Matrix:
-    if not mat:
-        return []
-    return [[mat[i][j] for i in range(len(mat))] for j in range(len(mat[0]))]
-
-
 def same_span(rows_a: Matrix, rows_b: Matrix) -> bool:
     """Whether two lists of row vectors span the same subspace."""
-    if not rows_a and not rows_b:
-        return True
-    if not rows_a or not rows_b:
-        return rank(rows_a or rows_b) == 0
     return rref(rows_a) == rref(rows_b)

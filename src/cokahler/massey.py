@@ -20,17 +20,19 @@ from . import linalg
 from .cohomology import CohomologyRing
 from .errors import StructureError
 
+_ONE = Fraction(1)
+
 
 @dataclass
 class MasseyTriple:
     degrees: tuple[int, int, int]
-    x: list[Fraction]
-    y: list[Fraction]
-    z: list[Fraction]
-    bounding_xy: list[Fraction]       # cochain U with dU = rep(x) rep(y)
-    bounding_yz: list[Fraction]       # cochain V with dV = rep(y) rep(z)
-    value_cochain: list[Fraction]
-    value_class: list[Fraction]       # in H^{|x|+|y|+|z|-1}
+    x: linalg.Vector
+    y: linalg.Vector
+    z: linalg.Vector
+    bounding_xy: linalg.Vector        # cochain U with dU = rep(x) rep(y)
+    bounding_yz: linalg.Vector        # cochain V with dV = rep(y) rep(z)
+    value_cochain: linalg.Vector
+    value_class: linalg.Vector        # in H^{|x|+|y|+|z|-1}
     indeterminacy_rows: linalg.Matrix
     indeterminacy_pivots: list[int]
     vanishes: bool
@@ -54,9 +56,9 @@ def triple_massey(ring: CohomologyRing, x: tuple, y: tuple,
     c = ring.representative_of(pz, zc)
     ab = cx.wedge_coords(px, a, py, b)
     bc = cx.wedge_coords(py, b, pz, c)
-    if any(ring.class_of(px + py, ab)):
+    if ring.class_of(px + py, ab):
         raise StructureError("x y is nonzero in cohomology; <x,y,z> undefined")
-    if any(ring.class_of(py + pz, bc)):
+    if ring.class_of(py + pz, bc):
         raise StructureError("y z is nonzero in cohomology; <x,y,z> undefined")
     u = cx.solve_d(px + py - 1, ab)
     v = cx.solve_d(py + pz - 1, bc)
@@ -66,12 +68,11 @@ def triple_massey(ring: CohomologyRing, x: tuple, y: tuple,
     uc = cx.wedge_coords(px + py - 1, u, pz, c)
     av = cx.wedge_coords(px, a, py + pz - 1, v)
     sign = -1 if px % 2 else 1
-    w = [uc[i] - sign * av[i] for i in range(len(uc))]
+    w = linalg.combine({0: _ONE, 1: Fraction(-sign)}, [uc, av])
     value_class = ring.class_of(s, w)
     ind_rows, ind_pivots = _indeterminacy(ring, px, xc, pz, zc, s)
-    vanishes = linalg.in_row_space(value_class, ind_rows, ind_pivots) \
-        if any(value_class) else True
-    return MasseyTriple((px, py, pz), list(xc), list(yc), list(zc),
+    vanishes = linalg.in_row_space(value_class, ind_rows, ind_pivots)
+    return MasseyTriple((px, py, pz), dict(xc), dict(yc), dict(zc),
                         u, v, w, value_class, ind_rows, ind_pivots, vanishes)
 
 
@@ -80,12 +81,11 @@ def _indeterminacy(ring: CohomologyRing, px, xc, pz, zc, s):
     span = []
     q = s - px
     for i in range(ring.dim(q)):
-        span.append(ring.cup(px, xc, q, linalg.unit_vector(ring.dim(q), i)))
+        span.append(ring.cup(px, xc, q, {i: _ONE}))
     q = s - pz
     for i in range(ring.dim(q)):
-        span.append(ring.cup(q, linalg.unit_vector(ring.dim(q), i), pz, zc))
-    span = [row for row in span if any(row)]
-    return linalg.rref(span) if span else ([], [])
+        span.append(ring.cup(q, {i: _ONE}, pz, zc))
+    return linalg.rref(span)
 
 
 @dataclass
@@ -105,9 +105,9 @@ def degree_one_massey_scan(ring: CohomologyRing) -> MasseyScan:
     results = []
     obstructed = False
     for i, j, k in itertools.product(range(n1), repeat=3):
-        if any(ring.cup_basis(1, i, 1, j)) or any(ring.cup_basis(1, j, 1, k)):
+        if ring.cup_basis(1, i, 1, j) or ring.cup_basis(1, j, 1, k):
             continue
-        unit = lambda t: (1, linalg.unit_vector(n1, t))
+        unit = lambda t: (1, {t: _ONE})
         triple = triple_massey(ring, unit(i), unit(j), unit(k))
         results.append(((i, j, k), triple))
         obstructed |= not triple.vanishes

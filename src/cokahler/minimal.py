@@ -32,13 +32,15 @@ from .exterior import Element, Generator, GradedAlgebra
 # the construction stops at this bound instead of growing without end.
 _STAGE_CAP = 12
 
+_ONE = Fraction(1)
+
 
 @dataclass
 class SullivanModel:
     """Free model with decomposable differential plus the comparison map."""
     dga: DGA
     target: object
-    images: list[list[Fraction]]      # target coordinates, one per generator
+    images: list[linalg.Vector]       # target coordinates, one per generator
     cap: int
     minimal: bool
     iso_degrees: list[bool]           # H^p isomorphism for p <= cap
@@ -50,7 +52,7 @@ class SullivanModel:
             counts[g.degree] = counts.get(g.degree, 0) + 1
         return counts
 
-    def push(self, elem: Element) -> list[Fraction]:
+    def push(self, elem: Element) -> linalg.Vector:
         """Image of a model element in target coordinates."""
         return _push(self.images, elem, self.target)
 
@@ -59,21 +61,19 @@ class SullivanModel:
         return all(self.iso_degrees) and self.injective_above
 
 
-def _push(images, elem: Element, target) -> list[Fraction]:
+def _push(images, elem: Element, target) -> linalg.Vector:
     alg = elem.algebra
-    out = [Fraction(0)] * target.dim(elem.degree)
-    unit = [Fraction(1)] if target.dim(0) else []
-    for key, coeff in elem.terms.items():
-        vec = [coeff * u for u in unit]
+    products = []
+    for key in elem.terms:
+        vec = {0: _ONE} if target.dim(0) else {}
         deg = 0
         for i in alg.key_indices(key):
             gd = alg.degree_of(i)
             vec = target.wedge_coords(deg, vec, gd, images[i])
             deg += gd
-        for t, v in enumerate(vec):
-            if v:
-                out[t] += v
-    return out
+        products.append(vec)
+    # the sum of each term's coefficient times its product of images
+    return linalg.combine(dict(enumerate(elem.terms.values())), products)
 
 
 class _Builder:
@@ -86,7 +86,7 @@ class _Builder:
         self.cap = cap
         self.gens: list[Generator] = []
         self.d_images: dict[str, Element] = {}
-        self.images: list[list[Fraction]] = []
+        self.images: list[linalg.Vector] = []
         self._dga: DGA | None = None
         self._maps: dict[int, InducedMap] = {}
 
@@ -99,12 +99,12 @@ class _Builder:
         return self._dga
 
     def add_generator(self, degree: int, d_image: Element | None,
-                      target_coords: list[Fraction]):
+                      target_coords: linalg.Vector):
         name = f"x{len(self.gens) + 1}"
         self.gens = self.gens + [Generator(name, degree)]
         if d_image is not None and not d_image.is_zero():
             self.d_images[name] = d_image
-        self.images.append([Fraction(v) for v in target_coords])
+        self.images.append(dict(target_coords))
         self._dga = None
         self._maps = {}
 
@@ -144,14 +144,12 @@ def _extend_surjective(builder: _Builder, p: int):
     columns before it; so the pivots on the identity side are those e_i.
     """
     ind = builder.induced_map(p)
-    dim = ind.target_dim
-    augmented = []
-    for i in range(dim):
-        augmented.append(ind.matrix[i] + linalg.unit_vector(dim, i))
+    shift = ind.source_dim
+    augmented = [{**row, shift + i: _ONE} for i, row in enumerate(ind.matrix)]
     ring_t = builder.target.cohomology()
     for col in linalg.rref(augmented)[1]:
-        if col >= ind.source_dim:
-            unit = linalg.unit_vector(dim, col - ind.source_dim)
+        if col >= shift:
+            unit = {col - shift: _ONE}
             builder.add_generator(p, None, ring_t.representative_of(p, unit))
 
 

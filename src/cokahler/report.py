@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import linalg
 from .cdga import (check_d_squared, check_leibniz, disagreement,
                    supercommutes_with_d)
 from .cohomology import kunneth_convolution
@@ -297,12 +298,14 @@ def _lefschetz_section(model: LieModel, cap, order) -> Section:
 
 
 def _massey_section(model: LieModel, cap, order) -> Section:
-    scan = degree_one_massey_scan(model.ce().cohomology())
+    ring = model.ce().cohomology()
+    scan = degree_one_massey_scan(ring)
     triples = []
     for (i, j, k), t in scan.triples:
         triples.append({
             "classes": [i, j, k],
-            "value_class": t.value_class,
+            "value_class": linalg.dense(t.value_class,
+                                        ring.dim(t.value_degree)),
             "value_cochain": repr(model.ce().element(t.value_degree,
                                                      t.value_cochain)),
             "indeterminacy_dim": t.indeterminacy_dim,

@@ -176,9 +176,9 @@ def test_criterion_8_formality():
         ok &= not scan.obstructed and all(t.vanishes for _, t in scan.triples)
     heis = _model("heisenberg")
     ring = heis.ce().cohomology()
-    triple = triple_massey(ring, (1, linalg.unit_vector(2, 0)),
-                           (1, linalg.unit_vector(2, 1)),
-                           (1, linalg.unit_vector(2, 1)))
+    triple = triple_massey(ring, (1, {0: Fraction(1)}),
+                           (1, {1: Fraction(1)}),
+                           (1, {1: Fraction(1)}))
     ok &= not triple.vanishes and triple.indeterminacy_dim == 0
     for name in CORPUS:
         m = _model(name)

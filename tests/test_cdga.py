@@ -49,7 +49,7 @@ def oracle_betti(dga):
     dims = [dga.dim(p) for p in range(dga.top + 1)]
     ranks = []
     for p in range(dga.top + 1):
-        mat = dga.d_matrix(p)
+        mat = [linalg.dense(row, dga.dim(p)) for row in dga.d_matrix(p)]
         if not mat or not mat[0]:
             ranks.append(0)
             continue
@@ -312,8 +312,8 @@ def test_leibniz_check_agrees_with_all_pairs_on_a_truncated_algebra(seed):
     der = random_derivation(alg, rng, degree)
     p = rng.choice([q for q in range(alg.top + 1) if alg.basis(q + degree)])
     key = rng.choice(alg.basis(p))
-    extra = alg.element(p + degree, [rng.randint(-2, 2)
-                                     for _ in alg.basis(p + degree)])
+    extra = alg.element(p + degree, linalg.sparse(
+        [rng.randint(-2, 2) for _ in alg.basis(p + degree)]))
     for op in (der, WrongOn(der, key, extra)):
         assert check_leibniz(op) == leibniz_all_pairs(op)
 
@@ -452,7 +452,7 @@ def test_representatives_are_cocycles_and_independent():
         for i, rep in enumerate(ring.representatives(p)):
             elem = dga.element(p, rep)
             assert dga.d.apply(elem).is_zero()
-            assert ring.class_of(p, rep) == linalg.unit_vector(ring.dim(p), i)
+            assert ring.class_of(p, rep) == {i: 1}
 
 
 def test_poincare_duality_on_unimodular_models():
@@ -465,9 +465,9 @@ def test_class_of_sees_exactness():
     dga = heisenberg_dga()
     ring = dga.cohomology()
     e12 = dga.algebra.monomial("e1", "e2")
-    assert ring.class_of(2, dga.coords(2, e12)) == [0, 0]
+    assert linalg.dense(ring.class_of(2, dga.coords(2, e12)), 2) == [0, 0]
     e13 = dga.algebra.monomial("e1", "e3")
-    assert any(ring.class_of(2, dga.coords(2, e13)))
+    assert ring.class_of(2, dga.coords(2, e13))
 
 
 def test_class_of_returns_the_coefficients_on_the_representatives():
@@ -483,17 +483,20 @@ def test_class_of_returns_the_coefficients_on_the_representatives():
             n = dga.dim(p)
             a = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                  for _ in range(ring.dim(p))]
-            v = ring.representative_of(p, a)
+            v = linalg.dense(ring.representative_of(p, linalg.sparse(a)), n)
             if p > 0:
                 w = [Fraction(rng.randint(-5, 5)) for _ in range(dga.dim(p - 1))]
-                dw = linalg.mat_vec(dga.d_matrix(p - 1), w)
+                dw = linalg.dense(linalg.mat_vec(dga.d_matrix(p - 1),
+                                                 linalg.sparse(w)), n)
                 v = [x + y for x, y in zip(v, dw)]
-            assert ring.class_of(p, v) == a
+            assert linalg.dense(ring.class_of(p, linalg.sparse(v)),
+                                ring.dim(p)) == a
+            d_rows = [linalg.dense(row, n) for row in dga.d_matrix(p)]
             not_closed = [j for j in range(n)
-                          if any(row[j] for row in dga.d_matrix(p))]
+                          if any(row[j] for row in d_rows)]
             if not_closed:
                 with pytest.raises(StructureError):
-                    ring.class_of(p, linalg.unit_vector(n, not_closed[0]))
+                    ring.class_of(p, {not_closed[0]: Fraction(1)})
 
 
 def test_cup_products():
@@ -503,13 +506,13 @@ def test_cup_products():
     prod = ring.cup_basis(1, 0, 1, 1)
     rep = ring.representative_of(2, prod)
     assert t3.element(2, rep) == t3.algebra.monomial("e1", "e2")
-    assert not any(ring.cup_basis(1, 0, 1, 0))       # [e1].[e1] = 0
+    assert not ring.cup_basis(1, 0, 1, 0)            # [e1].[e1] = 0
     heis = heisenberg_dga()
     hring = heis.cohomology()
     # heisenberg: e1^e2 = -d(e3) is exact, so its class is zero
     e12 = heis.algebra.coords(heis.algebra.monomial("e1", "e2"))
-    assert not any(hring.class_of(2, e12))
-    assert not any(hring.cup_basis(1, 0, 1, 1))
+    assert not hring.class_of(2, e12)
+    assert not hring.cup_basis(1, 0, 1, 1)
 
 
 # -- induced maps ----------------------------------------------------------------
@@ -523,8 +526,8 @@ def test_identity_inclusion_induces_identity():
         ind = inclusion_induced_map(sub, p)
         assert ind.isomorphism
         n = ind.source_dim
-        assert ind.matrix == [[Fraction(int(i == j)) for j in range(n)]
-                              for i in range(n)]
+        assert [linalg.dense(row, n) for row in ind.matrix] == \
+            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def test_noninjective_induced_map_on_heisenberg():
@@ -558,12 +561,12 @@ def test_induced_map_of_the_zero_push_kills_every_class():
     ring = dga.cohomology()
     for p in range(dga.top + 1):
         ind = induced_map(dga, p, dga, p,
-                          lambda rep: [Fraction(0)] * len(rep))
+                          lambda rep: {})
         assert ind.rank == 0 and ind.source_dim == ring.dim(p)
         assert ind.kernel_classes == linalg.identity(ring.dim(p))
         assert kernel_witnesses(dga, ind) == [
             repr(dga.element(p, rep)) for rep in ring.representatives(p)]
-    ind = induced_map(dga, 2, dga, 2, lambda rep: [Fraction(0)] * len(rep))
+    ind = induced_map(dga, 2, dga, 2, lambda rep: {})
     assert kernel_witnesses(dga, ind) == ["e1^e3", "e2^e3"]
 
 
@@ -582,9 +585,9 @@ def test_subcomplex_coords_take_an_element():
     sub = heisenberg_lie_kernel()
     alg = sub.parent.algebra
     e1, e2, e3 = alg.gens()
-    assert sub.coords(1, e1.scale(2) - e2.scale(3)) == [2, -3]
-    assert sub.coords(2, alg.monomial("e2", "e3")) == [0, 1]
-    assert sub.coords(1, alg.zero(1)) == [0, 0]
+    assert linalg.dense(sub.coords(1, e1.scale(2) - e2.scale(3)), 2) == [2, -3]
+    assert linalg.dense(sub.coords(2, alg.monomial("e2", "e3")), 2) == [0, 1]
+    assert linalg.dense(sub.coords(1, alg.zero(1)), 2) == [0, 0]
     with pytest.raises(StructureError, match="not in the degree 1 subspace"):
         sub.coords(1, e3)
 
@@ -596,16 +599,17 @@ def test_wedge_coords_agree_on_a_dga_and_its_full_subcomplex():
     for p, q in ((0, 1), (1, 1), (1, 2), (2, 2)):
         for i in range(dga.dim(p)):
             for j in range(dga.dim(q)):
-                v = linalg.unit_vector(dga.dim(p), i)
-                w = linalg.unit_vector(dga.dim(q), j)
+                v = {i: Fraction(1)}
+                w = {j: Fraction(1)}
                 assert full.wedge_coords(p, v, q, w) == \
                     dga.wedge_coords(p, v, q, w)
     # on a proper subcomplex the product is read in the subcomplex basis
     sub = heisenberg_lie_kernel()
-    e1, e2 = linalg.unit_vector(2, 0), linalg.unit_vector(2, 1)
-    assert sub.wedge_coords(1, e1, 1, e2) == [1, 0]
-    assert sub.wedge_coords(1, e2, 1, e1) == [-1, 0]
-    assert sub.wedge_coords(1, e1, 2, [0, 1]) == [1]   # e1^e2^e3
+    e1, e2 = {0: Fraction(1)}, {1: Fraction(1)}
+    assert linalg.dense(sub.wedge_coords(1, e1, 1, e2), 2) == [1, 0]
+    assert linalg.dense(sub.wedge_coords(1, e2, 1, e1), 2) == [-1, 0]
+    assert linalg.dense(sub.wedge_coords(1, e1, 2, linalg.sparse([0, 1])),
+                        1) == [1]   # e1^e2^e3
 
 
 def test_a_ring_computes_a_degree_when_first_asked():
@@ -628,7 +632,7 @@ def test_a_ring_computes_a_degree_when_first_asked():
 def test_subcomplex_closure_failure_raises():
     # span(e3) is not d-closed in the Heisenberg complex
     dga = heisenberg_dga()
-    spans = {1: [[Fraction(0), Fraction(0), Fraction(1)]]}
+    spans = {1: [linalg.sparse([Fraction(0), Fraction(0), Fraction(1)])]}
     with pytest.raises(StructureError):
         Subcomplex(dga, spans)
 
@@ -714,7 +718,9 @@ def test_rotation_by_90_degrees():
     phi = AlgebraMap(t2.algebra, {"e1": e2, "e2": -e1})
     inv = invariant_subalgebra(t2, phi, 4)
     assert [inv.dim(p) for p in range(3)] == [1, 0, 1]
-    assert oracle_fixed_dims([phi.matrix(p) for p in range(3)]) == [1, 0, 1]
+    assert oracle_fixed_dims([[linalg.dense(row, t2.dim(p))
+                               for row in phi.matrix(p)]
+                              for p in range(3)]) == [1, 0, 1]
     assert inv.basis_elements(2) == [t2.algebra.monomial("e1", "e2")]
 
 
@@ -724,7 +730,9 @@ def test_minus_identity():
     phi = AlgebraMap(t2.algebra, {"e1": -e1, "e2": -e2})
     inv = invariant_subalgebra(t2, phi, 2)
     assert [inv.dim(p) for p in range(3)] == [1, 0, 1]
-    assert oracle_fixed_dims([phi.matrix(p) for p in range(3)]) == [1, 0, 1]
+    assert oracle_fixed_dims([[linalg.dense(row, t2.dim(p))
+                               for row in phi.matrix(p)]
+                              for p in range(3)]) == [1, 0, 1]
 
 
 def test_invariant_subalgebra_validations():

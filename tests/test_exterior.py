@@ -148,6 +148,17 @@ def test_homogeneity_enforced(alg3):
         Element(alg3, 2, {alg3.canonicalize([0])[0]: Fraction(1)})
 
 
+@pytest.mark.parametrize("even", [False, True], ids=["bitmask", "tuple"])
+def test_public_constructor_checks_every_key_degree(even):
+    # keys handed in from outside are checked; only keys the algebra made
+    # itself skip the check
+    alg = GradedAlgebra([Generator("e1", 1), Generator("e2", 2 if even else 1)],
+                        max_degree=4 if even else None)
+    key, = alg.gen("e1").terms
+    with pytest.raises(StructureError, match="element claims 2"):
+        Element(alg, 2, {key: 1})
+
+
 def test_coords_round_trip(alg3):
     elem = alg3.monomial("e1", "e3") - alg3.monomial("e2", "e3", coeff=Fraction(1, 2))
     assert alg3.element(2, elem.coords()) == elem

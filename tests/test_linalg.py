@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from cokahler import linalg
+from cokahler import geometry, linalg
 from cokahler.errors import StructureError
 from cokahler.geometry import LieModel
 
@@ -14,6 +15,14 @@ from cokahler.geometry import LieModel
 def random_matrix(rng, nrows, ncols, denom=4):
     return [[Fraction(rng.randint(-6, 6), rng.randint(1, denom))
              for _ in range(ncols)] for _ in range(nrows)]
+
+
+def sparse_rows(mat):
+    return [linalg.sparse(row) for row in mat]
+
+
+def dense_rows(mat, ncols):
+    return [linalg.dense(row, ncols) for row in mat]
 
 
 def to_sympy(mat):
@@ -25,7 +34,7 @@ def to_sympy(mat):
 def test_rank_matches_sympy(seed):
     rng = random.Random(seed)
     mat = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-    assert linalg.rank(mat) == to_sympy(mat).rank()
+    assert linalg.rank(sparse_rows(mat)) == to_sympy(mat).rank()
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -33,9 +42,10 @@ def test_kernel_is_a_nullspace_basis(seed):
     rng = random.Random(seed)
     nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
     mat = random_matrix(rng, nrows, ncols)
-    kern = linalg.kernel_basis(mat, ncols)
+    kern = linalg.kernel_basis(sparse_rows(mat), ncols)
     for vec in kern:
-        assert all(v == 0 for v in linalg.mat_vec(mat, vec))
+        assert all(v == 0 for v in linalg.dense(
+            linalg.mat_vec(sparse_rows(mat), vec), nrows))
     assert len(kern) == ncols - to_sympy(mat).rank()
     if kern:
         assert linalg.rank(kern) == len(kern)
@@ -45,7 +55,8 @@ def test_kernel_is_a_nullspace_basis(seed):
 def test_rref_is_reduced_and_spans(seed):
     rng = random.Random(seed)
     mat = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-    rows, pivots = linalg.rref(mat)
+    rows, pivots = linalg.rref(sparse_rows(mat))
+    rows = dense_rows(rows, len(mat[0]))
     for i, c in enumerate(pivots):
         assert rows[i][c] == 1
         assert all(rows[k][c] == 0 for k in range(len(rows)) if k != i)
@@ -53,7 +64,7 @@ def test_rref_is_reduced_and_spans(seed):
     assert to_sympy(mat).rank() == len(rows)
     if rows:
         stacked = [list(r) for r in mat] + [list(r) for r in rows]
-        assert linalg.rank(stacked) == len(rows)
+        assert linalg.rank(sparse_rows(stacked)) == len(rows)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -62,21 +73,24 @@ def test_solve_finds_solutions(seed):
     nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
     mat = random_matrix(rng, nrows, ncols)
     x = [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
-    rhs = linalg.mat_vec(mat, x)
-    sol = linalg.solve(mat, rhs)
+    rhs = linalg.mat_vec(sparse_rows(mat), linalg.sparse(x))
+    sol = linalg.solve(sparse_rows(mat), rhs, ncols)
     assert sol is not None
-    assert linalg.mat_vec(mat, sol) == rhs
+    assert linalg.mat_vec(sparse_rows(mat), sol) == rhs
 
 
 def test_solve_detects_inconsistency():
     mat = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
-    assert linalg.solve(mat, [Fraction(1), Fraction(2)]) is None
+    assert linalg.solve(sparse_rows(mat),
+                        linalg.sparse([Fraction(1), Fraction(2)]), 2) is None
 
 
 def test_solve_sets_free_variables_to_zero():
     # x + y = 1: the pivot is the first column, so y is free and set to zero
     mat = [[Fraction(1), Fraction(1)]]
-    assert linalg.solve(mat, [Fraction(1)]) == [Fraction(1), Fraction(0)]
+    assert linalg.dense(linalg.solve(sparse_rows(mat),
+                                     linalg.sparse([Fraction(1)]), 2),
+                        2) == [Fraction(1), Fraction(0)]
 
 
 def leading_minors(mat):
@@ -115,31 +129,35 @@ def test_inverse_round_trip():
     rng = random.Random(7)
     while True:
         mat = random_matrix(rng, 4, 4)
-        if linalg.rank(mat) == 4:
+        if linalg.rank(sparse_rows(mat)) == 4:
             break
-    inv = linalg.inverse(mat)
-    assert linalg.mat_mul(mat, inv) == linalg.identity(4)
+    inv = geometry._inverse(mat)
+    assert linalg.mat_mul(sparse_rows(mat), sparse_rows(inv)) == \
+        linalg.identity(4)
 
 
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError):
-        linalg.inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+        geometry._inverse([[Fraction(1), Fraction(2)],
+                           [Fraction(2), Fraction(4)]])
 
 
 def test_same_span_detects_equality_and_difference():
     a = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     b = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
     c = [[Fraction(1), Fraction(1)]]
-    assert linalg.same_span(a, b)
-    assert not linalg.same_span(a, c)
+    assert linalg.same_span(sparse_rows(a), sparse_rows(b))
+    assert not linalg.same_span(sparse_rows(a), sparse_rows(c))
 
 
 def test_residual_reduces_into_complement():
-    rows, pivots = linalg.rref([[Fraction(1), Fraction(2), Fraction(0)]])
-    vec = [Fraction(3), Fraction(6), Fraction(5)]
-    assert linalg.residual(vec, rows, pivots) == [0, 0, Fraction(5)]
-    assert linalg.in_row_space([Fraction(2), Fraction(4), Fraction(0)],
-                               rows, pivots)
+    rows, pivots = linalg.rref(
+        sparse_rows([[Fraction(1), Fraction(2), Fraction(0)]]))
+    vec = linalg.sparse([Fraction(3), Fraction(6), Fraction(5)])
+    assert linalg.dense(linalg.residual(vec, rows, pivots), 3) == \
+        [0, 0, Fraction(5)]
+    assert linalg.in_row_space(
+        linalg.sparse([Fraction(2), Fraction(4), Fraction(0)]), rows, pivots)
 
 
 # -- mostly-zero matrices --------------------------------------------------------
@@ -169,9 +187,9 @@ def sparse_case(seed, zeros):
 
 def assert_elimination_matches_sympy(rng, mat, ncols):
     ref, ref_pivots = to_sympy(mat).rref()
-    want = (from_sympy(ref)[:len(ref_pivots)], list(ref_pivots))
-    kernel = [[Fraction(int(v.p), int(v.q)) for v in vec]
-              for vec in to_sympy(mat).nullspace()]
+    want = (sparse_rows(from_sympy(ref)[:len(ref_pivots)]), list(ref_pivots))
+    kernel = sparse_rows([[Fraction(int(v.p), int(v.q)) for v in vec]
+                          for vec in to_sympy(mat).nullspace()])
     # row order, nonzero row scaling and repeated rows leave the row space,
     # hence the reduced form, the rank and the kernel, unchanged
     shuffled = rng.sample(mat, len(mat))
@@ -179,7 +197,7 @@ def assert_elimination_matches_sympy(rng, mat, ncols):
                for _ in mat]
     scaled = [[f * v for v in row] for f, row in zip(factors, mat)]
     repeated = mat + rng.sample(mat, len(mat))[:3]
-    for variant in (mat, shuffled, scaled, repeated):
+    for variant in map(sparse_rows, (mat, shuffled, scaled, repeated)):
         assert linalg.rref(variant) == want
         assert linalg.rank(variant) == len(ref_pivots)
         assert linalg.kernel_basis(variant, ncols) == kernel
@@ -203,14 +221,16 @@ def test_hilbert_rref_rank_and_kernel_match_sympy(ncols):
 def test_sparse_solve_and_products_match_sympy(seed, zeros):
     rng, mat, ncols = sparse_case(seed, zeros)
     x = sparse_matrix(rng, 1, ncols, zeros)[0]
-    rhs = linalg.mat_vec(mat, x)
-    assert rhs == from_sympy((to_sympy(mat) * to_sympy([x]).T).T)[0]
-    sol, params = to_sympy(mat).gauss_jordan_solve(to_sympy([rhs]).T)
-    want = from_sympy(sol.subs({t: 0 for t in params}).T)[0]
-    assert linalg.solve(mat, rhs) == want
+    rhs = linalg.mat_vec(sparse_rows(mat), linalg.sparse(x))
+    assert rhs == linalg.sparse(
+        from_sympy((to_sympy(mat) * to_sympy([x]).T).T)[0])
+    sol, params = to_sympy(mat).gauss_jordan_solve(
+        to_sympy([linalg.dense(rhs, len(mat))]).T)
+    want = linalg.sparse(from_sympy(sol.subs({t: 0 for t in params}).T)[0])
+    assert linalg.solve(sparse_rows(mat), rhs, ncols) == want
     other = sparse_matrix(rng, ncols, rng.randint(1, 9), zeros)
-    assert linalg.mat_mul(mat, other) == \
-        from_sympy(to_sympy(mat) * to_sympy(other))
+    assert linalg.mat_mul(sparse_rows(mat), sparse_rows(other)) == \
+        sparse_rows(from_sympy(to_sympy(mat) * to_sympy(other)))
 
 
 def test_rows_with_a_zero_factor_are_rescaled_when_the_pivot_changes():
@@ -219,5 +239,76 @@ def test_rows_with_a_zero_factor_are_rescaled_when_the_pivot_changes():
     # the next division by 3 and reads the third row as (0, 0, 0)
     mat = [[Fraction(v) for v in row]
            for row in ((3, 0, 1), (0, 1, 0), (-2, 3, 0))]
-    assert linalg.rank(mat) == 3
-    assert linalg.rref(mat) == (linalg.identity(3), [0, 1, 2])
+    assert linalg.rank(sparse_rows(mat)) == 3
+    assert linalg.rref(sparse_rows(mat)) == (linalg.identity(3), [0, 1, 2])
+
+
+# -- random sparse matrices against sympy ----------------------------------------
+
+ENTRIES = st.sampled_from([Fraction(0)] * 6 + [Fraction(v, d) for v in (-3, -1, 1, 2)
+                                               for d in (1, 2, 3)])
+
+
+@st.composite
+def sparse_cases(draw):
+    """A rational matrix with dead columns, empty rows and repeated rows, as
+    dense rows, with its column count."""
+    ncols = draw(st.integers(1, 7))
+    dead = draw(st.sets(st.integers(0, ncols - 1)))
+    mat = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+                        max_size=6))
+    mat = [[Fraction(0) if j in dead else v for j, v in enumerate(row)]
+           for row in mat]
+    mat += [[Fraction(0)] * ncols] * draw(st.integers(0, 2))
+    if mat:
+        mat += [mat[i] for i in draw(st.lists(st.integers(0, len(mat) - 1),
+                                              max_size=3))]
+    return [mat[i] for i in draw(st.permutations(range(len(mat))))], ncols
+
+
+def exact_sympy(mat, ncols):
+    return sympy.Matrix(len(mat), ncols,
+                        [sympy.Rational(v.numerator, v.denominator)
+                         for row in mat for v in row])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sparse_cases(), st.data())
+def test_sparse_forms_match_sympy(case, data):
+    mat, ncols = case
+    rows = sparse_rows(mat)
+    for row, vec in zip(mat, rows):
+        assert linalg.dense(vec, ncols) == row
+        assert all(vec.values())
+    ref = exact_sympy(mat, ncols)
+    rank = ref.rank()
+    assert linalg.rank(rows) == rank
+    reduced, pivots = ref.rref()
+    rref = linalg.rref(rows)
+    assert rref == (sparse_rows(from_sympy(reduced)[:rank]), list(pivots))
+    assert linalg.kernel_basis(rows, ncols) == sparse_rows(
+        [[Fraction(int(v.p), int(v.q)) for v in vec] for vec in ref.nullspace()])
+    # residual and membership, for a vector inside or outside the row space
+    vec = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+    rest = linalg.residual(linalg.sparse(vec), *rref)
+    assert all(c not in rest for c in pivots)
+    shift = [a - b for a, b in zip(linalg.dense(rest, ncols), vec)]
+    assert exact_sympy(mat + [shift], ncols).rank() == rank
+    inside = exact_sympy(mat + [vec], ncols).rank() == rank
+    assert linalg.in_row_space(linalg.sparse(vec), *rref) == inside
+    assert inside == (not rest)
+    # solve, consistent or not; free variables are zero
+    rhs = data.draw(st.lists(ENTRIES, min_size=len(mat), max_size=len(mat)))
+    sol = linalg.solve(rows, linalg.sparse(rhs), ncols)
+    # an entry of rhs past the last row is the equation 0 = 1
+    assert linalg.solve(rows, {len(mat): Fraction(1)}, ncols) is None
+    if not mat:
+        assert sol == {}
+        return
+    column = exact_sympy([[v] for v in rhs], 1)
+    if ref.row_join(column).rank() > rank:
+        assert sol is None
+    else:
+        ref_sol, params = ref.gauss_jordan_solve(column)
+        want = from_sympy(ref_sol.subs({t: 0 for t in params}).T)[0]
+        assert sol == linalg.sparse(want)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cokahler import load_corpus, loads
+from cokahler import linalg, load_corpus, loads
 from cokahler.cdga import DGA, extend_derivation
 from cokahler.cli import main
 from cokahler.cohomology import InducedMap
@@ -83,9 +83,9 @@ def test_cap_below_one_refused(torus3):
 def test_disconnected_target_refused(torus3):
     # a subcomplex without the constants has H^0 = 0
     from cokahler.cdga import Subcomplex
-    spans = {1: [list(v) for v in
-                 torus3.ce().d_matrix(0)] or [[1, 0, 0]]}
-    spans = {1: [[1, 0, 0]]}
+    spans = {1: [dict(v) for v in
+                 torus3.ce().d_matrix(0)] or [linalg.sparse([1, 0, 0])]}
+    spans = {1: [linalg.sparse([1, 0, 0])]}
     sub = Subcomplex(torus3.ce(), spans)
     with pytest.raises(StructureError):
         minimal_model(sub, 2)
@@ -177,14 +177,15 @@ class SurjectivityFake:
         return 3
 
     def representative_of(self, p, class_coords):
-        return list(class_coords)
+        return dict(class_coords)
 
     def induced_map(self, p):
-        return InducedMap(p, [[1], [1], [0]], 1, 3, 1, [])
+        return InducedMap(p, [linalg.sparse(row) for row in ([1], [1], [0])],
+                          1, 3, 1, [])
 
     def add_generator(self, degree, d_image, target_coords):
         assert d_image is None
-        self.added.append(target_coords)
+        self.added.append(linalg.dense(target_coords, 3))
 
 
 def test_extend_surjective_adds_the_greedy_classes():

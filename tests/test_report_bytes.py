@@ -5,7 +5,8 @@
 to the exact core must leave those bytes as they are, so a mismatch here
 fails the suite instead of only printing in a benchmark run.  The file is
 read, never written; ``perfbench/make_reference.py`` regenerates it.
-``PINNED`` holds the SHA-256s of models the benchmark does not run.
+``PINNED`` holds the SHA-256s of models the benchmark does not run, or
+runs only on some seeds; their texts come from ``perfbench/models.py`` too.
 """
 
 import hashlib
@@ -22,20 +23,43 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LABELS = ("torus3", "torus5", "heisenberg", "t2-rot4-mapping-torus",
           "t2-negid-mapping-torus", "rot5-1-2", "h3xR2", "torus7",
           "rot7-1-1-3")
-# kx5 is the one model with d != 0 on Omega_1
+# kx5 and kx7 have d != 0 on Omega_1; nil5 is not cosymplectic; torus9 is
+# the frontier dimension
 PINNED = {
     "kx5": "1b975619702f84da28ffd00ee0488cc0bc9eead37276a6c2436cb40a0807e594",
+    "nil5": "ef26474476ead2ed550effb2f87e247a1ea5a6443de60114052e329ef9e36fc1",
+    "rot7-1-1-1":
+        "3fb5b839f3da0f29951078dc4a795283d1050534e800b3f69e4b23cc160c4dd5",
+    "kx7": "33fd930dbb0c59fd176fb0c3229ddfeacd1730335fbaf1cc9f926666a1db4e12",
+    "torus9": "d38f718215c13a7cf140e02bfa5db99b4e4e12d5c5915ba2354fe5fa0e86b402",
 }
 
 
 @cache
-def model_texts() -> dict:
-    """The benchmark's model texts, by label (None for a corpus model)."""
+def perfbench_models():
     spec = importlib.util.spec_from_file_location(
         "perfbench_models", PERFBENCH / "models.py")
     models = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(models)
-    return models.report_models()
+    return models
+
+
+def model_texts() -> dict:
+    """The benchmark's model texts, by label (None for a corpus model)."""
+    return perfbench_models().report_models()
+
+
+def pinned_text(name: str) -> str | None:
+    """The text of a pinned model (None for a corpus model)."""
+    models = perfbench_models()
+    return {
+        "kx5": None,
+        "nil5": models.nil5_text(),
+        "rot7-1-1-1": models.rot_text((1, 1, 1)),
+        "kx7": models.model_text("kx7", 7, [(2, 4, 5, 1), (2, 5, 4, -1),
+                                            (2, 6, 7, 2), (2, 7, 6, -2)]),
+        "torus9": models.model_text("torus9", 9),
+    }[name]
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -49,5 +73,7 @@ def test_report_bytes_match_the_reference(label):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_report_bytes_match_the_pinned_hash(name):
-    data = render_json(build_report(load_corpus(name))).encode()
+    text = pinned_text(name)
+    mf = load_corpus(name) if text is None else loads(text)
+    data = render_json(build_report(mf)).encode()
     assert hashlib.sha256(data).hexdigest() == PINNED[name]
