@@ -44,8 +44,7 @@ def eta_operator(m: LieModel, eta: Element) -> EtaOperator:
     dga = m.ce()
     images = {}
     for i in range(m.dimension):
-        nu_sharp = m.sharp([int(t == i) for t in range(m.dimension)])
-        img = m.iota(nu_sharp).apply(eta)
+        img = m.iota(m.sharp({i: 1})).apply(eta)
         if not img.is_zero():
             images[i] = img
     rho = Derivation(m.algebra(), k - 2, images, name="rho_eta")

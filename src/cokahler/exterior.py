@@ -350,14 +350,6 @@ class Element:
     def coords(self) -> dict[int, Fraction]:
         return self.algebra.coords(self)
 
-    def coefficient(self, *names) -> Fraction:
-        """Coefficient of the canonical monomial on the given generators."""
-        idx = [n if isinstance(n, int) else self.algebra.index(n) for n in names]
-        key, sign = self.algebra.canonicalize(idx)
-        if sign == 0:
-            return Fraction(0)
-        return sign * self.terms.get(key, Fraction(0))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Rational):
             other = self.algebra.scalar(other)

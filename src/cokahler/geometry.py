@@ -6,6 +6,11 @@ geometry is evaluated on left-invariant data, so every check is a finite
 exact computation: the Koszul formula gives the Levi-Civita connection,
 Killing/parallel conditions are matrix identities, and the induced
 Chevalley-Eilenberg complex carries the differential calculus.
+
+Tangent vectors, covectors and n x n matrices (metric, J, ad, Gamma) are
+``linalg`` sparse vectors and matrices, and all arithmetic on them goes
+through ``linalg``.  ``LieModel.__init__`` is the one place where dense
+input rows, as a model file gives them, become sparse.
 """
 
 from __future__ import annotations
@@ -18,53 +23,16 @@ from . import linalg
 from .cdga import DGA, Derivation, check_d_squared, supercommutator
 from .errors import StructureError
 from .exterior import Element, Generator, GradedAlgebra
-
-Vector = list[Fraction]
-Matrix = list[Vector]
-
-
-def _frac_vector(seq) -> Vector:
-    return [Fraction(v) for v in seq]
-
-
-def _frac_matrix(rows) -> Matrix:
-    return [[Fraction(v) for v in row] for row in rows]
-
-
-# Dense helpers for the n x n tangent-space matrices (metric, J, ad, Gamma).
-
-def _mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((x * y for x, y in zip(row, v) if x and y), Fraction(0))
-            for row in a]
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = _transpose(b)
-    return [_mat_vec(cols, row) for row in a]
-
-
-def _transpose(mat: Matrix) -> Matrix:
-    return [list(col) for col in zip(*mat)]
-
-
-def _identity(n: int) -> Matrix:
-    return [_unit_vector(n, i) for i in range(n)]
-
-
-def _unit_vector(n: int, j: int) -> Vector:
-    vec = [Fraction(0)] * n
-    vec[j] = Fraction(1)
-    return vec
+from .linalg import Matrix, Vector
 
 
 def _inverse(mat: Matrix) -> Matrix:
     """Inverse of a square rational matrix; raises ValueError if singular."""
     n = len(mat)
-    aug = [linalg.sparse(row + unit) for row, unit in zip(mat, _identity(n))]
-    rows, pivots = linalg.rref(aug)
+    rows, pivots = linalg.rref([{**row, n + i: 1} for i, row in enumerate(mat)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [linalg.dense(row, 2 * n)[n:] for row in rows]
+    return [{j - n: v for j, v in row.items() if j >= n} for row in rows]
 
 
 def once_per_model(build):
@@ -89,11 +57,13 @@ class LieModel:
     ``brackets`` maps (i, j) with i < j (0-based) to {k: c} meaning
     [X_i, X_j] = sum_k c^k_ij X_k; antisymmetry is completed internally.
     The Jacobi identity is enforced at construction via d squared = 0 on the
-    induced Chevalley-Eilenberg complex.
+    induced Chevalley-Eilenberg complex.  ``metric``, ``xi``, ``eta``, ``J``
+    and the automorphism matrix are given as dense rows, checked for shape,
+    and stored sparse.
     """
 
     def __init__(self, dimension: int, brackets: dict, name: str = "model",
-                 metric: Matrix | None = None, xi=None, eta=None, J=None,
+                 metric=None, xi=None, eta=None, J=None,
                  omega_terms=None, automorphism=None):
         self.name = name
         self.dimension = dimension
@@ -114,26 +84,24 @@ class LieModel:
                     clean[k] = c
             if clean:
                 self.brackets[(i, j)] = clean
-        self.metric = _frac_matrix(metric) if metric is not None \
-            else _identity(dimension)
-        _check_metric(self.metric, dimension)
-        self.xi = _frac_vector(xi) if xi is not None else None
-        self.eta = _frac_vector(eta) if eta is not None else None
-        self.J = _frac_matrix(J) if J is not None else None
-        for label, data, is_mat in (("xi", self.xi, False), ("eta", self.eta, False),
-                                    ("J", self.J, True)):
-            if data is None:
-                continue
-            rows = data if is_mat else [data]
-            if len(rows) != (dimension if is_mat else 1) or \
-                    any(len(r) != dimension for r in rows):
-                raise StructureError(f"{label} has the wrong shape")
+        if metric is None:
+            self.metric = linalg.identity(dimension)
+        else:
+            self.metric = _sparse_rows("metric", metric, dimension, dimension)
+            _check_metric(metric, dimension)
+        self.xi = _sparse_rows("xi", [xi], 1, dimension)[0] \
+            if xi is not None else None
+        self.eta = _sparse_rows("eta", [eta], 1, dimension)[0] \
+            if eta is not None else None
+        self.J = _sparse_rows("J", J, dimension, dimension) \
+            if J is not None else None
         self.omega_terms = [(int(i), int(j), Fraction(c))
                             for i, j, c in (omega_terms or [])]
         self.automorphism = None
         if automorphism is not None:
             mat, order = automorphism
-            self.automorphism = (_frac_matrix(mat), int(order))
+            self.automorphism = ([linalg.sparse(row) for row in mat],
+                                 int(order))
         self._derived: dict = {}    # see once_per_model
         if not check_d_squared(self.ce()):
             raise StructureError(
@@ -142,37 +110,25 @@ class LieModel:
     # -- brackets ------------------------------------------------------------
 
     def bracket(self, i: int, j: int) -> Vector:
-        out = [Fraction(0)] * self.dimension
-        if i == j:
-            return out
-        sign = 1
         if i > j:
-            i, j, sign = j, i, -1
-        for k, c in self.brackets.get((i, j), {}).items():
-            out[k] = sign * c
-        return out
+            return {k: -c for k, c in self.bracket(j, i).items()}
+        return dict(self.brackets.get((i, j), {}))
 
-    def ad(self, vector) -> Matrix:
+    def ad(self, vector: Vector) -> Matrix:
         """Matrix of ad_X: column j is [X, X_j], in one pass over the
         brackets [X_i, X_j] = c^k_ij X_k with i < j."""
-        vec = _frac_vector(vector)
-        n = self.dimension
-        out = [[Fraction(0)] * n for _ in range(n)]
+        out: Matrix = [{} for _ in range(self.dimension)]
         for (i, j), comps in self.brackets.items():
             for k, c in comps.items():
-                if vec[i]:
-                    out[k][j] += vec[i] * c
-                if vec[j]:
-                    out[k][i] -= vec[j] * c
-        return out
-
-    def bracket_vectors(self, x: Vector, y: Vector) -> Vector:
-        return _mat_vec(self.ad(x), y)
+                if i in vector:
+                    out[k][j] = out[k].get(j, 0) + vector[i] * c
+                if j in vector:
+                    out[k][i] = out[k].get(i, 0) - vector[j] * c
+        return [{j: v for j, v in row.items() if v} for row in out]
 
     def is_unimodular(self) -> bool:
-        n = self.dimension
-        return all(sum(self.ad(_unit_vector(n, i))[k][k]
-                       for k in range(n)) == 0 for i in range(n))
+        return all(sum(row.get(k, 0) for k, row in enumerate(self.ad({i: 1})))
+                   == 0 for i in range(self.dimension))
 
     # -- the Chevalley-Eilenberg complex --------------------------------------
 
@@ -195,7 +151,7 @@ class LieModel:
     def eta_element(self) -> Element:
         if self.eta is None:
             raise StructureError(f"model {self.name!r} has no eta")
-        return self.algebra().element(1, linalg.sparse(self.eta))
+        return self.algebra().element(1, self.eta)
 
     # -- metric moves ----------------------------------------------------------
 
@@ -203,48 +159,38 @@ class LieModel:
     def metric_inverse(self) -> Matrix:
         return _inverse(self.metric)
 
-    def sharp(self, covector) -> Vector:
+    def sharp(self, covector: Vector) -> Vector:
         """Metric isomorphism T*->T (inverse metric applied to components)."""
-        return _mat_vec(self.metric_inverse(), _frac_vector(covector))
+        return linalg.mat_vec(self.metric_inverse(), covector)
 
-    def flat(self, vector) -> Vector:
-        return _mat_vec(self.metric, _frac_vector(vector))
-
-    def inner(self, x: Vector, y: Vector) -> Fraction:
-        gx = _mat_vec(self.metric, list(x))
-        return sum((gx[i] * y[i] for i in range(self.dimension)), Fraction(0))
+    def flat(self, vector: Vector) -> Vector:
+        return linalg.mat_vec(self.metric, vector)
 
     # -- contraction and Lie derivative -----------------------------------------
 
-    def iota(self, vector) -> Derivation:
+    def iota(self, vector: Vector) -> Derivation:
         """Interior product with a vector, as a degree -1 derivation."""
-        vec = _frac_vector(vector)
         alg = self.algebra()
-        images = {i: alg.scalar(vec[i]) for i in range(self.dimension) if vec[i]}
+        images = {i: alg.scalar(c) for i, c in vector.items()}
         return Derivation(alg, -1, images, name="iota")
 
-    def contract(self, vector, elem: Element) -> Element:
+    def contract(self, vector: Vector, elem: Element) -> Element:
         return self.iota(vector).apply(elem)
 
-    def lie(self, vector) -> Derivation:
+    def lie(self, vector: Vector) -> Derivation:
         """Lie derivative {d, iota_X} (Cartan)."""
         return supercommutator(self.ce().d, self.iota(vector))
 
-    def lie_coadjoint(self, vector) -> Derivation:
+    def lie_coadjoint(self, vector: Vector) -> Derivation:
         """Lie derivative built without d or iota: on invariant 1-forms,
         (L_X e^k)(Y) = -e^k([X, Y])."""
         alg = self.algebra()
-        images = {}
-        for k, row in enumerate(self.ad(vector)):
-            img = alg.element(1, linalg.sparse([-c for c in row]))
-            if not img.is_zero():
-                images[k] = img
+        images = {k: alg.element(1, {j: -c for j, c in row.items()})
+                  for k, row in enumerate(self.ad(vector)) if row}
         return Derivation(alg, 0, images, name="L_coadjoint")
 
     def iota_xi(self) -> Derivation:
-        if self.xi is None:
-            raise StructureError(f"model {self.name!r} has no xi")
-        return self.iota(self.xi)
+        return self.iota(self._require("xi"))
 
     @once_per_model
     def lie_xi(self) -> Derivation:
@@ -269,26 +215,30 @@ class LieModel:
         gamma = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                rhs = [(low[i][j][k] - low[j][k][i] + low[k][i][j]) / 2
-                       for k in range(n)]
-                gamma[i][j] = _mat_vec(ginv, rhs)
+                rhs = {}
+                for k in range(n):
+                    v = low[i][j].get(k, 0) - low[j][k].get(i, 0) \
+                        + low[k][i].get(j, 0)
+                    if v:
+                        rhs[k] = v / 2
+                gamma[i][j] = linalg.mat_vec(ginv, rhs)
         _check_connection(self, gamma)
         return gamma
 
-    def nabla(self, i: int, vector) -> Vector:
+    def nabla(self, i: int, vector: Vector) -> Vector:
         """nabla_{X_i} of a vector field with constant components."""
-        gamma = self.levi_civita()
-        vec = _frac_vector(vector)
-        out = [Fraction(0)] * self.dimension
-        for j, c in enumerate(vec):
-            if c:
-                out = [out[k] + c * gamma[i][j][k] for k in range(self.dimension)]
-        return out
+        return linalg.combine(vector, self.levi_civita()[i])
 
 
-def _check_metric(g: Matrix, n: int):
-    if len(g) != n or any(len(row) != n for row in g):
-        raise StructureError("metric has the wrong shape")
+def _sparse_rows(label: str, rows, count: int, n: int) -> Matrix:
+    """The sparse form of ``count`` dense input rows of length n."""
+    if len(rows) != count or any(len(row) != n for row in rows):
+        raise StructureError(f"{label} has the wrong shape")
+    return [linalg.sparse(row) for row in rows]
+
+
+def _check_metric(g, n: int):
+    """Symmetry and positive definiteness of the n dense metric rows."""
     for i in range(n):
         for j in range(i):
             if g[i][j] != g[j][i]:
@@ -296,7 +246,7 @@ def _check_metric(g: Matrix, n: int):
     # elimination without row exchanges: while the leading minors are
     # positive, the k-th pivot is minor_k / minor_{k-1} (Sylvester), so the
     # first pivot <= 0 names the first leading minor <= 0
-    rows = [list(row) for row in g]
+    rows = [[Fraction(v) for v in row] for row in g]
     for k in range(n):
         if rows[k][k] <= 0:
             raise StructureError("metric is not positive definite "
@@ -311,16 +261,15 @@ def _check_connection(m: LieModel, gamma):
     n = m.dimension
     for i in range(n):
         for j in range(n):
-            br = m.bracket(i, j)
-            for k in range(n):
-                if gamma[i][j][k] - gamma[j][i][k] != br[k]:
-                    raise StructureError("Koszul connection is not torsion-free")
+            if linalg.combine({0: 1, 1: -1}, [gamma[i][j], gamma[j][i]]) \
+                    != m.bracket(i, j):
+                raise StructureError("Koszul connection is not torsion-free")
     # low[i][j][k] = g(nabla_{X_i} X_j, X_k); g is symmetric (_check_metric)
     low = [[m.flat(gamma[i][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if low[i][j][k] + low[i][k][j] != 0:
+                if low[i][j].get(k, 0) + low[i][k].get(j, 0) != 0:
                     raise StructureError("Koszul connection is not metric")
 
 
@@ -344,32 +293,35 @@ def validate_almost_contact(m: LieModel) -> AlmostContactVerdict:
     n = m.dimension
     J, xi, eta, g = m.J, m.xi, m.eta, m.metric
     witnesses: dict[str, str] = {}
-    jj = _mat_mul(J, J)
-    for i in range(n):
-        for j in range(n):
-            want = -Fraction(int(i == j)) + xi[i] * eta[j]
-            if jj[i][j] != want:
-                witnesses["J^2 + I - eta(x)xi"] = \
-                    f"slot ({i + 1},{j + 1}): {jj[i][j] - want}"
-                break
-        if witnesses:
-            break
-    pairing = sum((eta[i] * xi[i] for i in range(n)), Fraction(0))
+    slot = _first_slot(linalg.mat_sub(
+        linalg.mat_mul(J, J),
+        linalg.mat_sub(_outer(xi, eta, n), linalg.identity(n))))
+    if slot:
+        witnesses["J^2 + I - eta(x)xi"] = slot
+    pairing = sum((c * xi[i] for i, c in eta.items() if i in xi), Fraction(0))
     if pairing != 1:
         witnesses["eta(xi)"] = f"value {pairing}"
-    jt = _transpose(J)
-    lhs = _mat_mul(jt, _mat_mul(g, J))
-    for i in range(n):
-        for j in range(n):
-            want = g[i][j] - eta[i] * eta[j]
-            if lhs[i][j] != want:
-                witnesses["g(J.,J.) - g + eta eta"] = \
-                    f"slot ({i + 1},{j + 1}): {lhs[i][j] - want}"
-                break
-        else:
-            continue
-        break
+    slot = _first_slot(linalg.mat_sub(
+        linalg.mat_mul(linalg.transpose(J, n), linalg.mat_mul(g, J)),
+        linalg.mat_sub(g, _outer(eta, eta, n))))
+    if slot:
+        witnesses["g(J.,J.) - g + eta eta"] = slot
     return AlmostContactVerdict(not witnesses, witnesses)
+
+
+def _outer(u: Vector, v: Vector, n: int) -> Matrix:
+    """The n x n matrix u (x) v, with entry (i, j) = u_i v_j."""
+    return [{j: u[i] * b for j, b in v.items()} if i in u else {}
+            for i in range(n)]
+
+
+def _first_slot(mat: Matrix) -> str | None:
+    """The first nonzero entry of mat in row-major order, as a witness."""
+    for i, row in enumerate(mat):
+        if row:
+            j = min(row)
+            return f"slot ({i + 1},{j + 1}): {row[j]}"
+    return None
 
 
 def fundamental_form(m: LieModel) -> Element:
@@ -379,15 +331,16 @@ def fundamental_form(m: LieModel) -> Element:
         raise StructureError(
             f"almost-contact identities fail: {verdict.witnesses}")
     n = m.dimension
-    jt_g = _mat_mul(_transpose(m.J), m.metric)
+    jt_g = linalg.mat_mul(linalg.transpose(m.J, n), m.metric)
     alg = m.algebra()
     omega = alg.zero(2)
     for i in range(n):
         for j in range(i + 1, n):
-            if jt_g[i][j] != -jt_g[j][i]:
+            c = jt_g[i].get(j, 0)
+            if c != -jt_g[j].get(i, 0):
                 raise StructureError("fundamental form is not antisymmetric")
-            if jt_g[i][j]:
-                omega = omega + alg.monomial(i, j, coeff=jt_g[i][j])
+            if c:
+                omega = omega + alg.monomial(i, j, coeff=c)
     if not m.contract(m.xi, omega).is_zero():
         raise StructureError("iota_xi omega != 0")
     return omega
@@ -414,53 +367,54 @@ def omega_element(m: LieModel) -> Element:
     return override
 
 
-def is_killing(m: LieModel, vector) -> tuple[bool, str | None]:
+def is_killing(m: LieModel, vector: Vector) -> tuple[bool, str | None]:
     """Whether L_X g = 0; witness value is (L_X g)(X_i, X_j) at the first
     failing slot."""
-    g_ad = _mat_mul(m.metric, m.ad(vector))
+    g_ad = linalg.mat_mul(m.metric, m.ad(vector))
     n = m.dimension
     for i in range(n):
         for j in range(i, n):
             # g([X, X_i], X_j) + g(X_i, [X, X_j]); g is symmetric
-            val = -(g_ad[j][i] + g_ad[i][j])
+            val = -(g_ad[j].get(i, 0) + g_ad[i].get(j, 0))
             if val:
                 return False, f"(X{i + 1},X{j + 1}): value {val}"
     return True, None
 
 
-def is_parallel_vector(m: LieModel, vector) -> tuple[bool, str | None]:
-    vec = _frac_vector(vector)
+def is_parallel_vector(m: LieModel, vector: Vector) -> tuple[bool, str | None]:
     for i in range(m.dimension):
-        nab = m.nabla(i, vec)
-        if any(nab):
+        nab = m.nabla(i, vector)
+        if nab:
             return False, f"nabla_X{i + 1}: {_fmt_vector(nab)}"
     return True, None
 
 
-def is_parallel_covector(m: LieModel, covector) -> tuple[bool, str | None]:
-    cov = _frac_vector(covector)
+def is_parallel_covector(m: LieModel,
+                         covector: Vector) -> tuple[bool, str | None]:
+    """(nabla_X alpha)(X_j) = -alpha(nabla_X X_j) on basis pairs."""
     gamma = m.levi_civita()
-    n = m.dimension
-    for i in range(n):
-        for j in range(n):
-            val = -sum((gamma[i][j][k] * cov[k] for k in range(n)), Fraction(0))
-            if val:
-                return False, f"(nabla_X{i + 1} form)(X{j + 1}) = {val}"
+    for i in range(m.dimension):
+        vals = linalg.mat_vec(gamma[i], covector)
+        if vals:
+            j = min(vals)
+            return False, f"(nabla_X{i + 1} form)(X{j + 1}) = {-vals[j]}"
     return True, None
 
 
-def is_parallel_tensor(m: LieModel, matrix) -> tuple[bool, str | None]:
-    """(nabla_X T)Y = nabla_X(TY) - T(nabla_X Y) on basis pairs."""
-    t = _frac_matrix(matrix)
+def is_parallel_tensor(m: LieModel, matrix: Matrix) -> tuple[bool, str | None]:
+    """(nabla_X T)Y = nabla_X(TY) - T(nabla_X Y) on basis pairs.
+
+    Row j of gamma[i] is nabla_{X_i} X_j, so gamma[i] is the transpose G^t
+    of nabla_{X_i} as a matrix G, and the rows of T^t G^t - G^t T^t are the
+    columns (nabla_{X_i} T)(X_j) of G T - T G."""
     n = m.dimension
-    for i in range(n):
-        for j in range(n):
-            ty = [t[k][j] for k in range(n)]
-            first = m.nabla(i, ty)
-            second = _mat_vec(t, m.nabla(i, _unit_vector(n, j)))
-            diff = [first[k] - second[k] for k in range(n)]
-            if any(diff):
-                return False, f"(nabla_X{i + 1} T)(X{j + 1}) = {_fmt_vector(diff)}"
+    tt = linalg.transpose(matrix, n)
+    for i, gam in enumerate(m.levi_civita()):
+        cols = linalg.mat_sub(linalg.mat_mul(tt, gam), linalg.mat_mul(gam, tt))
+        for j, col in enumerate(cols):
+            if col:
+                return False, \
+                    f"(nabla_X{i + 1} T)(X{j + 1}) = {_fmt_vector(col)}"
     return True, None
 
 
@@ -472,29 +426,36 @@ def nijenhuis_normality(m: LieModel) -> tuple[bool, str | None]:
             f"almost-contact identities fail: {verdict.witnesses}")
     J, xi, eta = m.J, m.xi, m.eta
     n = m.dimension
-    jj = _mat_mul(J, J)
-    cols = _transpose(J)
+    jj = linalg.mat_mul(J, J)
+    cols = linalg.transpose(J, n)       # cols[i] = J X_i
+    ad_x = [m.ad({i: 1}) for i in range(n)]
+    ad_jx = [m.ad(col) for col in cols]
     for i in range(n):
         for j in range(i + 1, n):
-            xi_v, xj_v = _unit_vector(n, i), _unit_vector(n, j)
-            jx, jy = cols[i], cols[j]
             br = m.bracket(i, j)
-            jjb = _mat_vec(jj, br)
-            bjj = m.bracket_vectors(jx, jy)
-            jb1 = _mat_vec(J, m.bracket_vectors(jx, xj_v))
-            jb2 = _mat_vec(J, m.bracket_vectors(xi_v, jy))
-            d_eta = -sum((eta[k] * br[k] for k in range(n)), Fraction(0))
-            term = [jjb[k] + bjj[k] - jb1[k] - jb2[k] + 2 * d_eta * xi[k]
-                    for k in range(n)]
-            if any(term):
+            # J[JX_i, X_j] + J[X_i, JX_j]
+            jb = linalg.mat_vec(J, linalg.combine({0: 1, 1: 1}, [
+                linalg.mat_vec(ad_jx[i], {j: 1}),
+                linalg.mat_vec(ad_x[i], cols[j])]))
+            d_eta = -sum((c * eta[k] for k, c in br.items() if k in eta),
+                         Fraction(0))
+            term = linalg.combine({0: 1, 1: 1, 2: -1, 3: 2 * d_eta}, [
+                linalg.mat_vec(jj, br), linalg.mat_vec(ad_jx[i], cols[j]),
+                jb, xi])
+            if term:
                 return False, f"[J,J]+2deta(x)xi at (X{i + 1},X{j + 1}) = " \
                               f"{_fmt_vector(term)}"
     return True, None
 
 
+_SIGNS = {1: "", -1: "-"}
+
+
 def _fmt_vector(vec: Vector) -> str:
-    bits = [f"{c}*X{k + 1}" for k, c in enumerate(vec) if c]
-    return " + ".join(bits).replace("1*", "") if bits else "0"
+    """A nonzero vector as its terms c*X_k; c = 1 and c = -1 print as a
+    bare sign."""
+    return " + ".join(f"{_SIGNS.get(c, f'{c}*')}X{k + 1}"
+                      for k, c in sorted(vec.items()))
 
 
 @dataclass

@@ -220,11 +220,6 @@ def model_automorphism(m: LieModel) -> tuple[AlgebraMap, int]:
         raise StructureError(f"model {m.name!r} carries no automorphism block")
     mat, order = m.automorphism
     alg = m.algebra()
-    images = {}
-    for j in range(m.dimension):
-        img = alg.zero(1)
-        for i in range(m.dimension):
-            if mat[i][j]:
-                img = img + alg.gen(i).scale(mat[i][j])
-        images[alg.generators[j].name] = img
+    images = {gen.name: alg.element(1, column) for gen, column
+              in zip(alg.generators, linalg.transpose(mat, m.dimension))}
     return AlgebraMap(alg, images, name="phi"), order

@@ -171,11 +171,10 @@ def operator_identity_report(m: LieModel) -> Section:
     iota_sq = True
     cartan = True
     for i in range(m.dimension):
-        basis_vec = [Fraction(int(t == i)) for t in range(m.dimension)]
-        iota = m.iota(basis_vec).apply
+        iota = m.iota({i: 1}).apply
         iota_sq &= disagreement(lambda x: iota(iota(x)), None, alg) is None
         cartan &= disagreement(lambda x: d(iota(x)) + iota(d(x)),
-                               m.lie_coadjoint(basis_vec), alg) is None
+                               m.lie_coadjoint({i: 1}), alg) is None
     out["iota_squared_zero"] = iota_sq
     out["cartan_formula"] = cartan
     out["d_squared_zero"] = check_d_squared(dga)

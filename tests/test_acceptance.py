@@ -47,7 +47,7 @@ def test_criterion_1_operator_identities():
         alg = m.algebra()
         dga = m.ce()
         for i in range(m.dimension):
-            vec = [Fraction(int(t == i)) for t in range(m.dimension)]
+            vec = {i: Fraction(1)}
             iota = m.iota(vec)
             lie = m.lie(vec)
             coad = m.lie_coadjoint(vec)

@@ -53,7 +53,7 @@ def test_build_d_eta_heisenberg(heisenberg):
     assert op.d_eta.apply(alg.gen("e3")) == -alg.gen("e2")
     # oracle: with g = id and eta = flat(xi), d_eta acts like L_xi, whose
     # value on e^k is -e^k([X1, .]) by the coadjoint formula
-    coad = heisenberg.lie_coadjoint([1, 0, 0])
+    coad = heisenberg.lie_coadjoint({0: 1})
     for k in range(3):
         assert op.d_eta.apply(alg.gen(k)) == coad.apply(alg.gen(k))
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from cokahler import linalg
 from cokahler.errors import StructureError
 from cokahler.exterior import Element
 from cokahler.geometry import (LieModel, classify, fundamental_form,
@@ -33,9 +34,9 @@ def test_model_validations():
 
 def test_bracket_antisymmetry_completion():
     m = LieModel(3, {(0, 1): {2: 1}})
-    assert m.bracket(0, 1) == [0, 0, Fraction(1)]
-    assert m.bracket(1, 0) == [0, 0, Fraction(-1)]
-    assert m.bracket(2, 2) == [0, 0, 0]
+    assert m.bracket(0, 1) == {2: Fraction(1)}
+    assert m.bracket(1, 0) == {2: Fraction(-1)}
+    assert m.bracket(2, 2) == {}
 
 
 def test_almost_contact_validation(torus3, heisenberg):
@@ -49,14 +50,40 @@ def test_almost_contact_validation(torus3, heisenberg):
     assert "J^2 + I - eta(x)xi" in verdict.witnesses
 
 
+# heisenberg brackets, xi = X1, eta = e1 and J0 rotating (X2, X3)
+J0 = [[0, 0, 0], [0, 0, -1], [0, 1, 0]]
+
+
+def heisenberg_with(**data):
+    args = {"xi": [1, 0, 0], "eta": [1, 0, 0], "J": J0, **data}
+    return LieModel(3, {(0, 1): {2: 1}}, **args)
+
+
+@pytest.mark.parametrize("data, witnesses", [
+    ({"J": [[2 * v for v in row] for row in J0]},
+     {"J^2 + I - eta(x)xi": "slot (2,2): -3",
+      "g(J.,J.) - g + eta eta": "slot (2,2): 3"}),
+    ({"eta": [2, 0, 0]},
+     {"J^2 + I - eta(x)xi": "slot (1,1): -1", "eta(xi)": "value 2",
+      "g(J.,J.) - g + eta eta": "slot (1,1): 3"}),
+    ({"metric": [[1, 0, 0], [0, 1, 0], [0, 0, 2]]},
+     {"g(J.,J.) - g + eta eta": "slot (2,2): 1"}),
+    ({"xi": [0, 1, 0]},
+     {"J^2 + I - eta(x)xi": "slot (1,1): 1", "eta(xi)": "value 0"}),
+])
+def test_almost_contact_witness_strings(data, witnesses):
+    verdict = validate_almost_contact(heisenberg_with(**data))
+    assert not verdict.ok and verdict.witnesses == witnesses
+
+
 def oracle_omega(m):
     """Entrywise omega(X_i, X_j) = g(J X_i, X_j)."""
     n = m.dimension
     entries = {}
     for i in range(n):
         for j in range(i + 1, n):
-            jxi = [m.J[k][i] for k in range(n)]
-            val = sum(m.metric[k][r] * jxi[k] * (r == j)
+            jxi = [m.J[k].get(i, 0) for k in range(n)]
+            val = sum(m.metric[k].get(r, 0) * jxi[k] * (r == j)
                       for k in range(n) for r in range(n))
             if val:
                 entries[(i, j)] = val
@@ -86,7 +113,7 @@ def test_fundamental_form_refuses_invalid_structure():
 
 def test_levi_civita_abelian_vanishes(torus5):
     gamma = torus5.levi_civita()
-    assert all(not any(gamma[i][j]) for i in range(5) for j in range(5))
+    assert all(not gamma[i][j] for i in range(5) for j in range(5))
 
 
 def test_levi_civita_heisenberg_koszul_oracle(heisenberg):
@@ -95,13 +122,13 @@ def test_levi_civita_heisenberg_koszul_oracle(heisenberg):
     # [X1,X2] = X3:  nabla_{X1}X2 = X3/2, nabla_{X2}X1 = -X3/2,
     # nabla_{X1}X3 = nabla_{X3}X1 = -X2/2, nabla_{X2}X3 = nabla_{X3}X2 = X1/2
     half = Fraction(1, 2)
-    assert gamma[1][0] == [0, 0, -half]
-    assert gamma[0][1] == [0, 0, half]
-    assert gamma[0][2] == [0, -half, 0]
-    assert gamma[2][0] == [0, -half, 0]
-    assert gamma[1][2] == [half, 0, 0]
-    assert gamma[2][1] == [half, 0, 0]
-    assert gamma[0][0] == [0, 0, 0]
+    assert gamma[1][0] == linalg.sparse([0, 0, -half])
+    assert gamma[0][1] == linalg.sparse([0, 0, half])
+    assert gamma[0][2] == linalg.sparse([0, -half, 0])
+    assert gamma[2][0] == linalg.sparse([0, -half, 0])
+    assert gamma[1][2] == linalg.sparse([half, 0, 0])
+    assert gamma[2][1] == linalg.sparse([half, 0, 0])
+    assert gamma[0][0] == linalg.sparse([0, 0, 0])
 
 
 def test_killing_and_parallel(torus3, heisenberg):
@@ -120,6 +147,15 @@ def test_nijenhuis(torus3, torus5, heisenberg):
     ok, witness = nijenhuis_normality(heisenberg)
     assert not ok
     assert "(X1,X2)" in witness and "-X3" in witness
+
+
+@pytest.mark.parametrize("weight, term", [(11, "-11*X3"),
+                                          (Fraction(1, 11), "-1/11*X3")])
+def test_normality_witness_keeps_coefficients_ending_in_one(weight, term):
+    # only a coefficient of 1 or -1 prints as a bare sign
+    m = LieModel(3, {(0, 1): {2: weight}}, xi=[1, 0, 0], eta=[1, 0, 0], J=J0)
+    assert nijenhuis_normality(m) == \
+        (False, f"[J,J]+2deta(x)xi at (X1,X2) = {term}")
 
 
 def test_classify_cokahler_tori(torus3, torus5):
@@ -160,29 +196,28 @@ def test_heisenberg_with_eta_e3_is_not_cosymplectic():
 def test_contraction_examples(heisenberg):
     alg = heisenberg.algebra()
     vol = alg.monomial("e1", "e2", "e3")
-    assert heisenberg.contract([1, 0, 0], vol) == alg.monomial("e2", "e3")
-    assert heisenberg.contract([0, 1, 0], vol) == \
+    assert heisenberg.contract({0: 1}, vol) == alg.monomial("e2", "e3")
+    assert heisenberg.contract({1: 1}, vol) == \
         alg.monomial("e1", "e3", coeff=-1)
 
 
 def test_lie_derivative_example(heisenberg):
     alg = heisenberg.algebra()
-    assert heisenberg.lie([1, 0, 0]).apply(alg.gen("e3")) == -alg.gen("e2")
+    assert heisenberg.lie({0: 1}).apply(alg.gen("e3")) == -alg.gen("e2")
 
 
 def test_sharp_and_flat(heisenberg):
-    assert heisenberg.sharp([1, 0, 0]) == [1, 0, 0]
+    assert heisenberg.sharp({0: 1}) == linalg.sparse([1, 0, 0])
     m = LieModel(2, {}, metric=[[2, 0], [0, 1]])
-    assert m.sharp([1, 0]) == [Fraction(1, 2), 0]
-    assert m.flat([1, 0]) == [2, 0]
+    assert m.sharp({0: 1}) == linalg.sparse([Fraction(1, 2), 0])
+    assert m.flat({0: 1}) == linalg.sparse([2, 0])
 
 
 def test_iota_squared_zero(contact_models):
     for m in contact_models:
         alg = m.algebra()
         for i in range(m.dimension):
-            vec = [Fraction(int(t == i)) for t in range(m.dimension)]
-            iota = m.iota(vec)
+            iota = m.iota({i: Fraction(1)})
             for p in range(alg.top + 1):
                 for key in alg.basis(p):
                     mono = Element(alg, p, {key: Fraction(1)})
@@ -194,12 +229,11 @@ def test_cartan_formula_against_coadjoint_oracle(contact_models):
     for m in contact_models:
         alg = m.algebra()
         for i in range(m.dimension):
-            vec = [Fraction(int(t == i)) for t in range(m.dimension)]
-            lie = m.lie(vec)
+            lie = m.lie({i: Fraction(1)})
             for k in range(m.dimension):
                 want = alg.zero(1)
                 for j in range(m.dimension):
-                    c = -m.bracket(i, j)[k]
+                    c = -m.bracket(i, j).get(k, 0)
                     if c:
                         want = want + alg.gen(j).scale(c)
                 assert lie.apply(alg.gen(k)) == want
@@ -215,7 +249,8 @@ def test_levi_civita_properties(contact_models):
             for j in range(n):
                 br = m.bracket(i, j)
                 for k in range(n):
-                    assert gamma[i][j][k] - gamma[j][i][k] == br[k]
+                    assert gamma[i][j].get(k, 0) - gamma[j][i].get(k, 0) == \
+                        br.get(k, 0)
 
 
 def test_omega_override_cross_check():
@@ -235,14 +270,14 @@ def test_ad_columns_are_brackets():
     m = LieModel(5, {(0, 1): {2: 1}, (0, 2): {1: -1}, (0, 3): {4: 2},
                      (0, 4): {3: -2}})
     x = [Fraction(1), Fraction(2), Fraction(-1, 2), 0, Fraction(3)]
-    ad = m.ad(x)
+    ad = m.ad(linalg.sparse(x))
     for j in range(5):
-        want = [sum(x[i] * m.bracket(i, j)[k] for i in range(5))
+        want = [sum(x[i] * m.bracket(i, j).get(k, 0) for i in range(5))
                 for k in range(5)]
-        assert [ad[k][j] for k in range(5)] == want
-    assert m.bracket_vectors(x, [0, 0, 1, 0, 0]) == [0, Fraction(-1), 0, 0, 0]
-    assert m.ad([0, 1, 0, 0, 0]) == [[0] * 5, [0] * 5, [-1, 0, 0, 0, 0],
-                                     [0] * 5, [0] * 5]
+        assert [ad[k].get(j, 0) for k in range(5)] == want
+    assert linalg.mat_vec(ad, {2: 1}) == linalg.sparse([0, -1, 0, 0, 0])
+    assert m.ad({1: 1}) == [linalg.sparse(row) for row in (
+        [0] * 5, [0] * 5, [-1, 0, 0, 0, 0], [0] * 5, [0] * 5)]
 
 
 def test_unimodularity():

@@ -6,7 +6,8 @@ to the exact core must leave those bytes as they are, so a mismatch here
 fails the suite instead of only printing in a benchmark run.  The file is
 read, never written; ``perfbench/make_reference.py`` regenerates it.
 ``PINNED`` holds the SHA-256s of models the benchmark does not run, or
-runs only on some seeds; their texts come from ``perfbench/models.py`` too.
+runs only on some seeds; their texts come from ``perfbench/models.py`` too,
+or from a corpus model with its identity metric replaced.
 """
 
 import hashlib
@@ -18,13 +19,15 @@ from pathlib import Path
 import pytest
 
 from cokahler import build_report, load_corpus, loads, render_json
+from cokahler.modelfile import corpus_path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LABELS = ("torus3", "torus5", "heisenberg", "t2-rot4-mapping-torus",
           "t2-negid-mapping-torus", "rot5-1-2", "h3xR2", "torus7",
           "rot7-1-1-3")
 # kx5 and kx7 have d != 0 on Omega_1; nil5 is not cosymplectic; torus9 is
-# the frontier dimension
+# the frontier dimension; rot5-1-1-g and heisenberg-g carry a metric other
+# than the identity
 PINNED = {
     "kx5": "1b975619702f84da28ffd00ee0488cc0bc9eead37276a6c2436cb40a0807e594",
     "nil5": "ef26474476ead2ed550effb2f87e247a1ea5a6443de60114052e329ef9e36fc1",
@@ -32,7 +35,13 @@ PINNED = {
         "3fb5b839f3da0f29951078dc4a795283d1050534e800b3f69e4b23cc160c4dd5",
     "kx7": "33fd930dbb0c59fd176fb0c3229ddfeacd1730335fbaf1cc9f926666a1db4e12",
     "torus9": "d38f718215c13a7cf140e02bfa5db99b4e4e12d5c5915ba2354fe5fa0e86b402",
+    "rot5-1-1-g":
+        "6253e82b5b6b9f379fbdd65c8fa6a61a3073b7fe30adaf6534a5a580a0eab27d",
+    "heisenberg-g":
+        "7a903d54df8ce741bb487d6ceae93144b2be182a028fa5bf5bd0a13e3febd123",
 }
+# a J-invariant metric on rot5-1-1: X2 pairs with X4 and X3 with X5
+ROT5_METRIC = "1 0 0 0 0\n0 2 0 1 0\n0 0 2 0 1\n0 1 0 2 0\n0 0 1 0 2"
 
 
 @cache
@@ -59,6 +68,11 @@ def pinned_text(name: str) -> str | None:
         "kx7": models.model_text("kx7", 7, [(2, 4, 5, 1), (2, 5, 4, -1),
                                             (2, 6, 7, 2), (2, 7, 6, -2)]),
         "torus9": models.model_text("torus9", 9),
+        "rot5-1-1-g": models.model_text(
+            "rot5-1-1-g", 5, models.rotation_brackets([1, 1])).replace(
+                "identity", ROT5_METRIC),
+        "heisenberg-g": corpus_path("heisenberg").read_text().replace(
+            "identity", "1 0 0\n0 2 0\n0 0 2"),
     }[name]
 
 
