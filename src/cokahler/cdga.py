@@ -2,13 +2,16 @@
 
 A derivation is determined by its generator images, fixed at construction,
 and extended by the graded Leibniz rule, each basis monomial's image expanded
-once and cached; the differential of a DGA is a degree +1 derivation.  Every
-operator identity (d squared, supercommutators, chain maps, and the report's
-iota squared, d_eta = L_xi and Cartan's formula, where the literal {d, iota_X}
-meets the coadjoint Lie derivative) is checked exactly by ``disagreement``,
-basis monomial by basis monomial: the column-by-column form of the matrix
-identity.  Leibniz is checked on (generator, basis monomial) pairs, which
-implies the full rule (see ``check_leibniz``).
+once and cached; the differential of a DGA is a degree +1 derivation.  Each
+derivation checks the Leibniz rule once, one pair per basis monomial
+(``Derivation.leibniz_failure``).  On that premise the identities between
+derivations (supercommutators, d squared, {d, op} = 0) are decided on
+generators, as a supercommutator of derivations is a derivation; a failed
+premise makes them false or raises with the failing monomial.  The others
+(chain maps, and the report's iota squared, d_eta = L_xi and Cartan's
+formula, where the literal {d, iota_X} meets the coadjoint Lie derivative)
+are checked exactly by ``disagreement``, basis monomial by basis monomial:
+the column-by-column form of the matrix identity.
 
 Coordinates are ``linalg`` sparse vectors; a degree-p matrix has one sparse
 row per target basis monomial, filled from each source monomial's image.
@@ -16,6 +19,7 @@ row per target basis monomial, filled from each source monomial's image.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import linalg
@@ -103,6 +107,44 @@ class Derivation:
     def __call__(self, elem: Element) -> Element:
         return self.apply(elem)
 
+    @functools.cached_property
+    def leibniz_failure(self) -> Element | None:
+        """The first basis monomial, in degree order, on which the graded
+        Leibniz rule fails, or None; computed once (write-once).
+
+        It checks D(1) = 0 and, for each basis monomial w = g m with g its
+        first generator (sign +1), D(w) = Dg m + (-1)^{|D||g|} g Dm.  The
+        Leibniz extension E of D's generator images (read through ``apply``)
+        obeys the same recursion, so D = E by induction on the factors of w.
+        A w with |w| + max(|D|, 0) > top is skipped: both sides vanish
+        there, while merged keys are not truncated.
+        """
+        alg = self.algebra
+        merge = alg.merge_keys
+        gen_keys = [k for g in alg.gens() for k in g.terms]
+        (unit,) = alg.basis(0)
+        table = {unit: self.apply(alg.unit()).terms}
+        if table[unit]:
+            return alg.unit()
+        for q in range(1, alg.top + 1 - max(self.degree, 0)):
+            for w in alg.basis(q):
+                mono = Element._trusted(alg, q, {w: _ONE})
+                table[w] = self.apply(mono).terms
+                gi, _, m, _ = alg.key_splits(w)[0]
+                g = gen_keys[gi]
+                sign = -1 if (alg.degree_of(gi) * self.degree) % 2 else 1
+                rhs: dict = {}
+                for products, flip in (
+                        (((merge(k, m), c) for k, c in table[g].items()), 1),
+                        (((merge(g, k), c) for k, c in table[m].items()), sign)):
+                    for (key, s), c in products:        # Dg m, then g Dm
+                        if s:
+                            t = c if s == flip else -c
+                            rhs[key] = rhs[key] + t if key in rhs else t
+                if table[w] != {k: c for k, c in rhs.items() if c}:
+                    return mono
+        return None
+
     def matrix(self, p: int) -> linalg.Matrix:
         """Matrix of the derivation from degree p to degree p + |f|."""
         return _basis_matrix(self, p)
@@ -163,28 +205,31 @@ def extend_derivation(algebra: GradedAlgebra, images: dict, degree: int,
 def supercommutator(f: Derivation, g: Derivation) -> Derivation:
     """{f, g} = f g - (-1)^{|f||g|} g f, returned as a derivation.
 
-    The extension-from-generators result is checked against the literal
-    composition on every basis monomial.
+    Its images are the composition on generators, which fix the composition
+    everywhere once f and g pass the Leibniz check.  An operand that fails
+    raises with its first failing monomial.
     """
-    if f.algebra is not g.algebra:
-        raise StructureError("derivations act on different algebras")
-    alg = f.algebra
-    sign = -1 if (f.degree * g.degree) % 2 else 1
-    images = {}
-    for i in range(len(alg)):
-        gen_elem = alg.gen(i)
-        img = f.apply(g.apply(gen_elem)) - g.apply(f.apply(gen_elem)).scale(sign)
-        if not img.is_zero():
-            images[i] = img
-    name = f"{{{f.name or 'f'},{g.name or 'g'}}}"
-    der = Derivation(alg, f.degree + g.degree, images, name=name)
-    bad = disagreement(
-        der.apply, lambda x: f.apply(g.apply(x)) - g.apply(f.apply(x)).scale(sign),
-        alg)
+    bad = _first_leibniz_failure(f, g)
     if bad is not None:
         raise StructureError(
             f"supercommutator extension disagrees with composition on {bad!r}")
-    return der
+    sign = -1 if (f.degree * g.degree) % 2 else 1
+    images = {i: f.apply(g.apply(x)) - g.apply(f.apply(x)).scale(sign)
+              for i, x in enumerate(f.algebra.gens())}
+    name = f"{{{f.name or 'f'},{g.name or 'g'}}}"
+    return Derivation(f.algebra, f.degree + g.degree, images, name=name)
+
+
+def _first_leibniz_failure(f: Derivation, g: Derivation) -> Element | None:
+    """The first Leibniz failure of f, else of g: the premise for deciding
+    {f, g} on generators.  A negative degree derivation does not preserve a
+    truncation, so opposite degree signs are refused there."""
+    if f.algebra is not g.algebra:
+        raise StructureError("derivations act on different algebras")
+    if f.degree * g.degree < 0 and f.algebra.truncated:
+        raise StructureError("derivations of opposite degree signs on a "
+                             "truncated algebra are not decided on generators")
+    return f.leibniz_failure or g.leibniz_failure
 
 
 class CochainComplex:
@@ -245,71 +290,25 @@ class DGA(CochainComplex):
 
 
 def check_d_squared(dga: DGA) -> bool:
-    """True iff d(d(m)) = 0 for every basis monomial in every degree."""
-    d = dga.d.apply
-    return disagreement(lambda x: d(d(x)), None, dga.algebra) is None
+    """True iff d(d(m)) = 0 for every basis monomial: {d, d} = 2 d^2."""
+    return supercommutes_with_d(dga, dga.d)
 
 
 def check_leibniz(der: Derivation) -> bool:
     """Graded Leibniz rule D(a b) = Da b + (-1)^{|D||a|} a Db for all
-    homogeneous a, b with |a| + |b| <= top, checked exactly.
-
-    Only D(1) = 0 and the pairs (generator g, basis monomial m) with
-    |g| + |m| <= top are tested; for any linear D this implies the full rule.
-    By bilinearity it suffices to take basis monomials a, b, and we induct on
-    the number of generator factors of a.  If a = 1, the rule reads
-    Db = D(1) b + Db.  Otherwise a = g a' with g its first generator.  A
-    truncated algebra is the quotient by the ideal of degrees above top, so
-    it is still associative, and each step below uses the rule only on a pair
-    of total degree at most |a| + |b| <= top:
-
-        D(g (a' b)) = Dg a' b + (-1)^{|D||g|} g D(a' b)       (g, terms of a'b)
-                    = (Dg a' + (-1)^{|D||g|} g Da') b
-                      + (-1)^{|D||a|} a Db                    (induction: a', b)
-                    = D(g a') b + (-1)^{|D||a|} a Db          (g, a')
-
-    D is evaluated once per basis monomial, through ``der.apply`` (generator
-    images too), and each pair is checked on that table by merging monomial
-    keys.  A pair with |g| + |m| + max(|D|, 0) > top is skipped: both sides
-    vanish there, while merged keys are not truncated.
-    """
-    alg = der.algebra
-    table = {key: der.apply(Element._trusted(alg, q, {key: _ONE})).terms
-             for q in range(alg.top + 1) for key in alg.basis(q)}
-    if table[alg.basis(0)[0]]:
-        return False
-    merge = alg.merge_keys
-    for i in range(len(alg)):
-        (g, _), = alg.gen(i).terms.items()
-        deg = alg.degree_of(i)
-        sign = -1 if (deg * der.degree) % 2 else 1
-        for q in range(alg.top + 1 - deg - max(der.degree, 0)):
-            for m in alg.basis(q):
-                rhs: dict = {}
-                for k, c in table[g].items():      # Dg m
-                    key, s = merge(k, m)
-                    if s:
-                        t = c if s == 1 else -c
-                        rhs[key] = rhs[key] + t if key in rhs else t
-                for k, c in table[m].items():      # (-1)^{|D||g|} g Dm
-                    key, s = merge(g, k)
-                    if s:
-                        t = c if s == sign else -c
-                        rhs[key] = rhs[key] + t if key in rhs else t
-                gm, s = merge(g, m)
-                lhs = {k: s * c for k, c in table[gm].items()} if s else {}
-                if lhs != {k: c for k, c in rhs.items() if c}:
-                    return False
-    return True
+    homogeneous a, b with |a| + |b| <= top (``der.leibniz_failure``)."""
+    return der.leibniz_failure is None
 
 
 def supercommutes_with_d(dga: DGA, op: Derivation) -> bool:
-    """Whether {d, op} vanishes on every basis monomial."""
+    """Whether {d, op} vanishes on every basis monomial: False when d or op
+    fails the Leibniz check, else decided on generators, since {d, op} is
+    then a derivation."""
+    if _first_leibniz_failure(dga.d, op) is not None:
+        return False
     sign = -1 if (op.degree % 2) else 1
-    d = dga.d.apply
-    return disagreement(lambda x: d(op.apply(x)),
-                        lambda x: op.apply(d(x)).scale(sign),
-                        dga.algebra) is None
+    d = dga.d
+    return all(d(op(x)) == op(d(x)).scale(sign) for x in dga.algebra.gens())
 
 
 class Subcomplex(CochainComplex):

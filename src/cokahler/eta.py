@@ -91,8 +91,6 @@ def verify_d_eta_equals_lie(m: LieModel) -> DEtaLieReport:
 
 def kernel_subcomplex(dga, op: Derivation) -> Subcomplex:
     """Degreewise kernel of a derivation supercommuting with d."""
-    if op.algebra is not dga.algebra:
-        raise StructureError("operator acts on a different algebra")
     if not supercommutes_with_d(dga, op):
         raise StructureError(
             f"operator {op.name or op!r} does not supercommute with d; "
@@ -153,8 +151,11 @@ class OmegaSplitting:
 
 
 def splitting_obstruction(m: LieModel) -> str | None:
-    """The note that d(eta) is not zero, which leaves the eta-multiples
-    unclosed under d and so the splitting undefined; None when d(eta) = 0."""
+    """Why no splitting is computed, or None: eta(xi) != 1 breaks alpha =
+    alpha1 + eta ^ iota_xi alpha; d(eta) != 0 leaves eta-multiples unclosed."""
+    pairing = linalg.mat_vec([m._require("eta")], m._require("xi")).get(0, 0)
+    if pairing != 1:
+        return f"eta(xi) = {pairing} is not 1, so no splitting is computed"
     d_eta = m.ce().d.apply(m.eta_element())
     if d_eta.is_zero():
         return None
@@ -166,7 +167,7 @@ def splitting_obstruction(m: LieModel) -> str | None:
 def omega_splitting(m: LieModel) -> OmegaSplitting:
     """Split the L_xi-invariant forms into the iota_xi kernel and its
     eta-multiples, verifying directness and the eta-wedge description.
-    Raises the ``splitting_obstruction`` note when d(eta) is not zero."""
+    Raises the ``splitting_obstruction`` note when there is one."""
     obstruction = splitting_obstruction(m)
     if obstruction:
         raise StructureError(obstruction)

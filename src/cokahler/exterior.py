@@ -57,13 +57,15 @@ class GradedAlgebra:
         self._name_index = {g.name: i for i, g in enumerate(gens)}
         self.bitmask = all(g.degree == 1 for g in gens)
         full = sum(g.degree for g in gens)
-        if any(g.degree % 2 == 0 for g in gens):
+        even = any(g.degree % 2 == 0 for g in gens)
+        if even:
             if max_degree is None:
                 raise StructureError(
                     "max_degree is required when even-degree generators are present")
             self.top = max_degree
         else:
             self.top = full if max_degree is None else min(full, max_degree)
+        self.truncated = even or self.top < full    # nonzero products cut off
         self._basis_cache: dict[int, tuple[Key, ...]] = {}
         self._index_cache: dict[int, dict[Key, int]] = {}
 

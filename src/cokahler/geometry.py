@@ -189,12 +189,13 @@ class LieModel:
                   for k, row in enumerate(self.ad(vector)) if row}
         return Derivation(alg, 0, images, name="L_coadjoint")
 
+    @once_per_model
     def iota_xi(self) -> Derivation:
         return self.iota(self._require("xi"))
 
     @once_per_model
     def lie_xi(self) -> Derivation:
-        return self.lie(self._require("xi"))
+        return supercommutator(self.ce().d, self.iota_xi())
 
     def _require(self, field_name: str):
         value = getattr(self, field_name)
@@ -298,7 +299,7 @@ def validate_almost_contact(m: LieModel) -> AlmostContactVerdict:
         linalg.mat_sub(_outer(xi, eta, n), linalg.identity(n))))
     if slot:
         witnesses["J^2 + I - eta(x)xi"] = slot
-    pairing = sum((c * xi[i] for i, c in eta.items() if i in xi), Fraction(0))
+    pairing = linalg.mat_vec([eta], xi).get(0, 0)
     if pairing != 1:
         witnesses["eta(xi)"] = f"value {pairing}"
     slot = _first_slot(linalg.mat_sub(
@@ -437,8 +438,7 @@ def nijenhuis_normality(m: LieModel) -> tuple[bool, str | None]:
             jb = linalg.mat_vec(J, linalg.combine({0: 1, 1: 1}, [
                 linalg.mat_vec(ad_jx[i], {j: 1}),
                 linalg.mat_vec(ad_x[i], cols[j])]))
-            d_eta = -sum((c * eta[k] for k, c in br.items() if k in eta),
-                         Fraction(0))
+            d_eta = -linalg.mat_vec([eta], br).get(0, 0)
             term = linalg.combine({0: 1, 1: 1, 2: -1, 3: 2 * d_eta}, [
                 linalg.mat_vec(jj, br), linalg.mat_vec(ad_jx[i], cols[j]),
                 jb, xi])

@@ -32,11 +32,13 @@ def _contact_rank(m: LieModel) -> int:
     return (m.dimension - 1) // 2
 
 
-def _omega_power(omega: Element, k: int) -> Element:
-    out = omega.algebra.unit()
-    for _ in range(k):
-        out = out.wedge(omega)
-    return out
+@once_per_model
+def _omega_powers(m: LieModel) -> list[Element]:
+    """omega^0, ..., omega^{n+1}, each wedged once per model."""
+    powers = [m.algebra().unit()]
+    for _ in range(_contact_rank(m) + 1):
+        powers.append(powers[-1].wedge(omega_element(m)))
+    return powers
 
 
 def lefschetz_map(m: LieModel, alpha: Element) -> Element:
@@ -53,10 +55,9 @@ def lefschetz_map(m: LieModel, alpha: Element) -> Element:
         raise StructureError(
             "alpha is not L_xi-invariant: on such forms the Lefschetz map "
             "does not descend to cohomology; pass an element of Omega_eta")
-    omega = omega_element(m)
-    eta = m.eta_element()
-    out = _omega_power(omega, n - p + 1).wedge(m.contract(m.xi, alpha)) \
-        + _omega_power(omega, n - p).wedge(eta).wedge(alpha)
+    powers = _omega_powers(m)
+    out = powers[n - p + 1].wedge(m.contract(m.xi, alpha)) \
+        + powers[n - p].wedge(m.eta_element()).wedge(alpha)
     if not m.lie_xi().apply(out).is_zero():
         raise StructureError("Lefschetz image left the invariant forms")
     if m.ce().d.apply(alpha).is_zero() and not m.ce().d.apply(out).is_zero():
@@ -118,7 +119,7 @@ def verify_lefschetz_iso(m: LieModel) -> LefschetzReport:
         degrees.append(LefschetzDegree(
             **vars(ind), kernel_witnesses=kernel_witnesses(sub, ind),
             component_split_ok=comp_ok))
-    top = _omega_power(omega_element(m), n).wedge(m.eta_element())
+    top = _omega_powers(m)[n].wedge(m.eta_element())
     top_nonzero = bool(_class(sub, 2 * n + 1, top))
     return LefschetzReport(n, verdict.coKahler, degrees, top_nonzero, None)
 

@@ -179,17 +179,13 @@ def operator_identity_report(m: LieModel) -> Section:
     out["cartan_formula"] = cartan
     out["d_squared_zero"] = check_d_squared(dga)
     out["leibniz_d"] = check_leibniz(dga.d)
-    leibniz_ops = True
+    ops = [m.iota_xi(), m.lie_xi()] if m.xi is not None else []
     super_ok = True
-    if m.xi is not None:
-        leibniz_ops &= check_leibniz(m.iota_xi())
-        leibniz_ops &= check_leibniz(m.lie_xi())
     if m.eta is not None and m.xi is not None:
         op = build_d_eta(m)
-        leibniz_ops &= check_leibniz(op.d_eta)
-        leibniz_ops &= check_leibniz(op.rho)
+        ops += [op.d_eta, op.rho]
         super_ok = supercommutes_with_d(dga, op.d_eta)
-    out["leibniz_operators"] = leibniz_ops
+    out["leibniz_operators"] = all(check_leibniz(der) for der in ops)
     out["d_eta_supercommutes_with_d"] = super_ok
     sec = Section(out)
     for key, invariant in (

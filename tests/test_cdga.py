@@ -23,7 +23,7 @@ from cokahler.cohomology import (CohomologyRing, inclusion_induced_map,
                                  induced_map, kernel_witnesses,
                                  kunneth_convolution)
 from cokahler.errors import StructureError
-from cokahler.eta import build_d_eta
+from cokahler.eta import build_d_eta, kernel_subcomplex
 from cokahler.exterior import Element, Generator, GradedAlgebra
 from cokahler.geometry import LieModel
 from cokahler.modelfile import CORPUS_MODELS, load_corpus
@@ -279,11 +279,13 @@ def random_derivation(alg, rng, degree):
 
 def fresh_operators():
     """kx5's d, iota_xi, L_xi, d_eta and rho_eta, and the truncated
-    even-generator differential, each with a cold cache."""
+    even-generator differential, each with a cold cache (rebuilt from its
+    images, since the model's Leibniz checks fill its own)."""
     m = load_corpus("kx5").to_lie_model()
     op = build_d_eta(m)
-    return [m.ce().d, m.iota_xi(), m.lie_xi(), op.d_eta, op.rho,
-            graded_algebra()[1]]
+    return [Derivation(der.algebra, der.degree, der.images, der.name)
+            for der in (m.ce().d, m.iota_xi(), m.lie_xi(), op.d_eta, op.rho)
+            ] + [graded_algebra()[1]]
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -304,10 +306,22 @@ def test_cached_apply_matches_the_leibniz_expansion(warm):
                 (der, elem)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_leibniz_check_agrees_with_all_pairs_on_a_truncated_algebra(seed):
+TRUNCATED = {
+    "tuple": lambda: graded_algebra()[0],
+    # every generator of degree 1, top cut from 5 to 4
+    "bitmask": lambda: GradedAlgebra(ce_algebra(5).generators, max_degree=4),
+}
+
+
+# the tuple-encoded cases keep their plain seed ids
+@pytest.mark.parametrize("encoding, seed", [
+    *(pytest.param("tuple", s, id=str(s)) for s in range(8)),
+    *(pytest.param("bitmask", s, id=f"bitmask-{s}") for s in range(8))])
+def test_leibniz_check_agrees_with_all_pairs_on_a_truncated_algebra(
+        encoding, seed):
     rng = random.Random(seed)
-    alg, _ = graded_algebra()
+    alg = TRUNCATED[encoding]()
+    assert alg.truncated and alg.bitmask == (encoding == "bitmask")
     degree = rng.choice([-1, 0, 1])
     der = random_derivation(alg, rng, degree)
     p = rng.choice([q for q in range(alg.top + 1) if alg.basis(q + degree)])
@@ -389,6 +403,45 @@ def test_supercommutator_checks_its_extension_against_the_composition():
                        match=r"disagrees with composition on e1\^e2$"):
         supercommutator(bad, number)
     assert supercommutator(Derivation(alg, 1, {}), number).is_zero()
+
+
+def test_identities_between_derivations_need_the_leibniz_premise():
+    dga = rot5_model().ce()
+    alg = dga.algebra
+    e23 = alg.monomial("e2", "e3")
+    # zero on every generator, so the zero derivation if it were one, but
+    # e2^e3 -> e2^e3^e4, whose d is 2 e1^e2^e3^e5: on generators {d, bad}
+    # vanishes, on e2^e3 it does not
+    bad = WrongOn(Derivation(alg, 1, {}), next(iter(e23.terms)),
+                  alg.monomial("e2", "e3", "e4"))
+    assert all(bad.apply(g).is_zero() for g in alg.gens())
+    assert all((dga.d.apply(bad.apply(g)) + bad.apply(dga.d.apply(g))).is_zero()
+               for g in alg.gens())
+    assert dga.d.apply(bad.apply(e23)) + bad.apply(dga.d.apply(e23)) == \
+        alg.monomial("e1", "e2", "e3", "e5", coeff=2)
+    assert bad.leibniz_failure == e23
+    assert supercommutes_with_d(dga, bad) is False
+    with pytest.raises(StructureError, match="does not supercommute with d"):
+        kernel_subcomplex(dga, bad)
+    # a differential that squares to zero on generators but is not a
+    # derivation
+    bad_d = WrongOn(dga.d, next(iter(e23.terms)), alg.monomial("e2", "e3", "e4"))
+    assert all(bad_d.apply(bad_d.apply(g)).is_zero() for g in alg.gens())
+    assert check_d_squared(dga) and not check_d_squared(DGA(alg, bad_d))
+
+
+def test_identities_on_generators_refuse_opposite_signs_on_a_truncation():
+    # the composition {d, iota} vanishes on generators but sends x y z to
+    # y^3, since d(x y z) = -x y^3 lies above the cap
+    alg, d = graded_algebra()
+    iota = extend_derivation(alg, {"x": alg.scalar(1)}, -1)
+    xyz = alg.monomial("x", "y", "z")
+    assert d(iota(xyz)) + iota(d(xyz)) == alg.monomial("y", "y", "y")
+    for call in (lambda: supercommutator(d, iota),
+                 lambda: supercommutes_with_d(DGA(alg, d), iota)):
+        with pytest.raises(StructureError, match="opposite degree signs"):
+            call()
+    assert check_leibniz(supercommutator(d, d))
 
 
 def test_cartan_supercommutator_is_lie_derivative():

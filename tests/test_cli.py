@@ -226,6 +226,11 @@ def test_sections_not_needing_the_structure_run_when_it_fails(capsys,
     for command in ("classify", "lefschetz", "report"):
         code, _, err = run(capsys, command, str(path))
         assert code == 2 and "not almost contact" in err, command
+    # eta(xi) = 0 is the splitting's own hypothesis note
+    code, out, err = run(capsys, "split", str(path))
+    assert (code, err) == (1, "")
+    assert out == "note: eta(xi) = 0 is not 1, so no splitting is computed\n"
+    assert run(capsys, "--informational", "split", str(path)) == (0, out, "")
 
 
 def test_subcommands_print_their_section_notes(capsys, tmp_path):

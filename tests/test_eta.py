@@ -5,6 +5,7 @@ operator matrices; d_eta values against an independently coded Lie
 derivative (coadjoint formula).
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -310,6 +311,24 @@ def test_report_builds_one_supercommutator_per_memoized_operator(monkeypatch):
     assert sorted(calls) == [("d", "iota"), ("d", "rho_eta")]
 
 
+def test_report_computes_one_leibniz_verdict_per_derivation(monkeypatch):
+    # d is checked when the model is built and read by every later identity
+    honest = Derivation.leibniz_failure.func
+    checked = []
+
+    def counted(der):
+        checked.append(der)
+        return honest(der)
+
+    verdict = functools.cached_property(counted)
+    verdict.__set_name__(Derivation, "leibniz_failure")
+    monkeypatch.setattr(Derivation, "leibniz_failure", verdict)
+    assert build_report(load_corpus("torus5"))["ok"]
+    assert len({id(der) for der in checked}) == len(checked)
+    assert sorted(der.name for der in checked) == \
+        ["d", "d_eta", "iota", "rho_eta", "{d,iota}"]
+
+
 def heis5():
     """5-dim Heisenberg [X2, X3] = X1 = [X4, X5] with xi = X1, eta = e1:
     d(eta) = -e2^e3 - e4^e5 is not zero."""
@@ -330,6 +349,17 @@ def test_splitting_states_that_d_eta_is_not_zero():
         assert str(info.value) == note
     assert run_section(m, "splitting").hypothesis == note
     assert splitting_obstruction(rot5_1_2()) is None
+
+
+def test_splitting_states_that_eta_of_xi_is_not_one():
+    # eta = e2 on the flat 5-torus: iota_xi and eta ^ do not split the forms
+    m = LieModel(5, {}, name="eta-off-xi", xi=[1, 0, 0, 0, 0],
+                 eta=[0, 1, 0, 0, 0])
+    note = splitting_obstruction(m)
+    assert note == "eta(xi) = 0 is not 1, so no splitting is computed"
+    with pytest.raises(StructureError) as info:
+        omega_splitting(m)
+    assert str(info.value) == note
 
 
 def test_kx5_is_co_kahler_with_a_differential_on_omega1():
