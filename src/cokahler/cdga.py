@@ -1,8 +1,9 @@
 """Differentials, graded derivations, subcomplexes and algebra maps.
 
 A derivation is determined by its generator images, fixed at construction,
-and extended by the graded Leibniz rule, each basis monomial's image expanded
-once and cached; the differential of a DGA is a degree +1 derivation.  Each
+and extended by the graded Leibniz rule; an algebra map multiplies them.
+Every operator is read through one cached table of basis monomial images
+(``image``); the differential of a DGA is a degree +1 derivation.  Each
 derivation checks the Leibniz rule once, one pair per basis monomial
 (``Derivation.leibniz_failure``).  On that premise the identities between
 derivations (supercommutators, d squared, {d, op} = 0) are decided on
@@ -10,8 +11,8 @@ generators, as a supercommutator of derivations is a derivation; a failed
 premise makes them false or raises with the failing monomial.  The others
 (chain maps, and the report's iota squared, d_eta = L_xi and Cartan's
 formula, where the literal {d, iota_X} meets the coadjoint Lie derivative)
-are checked exactly by ``disagreement``, basis monomial by basis monomial:
-the column-by-column form of the matrix identity.
+are checked exactly by ``word_disagreement`` on the tables, basis monomial
+by basis monomial: the column-by-column form of the matrix identity.
 
 Coordinates are ``linalg`` sparse vectors; a degree-p matrix has one sparse
 row per target basis monomial, filled from each source monomial's image.
@@ -29,7 +30,56 @@ from .exterior import Element, Generator, GradedAlgebra
 _ONE = Fraction(1)
 
 
-class Derivation:
+class _MonomialTable:
+    """A linear map read through its table of basis monomial images, each
+    computed by ``_expand`` when first asked (write-once)."""
+
+    def image(self, key) -> dict:
+        """The image of the basis monomial ``key`` as a {monomial: nonzero
+        coefficient} map; empty when |key| + degree > top."""
+        table = self._table
+        if key not in table:
+            alg = self.algebra
+            table[key] = ({} if alg.key_degree(key) + self.degree > alg.top
+                          else self._expand(key))
+        return table[key]
+
+    def _extend(self, terms: dict) -> dict:
+        """The linear extension of ``image`` to a {monomial: coeff} map."""
+        image = self.image
+        out: dict = {}
+        for key, coeff in terms.items():
+            for k, c in image(key).items():
+                t = c if coeff == 1 else coeff * c
+                out[k] = out[k] + t if k in out else t
+        return {k: c for k, c in out.items() if c}
+
+    def _apply(self, elem: Element) -> Element:
+        if elem.algebra is not self.algebra:
+            raise StructureError("element belongs to a different algebra")
+        return Element._trusted(self.algebra, elem.degree + self.degree,
+                                self._extend(elem.terms))
+
+    def _basis_matrix(self, p: int) -> linalg.Matrix:
+        """Matrix out of degree p, cached: one sparse row per target basis
+        monomial, filled from the table."""
+        if p not in self._matrices:
+            alg = self.algebra
+            q = p + self.degree
+            rows: linalg.Matrix = [{} for _ in range(alg.dim(q))]
+            if rows:
+                index = alg.basis_index(q)
+                for j, key in enumerate(alg.basis(p)):
+                    for k, c in self.image(key).items():
+                        rows[index[k]][j] = c
+            self._matrices[p] = rows
+        return self._matrices[p]
+
+    def __call__(self, elem: Element) -> Element:
+        return self.apply(elem)
+
+
+class Derivation(_MonomialTable):
     """Graded derivation of fixed degree, determined by generator images.
 
     Missing generators map to zero; every derivation vanishes on scalars.
@@ -55,46 +105,29 @@ class Derivation:
                     f"image of {gen.name} has degree {img.degree}, expected "
                     f"{gen.degree + degree} for a degree {degree} derivation")
             self.images[i] = img
+        self._support = sum(1 << i for i in self.images)
         self._matrices: dict[int, linalg.Matrix] = {}
-        self._monomial_images: dict = {}
+        self._table: dict = {}
 
     def image_of(self, i: int) -> Element:
         gen = self.algebra.generators[i]
         return self.images.get(i, self.algebra.zero(gen.degree + self.degree))
 
     def apply(self, elem: Element) -> Element:
-        """The linear extension of the images of basis monomials, each
-        expanded once by ``_expand`` and cached (write-once)."""
-        if elem.algebra is not self.algebra:
-            raise StructureError("element belongs to a different algebra")
-        alg = self.algebra
-        degree = elem.degree + self.degree
-        if degree > alg.top:
-            return alg.zero(degree)
-        cache = self._monomial_images
-        terms: dict = {}
-        for key, coeff in elem.terms.items():
-            if key not in cache:
-                cache[key] = self._expand(key)
-            for k, c in cache[key].items():
-                term = c if coeff == 1 else coeff * c
-                terms[k] = terms[k] + term if k in terms else term
-        return Element._trusted(alg, degree,
-                                {k: c for k, c in terms.items() if c})
+        """The linear extension of the monomial table (``image``)."""
+        return self._apply(elem)
 
     def _expand(self, key) -> dict:
         """D(left g right) = (-1)^{|D||left|} left D(g) right, summed over
-        the generator occurrences g of the basis monomial ``key``, as a
-        {monomial: nonzero coefficient} map."""
+        the occurrences in the basis monomial ``key`` of the generators g
+        that carry an image, as a {monomial: nonzero coefficient} map."""
         merge = self.algebra.merge_keys
         odd = self.degree % 2
         terms: dict = {}
-        for gi, left, right, left_deg in self.algebra.key_splits(key):
-            img = self.images.get(gi)
-            if img is None:
-                continue
+        for gi, left, right, left_deg in self.algebra.key_splits(
+                key, self._support):
             flip = -1 if odd and left_deg % 2 else 1
-            for k, c in img.terms.items():
+            for k, c in self.images[gi].terms.items():
                 mid, s1 = merge(left, k)
                 if not s1:
                     continue
@@ -104,9 +137,6 @@ class Derivation:
                     terms[out] = terms[out] + term if out in terms else term
         return {k: c for k, c in terms.items() if c}
 
-    def __call__(self, elem: Element) -> Element:
-        return self.apply(elem)
-
     @functools.cached_property
     def leibniz_failure(self) -> Element | None:
         """The first basis monomial, in degree order, on which the graded
@@ -114,40 +144,38 @@ class Derivation:
 
         It checks D(1) = 0 and, for each basis monomial w = g m with g its
         first generator (sign +1), D(w) = Dg m + (-1)^{|D||g|} g Dm.  The
-        Leibniz extension E of D's generator images (read through ``apply``)
+        Leibniz extension E of D's generator images (read through ``image``)
         obeys the same recursion, so D = E by induction on the factors of w.
         A w with |w| + max(|D|, 0) > top is skipped: both sides vanish
         there, while merged keys are not truncated.
         """
         alg = self.algebra
         merge = alg.merge_keys
+        image = self.image
         gen_keys = [k for g in alg.gens() for k in g.terms]
         (unit,) = alg.basis(0)
-        table = {unit: self.apply(alg.unit()).terms}
-        if table[unit]:
+        if image(unit):
             return alg.unit()
         for q in range(1, alg.top + 1 - max(self.degree, 0)):
             for w in alg.basis(q):
-                mono = Element._trusted(alg, q, {w: _ONE})
-                table[w] = self.apply(mono).terms
                 gi, _, m, _ = alg.key_splits(w)[0]
                 g = gen_keys[gi]
                 sign = -1 if (alg.degree_of(gi) * self.degree) % 2 else 1
                 rhs: dict = {}
                 for products, flip in (
-                        (((merge(k, m), c) for k, c in table[g].items()), 1),
-                        (((merge(g, k), c) for k, c in table[m].items()), sign)):
+                        (((merge(k, m), c) for k, c in image(g).items()), 1),
+                        (((merge(g, k), c) for k, c in image(m).items()), sign)):
                     for (key, s), c in products:        # Dg m, then g Dm
                         if s:
                             t = c if s == flip else -c
                             rhs[key] = rhs[key] + t if key in rhs else t
-                if table[w] != {k: c for k, c in rhs.items() if c}:
-                    return mono
+                if image(w) != {k: c for k, c in rhs.items() if c}:
+                    return Element._trusted(alg, q, {w: _ONE})
         return None
 
     def matrix(self, p: int) -> linalg.Matrix:
         """Matrix of the derivation from degree p to degree p + |f|."""
-        return _basis_matrix(self, p)
+        return self._basis_matrix(p)
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images.values())
@@ -157,36 +185,32 @@ class Derivation:
         return f"<{label}: degree {self.degree:+d} on {len(self.algebra)} generators>"
 
 
-def _basis_matrix(op, p: int) -> linalg.Matrix:
-    """Matrix of ``op.apply`` from degree p to degree p + ``op.degree``, one
-    sparse row per target basis monomial, filled from each source basis
-    monomial's image and cached in ``op._matrices`` (write-once)."""
-    if p not in op._matrices:
-        alg = op.algebra
-        q = p + op.degree
-        rows: linalg.Matrix = [{} for _ in range(alg.dim(q))]
-        if rows:
-            index = alg.basis_index(q)
-            for j, key in enumerate(alg.basis(p)):
-                image = op.apply(Element._trusted(alg, p, {key: _ONE}))
-                for k, c in image.terms.items():
-                    rows[index[k]][j] = c
-        op._matrices[p] = rows
-    return op._matrices[p]
-
-
-def disagreement(lhs, rhs, alg: GradedAlgebra, degrees=None) -> Element | None:
-    """The first basis monomial, in degree order, on which the linear maps
-    ``lhs`` and ``rhs`` (callables on elements of ``alg``) differ, or None
-    when they agree.  ``rhs=None`` stands for the zero map; ``degrees``
-    restricts the check to those degrees (default: 0 through top)."""
+def word_disagreement(alg: GradedAlgebra, lhs, rhs=(),
+                      degrees=None) -> Element | None:
+    """The first basis monomial, in degree order, on which two sums of
+    operator words differ, or None.  A word is a tuple of operators on
+    ``alg``, composed right to left ((d, iota) is d after iota) on their
+    tables.  An empty side is the zero map; ``degrees`` restricts the check
+    (default: 0 through top)."""
+    if any(op.algebra is not alg for word in (*lhs, *rhs) for op in word):
+        raise StructureError("operator acts on a different algebra")
     for p in range(alg.top + 1) if degrees is None else degrees:
         for key in alg.basis(p):
-            mono = Element._trusted(alg, p, {key: _ONE})
-            out = lhs(mono)
-            if (not out.is_zero()) if rhs is None else out != rhs(mono):
-                return mono
+            if _word_sum(lhs, key) != _word_sum(rhs, key):
+                return Element._trusted(alg, p, {key: _ONE})
     return None
+
+
+def _word_sum(words, key) -> dict:
+    """The words' summed values on one basis monomial, from the tables."""
+    total: dict = {}
+    for word in words:
+        vec = word[-1].image(key)
+        for op in word[-2::-1]:
+            vec = op._extend(vec)
+        for k, c in vec.items():
+            total[k] = total[k] + c if k in total else c
+    return {k: c for k, c in total.items() if c}
 
 
 def extend_derivation(algebra: GradedAlgebra, images: dict, degree: int,
@@ -431,8 +455,9 @@ def free_line_dga(name: str = "t") -> DGA:
     return DGA(algebra, extend_derivation(algebra, {}, 1, name="d"))
 
 
-class AlgebraMap:
-    """Degree-preserving algebra endomorphism given by generator images."""
+class AlgebraMap(_MonomialTable):
+    """Degree-preserving algebra endomorphism given by generator images; a
+    basis monomial's image is the product of its generators' images."""
 
     degree = 0
 
@@ -451,24 +476,23 @@ class AlgebraMap:
                     f"image of {gen.name} must have degree {gen.degree}")
             self.images.append(img)
         self._matrices: dict[int, linalg.Matrix] = {}
+        self._table: dict = {}
 
     def apply(self, elem: Element) -> Element:
-        alg = self.algebra
-        out = alg.zero(elem.degree)
-        for key, coeff in elem.terms.items():
-            prod = alg.scalar(coeff)
-            for i in alg.key_indices(key):
-                prod = prod.wedge(self.images[i])
-                if prod.is_zero():
-                    break
-            out = out + prod
-        return out
+        return self._apply(elem)
 
-    def __call__(self, elem: Element) -> Element:
-        return self.apply(elem)
+    def _expand(self, key) -> dict:
+        """phi(g m) = phi(g) phi(m), with g the first generator of the
+        basis monomial ``key`` and phi(m) read from the table."""
+        alg = self.algebra
+        if not key:
+            return {key: _ONE}
+        gi, _, rest, _ = alg.key_splits(key)[0]
+        tail = Element._trusted(alg, alg.key_degree(rest), self.image(rest))
+        return self.images[gi].wedge(tail).terms
 
     def matrix(self, p: int) -> linalg.Matrix:
-        return _basis_matrix(self, p)
+        return self._basis_matrix(p)
 
     def is_automorphism(self) -> bool:
         return all(linalg.rank(self.matrix(p)) == self.algebra.dim(p)
@@ -482,9 +506,9 @@ class AlgebraMap:
                    for p in range(1, self.algebra.top + 1))
 
     def commutes_with(self, der: Derivation) -> bool:
-        return disagreement(lambda x: self.apply(der.apply(x)),
-                            lambda x: der.apply(self.apply(x)),
-                            self.algebra) is None
+        """Whether phi d = d phi on every basis monomial."""
+        return word_disagreement(self.algebra, [(self, der)],
+                                 [(der, self)]) is None
 
 
 def invariant_subalgebra(dga: DGA, phi: AlgebraMap, order: int) -> Subcomplex:

@@ -29,7 +29,7 @@ class DegreeSlice:
     """One degree of a cohomology ring."""
     dimension: int
     representatives: linalg.Matrix          # rref rows, in complex coordinates
-    rep_pivots: list[int]
+    rep_position: dict[int, int]            # representative pivot -> index
     image_rows: linalg.Matrix               # rref basis of im(d)
     image_pivots: list[int]
     d_columns: linalg.Matrix                # d out of degree p, by columns
@@ -65,8 +65,9 @@ class CohomologyRing:
             raise StructureError(
                 f"rank-nullity mismatch in degree {p}: "
                 f"{dim_h} != {len(kernel)} - {len(img_rows)}")
-        self._slices[p] = DegreeSlice(dim_h, reps, rep_pivots, img_rows,
-                                      img_pivots, linalg.transpose(d_out, n))
+        self._slices[p] = DegreeSlice(
+            dim_h, reps, {c: i for i, c in enumerate(rep_pivots)}, img_rows,
+            img_pivots, linalg.transpose(d_out, n))
         return self._slices[p]
 
     @property
@@ -93,7 +94,8 @@ class CohomologyRing:
 
         The representatives vanish on the image pivots and are in rref, so
         reducing v = sum a_i rep_i + d w modulo the image leaves sum a_i rep_i,
-        whose entries at the representatives' pivots are the a_i.  Raises if
+        whose entries at the representatives' pivots are the a_i (read from
+        the entries the reduction holds, in representative order).  Raises if
         v is not closed or the reduction is not that combination.  Like every
         ``linalg`` vector, v holds Fractions and no zeros; the returned a_i
         are read off unconverted.
@@ -107,7 +109,8 @@ class CohomologyRing:
         if linalg.combine(vec, s.d_columns):
             raise StructureError(f"vector of degree {p} is not closed")
         rest = linalg.residual(vec, s.image_rows, s.image_pivots)
-        coeffs = {i: rest[c] for i, c in enumerate(s.rep_pivots) if c in rest}
+        coeffs = dict(sorted((s.rep_position[c], v) for c, v in rest.items()
+                             if c in s.rep_position))
         if rest != self.representative_of(p, coeffs):
             raise StructureError(f"vector is not in Z^{p}")
         return coeffs

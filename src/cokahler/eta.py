@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .cdga import (Derivation, Subcomplex, disagreement, supercommutator,
-                   supercommutes_with_d)
+from .cdga import (Derivation, Subcomplex, supercommutator,
+                   supercommutes_with_d, word_disagreement)
 from .cohomology import inclusion_induced_map, kernel_witnesses
 from .errors import StructureError
 from .exterior import Element
@@ -83,7 +83,7 @@ def verify_d_eta_equals_lie(m: LieModel) -> DEtaLieReport:
     d_eta = build_d_eta(m).d_eta
     lie = m.lie_xi()
     alg = m.algebra()
-    degreewise = [disagreement(d_eta.apply, lie.apply, alg, [p]) is None
+    degreewise = [word_disagreement(alg, [(d_eta,)], [(lie,)], [p]) is None
                   for p in range(alg.top + 1)]
     return DEtaLieReport(all(degreewise), degreewise,
                          degreewise[0], degreewise[1] if len(degreewise) > 1 else True)
@@ -192,8 +192,7 @@ def omega_splitting(m: LieModel) -> OmegaSplitting:
             lambda vec, p=p: dga.coords(p + 1, eta.wedge(dga.element(p, vec))))
     omega1 = Subcomplex(dga, spans1)
     omega2 = Subcomplex(dga, spans2)
-    direct = [True]
-    eta_match = [True]
+    direct, eta_match = [True], [True]
     for p in range(1, top + 1):
         dims_add = omega1.dim(p) + omega2.dim(p) == sub.dim(p)
         stacked = omega1.basis_vectors(p) + omega2.basis_vectors(p)

@@ -156,24 +156,29 @@ class GradedAlgebra:
             return k1 | k2, -1 if inv else 1
         return self.canonicalize(k1 + k2)
 
-    def key_splits(self, key: Key) -> list[tuple[int, Key, Key, int]]:
+    def key_splits(self, key: Key,
+                   support: int = -1) -> list[tuple[int, Key, Key, int]]:
         """Each generator occurrence of a canonical monomial, in order, as
         (generator index, left sub-key, right sub-key, degree of the left).
 
-        The monomial is left * generator * right with sign +1.
+        The monomial is left * generator * right with sign +1.  Only the
+        generators in the index bitmask ``support`` count as occurrences;
+        the left degree counts every generator.
         """
         out = []
         if self.bitmask:
-            rest, left_deg = key, 0
+            rest = key & support
             while rest:
                 low = rest & -rest
                 rest ^= low
-                out.append((low.bit_length() - 1, key & (low - 1), rest, left_deg))
-                left_deg += 1
+                left = key & (low - 1)
+                out.append((low.bit_length() - 1, left, key ^ left ^ low,
+                            left.bit_count()))
             return out
         left_deg = 0
         for t, i in enumerate(key):
-            out.append((i, key[:t], key[t + 1:], left_deg))
+            if support >> i & 1:
+                out.append((i, key[:t], key[t + 1:], left_deg))
             left_deg += self.generators[i].degree
         return out
 

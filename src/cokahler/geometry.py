@@ -491,22 +491,14 @@ def classify(m: LieModel) -> StructureVerdict:
         witnesses["d(omega)"] = repr(d_omega)
     if not d_eta.is_zero():
         witnesses["d(eta)"] = repr(d_eta)
-    normal, nwit = nijenhuis_normality(m)
-    if nwit:
-        witnesses["normality"] = nwit
+    checks = {"normality": nijenhuis_normality(m),
+              "killing_xi": is_killing(m, m.xi),
+              "parallel_xi": is_parallel_vector(m, m.xi),
+              "parallel_eta": is_parallel_covector(m, m.eta),
+              "parallel_J": is_parallel_tensor(m, m.J)}
+    witnesses.update((k, wit) for k, (_, wit) in checks.items() if wit)
+    normal, killing, par_xi, par_eta, par_j = (ok for ok, _ in checks.values())
     co_kahler = cosymplectic and normal
-    killing, kwit = is_killing(m, m.xi)
-    if kwit:
-        witnesses["killing_xi"] = kwit
-    par_xi, pxwit = is_parallel_vector(m, m.xi)
-    if pxwit:
-        witnesses["parallel_xi"] = pxwit
-    par_eta, pewit = is_parallel_covector(m, m.eta)
-    if pewit:
-        witnesses["parallel_eta"] = pewit
-    par_j, pjwit = is_parallel_tensor(m, m.J)
-    if pjwit:
-        witnesses["parallel_J"] = pjwit
     if co_kahler != par_j:
         raise StructureError(
             "classification inconsistency: cosymplectic+normal disagrees "

@@ -112,10 +112,9 @@ def verify_lefschetz_iso(m: LieModel) -> LefschetzReport:
         ind = induced_map(
             sub, p, sub, q,
             lambda rep: sub.coords(q, lefschetz_map(m, sub.element(p, rep))))
-        comp_ok = True
-        for rep in ring.representatives(p):
-            comp_ok &= _component_split_ok(m, split, spans,
+        comp_ok = all([_component_split_ok(m, split, spans,
                                            sub.element(p, rep), q)
+                       for rep in ring.representatives(p)])
         degrees.append(LefschetzDegree(
             **vars(ind), kernel_witnesses=kernel_witnesses(sub, ind),
             component_split_ok=comp_ok))
@@ -137,16 +136,11 @@ def split_classes(m: LieModel) -> list[tuple[linalg.Matrix, linalg.Matrix]]:
     omega1 = split.omega1
     ring1 = omega1.cohomology()
     eta = m.eta_element()
-    table = []
-    for q in range(m.ce().top + 1):
-        h1, eta_h1 = [], []
-        for rep in ring1.representatives(q):
-            h1.append(_class(split.omega_eta, q, omega1.element(q, rep)))
-        for rep in ring1.representatives(q - 1):
-            form = eta.wedge(omega1.element(q - 1, rep))
-            eta_h1.append(_class(split.omega_eta, q, form))
-        table.append((h1, eta_h1))
-    return table
+    return [([_class(split.omega_eta, q, omega1.element(q, rep))
+              for rep in ring1.representatives(q)],
+             [_class(split.omega_eta, q, eta.wedge(omega1.element(q - 1, rep)))
+              for rep in ring1.representatives(q - 1)])
+            for q in range(m.ce().top + 1)]
 
 
 def _component_split_ok(m, split, spans, elem, q) -> bool:

@@ -17,6 +17,7 @@ The target can be a DGA or a subcomplex that is closed under products
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,10 +48,7 @@ class SullivanModel:
     injective_above: bool             # injectivity in degree cap + 1
 
     def generator_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for g in self.dga.algebra.generators:
-            counts[g.degree] = counts.get(g.degree, 0) + 1
-        return counts
+        return dict(Counter(g.degree for g in self.dga.algebra.generators))
 
     def push(self, elem: Element) -> linalg.Vector:
         """Image of a model element in target coordinates."""
@@ -197,12 +195,8 @@ def _finalize(builder: _Builder) -> SullivanModel:
 def _is_minimal(model: DGA) -> bool:
     """Differential lands in products of at least two generators."""
     alg = model.algebra
-    for i in range(len(alg)):
-        img = model.d.image_of(i)
-        for key in img.terms:
-            if len(alg.key_indices(key)) < 2:
-                return False
-    return True
+    return all(len(alg.key_indices(key)) >= 2 for i in range(len(alg))
+               for key in model.d.image_of(i).terms)
 
 
 def _betti_through(model: SullivanModel, cap: int) -> tuple[int, ...]:

@@ -223,36 +223,21 @@ def _parse_automorphism(mf: ModelFile, entries):
 
 def serialize(mf: ModelFile) -> str:
     """Canonical rendering: load(serialize(load(x))) == load(serialize(...))."""
-    out = [f"name: {mf.name}", f"dimension: {mf.dimension}", ""]
-    out.append("[brackets]")
-    for i, j, k, c in sorted(mf.brackets):
-        out.append(f"{i} {j} {k} {c}")
-    out.append("")
-    out.append("[metric]")
-    if mf.metric is None:
-        out.append("identity")
-    else:
-        out.extend(" ".join(str(v) for v in row) for row in mf.metric)
-    out.append("")
-    for label, vec in (("xi", mf.xi), ("eta", mf.eta)):
-        if vec is not None:
-            out.append(f"[{label}]")
-            out.append(" ".join(str(v) for v in vec))
-            out.append("")
-    if mf.J is not None:
-        out.append("[J]")
-        out.extend(" ".join(str(v) for v in row) for row in mf.J)
-        out.append("")
-    if mf.omega:
-        out.append("[omega]")
-        out.extend(f"{i} {j} {c}" for i, j, c in sorted(mf.omega))
-        out.append("")
+    def rows(mat):
+        return [" ".join(str(v) for v in row) for row in mat]
+    sections = [
+        ("brackets", [f"{i} {j} {k} {c}" for i, j, k, c in sorted(mf.brackets)]),
+        ("metric", ["identity"] if mf.metric is None else rows(mf.metric)),
+        ("xi", mf.xi and rows([mf.xi])), ("eta", mf.eta and rows([mf.eta])),
+        ("J", mf.J and rows(mf.J)),
+        ("omega", [f"{i} {j} {c}" for i, j, c in sorted(mf.omega)])]
     if mf.automorphism is not None:
         matrix, order = mf.automorphism
-        out.append("[automorphism]")
-        out.append(f"order {order}")
-        out.extend(" ".join(str(v) for v in row) for row in matrix)
-        out.append("")
+        sections.append(("automorphism", [f"order {order}", *rows(matrix)]))
+    out = [f"name: {mf.name}", f"dimension: {mf.dimension}", ""]
+    for label, lines in sections:
+        if lines or label in ("brackets", "metric"):
+            out += [f"[{label}]", *lines, ""]
     return "\n".join(out).rstrip() + "\n"
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .cdga import (check_d_squared, check_leibniz, disagreement,
-                   supercommutes_with_d)
+from .cdga import (check_d_squared, check_leibniz, supercommutes_with_d,
+                   word_disagreement)
 from .cohomology import kunneth_convolution
 from .errors import StructureError
 from .eta import (basic_complex, build_d_eta, omega_splitting,
@@ -166,15 +166,15 @@ def operator_identity_report(m: LieModel) -> Section:
     Leibniz for the working derivations, and {d, d_eta} = 0, all exact."""
     dga = m.ce()
     alg = m.algebra()
-    d = dga.d.apply
+    d = dga.d
     out: dict = {}
     iota_sq = True
     cartan = True
     for i in range(m.dimension):
-        iota = m.iota({i: 1}).apply
-        iota_sq &= disagreement(lambda x: iota(iota(x)), None, alg) is None
-        cartan &= disagreement(lambda x: d(iota(x)) + iota(d(x)),
-                               m.lie_coadjoint({i: 1}), alg) is None
+        iota = m.iota({i: 1})
+        iota_sq &= word_disagreement(alg, [(iota, iota)]) is None
+        cartan &= word_disagreement(alg, [(d, iota), (iota, d)],
+                                    [(m.lie_coadjoint({i: 1}),)]) is None
     out["iota_squared_zero"] = iota_sq
     out["cartan_formula"] = cartan
     out["d_squared_zero"] = check_d_squared(dga)

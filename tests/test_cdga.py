@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from cokahler import linalg
 from cokahler.cdga import (AlgebraMap, DGA, Derivation, Subcomplex,
-                           check_d_squared, check_leibniz, disagreement,
-                           extend_derivation, free_line_dga,
-                           invariant_subalgebra, supercommutator,
-                           supercommutes_with_d, tensor_product)
+                           check_d_squared, check_leibniz, extend_derivation,
+                           free_line_dga, invariant_subalgebra,
+                           supercommutator, supercommutes_with_d,
+                           tensor_product, word_disagreement)
 from cokahler.cohomology import (CohomologyRing, inclusion_induced_map,
                                  induced_map, kernel_witnesses,
                                  kunneth_convolution)
@@ -27,6 +27,7 @@ from cokahler.eta import build_d_eta, kernel_subcomplex
 from cokahler.exterior import Element, Generator, GradedAlgebra
 from cokahler.geometry import LieModel
 from cokahler.modelfile import CORPUS_MODELS, load_corpus
+from cokahler.report import operator_identity_report
 
 
 def ce_algebra(n, prefix="e"):
@@ -123,19 +124,36 @@ def leibniz_all_pairs(der):
     return True
 
 
-class WrongOn(Derivation):
-    """A linear map equal to ``der`` except that the basis monomial ``key``
-    also maps to ``extra``."""
+class Tampered:
+    """The table of the operator ``honest``, except that the basis monomial
+    ``key`` also maps to ``extra``; ``apply``, ``matrix`` and every check
+    read the table, so they all see the fault."""
+
+    def image(self, key):
+        out = self.honest.image(key)
+        if key != self.key:
+            return out
+        terms = dict(out)
+        for k, c in self.extra.terms.items():
+            terms[k] = terms.get(k, 0) + c
+        return {k: c for k, c in terms.items() if c}
+
+
+class WrongOn(Tampered, Derivation):
+    """A linear map equal to the derivation ``der`` except that the basis
+    monomial ``key`` also maps to ``extra``."""
 
     def __init__(self, der, key, extra):
         super().__init__(der.algebra, der.degree, der.images)
-        self.key = key
-        self.extra = extra
+        self.honest, self.key, self.extra = der, key, extra
 
-    def apply(self, elem):
-        out = super().apply(elem)
-        c = elem.terms.get(self.key)
-        return out + self.extra.scale(c) if c else out
+
+class MapWrongOn(Tampered, AlgebraMap):
+    """An algebra map's table, wrong on the basis monomial ``key``."""
+
+    def __init__(self, phi, key, extra):
+        super().__init__(phi.algebra, dict(enumerate(phi.images)))
+        self.honest, self.key, self.extra = phi, key, extra
 
 
 def rot5_model():
@@ -235,7 +253,9 @@ def leibniz_expansion(der, elem):
 def algebras(draw):
     if draw(st.booleans()):
         n = draw(st.integers(1, 6))
-        return GradedAlgebra([Generator(f"e{i + 1}", 1) for i in range(n)])
+        # a cap below n truncates a bitmask algebra too
+        return GradedAlgebra([Generator(f"e{i + 1}", 1) for i in range(n)],
+                             max_degree=draw(st.integers(1, n)))
     degrees = [2] + draw(st.lists(st.integers(1, 3), max_size=3))
     return GradedAlgebra([Generator(f"x{i + 1}", deg)
                           for i, deg in enumerate(degrees)],
@@ -249,19 +269,30 @@ def elements(draw, alg, degree):
     return Element(alg, degree, {k: Fraction(c) for k, c in zip(keys, coeffs)})
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.data())
 def test_apply_matches_the_leibniz_expansion(data):
     alg = data.draw(algebras())
     degree = data.draw(st.sampled_from([-1, 0, 1]))
+    # some generators carry no image: the expansion skips their occurrences,
+    # but their degrees still sign the occurrences to their right
+    carried = data.draw(st.lists(st.booleans(), min_size=len(alg),
+                                 max_size=len(alg)))
     images = {i: elements(data.draw, alg, gen.degree + degree)
-              for i, gen in enumerate(alg.generators)}
+              for i, gen in enumerate(alg.generators) if carried[i]}
     der = Derivation(alg, degree, images)
     elem = elements(data.draw, alg, data.draw(st.integers(0, alg.top)))
     got = der.apply(elem)
     assert got == leibniz_expansion(der, elem)
     assert got.degree == elem.degree + degree
     assert all(type(c) is Fraction for c in got.terms.values())
+    # the table itself, on every basis monomial of the drawn degree and of
+    # the top degree (whose image is empty when the degree rises above it)
+    for p in {elem.degree, alg.top}:
+        for key in alg.basis(p):
+            mono = Element(alg, p, {key: Fraction(1)})
+            assert Element(alg, p + degree, der.image(key)) == \
+                leibniz_expansion(der, mono)
 
 
 def random_derivation(alg, rng, degree):
@@ -348,14 +379,10 @@ def test_supercommutator_antisymmetry(seed):
 
 
 def faulty(f, mono, extra):
-    """The map ``f``, except that the basis monomial ``mono`` also maps to
-    ``extra``."""
+    """The derivation ``f``, except that the basis monomial ``mono`` also
+    maps to ``extra`` (faults nest)."""
     (key, _), = mono.terms.items()
-
-    def apply(elem):
-        c = elem.terms.get(key)
-        return f(elem) + extra.scale(c) if c else f(elem)
-    return apply
+    return WrongOn(f, key, extra)
 
 
 def test_disagreement_returns_the_first_differing_monomial_in_degree_order():
@@ -363,30 +390,42 @@ def test_disagreement_returns_the_first_differing_monomial_in_degree_order():
     alg = d.algebra
     e35, e45 = alg.monomial("e3", "e5"), alg.monomial("e4", "e5")
     e234 = alg.monomial("e2", "e3", "e4")
-    assert disagreement(d, d, alg) is None
+    assert word_disagreement(alg, [(d,)], [(d,)]) is None
     # a single fault on a degree-3 monomial, seen from either side
     bad = faulty(d, e234, alg.monomial("e1", "e2", "e3", "e4"))
-    assert disagreement(bad, d, alg) == e234
-    assert disagreement(d, bad, alg) == e234
+    assert word_disagreement(alg, [(bad,)], [(d,)]) == e234
+    assert word_disagreement(alg, [(d,)], [(bad,)]) == e234
     # faults on e4^e5 and e3^e5 come before it, and e3^e5 is first
     worse = faulty(faulty(bad, e45, alg.monomial("e1", "e4", "e5")),
                    e35, alg.monomial("e1", "e3", "e5"))
     keys = alg.basis(2)
     assert keys.index(next(iter(e35.terms))) < keys.index(next(iter(e45.terms)))
-    assert disagreement(worse, d, alg) == e35
-    assert disagreement(worse, d, alg, degrees=[3]) == e234
-    assert disagreement(worse, d, alg, degrees=[3, 2]) == e234
-    assert disagreement(worse, d, alg, degrees=[0, 1, 4, 5]) is None
+    assert word_disagreement(alg, [(worse,)], [(d,)]) == e35
+    assert word_disagreement(alg, [(worse,)], [(d,)], degrees=[3]) == e234
+    assert word_disagreement(alg, [(worse,)], [(d,)], degrees=[3, 2]) == e234
+    assert word_disagreement(alg, [(worse,)], [(d,)],
+                             degrees=[0, 1, 4, 5]) is None
+    # inside a word and in a sum of words: d^2 = 0 fails first on e2^e3,
+    # whose d is 2 e1^e2^e3^e5 once e2^e3 also maps to e2^e3^e4
+    e23 = alg.monomial("e2", "e3")
+    wrong = faulty(d, e23, alg.monomial("e2", "e3", "e4"))
+    assert word_disagreement(alg, [(d, d)]) is None
+    assert word_disagreement(alg, [(d, wrong)]) == e23
+    assert word_disagreement(alg, [(d, wrong), (d, d)], [(d, d)]) == e23
 
 
 def test_disagreement_with_none_compares_with_zero():
     d = rot5_model().ce().d
     alg = d.algebra
     assert d.apply(alg.gen("e1")).is_zero() and not d.apply(alg.gen("e2")).is_zero()
-    assert disagreement(d, None, alg) == alg.gen("e2")
-    assert disagreement(lambda x: d(d(x)), None, alg) is None
-    assert disagreement(d, None, alg, degrees=[0]) is None
-    assert disagreement(d, lambda x: alg.zero(x.degree + 1), alg) == alg.gen("e2")
+    assert word_disagreement(alg, [(d,)]) == alg.gen("e2")
+    assert word_disagreement(alg, [(d, d)]) is None
+    assert word_disagreement(alg, [(d,)], degrees=[0]) is None
+    zero = Derivation(alg, 1, {})
+    assert word_disagreement(alg, [(d,)], [(zero,)]) == alg.gen("e2")
+    assert word_disagreement(alg, [(zero,)], []) is None
+    with pytest.raises(StructureError, match="different algebra"):
+        word_disagreement(ce_algebra(5), [(d,)])
 
 
 def test_supercommutator_checks_its_extension_against_the_composition():
@@ -802,6 +841,49 @@ def test_invariant_subalgebra_validations():
     swap = AlgebraMap(heis.algebra, {"e1": g2, "e2": g1, "e3": g3})
     with pytest.raises(StructureError):
         invariant_subalgebra(heis, swap, 2)       # does not commute with d
+
+
+@pytest.mark.parametrize("method, extra, record", [
+    ("iota", ("e2", "e4"), "iota_squared_zero"),
+    ("lie_coadjoint", ("e2", "e3", "e5"), "cartan_formula")],
+    ids=["iota", "lie_coadjoint"])
+def test_operator_identities_read_every_monomial(monkeypatch, method, extra,
+                                                 record):
+    # iota_X2 or L_X2 wrong on the degree-3 monomial e2^e3^e4 only: no
+    # check on generators sees it
+    m = rot5_model()
+    alg = m.algebra()
+    assert all(operator_identity_report(m).record.values())
+    honest = getattr(LieModel, method)
+    key = next(iter(alg.monomial("e2", "e3", "e4").terms))
+
+    def wrong(self, vector):
+        der = honest(self, vector)
+        return WrongOn(der, key, alg.monomial(*extra)) if vector == {1: 1} \
+            else der
+
+    monkeypatch.setattr(LieModel, method, wrong)
+    out = operator_identity_report(m).record
+    assert out[record] is False
+    assert all(out[name] for name in out
+               if name not in ("iota_squared_zero", "cartan_formula"))
+
+
+def test_commutes_with_reads_every_monomial_of_the_map():
+    dga = rot5_model().ce()
+    alg = dga.algebra
+    ident = AlgebraMap(alg, dict(enumerate(alg.gens())))
+    assert ident.commutes_with(dga.d)
+    # d(e4^e5) = 0, and no d(generator) holds e4^e5, so the fault
+    # e4^e5 -> e4^e5 + e2^e4 is invisible on generators
+    e45 = alg.monomial("e4", "e5")
+    bad = MapWrongOn(ident, next(iter(e45.terms)), alg.monomial("e2", "e4"))
+    d = dga.d
+    assert all(bad(d(g)) == d(bad(g)) for g in alg.gens())
+    assert not d(bad(e45)).is_zero() and d(e45).is_zero()
+    assert not bad.commutes_with(d)
+    assert word_disagreement(alg, [(bad, d)], [(d, bad)]) == e45
+    assert bad.matrix(2) != ident.matrix(2)
 
 
 def test_supercommutes_with_d_detects_failure():

@@ -19,6 +19,7 @@ from cokahler.eta import (basic_complex, build_d_eta, eta_operator,
                           invariant_forms, kernel_subcomplex, omega_splitting,
                           split_form, splitting_obstruction, verify_basic_match,
                           verify_d_eta_equals_lie, verify_parallel_form_quism)
+from cokahler.exterior import Element
 from cokahler.geometry import LieModel
 from cokahler.lefschetz import splitting_check
 from cokahler.modelfile import load_corpus
@@ -260,14 +261,15 @@ def test_operator_identities_see_a_broken_lie_xi():
     alg = m.algebra()
     key = alg.monomial("e2", "e3", "e4").terms.popitem()[0]
     extra = alg.monomial("e2", "e3", "e5")
-    honest = lie.apply
+    honest = lie.image
 
-    def broken(elem):
-        out = honest(elem)
-        c = elem.terms.get(key)
-        return out + extra.scale(c) if c else out
+    def broken(k):
+        out = honest(k)
+        if k != key:
+            return out
+        return (Element(alg, 3, out) + extra).terms
 
-    lie.apply = broken
+    lie.image = broken
     assert m.lie_xi() is lie
     record = run_section(m, "operator_identities").record
     assert record["leibniz_operators"] is False

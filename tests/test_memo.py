@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from cokahler.cdga import Derivation
+from cokahler.cdga import AlgebraMap, Derivation
 from cokahler.errors import StructureError
 from cokahler.eta import (basic_complex, build_d_eta, invariant_forms,
                           omega_splitting)
@@ -83,22 +83,25 @@ e1
 """
 
 
-@pytest.mark.parametrize("name", ["rot7-1-2-3", "kx5"])
+@pytest.mark.parametrize("name", ["rot7-1-2-3", "kx5",
+                                  "t2-rot4-mapping-torus"])
 def test_a_report_expands_each_monomial_once_per_derivation(monkeypatch,
                                                              name):
+    # derivations and algebra maps (the mapping torus's phi) alike
     fills = Counter()
-    expand = Derivation._expand
+    for cls in (Derivation, AlgebraMap):
+        def counting(op, key, expand=cls._expand):
+            fills[op, key] += 1
+            return expand(op, key)
 
-    def counting(der, key):
-        fills[der, key] += 1
-        return expand(der, key)
-
-    monkeypatch.setattr(Derivation, "_expand", counting)
+        monkeypatch.setattr(cls, "_expand", counting)
     mf = loads(ROT7_123) if name == "rot7-1-2-3" else load_corpus(name)
     m = mf.to_lie_model()       # checks d squared = 0: the first fills of d
     monkeypatch.setattr(mf, "to_lie_model", lambda: m)
     build_report(mf)
     assert max(fills.values()) == 1
+    maps = {op for op, _ in fills if isinstance(op, AlgebraMap)}
+    assert len(maps) == (2 if m.automorphism is not None else 0)
     # d is read on every monomial below the top degree, one fill each
     d, alg = m.ce().d, m.algebra()
     assert {key for der, key in fills if der is d} == \
