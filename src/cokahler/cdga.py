@@ -262,9 +262,17 @@ class CochainComplex:
 
     _cohomology = None
 
+    @functools.cached_property
+    def _factors(self) -> dict:
+        return {}
+
     def solve_d(self, p: int, target: linalg.Vector) -> linalg.Vector | None:
-        """Coordinates x in degree p with d x = target (degree p+1), or None."""
-        return linalg.solve(self.d_matrix(p), target, self.dim(p))
+        """Coordinates x in degree p with d x = target (degree p+1), or None,
+        as ``linalg.solve`` gives them; d_p is factored on the first solve in
+        degree p and the factor kept with the complex (``linalg.factor``)."""
+        if p not in self._factors:
+            self._factors[p] = linalg.factor(self.d_matrix(p), self.dim(p))
+        return linalg.solve_factored(self._factors[p], target)
 
     def wedge_coords(self, p: int, v, q: int, w) -> linalg.Vector:
         """Coordinates of the product of two elements given by coordinates."""

@@ -120,9 +120,10 @@ class SplitPair:
 def split_form(m: LieModel, alpha: Element) -> SplitPair:
     """alpha1 = alpha - eta ^ iota_xi alpha, alpha2 = eta ^ iota_xi alpha."""
     eta = m.eta_element()
-    alpha2 = eta.wedge(m.contract(m._require("xi"), alpha))
+    iota_xi = m.iota_xi()
+    alpha2 = eta.wedge(iota_xi.apply(alpha))
     alpha1 = alpha - alpha2
-    if not m.contract(m.xi, alpha1).is_zero():
+    if not iota_xi.apply(alpha1).is_zero():
         raise StructureError("split failure: iota_xi alpha1 != 0")
     if not eta.wedge(alpha2).is_zero():
         raise StructureError("split failure: eta ^ alpha2 != 0")

@@ -342,7 +342,7 @@ def fundamental_form(m: LieModel) -> Element:
                 raise StructureError("fundamental form is not antisymmetric")
             if c:
                 omega = omega + alg.monomial(i, j, coeff=c)
-    if not m.contract(m.xi, omega).is_zero():
+    if not m.iota_xi().apply(omega).is_zero():
         raise StructureError("iota_xi omega != 0")
     return omega
 

@@ -56,7 +56,7 @@ def lefschetz_map(m: LieModel, alpha: Element) -> Element:
             "alpha is not L_xi-invariant: on such forms the Lefschetz map "
             "does not descend to cohomology; pass an element of Omega_eta")
     powers = _omega_powers(m)
-    out = powers[n - p + 1].wedge(m.contract(m.xi, alpha)) \
+    out = powers[n - p + 1].wedge(m.iota_xi().apply(alpha)) \
         + powers[n - p].wedge(m.eta_element()).wedge(alpha)
     if not m.lie_xi().apply(out).is_zero():
         raise StructureError("Lefschetz image left the invariant forms")

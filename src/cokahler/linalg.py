@@ -143,16 +143,34 @@ def in_row_space(vec: Vector, rows: Matrix, pivots: list[int]) -> bool:
     return not residual(vec, rows, pivots)
 
 
+def factor(mat: Matrix, ncols: int) -> tuple[list[int], Matrix]:
+    """The reduced echelon form of [mat | I], kept for solving mat @ x = b
+    for many b.  Row i is T_i [mat | I] for an invertible T; the rows with a
+    pivot below ``ncols`` are rref(mat) and hold x at that pivot, the rest
+    span the left null space.  Returns those pivots and T by columns."""
+    rows, pivots = rref([{**row, ncols + i: _ONE} for i, row in enumerate(mat)])
+    transform = [{j - ncols: v for j, v in row.items() if j >= ncols}
+                 for row in rows]
+    return pivots[:bisect_left(pivots, ncols)], transpose(transform, len(mat))
+
+
+def solve_factored(fac: tuple[list[int], Matrix], rhs: Vector) -> Vector | None:
+    """The solution of mat @ x = rhs with free variables zero, from
+    ``factor(mat, ncols)``: x at pivot P_i is T_i rhs; None if T rhs is
+    nonzero on a left-null row.  Keys come in pivot order."""
+    pivots, columns = fac
+    if max(rhs, default=-1) >= len(columns):
+        return None
+    t_rhs = combine(rhs, columns)
+    if max(t_rhs, default=-1) >= len(pivots):
+        return None
+    return {pivots[i]: t_rhs[i] for i in sorted(t_rhs)}
+
+
 def solve(mat: Matrix, rhs: Vector, ncols: int) -> Vector | None:
     """One solution of mat @ x = rhs over ``ncols`` unknowns (free variables
     zero), or None."""
-    if max(rhs, default=-1) >= len(mat):
-        return None
-    rows, pivots = rref([{**row, ncols: rhs[i]} if i in rhs else row
-                         for i, row in enumerate(mat)])
-    if ncols in pivots:
-        return None
-    return {c: row[ncols] for row, c in zip(rows, pivots) if ncols in row}
+    return solve_factored(factor(mat, ncols), rhs)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

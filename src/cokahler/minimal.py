@@ -12,7 +12,10 @@ of every added generator is decomposable by construction, since it is a
 cocycle of degree p+1 in an algebra generated below degree p+1.
 
 The target can be a DGA or a subcomplex that is closed under products
-(everything here goes through the shared cochain-algebra interface).
+(everything here goes through the shared cochain-algebra interface).  The
+comparison map's table of products is keyed by generator-index tuples, which
+stay valid as generators are appended, so it is kept across every rebuild of
+the model (whose monomial keys may change encoding) in a minimal_model call.
 """
 
 from __future__ import annotations
@@ -36,12 +39,39 @@ _STAGE_CAP = 12
 _ONE = Fraction(1)
 
 
+class _ComparisonMap:
+    """Model -> target on coordinates: the generator images and a write-once
+    table from generator-index tuples to the coordinates of their product."""
+
+    def __init__(self, target):
+        self.target = target
+        self.images: list[linalg.Vector] = []   # target coordinates
+        self.table = {(): {0: _ONE} if target.dim(0) else {}}
+
+    def push(self, elem: Element) -> linalg.Vector:
+        """Image of a model element in target coordinates."""
+        alg = elem.algebra
+        products = [self.product(alg, alg.key_indices(key))
+                    for key in elem.terms]
+        # the sum of each term's coefficient times its product of images
+        return linalg.combine(dict(enumerate(elem.terms.values())), products)
+
+    def product(self, alg: GradedAlgebra, idx: tuple[int, ...]):
+        """phi(g m) = phi(g) phi(m), g the first generator, filled once
+        through ``wedge_coords``: a subcomplex target checks each product."""
+        if idx not in self.table:
+            rest = idx[1:]
+            self.table[idx] = self.target.wedge_coords(
+                alg.degree_of(idx[0]), self.images[idx[0]],
+                sum(map(alg.degree_of, rest)), self.product(alg, rest))
+        return self.table[idx]
+
+
 @dataclass
 class SullivanModel:
     """Free model with decomposable differential plus the comparison map."""
     dga: DGA
-    target: object
-    images: list[linalg.Vector]       # target coordinates, one per generator
+    comparison: _ComparisonMap
     cap: int
     minimal: bool
     iso_degrees: list[bool]           # H^p isomorphism for p <= cap
@@ -51,27 +81,11 @@ class SullivanModel:
         return dict(Counter(g.degree for g in self.dga.algebra.generators))
 
     def push(self, elem: Element) -> linalg.Vector:
-        """Image of a model element in target coordinates."""
-        return _push(self.images, elem, self.target)
+        return self.comparison.push(elem)
 
     @property
     def quasi_iso(self) -> bool:
         return all(self.iso_degrees) and self.injective_above
-
-
-def _push(images, elem: Element, target) -> linalg.Vector:
-    alg = elem.algebra
-    products = []
-    for key in elem.terms:
-        vec = {0: _ONE} if target.dim(0) else {}
-        deg = 0
-        for i in alg.key_indices(key):
-            gd = alg.degree_of(i)
-            vec = target.wedge_coords(deg, vec, gd, images[i])
-            deg += gd
-        products.append(vec)
-    # the sum of each term's coefficient times its product of images
-    return linalg.combine(dict(enumerate(elem.terms.values())), products)
 
 
 class _Builder:
@@ -84,7 +98,7 @@ class _Builder:
         self.cap = cap
         self.gens: list[Generator] = []
         self.d_images: dict[str, Element] = {}
-        self.images: list[linalg.Vector] = []
+        self.comparison = _ComparisonMap(target)
         self._dga: DGA | None = None
         self._maps: dict[int, InducedMap] = {}
 
@@ -102,7 +116,7 @@ class _Builder:
         self.gens = self.gens + [Generator(name, degree)]
         if d_image is not None and not d_image.is_zero():
             self.d_images[name] = d_image
-        self.images.append(dict(target_coords))
+        self.comparison.images.append(dict(target_coords))
         self._dga = None
         self._maps = {}
 
@@ -112,8 +126,7 @@ class _Builder:
             model = self.dga()
             self._maps[p] = induced_map(
                 model, p, self.target, p,
-                lambda rep: _push(self.images, model.element(p, rep),
-                                  self.target))
+                lambda rep: self.comparison.push(model.element(p, rep)))
         return self._maps[p]
 
 
@@ -167,8 +180,7 @@ def _kill_kernel(builder: _Builder, p: int):
         cocycles = [model.element(p + 1, ring.representative_of(p + 1, k))
                     for k in kernel]
         for z in cocycles:
-            w = builder.target.solve_d(
-                p, _push(builder.images, z, builder.target))
+            w = builder.target.solve_d(p, builder.comparison.push(z))
             if w is None:
                 raise StructureError("kernel class pushes to a non-exact "
                                      "cocycle; broken morphism")
@@ -177,19 +189,19 @@ def _kill_kernel(builder: _Builder, p: int):
 
 def _finalize(builder: _Builder) -> SullivanModel:
     model = builder.dga()
-    alg = model.algebra
+    comparison = builder.comparison
     # chain-map check: pushing commutes with the differentials
-    for i, gen in enumerate(alg.generators):
-        lhs = _push(builder.images, model.d.image_of(i), builder.target)
+    for i, gen in enumerate(model.algebra.generators):
+        lhs = comparison.push(model.d.image_of(i))
         rhs = linalg.mat_vec(builder.target.d_matrix(gen.degree),
-                             builder.images[i])
+                             comparison.images[i])
         if lhs != rhs:
             raise StructureError("comparison map is not a chain map")
     minimal = _is_minimal(model)
     iso = [builder.induced_map(p).isomorphism for p in range(builder.cap + 1)]
     injective = builder.induced_map(builder.cap + 1).injective
-    return SullivanModel(model, builder.target, builder.images, builder.cap,
-                         minimal, iso, injective)
+    return SullivanModel(model, comparison, builder.cap, minimal, iso,
+                         injective)
 
 
 def _is_minimal(model: DGA) -> bool:

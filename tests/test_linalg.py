@@ -311,3 +311,63 @@ def test_sparse_forms_match_sympy(case, data):
         ref_sol, params = ref.gauss_jordan_solve(column)
         want = from_sympy(ref_sol.subs({t: 0 for t in params}).T)[0]
         assert sol == linalg.sparse(want)
+
+
+def one_shot_solve(rows, rhs, ncols):
+    """The echelon solve without a factor: rref of [mat | rhs] once, x at
+    each pivot read from the rhs column, None if that column is a pivot."""
+    if max(rhs, default=-1) >= len(rows):
+        return None
+    reduced, pivots = linalg.rref([{**row, ncols: rhs[i]} if i in rhs else row
+                                   for i, row in enumerate(rows)])
+    if ncols in pivots:
+        return None
+    return {c: row[ncols] for row, c in zip(reduced, pivots) if ncols in row}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sparse_cases(), st.data())
+def test_one_factor_solves_many_right_hand_sides(case, data):
+    mat, ncols = case
+    rows = sparse_rows(mat)
+    fac = linalg.factor(rows, ncols)
+    ref = exact_sympy(mat, ncols)
+    solutions = [data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+                 for _ in range(3)]
+    rhss = [linalg.mat_vec(rows, linalg.sparse(x)) for x in solutions]
+    rhss += [linalg.sparse(data.draw(st.lists(
+        ENTRIES, min_size=len(mat), max_size=len(mat)))) for _ in range(3)]
+    # an entry at or past the row count is the equation 0 = b_i
+    rhss += [{**rhs, len(mat) + data.draw(st.integers(0, 2)): Fraction(1)}
+             for rhs in rhss[:2]]
+    for rhs in rhss:
+        sol = linalg.solve_factored(fac, rhs)
+        assert sol == one_shot_solve(rows, rhs, ncols)
+        assert sol == linalg.solve(rows, rhs, ncols)
+        if max(rhs, default=-1) >= len(mat):
+            assert sol is None
+            continue
+        column = exact_sympy([[rhs.get(i, Fraction(0))]
+                              for i in range(len(mat))], 1)
+        if ref.row_join(column).rank() > ref.rank():
+            assert sol is None
+            continue
+        if not mat:
+            assert sol == {}
+            continue
+        ref_sol, params = ref.gauss_jordan_solve(column)
+        want = linalg.sparse(
+            from_sympy(ref_sol.subs({t: 0 for t in params}).T)[0])
+        # keys in pivot order, the ascending order of the sparse oracle
+        assert list(sol.items()) == list(want.items())
+
+
+def test_a_left_null_row_makes_the_system_inconsistent():
+    # x = 1 and 2x = 1: the transform's second row is the left null vector
+    # (-2, 1), which is nonzero on the rhs
+    rows = [{0: Fraction(1)}, {0: Fraction(2)}]
+    fac = linalg.factor(rows, 1)
+    assert linalg.solve_factored(fac, {0: Fraction(1), 1: Fraction(2)}) == \
+        {0: Fraction(1)}
+    assert linalg.solve_factored(fac, {0: Fraction(1), 1: Fraction(1)}) is None
+    assert linalg.solve_factored(fac, {1: Fraction(1)}) is None

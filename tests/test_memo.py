@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from cokahler import linalg
 from cokahler.cdga import AlgebraMap, Derivation
 from cokahler.errors import StructureError
 from cokahler.eta import (basic_complex, build_d_eta, invariant_forms,
@@ -106,3 +107,27 @@ def test_a_report_expands_each_monomial_once_per_derivation(monkeypatch,
     d, alg = m.ce().d, m.algebra()
     assert {key for der, key in fills if der is d} == \
         {key for p in range(alg.top) for key in alg.basis(p)}
+
+
+@pytest.mark.parametrize("name", ["rot7-1-2-3", "kx5"])
+def test_a_report_factors_each_differential_once(monkeypatch, name):
+    # Massey bounding cochains and kill rounds solve d x = b on several
+    # complexes; d_matrix is cached, so its matrix object names the
+    # (complex, degree) pair
+    factored, solves, matrices = Counter(), [], []
+    factor, solve_factored = linalg.factor, linalg.solve_factored
+
+    def counting_factor(mat, ncols):
+        matrices.append(mat)        # keeps each id unique while counting
+        factored[id(mat)] += 1
+        return factor(mat, ncols)
+
+    def counting_solve(fac, rhs):
+        solves.append(rhs)
+        return solve_factored(fac, rhs)
+
+    monkeypatch.setattr(linalg, "factor", counting_factor)
+    monkeypatch.setattr(linalg, "solve_factored", counting_solve)
+    build_report(loads(ROT7_123) if name == "rot7-1-2-3" else load_corpus(name))
+    assert factored and max(factored.values()) == 1
+    assert len(solves) > len(factored)

@@ -1,20 +1,21 @@
 """Bounded-degree Sullivan models and the tensor-splitting comparison."""
 
 import importlib.util
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 import pytest
 
 from cokahler import linalg, load_corpus, loads
-from cokahler.cdga import DGA, extend_derivation
+from cokahler.cdga import DGA, Subcomplex, extend_derivation
 from cokahler.cli import main
 from cokahler.cohomology import InducedMap
 from cokahler.errors import StructureError
 from cokahler.eta import invariant_forms, omega_splitting
 from cokahler.exterior import Generator, GradedAlgebra
-from cokahler.minimal import (_extend_surjective, minimal_model,
-                              model_tensor_split_check)
+from cokahler.minimal import (_Builder, _ComparisonMap, _extend_surjective,
+                              minimal_model, model_tensor_split_check)
 from cokahler.report import run_section
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -158,8 +159,62 @@ def test_quasi_iso_matrices_are_chain_maps(heisenberg):
     for i, gen in enumerate(mm.dga.algebra.generators):
         pushed_d = mm.push(mm.dga.d.image_of(i))
         import cokahler.linalg as la
-        d_pushed = la.mat_vec(target.d_matrix(gen.degree), mm.images[i])
+        d_pushed = la.mat_vec(target.d_matrix(gen.degree),
+                              mm.comparison.images[i])
         assert pushed_d == d_pushed
+
+
+def test_each_generator_product_is_pushed_once_per_call(monkeypatch):
+    # Omega_eta of rot7-1-1-2 needs kill rounds: the model is rebuilt five
+    # times, and the table of products of images outlives every rebuild
+    m = loads(perfbench_models().rot_text((1, 1, 2))).to_lie_model()
+    target = invariant_forms(m)
+    wedges, rebuilds = [], []
+    wedge_coords, dga = target.wedge_coords, _Builder.dga
+
+    def counting_wedge(*args):
+        wedges.append(args)
+        return wedge_coords(*args)
+
+    def counting_dga(self):
+        if self._dga is None:
+            rebuilds.append(len(self.gens))
+        return dga(self)
+
+    monkeypatch.setattr(target, "wedge_coords", counting_wedge)
+    monkeypatch.setattr(_Builder, "dga", counting_dga)
+    mm = minimal_model(target, 3)
+    assert len(rebuilds) >= 3
+    # one product per entry past the unit: no entry is computed twice
+    assert len(wedges) == len(mm.comparison.table) - 1 > 0
+    # each entry is the product of the images, wedged left to right
+    alg = mm.dga.algebra
+    for p in range(target.top + 1):
+        for key in alg.basis(p):
+            vec, deg = {0: Fraction(1)}, 0
+            for i in alg.key_indices(key):
+                vec = wedge_coords(deg, vec, alg.degree_of(i),
+                                   mm.comparison.images[i])
+                deg += alg.degree_of(i)
+            assert mm.push(alg.element(p, {alg.basis_index(p)[key]: 1})) \
+                == vec
+
+
+def test_push_into_a_subcomplex_checks_every_product(torus3):
+    # span(1; e1, e2; nothing above) is closed under d = 0 but not under
+    # products: the push of x1 x2 lands on e1 ^ e2, outside the target
+    sub = Subcomplex(torus3.ce(), {0: [{0: Fraction(1)}],
+                                   1: [linalg.sparse([1, 0, 0]),
+                                       linalg.sparse([0, 1, 0])]})
+    comparison = _ComparisonMap(sub)
+    comparison.images += [{0: Fraction(1)}, {1: Fraction(1)}]
+    alg = GradedAlgebra([Generator("x1", 1), Generator("x2", 1)])
+    assert comparison.push(alg.gen(1)) == {1: Fraction(1)}
+    for _ in range(2):      # a failed entry is not written
+        with pytest.raises(StructureError, match="not in the degree 2"):
+            comparison.push(alg.monomial(0, 1))
+    with pytest.raises(StructureError, match="not in the degree 2 subspace"):
+        minimal_model(sub, 2)
 
 
 class SurjectivityFake:

@@ -27,7 +27,8 @@ LABELS = ("torus3", "torus5", "heisenberg", "t2-rot4-mapping-torus",
           "rot7-1-1-3")
 # kx5 and kx7 have d != 0 on Omega_1; nil5 is not cosymplectic; torus9 is
 # the frontier dimension; rot5-1-1-g and heisenberg-g carry a metric other
-# than the identity; operator identities dominate rot9-1-2-3-4's report
+# than the identity; operator identities dominate rot9-1-2-3-4's report;
+# rot9-1-1-1-1 runs the most kill-round solves and comparison-map products
 PINNED = {
     "kx5": "1b975619702f84da28ffd00ee0488cc0bc9eead37276a6c2436cb40a0807e594",
     "nil5": "ef26474476ead2ed550effb2f87e247a1ea5a6443de60114052e329ef9e36fc1",
@@ -41,6 +42,8 @@ PINNED = {
         "7a903d54df8ce741bb487d6ceae93144b2be182a028fa5bf5bd0a13e3febd123",
     "rot9-1-2-3-4":
         "eba4e91b62f21a414808d2a8a0cd53ccc98e9a9a69a456ed42c4f3d7bc7f51f5",
+    "rot9-1-1-1-1":
+        "8979be19f36e8cf6ac2cfe0f520d1dc33994c96ef71741e99934f077c6a873e3",
 }
 # a J-invariant metric on rot5-1-1: X2 pairs with X4 and X3 with X5
 ROT5_METRIC = "1 0 0 0 0\n0 2 0 1 0\n0 0 2 0 1\n0 1 0 2 0\n0 0 1 0 2"
@@ -68,6 +71,7 @@ def pinned_text(name: str) -> str | None:
         "nil5": models.nil5_text(),
         "rot7-1-1-1": models.rot_text((1, 1, 1)),
         "rot9-1-2-3-4": models.rot_text((1, 2, 3, 4)),
+        "rot9-1-1-1-1": models.rot_text((1, 1, 1, 1)),
         "kx7": models.model_text("kx7", 7, [(2, 4, 5, 1), (2, 5, 4, -1),
                                             (2, 6, 7, 2), (2, 7, 6, -2)]),
         "torus9": models.model_text("torus9", 9),
