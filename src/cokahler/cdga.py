@@ -21,13 +21,10 @@ row per target basis monomial, filled from each source monomial's image.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from . import linalg
 from .errors import StructureError
 from .exterior import Element, Generator, GradedAlgebra
-
-_ONE = Fraction(1)
 
 
 class _MonomialTable:
@@ -170,7 +167,7 @@ class Derivation(_MonomialTable):
                             t = c if s == flip else -c
                             rhs[key] = rhs[key] + t if key in rhs else t
                 if image(w) != {k: c for k, c in rhs.items() if c}:
-                    return Element._trusted(alg, q, {w: _ONE})
+                    return Element._trusted(alg, q, {w: 1})
         return None
 
     def matrix(self, p: int) -> linalg.Matrix:
@@ -197,7 +194,7 @@ def word_disagreement(alg: GradedAlgebra, lhs, rhs=(),
     for p in range(alg.top + 1) if degrees is None else degrees:
         for key in alg.basis(p):
             if _word_sum(lhs, key) != _word_sum(rhs, key):
-                return Element._trusted(alg, p, {key: _ONE})
+                return Element._trusted(alg, p, {key: 1})
     return None
 
 
@@ -494,7 +491,7 @@ class AlgebraMap(_MonomialTable):
         basis monomial ``key`` and phi(m) read from the table."""
         alg = self.algebra
         if not key:
-            return {key: _ONE}
+            return {key: 1}
         gi, _, rest, _ = alg.key_splits(key)[0]
         tail = Element._trusted(alg, alg.key_degree(rest), self.image(rest))
         return self.images[gi].wedge(tail).terms

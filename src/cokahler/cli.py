@@ -15,6 +15,7 @@ COKAHLER_MAX_DEGREE sets the default minimal-model degree cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -39,7 +40,10 @@ def _degree_cap(flag: str | None) -> int:
     return cap
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call of
+    ``main`` in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="cokahler",
         description="Exact verification of cosymplectic / co-Kahler "
@@ -81,8 +85,11 @@ def main(argv=None) -> int:
     canon = sub.add_parser("canonicalize",
                            help="print the canonical form of a model file")
     canon.add_argument("model")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         mf = resolve(args.model)
         cap = _degree_cap(args.max_degree) if "max_degree" in args else 3

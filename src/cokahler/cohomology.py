@@ -3,7 +3,7 @@
 Works uniformly over anything with the complex interface (``dim``,
 ``d_matrix``, ``element``, ``coords(p, elem)``, ``top``): full DGAs and
 subcomplexes alike.  Cochains, representatives and classes are ``linalg``
-sparse vectors (``{index: Fraction}``, no zero values) on the complex's
+sparse vectors (``{index: rational}``, no zero values) on the complex's
 basis or on the representative basis of H^p, and every matrix is a list of
 such rows.  A ring computes a degree on first use, from the
 differentials into and out of that degree only.  Representatives are
@@ -16,12 +16,9 @@ the Lefschetz map) is built by ``induced_map``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import StructureError
-
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -97,8 +94,8 @@ class CohomologyRing:
         whose entries at the representatives' pivots are the a_i (read from
         the entries the reduction holds, in representative order).  Raises if
         v is not closed or the reduction is not that combination.  Like every
-        ``linalg`` vector, v holds Fractions and no zeros; the returned a_i
-        are read off unconverted.
+        ``linalg`` vector, v holds exact rationals (ints where integral) and
+        no zeros; the returned a_i are read off unconverted.
         """
         vec = cocycle_coords
         if p < 0 or p > self.top:
@@ -125,7 +122,7 @@ class CohomologyRing:
     def cup_basis(self, p: int, i: int, q: int, j: int) -> linalg.Vector:
         key = (p, i, q, j)
         if key not in self._cup_cache:
-            self._cup_cache[key] = self.cup(p, {i: _ONE}, q, {j: _ONE})
+            self._cup_cache[key] = self.cup(p, {i: 1}, q, {j: 1})
         return self._cup_cache[key]
 
 
@@ -163,9 +160,9 @@ def induced_map(source, p: int, target, q: int, push) -> InducedMap:
     source_dim = ring_s.dim(p)
     target_dim = ring_t.dim(q)
     matrix = linalg.transpose(cols, target_dim)
-    rk = linalg.rank(matrix)
     kernel = linalg.kernel_basis(matrix, source_dim)
-    return InducedMap(p, matrix, source_dim, target_dim, rk, kernel)
+    return InducedMap(p, matrix, source_dim, target_dim,
+                      source_dim - len(kernel), kernel)
 
 
 def kernel_witnesses(source, ind: InducedMap) -> list[str]:

@@ -9,8 +9,10 @@ rationals.  Monomial keys come in two encodings, chosen once per algebra:
 * otherwise: a sorted index tuple, odd generators at most once, even
   generators with multiplicity, canonicalized with explicit Koszul signs.
 
-Coordinates on the degree-p basis are ``linalg`` sparse vectors
-(``{basis index: Fraction}``, no zeros), which ``element`` and ``coords``
+Coefficients are exact rationals in ``linalg``'s one form: an int when
+integral, else a Fraction (``linalg.exact``); the constructors below set
+it.  Coordinates on the degree-p basis are ``linalg`` sparse vectors
+(``{basis index: rational}``, no zeros), which ``element`` and ``coords``
 map to monomial keys and back.  Only the public ``Element`` constructor
 checks key degrees; keys the algebra made itself are trusted.
 
@@ -21,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Rational
 
 from .errors import StructureError
+from .linalg import Vector, exact
 
 Key = int | tuple[int, ...]
 
@@ -88,7 +90,7 @@ class GradedAlgebra:
         if not 0 <= i < len(self.generators):
             raise StructureError(f"generator index {i} out of range")
         key: Key = (1 << i) if self.bitmask else (i,)
-        return Element(self, self.generators[i].degree, {key: Fraction(1)})
+        return Element(self, self.generators[i].degree, {key: 1})
 
     def gens(self) -> list["Element"]:
         return [self.gen(i) for i in range(len(self.generators))]
@@ -232,7 +234,7 @@ class GradedAlgebra:
         return Element(self, degree, {})
 
     def scalar(self, value) -> "Element":
-        value = Fraction(value)
+        value = exact(value)
         if value == 0:
             return self.zero(0)
         return Element(self, 0, {self._zero_key(): value})
@@ -244,18 +246,18 @@ class GradedAlgebra:
         """Element from a raw generator-name (or index) sequence."""
         idx = [n if isinstance(n, int) else self.index(n) for n in names]
         key, sign = self.canonicalize(idx)
-        coeff = Fraction(coeff) * sign
+        coeff = exact(coeff) * sign
         degree = sum(self.generators[i].degree for i in idx)
         if coeff == 0 or degree > self.top:
             return self.zero(degree)
         return Element(self, degree, {key: coeff})
 
-    def element(self, p: int, coords: dict[int, Fraction]) -> "Element":
+    def element(self, p: int, coords: Vector) -> "Element":
         """The element with the given sparse coordinates on ``basis(p)``."""
         keys = self.basis(p)
         return Element._trusted(self, p, {keys[i]: c for i, c in coords.items()})
 
-    def coords(self, elem: "Element") -> dict[int, Fraction]:
+    def coords(self, elem: "Element") -> Vector:
         """Sparse coordinates on the basis of the element's degree."""
         index = self.basis_index(elem.degree)
         return {index[key]: c for key, c in elem.terms.items()}
@@ -315,7 +317,7 @@ class Element:
         return self + (-other)
 
     def scale(self, c) -> "Element":
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return self.algebra.zero(self.degree)
         return Element._trusted(self.algebra, self.degree,
@@ -345,7 +347,7 @@ class Element:
                 if sign == 0:
                     continue
                 c = c1 * c2 * sign
-                acc = terms.get(key, Fraction(0)) + c
+                acc = terms.get(key, 0) + c
                 if acc:
                     terms[key] = acc
                 else:
@@ -354,7 +356,7 @@ class Element:
 
     __xor__ = wedge
 
-    def coords(self) -> dict[int, Fraction]:
+    def coords(self) -> Vector:
         return self.algebra.coords(self)
 
     def __eq__(self, other) -> bool:

@@ -67,7 +67,7 @@ class LieModel:
                  omega_terms=None, automorphism=None):
         self.name = name
         self.dimension = dimension
-        self.brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+        self.brackets: dict[tuple[int, int], Vector] = {}
         for (i, j), comps in brackets.items():
             if not (0 <= i < dimension and 0 <= j < dimension):
                 raise StructureError(f"bracket index ({i},{j}) out of range")
@@ -79,7 +79,7 @@ class LieModel:
             for k, c in comps.items():
                 if not 0 <= k < dimension:
                     raise StructureError(f"bracket target index {k} out of range")
-                c = Fraction(c)
+                c = linalg.exact(c)
                 if c:
                     clean[k] = c
             if clean:
@@ -95,7 +95,7 @@ class LieModel:
             if eta is not None else None
         self.J = _sparse_rows("J", J, dimension, dimension) \
             if J is not None else None
-        self.omega_terms = [(int(i), int(j), Fraction(c))
+        self.omega_terms = [(int(i), int(j), linalg.exact(c))
                             for i, j, c in (omega_terms or [])]
         self.automorphism = None
         if automorphism is not None:
@@ -221,7 +221,7 @@ class LieModel:
                     v = low[i][j].get(k, 0) - low[j][k].get(i, 0) \
                         + low[k][i].get(j, 0)
                     if v:
-                        rhs[k] = v / 2
+                        rhs[k] = Fraction(v, 2)
                 gamma[i][j] = linalg.mat_vec(ginv, rhs)
         _check_connection(self, gamma)
         return gamma

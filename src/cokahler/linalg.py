@@ -1,11 +1,18 @@
 """Exact linear algebra over the rationals, on sparse vectors.
 
-A vector is a ``{index: Fraction}`` dict with no zero values, and a matrix
+A vector is a ``{index: rational}`` dict with no zero values, and a matrix
 is a list of such rows; the number of columns is the caller's to know.
 Cochains, cohomology classes and the matrices between them are mostly
 zeros, so every function here reads only stored entries and never tests a
 zero.  ``sparse`` and ``dense`` are the only converters to and from
-length-n ``Fraction`` lists.
+length-n lists.
+
+Values are exact rationals, never floats or bools: a value is made an
+``int`` when it is integral and a ``Fraction`` otherwise (``exact``; ``rref``
+does the same).  Arithmetic needs no help: int with int stays int, a
+Fraction operand gives a Fraction, and the two compare and hash equal by
+value, so a mix stays exact and integer models pay no ``Fraction``
+arithmetic.  No ``/`` may divide two ints.
 
 One sparse integer echelon underlies rank and the reduced echelon form:
 each row becomes a ``{column: int}`` dict with its denominators and content
@@ -26,22 +33,26 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
-Vector = dict[int, Fraction]
+Vector = dict[int, int | Fraction]
 Matrix = list[Vector]
 
-_ONE = Fraction(1)
+
+def exact(value) -> int | Fraction:
+    """A rational as an int when it is integral, else as a Fraction."""
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def sparse(values) -> Vector:
     """The sparse vector of a sequence of rationals."""
-    return {j: Fraction(v) for j, v in enumerate(values) if v}
+    return {j: exact(v) for j, v in enumerate(values) if v}
 
 
 def dense(vec: Vector, n: int) -> list[Fraction]:
     """The length-n ``Fraction`` list of a sparse vector."""
     out = [Fraction(0)] * n
     for j, v in vec.items():
-        out[j] = v
+        out[j] = Fraction(v)
     return out
 
 
@@ -71,9 +82,12 @@ def _echelon(mat: Matrix) -> dict[int, dict[int, int]]:
     distinct leading columns (the pivot columns of rref(mat))."""
     pivots: dict[int, dict[int, int]] = {}
     for row in mat:
-        mult = lcm(*(f.denominator for f in row.values()))
-        ints = _primitive({j: f.numerator * (mult // f.denominator)
-                           for j, f in row.items()})
+        if all(type(f) is int for f in row.values()):
+            ints = _primitive(row)      # no row is ever changed in place
+        else:
+            mult = lcm(*(f.denominator for f in row.values()))
+            ints = _primitive({j: f.numerator * (mult // f.denominator)
+                               for j, f in row.items()})
         while ints:
             c = min(ints)
             if c not in pivots:
@@ -99,7 +113,8 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     rows = []
     for c in pivots:
         lead = ech[c][c]
-        rows.append({j: Fraction(v, lead) for j, v in ech[c].items()})
+        rows.append({j: v // lead if v % lead == 0 else Fraction(v, lead)
+                     for j, v in ech[c].items()})
     return rows, pivots
 
 
@@ -110,7 +125,7 @@ def rank(mat: Matrix) -> int:
 def kernel_basis(mat: Matrix, ncols: int) -> list[Vector]:
     """Basis of {x : mat @ x = 0}, one vector per free column, ascending."""
     rows, pivots = rref(mat)
-    basis = {j: {j: _ONE} for j in range(ncols)}
+    basis = {j: {j: 1} for j in range(ncols)}
     for c in pivots:
         del basis[c]
     for row, c in zip(rows, pivots):
@@ -148,7 +163,7 @@ def factor(mat: Matrix, ncols: int) -> tuple[list[int], Matrix]:
     for many b.  Row i is T_i [mat | I] for an invertible T; the rows with a
     pivot below ``ncols`` are rref(mat) and hold x at that pivot, the rest
     span the left null space.  Returns those pivots and T by columns."""
-    rows, pivots = rref([{**row, ncols + i: _ONE} for i, row in enumerate(mat)])
+    rows, pivots = rref([{**row, ncols + i: 1} for i, row in enumerate(mat)])
     transform = [{j - ncols: v for j, v in row.items() if j >= ncols}
                  for row in rows]
     return pivots[:bisect_left(pivots, ncols)], transpose(transform, len(mat))
@@ -215,11 +230,11 @@ def transpose(mat: Matrix, ncols: int) -> Matrix:
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [combine({0: _ONE, 1: -_ONE}, [ra, rb]) for ra, rb in zip(a, b)]
+    return [combine({0: 1, 1: -1}, [ra, rb]) for ra, rb in zip(a, b)]
 
 
 def identity(n: int) -> Matrix:
-    return [{i: _ONE} for i in range(n)]
+    return [{i: 1} for i in range(n)]
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:

@@ -14,13 +14,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .cohomology import CohomologyRing
 from .errors import StructureError
-
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -68,7 +65,7 @@ def triple_massey(ring: CohomologyRing, x: tuple, y: tuple,
     uc = cx.wedge_coords(px + py - 1, u, pz, c)
     av = cx.wedge_coords(px, a, py + pz - 1, v)
     sign = -1 if px % 2 else 1
-    w = linalg.combine({0: _ONE, 1: Fraction(-sign)}, [uc, av])
+    w = linalg.combine({0: 1, 1: -sign}, [uc, av])
     value_class = ring.class_of(s, w)
     ind_rows, ind_pivots = _indeterminacy(ring, px, xc, pz, zc, s)
     vanishes = linalg.in_row_space(value_class, ind_rows, ind_pivots)
@@ -81,10 +78,10 @@ def _indeterminacy(ring: CohomologyRing, px, xc, pz, zc, s):
     span = []
     q = s - px
     for i in range(ring.dim(q)):
-        span.append(ring.cup(px, xc, q, {i: _ONE}))
+        span.append(ring.cup(px, xc, q, {i: 1}))
     q = s - pz
     for i in range(ring.dim(q)):
-        span.append(ring.cup(q, {i: _ONE}, pz, zc))
+        span.append(ring.cup(q, {i: 1}, pz, zc))
     return linalg.rref(span)
 
 
@@ -107,7 +104,7 @@ def degree_one_massey_scan(ring: CohomologyRing) -> MasseyScan:
     for i, j, k in itertools.product(range(n1), repeat=3):
         if ring.cup_basis(1, i, 1, j) or ring.cup_basis(1, j, 1, k):
             continue
-        unit = lambda t: (1, {t: _ONE})
+        unit = lambda t: (1, {t: 1})
         triple = triple_massey(ring, unit(i), unit(j), unit(k))
         results.append(((i, j, k), triple))
         obstructed |= not triple.vanishes

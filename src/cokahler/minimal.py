@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .cdga import DGA, Derivation, embed_element
@@ -36,8 +35,6 @@ from .exterior import Element, Generator, GradedAlgebra
 # the construction stops at this bound instead of growing without end.
 _STAGE_CAP = 12
 
-_ONE = Fraction(1)
-
 
 class _ComparisonMap:
     """Model -> target on coordinates: the generator images and a write-once
@@ -46,7 +43,7 @@ class _ComparisonMap:
     def __init__(self, target):
         self.target = target
         self.images: list[linalg.Vector] = []   # target coordinates
-        self.table = {(): {0: _ONE} if target.dim(0) else {}}
+        self.table = {(): {0: 1} if target.dim(0) else {}}
 
     def push(self, elem: Element) -> linalg.Vector:
         """Image of a model element in target coordinates."""
@@ -156,11 +153,11 @@ def _extend_surjective(builder: _Builder, p: int):
     """
     ind = builder.induced_map(p)
     shift = ind.source_dim
-    augmented = [{**row, shift + i: _ONE} for i, row in enumerate(ind.matrix)]
+    augmented = [{**row, shift + i: 1} for i, row in enumerate(ind.matrix)]
     ring_t = builder.target.cohomology()
     for col in linalg.rref(augmented)[1]:
         if col >= shift:
-            unit = {col - shift: _ONE}
+            unit = {col - shift: 1}
             builder.add_generator(p, None, ring_t.representative_of(p, unit))
 
 

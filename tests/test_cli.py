@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import cokahler
+from cokahler import cli
 from cokahler.cli import main
 from cokahler.modelfile import loads, resolve
 from cokahler.report import run_section
@@ -131,6 +132,20 @@ def test_report_deterministic_bytes(capsys):
     _, first, _ = run(capsys, "report", "torus3", "--all")
     _, second, _ = run(capsys, "report", "torus3", "--all")
     assert first.encode() == second.encode()
+
+
+def test_one_parser_serves_every_call_and_keeps_no_flags(capsys):
+    cli._parser.cache_clear()
+    code, _, _ = run(capsys, "--informational", "lefschetz", "heisenberg")
+    assert code == 0
+    code, _, _ = run(capsys, "lefschetz", "heisenberg")
+    assert code == 1
+    _, out, _ = run(capsys, "report", "torus3", "--json")
+    assert json.loads(out)["ok"] is True
+    _, out, _ = run(capsys, "report", "torus3")
+    assert not out.startswith("{") and "ok: True" in out
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_missing_model_is_an_input_error(capsys):

@@ -167,3 +167,16 @@ def test_coords_round_trip(alg3):
 def test_duplicate_names_rejected():
     with pytest.raises(StructureError):
         GradedAlgebra([Generator("e1", 1), Generator("e1", 1)])
+
+
+def test_constructors_store_integral_coefficients_as_ints(alg3):
+    # one exact form: an int when integral, else a Fraction, never a bool
+    e1, e2, _ = alg3.gens()
+    made = [e1, alg3.scalar(True), alg3.scalar(Fraction(6, 3)),
+            alg3.monomial("e2", "e1", coeff=Fraction(4, 2)),
+            e1.scale(Fraction(-3, 1)), e1.wedge(e2), 2 * e1]
+    assert [type(c) for elem in made for c in elem.terms.values()] == [int] * 7
+    assert made[3] == alg3.monomial("e1", "e2", coeff=-2)
+    half = e1.scale(Fraction(1, 2))
+    assert type(half.terms[1]) is Fraction
+    assert half.scale(2) == e1 and repr(half.wedge(e2)) == "1/2*e1^e2"

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from cokahler import build_report, lefschetz, linalg, loads
+from cokahler import build_report, cohomology, lefschetz, linalg, loads
 from cokahler.cdga import (AlgebraMap, DGA, extend_derivation, free_line_dga,
                            tensor_product)
 from cokahler.cohomology import kunneth_convolution
@@ -232,3 +232,23 @@ def test_split_classes_are_built_once_per_model(monkeypatch):
         calls.clear()
         assert build_report(mf)["ok"]
         assert len(calls) == expect
+
+
+def test_induced_map_rank_is_the_rank_of_its_matrix(monkeypatch):
+    # induced_map eliminates its matrix once, for the kernel, and takes the
+    # rank as source_dim - len(kernel); every map of a kx5 report (Lefschetz,
+    # the parallel-form inclusion, the minimal model's comparison maps)
+    # must agree with a separate rank computation
+    made = []
+    honest = cohomology.InducedMap
+
+    def recorded(*args):
+        made.append(honest(*args))
+        return made[-1]
+
+    monkeypatch.setattr(cohomology, "InducedMap", recorded)
+    assert build_report(load_corpus("kx5"))["ok"]
+    assert len(made) > 10
+    for ind in made:
+        assert ind.rank == linalg.rank(ind.matrix)
+        assert len(ind.kernel_classes) == ind.source_dim - ind.rank

@@ -371,3 +371,74 @@ def test_a_left_null_row_makes_the_system_inconsistent():
         {0: Fraction(1)}
     assert linalg.solve_factored(fac, {0: Fraction(1), 1: Fraction(1)}) is None
     assert linalg.solve_factored(fac, {1: Fraction(1)}) is None
+
+
+# -- ints where integral ---------------------------------------------------------
+#
+# An exact rational is an int where it is integral and a Fraction otherwise;
+# the two compare equal, so a mixed matrix must give the values of its
+# all-Fraction copy, and no value may become a float or a bool.
+
+def mixed_rows(draw, mat):
+    """Sparse rows of mat whose integral entries are drawn int or Fraction."""
+    return [{j: v.numerator if v.denominator == 1 and draw(st.booleans())
+             else v for j, v in enumerate(row) if v} for row in mat]
+
+
+def all_fraction(rows):
+    return [{j: Fraction(v) for j, v in row.items()} for row in rows]
+
+
+def assert_exact(vectors):
+    """Every value is an int or a Fraction, never a float or a bool."""
+    for vec in vectors:
+        assert all(type(v) in (int, Fraction) for v in vec.values()), vec
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sparse_cases(), st.data())
+def test_mixed_int_and_fraction_entries_give_the_all_fraction_results(case,
+                                                                     data):
+    mat, ncols = case
+    mixed = mixed_rows(data.draw, mat)
+    fracs = all_fraction(mixed)
+    rref = linalg.rref(mixed)
+    assert rref == linalg.rref(fracs)
+    assert_exact(rref[0])
+    # an integral reduced entry is an int, from either input
+    for rows in (rref[0], linalg.rref(fracs)[0]):
+        assert all(type(v) is int for row in rows for v in row.values()
+                   if Fraction(v).denominator == 1)
+    kernel = linalg.kernel_basis(mixed, ncols)
+    assert kernel == linalg.kernel_basis(fracs, ncols)
+    assert_exact(kernel)
+    vec = mixed_rows(data.draw, [data.draw(
+        st.lists(ENTRIES, min_size=ncols, max_size=ncols))])[0]
+    rest = linalg.residual(vec, *rref)
+    assert rest == linalg.residual(all_fraction([vec])[0],
+                                   *linalg.rref(fracs))
+    assert_exact([rest])
+    coeffs = mixed_rows(data.draw, [data.draw(
+        st.lists(ENTRIES, min_size=len(mat), max_size=len(mat)))])[0]
+    combined = linalg.combine(coeffs, mixed)
+    assert combined == linalg.combine(all_fraction([coeffs])[0], fracs)
+    assert_exact([combined])
+    fac = linalg.factor(mixed, ncols)
+    assert fac == linalg.factor(fracs, ncols)
+    assert_exact(fac[1])
+    rhs = linalg.mat_vec(mixed, vec)
+    sol = linalg.solve_factored(fac, rhs)
+    assert sol == linalg.solve_factored(linalg.factor(fracs, ncols),
+                                        all_fraction([rhs])[0])
+    assert sol is not None and linalg.mat_vec(mixed, sol) == rhs
+    assert_exact([rhs, sol])
+
+
+def test_sparse_and_identity_store_integral_values_as_ints():
+    vec = linalg.sparse([Fraction(4, 2), True, 0, Fraction(1, 3), -3])
+    assert vec == {0: 2, 1: 1, 3: Fraction(1, 3), 4: -3}
+    assert [type(v) for v in vec.values()] == [int, int, Fraction, int]
+    assert all(type(v) is int for row in linalg.identity(3)
+               for v in row.values())
+    assert linalg.dense({1: 2}, 2) == [0, 2]
+    assert all(type(v) is Fraction for v in linalg.dense({1: 2}, 2))

@@ -7,19 +7,20 @@ fails the suite instead of only printing in a benchmark run.  The file is
 read, never written; ``perfbench/make_reference.py`` regenerates it.
 ``PINNED`` holds the SHA-256s of models the benchmark does not run, or
 runs only on some seeds; their texts come from ``perfbench/models.py`` too,
-or from a corpus model with its identity metric replaced.
+or from a corpus model with its identity metric or its brackets replaced.
 """
 
 import hashlib
 import importlib.util
 import json
+import re
 from functools import cache
 from pathlib import Path
 
 import pytest
 
 from cokahler import build_report, load_corpus, loads, render_json
-from cokahler.modelfile import corpus_path
+from cokahler.modelfile import CORPUS_MODELS, corpus_path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LABELS = ("torus3", "torus5", "heisenberg", "t2-rot4-mapping-torus",
@@ -28,7 +29,9 @@ LABELS = ("torus3", "torus5", "heisenberg", "t2-rot4-mapping-torus",
 # kx5 and kx7 have d != 0 on Omega_1; nil5 is not cosymplectic; torus9 is
 # the frontier dimension; rot5-1-1-g and heisenberg-g carry a metric other
 # than the identity; operator identities dominate rot9-1-2-3-4's report;
-# rot9-1-1-1-1 runs the most kill-round solves and comparison-map products
+# rot9-1-1-1-1 runs the most kill-round solves and comparison-map products;
+# heisenberg-q and kx5-q scale a corpus model's brackets to 2/3, so integer
+# and fractional coefficients meet in every section (kx5-q is co-Kahler)
 PINNED = {
     "kx5": "1b975619702f84da28ffd00ee0488cc0bc9eead37276a6c2436cb40a0807e594",
     "nil5": "ef26474476ead2ed550effb2f87e247a1ea5a6443de60114052e329ef9e36fc1",
@@ -44,6 +47,10 @@ PINNED = {
         "eba4e91b62f21a414808d2a8a0cd53ccc98e9a9a69a456ed42c4f3d7bc7f51f5",
     "rot9-1-1-1-1":
         "8979be19f36e8cf6ac2cfe0f520d1dc33994c96ef71741e99934f077c6a873e3",
+    "heisenberg-q":
+        "c06f574ef0cd52c734e56510cd9b80a1a8ed5e1ad97030b7d2db98e0e5bd9b3e",
+    "kx5-q":
+        "740f4a29d42f340f5209863c6dfea7739bd0ddf6ef752f43b24ab0870971e3cd",
 }
 # a J-invariant metric on rot5-1-1: X2 pairs with X4 and X3 with X5
 ROT5_METRIC = "1 0 0 0 0\n0 2 0 1 0\n0 0 2 0 1\n0 1 0 2 0\n0 0 1 0 2"
@@ -63,6 +70,14 @@ def model_texts() -> dict:
     return perfbench_models().report_models()
 
 
+def rescaled(name: str, brackets: str, scaled: str) -> str:
+    """A corpus model renamed ``name``-q, its bracket lines replaced."""
+    text = corpus_path(name).read_text()
+    assert brackets in text
+    return text.replace(f"name: {name}\n", f"name: {name}-q\n").replace(
+        brackets, scaled)
+
+
 def pinned_text(name: str) -> str | None:
     """The text of a pinned model (None for a corpus model)."""
     models = perfbench_models()
@@ -80,6 +95,9 @@ def pinned_text(name: str) -> str | None:
                 "identity", ROT5_METRIC),
         "heisenberg-g": corpus_path("heisenberg").read_text().replace(
             "identity", "1 0 0\n0 2 0\n0 0 2"),
+        "heisenberg-q": rescaled("heisenberg", "1 2 3 1\n", "1 2 3 2/3\n"),
+        "kx5-q": rescaled("kx5", "2 4 5 1\n2 5 4 -1\n",
+                          "2 4 5 2/3\n2 5 4 -2/3\n"),
     }[name]
 
 
@@ -98,3 +116,23 @@ def test_report_bytes_match_the_pinned_hash(name):
     mf = load_corpus(name) if text is None else loads(text)
     data = render_json(build_report(mf)).encode()
     assert hashlib.sha256(data).hexdigest() == PINNED[name]
+
+
+def decimals(value) -> list:
+    """Every float in a report, and every string holding a decimal point
+    between digits (a float printed into a witness or a cochain)."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in decimals(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in decimals(v)]
+    if isinstance(value, float) or (isinstance(value, str)
+                                    and re.search(r"\d\.\d", value)):
+        return [value]
+    return []
+
+
+@pytest.mark.parametrize("name", CORPUS_MODELS + ("heisenberg-q",))
+def test_reports_hold_no_float(name):
+    text = pinned_text(name) if name in PINNED else None
+    report = build_report(load_corpus(name) if text is None else loads(text))
+    assert decimals(report) == []
