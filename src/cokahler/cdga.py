@@ -2,6 +2,8 @@
 
 A derivation is determined by its generator images, fixed at construction,
 and extended by the graded Leibniz rule; an algebra map multiplies them.
+``derivation`` shares one operator per (algebra, degree, generator images):
+iota_xi and rho_eta are one object; a direct ``Derivation`` is never shared.
 Every operator is read through one cached table of basis monomial images
 (``image``); the differential of a DGA is a degree +1 derivation.  Each
 derivation checks the Leibniz rule once, one pair per basis monomial
@@ -11,8 +13,8 @@ generators, as a supercommutator of derivations is a derivation; a failed
 premise makes them false or raises with the failing monomial.  The others
 (chain maps, and the report's iota squared, d_eta = L_xi and Cartan's
 formula, where the literal {d, iota_X} meets the coadjoint Lie derivative)
-are checked exactly by ``word_disagreement`` on the tables, basis monomial
-by basis monomial: the column-by-column form of the matrix identity.
+are checked exactly by ``word_disagreements`` on the tables, basis monomial
+by basis monomial (the column-by-column form of the matrix identity).
 
 Coordinates are ``linalg`` sparse vectors; a degree-p matrix has one sparse
 row per target basis monomial, filled from each source monomial's image.
@@ -21,6 +23,7 @@ row per target basis monomial, filled from each source monomial's image.
 from __future__ import annotations
 
 import functools
+import weakref
 
 from . import linalg
 from .errors import StructureError
@@ -184,30 +187,59 @@ class Derivation(_MonomialTable):
 
 def word_disagreement(alg: GradedAlgebra, lhs, rhs=(),
                       degrees=None) -> Element | None:
-    """The first basis monomial, in degree order, on which two sums of
-    operator words differ, or None.  A word is a tuple of operators on
-    ``alg``, composed right to left ((d, iota) is d after iota) on their
-    tables.  An empty side is the zero map; ``degrees`` restricts the check
-    (default: 0 through top)."""
-    if any(op.algebra is not alg for word in (*lhs, *rhs) for op in word):
+    """``word_disagreements`` of the one identity lhs = rhs."""
+    return word_disagreements(alg, [(lhs, rhs)], degrees)[0]
+
+
+def word_disagreements(alg: GradedAlgebra, identities,
+                       degrees=None) -> list[Element | None]:
+    """For each identity (lhs, rhs) between two sums of operator words, the
+    first basis monomial, in degree order, where they differ, or None, all
+    in one pass.  A word is a tuple of operators on ``alg``, composed right
+    to left ((d, iota) is d after iota) on their tables.  An empty side is
+    zero; ``degrees`` restricts the check (default: 0 through top)."""
+    if any(op.algebra is not alg for sides in identities
+           for word in (*sides[0], *sides[1]) for op in word):
         raise StructureError("operator acts on a different algebra")
+    # lhs - rhs as (sign, first table, middle operators in turn, last table)
+    signed = [[(sign, word[-1].image if word[1:] else None, word[-2:0:-1],
+                word[0].image)
+               for words, sign in ((lhs, 1), (rhs, -1)) for word in words]
+              for lhs, rhs in identities]
+    found: list[Element | None] = [None] * len(identities)
     for p in range(alg.top + 1) if degrees is None else degrees:
         for key in alg.basis(p):
-            if _word_sum(lhs, key) != _word_sum(rhs, key):
-                return Element._trusted(alg, p, {key: 1})
-    return None
+            for j, words in enumerate(signed):
+                if found[j] is None and _words_differ(words, key):
+                    found[j] = Element._trusted(alg, p, {key: 1})
+            if all(f is not None for f in found):
+                return found
+    return found
 
 
-def _word_sum(words, key) -> dict:
-    """The words' summed values on one basis monomial, from the tables."""
+def _words_differ(signed_words, key) -> bool:
+    """Whether the signed words sum to nonzero on one basis monomial."""
     total: dict = {}
-    for word in words:
-        vec = word[-1].image(key)
-        for op in word[-2::-1]:
+    for sign, first, middle, last in signed_words:
+        vec = first(key) if first else {key: 1}
+        for op in middle:
             vec = op._extend(vec)
         for k, c in vec.items():
-            total[k] = total[k] + c if k in total else c
-    return {k: c for k, c in total.items() if c}
+            c = c if sign == 1 else -c
+            for k2, c2 in last(k).items():
+                t = c2 if c == 1 else c * c2
+                total[k2] = total[k2] + t if k2 in total else t
+    return any(total.values())
+
+
+def derivation(algebra: GradedAlgebra, degree: int,
+               images: dict[int, Element], name: str = "") -> Derivation:
+    """The one live derivation of this degree and these nonzero generator
+    images, from a weak-valued table on the algebra (first name kept)."""
+    der = Derivation(algebra, degree, images, name=name)
+    key = (degree, frozenset((i, frozenset(img.terms.items()))
+                             for i, img in der.images.items()))
+    return algebra._derivations.setdefault(key, der)
 
 
 def extend_derivation(algebra: GradedAlgebra, images: dict, degree: int,
@@ -224,7 +256,7 @@ def extend_derivation(algebra: GradedAlgebra, images: dict, degree: int,
 
 
 def supercommutator(f: Derivation, g: Derivation) -> Derivation:
-    """{f, g} = f g - (-1)^{|f||g|} g f, returned as a derivation.
+    """{f, g} = f g - (-1)^{|f||g|} g f, returned as a shared derivation.
 
     Its images are the composition on generators, which fix the composition
     everywhere once f and g pass the Leibniz check.  An operand that fails
@@ -238,7 +270,7 @@ def supercommutator(f: Derivation, g: Derivation) -> Derivation:
     images = {i: f.apply(g.apply(x)) - g.apply(f.apply(x)).scale(sign)
               for i, x in enumerate(f.algebra.gens())}
     name = f"{{{f.name or 'f'},{g.name or 'g'}}}"
-    return Derivation(f.algebra, f.degree + g.degree, images, name=name)
+    return derivation(f.algebra, f.degree + g.degree, images, name=name)
 
 
 def _first_leibniz_failure(f: Derivation, g: Derivation) -> Element | None:
@@ -292,6 +324,7 @@ class DGA(CochainComplex):
             raise StructureError("differential must have degree +1")
         self.algebra = algebra
         self.d = differential
+        self.kernels = weakref.WeakKeyDictionary()  # eta.kernel_subcomplex
 
     @property
     def top(self) -> int:

@@ -6,7 +6,8 @@ rho_eta, and the derivation d_eta = {d, rho_eta} of degree k-1.  For a
 degree-1 eta dual to xi this recovers the Lie derivative along xi, whose
 kernel subcomplex splits into the forms annihilated by iota_xi and their
 eta-multiples; the former coincide with the basic forms of the foliation
-spanned by xi.
+spanned by xi.  There rho_eta is iota_xi, d_eta is L_xi and ker(d_eta) is the
+invariant forms, as objects: operators and kernels are shared.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .cdga import (Derivation, Subcomplex, supercommutator,
+from .cdga import (Derivation, Subcomplex, derivation, supercommutator,
                    supercommutes_with_d, word_disagreement)
 from .cohomology import inclusion_induced_map, kernel_witnesses
 from .errors import StructureError
@@ -42,14 +43,10 @@ def eta_operator(m: LieModel, eta: Element) -> EtaOperator:
     if k < 1 and not eta.is_zero():
         raise StructureError("eta must be homogeneous of degree >= 1")
     dga = m.ce()
-    images = {}
-    for i in range(m.dimension):
-        img = m.iota(m.sharp({i: 1})).apply(eta)
-        if not img.is_zero():
-            images[i] = img
-    rho = Derivation(m.algebra(), k - 2, images, name="rho_eta")
+    images = {i: m.iota(m.sharp({i: 1})).apply(eta)
+              for i in range(m.dimension)}
+    rho = derivation(m.algebra(), k - 2, images, name="rho_eta")
     d_eta = supercommutator(dga.d, rho)
-    d_eta.name = "d_eta"
     if d_eta.degree != k - 1:
         raise StructureError("degree bookkeeping failure: |d_eta| != k-1")
     if not supercommutes_with_d(dga, d_eta):
@@ -90,14 +87,17 @@ def verify_d_eta_equals_lie(m: LieModel) -> DEtaLieReport:
 
 
 def kernel_subcomplex(dga, op: Derivation) -> Subcomplex:
-    """Degreewise kernel of a derivation supercommuting with d."""
-    if not supercommutes_with_d(dga, op):
-        raise StructureError(
-            f"operator {op.name or op!r} does not supercommute with d; "
-            "its kernel need not be a subcomplex")
-    spans = {p: linalg.kernel_basis(op.matrix(p), dga.dim(p))
-             for p in range(dga.top + 1)}
-    return Subcomplex(dga, spans)
+    """Degreewise kernel of a derivation supercommuting with d, built once
+    per (complex, operator)."""
+    if op not in dga.kernels:
+        if not supercommutes_with_d(dga, op):
+            raise StructureError(
+                f"operator {op.name or op!r} does not supercommute with d; "
+                "its kernel need not be a subcomplex")
+        spans = {p: linalg.kernel_basis(op.matrix(p), dga.dim(p))
+                 for p in range(dga.top + 1)}
+        dga.kernels[op] = Subcomplex(dga, spans)
+    return dga.kernels[op]
 
 
 @once_per_model

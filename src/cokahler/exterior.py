@@ -22,6 +22,7 @@ Algebras and elements are immutable after construction.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from numbers import Rational
 
@@ -70,6 +71,7 @@ class GradedAlgebra:
         self.truncated = even or self.top < full    # nonzero products cut off
         self._basis_cache: dict[int, tuple[Key, ...]] = {}
         self._index_cache: dict[int, dict[Key, int]] = {}
+        self._derivations = weakref.WeakValueDictionary()  # cdga.derivation
 
     # -- generator access ---------------------------------------------------
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .cdga import DGA, Derivation, check_d_squared, supercommutator
+from .cdga import DGA, Derivation, check_d_squared, derivation, supercommutator
 from .errors import StructureError
 from .exterior import Element, Generator, GradedAlgebra
 from .linalg import Matrix, Vector
@@ -169,10 +169,10 @@ class LieModel:
     # -- contraction and Lie derivative -----------------------------------------
 
     def iota(self, vector: Vector) -> Derivation:
-        """Interior product with a vector, as a degree -1 derivation."""
+        """Interior product with a vector, as a shared degree -1 derivation."""
         alg = self.algebra()
         images = {i: alg.scalar(c) for i, c in vector.items()}
-        return Derivation(alg, -1, images, name="iota")
+        return derivation(alg, -1, images, name="iota")
 
     def contract(self, vector: Vector, elem: Element) -> Element:
         return self.iota(vector).apply(elem)
@@ -187,7 +187,7 @@ class LieModel:
         alg = self.algebra()
         images = {k: alg.element(1, {j: -c for j, c in row.items()})
                   for k, row in enumerate(self.ad(vector)) if row}
-        return Derivation(alg, 0, images, name="L_coadjoint")
+        return derivation(alg, 0, images, name="L_coadjoint")
 
     @once_per_model
     def iota_xi(self) -> Derivation:
@@ -286,9 +286,10 @@ class AlmostContactVerdict:
         return self.ok
 
 
+@once_per_model
 def validate_almost_contact(m: LieModel) -> AlmostContactVerdict:
     """Exact check of J^2 = -I + eta (x) xi, eta(xi) = 1, and the metric
-    compatibility g(JX, JY) = g(X, Y) - eta(X) eta(Y)."""
+    compatibility g(JX, JY) = g(X, Y) - eta(X) eta(Y), once per model."""
     for name in ("J", "xi", "eta"):
         m._require(name)
     n = m.dimension

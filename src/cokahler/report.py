@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import linalg
 from .cdga import (check_d_squared, check_leibniz, supercommutes_with_d,
-                   word_disagreement)
+                   word_disagreements)
 from .cohomology import kunneth_convolution
 from .errors import StructureError
 from .eta import (basic_complex, build_d_eta, omega_splitting,
@@ -95,6 +95,11 @@ def _missing(model: LieModel, needs: str | None) -> str | None:
 
 def _section(key: str, model: LieModel, cap: int,
              order: int | None) -> Section:
+    if key in ("classification", "lefschetz"):     # read the classification
+        ac = validate_almost_contact(model)
+        if not ac:
+            return Section(None,
+                           hypothesis=f"not almost contact: {ac.witnesses}")
     return globals()[f"_{key}_section"](model, cap, order)
 
 
@@ -164,29 +169,28 @@ def _operator_identities_section(model: LieModel, cap, order) -> Section:
 def operator_identity_report(m: LieModel) -> Section:
     """iota^2 = 0, Cartan's {d, iota_X} against the coadjoint construction,
     Leibniz for the working derivations, and {d, d_eta} = 0, all exact."""
-    dga = m.ce()
-    alg = m.algebra()
-    d = dga.d
-    out: dict = {}
-    iota_sq = True
-    cartan = True
-    for i in range(m.dimension):
-        iota = m.iota({i: 1})
-        iota_sq &= word_disagreement(alg, [(iota, iota)]) is None
-        cartan &= word_disagreement(alg, [(d, iota), (iota, d)],
-                                    [(m.lie_coadjoint({i: 1}),)]) is None
-    out["iota_squared_zero"] = iota_sq
-    out["cartan_formula"] = cartan
-    out["d_squared_zero"] = check_d_squared(dga)
-    out["leibniz_d"] = check_leibniz(dga.d)
+    dga, alg = m.ce(), m.algebra()
+    # built first: iota_X and L_X along xi then share these operators' tables
     ops = [m.iota_xi(), m.lie_xi()] if m.xi is not None else []
     super_ok = True
     if m.eta is not None and m.xi is not None:
         op = build_d_eta(m)
         ops += [op.d_eta, op.rho]
         super_ok = supercommutes_with_d(dga, op.d_eta)
-    out["leibniz_operators"] = all(check_leibniz(der) for der in ops)
-    out["d_eta_supercommutes_with_d"] = super_ok
+    iota_sq = cartan = True
+    for i in range(m.dimension):
+        # one pass per contraction; its tables go when the next is built
+        iota = m.iota({i: 1})
+        square, formula = word_disagreements(alg, [
+            ([(iota, iota)], ()),
+            ([(dga.d, iota), (iota, dga.d)], [(m.lie_coadjoint({i: 1}),)])])
+        iota_sq &= square is None
+        cartan &= formula is None
+    out: dict = {"iota_squared_zero": iota_sq, "cartan_formula": cartan,
+                 "d_squared_zero": check_d_squared(dga),
+                 "leibniz_d": check_leibniz(dga.d),
+                 "leibniz_operators": all(check_leibniz(der) for der in ops),
+                 "d_eta_supercommutes_with_d": super_ok}
     sec = Section(out)
     for key, invariant in (
             ("iota_squared_zero", "iota_X composed with itself vanishes"),

@@ -7,6 +7,7 @@ convolutions done by hand, and fixed subspaces via sympy nullspaces.
 
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from cokahler import linalg
 from cokahler.cdga import (AlgebraMap, DGA, Derivation, Subcomplex,
-                           check_d_squared, check_leibniz, extend_derivation,
-                           free_line_dga, invariant_subalgebra,
-                           supercommutator, supercommutes_with_d,
-                           tensor_product, word_disagreement)
+                           check_d_squared, check_leibniz, derivation,
+                           extend_derivation, free_line_dga,
+                           invariant_subalgebra, supercommutator,
+                           supercommutes_with_d, tensor_product,
+                           word_disagreement, word_disagreements)
 from cokahler.cohomology import (CohomologyRing, inclusion_induced_map,
                                  induced_map, kernel_witnesses,
                                  kunneth_convolution)
@@ -426,6 +428,66 @@ def test_disagreement_with_none_compares_with_zero():
     assert word_disagreement(alg, [(zero,)], []) is None
     with pytest.raises(StructureError, match="different algebra"):
         word_disagreement(ce_algebra(5), [(d,)])
+
+
+def test_several_identities_in_one_pass_match_one_at_a_time():
+    d = rot5_model().ce().d
+    alg = d.algebra
+    iota, iota1 = (derivation(alg, -1, {i: alg.scalar(1)}) for i in (1, 0))
+    e23, e45 = alg.monomial("e2", "e3"), alg.monomial("e4", "e5")
+    e234, e245 = alg.monomial("e2", "e3", "e4"), alg.monomial("e2", "e4", "e5")
+    bad = faulty(d, e234, alg.monomial("e1", "e2", "e3", "e4"))
+    wrong = faulty(iota, e23, alg.monomial("e2"))
+    worse = faulty(d, e45, alg.monomial("e1", "e4", "e5"))
+    identities = [
+        ([(bad,)], [(d,)]),                     # fails on e2^e3^e4
+        ([(d, d, iota)], ()),                   # holds: d^2 = 0
+        ([(iota, wrong)], ()),                  # fails on e2^e3
+        ([(d, wrong, iota), (d,)], [(d,)]),     # holds: iota^2 e2^e3^e4 = 0
+        ([(iota1, worse, iota)], [(iota1, d, iota)])]    # fails on e2^e4^e5
+    one_at_a_time = [word_disagreement(alg, *sides) for sides in identities]
+    assert one_at_a_time == [e234, None, e23, None, e245]
+    assert word_disagreements(alg, identities) == one_at_a_time
+    assert word_disagreements(alg, identities, degrees=[3]) == \
+        [e234, None, None, None, e245]
+    assert word_disagreements(alg, []) == []
+    with pytest.raises(StructureError, match="different algebra"):
+        word_disagreements(alg, identities[:1] + [([(d,)], [(abelian_dga(
+            5).d,)])])
+
+
+def test_derivation_shares_one_operator_per_degree_and_images():
+    alg = ce_algebra(3)
+    e1, e2, e3 = alg.gens()
+    scalar = alg.scalar
+    # zero derivations of degree 0 and 1 have equal (empty) images
+    zero0, zero1 = derivation(alg, 0, {}), derivation(alg, 1, {1: alg.zero(2)})
+    assert zero0 is not zero1 and (zero0.degree, zero1.degree) == (0, 1)
+    assert derivation(alg, 0, {2: alg.zero(1)}) is zero0
+    assert derivation(alg, 1, {}) is zero1
+    # one support, different coefficients
+    iota = derivation(alg, -1, {0: scalar(1)}, name="iota")
+    assert derivation(alg, -1, {0: scalar(2)}) is not iota
+    assert derivation(alg, -1, {0: scalar(Fraction(1)), 1: alg.zero(0)},
+                      name="rho") is iota and iota.name == "iota"
+    lie = derivation(alg, 0, {2: e1 + e2})
+    assert derivation(alg, 0, {2: e2 + e1}) is lie
+    assert derivation(alg, 0, {2: e1 - e2}) is not lie
+    assert derivation(alg, 0, {1: e1 + e2}) is not lie
+    # a direct Derivation is never shared
+    direct = Derivation(alg, 0, {2: e1 + e2})
+    assert direct is not lie and derivation(alg, 0, {2: e1 + e2}) is lie
+    # an operator nobody holds is dropped, with its table
+    lie.apply(e3)
+    assert lie._table
+    held = len(alg._derivations)
+    dropped = weakref.ref(lie)
+    del lie
+    assert dropped() is None and len(alg._derivations) == held - 1
+    fresh = derivation(alg, 0, {2: e1 + e2})
+    assert not fresh._table and fresh.apply(e3) == e1 + e2
+    # each algebra keeps its own table
+    assert derivation(ce_algebra(3), 0, {}) is not zero0
 
 
 def test_supercommutator_checks_its_extension_against_the_composition():

@@ -238,9 +238,23 @@ def test_sections_not_needing_the_structure_run_when_it_fails(capsys,
         assert (code, err) == (0, ""), command
     sec = run_section(loads(ETA_OFF_XI).to_lie_model(), "minimal_model")
     assert any(note.startswith("not co-Kahler") for note in sec.notes)
-    for command in ("classify", "lefschetz", "report"):
-        code, _, err = run(capsys, command, str(path))
-        assert code == 2 and "not almost contact" in err, command
+    # the sections built on the classification state the failed identities
+    # as their hypothesis note: exit 1, or 0 with --informational
+    note = ("note: not almost contact: {'J^2 + I - eta(x)xi': 'slot (1,1): "
+            "1', 'eta(xi)': 'value 0', 'g(J.,J.) - g + eta eta': "
+            "'slot (1,1): -1'}\n")
+    for command in ("classify", "lefschetz"):
+        assert run(capsys, command, str(path)) == (1, note, ""), command
+        assert run(capsys, "--informational", command, str(path)) == \
+            (0, note, ""), command
+    # the report exits by its asserted verdicts, which all hold
+    for flags in ((), ("--informational",)):
+        code, out, err = run(capsys, *flags, "report", "--json", str(path))
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert "classification" not in data and "lefschetz" not in data
+        assert data["notes"].count(note[len("note: "):-1]) == 2
+        assert data["ok"] and data["asserted"]
     # eta(xi) = 0 is the splitting's own hypothesis note
     code, out, err = run(capsys, "split", str(path))
     assert (code, err) == (1, "")

@@ -22,8 +22,9 @@ from cokahler.eta import (basic_complex, build_d_eta, eta_operator,
 from cokahler.exterior import Element
 from cokahler.geometry import LieModel
 from cokahler.lefschetz import splitting_check
-from cokahler.modelfile import load_corpus
+from cokahler.modelfile import load_corpus, loads
 from cokahler.report import build_report, operator_identity_report, run_section
+from test_memo import ROT7_123
 
 
 def oracle_kernel_dims(op, alg):
@@ -256,25 +257,45 @@ def test_operator_identities_on_rot5():
 
 
 def test_operator_identities_see_a_broken_lie_xi():
+    # L_xi is one shared operator: the coadjoint derivative along xi = X1 is
+    # L_xi, and so is d_eta when eta is the dual of xi
+    def broken_lie_xi(m):
+        lie = m.lie_xi()
+        alg = m.algebra()
+        key = alg.monomial("e2", "e3", "e4").terms.popitem()[0]
+        extra = alg.monomial("e2", "e3", "e5")
+        honest = lie.image
+
+        def broken(k):
+            out = honest(k)
+            if k != key:
+                return out
+            return (Element(alg, 3, out) + extra).terms
+
+        lie.image = broken
+        assert m.lie_xi() is lie and m.lie_coadjoint({0: 1}) is lie
+        return lie
+
     m = rot5_1_2()
-    lie = m.lie_xi()
-    alg = m.algebra()
-    key = alg.monomial("e2", "e3", "e4").terms.popitem()[0]
-    extra = alg.monomial("e2", "e3", "e5")
-    honest = lie.image
-
-    def broken(k):
-        out = honest(k)
-        if k != key:
-            return out
-        return (Element(alg, 3, out) + extra).terms
-
-    lie.image = broken
-    assert m.lie_xi() is lie
+    lie = broken_lie_xi(m)
+    # eta_operator builds {d, rho_eta}, which is the broken L_xi, and
+    # refuses it on the Leibniz premise
+    with pytest.raises(StructureError, match="d_eta does not supercommute"):
+        run_section(m, "operator_identities")
+    assert lie.leibniz_failure == m.algebra().monomial("e2", "e3", "e4")
+    # with eta = e1 + e2, d_eta is L along X1 + X2 and keeps its own table:
+    # the fault reaches the Leibniz and Cartan verdicts only
+    J = [[0, 0, 0, 0, 0], [0, 0, -1, 0, 0], [0, 1, 0, 0, 0],
+         [0, 0, 0, 0, -1], [0, 0, 0, 1, 0]]
+    m = LieModel(5, m.brackets, name="rot5-1-2-eta", xi=[1, 0, 0, 0, 0],
+                 eta=[1, 1, 0, 0, 0], J=J)
+    broken_lie_xi(m)
+    assert build_d_eta(m).d_eta is not m.lie_xi()
     record = run_section(m, "operator_identities").record
     assert record["leibniz_operators"] is False
+    assert record["cartan_formula"] is False
     assert all(record[name] for name in OPERATOR_RECORDS
-               if name != "leibniz_operators")
+               if name not in ("leibniz_operators", "cartan_formula"))
 
 
 def test_operator_identities_see_a_wrong_coadjoint_derivative(monkeypatch):
@@ -299,22 +320,28 @@ def test_operator_identities_see_a_wrong_coadjoint_derivative(monkeypatch):
 
 
 def test_report_builds_one_supercommutator_per_memoized_operator(monkeypatch):
-    # L_xi and d_eta; the Cartan check composes d and iota_X directly
+    # L_xi and d_eta are built by one supercommutator each, and as eta is
+    # the dual of xi, rho_eta is iota_xi and both hand out one operator; the
+    # Cartan check composes d and iota_X directly
     honest = cdga.supercommutator
     calls = []
 
     def counted(f, g):
-        calls.append((f.name, g.name))
-        return honest(f, g)
+        out = honest(f, g)
+        calls.append((f, g, out))
+        return out
 
     for module in (cdga, geometry, eta_module):
         monkeypatch.setattr(module, "supercommutator", counted)
     assert build_report(load_corpus("torus5"))["ok"]
-    assert sorted(calls) == [("d", "iota"), ("d", "rho_eta")]
+    (d, iota_xi, lie_xi), (d_again, rho, d_eta) = calls
+    assert d is d_again and d.name == "d"
+    assert rho is iota_xi and d_eta is lie_xi
 
 
 def test_report_computes_one_leibniz_verdict_per_derivation(monkeypatch):
-    # d is checked when the model is built and read by every later identity
+    # one verdict per distinct operator: on rot7-1-2-3, d (checked when the
+    # model is built), iota_xi and L_xi, which are also rho_eta and d_eta
     honest = Derivation.leibniz_failure.func
     checked = []
 
@@ -325,10 +352,30 @@ def test_report_computes_one_leibniz_verdict_per_derivation(monkeypatch):
     verdict = functools.cached_property(counted)
     verdict.__set_name__(Derivation, "leibniz_failure")
     monkeypatch.setattr(Derivation, "leibniz_failure", verdict)
-    assert build_report(load_corpus("torus5"))["ok"]
-    assert len({id(der) for der in checked}) == len(checked)
-    assert sorted(der.name for der in checked) == \
-        ["d", "d_eta", "iota", "rho_eta", "{d,iota}"]
+    mf = loads(ROT7_123)
+    m = mf.to_lie_model()
+    monkeypatch.setattr(mf, "to_lie_model", lambda: m)
+    assert build_report(mf)["ok"]
+    op = build_d_eta(m)
+    assert checked == [m.ce().d, m.iota_xi(), m.lie_xi()]
+    assert (op.rho, op.d_eta) == (m.iota_xi(), m.lie_xi())
+    assert [der.name for der in checked] == ["d", "iota", "{d,iota}"]
+
+
+def test_kernel_subcomplex_is_kept_per_operator(heisenberg):
+    # the coadjoint derivatives along X1, X2 and X3 share one name but not
+    # one kernel; a direct Derivation with L_X1's images gets its own entry
+    dga, alg = heisenberg.ce(), heisenberg.algebra()
+    ops = [heisenberg.lie_coadjoint({i: 1}) for i in range(3)]
+    assert len({op.name for op in ops}) == 1
+    kernels = [kernel_subcomplex(dga, op) for op in ops]
+    for op, sub in zip(ops, kernels):
+        assert kernel_subcomplex(dga, op) is sub
+        assert [sub.dim(p) for p in range(4)] == oracle_kernel_dims(op, alg)
+    assert [kernels[i].dim(1) for i in range(3)] == [2, 2, 3]
+    twin = Derivation(alg, 0, ops[0].images, ops[0].name)
+    assert kernel_subcomplex(dga, twin) is not kernels[0]
+    assert set(dga.kernels) >= {*ops, twin}
 
 
 def heis5():

@@ -1,16 +1,18 @@
 """Derived objects are built once per model and shared, never across models;
-a derivation expands each basis monomial once."""
+a derivation expands each basis monomial once, and equal derivations are one
+operator."""
 
 from collections import Counter
 
 import pytest
 
-from cokahler import linalg
+from cokahler import linalg, report
 from cokahler.cdga import AlgebraMap, Derivation
 from cokahler.errors import StructureError
 from cokahler.eta import (basic_complex, build_d_eta, invariant_forms,
-                          omega_splitting)
-from cokahler.geometry import LieModel, classify, omega_element
+                          kernel_subcomplex, omega_splitting)
+from cokahler.geometry import (LieModel, classify, omega_element,
+                               validate_almost_contact)
 from cokahler.modelfile import load_corpus, loads
 from cokahler.report import build_report
 
@@ -26,6 +28,7 @@ BUILDERS = {
     "invariant_forms": invariant_forms,
     "omega_splitting": omega_splitting,
     "basic_complex": basic_complex,
+    "validate_almost_contact": validate_almost_contact,
 }
 
 
@@ -131,3 +134,42 @@ def test_a_report_factors_each_differential_once(monkeypatch, name):
     build_report(loads(ROT7_123) if name == "rot7-1-2-3" else load_corpus(name))
     assert factored and max(factored.values()) == 1
     assert len(solves) > len(factored)
+
+
+def report_model(name, monkeypatch):
+    """A model file and the one LieModel its report is built on."""
+    mf = loads(ROT7_123) if name == "rot7-1-2-3" else load_corpus(name)
+    m = mf.to_lie_model()
+    monkeypatch.setattr(mf, "to_lie_model", lambda: m)
+    return mf, m
+
+
+@pytest.mark.parametrize("name", ["rot7-1-2-3", "kx5"])
+def test_eta_operators_are_iota_and_lie_along_xi(monkeypatch, name):
+    # eta is the dual of xi: rho_eta is iota_xi, d_eta is L_xi, and a report
+    # takes one kernel, Omega_eta, for the quasi-isomorphism and the
+    # splitting alike
+    mf, m = report_model(name, monkeypatch)
+    op = build_d_eta(m)
+    assert op.rho is m.iota_xi() and op.d_eta is m.lie_xi()
+    assert kernel_subcomplex(m.ce(), op.d_eta) is invariant_forms(m)
+    build_report(mf)
+    assert list(m.ce().kernels.items()) == [(m.lie_xi(), invariant_forms(m))]
+
+
+def test_a_report_keeps_one_contraction_at_a_time(monkeypatch):
+    # one pass per basis vector X_i decides iota_i^2 = 0 and Cartan; the
+    # shared operators alive during pass i are iota_xi and L_xi (which are
+    # iota_1 and L_1 on rot7, as xi = X1) and iota_i and L_i
+    mf, m = report_model("rot7-1-2-3", monkeypatch)
+    honest = report.word_disagreements
+    live = []
+
+    def counted(alg, identities, degrees=None):
+        assert degrees is None and len(identities) == 2
+        live.append(len(alg._derivations))
+        return honest(alg, identities, degrees)
+
+    monkeypatch.setattr(report, "word_disagreements", counted)
+    build_report(mf)
+    assert live == [2] + [4] * (m.dimension - 1)
