@@ -19,9 +19,9 @@ from .eta import (EtaOperator, SplitPair, basic_complex, build_d_eta,
                   omega_splitting, split_form, verify_basic_match,
                   verify_d_eta_equals_lie, verify_parallel_form_quism)
 from .exterior import Element, Generator, GradedAlgebra
-from .geometry import (LieModel, StructureVerdict, classify, fundamental_form,
-                       is_killing, is_parallel_covector, is_parallel_tensor,
-                       is_parallel_vector, nijenhuis_normality,
+from .geometry import (LieModel, StructureVerdict, classify, is_killing,
+                       is_parallel_covector, is_parallel_tensor,
+                       is_parallel_vector, nijenhuis_normality, omega_element,
                        validate_almost_contact)
 from .lefschetz import (LefschetzReport, lefschetz_map, mapping_torus_model,
                         model_automorphism, splitting_check,
@@ -40,13 +40,14 @@ __all__ = [
     "StructureError", "StructureVerdict", "Subcomplex", "SullivanModel",
     "basic_complex", "build_d_eta", "build_report", "check_d_squared",
     "check_leibniz", "classify", "degree_one_massey_scan", "eta_operator",
-    "extend_derivation", "free_line_dga", "fundamental_form",
-    "inclusion_induced_map", "invariant_forms", "invariant_subalgebra",
+    "extend_derivation", "free_line_dga", "inclusion_induced_map",
+    "invariant_forms", "invariant_subalgebra",
     "is_killing", "is_parallel_covector", "is_parallel_tensor",
     "is_parallel_vector", "kernel_subcomplex", "kunneth_convolution",
     "lefschetz_map", "load", "load_corpus", "loads", "mapping_torus_model",
     "minimal_model", "model_automorphism", "model_tensor_split_check",
-    "nijenhuis_normality", "omega_splitting", "render_json", "render_text",
+    "nijenhuis_normality", "omega_element", "omega_splitting",
+    "render_json", "render_text",
     "resolve", "serialize", "split_form", "splitting_check",
     "supercommutator", "tensor_product", "triple_massey",
     "validate_almost_contact", "verify_basic_match",

@@ -11,10 +11,12 @@ derivation checks the Leibniz rule once, one pair per basis monomial
 derivations (supercommutators, d squared, {d, op} = 0) are decided on
 generators, as a supercommutator of derivations is a derivation; a failed
 premise makes them false or raises with the failing monomial.  The others
-(chain maps, and the report's iota squared, d_eta = L_xi and Cartan's
-formula, where the literal {d, iota_X} meets the coadjoint Lie derivative)
-are checked exactly by ``word_disagreements`` on the tables, basis monomial
-by basis monomial (the column-by-column form of the matrix identity).
+(chain maps, and the report's iota squared and Cartan's formula, where
+the literal {d, iota_X} meets the coadjoint Lie derivative) are checked
+exactly by ``word_disagreements`` on the tables, basis monomial by basis
+monomial (the column-by-column form of the matrix identity).  d_eta = L_xi
+needs no pass: when eta is the dual of xi, ``derivation`` hands out one
+operator for both.  Every kernel subcomplex is ``Subcomplex.kernel_of``.
 
 Coordinates are ``linalg`` sparse vectors; a degree-p matrix has one sparse
 row per target basis monomial, filled from each source monomial's image.
@@ -185,19 +187,18 @@ class Derivation(_MonomialTable):
         return f"<{label}: degree {self.degree:+d} on {len(self.algebra)} generators>"
 
 
-def word_disagreement(alg: GradedAlgebra, lhs, rhs=(),
-                      degrees=None) -> Element | None:
+def word_disagreement(alg: GradedAlgebra, lhs, rhs=()) -> Element | None:
     """``word_disagreements`` of the one identity lhs = rhs."""
-    return word_disagreements(alg, [(lhs, rhs)], degrees)[0]
+    return word_disagreements(alg, [(lhs, rhs)])[0]
 
 
-def word_disagreements(alg: GradedAlgebra, identities,
-                       degrees=None) -> list[Element | None]:
+def word_disagreements(alg: GradedAlgebra,
+                       identities) -> list[Element | None]:
     """For each identity (lhs, rhs) between two sums of operator words, the
     first basis monomial, in degree order, where they differ, or None, all
     in one pass.  A word is a tuple of operators on ``alg``, composed right
     to left ((d, iota) is d after iota) on their tables.  An empty side is
-    zero; ``degrees`` restricts the check (default: 0 through top)."""
+    zero."""
     if any(op.algebra is not alg for sides in identities
            for word in (*sides[0], *sides[1]) for op in word):
         raise StructureError("operator acts on a different algebra")
@@ -207,7 +208,7 @@ def word_disagreements(alg: GradedAlgebra, identities,
                for words, sign in ((lhs, 1), (rhs, -1)) for word in words]
               for lhs, rhs in identities]
     found: list[Element | None] = [None] * len(identities)
-    for p in range(alg.top + 1) if degrees is None else degrees:
+    for p in range(alg.top + 1):
         for key in alg.basis(p):
             for j, words in enumerate(signed):
                 if found[j] is None and _words_differ(words, key):
@@ -395,6 +396,14 @@ class Subcomplex(CochainComplex):
         for p in range(parent.top + 1):
             self.d_matrix(p)  # raises on a closure failure
 
+    @classmethod
+    def kernel_of(cls, parent: DGA, matrix) -> Subcomplex:
+        """The subcomplex cut out by a per-degree matrix on the parent: its
+        degree-p part is the kernel of ``matrix(p)`` for p = 0..top.  Raises
+        when that is not closed under d."""
+        return cls(parent, {p: linalg.kernel_basis(matrix(p), parent.dim(p))
+                            for p in range(parent.top + 1)})
+
     @property
     def top(self) -> int:
         return self.parent.top
@@ -560,9 +569,5 @@ def invariant_subalgebra(dga: DGA, phi: AlgebraMap, order: int) -> Subcomplex:
         raise StructureError(f"map does not have order {order}")
     if not phi.commutes_with(dga.d):
         raise StructureError("automorphism does not commute with d")
-    spans = {}
-    for p in range(dga.top + 1):
-        n = dga.dim(p)
-        diff = linalg.mat_sub(phi.matrix(p), linalg.identity(n))
-        spans[p] = linalg.kernel_basis(diff, n)
-    return Subcomplex(dga, spans)
+    return Subcomplex.kernel_of(dga, lambda p: linalg.mat_sub(
+        phi.matrix(p), linalg.identity(dga.dim(p))))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .cdga import (Derivation, Subcomplex, derivation, supercommutator,
-                   supercommutes_with_d, word_disagreement)
+                   supercommutes_with_d)
 from .cohomology import inclusion_induced_map, kernel_witnesses
 from .errors import StructureError
 from .exterior import Element
@@ -29,10 +29,6 @@ class EtaOperator:
     eta: Element
     rho: Derivation     # Leibniz extension of nu -> iota_{nu-sharp} eta
     d_eta: Derivation   # {d, rho}, degree k-1
-
-    @property
-    def form_degree(self) -> int:
-        return self.eta.degree
 
 
 def eta_operator(m: LieModel, eta: Element) -> EtaOperator:
@@ -70,20 +66,23 @@ class DEtaLieReport:
 
 
 def verify_d_eta_equals_lie(m: LieModel) -> DEtaLieReport:
-    """Check d_eta = L_xi degree by degree.
+    """d_eta = L_xi in every degree, decided where d_eta is built.
 
     Requires eta to be the metric dual of xi, which is the only input the
-    identity uses; parallelism is not needed.
+    identity uses; parallelism is not needed.  Then rho_eta sends e^i to
+    eta(sharp e^i) = xi_i, iota_xi's generator images, so ``derivation``
+    hands out iota_xi as rho_eta and L_xi as d_eta = {d, rho_eta}: the two
+    are one operator.  Distinct operators mean a corrupt construction and
+    raise, as ``classify`` does on an inconsistency.
     """
     if m.flat(m._require("xi")) != m._require("eta"):
         raise StructureError("eta is not the metric dual of xi")
-    d_eta = build_d_eta(m).d_eta
-    lie = m.lie_xi()
-    alg = m.algebra()
-    degreewise = [word_disagreement(alg, [(d_eta,)], [(lie,)], [p]) is None
-                  for p in range(alg.top + 1)]
-    return DEtaLieReport(all(degreewise), degreewise,
-                         degreewise[0], degreewise[1] if len(degreewise) > 1 else True)
+    if build_d_eta(m).d_eta is not m.lie_xi():
+        raise StructureError(
+            "construction inconsistency: eta is the dual of xi, but d_eta "
+            "and L_xi are distinct operators")
+    degreewise = [True] * (m.algebra().top + 1)
+    return DEtaLieReport(True, degreewise, True, True)
 
 
 def kernel_subcomplex(dga, op: Derivation) -> Subcomplex:
@@ -94,9 +93,7 @@ def kernel_subcomplex(dga, op: Derivation) -> Subcomplex:
             raise StructureError(
                 f"operator {op.name or op!r} does not supercommute with d; "
                 "its kernel need not be a subcomplex")
-        spans = {p: linalg.kernel_basis(op.matrix(p), dga.dim(p))
-                 for p in range(dga.top + 1)}
-        dga.kernels[op] = Subcomplex(dga, spans)
+        dga.kernels[op] = Subcomplex.kernel_of(dga, op.matrix)
     return dga.kernels[op]
 
 
@@ -130,16 +127,6 @@ def split_form(m: LieModel, alpha: Element) -> SplitPair:
     return SplitPair(alpha1, alpha2)
 
 
-def _restricted_kernel(sub: Subcomplex, p: int, target_dim: int,
-                       operator_columns) -> linalg.Matrix:
-    """Kernel, inside a subcomplex degree, of a linear map into a space of
-    dimension ``target_dim``, given by its action on the subcomplex basis
-    (parent coordinates); returns parent coordinate vectors."""
-    cols = [operator_columns(vec) for vec in sub.basis_vectors(p)]
-    kern = linalg.kernel_basis(linalg.transpose(cols, target_dim), sub.dim(p))
-    return [sub.parent_coords(p, v) for v in kern]
-
-
 @dataclass
 class OmegaSplitting:
     """Omega_eta = Omega_1 + eta ^ Omega_1 (directly, in positive degrees)."""
@@ -168,29 +155,27 @@ def splitting_obstruction(m: LieModel) -> str | None:
 def omega_splitting(m: LieModel) -> OmegaSplitting:
     """Split the L_xi-invariant forms into the iota_xi kernel and its
     eta-multiples, verifying directness and the eta-wedge description.
-    Raises the ``splitting_obstruction`` note when there is one."""
+    Raises the ``splitting_obstruction`` note when there is one.
+
+    Omega_1^p and Omega_2^p are the spans of alpha1 and alpha2
+    (``split_form``) over a basis of Omega_eta^p.  With eta(xi) = 1 and
+    d(eta) = 0, iota_xi and eta ^ commute with L_xi, so both components stay
+    invariant; alpha1 is alpha on ker iota_xi and alpha2 is alpha on
+    ker(eta ^), so the spans are those kernels in Omega_eta.  The unit has
+    alpha2 = 0: Omega_2 starts at degree 1."""
     obstruction = splitting_obstruction(m)
     if obstruction:
         raise StructureError(obstruction)
     sub = invariant_forms(m)
     dga = m.ce()
-    iota = m.iota_xi()
     eta = m.eta_element()
     top = dga.top
     spans1: dict[int, list] = {}
     spans2: dict[int, list] = {}
     for p in range(top + 1):
-        spans1[p] = _restricted_kernel(
-            sub, p, dga.dim(p - 1),
-            lambda vec, p=p: dga.coords(p - 1, iota.apply(dga.element(p, vec))))
-        if p == 0:
-            # the unit is an eta-multiple only trivially; keep degree 0 in
-            # the iota-kernel summand and start Omega_2 at degree 1
-            spans2[0] = []
-            continue
-        spans2[p] = _restricted_kernel(
-            sub, p, dga.dim(p + 1),
-            lambda vec, p=p: dga.coords(p + 1, eta.wedge(dga.element(p, vec))))
+        pairs = [split_form(m, alpha) for alpha in sub.basis_elements(p)]
+        spans1[p] = [dga.coords(p, pair.alpha1) for pair in pairs]
+        spans2[p] = [dga.coords(p, pair.alpha2) for pair in pairs]
     omega1 = Subcomplex(dga, spans1)
     omega2 = Subcomplex(dga, spans2)
     direct, eta_match = [True], [True]
@@ -214,14 +199,9 @@ def omega_splitting(m: LieModel) -> OmegaSplitting:
 def basic_complex(m: LieModel) -> Subcomplex:
     """Basic forms of the rank-1 foliation spanned by xi:
     iota_xi alpha = 0 and iota_xi d alpha = 0."""
-    dga = m.ce()
-    iota = m.iota_xi()
-    spans = {}
-    for p in range(dga.top + 1):
-        rows = iota.matrix(p) + linalg.mat_mul(iota.matrix(p + 1),
-                                               dga.d_matrix(p))
-        spans[p] = linalg.kernel_basis(rows, dga.dim(p))
-    return Subcomplex(dga, spans)
+    dga, iota = m.ce(), m.iota_xi()
+    return Subcomplex.kernel_of(dga, lambda p: iota.matrix(p) + linalg.mat_mul(
+        iota.matrix(p + 1), dga.d_matrix(p)))
 
 
 @dataclass

@@ -26,15 +26,6 @@ from .exterior import Element, Generator, GradedAlgebra
 from .linalg import Matrix, Vector
 
 
-def _inverse(mat: Matrix) -> Matrix:
-    """Inverse of a square rational matrix; raises ValueError if singular."""
-    n = len(mat)
-    rows, pivots = linalg.rref([{**row, n + i: 1} for i, row in enumerate(mat)])
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [{j - n: v for j, v in row.items() if j >= n} for row in rows]
-
-
 def once_per_model(build):
     """Memoize ``build(m)`` on the model instance, so each derived object is
     built, and self-checked, once per model and then shared.  A build that
@@ -63,8 +54,7 @@ class LieModel:
     """
 
     def __init__(self, dimension: int, brackets: dict, name: str = "model",
-                 metric=None, xi=None, eta=None, J=None,
-                 omega_terms=None, automorphism=None):
+                 metric=None, xi=None, eta=None, J=None, automorphism=None):
         self.name = name
         self.dimension = dimension
         self.brackets: dict[tuple[int, int], Vector] = {}
@@ -95,8 +85,6 @@ class LieModel:
             if eta is not None else None
         self.J = _sparse_rows("J", J, dimension, dimension) \
             if J is not None else None
-        self.omega_terms = [(int(i), int(j), linalg.exact(c))
-                            for i, j, c in (omega_terms or [])]
         self.automorphism = None
         if automorphism is not None:
             mat, order = automorphism
@@ -157,7 +145,10 @@ class LieModel:
 
     @once_per_model
     def metric_inverse(self) -> Matrix:
-        return _inverse(self.metric)
+        """g^-1, from ``linalg.factor``'s transform of [g | I], whose columns
+        are the rows of g^-1 as g is symmetric (and invertible, as it is
+        positive definite)."""
+        return linalg.factor(self.metric, self.dimension)[1]
 
     def sharp(self, covector: Vector) -> Vector:
         """Metric isomorphism T*->T (inverse metric applied to components)."""
@@ -173,9 +164,6 @@ class LieModel:
         alg = self.algebra()
         images = {i: alg.scalar(c) for i, c in vector.items()}
         return derivation(alg, -1, images, name="iota")
-
-    def contract(self, vector: Vector, elem: Element) -> Element:
-        return self.iota(vector).apply(elem)
 
     def lie(self, vector: Vector) -> Derivation:
         """Lie derivative {d, iota_X} (Cartan)."""
@@ -326,8 +314,10 @@ def _first_slot(mat: Matrix) -> str | None:
     return None
 
 
-def fundamental_form(m: LieModel) -> Element:
-    """omega(X,Y) = g(JX, Y) as a CE 2-form; checks iota_xi omega = 0."""
+@once_per_model
+def omega_element(m: LieModel) -> Element:
+    """The fundamental form omega(X,Y) = g(JX, Y) as a CE 2-form, built once
+    per model; checks iota_xi omega = 0."""
     verdict = validate_almost_contact(m)
     if not verdict:
         raise StructureError(
@@ -346,27 +336,6 @@ def fundamental_form(m: LieModel) -> Element:
     if not m.iota_xi().apply(omega).is_zero():
         raise StructureError("iota_xi omega != 0")
     return omega
-
-
-@once_per_model
-def omega_element(m: LieModel) -> Element:
-    """The working 2-form: fundamental form, cross-checked against any
-    user-supplied override."""
-    override = None
-    if m.omega_terms:
-        alg = m.algebra()
-        override = alg.zero(2)
-        for i, j, c in m.omega_terms:
-            override = override + alg.monomial(i, j, coeff=c)
-    if m.J is not None:
-        omega = fundamental_form(m)
-        if override is not None and override != omega:
-            raise StructureError(
-                "omega override disagrees with the fundamental form")
-        return omega
-    if override is None:
-        raise StructureError(f"model {m.name!r} has neither J nor an omega")
-    return override
 
 
 def is_killing(m: LieModel, vector: Vector) -> tuple[bool, str | None]:

@@ -22,9 +22,9 @@ A model file is line-oriented text with a header and named sections::
     0 0 -1
     0 1 0
 
-Optional sections: ``[omega]`` with rows ``i j c`` overriding the fundamental
-2-form, and ``[automorphism]`` with a first row ``order m`` followed by a
-matrix, for mapping-torus runs.  ``#`` starts a comment; rationals are
+The optional section ``[automorphism]`` holds a first row ``order m``
+followed by a matrix, for mapping-torus runs.  The fundamental 2-form is
+always computed from J and the metric.  ``#`` starts a comment; rationals are
 written like ``-1/2``.  Every parse error carries a line diagnostic.
 """
 
@@ -38,7 +38,7 @@ from pathlib import Path
 from .errors import ModelParseError
 from .geometry import LieModel
 
-_SECTIONS = ("brackets", "metric", "xi", "eta", "J", "omega", "automorphism")
+_SECTIONS = ("brackets", "metric", "xi", "eta", "J", "automorphism")
 CORPUS_MODELS = ("torus3", "torus5", "heisenberg", "kx5",
                  "t2-rot4-mapping-torus", "t2-negid-mapping-torus")
 
@@ -52,7 +52,6 @@ class ModelFile:
     xi: list[Fraction] | None = None
     eta: list[Fraction] | None = None
     J: list[list[Fraction]] | None = None
-    omega: list[tuple[int, int, Fraction]] = field(default_factory=list)
     automorphism: tuple[list[list[Fraction]], int] | None = None
 
     def to_lie_model(self) -> LieModel:
@@ -63,11 +62,7 @@ class ModelFile:
         return LieModel(
             self.dimension, grouped, name=self.name, metric=self.metric,
             xi=self.xi, eta=self.eta, J=self.J,
-            omega_terms=[(i - 1, j - 1, c) for i, j, c in self.omega],
             automorphism=self.automorphism)
-
-    def has_contact_structure(self) -> bool:
-        return self.xi is not None and self.eta is not None and self.J is not None
 
 
 def _rational(token: str, line: int, fieldname: str) -> Fraction:
@@ -122,7 +117,6 @@ def loads(text: str, name_hint: str = "model") -> ModelFile:
     mf.xi = _parse_vector(rows["xi"], dimension, "xi", prefix="X")
     mf.eta = _parse_vector(rows["eta"], dimension, "eta", prefix="e")
     mf.J = _parse_matrix(rows["J"], dimension, "J")
-    _parse_omega(mf, rows["omega"])
     _parse_automorphism(mf, rows["automorphism"])
     return mf
 
@@ -190,20 +184,6 @@ def _parse_matrix(entries, dim: int, fieldname: str):
     return out
 
 
-def _parse_omega(mf: ModelFile, entries):
-    for lineno, toks in entries:
-        if len(toks) != 3:
-            raise ModelParseError("omega rows are 'i j c'", lineno, "omega")
-        i = _int(toks[0], lineno, "omega")
-        j = _int(toks[1], lineno, "omega")
-        c = _rational(toks[2], lineno, "omega")
-        if not (1 <= i < j <= mf.dimension):
-            raise ModelParseError("omega rows need 1 <= i < j <= dim",
-                                  lineno, "omega")
-        mf.omega.append((i, j, c))
-    mf.omega.sort()
-
-
 def _parse_automorphism(mf: ModelFile, entries):
     if not entries:
         return
@@ -229,8 +209,7 @@ def serialize(mf: ModelFile) -> str:
         ("brackets", [f"{i} {j} {k} {c}" for i, j, k, c in sorted(mf.brackets)]),
         ("metric", ["identity"] if mf.metric is None else rows(mf.metric)),
         ("xi", mf.xi and rows([mf.xi])), ("eta", mf.eta and rows([mf.eta])),
-        ("J", mf.J and rows(mf.J)),
-        ("omega", [f"{i} {j} {c}" for i, j, c in sorted(mf.omega)])]
+        ("J", mf.J and rows(mf.J))]
     if mf.automorphism is not None:
         matrix, order = mf.automorphism
         sections.append(("automorphism", [f"order {order}", *rows(matrix)]))

@@ -22,7 +22,7 @@ from cokahler.eta import (basic_complex, build_d_eta, eta_operator,
 from cokahler.exterior import Element
 from cokahler.geometry import LieModel
 from cokahler.lefschetz import splitting_check
-from cokahler.modelfile import load_corpus, loads
+from cokahler.modelfile import CORPUS_MODELS, load_corpus, loads
 from cokahler.report import build_report, operator_identity_report, run_section
 from test_memo import ROT7_123
 
@@ -62,11 +62,11 @@ def test_build_d_eta_heisenberg(heisenberg):
 
 
 def test_d_eta_degree_bookkeeping_for_two_form(torus5):
-    from cokahler.geometry import fundamental_form
-    omega = fundamental_form(torus5)
+    from cokahler.geometry import omega_element
+    omega = omega_element(torus5)
     op = eta_operator(torus5, omega)
     assert op.rho.degree == 0 and op.d_eta.degree == 1
-    assert op.form_degree == 2
+    assert op.eta.degree == 2
 
 
 def test_eta_operator_rejects_foreign_forms(torus3, torus5):
@@ -170,7 +170,7 @@ def test_split_form_invariants(heisenberg):
     for elem in (alg.gen("e1"), alg.monomial("e1", "e2"),
                  alg.monomial("e1", "e2") + alg.monomial("e2", "e3")):
         pair = split_form(heisenberg, elem)
-        assert heisenberg.contract(heisenberg.xi, pair.alpha1).is_zero()
+        assert heisenberg.iota(heisenberg.xi).apply(pair.alpha1).is_zero()
         assert heisenberg.eta_element().wedge(pair.alpha2).is_zero()
         assert pair.total == elem
 
@@ -424,3 +424,65 @@ def test_kx5_is_co_kahler_with_a_differential_on_omega1():
     omega1 = omega_splitting(m).omega1
     for p in (1, 2):
         assert any(bool(row) for row in omega1.d_matrix(p))
+
+
+def eta_wedge_matrix(m, p):
+    """The matrix of alpha -> eta ^ alpha out of degree p."""
+    alg, eta = m.algebra(), m.eta_element()
+    cols = [alg.coords(eta.wedge(Element(alg, p, {key: 1})))
+            for key in alg.basis(p)]
+    return linalg.transpose(cols, alg.dim(p + 1))
+
+
+@pytest.mark.parametrize("name",
+                         ["kx5", "kx7", "rot7-1-2-3", "rot5-1-1-g", "torus5"])
+def test_omega1_and_omega2_are_the_kernels_in_omega_eta(name):
+    # the spans of alpha1 and alpha2 over Omega_eta are ker iota_xi and
+    # ker(eta ^) inside Omega_eta, each taken here by kernel_basis on the
+    # operator matrices stacked under L_xi's
+    from test_report_bytes import pinned_text
+    mf = load_corpus(name) if name in CORPUS_MODELS else loads(
+        ROT7_123 if name == "rot7-1-2-3" else pinned_text(name))
+    m = mf.to_lie_model()
+    split, alg, lie = omega_splitting(m), m.algebra(), m.lie_xi()
+    for p in range(alg.top + 1):
+        n = alg.dim(p)
+        ker_iota = linalg.kernel_basis(
+            lie.matrix(p) + m.iota_xi().matrix(p), n)
+        ker_eta = linalg.kernel_basis(lie.matrix(p) + eta_wedge_matrix(m, p),
+                                      n)
+        assert linalg.same_span(split.omega1.basis_vectors(p), ker_iota)
+        assert linalg.same_span(split.omega2.basis_vectors(p), ker_eta)
+    assert split.omega2.dim(0) == 0 and split.omega2.dim(1) == 1
+
+
+def test_d_eta_equals_lie_raises_on_distinct_operators(monkeypatch):
+    # a d_eta built apart from L_xi, even with L_xi's generator images, is
+    # a construction inconsistency
+    m = rot5_1_2()
+    lie = m.lie_xi()
+    honest = build_d_eta(m)
+    twin = Derivation(m.algebra(), 0, lie.images, name="L_direct")
+    forged = eta_module.EtaOperator(honest.eta, honest.rho, twin)
+    monkeypatch.setattr(eta_module, "build_d_eta", lambda model: forged)
+    with pytest.raises(StructureError, match="distinct operators"):
+        verify_d_eta_equals_lie(m)
+    monkeypatch.undo()
+    assert verify_d_eta_equals_lie(m).equal
+
+
+def test_d_eta_equals_lie_makes_no_pass_over_the_basis(monkeypatch):
+    # with d_eta and L_xi built, the section decides the lemma on the
+    # operators' identity and reads no basis monomial
+    m = rot5_1_2()
+    build_d_eta(m)
+
+    def no_pass(self, p):
+        raise AssertionError(f"basis of degree {p} read")
+
+    monkeypatch.setattr(type(m.algebra()), "basis", no_pass)
+    sec = run_section(m, "d_eta_equals_lie")
+    assert sec.record == {"equal": True, "degreewise": [True] * 6,
+                          "degree0": True, "degree1": True}
+    assert [(a["check"], a["ok"]) for a in sec.asserted] == \
+        [("d_eta_equals_lie", True)]

@@ -12,10 +12,10 @@ import pytest
 from cokahler import linalg
 from cokahler.errors import StructureError
 from cokahler.exterior import Element
-from cokahler.geometry import (LieModel, classify, fundamental_form,
-                               is_killing, is_parallel_covector,
-                               is_parallel_vector, nijenhuis_normality,
-                               omega_element, validate_almost_contact)
+from cokahler.geometry import (LieModel, classify, is_killing,
+                               is_parallel_covector, is_parallel_vector,
+                               nijenhuis_normality, omega_element,
+                               validate_almost_contact)
 
 
 def test_model_validations():
@@ -91,24 +91,24 @@ def oracle_omega(m):
 
 
 def test_fundamental_form(torus3, torus5, heisenberg):
-    assert fundamental_form(torus3) == torus3.algebra().monomial("e2", "e3")
+    assert omega_element(torus3) == torus3.algebra().monomial("e2", "e3")
     alg5 = torus5.algebra()
-    assert fundamental_form(torus5) == \
+    assert omega_element(torus5) == \
         alg5.monomial("e2", "e3") + alg5.monomial("e4", "e5")
     for m in (torus3, torus5, heisenberg):
-        omega = fundamental_form(m)
+        omega = omega_element(m)
         want = m.algebra().zero(2)
         for (i, j), val in oracle_omega(m).items():
             want = want + m.algebra().monomial(i, j, coeff=val)
         assert omega == want
-        assert m.contract(m.xi, omega).is_zero()
+        assert m.iota(m.xi).apply(omega).is_zero()
 
 
 def test_fundamental_form_refuses_invalid_structure():
     bad = LieModel(3, {}, xi=[1, 0, 0], eta=[1, 0, 0],
                    J=[[0, 0, 0], [0, 1, 0], [0, 0, 0]])
     with pytest.raises(StructureError):
-        fundamental_form(bad)
+        omega_element(bad)
 
 
 def test_levi_civita_abelian_vanishes(torus5):
@@ -196,8 +196,8 @@ def test_heisenberg_with_eta_e3_is_not_cosymplectic():
 def test_contraction_examples(heisenberg):
     alg = heisenberg.algebra()
     vol = alg.monomial("e1", "e2", "e3")
-    assert heisenberg.contract({0: 1}, vol) == alg.monomial("e2", "e3")
-    assert heisenberg.contract({1: 1}, vol) == \
+    assert heisenberg.iota({0: 1}).apply(vol) == alg.monomial("e2", "e3")
+    assert heisenberg.iota({1: 1}).apply(vol) == \
         alg.monomial("e1", "e3", coeff=-1)
 
 
@@ -251,18 +251,6 @@ def test_levi_civita_properties(contact_models):
                 for k in range(n):
                     assert gamma[i][j].get(k, 0) - gamma[j][i].get(k, 0) == \
                         br.get(k, 0)
-
-
-def test_omega_override_cross_check():
-    good = LieModel(3, {}, xi=[1, 0, 0], eta=[1, 0, 0],
-                    J=[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
-                    omega_terms=[(1, 2, 1)])
-    assert omega_element(good) == good.algebra().monomial("e2", "e3")
-    bad = LieModel(3, {}, xi=[1, 0, 0], eta=[1, 0, 0],
-                   J=[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
-                   omega_terms=[(0, 1, 1)])
-    with pytest.raises(StructureError):
-        omega_element(bad)
 
 
 def test_ad_columns_are_brackets():

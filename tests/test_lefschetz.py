@@ -11,7 +11,7 @@ from cokahler.cdga import (AlgebraMap, DGA, extend_derivation, free_line_dga,
                            tensor_product)
 from cokahler.cohomology import kunneth_convolution
 from cokahler.errors import StructureError
-from cokahler.eta import invariant_forms
+from cokahler.eta import invariant_forms, split_form
 from cokahler.exterior import Generator, GradedAlgebra
 from cokahler.geometry import LieModel
 from cokahler.lefschetz import (lefschetz_map, mapping_torus_model,
@@ -252,3 +252,30 @@ def test_induced_map_rank_is_the_rank_of_its_matrix(monkeypatch):
     for ind in made:
         assert ind.rank == linalg.rank(ind.matrix)
         assert len(ind.kernel_classes) == ind.source_dim - ind.rank
+
+
+@pytest.mark.parametrize("name", ["torus5", "rot7-1-2-3"])
+def test_lefschetz_maps_each_split_component_once(monkeypatch, name):
+    # a column of the Lefschetz matrix is L(alpha1) + L(alpha2): the section
+    # maps each nonzero split component of a representative once, and never
+    # the representative itself
+    from test_memo import ROT7_123
+    mf = load_corpus(name) if name == "torus5" else loads(ROT7_123)
+    m = mf.to_lie_model()
+    sub = invariant_forms(m)
+    ring = sub.cohomology()
+    n = (m.dimension - 1) // 2
+    want = sum(not part.is_zero()
+               for p in range(n + 1) for rep in ring.representatives(p)
+               for part in vars(split_form(m, sub.element(p, rep))).values())
+    honest = lefschetz.lefschetz_map
+    mapped = []
+
+    def counted(model, alpha):
+        mapped.append(alpha)
+        return honest(model, alpha)
+
+    monkeypatch.setattr(lefschetz, "lefschetz_map", counted)
+    sec = run_section(m, "lefschetz")
+    assert sec.asserted[0]["ok"]
+    assert len(mapped) == want

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cokahler import geometry, linalg
+from cokahler import linalg
 from cokahler.errors import StructureError
 from cokahler.geometry import LieModel
 
@@ -126,19 +126,28 @@ def test_metric_check_matches_sympy_leading_minors(seed):
 
 
 def test_inverse_round_trip():
+    # metric_inverse on a random symmetric positive definite A^t A + I,
+    # against sympy's inverse
     rng = random.Random(7)
-    while True:
-        mat = random_matrix(rng, 4, 4)
-        if linalg.rank(sparse_rows(mat)) == 4:
-            break
-    inv = geometry._inverse(sparse_rows(mat))
-    assert linalg.mat_mul(sparse_rows(mat), inv) == linalg.identity(4)
+    a = random_matrix(rng, 4, 4)
+    g = [[sum(a[k][i] * a[k][j] for k in range(4)) + (i == j)
+          for j in range(4)] for i in range(4)]
+    m = LieModel(4, {}, metric=g)
+    inv = m.metric_inverse()
+    assert linalg.mat_mul(m.metric, inv) == linalg.identity(4)
+    oracle = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                            for v in row] for row in g]).inv()
+    assert [linalg.dense(row, 4) for row in inv] == \
+        [[Fraction(int(oracle[i, j].p), int(oracle[i, j].q)) for j in range(4)]
+         for i in range(4)]
 
 
 def test_inverse_rejects_singular():
-    with pytest.raises(ValueError):
-        geometry._inverse(sparse_rows([[Fraction(1), Fraction(2)],
-                                       [Fraction(2), Fraction(4)]]))
+    # a singular metric never reaches metric_inverse: it is not positive
+    # definite
+    with pytest.raises(StructureError, match="not positive definite"):
+        LieModel(2, {}, metric=[[Fraction(1), Fraction(2)],
+                                [Fraction(2), Fraction(4)]])
 
 
 def test_same_span_detects_equality_and_difference():

@@ -165,10 +165,10 @@ def test_a_report_keeps_one_contraction_at_a_time(monkeypatch):
     honest = report.word_disagreements
     live = []
 
-    def counted(alg, identities, degrees=None):
-        assert degrees is None and len(identities) == 2
+    def counted(alg, identities):
+        assert len(identities) == 2
         live.append(len(alg._derivations))
-        return honest(alg, identities, degrees)
+        return honest(alg, identities)
 
     monkeypatch.setattr(report, "word_disagreements", counted)
     build_report(mf)

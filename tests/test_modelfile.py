@@ -7,6 +7,7 @@ import pytest
 from cokahler.errors import ModelParseError
 from cokahler.modelfile import (CORPUS_MODELS, load_corpus, loads,
                                 resolve, serialize)
+from cokahler.report import _has_contact
 
 GOOD = """\
 # a comment
@@ -39,7 +40,7 @@ def test_parse_good_file():
     assert mf.metric is None
     assert mf.xi == [1, 0, 0] and mf.eta == [1, 0, 0]
     assert mf.J[1][2] == Fraction(-1)
-    assert mf.has_contact_structure()
+    assert _has_contact(mf.to_lie_model())
 
 
 def test_vector_shorthand_and_explicit_agree():
@@ -60,7 +61,7 @@ def test_vector_shorthand_and_explicit_agree():
     ("dim 3\n", "key: value"),
     ("dimension: 3\nfoo: bar\n", "unknown header"),
     ("dimension: 3\n[automorphism]\n1 0 0\n", "order"),
-    ("dimension: 3\n[omega]\n2 1 1\n", "i < j"),
+    ("dimension: 3\n[omega]\n1 2 1\n", "unknown section"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ModelParseError) as err:
@@ -99,7 +100,7 @@ def test_corpus_models_build(contact_models):
     assert rot.automorphism is not None
     matrix, order = rot.automorphism
     assert order == 4 and matrix[0][1] == Fraction(-1)
-    assert not rot.has_contact_structure()
+    assert not _has_contact(rot.to_lie_model())
 
 
 def test_resolve_prefers_files(tmp_path):
