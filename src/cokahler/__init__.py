@@ -8,16 +8,17 @@ numbers, ranks and tensor identities are computed over Q with fraction-free
 elimination, so verdicts carry no tolerances.
 """
 
-from .cdga import (AlgebraMap, DGA, Derivation, Subcomplex, check_d_squared,
-                   check_leibniz, extend_derivation, free_line_dga,
-                   invariant_subalgebra, supercommutator, tensor_product)
+from .cdga import (AlgebraMap, DGA, Derivation, Subcomplex, extend_derivation,
+                   free_line_dga, invariant_subalgebra, supercommutator,
+                   supercommutes_with_d, tensor_product, word_disagreements)
 from .cohomology import CohomologyRing, inclusion_induced_map, \
     kunneth_convolution
 from .errors import ModelParseError, StructureError
 from .eta import (EtaOperator, SplitPair, basic_complex, build_d_eta,
                   eta_operator, invariant_forms, kernel_subcomplex,
-                  omega_splitting, split_form, verify_basic_match,
-                  verify_d_eta_equals_lie, verify_parallel_form_quism)
+                  model_tensor_split_check, omega_splitting, split_form,
+                  verify_basic_match, verify_d_eta_equals_lie,
+                  verify_parallel_form_quism)
 from .exterior import Element, Generator, GradedAlgebra
 from .geometry import (LieModel, StructureVerdict, classify, is_killing,
                        is_parallel_covector, is_parallel_tensor,
@@ -26,8 +27,9 @@ from .geometry import (LieModel, StructureVerdict, classify, is_killing,
 from .lefschetz import (LefschetzReport, lefschetz_map, mapping_torus_model,
                         model_automorphism, splitting_check,
                         verify_lefschetz_iso)
+from .linalg import Span
 from .massey import MasseyTriple, degree_one_massey_scan, triple_massey
-from .minimal import SullivanModel, minimal_model, model_tensor_split_check
+from .minimal import SullivanModel, minimal_model
 from .modelfile import ModelFile, load, load_corpus, loads, resolve, serialize
 from .report import build_report, render_json, render_text
 
@@ -35,22 +37,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraMap", "CohomologyRing", "DGA", "Derivation", "Element",
-    "EtaOperator", "Generator", "GradedAlgebra", "LefschetzReport",
-    "LieModel", "MasseyTriple", "ModelFile", "ModelParseError", "SplitPair",
+    "EtaOperator", "Generator", "GradedAlgebra", "LefschetzReport", "LieModel",
+    "MasseyTriple", "ModelFile", "ModelParseError", "SplitPair", "Span",
     "StructureError", "StructureVerdict", "Subcomplex", "SullivanModel",
-    "basic_complex", "build_d_eta", "build_report", "check_d_squared",
-    "check_leibniz", "classify", "degree_one_massey_scan", "eta_operator",
-    "extend_derivation", "free_line_dga", "inclusion_induced_map",
-    "invariant_forms", "invariant_subalgebra",
-    "is_killing", "is_parallel_covector", "is_parallel_tensor",
-    "is_parallel_vector", "kernel_subcomplex", "kunneth_convolution",
-    "lefschetz_map", "load", "load_corpus", "loads", "mapping_torus_model",
-    "minimal_model", "model_automorphism", "model_tensor_split_check",
-    "nijenhuis_normality", "omega_element", "omega_splitting",
-    "render_json", "render_text",
-    "resolve", "serialize", "split_form", "splitting_check",
-    "supercommutator", "tensor_product", "triple_massey",
-    "validate_almost_contact", "verify_basic_match",
-    "verify_d_eta_equals_lie", "verify_lefschetz_iso",
-    "verify_parallel_form_quism",
+    "basic_complex", "build_d_eta", "build_report", "classify",
+    "degree_one_massey_scan", "eta_operator", "extend_derivation",
+    "free_line_dga", "inclusion_induced_map", "invariant_forms",
+    "invariant_subalgebra", "is_killing", "is_parallel_covector",
+    "is_parallel_tensor", "is_parallel_vector", "kernel_subcomplex",
+    "kunneth_convolution", "lefschetz_map", "load", "load_corpus", "loads",
+    "mapping_torus_model", "minimal_model", "model_automorphism",
+    "model_tensor_split_check", "nijenhuis_normality", "omega_element",
+    "omega_splitting", "render_json", "render_text", "resolve", "serialize",
+    "split_form", "splitting_check", "supercommutator", "supercommutes_with_d",
+    "tensor_product", "triple_massey", "validate_almost_contact",
+    "verify_basic_match", "verify_d_eta_equals_lie", "verify_lefschetz_iso",
+    "verify_parallel_form_quism", "word_disagreements",
 ]

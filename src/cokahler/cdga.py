@@ -14,7 +14,8 @@ premise makes them false or raises with the failing monomial.  The others
 (chain maps, and the report's iota squared and Cartan's formula, where
 the literal {d, iota_X} meets the coadjoint Lie derivative) are checked
 exactly by ``word_disagreements`` on the tables, basis monomial by basis
-monomial (the column-by-column form of the matrix identity).  d_eta = L_xi
+monomial (the column-by-column form of the matrix identity).  Each verdict
+has one name (d^2 = 0 is ``supercommutes_with_d(dga, dga.d)``).  d_eta = L_xi
 needs no pass: when eta is the dual of xi, ``derivation`` hands out one
 operator for both.  Every kernel subcomplex is ``Subcomplex.kernel_of``.
 
@@ -26,8 +27,10 @@ from __future__ import annotations
 
 import functools
 import weakref
+from collections import defaultdict
 
 from . import linalg
+from .cohomology import CohomologyRing
 from .errors import StructureError
 from .exterior import Element, Generator, GradedAlgebra
 
@@ -187,11 +190,6 @@ class Derivation(_MonomialTable):
         return f"<{label}: degree {self.degree:+d} on {len(self.algebra)} generators>"
 
 
-def word_disagreement(alg: GradedAlgebra, lhs, rhs=()) -> Element | None:
-    """``word_disagreements`` of the one identity lhs = rhs."""
-    return word_disagreements(alg, [(lhs, rhs)])[0]
-
-
 def word_disagreements(alg: GradedAlgebra,
                        identities) -> list[Element | None]:
     """For each identity (lhs, rhs) between two sums of operator words, the
@@ -310,7 +308,6 @@ class CochainComplex:
 
     def cohomology(self):
         if self._cohomology is None:
-            from .cohomology import CohomologyRing
             self._cohomology = CohomologyRing(self)
         return self._cohomology
 
@@ -352,21 +349,10 @@ class DGA(CochainComplex):
         return f"<DGA on ({names})>"
 
 
-def check_d_squared(dga: DGA) -> bool:
-    """True iff d(d(m)) = 0 for every basis monomial: {d, d} = 2 d^2."""
-    return supercommutes_with_d(dga, dga.d)
-
-
-def check_leibniz(der: Derivation) -> bool:
-    """Graded Leibniz rule D(a b) = Da b + (-1)^{|D||a|} a Db for all
-    homogeneous a, b with |a| + |b| <= top (``der.leibniz_failure``)."""
-    return der.leibniz_failure is None
-
-
 def supercommutes_with_d(dga: DGA, op: Derivation) -> bool:
     """Whether {d, op} vanishes on every basis monomial: False when d or op
     fails the Leibniz check, else decided on generators, since {d, op} is
-    then a derivation."""
+    then a derivation.  With op = d it is whether d squares to zero."""
     if _first_leibniz_failure(dga.d, op) is not None:
         return False
     sign = -1 if (op.degree % 2) else 1
@@ -377,21 +363,14 @@ def supercommutes_with_d(dga: DGA, op: Derivation) -> bool:
 class Subcomplex(CochainComplex):
     """Degreewise subspace of a DGA, closed under d.
 
-    Bases are stored canonically (reduced echelon rows over the parent
-    monomial basis, as sparse vectors), so two subcomplexes with equal spans
-    have equal bases.  A member's coordinates are its entries at the pivots.
+    Each degree is a ``linalg.Span`` over the parent monomial basis: equal
+    spans have equal bases (its rows), and coordinates are pivot entries.
     """
 
     def __init__(self, parent: DGA, spans: dict[int, linalg.Matrix]):
         self.parent = parent
-        self._rows: dict[int, linalg.Matrix] = {}
-        self._pivots: dict[int, list[int]] = {}
-        self._position: dict[int, dict[int, int]] = {}   # pivot -> index
-        for p in range(parent.top + 1):
-            rows, pivots = linalg.rref(spans.get(p, []))
-            self._rows[p] = rows
-            self._pivots[p] = pivots
-            self._position[p] = {c: i for i, c in enumerate(pivots)}
+        self._spans = defaultdict(linalg.Span, {
+            p: linalg.Span(spans.get(p, [])) for p in range(parent.top + 1)})
         self._d_matrices: dict[int, linalg.Matrix] = {}
         for p in range(parent.top + 1):
             self.d_matrix(p)  # raises on a closure failure
@@ -408,34 +387,30 @@ class Subcomplex(CochainComplex):
     def top(self) -> int:
         return self.parent.top
 
+    def span(self, p: int) -> linalg.Span:
+        """The degree-p part, in parent coordinates (zero off 0..top)."""
+        return self._spans[p]
+
     def dim(self, p: int) -> int:
-        return len(self._rows.get(p, []))
+        return len(self.span(p))
 
     def basis_vectors(self, p: int) -> linalg.Matrix:
         """Canonical basis, one row per generator, in parent coordinates."""
-        return self._rows.get(p, [])
+        return self.span(p).rows
 
     def basis_elements(self, p: int) -> list[Element]:
         return [self.parent.element(p, row) for row in self.basis_vectors(p)]
 
-    def contains(self, p: int, parent_coords: linalg.Vector) -> bool:
-        return linalg.in_row_space(parent_coords,
-                                   self._rows.get(p, []), self._pivots.get(p, []))
-
-    def _coords_of(self, p: int, vec: linalg.Vector) -> linalg.Vector:
-        """Coordinates of a member given by its parent coordinates."""
-        position = self._position.get(p, {})
-        return {position[c]: v for c, v in vec.items() if c in position}
-
     def coords(self, p: int, elem: Element) -> linalg.Vector:
         """Coordinates in the canonical basis; raises if not a member."""
+        span = self.span(p)
         vec = self.parent.coords(p, elem)
-        if not self.contains(p, vec):
+        if span.residual(vec):
             raise StructureError(f"vector is not in the degree {p} subspace")
-        return self._coords_of(p, vec)
+        return span.coords(vec)
 
     def parent_coords(self, p: int, coords: linalg.Vector) -> linalg.Vector:
-        return linalg.combine(coords, self._rows.get(p, []))
+        return self.span(p).vector(coords)
 
     def element(self, p: int, coords: linalg.Vector) -> Element:
         return self.parent.element(p, self.parent_coords(p, coords))
@@ -445,15 +420,16 @@ class Subcomplex(CochainComplex):
             # the parent's d by columns: the image of a row is a combination
             columns = linalg.transpose(self.parent.d_matrix(p),
                                        self.parent.dim(p))
+            target = self.span(p + 1)
             cols = []
             for row in self.basis_vectors(p):
                 img = linalg.combine(row, columns)
-                if not self.contains(p + 1, img):
+                if img not in target:
                     elem = self.parent.element(p, row)
                     raise StructureError(
                         f"subspace is not closed under d in degree {p}: "
                         f"d({elem!r}) leaves the subspace")
-                cols.append(self._coords_of(p + 1, img))
+                cols.append(target.coords(img))
             self._d_matrices[p] = linalg.transpose(cols, self.dim(p + 1))
         return self._d_matrices[p]
 
@@ -554,8 +530,8 @@ class AlgebraMap(_MonomialTable):
 
     def commutes_with(self, der: Derivation) -> bool:
         """Whether phi d = d phi on every basis monomial."""
-        return word_disagreement(self.algebra, [(self, der)],
-                                 [(der, self)]) is None
+        return word_disagreements(self.algebra, [([(self, der)],
+                                                  [(der, self)])])[0] is None
 
 
 def invariant_subalgebra(dga: DGA, phi: AlgebraMap, order: int) -> Subcomplex:

@@ -6,7 +6,8 @@ subcomplexes alike.  Cochains, representatives and classes are ``linalg``
 sparse vectors (``{index: rational}``, no zero values) on the complex's
 basis or on the representative basis of H^p, and every matrix is a list of
 such rows.  A ring computes a degree on first use, from the
-differentials into and out of that degree only.  Representatives are
+differentials into and out of that degree only, and holds the image of d and
+the representative cocycles as ``linalg.Span``s.  Representatives are
 canonical: kernel vectors are reduced modulo the image and re-echelonized,
 so the same subspace always yields the same representative cocycles.
 Every map on cohomology (an inclusion, a minimal model's comparison map,
@@ -24,12 +25,9 @@ from .errors import StructureError
 @dataclass
 class DegreeSlice:
     """One degree of a cohomology ring."""
-    dimension: int
-    representatives: linalg.Matrix          # rref rows, in complex coordinates
-    rep_position: dict[int, int]            # representative pivot -> index
-    image_rows: linalg.Matrix               # rref basis of im(d)
-    image_pivots: list[int]
-    d_columns: linalg.Matrix                # d out of degree p, by columns
+    representatives: linalg.Span    # cocycles, zero at im(d)'s pivots
+    image: linalg.Span              # im(d)
+    d_columns: linalg.Matrix        # d out of degree p, by columns
 
 
 class CohomologyRing:
@@ -49,22 +47,15 @@ class CohomologyRing:
         n = cx.dim(p)
         d_out = cx.d_matrix(p)
         kernel = linalg.kernel_basis(d_out, n)
-        img_rows, img_pivots = [], []
-        if p > 0 and n:
-            prev = cx.d_matrix(p - 1)
-            if any(prev):
-                img_rows, img_pivots = linalg.rref(
-                    linalg.transpose(prev, cx.dim(p - 1)))
-        reduced = [linalg.residual(v, img_rows, img_pivots) for v in kernel]
-        reps, rep_pivots = linalg.rref([r for r in reduced if r])
-        dim_h = len(reps)
-        if dim_h != len(kernel) - len(img_rows):
+        prev = cx.d_matrix(p - 1) if p > 0 and n else []
+        image = linalg.Span(linalg.transpose(prev, cx.dim(p - 1))
+                            if any(prev) else [])
+        reps = linalg.Span([r for r in map(image.residual, kernel) if r])
+        if len(reps) != len(kernel) - len(image):
             raise StructureError(
                 f"rank-nullity mismatch in degree {p}: "
-                f"{dim_h} != {len(kernel)} - {len(img_rows)}")
-        self._slices[p] = DegreeSlice(
-            dim_h, reps, {c: i for i, c in enumerate(rep_pivots)}, img_rows,
-            img_pivots, linalg.transpose(d_out, n))
+                f"{len(reps)} != {len(kernel)} - {len(image)}")
+        self._slices[p] = DegreeSlice(reps, image, linalg.transpose(d_out, n))
         return self._slices[p]
 
     @property
@@ -72,28 +63,27 @@ class CohomologyRing:
         return self.complex.top
 
     def dim(self, p: int) -> int:
-        return self._slice(p).dimension
+        return len(self._slice(p).representatives)
 
     def betti(self) -> tuple[int, ...]:
         return tuple(self.dim(p) for p in range(self.top + 1))
 
     def representatives(self, p: int) -> linalg.Matrix:
-        return self._slice(p).representatives
+        return self._slice(p).representatives.rows
 
     def representative_of(self, p: int,
                           class_coords: linalg.Vector) -> linalg.Vector:
         """Cocycle coordinates of a class given by coefficients on the
         representative basis."""
-        return linalg.combine(class_coords, self.representatives(p))
+        return self._slice(p).representatives.vector(class_coords)
 
     def class_of(self, p: int, cocycle_coords: linalg.Vector) -> linalg.Vector:
         """Coordinates of [v] on the representative basis of H^p.
 
         The representatives vanish on the image pivots and are in rref, so
         reducing v = sum a_i rep_i + d w modulo the image leaves sum a_i rep_i,
-        whose entries at the representatives' pivots are the a_i (read from
-        the entries the reduction holds, in representative order).  Raises if
-        v is not closed or the reduction is not that combination.  Like every
+        whose coordinates on the representatives are the a_i.  Raises if v is
+        not closed or the reduction is not that combination.  Like every
         ``linalg`` vector, v holds exact rationals (ints where integral) and
         no zeros; the returned a_i are read off unconverted.
         """
@@ -105,10 +95,9 @@ class CohomologyRing:
         s = self._slice(p)
         if linalg.combine(vec, s.d_columns):
             raise StructureError(f"vector of degree {p} is not closed")
-        rest = linalg.residual(vec, s.image_rows, s.image_pivots)
-        coeffs = dict(sorted((s.rep_position[c], v) for c, v in rest.items()
-                             if c in s.rep_position))
-        if rest != self.representative_of(p, coeffs):
+        rest = s.image.residual(vec)
+        coeffs = s.representatives.coords(rest)
+        if rest != s.representatives.vector(coeffs):
             raise StructureError(f"vector is not in Z^{p}")
         return coeffs
 

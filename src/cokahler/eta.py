@@ -7,7 +7,9 @@ degree-1 eta dual to xi this recovers the Lie derivative along xi, whose
 kernel subcomplex splits into the forms annihilated by iota_xi and their
 eta-multiples; the former coincide with the basic forms of the foliation
 spanned by xi.  There rho_eta is iota_xi, d_eta is L_xi and ker(d_eta) is the
-invariant forms, as objects: operators and kernels are shared.
+invariant forms, as objects: operators and kernels are shared.  Subspaces are
+compared as ``linalg.Span``s; on co-Kahler models the splitting is also
+checked on minimal models, ℳ(Omega_eta) ≅ ℳ(Omega_1) (x) Λ(eta).
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from dataclasses import dataclass
 from . import linalg
 from .cdga import (Derivation, Subcomplex, derivation, supercommutator,
                    supercommutes_with_d)
-from .cohomology import inclusion_induced_map, kernel_witnesses
+from .cohomology import (inclusion_induced_map, kernel_witnesses,
+                         kunneth_convolution)
 from .errors import StructureError
 from .exterior import Element
-from .geometry import LieModel, is_parallel_covector, once_per_model
+from .geometry import LieModel, classify, is_parallel_covector, once_per_model
+from .minimal import SullivanModel, minimal_model
 
 
 @dataclass
@@ -56,16 +60,7 @@ def build_d_eta(m: LieModel) -> EtaOperator:
     return eta_operator(m, m.eta_element())
 
 
-@dataclass
-class DEtaLieReport:
-    """Degreewise comparison of d_eta with the Lie derivative along xi."""
-    equal: bool
-    degreewise: list[bool]
-    degree0: bool
-    degree1: bool
-
-
-def verify_d_eta_equals_lie(m: LieModel) -> DEtaLieReport:
+def verify_d_eta_equals_lie(m: LieModel) -> bool:
     """d_eta = L_xi in every degree, decided where d_eta is built.
 
     Requires eta to be the metric dual of xi, which is the only input the
@@ -81,8 +76,7 @@ def verify_d_eta_equals_lie(m: LieModel) -> DEtaLieReport:
         raise StructureError(
             "construction inconsistency: eta is the dual of xi, but d_eta "
             "and L_xi are distinct operators")
-    degreewise = [True] * (m.algebra().top + 1)
-    return DEtaLieReport(True, degreewise, True, True)
+    return True
 
 
 def kernel_subcomplex(dga, op: Derivation) -> Subcomplex:
@@ -180,13 +174,11 @@ def omega_splitting(m: LieModel) -> OmegaSplitting:
     omega2 = Subcomplex(dga, spans2)
     direct, eta_match = [True], [True]
     for p in range(1, top + 1):
-        dims_add = omega1.dim(p) + omega2.dim(p) == sub.dim(p)
         stacked = omega1.basis_vectors(p) + omega2.basis_vectors(p)
-        independent = linalg.rank(stacked) == len(stacked)
-        direct.append(dims_add and independent)
+        direct.append(linalg.rank(stacked) == len(stacked) == sub.dim(p))
         wedge_span = [dga.coords(p, eta.wedge(dga.element(p - 1, row)))
                       for row in omega1.basis_vectors(p - 1)]
-        eta_match.append(linalg.same_span(wedge_span, omega2.basis_vectors(p)))
+        eta_match.append(linalg.Span(wedge_span) == omega2.span(p))
     ok = all(direct) and all(eta_match)
     if not all(direct):
         raise StructureError(
@@ -214,8 +206,7 @@ class BasicMatchReport:
 def verify_basic_match(m: LieModel) -> BasicMatchReport:
     split = omega_splitting(m)
     basic = basic_complex(m)
-    per_degree = [linalg.same_span(split.omega1.basis_vectors(p),
-                                   basic.basis_vectors(p))
+    per_degree = [split.omega1.span(p) == basic.span(p)
                   for p in range(m.ce().top + 1)]
     return BasicMatchReport(per_degree, all(per_degree))
 
@@ -247,3 +238,55 @@ def verify_parallel_form_quism(m: LieModel) -> QuasiIsoReport:
             witnesses[p] = kernel_witnesses(sub, ind)
     return QuasiIsoReport(parallel, iso, ranks, sub.betti(),
                           dga.cohomology().betti(), all(iso), witnesses)
+
+
+def _betti_through(model: SullivanModel, cap: int) -> tuple[int, ...]:
+    """The model's Betti numbers in degrees 0 .. min(cap, top), none above."""
+    ring = model.dga.cohomology()
+    return tuple(ring.dim(p) for p in range(min(cap, ring.top) + 1))
+
+
+@dataclass
+class TensorSplitReport:
+    """Minimal-model comparison ℳ(Omega_eta) against ℳ(Omega_1) (x) (eta)."""
+    counts_eta: dict[int, int]
+    counts_basic: dict[int, int]
+    counts_match: bool
+    betti_eta: tuple[int, ...]
+    betti_tensor: tuple[int, ...]
+    betti_match: bool
+    cochain_split_ok: bool
+    models_minimal: bool
+    models_quasi_iso: bool
+
+    @property
+    def ok(self) -> bool:
+        return all((self.counts_match, self.betti_match, self.cochain_split_ok,
+                    self.models_minimal, self.models_quasi_iso))
+
+
+def model_tensor_split_check(m: LieModel, cap: int) -> TensorSplitReport:
+    """Verify that the minimal model of the invariant forms splits off a
+    one-dimensional circle factor over the minimal model of the iota-kernel,
+    and that the split is an equality already at the cochain level."""
+    if not classify(m).coKahler:
+        raise StructureError(
+            f"model {m.name!r} is not co-Kahler; the tensor splitting of the "
+            "minimal model is only claimed under that hypothesis")
+    split = omega_splitting(m)
+    model_eta = minimal_model(split.omega_eta, cap)
+    model_basic = minimal_model(split.omega1, cap)
+    counts_eta = model_eta.generator_counts()
+    counts_basic = model_basic.generator_counts()
+    counts_match = all(
+        counts_eta.get(p, 0) == counts_basic.get(p, 0) + (1 if p == 1 else 0)
+        for p in range(1, cap + 1))
+    betti_eta = _betti_through(model_eta, cap)
+    # M(Omega_1) tensor the circle model Lambda(eta), by Kunneth
+    betti_tensor = kunneth_convolution(
+        _betti_through(model_basic, cap), (1, 1))[:cap + 1]
+    return TensorSplitReport(
+        counts_eta, counts_basic, counts_match,
+        betti_eta, betti_tensor, betti_eta == betti_tensor, split.ok,
+        model_eta.minimal and model_basic.minimal,
+        model_eta.quasi_iso and model_basic.quasi_iso)

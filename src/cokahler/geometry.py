@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .cdga import DGA, Derivation, check_d_squared, derivation, supercommutator
+from .cdga import (DGA, Derivation, derivation, supercommutator,
+                   supercommutes_with_d)
 from .errors import StructureError
 from .exterior import Element, Generator, GradedAlgebra
 from .linalg import Matrix, Vector
@@ -91,7 +92,7 @@ class LieModel:
             self.automorphism = ([linalg.sparse(row) for row in mat],
                                  int(order))
         self._derived: dict = {}    # see once_per_model
-        if not check_d_squared(self.ce()):
+        if not supercommutes_with_d(self.ce(), self.ce().d):
             raise StructureError(
                 f"structure constants of {name!r} violate the Jacobi identity")
 

@@ -24,7 +24,9 @@ solving) is deterministic: pivots are always the first usable column, and
 free variables are ordered by column index.  The reduced row echelon form
 of a row space is unique, and rank, kernel bases and solutions (free
 variables zero) are functions of it, so neither the storage nor the order
-of elimination can move a single value.
+of elimination can move a single value.  A subspace is a ``Span``, which
+holds those rows: the one reader of the rows-and-pivots format, for
+equality, membership, residuals and coordinates.
 """
 
 from __future__ import annotations
@@ -135,29 +137,6 @@ def kernel_basis(mat: Matrix, ncols: int) -> list[Vector]:
     return list(basis.values())
 
 
-def residual(vec: Vector, rows: Matrix, pivots: list[int]) -> Vector:
-    """Reduce vec modulo the row space given in rref form.
-
-    Each row vanishes at the other rows' pivots, so the factor of a row is
-    vec's own entry at its pivot, and only the pivots vec holds are visited.
-    """
-    out = dict(vec)
-    for c, fac in vec.items():
-        i = bisect_left(pivots, c)
-        if i < len(pivots) and pivots[i] == c:
-            for j, v in rows[i].items():
-                w = out.get(j, 0) - fac * v
-                if w:
-                    out[j] = w
-                else:
-                    del out[j]
-    return out
-
-
-def in_row_space(vec: Vector, rows: Matrix, pivots: list[int]) -> bool:
-    return not residual(vec, rows, pivots)
-
-
 def factor(mat: Matrix, ncols: int) -> tuple[list[int], Matrix]:
     """The reduced echelon form of [mat | I], kept for solving mat @ x = b
     for many b.  Row i is T_i [mat | I] for an invertible T; the rows with a
@@ -244,6 +223,47 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     return out
 
 
-def same_span(rows_a: Matrix, rows_b: Matrix) -> bool:
-    """Whether two lists of row vectors span the same subspace."""
-    return rref(rows_a) == rref(rows_b)
+class Span:
+    """A subspace as its reduced echelon rows and their pivot columns.  The
+    rows of a subspace are unique, so equal spans have equal rows, and a
+    member's coordinates on the rows are its entries at the pivots."""
+
+    __slots__ = ("rows", "pivots", "_row_at", "_index")
+
+    def __init__(self, vectors: Matrix = ()):
+        self.rows, self.pivots = rref(vectors) if vectors else ([], [])
+        self._row_at = dict(zip(self.pivots, self.rows))    # pivot -> row
+        self._index = {c: i for i, c in enumerate(self.pivots)}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Span) and self.rows == other.rows
+
+    def residual(self, vec: Vector) -> Vector:
+        """vec reduced modulo the span: each row vanishes at the other rows'
+        pivots, so a row's factor is vec's own entry at its pivot."""
+        out = dict(vec)
+        row_at = self._row_at
+        for c, fac in vec.items():
+            if c in row_at:
+                for j, v in row_at[c].items():
+                    w = out.get(j, 0) - fac * v
+                    if w:
+                        out[j] = w
+                    else:
+                        del out[j]
+        return out
+
+    def __contains__(self, vec: Vector) -> bool:
+        return not self.residual(vec)
+
+    def coords(self, vec: Vector) -> Vector:
+        """vec's entries at the pivots, keyed by row, in row order."""
+        at = self._index
+        return dict(sorted((at[c], v) for c, v in vec.items() if c in at))
+
+    def vector(self, coords: Vector) -> Vector:
+        """The combination of the rows with these coordinates."""
+        return combine(coords, self.rows)

@@ -30,8 +30,7 @@ class MasseyTriple:
     bounding_yz: linalg.Vector        # cochain V with dV = rep(y) rep(z)
     value_cochain: linalg.Vector
     value_class: linalg.Vector        # in H^{|x|+|y|+|z|-1}
-    indeterminacy_rows: linalg.Matrix
-    indeterminacy_pivots: list[int]
+    indeterminacy: linalg.Span        # x H + H z, in class coordinates
     vanishes: bool
 
     @property
@@ -40,7 +39,7 @@ class MasseyTriple:
 
     @property
     def indeterminacy_dim(self) -> int:
-        return len(self.indeterminacy_rows)
+        return len(self.indeterminacy)
 
 
 def triple_massey(ring: CohomologyRing, x: tuple, y: tuple,
@@ -67,14 +66,13 @@ def triple_massey(ring: CohomologyRing, x: tuple, y: tuple,
     sign = -1 if px % 2 else 1
     w = linalg.combine({0: 1, 1: -sign}, [uc, av])
     value_class = ring.class_of(s, w)
-    ind_rows, ind_pivots = _indeterminacy(ring, px, xc, pz, zc, s)
-    vanishes = linalg.in_row_space(value_class, ind_rows, ind_pivots)
-    return MasseyTriple((px, py, pz), dict(xc), dict(yc), dict(zc),
-                        u, v, w, value_class, ind_rows, ind_pivots, vanishes)
+    ind = _indeterminacy(ring, px, xc, pz, zc, s)
+    return MasseyTriple((px, py, pz), dict(xc), dict(yc), dict(zc), u, v, w,
+                        value_class, ind, value_class in ind)
 
 
 def _indeterminacy(ring: CohomologyRing, px, xc, pz, zc, s):
-    """Subspace x H^{s-px} + H^{s-pz} z of H^s, in rref form."""
+    """Subspace x H^{s-px} + H^{s-pz} z of H^s."""
     span = []
     q = s - px
     for i in range(ring.dim(q)):
@@ -82,7 +80,7 @@ def _indeterminacy(ring: CohomologyRing, px, xc, pz, zc, s):
     q = s - pz
     for i in range(ring.dim(q)):
         span.append(ring.cup(q, {i: 1}, pz, zc))
-    return linalg.rref(span)
+    return linalg.Span(span)
 
 
 @dataclass

@@ -12,7 +12,8 @@ of every added generator is decomposable by construction, since it is a
 cocycle of degree p+1 in an algebra generated below degree p+1.
 
 The target can be a DGA or a subcomplex that is closed under products
-(everything here goes through the shared cochain-algebra interface).  The
+(everything here goes through the shared cochain-algebra interface); the
+co-Kahler check on minimal models lives in ``eta``.  The
 comparison map's table of products is keyed by generator-index tuples, which
 stay valid as generators are appended, so it is kept across every rebuild of
 the model (whose monomial keys may change encoding) in a minimal_model call.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .cdga import DGA, Derivation, embed_element
-from .cohomology import InducedMap, induced_map, kunneth_convolution
+from .cohomology import InducedMap, induced_map
 from .errors import StructureError
 from .exterior import Element, Generator, GradedAlgebra
 
@@ -206,61 +207,3 @@ def _is_minimal(model: DGA) -> bool:
     alg = model.algebra
     return all(len(alg.key_indices(key)) >= 2 for i in range(len(alg))
                for key in model.d.image_of(i).terms)
-
-
-def _betti_through(model: SullivanModel, cap: int) -> tuple[int, ...]:
-    """The model's Betti numbers in degrees 0 .. min(cap, top); no degree
-    above the cap is computed."""
-    ring = model.dga.cohomology()
-    return tuple(ring.dim(p) for p in range(min(cap, ring.top) + 1))
-
-
-@dataclass
-class TensorSplitReport:
-    """Minimal-model comparison ℳ(Omega_eta) against ℳ(Omega_1) (x) (eta)."""
-    counts_eta: dict[int, int]
-    counts_basic: dict[int, int]
-    counts_match: bool
-    betti_eta: tuple[int, ...]
-    betti_tensor: tuple[int, ...]
-    betti_match: bool
-    cochain_split_ok: bool
-    models_minimal: bool
-    models_quasi_iso: bool
-
-    @property
-    def ok(self) -> bool:
-        return (self.counts_match and self.betti_match and
-                self.cochain_split_ok and self.models_minimal and
-                self.models_quasi_iso)
-
-
-def model_tensor_split_check(m, cap: int) -> TensorSplitReport:
-    """Verify that the minimal model of the invariant forms splits off a
-    one-dimensional circle factor over the minimal model of the iota-kernel,
-    and that the split is an equality already at the cochain level."""
-    from .eta import omega_splitting
-    from .geometry import classify
-    if not classify(m).coKahler:
-        raise StructureError(
-            f"model {m.name!r} is not co-Kahler; the tensor splitting of the "
-            "minimal model is only claimed under that hypothesis")
-    split = omega_splitting(m)
-    model_eta = minimal_model(split.omega_eta, cap)
-    model_basic = minimal_model(split.omega1, cap)
-    counts_eta = model_eta.generator_counts()
-    counts_basic = model_basic.generator_counts()
-    counts_match = all(
-        counts_eta.get(p, 0) == counts_basic.get(p, 0) + (1 if p == 1 else 0)
-        for p in range(1, cap + 1))
-    betti_eta = _betti_through(model_eta, cap)
-    # M(Omega_1) tensor the circle model Lambda(eta), by Kunneth
-    betti_tensor = kunneth_convolution(
-        _betti_through(model_basic, cap), (1, 1))[:cap + 1]
-    cochain_ok = split.ok
-    return TensorSplitReport(
-        counts_eta, counts_basic, counts_match,
-        betti_eta, betti_tensor, betti_eta == betti_tensor,
-        cochain_ok,
-        model_eta.minimal and model_basic.minimal,
-        model_eta.quasi_iso and model_basic.quasi_iso)

@@ -16,19 +16,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .cdga import (check_d_squared, check_leibniz, supercommutes_with_d,
-                   word_disagreements)
+from .cdga import supercommutes_with_d, word_disagreements
 from .cohomology import kunneth_convolution
 from .errors import StructureError
-from .eta import (basic_complex, build_d_eta, omega_splitting,
-                  splitting_obstruction, verify_basic_match,
+from .eta import (basic_complex, build_d_eta, model_tensor_split_check,
+                  omega_splitting, splitting_obstruction, verify_basic_match,
                   verify_d_eta_equals_lie, verify_parallel_form_quism)
 from .exterior import Element
 from .geometry import LieModel, classify, validate_almost_contact
 from .lefschetz import (mapping_torus_model, model_automorphism,
                         splitting_check, verify_lefschetz_iso)
 from .massey import degree_one_massey_scan
-from .minimal import minimal_model, model_tensor_split_check
+from .minimal import minimal_model
 from .modelfile import ModelFile
 
 
@@ -187,9 +186,10 @@ def operator_identity_report(m: LieModel) -> Section:
         iota_sq &= square is None
         cartan &= formula is None
     out: dict = {"iota_squared_zero": iota_sq, "cartan_formula": cartan,
-                 "d_squared_zero": check_d_squared(dga),
-                 "leibniz_d": check_leibniz(dga.d),
-                 "leibniz_operators": all(check_leibniz(der) for der in ops),
+                 "d_squared_zero": supercommutes_with_d(dga, dga.d),
+                 "leibniz_d": dga.d.leibniz_failure is None,
+                 "leibniz_operators": all(der.leibniz_failure is None
+                                          for der in ops),
                  "d_eta_supercommutes_with_d": super_ok}
     sec = Section(out)
     for key, invariant in (
@@ -207,11 +207,11 @@ def _d_eta_equals_lie_section(model: LieModel, cap, order) -> Section:
     if model.flat(model.xi) != model.eta:
         return Section(None, notes=["eta is not the metric dual of xi: "
                                     "d_eta = L_xi not applicable"])
-    comparison = verify_d_eta_equals_lie(model)
-    sec = Section({
-        "equal": comparison.equal, "degreewise": comparison.degreewise,
-        "degree0": comparison.degree0, "degree1": comparison.degree1})
-    sec.check("d_eta_equals_lie", comparison.equal,
+    equal = verify_d_eta_equals_lie(model)
+    sec = Section({"equal": equal,
+                   "degreewise": [equal] * (model.ce().top + 1),
+                   "degree0": equal, "degree1": equal})
+    sec.check("d_eta_equals_lie", equal,
               "d_eta = L_xi whenever eta is the metric dual of xi")
     return sec
 

@@ -154,18 +154,18 @@ def test_same_span_detects_equality_and_difference():
     a = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     b = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
     c = [[Fraction(1), Fraction(1)]]
-    assert linalg.same_span(sparse_rows(a), sparse_rows(b))
-    assert not linalg.same_span(sparse_rows(a), sparse_rows(c))
+    d = [[Fraction(2), Fraction(0)]]
+    assert linalg.Span(sparse_rows(a)) == linalg.Span(sparse_rows(b))
+    assert linalg.Span(sparse_rows(a)) != linalg.Span(sparse_rows(c))
+    # one dimension each, different lines
+    assert linalg.Span(sparse_rows(c)) != linalg.Span(sparse_rows(d))
 
 
 def test_residual_reduces_into_complement():
-    rows, pivots = linalg.rref(
-        sparse_rows([[Fraction(1), Fraction(2), Fraction(0)]]))
+    span = linalg.Span(sparse_rows([[Fraction(1), Fraction(2), Fraction(0)]]))
     vec = linalg.sparse([Fraction(3), Fraction(6), Fraction(5)])
-    assert linalg.dense(linalg.residual(vec, rows, pivots), 3) == \
-        [0, 0, Fraction(5)]
-    assert linalg.in_row_space(
-        linalg.sparse([Fraction(2), Fraction(4), Fraction(0)]), rows, pivots)
+    assert linalg.dense(span.residual(vec), 3) == [0, 0, Fraction(5)]
+    assert linalg.sparse([Fraction(2), Fraction(4), Fraction(0)]) in span
 
 
 # -- mostly-zero matrices --------------------------------------------------------
@@ -298,12 +298,14 @@ def test_sparse_forms_match_sympy(case, data):
         [[Fraction(int(v.p), int(v.q)) for v in vec] for vec in ref.nullspace()])
     # residual and membership, for a vector inside or outside the row space
     vec = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
-    rest = linalg.residual(linalg.sparse(vec), *rref)
+    span = linalg.Span(rows)
+    assert (span.rows, span.pivots) == rref
+    rest = span.residual(linalg.sparse(vec))
     assert all(c not in rest for c in pivots)
     shift = [a - b for a, b in zip(linalg.dense(rest, ncols), vec)]
     assert exact_sympy(mat + [shift], ncols).rank() == rank
     inside = exact_sympy(mat + [vec], ncols).rank() == rank
-    assert linalg.in_row_space(linalg.sparse(vec), *rref) == inside
+    assert (linalg.sparse(vec) in span) == inside
     assert inside == (not rest)
     # solve, consistent or not; free variables are zero
     rhs = data.draw(st.lists(ENTRIES, min_size=len(mat), max_size=len(mat)))
@@ -423,9 +425,8 @@ def test_mixed_int_and_fraction_entries_give_the_all_fraction_results(case,
     assert_exact(kernel)
     vec = mixed_rows(data.draw, [data.draw(
         st.lists(ENTRIES, min_size=ncols, max_size=ncols))])[0]
-    rest = linalg.residual(vec, *rref)
-    assert rest == linalg.residual(all_fraction([vec])[0],
-                                   *linalg.rref(fracs))
+    rest = linalg.Span(mixed).residual(vec)
+    assert rest == linalg.Span(fracs).residual(all_fraction([vec])[0])
     assert_exact([rest])
     coeffs = mixed_rows(data.draw, [data.draw(
         st.lists(ENTRIES, min_size=len(mat), max_size=len(mat)))])[0]
@@ -442,6 +443,81 @@ def test_mixed_int_and_fraction_entries_give_the_all_fraction_results(case,
     assert sol is not None and linalg.mat_vec(mixed, sol) == rhs
     assert_exact([rhs, sol])
 
+
+
+# -- Span: a subspace as its reduced echelon rows ---------------------------------
+
+@st.composite
+def span_pairs(draw):
+    """Two rational matrices on the same columns: the second mixes the first's
+    rows with random coefficients and may carry one more random row, so equal
+    and unequal spans of equal dimension both occur."""
+    mat, ncols = draw(sparse_cases())
+    mixes = draw(st.lists(st.lists(ENTRIES, min_size=len(mat),
+                                   max_size=len(mat)), max_size=5))
+    other = [[sum((c * row[j] for c, row in zip(mix, mat)), Fraction(0))
+              for j in range(ncols)] for mix in mixes]
+    if draw(st.booleans()):
+        other.append(draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols)))
+    return mat, other, ncols
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(span_pairs(), st.data())
+def test_span_equality_membership_and_coords_match_sympy(case, data):
+    a, b, ncols = case
+    span_a, span_b = linalg.Span(sparse_rows(a)), linalg.Span(sparse_rows(b))
+    rank_a, rank_b, rank_ab = (exact_sympy(m, ncols).rank()
+                               for m in (a, b, a + b))
+    assert len(span_a) == rank_a and len(span_b) == rank_b
+    assert (span_a == span_b) == (rank_a == rank_b == rank_ab)
+    # the same dimension, another subspace: a unit vector outside A in
+    # place of A's last row
+    outside = [j for j in range(ncols) if {j: 1} not in span_a]
+    if span_a.rows and outside:
+        swapped = linalg.Span(span_a.rows[:-1] + [{outside[0]: 1}])
+        assert len(swapped) == rank_a and swapped != span_a
+    # membership is a rank test, for B's rows and for a random vector
+    for vec in b + [data.draw(st.lists(ENTRIES, min_size=ncols,
+                                       max_size=ncols))]:
+        inside = exact_sympy(a + [vec], ncols).rank() == rank_a
+        assert (linalg.sparse(vec) in span_a) == inside
+    # a member's coordinates are its coefficients on the rows, in row order
+    coeffs = linalg.sparse(data.draw(st.lists(
+        ENTRIES, min_size=rank_a, max_size=rank_a)))
+    member = linalg.combine(coeffs, span_a.rows)
+    assert member in span_a
+    assert span_a.coords(member) == coeffs
+    assert list(span_a.coords(member)) == sorted(coeffs)
+    assert span_a.vector(span_a.coords(member)) == member
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sparse_cases(), st.data())
+def test_row_order_moves_no_result(case, data):
+    # rref, kernel_basis, factor and Span see the row space, not the rows
+    mat, ncols = case
+    order = data.draw(st.permutations(range(len(mat))))
+    rows = sparse_rows(mat)
+    shuffled = [rows[i] for i in order]
+    assert linalg.rref(shuffled) == linalg.rref(rows)
+    assert linalg.kernel_basis(shuffled, ncols) == \
+        linalg.kernel_basis(rows, ncols)
+    assert linalg.Span(shuffled) == linalg.Span(rows)
+    fac, fac_shuffled = linalg.factor(rows, ncols), linalg.factor(shuffled,
+                                                                 ncols)
+    assert fac_shuffled[0] == fac[0]
+    # the same system with its equations reordered has the same solution
+    x = linalg.sparse(data.draw(st.lists(ENTRIES, min_size=ncols,
+                                         max_size=ncols)))
+    rhs = linalg.mat_vec(rows, x)
+    other = linalg.sparse(data.draw(st.lists(ENTRIES, min_size=len(mat),
+                                             max_size=len(mat))))
+    for b in (rhs, other):
+        moved = {k: b[i] for k, i in enumerate(order) if i in b}
+        assert linalg.solve_factored(fac_shuffled, moved) == \
+            linalg.solve_factored(fac, b)
+    assert linalg.solve_factored(fac, rhs) is not None
 
 def test_sparse_and_identity_store_integral_values_as_ints():
     vec = linalg.sparse([Fraction(4, 2), True, 0, Fraction(1, 3), -3])

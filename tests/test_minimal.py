@@ -12,10 +12,11 @@ from cokahler.cdga import DGA, Subcomplex, extend_derivation
 from cokahler.cli import main
 from cokahler.cohomology import InducedMap
 from cokahler.errors import StructureError
-from cokahler.eta import invariant_forms, omega_splitting
+from cokahler.eta import (invariant_forms, model_tensor_split_check,
+                          omega_splitting)
 from cokahler.exterior import Generator, GradedAlgebra
 from cokahler.minimal import (_Builder, _ComparisonMap, _extend_surjective,
-                              minimal_model, model_tensor_split_check)
+                              minimal_model)
 from cokahler.report import run_section
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
