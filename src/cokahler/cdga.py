@@ -18,6 +18,8 @@ monomial (the column-by-column form of the matrix identity).  Each verdict
 has one name (d^2 = 0 is ``supercommutes_with_d(dga, dga.d)``).  d_eta = L_xi
 needs no pass: when eta is the dual of xi, ``derivation`` hands out one
 operator for both.  Every kernel subcomplex is ``Subcomplex.kernel_of``.
+A complex owns what its cohomology has computed; ``cohomology()`` is a
+view of that store, and the complex keeps no reference to a view.
 
 Coordinates are ``linalg`` sparse vectors; a degree-p matrix has one sparse
 row per target basis monomial, filled from each source monomial's image.
@@ -288,11 +290,14 @@ class CochainComplex:
     """What DGAs and subcomplexes share, through ``dim``, ``d_matrix``,
     ``element`` and ``coords(p, elem)``."""
 
-    _cohomology = None
-
     @functools.cached_property
     def _factors(self) -> dict:
         return {}
+
+    @functools.cached_property
+    def cohomology_store(self) -> tuple[dict, dict]:
+        """The computed ``DegreeSlice``s and basis cup products, by key."""
+        return {}, {}
 
     def solve_d(self, p: int, target: linalg.Vector) -> linalg.Vector | None:
         """Coordinates x in degree p with d x = target (degree p+1), or None,
@@ -306,10 +311,9 @@ class CochainComplex:
         """Coordinates of the product of two elements given by coordinates."""
         return self.coords(p + q, self.element(p, v).wedge(self.element(q, w)))
 
-    def cohomology(self):
-        if self._cohomology is None:
-            self._cohomology = CohomologyRing(self)
-        return self._cohomology
+    def cohomology(self) -> CohomologyRing:
+        """A view that reads and fills ``cohomology_store``."""
+        return CohomologyRing(self)
 
 
 class DGA(CochainComplex):

@@ -1,17 +1,20 @@
 """Cohomology of finite cochain complexes over the rationals.
 
-Works uniformly over anything with the complex interface (``dim``,
-``d_matrix``, ``element``, ``coords(p, elem)``, ``top``): full DGAs and
-subcomplexes alike.  Cochains, representatives and classes are ``linalg``
+Works uniformly over any ``cdga.CochainComplex`` (``dim``, ``d_matrix``,
+``element``, ``coords(p, elem)``, ``top``, ``cohomology_store``): full DGAs
+and subcomplexes alike.  Cochains, representatives and classes are ``linalg``
 sparse vectors (``{index: rational}``, no zero values) on the complex's
 basis or on the representative basis of H^p, and every matrix is a list of
-such rows.  A ring computes a degree on first use, from the
-differentials into and out of that degree only, and holds the image of d and
+such rows.  The complex owns the computed degrees and cup products; a
+``CohomologyRing`` is a view that keeps its complex alive and shares them,
+and no complex refers to a view.  A degree is computed on first use, from
+the differentials into and out of it only, and holds the image of d and
 the representative cocycles as ``linalg.Span``s.  Representatives are
 canonical: kernel vectors are reduced modulo the image and re-echelonized,
 so the same subspace always yields the same representative cocycles.
 Every map on cohomology (an inclusion, a minimal model's comparison map,
-the Lefschetz map) is built by ``induced_map``.
+the Lefschetz map) is built by ``map_from_classes`` from its columns'
+classes.
 """
 
 from __future__ import annotations
@@ -31,12 +34,11 @@ class DegreeSlice:
 
 
 class CohomologyRing:
-    """Per-degree classes with representative cocycles and cup products."""
+    """A view of a complex's classes, representatives and cup products."""
 
     def __init__(self, cx):
         self.complex = cx
-        self._slices: dict[int, DegreeSlice] = {}
-        self._cup_cache: dict[tuple, linalg.Vector] = {}
+        self._slices, self._cup_cache = cx.cohomology_store
 
     def _slice(self, p: int) -> DegreeSlice:
         """H^p, computed on first use from the differentials into and out
@@ -146,8 +148,13 @@ def induced_map(source, p: int, target, q: int, push) -> InducedMap:
     ring_s = source.cohomology()
     ring_t = target.cohomology()
     cols = [ring_t.class_of(q, push(rep)) for rep in ring_s.representatives(p)]
-    source_dim = ring_s.dim(p)
-    target_dim = ring_t.dim(q)
+    return map_from_classes(p, cols, ring_s.dim(p), ring_t.dim(q))
+
+
+def map_from_classes(p: int, cols: linalg.Matrix, source_dim: int,
+                     target_dim: int) -> InducedMap:
+    """The map from H^p whose column j is ``cols[j]``, the class of the
+    image of the j-th representative."""
     matrix = linalg.transpose(cols, target_dim)
     kernel = linalg.kernel_basis(matrix, source_dim)
     return InducedMap(p, matrix, source_dim, target_dim,

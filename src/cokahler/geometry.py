@@ -211,13 +211,10 @@ class LieModel:
                         + low[k][i].get(j, 0)
                     if v:
                         rhs[k] = Fraction(v, 2)
-                gamma[i][j] = linalg.mat_vec(ginv, rhs)
+                gamma[i][j] = {k: linalg.exact(c) for k, c
+                               in linalg.mat_vec(ginv, rhs).items()}
         _check_connection(self, gamma)
         return gamma
-
-    def nabla(self, i: int, vector: Vector) -> Vector:
-        """nabla_{X_i} of a vector field with constant components."""
-        return linalg.combine(vector, self.levi_civita()[i])
 
 
 def _sparse_rows(label: str, rows, count: int, n: int) -> Matrix:
@@ -355,7 +352,7 @@ def is_killing(m: LieModel, vector: Vector) -> tuple[bool, str | None]:
 
 def is_parallel_vector(m: LieModel, vector: Vector) -> tuple[bool, str | None]:
     for i in range(m.dimension):
-        nab = m.nabla(i, vector)
+        nab = linalg.combine(vector, m.levi_civita()[i])    # nabla_{X_i}
         if nab:
             return False, f"nabla_X{i + 1}: {_fmt_vector(nab)}"
     return True, None

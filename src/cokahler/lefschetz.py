@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import linalg
 from .cdga import DGA, AlgebraMap, Subcomplex, embed_element, free_line_dga, \
     invariant_subalgebra, tensor_product
-from .cohomology import InducedMap, induced_map, kernel_witnesses
+from .cohomology import InducedMap, kernel_witnesses, map_from_classes
 from .errors import StructureError
 from .exterior import Element
 from .eta import omega_splitting, split_form
@@ -102,24 +102,20 @@ def verify_lefschetz_iso(m: LieModel) -> LefschetzReport:
             "to cohomology; no ranks computed")
     split = omega_splitting(m)
     sub = split.omega_eta
+    ring = sub.cohomology()
     classes = split_classes(m)
     degrees = []
     for p in range(n + 1):
         q = 2 * n + 1 - p
         h1, eta_h1 = classes[q]
         spans = (linalg.Span(eta_h1), linalg.Span(h1))
-        component_ok = []
-
-        def column(rep, p=p, q=q, spans=spans):
-            image, ok = _component_split_ok(m, split, spans,
-                                            sub.element(p, rep), q)
-            component_ok.append(ok)
-            return sub.coords(q, image)
-
-        ind = induced_map(sub, p, sub, q, column)
+        pairs = [_component_split_ok(m, split, spans, sub.element(p, rep), q)
+                 for rep in ring.representatives(p)]
+        ind = map_from_classes(p, [cls for cls, _ in pairs], ring.dim(p),
+                               ring.dim(q))
         degrees.append(LefschetzDegree(
             **vars(ind), kernel_witnesses=kernel_witnesses(sub, ind),
-            component_split_ok=all(component_ok)))
+            component_split_ok=all(ok for _, ok in pairs)))
     top = _omega_powers(m)[n].wedge(m.eta_element())
     top_nonzero = bool(_class(sub, 2 * n + 1, top))
     return LefschetzReport(n, verdict.coKahler, degrees, top_nonzero, None)
@@ -145,19 +141,19 @@ def split_classes(m: LieModel) -> list[tuple[linalg.Matrix, linalg.Matrix]]:
             for q in range(m.ce().top + 1)]
 
 
-def _component_split_ok(m, split, spans, elem, q) -> tuple[Element, bool]:
-    """L(elem) = L(alpha_1) + L(alpha_2), each nonzero split component
-    mapped once, and whether the two land where the splitting says they
-    must: L(alpha_1) in [eta] ^ H_1 and L(alpha_2) in H_1.  ``spans`` holds
-    the class spans of [eta] ^ H_1 and of H_1 in degree q."""
+def _component_split_ok(m, split, spans, elem, q) -> tuple[dict, bool]:
+    """The class of L(elem) = L(alpha_1) + L(alpha_2), the sum of its
+    nonzero split components' classes, each mapped and reduced once, and
+    whether they land where the splitting says: L(alpha_1) in [eta] ^ H_1
+    and L(alpha_2) in H_1, whose class spans in degree q are ``spans``."""
     pair = split_form(m, elem)
-    image, ok = m.algebra().zero(q), True
+    parts, ok = [], True
     for part, span in zip((pair.alpha1, pair.alpha2), spans):
         if not part.is_zero():
-            part_image = lefschetz_map(m, part)
-            ok &= _class(split.omega_eta, q, part_image) in span
-            image = image + part_image
-    return image, ok
+            cls = _class(split.omega_eta, q, lefschetz_map(m, part))
+            ok &= cls in span
+            parts.append(cls)
+    return linalg.combine(dict.fromkeys(range(len(parts)), 1), parts), ok
 
 
 @dataclass

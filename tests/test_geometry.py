@@ -16,6 +16,9 @@ from cokahler.geometry import (LieModel, classify, is_killing,
                                is_parallel_covector, is_parallel_vector,
                                nijenhuis_normality, omega_element,
                                validate_almost_contact)
+from cokahler.modelfile import load_corpus, loads
+
+from test_report_bytes import PINNED, model_texts, pinned_text
 
 
 def test_model_validations():
@@ -129,6 +132,20 @@ def test_levi_civita_heisenberg_koszul_oracle(heisenberg):
     assert gamma[1][2] == linalg.sparse([half, 0, 0])
     assert gamma[2][1] == linalg.sparse([half, 0, 0])
     assert gamma[0][0] == linalg.sparse([0, 0, 0])
+
+
+@pytest.mark.parametrize("name", ["rot7-1-2-3", "kx5", "heisenberg-q",
+                                  "rot5-1-1-g"])
+def test_levi_civita_entries_are_ints_where_integral(name):
+    # rot5-1-1-g has a metric other than the identity; heisenberg-q has
+    # Gamma entries of 1/3
+    text = pinned_text(name) if name in PINNED else model_texts()[name]
+    m = (load_corpus(name) if text is None else loads(text)).to_lie_model()
+    entries = [c for row in m.levi_civita() for vec in row
+               for c in vec.values()]
+    assert entries
+    assert all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+               for c in entries)
 
 
 def test_killing_and_parallel(torus3, heisenberg):
