@@ -19,14 +19,12 @@ classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .errors import StructureError
+from .record import Record
 
 
-@dataclass
-class DegreeSlice:
+class DegreeSlice(Record):
     """One degree of a cohomology ring."""
     representatives: linalg.Span    # cocycles, zero at im(d)'s pivots
     image: linalg.Span              # im(d)
@@ -117,8 +115,7 @@ class CohomologyRing:
         return self._cup_cache[key]
 
 
-@dataclass
-class InducedMap:
+class InducedMap(Record):
     """Matrix of a chain map from H^p, with rank bookkeeping."""
     degree: int                    # p, the source degree
     matrix: linalg.Matrix          # dim H^q(target) rows x dim H^p(source) cols

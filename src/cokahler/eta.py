@@ -14,8 +14,6 @@ checked on minimal models, ℳ(Omega_eta) ≅ ℳ(Omega_1) (x) Λ(eta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .cdga import (Derivation, Subcomplex, derivation, supercommutator,
                    supercommutes_with_d)
@@ -25,10 +23,10 @@ from .errors import StructureError
 from .exterior import Element
 from .geometry import LieModel, classify, is_parallel_covector, once_per_model
 from .minimal import SullivanModel, minimal_model
+from .record import Record
 
 
-@dataclass
-class EtaOperator:
+class EtaOperator(Record):
     """The operator package of a homogeneous form eta of degree k."""
     eta: Element
     rho: Derivation     # Leibniz extension of nu -> iota_{nu-sharp} eta
@@ -97,8 +95,7 @@ def invariant_forms(m: LieModel) -> Subcomplex:
     return kernel_subcomplex(m.ce(), m.lie_xi())
 
 
-@dataclass
-class SplitPair:
+class SplitPair(Record):
     """alpha = alpha1 + alpha2 with iota_xi alpha1 = 0 and eta ^ alpha2 = 0."""
     alpha1: Element
     alpha2: Element
@@ -121,8 +118,7 @@ def split_form(m: LieModel, alpha: Element) -> SplitPair:
     return SplitPair(alpha1, alpha2)
 
 
-@dataclass
-class OmegaSplitting:
+class OmegaSplitting(Record):
     """Omega_eta = Omega_1 + eta ^ Omega_1 (directly, in positive degrees)."""
     omega_eta: Subcomplex
     omega1: Subcomplex
@@ -196,8 +192,7 @@ def basic_complex(m: LieModel) -> Subcomplex:
         iota.matrix(p + 1), dga.d_matrix(p)))
 
 
-@dataclass
-class BasicMatchReport:
+class BasicMatchReport(Record):
     """Degreewise comparison of Omega_1 with the basic complex of xi."""
     per_degree: list[bool]
     equal: bool
@@ -211,8 +206,7 @@ def verify_basic_match(m: LieModel) -> BasicMatchReport:
     return BasicMatchReport(per_degree, all(per_degree))
 
 
-@dataclass
-class QuasiIsoReport:
+class QuasiIsoReport(Record):
     """Verdict for the inclusion ker(d_eta) into the full complex."""
     eta_parallel: bool
     degreewise_iso: list[bool]
@@ -246,8 +240,7 @@ def _betti_through(model: SullivanModel, cap: int) -> tuple[int, ...]:
     return tuple(ring.dim(p) for p in range(min(cap, ring.top) + 1))
 
 
-@dataclass
-class TensorSplitReport:
+class TensorSplitReport(Record):
     """Minimal-model comparison ℳ(Omega_eta) against ℳ(Omega_1) (x) (eta)."""
     counts_eta: dict[int, int]
     counts_basic: dict[int, int]

@@ -23,17 +23,16 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
 from numbers import Rational
 
 from .errors import StructureError
 from .linalg import Vector, exact
+from .record import Record
 
 Key = int | tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record, frozen=True):
     name: str
     degree: int
 

@@ -16,7 +16,6 @@ input rows, as a model file gives them, become sparse.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -25,6 +24,7 @@ from .cdga import (DGA, Derivation, derivation, supercommutator,
 from .errors import StructureError
 from .exterior import Element, Generator, GradedAlgebra
 from .linalg import Matrix, Vector
+from .record import Fresh, Record
 
 
 def once_per_model(build):
@@ -263,10 +263,9 @@ def _check_connection(m: LieModel, gamma):
 # -- structure validation ---------------------------------------------------------
 
 
-@dataclass
-class AlmostContactVerdict:
+class AlmostContactVerdict(Record):
     ok: bool
-    witnesses: dict[str, str] = field(default_factory=dict)
+    witnesses: dict[str, str] = Fresh(dict)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -426,8 +425,7 @@ def _fmt_vector(vec: Vector) -> str:
                       for k, c in sorted(vec.items()))
 
 
-@dataclass
-class StructureVerdict:
+class StructureVerdict(Record):
     """Classification of an almost-contact metric Lie model."""
     almost_contact: bool
     cosymplectic: bool
@@ -438,7 +436,7 @@ class StructureVerdict:
     parallel_eta: bool
     parallel_J: bool
     unimodular: bool
-    witnesses: dict[str, str] = field(default_factory=dict)
+    witnesses: dict[str, str] = Fresh(dict)
 
 
 @once_per_model

@@ -12,8 +12,6 @@ complementary degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .cdga import DGA, AlgebraMap, Subcomplex, embed_element, free_line_dga, \
     invariant_subalgebra, tensor_product
@@ -22,6 +20,7 @@ from .errors import StructureError
 from .exterior import Element
 from .eta import omega_splitting, split_form
 from .geometry import LieModel, classify, omega_element, once_per_model
+from .record import Record
 
 
 def _contact_rank(m: LieModel) -> int:
@@ -65,15 +64,13 @@ def lefschetz_map(m: LieModel, alpha: Element) -> Element:
     return out
 
 
-@dataclass
 class LefschetzDegree(InducedMap):
     """The induced map H^p_eta -> H^{2n+1-p}_eta."""
     kernel_witnesses: list[str]
     component_split_ok: bool
 
 
-@dataclass
-class LefschetzReport:
+class LefschetzReport(Record):
     n: int
     hypothesis_cokahler: bool
     degrees: list[LefschetzDegree]
@@ -156,8 +153,7 @@ def _component_split_ok(m, split, spans, elem, q) -> tuple[dict, bool]:
     return linalg.combine(dict.fromkeys(range(len(parts)), 1), parts), ok
 
 
-@dataclass
-class SplittingReport:
+class SplittingReport(Record):
     """dim H^p_eta = dim H^p_1 + dim H^{p-1}_1, via the explicit map
     (x, y) -> x + [eta] ^ y."""
     dims_eta: tuple[int, ...]
@@ -179,8 +175,7 @@ def splitting_check(m: LieModel) -> SplittingReport:
                            all(per_degree))
 
 
-@dataclass
-class MappingTorus:
+class MappingTorus(Record):
     """Mapping-torus model: the phi-invariant forms of K tensored with a
     circle generator, realized as a subcomplex of K (x) line."""
     total: DGA

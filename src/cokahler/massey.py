@@ -13,15 +13,14 @@ so scans report "obstructed" or "consistent-with-formal", never "formal".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import linalg
 from .cohomology import CohomologyRing
 from .errors import StructureError
+from .record import Record
 
 
-@dataclass
-class MasseyTriple:
+class MasseyTriple(Record):
     degrees: tuple[int, int, int]
     x: linalg.Vector
     y: linalg.Vector
@@ -72,19 +71,17 @@ def triple_massey(ring: CohomologyRing, x: tuple, y: tuple,
 
 
 def _indeterminacy(ring: CohomologyRing, px, xc, pz, zc, s):
-    """Subspace x H^{s-px} + H^{s-pz} z of H^s."""
-    span = []
-    q = s - px
-    for i in range(ring.dim(q)):
-        span.append(ring.cup(px, xc, q, {i: 1}))
-    q = s - pz
-    for i in range(ring.dim(q)):
-        span.append(ring.cup(q, {i: 1}, pz, zc))
+    """Subspace x H^{s-px} + H^{s-pz} z of H^s, by bilinearity from the
+    cached basis cup products: x e_t = sum_a x_a e_a e_t, e_t z likewise."""
+    qx, qz = s - px, s - pz
+    span = [linalg.combine(xc, {a: ring.cup_basis(px, a, qx, t) for a in xc})
+            for t in range(ring.dim(qx))]
+    span += [linalg.combine(zc, {a: ring.cup_basis(qz, t, pz, a) for a in zc})
+             for t in range(ring.dim(qz))]
     return linalg.Span(span)
 
 
-@dataclass
-class MasseyScan:
+class MasseyScan(Record):
     """All triple products among degree-1 basis classes with vanishing
     pairwise products."""
     triples: list[tuple[tuple[int, int, int], MasseyTriple]]

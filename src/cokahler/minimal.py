@@ -22,13 +22,13 @@ the model (whose monomial keys may change encoding) in a minimal_model call.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from . import linalg
 from .cdga import DGA, Derivation, embed_element
 from .cohomology import InducedMap, induced_map
 from .errors import StructureError
 from .exterior import Element, Generator, GradedAlgebra
+from .record import Record
 
 # The only budget: kill rounds per degree.  A nilpotent target closes each
 # stage after a few rounds.  A non-nilpotent target has a model that is
@@ -65,8 +65,7 @@ class _ComparisonMap:
         return self.table[idx]
 
 
-@dataclass
-class SullivanModel:
+class SullivanModel(Record):
     """Free model with decomposable differential plus the comparison map."""
     dga: DGA
     comparison: _ComparisonMap

@@ -30,24 +30,23 @@ written like ``-1/2``.  Every parse error carries a line diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .errors import ModelParseError
 from .geometry import LieModel
+from .record import Fresh, Record
 
 _SECTIONS = ("brackets", "metric", "xi", "eta", "J", "automorphism")
 CORPUS_MODELS = ("torus3", "torus5", "heisenberg", "kx5",
                  "t2-rot4-mapping-torus", "t2-negid-mapping-torus")
 
 
-@dataclass
-class ModelFile:
+class ModelFile(Record):
     name: str
     dimension: int
-    brackets: list[tuple[int, int, int, Fraction]] = field(default_factory=list)
+    brackets: list[tuple[int, int, int, Fraction]] = Fresh(list)
     metric: list[list[Fraction]] | None = None
     xi: list[Fraction] | None = None
     eta: list[Fraction] | None = None
@@ -65,24 +64,20 @@ class ModelFile:
             automorphism=self.automorphism)
 
 
-def _rational(token: str, line: int, fieldname: str) -> Fraction:
+def _number(token: str, line: int, fieldname: str, kind=Fraction):
+    """``kind(token)``: a ``Fraction``, or an ``int`` for indices and orders."""
     try:
-        return Fraction(token)
+        return kind(token)
     except (ValueError, ZeroDivisionError):
-        raise ModelParseError(f"bad rational {token!r}", line, fieldname) from None
-
-
-def _int(token: str, line: int, fieldname: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ModelParseError(f"bad integer {token!r}", line, fieldname) from None
+        what = "integer" if kind is int else "rational"
+        raise ModelParseError(f"bad {what} {token!r}", line, fieldname) from None
 
 
 def loads(text: str, name_hint: str = "model") -> ModelFile:
     name = name_hint
     dimension = None
     section = None
+    header: dict[str, int] = {}     # key -> line
     rows: dict[str, list[tuple[int, list[str]]]] = {s: [] for s in _SECTIONS}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -99,10 +94,13 @@ def loads(text: str, name_hint: str = "model") -> ModelFile:
                                       lineno)
             key, _, value = line.partition(":")
             key, value = key.strip(), value.strip()
+            if header.setdefault(key, lineno) != lineno:
+                raise ModelParseError(f"repeated header key {key!r}, first on "
+                                      f"line {header[key]}", lineno)
             if key == "name":
                 name = value
             elif key == "dimension":
-                dimension = _int(value, lineno, "dimension")
+                dimension = _number(value, lineno, "dimension", int)
             else:
                 raise ModelParseError(f"unknown header key {key!r}", lineno)
             continue
@@ -122,14 +120,13 @@ def loads(text: str, name_hint: str = "model") -> ModelFile:
 
 
 def _parse_brackets(mf: ModelFile, entries):
+    seen: dict[tuple[int, int, int], int] = {}     # (i, j, k) -> line
     for lineno, toks in entries:
         if len(toks) != 4:
             raise ModelParseError("bracket rows are 'i j k c'", lineno,
                                   "brackets")
-        i = _int(toks[0], lineno, "brackets")
-        j = _int(toks[1], lineno, "brackets")
-        k = _int(toks[2], lineno, "brackets")
-        c = _rational(toks[3], lineno, "brackets")
+        i, j, k = (_number(t, lineno, "brackets", int) for t in toks[:3])
+        c = _number(toks[3], lineno, "brackets")
         for idx in (i, j, k):
             if not 1 <= idx <= mf.dimension:
                 raise ModelParseError(f"index {idx} out of range 1.."
@@ -137,6 +134,10 @@ def _parse_brackets(mf: ModelFile, entries):
         if i >= j:
             raise ModelParseError("bracket rows need i < j (antisymmetry is "
                                   "completed automatically)", lineno, "brackets")
+        if seen.setdefault((i, j, k), lineno) != lineno:
+            raise ModelParseError(f"repeated bracket triple {i} {j} {k}, "
+                                  f"first on line {seen[i, j, k]}", lineno,
+                                  "brackets")
         mf.brackets.append((i, j, k, c))
     mf.brackets.sort()
 
@@ -166,7 +167,7 @@ def _parse_vector(entries, dim: int, fieldname: str, prefix: str):
     if len(toks) != dim:
         raise ModelParseError(f"{fieldname} needs {dim} components",
                               lineno, fieldname)
-    return [_rational(t, lineno, fieldname) for t in toks]
+    return [_number(t, lineno, fieldname) for t in toks]
 
 
 def _parse_matrix(entries, dim: int, fieldname: str):
@@ -180,7 +181,7 @@ def _parse_matrix(entries, dim: int, fieldname: str):
         if len(toks) != dim:
             raise ModelParseError(f"{fieldname} rows need {dim} entries",
                                   lineno, fieldname)
-        out.append([_rational(t, lineno, fieldname) for t in toks])
+        out.append([_number(t, lineno, fieldname) for t in toks])
     return out
 
 
@@ -191,7 +192,7 @@ def _parse_automorphism(mf: ModelFile, entries):
     if len(toks) != 2 or toks[0] != "order":
         raise ModelParseError("automorphism section starts with 'order m'",
                               lineno, "automorphism")
-    order = _int(toks[1], lineno, "automorphism")
+    order = _number(toks[1], lineno, "automorphism", int)
     if order < 1:
         raise ModelParseError("order must be >= 1", lineno, "automorphism")
     matrix = _parse_matrix(entries[1:], mf.dimension, "automorphism")

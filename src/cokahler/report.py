@@ -12,7 +12,6 @@ stable): binding verdicts land in ``asserted``, everything else in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -29,6 +28,7 @@ from .lefschetz import (mapping_torus_model, model_automorphism,
 from .massey import degree_one_massey_scan
 from .minimal import minimal_model
 from .modelfile import ModelFile
+from .record import Fresh, Record
 
 
 def _plain(value):
@@ -45,14 +45,13 @@ def _plain(value):
     return value
 
 
-@dataclass
-class Section:
+class Section(Record):
     """One report section.  ``record`` is None when the section does not
     apply; ``hypothesis`` is the note saying that the model violates the
     section's own hypothesis, None when it holds."""
     record: dict | None
-    asserted: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    asserted: list[dict] = Fresh(list)
+    notes: list[str] = Fresh(list)
     hypothesis: str | None = None
 
     def check(self, name: str, ok: bool, invariant: str) -> None:

@@ -153,6 +153,14 @@ def test_missing_model_is_an_input_error(capsys):
     assert code == 2 and "error" in err
 
 
+def test_ambiguous_model_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "heisenberg.model"
+    path.write_text("dimension: 3\n[brackets]\n1 2 3 1\n1 2 3 1\n")
+    code, out, err = run(capsys, "betti", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "repeated bracket triple 1 2 3, first on line 3 (line 4" in err
+
+
 def test_contactless_model_rejected_for_classify(capsys):
     code, _, err = run(capsys, "classify", "t2-rot4-mapping-torus")
     assert code == 2 and "structure" in err

@@ -1,0 +1,42 @@
+"""Start-up cost: importing the package and its CLI loads no introspection
+machinery, and no module imports inside a function."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import cokahler
+
+PACKAGE = Path(cokahler.__file__).parent
+# with ast, dis and tokenize behind them, about half of a cold import
+UNWANTED = {"dataclasses", "inspect"}
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    # site may preload modules, so compare sys.modules before and after
+    script = ("import sys; before = set(sys.modules); "
+              "import cokahler, cokahler.cli; "
+              "print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert {"cokahler.cli", "cokahler.report"} <= added
+    assert added.isdisjoint(UNWANTED), sorted(added & UNWANTED)
+
+
+def test_no_import_inside_a_function():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found

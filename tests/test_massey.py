@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from cokahler import linalg
+from cokahler import linalg, load_corpus, loads
+from cokahler.cohomology import CohomologyRing
 from cokahler.errors import StructureError
 from cokahler.massey import degree_one_massey_scan, triple_massey
+
+from test_report_bytes import model_texts
 
 
 def unit(ring, p, i):
@@ -111,3 +114,29 @@ def test_scan_on_cokahler_models_all_vanish(cokahler_models):
     for m in cokahler_models:
         scan = degree_one_massey_scan(m.ce().cohomology())
         assert not scan.obstructed
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "h3xR2"])
+def test_indeterminacy_reads_the_cached_basis_cups(name, monkeypatch):
+    # x H + H z by bilinearity from cup_basis equals the span of the cup
+    # products taken class by class, and the scan cups nothing else
+    text = model_texts().get(name)
+    m = (load_corpus(name) if text is None else loads(text)).to_lie_model()
+    ring = m.ce().cohomology()
+    calls = []
+    cup = CohomologyRing.cup
+    monkeypatch.setattr(CohomologyRing, "cup",
+                        lambda self, *args: calls.append(args)
+                        or cup(self, *args))
+    scan = degree_one_massey_scan(ring)
+    n1 = ring.dim(1)
+    assert scan.triples and len(calls) == n1 * n1
+    assert {(p, i, q, j) for p, (i,), q, (j,) in calls} == \
+        {(1, i, 1, j) for i in range(n1) for j in range(n1)}
+    for _, t in scan.triples:
+        (px, _, pz), s = t.degrees, t.value_degree
+        cups = [cup(ring, px, t.x, s - px, {i: 1})
+                for i in range(ring.dim(s - px))]
+        cups += [cup(ring, s - pz, {i: 1}, pz, t.z)
+                 for i in range(ring.dim(s - pz))]
+        assert t.indeterminacy == linalg.Span(cups)

@@ -62,6 +62,12 @@ def test_vector_shorthand_and_explicit_agree():
     ("dimension: 3\nfoo: bar\n", "unknown header"),
     ("dimension: 3\n[automorphism]\n1 0 0\n", "order"),
     ("dimension: 3\n[omega]\n1 2 1\n", "unknown section"),
+    ("name: a\nname: b\ndimension: 3\ndimension: 5\n",
+     "repeated header key 'name', first on line 1 (line 2)"),
+    ("dimension: 3\n\ndimension: 5\n",
+     "repeated header key 'dimension', first on line 1 (line 3)"),
+    ("dimension: 3\n[brackets]\n1 2 3 1\n1 3 2 1\n1 2 3 1\n",
+     "repeated bracket triple 1 2 3, first on line 3 (line 5,"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ModelParseError) as err:

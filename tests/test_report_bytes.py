@@ -10,7 +10,6 @@ runs only on some seeds; their texts come from ``perfbench/models.py`` too,
 or from a corpus model with its identity metric or its brackets replaced.
 """
 
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -140,7 +139,7 @@ def test_operators_stay_apart_when_eta_is_not_the_dual_of_xi():
     op = build_d_eta(m)
     assert op.rho is not m.iota_xi() and op.d_eta is not m.lie_xi()
     assert kernel_subcomplex(m.ce(), op.d_eta) is not invariant_forms(m)
-    data = json.dumps(_plain({key: dataclasses.asdict(run_section(m, key))
+    data = json.dumps(_plain({key: vars(run_section(m, key))
                               for key in ETA_OFF_DUAL_SECTIONS}),
                       sort_keys=True, indent=2).encode()
     assert hashlib.sha256(data).hexdigest() == ETA_OFF_DUAL
