@@ -10,12 +10,13 @@ derivation checks the Leibniz rule once, one pair per basis monomial
 (``Derivation.leibniz_failure``).  On that premise the identities between
 derivations (supercommutators, d squared, {d, op} = 0) are decided on
 generators, as a supercommutator of derivations is a derivation; a failed
-premise makes them false or raises with the failing monomial.  The others
-(chain maps, and the report's iota squared and Cartan's formula, where
-the literal {d, iota_X} meets the coadjoint Lie derivative) are checked
-exactly by ``word_disagreements`` on the tables, basis monomial by basis
-monomial (the column-by-column form of the matrix identity).  Each verdict
-has one name (d^2 = 0 is ``supercommutes_with_d(dga, dga.d)``).  d_eta = L_xi
+premise makes them false or raises with the failing monomial.  The report's
+iota_xi^2 = 0 and Cartan's {d, iota_xi} = L_xi are decided so too.  Literal
+compositions (chain maps, and in the tests iota_X^2 and {d, iota_X} against
+the coadjoint derivative for every X) are checked exactly by
+``word_disagreements`` on the tables, basis monomial by basis monomial (the
+column-by-column form of the matrix identity).  Each verdict has one name
+(d^2 = 0 is ``supercommutes_with_d(dga, dga.d)``).  d_eta = L_xi
 needs no pass: when eta is the dual of xi, ``derivation`` hands out one
 operator for both.  Every kernel subcomplex is ``Subcomplex.kernel_of``.
 A complex owns what its cohomology has computed; ``cohomology()`` is a

@@ -19,8 +19,7 @@ import functools
 from fractions import Fraction
 
 from . import linalg
-from .cdga import (DGA, Derivation, derivation, supercommutator,
-                   supercommutes_with_d)
+from .cdga import DGA, Derivation, derivation, supercommutator
 from .errors import StructureError
 from .exterior import Element, Generator, GradedAlgebra
 from .linalg import Matrix, Vector
@@ -48,8 +47,9 @@ class LieModel:
 
     ``brackets`` maps (i, j) with i < j (0-based) to {k: c} meaning
     [X_i, X_j] = sum_k c^k_ij X_k; antisymmetry is completed internally.
-    The Jacobi identity is enforced at construction via d squared = 0 on the
-    induced Chevalley-Eilenberg complex.  ``metric``, ``xi``, ``eta``, ``J``
+    The Jacobi identity is enforced at construction as d(d e^k) = 0 on the
+    induced Chevalley-Eilenberg complex (d's degree-2 images only; the
+    report records d's Leibniz verdict).  ``metric``, ``xi``, ``eta``, ``J``
     and the automorphism matrix are given as dense rows, checked for shape,
     and stored sparse.
     """
@@ -92,7 +92,8 @@ class LieModel:
             self.automorphism = ([linalg.sparse(row) for row in mat],
                                  int(order))
         self._derived: dict = {}    # see once_per_model
-        if not supercommutes_with_d(self.ce(), self.ce().d):
+        d = self.ce().d
+        if not all(d.apply(img).is_zero() for img in d.images.values()):
             raise StructureError(
                 f"structure constants of {name!r} violate the Jacobi identity")
 

@@ -900,30 +900,42 @@ def test_invariant_subalgebra_validations():
         invariant_subalgebra(heis, swap, 2)       # does not commute with d
 
 
-@pytest.mark.parametrize("method, extra, record", [
-    ("iota", ("e2", "e4"), "iota_squared_zero"),
-    ("lie_coadjoint", ("e2", "e3", "e5"), "cartan_formula")],
+@pytest.mark.parametrize("method, extra", [
+    ("iota", ("e2", "e4")), ("lie_coadjoint", ("e2", "e3", "e5"))],
     ids=["iota", "lie_coadjoint"])
-def test_operator_identities_read_every_monomial(monkeypatch, method, extra,
-                                                 record):
-    # iota_X2 or L_X2 wrong on the degree-3 monomial e2^e3^e4 only: no
-    # check on generators sees it
+def test_operator_identities_read_every_monomial(monkeypatch, method, extra):
+    # iota_X or L_X wrong on the degree-3 monomial e2^e3^e4 only: no check
+    # on generators sees it.  Along X2 the identities test the construction
+    # and word_disagreements finds the fault; along xi = X1 the report's
+    # Leibniz verdicts do
     m = rot5_model()
-    alg = m.algebra()
+    dga, alg = m.ce(), m.algebra()
+    e234 = alg.monomial("e2", "e3", "e4")
+    key = next(iter(e234.terms))
+
+    def wrong(der):
+        return WrongOn(der, key, der.algebra.monomial(*extra))
+
     assert all(operator_identity_report(m).record.values())
-    honest = getattr(LieModel, method)
-    key = next(iter(alg.monomial("e2", "e3", "e4").terms))
-
-    def wrong(self, vector):
-        der = honest(self, vector)
-        return WrongOn(der, key, alg.monomial(*extra)) if vector == {1: 1} \
-            else der
-
-    monkeypatch.setattr(LieModel, method, wrong)
+    bad = wrong(getattr(m, method)({1: 1}))
+    iota = m.iota({1: 1})
+    identity = ([(bad, bad)], ()) if method == "iota" else \
+        ([(dga.d, iota), (iota, dga.d)], [(bad,)])
+    assert word_disagreements(alg, [identity]) == [e234]
+    # the same fault on iota_xi, or on L_xi: a false verdict, and a fault on
+    # iota_xi before L_xi = {d, iota_xi} is built makes that build raise
+    m = rot5_model()
+    name = "iota_xi" if method == "iota" else "lie_xi"
+    honest = getattr(LieModel, name)
+    m.lie_xi()                              # on the honest iota_xi
+    monkeypatch.setattr(LieModel, name, lambda self: wrong(honest(self)))
     out = operator_identity_report(m).record
-    assert out[record] is False
-    assert all(out[name] for name in out
-               if name not in ("iota_squared_zero", "cartan_formula"))
+    failing = {"iota_squared_zero", "cartan_formula", "leibniz_operators"} \
+        if method == "iota" else {"cartan_formula", "leibniz_operators"}
+    assert {k for k, ok in out.items() if not ok} == failing
+    if method == "iota":
+        with pytest.raises(StructureError, match="disagrees with composition"):
+            operator_identity_report(rot5_model())
 
 
 def test_commutes_with_reads_every_monomial_of_the_map():

@@ -336,6 +336,22 @@ def test_operator_identities_see_a_wrong_coadjoint_derivative(monkeypatch):
                if name != "cartan_formula")
 
 
+def test_cartan_compares_generator_images_not_objects(monkeypatch):
+    # a correct coadjoint derivative that is its own Derivation, not the
+    # shared L_xi, still equals {d, iota_xi}
+    honest = LieModel.lie_coadjoint
+
+    def unshared(self, vector):
+        der = honest(self, vector)
+        return Derivation(der.algebra, 0, der.images, name="L_unshared")
+
+    monkeypatch.setattr(LieModel, "lie_coadjoint", unshared)
+    m = rot5_1_2()
+    assert m.lie_coadjoint(m.xi) is not m.lie_xi()
+    record = operator_identity_report(m).record
+    assert record == {key: True for key in OPERATOR_RECORDS}
+
+
 def test_report_builds_one_supercommutator_per_memoized_operator(monkeypatch):
     # L_xi and d_eta are built by one supercommutator each, and as eta is
     # the dual of xi, rho_eta is iota_xi and both hand out one operator; the
@@ -357,8 +373,10 @@ def test_report_builds_one_supercommutator_per_memoized_operator(monkeypatch):
 
 
 def test_report_computes_one_leibniz_verdict_per_derivation(monkeypatch):
-    # one verdict per distinct operator: on rot7-1-2-3, d (checked when the
-    # model is built), iota_xi and L_xi, which are also rho_eta and d_eta
+    # one verdict per distinct operator: on rot7-1-2-3, d and iota_xi (the
+    # premise of L_xi = {d, iota_xi}), then L_xi; iota_xi and L_xi are also
+    # rho_eta and d_eta.  The model's construction decides Jacobi on d's
+    # generator images, without d's verdict
     honest = Derivation.leibniz_failure.func
     checked = []
 

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from cokahler import linalg, report
+from cokahler import cdga, linalg, report
 from cokahler.cdga import AlgebraMap, Derivation
 from cokahler.errors import StructureError
 from cokahler.eta import (basic_complex, build_d_eta, invariant_forms,
@@ -158,18 +158,29 @@ def test_eta_operators_are_iota_and_lie_along_xi(monkeypatch, name):
 
 
 def test_a_report_keeps_one_contraction_at_a_time(monkeypatch):
-    # one pass per basis vector X_i decides iota_i^2 = 0 and Cartan; the
-    # shared operators alive during pass i are iota_xi and L_xi (which are
-    # iota_1 and L_1 on rot7, as xi = X1) and iota_i and L_i
+    # the report decides iota^2 = 0 and Cartan along xi from Leibniz
+    # verdicts and generator images, with no word_disagreements pass; the
+    # one contraction it tabulates is iota_xi (iota_1 on rot7, as xi = X1),
+    # and iota_i for i != 1 only meets eta, for rho_eta's generator images
     mf, m = report_model("rot7-1-2-3", monkeypatch)
-    honest = report.word_disagreements
-    live = []
+    honest_words, honest_iota = cdga.word_disagreements, LieModel.iota
+    passes, contractions = [], []
 
     def counted(alg, identities):
-        assert len(identities) == 2
-        live.append(len(alg._derivations))
-        return honest(alg, identities)
+        passes.append(identities)
+        return honest_words(alg, identities)
 
-    monkeypatch.setattr(report, "word_disagreements", counted)
-    build_report(mf)
-    assert live == [2] + [4] * (m.dimension - 1)
+    def recorded(self, vector):
+        contractions.append(honest_iota(self, vector))
+        return contractions[-1]
+
+    monkeypatch.setattr(cdga, "word_disagreements", counted)
+    monkeypatch.setattr(LieModel, "iota", recorded)
+    assert build_report(mf)["ok"]
+    assert not hasattr(report, "word_disagreements") and passes == []
+    eta_keys = set(m.eta_element().terms)
+    transverse = [iota for iota in contractions if iota is not m.iota_xi()]
+    assert len(transverse) == m.dimension - 1
+    for iota in transverse:
+        assert set(iota._table) <= eta_keys
+        assert "leibniz_failure" not in vars(iota)

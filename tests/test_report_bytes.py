@@ -8,6 +8,10 @@ read, never written; ``perfbench/make_reference.py`` regenerates it.
 ``PINNED`` holds the SHA-256s of models the benchmark does not run, or
 runs only on some seeds; their texts come from ``perfbench/models.py`` too,
 or from a corpus model with its identity metric or its brackets replaced.
+It also holds the benchmark models whose bytes changed by design after the
+reference file was last regenerated: every model with a contact structure,
+since the Cartan and iota^2 invariants name xi.  They move back to
+``LABELS`` when the reference file is regenerated.
 """
 
 import hashlib
@@ -25,34 +29,46 @@ from cokahler.modelfile import CORPUS_MODELS, corpus_path
 from cokahler.report import _plain, run_section
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-LABELS = ("torus3", "torus5", "heisenberg", "t2-rot4-mapping-torus",
-          "t2-negid-mapping-torus", "rot5-1-2", "h3xR2", "torus7",
-          "rot7-1-1-3")
-# kx5 and kx7 have d != 0 on Omega_1; nil5 is not cosymplectic; torus9 is
-# the frontier dimension; rot5-1-1-g and heisenberg-g carry a metric other
-# than the identity; operator identities dominate rot9-1-2-3-4's report;
+LABELS = ("t2-rot4-mapping-torus", "t2-negid-mapping-torus")
+# torus3, torus5, heisenberg, rot5-1-2, h3xR2, torus7 and rot7-1-1-3 are
+# benchmark models with a stale reference entry (see above); kx5 and kx7
+# have d != 0 on Omega_1; nil5 is not cosymplectic; torus9 is the frontier
+# dimension; rot5-1-1-g and heisenberg-g carry a metric other than the
+# identity; operator identities dominated rot9-1-2-3-4's report;
 # rot9-1-1-1-1 runs the most kill-round solves and comparison-map products;
 # heisenberg-q and kx5-q scale a corpus model's brackets to 2/3, so integer
 # and fractional coefficients meet in every section (kx5-q is co-Kahler)
 PINNED = {
-    "kx5": "1b975619702f84da28ffd00ee0488cc0bc9eead37276a6c2436cb40a0807e594",
-    "nil5": "ef26474476ead2ed550effb2f87e247a1ea5a6443de60114052e329ef9e36fc1",
+    "torus3":
+        "d6582709674beb79eab8785b84d044ecd5a35b8e5c87b21eb6768fd153cac2cf",
+    "torus5":
+        "7f493ac1fb5c575ec3082a83470f2715444d00eea7f925485bb9b9906b140210",
+    "heisenberg":
+        "0f7d7e2eada867c43dba384fcb04817a5ad4f2f0c8aaa3f006a59222d1dc769e",
+    "rot5-1-2":
+        "2aae1933c6cf5e57093e8af7d1ead59d4adc2bc80600bba09f3b25dd9ac0dca9",
+    "h3xR2": "09f01f14ea65ff5d1a0540d125b4debd07b9909b445a16007d0edde3cf0b2253",
+    "torus7": "5ff611b55e0872573f9476854bfa77374e60a2175ef5f49b8e84c4c1e6842b62",
+    "rot7-1-1-3":
+        "feeec6acdf6fc13cfffba23740a8a71f67ebd28b60ba92f2a4e82da8bca20c8e",
+    "kx5": "9b513a6bbf60c01367bd896b3013fb7afb3a26b4b384052ce01e78a8af1ce028",
+    "nil5": "f01f5ac66bf1bede13649f824940b8c9e0f3256b78a2eb04ef42193d9c4eb14d",
     "rot7-1-1-1":
-        "3fb5b839f3da0f29951078dc4a795283d1050534e800b3f69e4b23cc160c4dd5",
-    "kx7": "33fd930dbb0c59fd176fb0c3229ddfeacd1730335fbaf1cc9f926666a1db4e12",
-    "torus9": "d38f718215c13a7cf140e02bfa5db99b4e4e12d5c5915ba2354fe5fa0e86b402",
+        "2423828b9427473b72759bc7bd0dfc592c49daa734c6e1bc3d677a8f1270471c",
+    "kx7": "ba30ba587636de48b4280849b478966b7dae149703b26aa3cd905a50fa8915c8",
+    "torus9": "038bdf571c3cbbd82495841cba1a8e3237b274cb60f9d10aa9cca5987f720292",
     "rot5-1-1-g":
-        "6253e82b5b6b9f379fbdd65c8fa6a61a3073b7fe30adaf6534a5a580a0eab27d",
+        "9748a013b8ca7a110ad4457bc9e7275bdb309a86e1d6eefd54e5edc31aed34c1",
     "heisenberg-g":
-        "7a903d54df8ce741bb487d6ceae93144b2be182a028fa5bf5bd0a13e3febd123",
+        "4ecc8e44eca917860cfb9d7e9d4187b66dc1f0ebffb24b7b3885a000c5b4357b",
     "rot9-1-2-3-4":
-        "eba4e91b62f21a414808d2a8a0cd53ccc98e9a9a69a456ed42c4f3d7bc7f51f5",
+        "8cb92071af14433aac27b4d9a0b967f5cd1483cad6667b64d1caad82fc735f8a",
     "rot9-1-1-1-1":
-        "8979be19f36e8cf6ac2cfe0f520d1dc33994c96ef71741e99934f077c6a873e3",
+        "32de280f2c2a8be6dfb6b81a84d359bc7ad52de86bc32eb7a43b0cb3d052b600",
     "heisenberg-q":
-        "c06f574ef0cd52c734e56510cd9b80a1a8ed5e1ad97030b7d2db98e0e5bd9b3e",
+        "0c9cb3ed87cf0074776b33df44caeae874843a54f4f84392b8949a3f84e9a2a6",
     "kx5-q":
-        "740f4a29d42f340f5209863c6dfea7739bd0ddf6ef752f43b24ab0870971e3cd",
+        "5d19eb13448ac9088d3f04692a982f00bb05ff987c4767b7d0479945b811af63",
 }
 # a J-invariant metric on rot5-1-1: X2 pairs with X4 and X3 with X5
 ROT5_METRIC = "1 0 0 0 0\n0 2 0 1 0\n0 0 2 0 1\n0 1 0 2 0\n0 0 1 0 2"
@@ -82,10 +98,11 @@ def rescaled(name: str, brackets: str, scaled: str) -> str:
 
 def pinned_text(name: str) -> str | None:
     """The text of a pinned model (None for a corpus model)."""
+    if name in model_texts():
+        return model_texts()[name]
     models = perfbench_models()
     return {
         "kx5": None,
-        "nil5": models.nil5_text(),
         "rot7-1-1-1": models.rot_text((1, 1, 1)),
         "rot9-1-2-3-4": models.rot_text((1, 2, 3, 4)),
         "rot9-1-1-1-1": models.rot_text((1, 1, 1, 1)),
@@ -123,12 +140,14 @@ def test_report_bytes_match_the_pinned_hash(name):
 # rot5-1-1-g with eta = e1 + e2, off the metric dual e1 of xi: not almost
 # contact, so the classification and the Lefschetz section only state that
 # as their note.  The SHA-256 covers the other sections' records and notes;
-# it was taken before rho_eta and iota_xi could be one shared operator.
+# it was first taken before rho_eta and iota_xi could be one shared
+# operator, and retaken only when the Cartan and iota^2 invariants came to
+# name xi.
 ETA_OFF_DUAL_SECTIONS = ("model", "operator_identities", "d_eta_equals_lie",
                          "parallel_form_quism", "splitting", "massey",
                          "minimal_model")
 ETA_OFF_DUAL = \
-    "b83b3dd13c18b74b765bd417b518f77654999215ecf3dddc1550d6dbc41412e8"
+    "b482f6ddb58875de6c910247840f91f96dc76718c3a4823348a3af01b76e02a6"
 
 
 def test_operators_stay_apart_when_eta_is_not_the_dual_of_xi():
