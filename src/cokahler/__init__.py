@@ -21,8 +21,7 @@ from .eta import (EtaOperator, SplitPair, basic_complex, build_d_eta,
                   verify_parallel_form_quism)
 from .exterior import Element, Generator, GradedAlgebra
 from .geometry import (LieModel, StructureVerdict, classify, is_killing,
-                       is_parallel_covector, is_parallel_tensor,
-                       is_parallel_vector, nijenhuis_normality, omega_element,
+                       is_parallel_form, nijenhuis_normality, omega_element,
                        validate_almost_contact)
 from .lefschetz import (LefschetzReport, lefschetz_map, mapping_torus_model,
                         model_automorphism, splitting_check,
@@ -43,8 +42,8 @@ __all__ = [
     "basic_complex", "build_d_eta", "build_report", "classify",
     "degree_one_massey_scan", "eta_operator", "extend_derivation",
     "free_line_dga", "inclusion_induced_map", "invariant_forms",
-    "invariant_subalgebra", "is_killing", "is_parallel_covector",
-    "is_parallel_tensor", "is_parallel_vector", "kernel_subcomplex",
+    "invariant_subalgebra", "is_killing", "is_parallel_form",
+    "kernel_subcomplex",
     "kunneth_convolution", "lefschetz_map", "load", "load_corpus", "loads",
     "mapping_torus_model", "minimal_model", "model_automorphism",
     "model_tensor_split_check", "nijenhuis_normality", "omega_element",

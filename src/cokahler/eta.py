@@ -21,7 +21,7 @@ from .cohomology import (inclusion_induced_map, kernel_witnesses,
                          kunneth_convolution)
 from .errors import StructureError
 from .exterior import Element
-from .geometry import LieModel, classify, is_parallel_covector, once_per_model
+from .geometry import LieModel, classify, is_parallel_form, once_per_model
 from .minimal import SullivanModel, minimal_model
 from .record import Record
 
@@ -99,10 +99,6 @@ class SplitPair(Record):
     """alpha = alpha1 + alpha2 with iota_xi alpha1 = 0 and eta ^ alpha2 = 0."""
     alpha1: Element
     alpha2: Element
-
-    @property
-    def total(self) -> Element:
-        return self.alpha1 + self.alpha2
 
 
 def split_form(m: LieModel, alpha: Element) -> SplitPair:
@@ -219,8 +215,9 @@ class QuasiIsoReport(Record):
 
 def verify_parallel_form_quism(m: LieModel) -> QuasiIsoReport:
     """Check that ker(d_eta) includes quasi-isomorphically into the full
-    complex; the verdict is a theorem when eta is parallel."""
-    parallel, _ = is_parallel_covector(m, m._require("eta"))
+    complex; the verdict is a theorem when eta is parallel, that is when
+    nabla_{X_i} eta = 0 for every i (``is_parallel_form``)."""
+    parallel, _ = is_parallel_form(m, m.eta_element())
     dga = m.ce()
     sub = kernel_subcomplex(dga, build_d_eta(m).d_eta)
     iso, ranks, witnesses = [], [], {}

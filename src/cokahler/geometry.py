@@ -4,8 +4,10 @@ A LieModel is a Lie algebra with structure constants over the rationals, an
 inner product, and an optional almost-contact structure (J, xi, eta).  All
 geometry is evaluated on left-invariant data, so every check is a finite
 exact computation: the Koszul formula gives the Levi-Civita connection,
-Killing/parallel conditions are matrix identities, and the induced
-Chevalley-Eilenberg complex carries the differential calculus.
+whose operators nabla_{X_i} on forms are derivations of the induced
+Chevalley-Eilenberg complex, beside d, iota_xi and L_xi; a form theta is
+parallel when every nabla_{X_i} theta vanishes, and the Killing condition
+is a matrix identity.
 
 Tangent vectors, covectors and n x n matrices (metric, J, ad, Gamma) are
 ``linalg`` sparse vectors and matrices, and all arithmetic on them goes
@@ -167,10 +169,6 @@ class LieModel:
         images = {i: alg.scalar(c) for i, c in vector.items()}
         return derivation(alg, -1, images, name="iota")
 
-    def lie(self, vector: Vector) -> Derivation:
-        """Lie derivative {d, iota_X} (Cartan)."""
-        return supercommutator(self.ce().d, self.iota(vector))
-
     def lie_coadjoint(self, vector: Vector) -> Derivation:
         """Lie derivative built without d or iota: on invariant 1-forms,
         (L_X e^k)(Y) = -e^k([X, Y])."""
@@ -216,6 +214,22 @@ class LieModel:
                                in linalg.mat_vec(ginv, rhs).items()}
         _check_connection(self, gamma)
         return gamma
+
+    @once_per_model
+    def nabla(self) -> list[Derivation]:
+        """The Levi-Civita operators on forms, nabla_{X_i} as the degree 0
+        derivation e^k -> -sum_j Gamma_ij^k e^j, one per basis vector.  They
+        are shared through ``derivation``, so nabla_xi is L_xi exactly when
+        xi is parallel."""
+        alg, n = self.algebra(), self.dimension
+        out = []
+        for i, gamma in enumerate(self.levi_civita()):
+            # row k of the transpose is {j: Gamma_ij^k}
+            images = {k: alg.element(1, {j: -c for j, c in row.items()})
+                      for k, row in enumerate(linalg.transpose(gamma, n))
+                      if row}
+            out.append(derivation(alg, 0, images, name=f"nabla_X{i + 1}"))
+        return out
 
 
 def _sparse_rows(label: str, rows, count: int, n: int) -> Matrix:
@@ -350,40 +364,13 @@ def is_killing(m: LieModel, vector: Vector) -> tuple[bool, str | None]:
     return True, None
 
 
-def is_parallel_vector(m: LieModel, vector: Vector) -> tuple[bool, str | None]:
-    for i in range(m.dimension):
-        nab = linalg.combine(vector, m.levi_civita()[i])    # nabla_{X_i}
-        if nab:
-            return False, f"nabla_X{i + 1}: {_fmt_vector(nab)}"
-    return True, None
-
-
-def is_parallel_covector(m: LieModel,
-                         covector: Vector) -> tuple[bool, str | None]:
-    """(nabla_X alpha)(X_j) = -alpha(nabla_X X_j) on basis pairs."""
-    gamma = m.levi_civita()
-    for i in range(m.dimension):
-        vals = linalg.mat_vec(gamma[i], covector)
-        if vals:
-            j = min(vals)
-            return False, f"(nabla_X{i + 1} form)(X{j + 1}) = {-vals[j]}"
-    return True, None
-
-
-def is_parallel_tensor(m: LieModel, matrix: Matrix) -> tuple[bool, str | None]:
-    """(nabla_X T)Y = nabla_X(TY) - T(nabla_X Y) on basis pairs.
-
-    Row j of gamma[i] is nabla_{X_i} X_j, so gamma[i] is the transpose G^t
-    of nabla_{X_i} as a matrix G, and the rows of T^t G^t - G^t T^t are the
-    columns (nabla_{X_i} T)(X_j) of G T - T G."""
-    n = m.dimension
-    tt = linalg.transpose(matrix, n)
-    for i, gam in enumerate(m.levi_civita()):
-        cols = linalg.mat_sub(linalg.mat_mul(tt, gam), linalg.mat_mul(gam, tt))
-        for j, col in enumerate(cols):
-            if col:
-                return False, \
-                    f"(nabla_X{i + 1} T)(X{j + 1}) = {_fmt_vector(col)}"
+def is_parallel_form(m: LieModel, theta: Element) -> tuple[bool, str | None]:
+    """Whether nabla theta = 0; the witness is nabla_{X_i} theta for the
+    first i where it is not zero."""
+    for i, nabla in enumerate(m.nabla()):
+        image = nabla.apply(theta)
+        if not image.is_zero():
+            return False, f"nabla_X{i + 1}: {image!r}"
     return True, None
 
 
@@ -458,11 +445,13 @@ def classify(m: LieModel) -> StructureVerdict:
         witnesses["d(omega)"] = repr(d_omega)
     if not d_eta.is_zero():
         witnesses["d(eta)"] = repr(d_eta)
+    # nabla g = 0, so xi and J are parallel exactly when xi-flat and omega are
     checks = {"normality": nijenhuis_normality(m),
               "killing_xi": is_killing(m, m.xi),
-              "parallel_xi": is_parallel_vector(m, m.xi),
-              "parallel_eta": is_parallel_covector(m, m.eta),
-              "parallel_J": is_parallel_tensor(m, m.J)}
+              "parallel_xi": is_parallel_form(
+                  m, m.algebra().element(1, m.flat(m.xi))),
+              "parallel_eta": is_parallel_form(m, m.eta_element()),
+              "parallel_J": is_parallel_form(m, omega)}
     witnesses.update((k, wit) for k, (_, wit) in checks.items() if wit)
     normal, killing, par_xi, par_eta, par_j = (ok for ok, _ in checks.values())
     co_kahler = cosymplectic and normal

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 from cokahler import linalg
-from cokahler.cdga import AlgebraMap, supercommutes_with_d
+from cokahler.cdga import AlgebraMap, supercommutator, supercommutes_with_d
 from cokahler.cohomology import kunneth_convolution
 from cokahler.eta import (build_d_eta, model_tensor_split_check,
                           omega_splitting, verify_basic_match,
@@ -49,7 +49,7 @@ def test_criterion_1_operator_identities():
         for i in range(m.dimension):
             vec = {i: Fraction(1)}
             iota = m.iota(vec)
-            lie = m.lie(vec)
+            lie = supercommutator(dga.d, iota)
             coad = m.lie_coadjoint(vec)
             for p in range(alg.top + 1):
                 for mono in _basis_monomials(alg, p):

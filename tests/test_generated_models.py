@@ -8,7 +8,9 @@ construction), through ``word_disagreements``, while the report decides
 them along xi only.
 The transverse-rotation family R^2 x R^{2k} (xi = X1 and X2 rotate the
 J-planes, X3 is central; kx5 and kx7 are members) gives co-Kahler models
-with d != 0 on Omega_1.
+with d != 0 on Omega_1.  On it, and on pinned models with other metrics and
+fractional brackets, the Levi-Civita operators on forms are compared with
+dense matrix formulas for nabla xi, nabla eta and nabla J.
 """
 
 import contextlib
@@ -24,8 +26,10 @@ from cokahler import build_report, loads
 from cokahler.cdga import word_disagreements
 from cokahler.cli import main
 from cokahler.eta import omega_splitting
-from cokahler.geometry import LieModel
+from cokahler.geometry import (LieModel, classify, is_parallel_form,
+                               omega_element)
 from test_cdga import faulty
+from test_report_bytes import pinned_text
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WEIGHTS = st.integers(-2, 2)
@@ -143,3 +147,66 @@ def test_transverse_rotation_family_is_co_kahler(weights):
         for command in CONTACT_COMMANDS:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["--informational", command, str(path)]) == 0
+
+
+def one_form(alg, coords):
+    return alg.element(1, {a: c for a, c in enumerate(coords) if c})
+
+
+def two_form(alg, mat):
+    """The 2-form with coefficient mat[a][b] on e^a ^ e^b, a < b."""
+    form = alg.zero(2)
+    for a, row in enumerate(mat):
+        for b in range(a + 1, len(row)):
+            if row[b]:
+                form = form + alg.monomial(a, b, coeff=row[b])
+    return form
+
+
+def mul(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)]
+            for row in x]
+
+
+def dense_nabla_images(m, alg):
+    """nabla_{X_i} of xi-flat, eta and omega for each i, from dense matrices:
+    G with column j = nabla_{X_i} X_j (the Koszul Gamma), (nabla xi)-flat =
+    g G xi, (nabla eta)(X_j) = -eta(G X_j), and nabla omega = g((G J - J G).,
+    .), as nabla g = 0."""
+    n = m.dimension
+    g = [[m.metric[a].get(b, 0) for b in range(n)] for a in range(n)]
+    J = [[m.J[a].get(b, 0) for b in range(n)] for a in range(n)]
+    xi = [[m.xi.get(a, 0)] for a in range(n)]
+    eta = [[m.eta.get(a, 0) for a in range(n)]]
+    images = {"xi": [], "eta": [], "J": []}
+    for gamma in m.levi_civita():
+        G = [[gamma[j].get(k, 0) for j in range(n)] for k in range(n)]
+        images["xi"].append(one_form(alg, [c for (c,) in mul(g, mul(G, xi))]))
+        images["eta"].append(one_form(alg, [-c for c in mul(eta, G)[0]]))
+        nabla_j = [[a - b for a, b in zip(r, s)]
+                   for r, s in zip(mul(G, J), mul(J, G))]
+        images["J"].append(two_form(alg, mul(list(zip(*nabla_j)), g)))
+    return images
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(transverse_weights().map(lambda weights: family_text(*weights)))
+@example(pinned_text("rot5-1-1-g"))         # J-invariant non-identity metric
+@example(pinned_text("heisenberg-g"))       # xi not parallel, metric 1, 2, 2
+@example(pinned_text("heisenberg-q"))       # Gamma entries of 1/3
+def test_parallel_forms_match_the_dense_connection(text):
+    m = loads(text).to_lie_model()
+    alg = m.algebra()
+    forms = {"xi": alg.element(1, m.flat(m.xi)), "eta": m.eta_element(),
+             "J": omega_element(m)}
+    images = dense_nabla_images(m, alg)
+    parallel = {}
+    for key, form in forms.items():
+        assert [nabla.apply(form) for nabla in m.nabla()] == images[key]
+        bad = [i for i, image in enumerate(images[key]) if not image.is_zero()]
+        parallel[key] = not bad
+        assert is_parallel_form(m, form) == ((True, None) if not bad else (
+            False, f"nabla_X{bad[0] + 1}: {images[key][bad[0]]!r}"))
+    verdict = classify(m)
+    assert (verdict.parallel_xi, verdict.parallel_eta, verdict.parallel_J) \
+        == (parallel["xi"], parallel["eta"], parallel["J"])

@@ -10,12 +10,12 @@ from fractions import Fraction
 import pytest
 
 from cokahler import linalg
+from cokahler.cdga import supercommutator
 from cokahler.errors import StructureError
 from cokahler.exterior import Element
 from cokahler.geometry import (LieModel, classify, is_killing,
-                               is_parallel_covector, is_parallel_vector,
-                               nijenhuis_normality, omega_element,
-                               validate_almost_contact)
+                               is_parallel_form, nijenhuis_normality,
+                               omega_element, validate_almost_contact)
 from cokahler.modelfile import load_corpus, loads
 
 from test_report_bytes import PINNED, model_texts, pinned_text
@@ -150,12 +150,22 @@ def test_levi_civita_entries_are_ints_where_integral(name):
 
 def test_killing_and_parallel(torus3, heisenberg):
     assert is_killing(torus3, torus3.xi) == (True, None)
-    assert is_parallel_vector(torus3, torus3.xi) == (True, None)
-    assert is_parallel_covector(torus3, torus3.eta) == (True, None)
+    assert is_parallel_form(torus3, torus3.eta_element()) == (True, None)
+    assert is_parallel_form(torus3, omega_element(torus3)) == (True, None)
     ok, witness = is_killing(heisenberg, heisenberg.xi)
     assert not ok and witness == "(X2,X3): value -1"
-    ok, witness = is_parallel_vector(heisenberg, heisenberg.xi)
-    assert not ok and "nabla_X2" in witness
+    ok, witness = is_parallel_form(heisenberg, heisenberg.eta_element())
+    assert not ok and witness == "nabla_X2: -1/2*e3"
+
+
+@pytest.mark.parametrize("name, parallel", [("rot7-1-2-3", True),
+                                            ("kx5", True),
+                                            ("heisenberg", False)])
+def test_nabla_xi_is_lie_xi_exactly_when_xi_is_parallel(name, parallel):
+    # xi = X1, and nabla_xi Y - L_xi Y = nabla_Y xi (no torsion)
+    text = model_texts().get(name)
+    m = (load_corpus(name) if text is None else loads(text)).to_lie_model()
+    assert (m.nabla()[0] is m.lie_xi()) == parallel
 
 
 def test_nijenhuis(torus3, torus5, heisenberg):
@@ -220,7 +230,8 @@ def test_contraction_examples(heisenberg):
 
 def test_lie_derivative_example(heisenberg):
     alg = heisenberg.algebra()
-    assert heisenberg.lie({0: 1}).apply(alg.gen("e3")) == -alg.gen("e2")
+    lie = supercommutator(heisenberg.ce().d, heisenberg.iota({0: 1}))
+    assert lie.apply(alg.gen("e3")) == -alg.gen("e2")
 
 
 def test_sharp_and_flat(heisenberg):
@@ -246,7 +257,7 @@ def test_cartan_formula_against_coadjoint_oracle(contact_models):
     for m in contact_models:
         alg = m.algebra()
         for i in range(m.dimension):
-            lie = m.lie({i: Fraction(1)})
+            lie = supercommutator(m.ce().d, m.iota({i: Fraction(1)}))
             for k in range(m.dimension):
                 want = alg.zero(1)
                 for j in range(m.dimension):

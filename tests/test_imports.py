@@ -1,5 +1,6 @@
 """Start-up cost: importing the package and its CLI loads no introspection
-machinery, and no module imports inside a function."""
+machinery, and no module imports inside a function.  The public API is what
+the package imports, so a deleted function cannot linger as an export."""
 
 import ast
 import os
@@ -40,3 +41,12 @@ def test_no_import_inside_a_function():
                 found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found
+
+
+def test_all_is_exactly_what_the_package_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert [name for name in cokahler.__all__
+            if not hasattr(cokahler, name)] == []
+    assert sorted(cokahler.__all__) == sorted(imported)

@@ -22,6 +22,7 @@ BUILDERS = {
     "metric_inverse": lambda m: m.metric_inverse(),
     "levi_civita": lambda m: m.levi_civita(),
     "lie_xi": lambda m: m.lie_xi(),
+    "nabla": lambda m: m.nabla(),
     "classify": classify,
     "omega_element": omega_element,
     "build_d_eta": build_d_eta,

@@ -44,15 +44,15 @@ PINNED = {
     "torus5":
         "7f493ac1fb5c575ec3082a83470f2715444d00eea7f925485bb9b9906b140210",
     "heisenberg":
-        "0f7d7e2eada867c43dba384fcb04817a5ad4f2f0c8aaa3f006a59222d1dc769e",
+        "dfc80911a222405bf430b5d650e11d5a7273b733a5c0801b281ee2bdfe8799a5",
     "rot5-1-2":
         "2aae1933c6cf5e57093e8af7d1ead59d4adc2bc80600bba09f3b25dd9ac0dca9",
-    "h3xR2": "09f01f14ea65ff5d1a0540d125b4debd07b9909b445a16007d0edde3cf0b2253",
+    "h3xR2": "642b3f17809360bd3a0f1f04ac6bbb9ce1ed76388542fd816888c4d601a76381",
     "torus7": "5ff611b55e0872573f9476854bfa77374e60a2175ef5f49b8e84c4c1e6842b62",
     "rot7-1-1-3":
         "feeec6acdf6fc13cfffba23740a8a71f67ebd28b60ba92f2a4e82da8bca20c8e",
     "kx5": "9b513a6bbf60c01367bd896b3013fb7afb3a26b4b384052ce01e78a8af1ce028",
-    "nil5": "f01f5ac66bf1bede13649f824940b8c9e0f3256b78a2eb04ef42193d9c4eb14d",
+    "nil5": "3db3a28dfc62cbff40547783ffbaeab29582b2b8580f60c911dfb2706406c78c",
     "rot7-1-1-1":
         "2423828b9427473b72759bc7bd0dfc592c49daa734c6e1bc3d677a8f1270471c",
     "kx7": "ba30ba587636de48b4280849b478966b7dae149703b26aa3cd905a50fa8915c8",
@@ -60,13 +60,13 @@ PINNED = {
     "rot5-1-1-g":
         "9748a013b8ca7a110ad4457bc9e7275bdb309a86e1d6eefd54e5edc31aed34c1",
     "heisenberg-g":
-        "4ecc8e44eca917860cfb9d7e9d4187b66dc1f0ebffb24b7b3885a000c5b4357b",
+        "2d2024de470c320189aaf4e0d65d89ff718fcf0d6a89bb9daf1eb6cb73e44aa9",
     "rot9-1-2-3-4":
         "8cb92071af14433aac27b4d9a0b967f5cd1483cad6667b64d1caad82fc735f8a",
     "rot9-1-1-1-1":
         "32de280f2c2a8be6dfb6b81a84d359bc7ad52de86bc32eb7a43b0cb3d052b600",
     "heisenberg-q":
-        "0c9cb3ed87cf0074776b33df44caeae874843a54f4f84392b8949a3f84e9a2a6",
+        "f05ac04b3d46932ddad0b942239a7d4720b806af80d83c057e47f370afc9201b",
     "kx5-q":
         "5d19eb13448ac9088d3f04692a982f00bb05ff987c4767b7d0479945b811af63",
 }
