@@ -45,8 +45,6 @@ def eta_operator(m: LieModel, eta: Element) -> EtaOperator:
               for i in range(m.dimension)}
     rho = derivation(m.algebra(), k - 2, images, name="rho_eta")
     d_eta = supercommutator(dga.d, rho)
-    if d_eta.degree != k - 1:
-        raise StructureError("degree bookkeeping failure: |d_eta| != k-1")
     if not supercommutes_with_d(dga, d_eta):
         raise StructureError("d_eta does not supercommute with d")
     return EtaOperator(eta, rho, d_eta)

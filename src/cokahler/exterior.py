@@ -372,7 +372,10 @@ class Element:
         return self.degree == other.degree and self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.algebra), self.degree, frozenset(self.terms.items())))
+        # as __eq__: every zero is 0, and a scalar is its coefficient
+        if self.degree == 0 or not self.terms:
+            return hash(sum(self.terms.values()))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         if self.is_zero():

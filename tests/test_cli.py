@@ -1,5 +1,6 @@
 """CLI commands, exit codes, and byte-level determinism."""
 
+import functools
 import importlib.metadata
 import json
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import cokahler
-from cokahler import cli
+from cokahler import cdga, cli
+from cokahler.cdga import Derivation
 from cokahler.cli import main
 from cokahler.modelfile import loads, resolve
 from cokahler.report import run_section
@@ -98,6 +100,31 @@ def test_mapping_torus_command(capsys):
     code, out, _ = run(capsys, "mapping-torus", "t2-negid-mapping-torus",
                        "--order", "2")
     assert code == 0 and "(1, 1, 1, 1)" in out
+
+
+def test_only_the_report_makes_a_pass_over_the_basis(capsys, monkeypatch):
+    # identities between operators are decided on generators, so a command
+    # makes a per-monomial pass (a Leibniz verdict or word_disagreements)
+    # only where the report records the operator identities
+    honest = Derivation.leibniz_failure.func
+    passes = []
+
+    def counted(der):
+        passes.append(der.name)
+        return honest(der)
+
+    verdict = functools.cached_property(counted)
+    verdict.__set_name__(Derivation, "leibniz_failure")
+    monkeypatch.setattr(Derivation, "leibniz_failure", verdict)
+    monkeypatch.setattr(cdga, "word_disagreements",
+                        lambda *args: passes.append("word_disagreements"))
+    for command, model in (("split", "kx5"), ("lefschetz", "kx5"),
+                           ("verbitsky", "kx5"),
+                           ("mapping-torus", "t2-rot4-mapping-torus")):
+        code, _, _ = run(capsys, command, model)
+        assert code == 0 and passes == [], (command, passes)
+    code, _, _ = run(capsys, "report", "kx5")
+    assert code == 0 and passes == ["d", "iota", "nabla_X1"]
 
 
 def test_mapping_torus_wrong_order(capsys):

@@ -293,26 +293,24 @@ def test_operator_identities_see_a_broken_lie_xi():
         assert m.lie_xi() is lie and m.lie_coadjoint({0: 1}) is lie
         return lie
 
-    m = rot5_1_2()
-    lie = broken_lie_xi(m)
-    # eta_operator builds {d, rho_eta}, which is the broken L_xi, and
-    # refuses it on the Leibniz premise
-    with pytest.raises(StructureError, match="d_eta does not supercommute"):
-        run_section(m, "operator_identities")
-    assert lie.leibniz_failure == m.algebra().monomial("e2", "e3", "e4")
-    # with eta = e1 + e2, d_eta is L along X1 + X2 and keeps its own table:
-    # the fault reaches the Leibniz and Cartan verdicts only
+    # with eta = e1, d_eta = {d, rho_eta} is the broken L_xi; with eta =
+    # e1 + e2, d_eta is L along X1 + X2 and keeps its own table.  {d, d_eta}
+    # = 0 is decided on generators, where L_xi is honest, so either way the
+    # fault reaches the Leibniz and Cartan verdicts only
     J = [[0, 0, 0, 0, 0], [0, 0, -1, 0, 0], [0, 1, 0, 0, 0],
          [0, 0, 0, 0, -1], [0, 0, 0, 1, 0]]
-    m = LieModel(5, m.brackets, name="rot5-1-2-eta", xi=[1, 0, 0, 0, 0],
-                 eta=[1, 1, 0, 0, 0], J=J)
-    broken_lie_xi(m)
-    assert build_d_eta(m).d_eta is not m.lie_xi()
-    record = run_section(m, "operator_identities").record
-    assert record["leibniz_operators"] is False
-    assert record["cartan_formula"] is False
-    assert all(record[name] for name in OPERATOR_RECORDS
-               if name not in ("leibniz_operators", "cartan_formula"))
+    dual = rot5_1_2()
+    off_dual = LieModel(5, dual.brackets, name="rot5-1-2-eta",
+                        xi=[1, 0, 0, 0, 0], eta=[1, 1, 0, 0, 0], J=J)
+    for m in (dual, off_dual):
+        lie = broken_lie_xi(m)
+        assert (build_d_eta(m).d_eta is lie) == (m is dual)
+        record = run_section(m, "operator_identities").record
+        assert lie.leibniz_failure == m.algebra().monomial("e2", "e3", "e4")
+        assert record["leibniz_operators"] is False
+        assert record["cartan_formula"] is False
+        assert all(record[name] for name in OPERATOR_RECORDS
+                   if name not in ("leibniz_operators", "cartan_formula"))
 
 
 def test_operator_identities_see_a_wrong_coadjoint_derivative(monkeypatch):
@@ -373,10 +371,10 @@ def test_report_builds_one_supercommutator_per_memoized_operator(monkeypatch):
 
 
 def test_report_computes_one_leibniz_verdict_per_derivation(monkeypatch):
-    # one verdict per distinct operator: on rot7-1-2-3, d and iota_xi (the
-    # premise of L_xi = {d, iota_xi}), then L_xi; iota_xi and L_xi are also
-    # rho_eta and d_eta.  The model's construction decides Jacobi on d's
-    # generator images, without d's verdict.  xi = X1 is parallel, so L_xi is
+    # one verdict per distinct operator, all in the report's records: on
+    # rot7-1-2-3, d, iota_xi and L_xi; iota_xi and L_xi are also rho_eta and
+    # d_eta.  The model's construction decides Jacobi on d's generator
+    # images, without d's verdict.  xi = X1 is parallel, so L_xi is
     # the nabla_X1 that the classification built first, under that name
     honest = Derivation.leibniz_failure.func
     checked = []

@@ -180,3 +180,15 @@ def test_constructors_store_integral_coefficients_as_ints(alg3):
     half = e1.scale(Fraction(1, 2))
     assert type(half.terms[1]) is Fraction
     assert half.scale(2) == e1 and repr(half.wedge(e2)) == "1/2*e1^e2"
+
+
+def test_equal_elements_hash_equal(alg3):
+    # every zero equals every other zero and 0, and a scalar equals its
+    # coefficient, so they hash alike
+    zero1, zero2 = alg3.zero(1), alg3.zero(2)
+    assert zero1 == zero2 and len({zero1, zero2}) == 1 and 0 in {zero1}
+    assert alg3.scalar(3) == 3 and 3 in {alg3.scalar(3)}
+    half = alg3.scalar(Fraction(1, 2))
+    assert half == Fraction(1, 2) and Fraction(1, 2) in {half}
+    x = alg3.monomial("e1", "e2")
+    assert x in {alg3.monomial("e2", "e1", coeff=-1)} and x not in {x.scale(2)}

@@ -50,3 +50,21 @@ def test_all_is_exactly_what_the_package_imports():
     assert [name for name in cokahler.__all__
             if not hasattr(cokahler, name)] == []
     assert sorted(cokahler.__all__) == sorted(imported)
+
+
+def test_only_the_report_reads_a_pass_over_the_basis():
+    # identities between operators are decided on generators; the report's
+    # Leibniz records are the one per-monomial pass left in the package, and
+    # word_disagreements is a tool for the tests
+    readers, callers = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and \
+                    node.attr == "leibniz_failure":
+                readers.add(path.name)
+            if isinstance(node, ast.Call) and "word_disagreements" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                callers.add(f"{path.name}:{node.lineno}")
+    assert readers == {"report.py"}
+    assert callers == set()
