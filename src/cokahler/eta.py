@@ -9,7 +9,10 @@ eta-multiples; the former coincide with the basic forms of the foliation
 spanned by xi.  There rho_eta is iota_xi, d_eta is L_xi and ker(d_eta) is the
 invariant forms, as objects: operators and kernels are shared.  Subspaces are
 compared as ``linalg.Span``s; on co-Kahler models the splitting is also
-checked on minimal models, ℳ(Omega_eta) ≅ ℳ(Omega_1) (x) Λ(eta).
+checked on minimal models, ℳ(Omega_eta) ≅ ℳ(Omega_1) (x) Λ(eta).  There
+ℳ(Omega_eta) is read as ℳ(Omega): quasi-isomorphic cdgas have isomorphic
+minimal models, and the inclusion Omega_eta -> Omega is checked to be a
+quasi-isomorphism in every degree, so only ℳ(Omega_1) is built anew.
 """
 
 from __future__ import annotations
@@ -211,6 +214,7 @@ class QuasiIsoReport(Record):
     kernel_witnesses: dict[int, list[str]]
 
 
+@once_per_model
 def verify_parallel_form_quism(m: LieModel) -> QuasiIsoReport:
     """Check that ker(d_eta) includes quasi-isomorphically into the full
     complex; the verdict is a theorem when eta is parallel, that is when
@@ -236,7 +240,9 @@ def _betti_through(model: SullivanModel, cap: int) -> tuple[int, ...]:
 
 
 class TensorSplitReport(Record):
-    """Minimal-model comparison ℳ(Omega_eta) against ℳ(Omega_1) (x) (eta)."""
+    """Minimal-model comparison ℳ(Omega_eta) against ℳ(Omega_1) (x) Λ(eta).
+    The ``_eta`` fields are ℳ(Omega)'s, which is ℳ(Omega_eta) through the
+    inclusion verdict that ``models_quasi_iso`` includes."""
     counts_eta: dict[int, int]
     counts_basic: dict[int, int]
     counts_match: bool
@@ -253,28 +259,45 @@ class TensorSplitReport(Record):
                     self.models_minimal, self.models_quasi_iso))
 
 
-def model_tensor_split_check(m: LieModel, cap: int) -> TensorSplitReport:
+def model_tensor_split_check(m: LieModel,
+                             model_ce: SullivanModel) -> TensorSplitReport:
     """Verify that the minimal model of the invariant forms splits off a
     one-dimensional circle factor over the minimal model of the iota-kernel,
-    and that the split is an equality already at the cochain level."""
+    and that the split is an equality already at the cochain level.
+
+    ℳ(Omega_eta) is read as ``model_ce`` = ℳ(Omega), the model of
+    ``m.ce()``, whose cap is the check's: when the inclusion Omega_eta =
+    ker(d_eta) -> Omega is a quasi-isomorphism (``verify_parallel_form_quism``,
+    part of the verdict), ℳ(Omega_eta) is also a minimal model of Omega, and
+    minimal models are unique up to isomorphism.  A co-Kahler metric forces
+    eta = xi-flat, so ker(d_eta) must be the invariant forms Omega_1 splits.
+    Only ℳ(Omega_1) is built here."""
     if not classify(m).coKahler:
         raise StructureError(
             f"model {m.name!r} is not co-Kahler; the tensor splitting of the "
             "minimal model is only claimed under that hypothesis")
+    if model_ce.comparison.target is not m.ce():
+        raise StructureError(
+            "model_ce must be the minimal model of the model's full complex")
     split = omega_splitting(m)
-    model_eta = minimal_model(split.omega_eta, cap)
+    if kernel_subcomplex(m.ce(), build_d_eta(m).d_eta) is not split.omega_eta:
+        raise StructureError(
+            "construction inconsistency: the model is co-Kahler, but "
+            "ker(d_eta) and the invariant forms are distinct subcomplexes")
+    quism = verify_parallel_form_quism(m)
+    cap = model_ce.cap
     model_basic = minimal_model(split.omega1, cap)
-    counts_eta = model_eta.generator_counts()
+    counts_eta = model_ce.generator_counts()
     counts_basic = model_basic.generator_counts()
     counts_match = all(
         counts_eta.get(p, 0) == counts_basic.get(p, 0) + (1 if p == 1 else 0)
         for p in range(1, cap + 1))
-    betti_eta = _betti_through(model_eta, cap)
+    betti_eta = _betti_through(model_ce, cap)
     # M(Omega_1) tensor the circle model Lambda(eta), by Kunneth
     betti_tensor = kunneth_convolution(
         _betti_through(model_basic, cap), (1, 1))[:cap + 1]
     return TensorSplitReport(
         counts_eta, counts_basic, counts_match,
         betti_eta, betti_tensor, betti_eta == betti_tensor, split.ok,
-        model_eta.minimal and model_basic.minimal,
-        model_eta.quasi_iso and model_basic.quasi_iso)
+        model_ce.minimal and model_basic.minimal,
+        model_ce.quasi_iso and model_basic.quasi_iso and quism.conclusion)

@@ -329,7 +329,7 @@ def _minimal_model_section(model: LieModel, cap: int, order) -> Section:
     sec.check("minimal_model", mm.minimal and mm.quasi_iso,
               "the model is minimal and exact through the degree cap")
     if _co_kahler(model):
-        tensor = model_tensor_split_check(model, cap)
+        tensor = model_tensor_split_check(model, mm)
         sec.record["tensor_split"] = {
             "counts_invariant": dict(sorted(tensor.counts_eta.items())),
             "counts_basic": dict(sorted(tensor.counts_basic.items())),

@@ -185,7 +185,8 @@ def test_criterion_8_formality():
         mm = minimal_model(m.ce(), 3)
         ok &= mm.minimal and mm.quasi_iso
     for name in ("torus3", "torus5"):
-        tensor = model_tensor_split_check(_model(name), 3)
+        m = _model(name)
+        tensor = model_tensor_split_check(m, minimal_model(m.ce(), 3))
         ok &= tensor.ok
         ok &= tensor.counts_eta.get(1, 0) == tensor.counts_basic.get(1, 0) + 1
     _report(8, "degree-1 Massey products vanish on co-Kahler models; "

@@ -6,6 +6,9 @@ Lie algebra, so they test the construction, not a model: they are checked
 here for every basis vector of generated algebras (Jacobi holds by
 construction), through ``word_disagreements``, while the report decides
 them along xi only.
+The report reads ℳ(Omega_eta) as ℳ(Omega) through the verified inclusion
+Omega_eta -> Omega; here ℳ(Omega_eta) is built from Omega_eta itself and
+compared with the report's record.
 The transverse-rotation family R^2 x R^{2k} (xi = X1 and X2 rotate the
 J-planes, X3 is central; kx5 and kx7 are members) gives co-Kahler models
 with d != 0 on Omega_1.  On it, and on pinned models with other metrics and
@@ -20,14 +23,16 @@ import tempfile
 from functools import cache
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cokahler import build_report, loads
+from cokahler import build_report, load_corpus, loads
 from cokahler.cdga import word_disagreements
 from cokahler.cli import main
 from cokahler.eta import omega_splitting
 from cokahler.geometry import (LieModel, classify, is_parallel_form,
                                omega_element)
+from cokahler.minimal import minimal_model
 from test_cdga import faulty
 from test_report_bytes import pinned_text
 
@@ -147,6 +152,39 @@ def test_transverse_rotation_family_is_co_kahler(weights):
         for command in CONTACT_COMMANDS:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["--informational", command, str(path)]) == 0
+
+
+def assert_invariant_model_matches_the_report(mf, cap=3):
+    """ℳ(Omega_eta), built from the invariant forms themselves, has the
+    generator counts and Betti numbers that the report's tensor-split record
+    gives the invariant-forms model, and it is minimal and exact."""
+    record = build_report(mf, max_degree=cap)["minimal_model"]["tensor_split"]
+    mm = minimal_model(omega_splitting(mf.to_lie_model()).omega_eta, cap)
+    assert mm.minimal and mm.quasi_iso
+    assert {str(p): n for p, n in mm.generator_counts().items()} \
+        == record["counts_invariant"]
+    ring = mm.dga.cohomology()
+    assert [ring.dim(p) for p in range(min(cap, ring.top) + 1)] \
+        == record["betti_invariant_model"]
+
+
+@pytest.mark.parametrize("label", ["torus3", "torus5", "kx5", "kx7",
+                                   "rot7-1-3-4", "rot7-3-3-4"])
+def test_invariant_forms_model_is_the_one_the_report_reads(label):
+    if label.startswith("rot7"):
+        weights = tuple(int(w) for w in label.split("-")[1:])
+        mf = loads(perfbench_module("models").rot_text(weights))
+    else:
+        text = pinned_text(label)
+        mf = load_corpus(label) if text is None else loads(text)
+    assert_invariant_model_matches_the_report(mf)
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(transverse_weights())
+def test_invariant_forms_model_is_the_one_the_report_reads_on_the_family(
+        weights):
+    assert_invariant_model_matches_the_report(loads(family_text(*weights)))
 
 
 def one_form(alg, coords):

@@ -10,7 +10,8 @@ from cokahler import cdga, linalg, report
 from cokahler.cdga import AlgebraMap, Derivation
 from cokahler.errors import StructureError
 from cokahler.eta import (basic_complex, build_d_eta, invariant_forms,
-                          kernel_subcomplex, omega_splitting)
+                          kernel_subcomplex, omega_splitting,
+                          verify_parallel_form_quism)
 from cokahler.geometry import (LieModel, classify, omega_element,
                                validate_almost_contact)
 from cokahler.modelfile import load_corpus, loads
@@ -29,6 +30,7 @@ BUILDERS = {
     "invariant_forms": invariant_forms,
     "omega_splitting": omega_splitting,
     "basic_complex": basic_complex,
+    "verify_parallel_form_quism": verify_parallel_form_quism,
     "validate_almost_contact": validate_almost_contact,
 }
 

@@ -7,17 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from cokahler import linalg, load_corpus, loads
+from cokahler import eta, linalg, load_corpus, loads
 from cokahler.cdga import DGA, Subcomplex, extend_derivation
 from cokahler.cli import main
 from cokahler.cohomology import InducedMap
 from cokahler.errors import StructureError
-from cokahler.eta import (invariant_forms, model_tensor_split_check,
-                          omega_splitting)
+from cokahler.eta import (QuasiIsoReport, build_d_eta, invariant_forms,
+                          model_tensor_split_check, omega_splitting)
 from cokahler.exterior import Generator, GradedAlgebra
 from cokahler.minimal import (_Builder, _ComparisonMap, _extend_surjective,
                               minimal_model)
-from cokahler.report import run_section
+from cokahler.modelfile import ModelFile
+from cokahler.report import build_report, run_section
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -102,25 +103,95 @@ def test_models_of_subcomplexes(torus3, torus5):
 
 
 def test_tensor_split_on_cokahler_models(torus3, torus5):
-    r3 = model_tensor_split_check(torus3, 3)
+    r3 = model_tensor_split_check(torus3, minimal_model(torus3.ce(), 3))
     assert r3.ok
     assert r3.counts_eta == {1: 3}
     assert r3.counts_basic == {1: 2}
     assert r3.betti_eta == r3.betti_tensor == (1, 3, 3, 1)
-    r5 = model_tensor_split_check(torus5, 3)
+    r5 = model_tensor_split_check(torus5, minimal_model(torus5.ce(), 3))
     assert r5.ok
     assert r5.counts_eta == {1: 5} and r5.counts_basic == {1: 4}
 
 
 def test_tensor_split_degenerate_cap(torus3):
-    r = model_tensor_split_check(torus3, 1)
+    r = model_tensor_split_check(torus3, minimal_model(torus3.ce(), 1))
     assert r.counts_match
     assert r.counts_eta == {1: 3} and r.counts_basic == {1: 2}
 
 
 def test_tensor_split_requires_cokahler(heisenberg):
     with pytest.raises(StructureError):
-        model_tensor_split_check(heisenberg, 3)
+        model_tensor_split_check(heisenberg, minimal_model(heisenberg.ce(), 3))
+
+
+def test_tensor_split_refuses_a_model_of_another_complex(torus3):
+    # ℳ(Omega_1) passed where ℳ(Omega) belongs
+    wrong = minimal_model(omega_splitting(torus3).omega1, 3)
+    with pytest.raises(StructureError, match="full complex"):
+        model_tensor_split_check(torus3, wrong)
+
+
+def test_tensor_split_refuses_a_kernel_other_than_the_invariant_forms():
+    # ker(d_eta) rebuilt after the splitting: equal to the invariant forms,
+    # but a second object, so the construction is inconsistent
+    m = load_corpus("kx5").to_lie_model()
+    dga, d_eta = m.ce(), build_d_eta(m).d_eta
+    omega_splitting(m)
+    dga.kernels[d_eta] = Subcomplex.kernel_of(dga, d_eta.matrix)
+    with pytest.raises(StructureError, match="construction inconsistency"):
+        model_tensor_split_check(m, minimal_model(dga, 3))
+
+
+def test_a_failed_inclusion_fails_the_tensor_split(monkeypatch):
+    # ℳ(Omega) stands for ℳ(Omega_eta) only through the inclusion verdict
+    honest = eta.verify_parallel_form_quism
+
+    def failed(m):
+        return QuasiIsoReport(**{**vars(honest(m)), "conclusion": False})
+
+    monkeypatch.setattr(eta, "verify_parallel_form_quism", failed)
+    mf = load_corpus("kx5")
+    m = mf.to_lie_model()
+    tensor = model_tensor_split_check(m, minimal_model(m.ce(), 3))
+    assert tensor.counts_match and tensor.betti_match
+    assert tensor.models_quasi_iso is False and tensor.ok is False
+    verdicts = {r["check"]: r["ok"] for r in build_report(mf)["asserted"]}
+    assert verdicts["minimal_model_tensor_split"] is False
+
+
+def test_a_cokahler_model_builds_two_minimal_models(capsys, monkeypatch,
+                                                    tmp_path):
+    # ℳ(Omega) and ℳ(Omega_1); ℳ(Omega_eta) is read as ℳ(Omega)
+    targets, models = [], []
+    init, to_lie_model = _Builder.__init__, ModelFile.to_lie_model
+
+    def counting_init(self, target, cap):
+        targets.append(target)
+        init(self, target, cap)
+
+    def recording(mf):
+        models.append(to_lie_model(mf))
+        return models[-1]
+
+    monkeypatch.setattr(_Builder, "__init__", counting_init)
+    monkeypatch.setattr(ModelFile, "to_lie_model", recording)
+    path = tmp_path / "rot7-1-2-3.model"
+    path.write_text(perfbench_models().rot_text((1, 2, 3)))
+    for model in ("kx5", str(path)):
+        for command in ("report", "minimal"):
+            targets.clear()
+            models.clear()
+            assert main([command, model]) == 0
+            (m,) = models
+            assert len(targets) == 2, (model, command)
+            assert targets[0] is m.ce()
+            assert targets[1] is omega_splitting(m).omega1
+    targets.clear()
+    models.clear()
+    assert main(["report", "heisenberg"]) == 0
+    (m,) = models
+    assert len(targets) == 1 and targets[0] is m.ce()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("label", ["heisenberg", "nil5"])
