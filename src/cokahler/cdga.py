@@ -361,10 +361,14 @@ class Subcomplex(CochainComplex):
     spans have equal bases (its rows), and coordinates are pivot entries.
     """
 
-    def __init__(self, parent: DGA, spans: dict[int, linalg.Matrix]):
+    def __init__(self, parent: DGA,
+                 spans: dict[int, linalg.Matrix | linalg.Span]):
         self.parent = parent
-        self._spans = defaultdict(linalg.Span, {
-            p: linalg.Span(spans.get(p, [])) for p in range(parent.top + 1)})
+        self._spans = defaultdict(linalg.Span)
+        for p in range(parent.top + 1):
+            span = spans.get(p, [])
+            self._spans[p] = (span if isinstance(span, linalg.Span)
+                              else linalg.Span(span))
         self._d_matrices: dict[int, linalg.Matrix] = {}
         for p in range(parent.top + 1):
             self.d_matrix(p)  # raises on a closure failure
@@ -374,7 +378,7 @@ class Subcomplex(CochainComplex):
         """The subcomplex cut out by a per-degree matrix on the parent: its
         degree-p part is the kernel of ``matrix(p)`` for p = 0..top.  Raises
         when that is not closed under d."""
-        return cls(parent, {p: linalg.kernel_basis(matrix(p), parent.dim(p))
+        return cls(parent, {p: linalg.kernel_span(matrix(p), parent.dim(p))
                             for p in range(parent.top + 1)})
 
     @property

@@ -40,17 +40,20 @@ class CohomologyRing:
 
     def _slice(self, p: int) -> DegreeSlice:
         """H^p, computed on first use from the differentials into and out
-        of degree p and checked against rank-nullity (zero off 0..top)."""
+        of degree p and checked against rank-nullity (zero off 0..top).
+        When the image of d is zero the residual is the identity, so the
+        kernel's reduced rows are the representatives."""
         if p in self._slices:
             return self._slices[p]
         cx = self.complex
         n = cx.dim(p)
         d_out = cx.d_matrix(p)
-        kernel = linalg.kernel_basis(d_out, n)
+        kernel = linalg.kernel_span(d_out, n)
         prev = cx.d_matrix(p - 1) if p > 0 and n else []
         image = linalg.Span(linalg.transpose(prev, cx.dim(p - 1))
                             if any(prev) else [])
-        reps = linalg.Span([r for r in map(image.residual, kernel) if r])
+        reps = linalg.Span([r for r in map(image.residual, kernel.rows)
+                            if r]) if image.rows else kernel
         if len(reps) != len(kernel) - len(image):
             raise StructureError(
                 f"rank-nullity mismatch in degree {p}: "

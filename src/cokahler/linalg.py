@@ -24,9 +24,17 @@ solving) is deterministic: pivots are always the first usable column, and
 free variables are ordered by column index.  The reduced row echelon form
 of a row space is unique, and rank, kernel bases and solutions (free
 variables zero) are functions of it, so neither the storage nor the order
-of elimination can move a single value.  A subspace is a ``Span``, which
-holds those rows: the one reader of the rows-and-pivots format, for
-equality, membership, residuals and coordinates.
+of elimination can move a single value.  An empty row costs nothing, and a
+single-entry row whose column holds no pivot yet enters as the unit row.
+
+A subspace is a ``Span``, which holds those rows: the one reader of the
+rows-and-pivots format, for equality, membership, residuals and
+coordinates.  A kernel needs one elimination, not two: ``kernel_span``
+takes each pivot at its row's largest column instead, so a pivot variable
+is a combination of free variables to its left only.  The kernel vector of
+free column j is then 1 at j and nonzero elsewhere only at pivot columns
+above j, so the free-column vectors, ascending, already are the kernel's
+reduced echelon rows, and a ``Span`` keeps reduced rows as given.
 """
 
 from __future__ import annotations
@@ -79,11 +87,19 @@ def _eliminate(row: dict[int, int], piv: dict[int, int],
     return _primitive(out)
 
 
-def _echelon(mat: Matrix) -> dict[int, dict[int, int]]:
+def _echelon(mat: Matrix, lead=min) -> dict[int, dict[int, int]]:
     """Primitive integer rows spanning mat's row space, keyed by their
-    distinct leading columns (the pivot columns of rref(mat))."""
+    distinct pivot columns, each the ``lead`` (min or max) column of its
+    row; with ``min`` these are the pivot columns of rref(mat)."""
     pivots: dict[int, dict[int, int]] = {}
     for row in mat:
+        if len(row) == 1:
+            (c,) = row
+            if c not in pivots:
+                pivots[c] = {c: 1}
+                continue
+        elif not row:
+            continue
         if all(type(f) is int for f in row.values()):
             ints = _primitive(row)      # no row is ever changed in place
         else:
@@ -91,12 +107,29 @@ def _echelon(mat: Matrix) -> dict[int, dict[int, int]]:
             ints = _primitive({j: f.numerator * (mult // f.denominator)
                                for j, f in row.items()})
         while ints:
-            c = min(ints)
+            c = lead(ints)
             if c not in pivots:
                 pivots[c] = ints
                 break
             ints = _eliminate(ints, pivots[c], c)
     return pivots
+
+
+def _back_substitute(ech: dict[int, dict[int, int]],
+                     order) -> dict[int, Vector]:
+    """The pivot rows of ``ech`` eliminated at the other pivot columns and
+    scaled to 1 at their own, taken in ``order``: a row's other pivots must
+    come before it."""
+    out = {}
+    for c in order:
+        row = ech[c]
+        for c2 in [j for j in row if j != c and j in ech]:
+            row = _eliminate(row, ech[c2], c2)
+        ech[c] = row
+        lead = row[c]
+        out[c] = {j: v // lead if v % lead == 0 else Fraction(v, lead)
+                  for j, v in row.items()}
+    return out
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
@@ -106,18 +139,10 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """
     ech = _echelon(mat)
     pivots = sorted(ech)
-    # eliminate above each pivot, last pivot first
-    for c in reversed(pivots):
-        row = ech[c]
-        for c2 in [j for j in row if j != c and j in ech]:
-            row = _eliminate(row, ech[c2], c2)
-        ech[c] = row
-    rows = []
-    for c in pivots:
-        lead = ech[c][c]
-        rows.append({j: v // lead if v % lead == 0 else Fraction(v, lead)
-                     for j, v in ech[c].items()})
-    return rows, pivots
+    if all(len(row) == 1 for row in ech.values()):
+        return [{c: 1} for c in pivots], pivots
+    rows = _back_substitute(ech, reversed(pivots))
+    return [rows[c] for c in pivots], pivots
 
 
 def rank(mat: Matrix) -> int:
@@ -135,6 +160,25 @@ def kernel_basis(mat: Matrix, ncols: int) -> list[Vector]:
             if j != c:
                 basis[j][c] = -v
     return list(basis.values())
+
+
+def kernel_span(mat: Matrix, ncols: int) -> Span:
+    """{x : mat @ x = 0} as a ``Span``, from one elimination.
+
+    Each pivot is its row's largest column, so after back-substitution
+    pivot row c reads x_c = -sum (r_j / r_c) x_j over free columns j < c.
+    The kernel vector of free column j is 1 at j and nonzero elsewhere only
+    at pivot columns above j: no vector is nonzero at another's free
+    column, so these vectors, ascending, are the kernel's reduced echelon
+    rows, which the ``Span`` keeps without a second elimination.
+    """
+    ech = _echelon(mat, max)
+    basis = {j: {j: 1} for j in range(ncols) if j not in ech}
+    for c, row in _back_substitute(ech, sorted(ech)).items():
+        for j, v in row.items():
+            if j != c:
+                basis[j][c] = -v
+    return Span(list(basis.values()))
 
 
 def factor(mat: Matrix, ncols: int) -> tuple[list[int], Matrix]:
@@ -223,15 +267,37 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     return out
 
 
+def _reduced_pivots(rows: Matrix) -> list[int] | None:
+    """The leading columns of rows that already are a reduced echelon form
+    (ascending leading columns, each leading entry 1, and no other row
+    nonzero at a leading column), else None."""
+    pivots: list[int] = []
+    for row in rows:
+        c = min(row, default=-1)
+        if c <= (pivots[-1] if pivots else -1) or row[c] != 1:
+            return None
+        pivots.append(c)
+    leads = set(pivots)
+    if sum(j in leads for row in rows for j in row) != len(rows):
+        return None
+    return pivots
+
+
 class Span:
     """A subspace as its reduced echelon rows and their pivot columns.  The
     rows of a subspace are unique, so equal spans have equal rows, and a
-    member's coordinates on the rows are its entries at the pivots."""
+    member's coordinates on the rows are its entries at the pivots.  Rows
+    that already are a reduced echelon form are kept as given; any others
+    are eliminated once."""
 
     __slots__ = ("rows", "pivots", "_row_at", "_index")
 
     def __init__(self, vectors: Matrix = ()):
-        self.rows, self.pivots = rref(vectors) if vectors else ([], [])
+        rows = list(vectors)
+        pivots = _reduced_pivots(rows)
+        if pivots is None:
+            rows, pivots = rref(rows)
+        self.rows, self.pivots = rows, pivots
         self._row_at = dict(zip(self.pivots, self.rows))    # pivot -> row
         self._index = {c: i for i, c in enumerate(self.pivots)}
 

@@ -1,7 +1,9 @@
 """Exact linear algebra against an independent oracle (sympy)."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -173,7 +175,32 @@ def test_residual_reduces_into_complement():
 # CE differentials and cocycles are mostly zeros, and products and elimination
 # skip zero entries, so these cases hold 60-90 % zeros.
 
+# Named inputs for the elimination's shortcuts and for kernels at their
+# extremes: an empty row is skipped, and a single entry enters as a unit row
+# only when its column holds no pivot yet.  A single entry under a pivot
+# (at its first column for rref, at its last for kernel_span) must still be
+# eliminated: dropping it loses rank.
+EDGE_CASES = {
+    "zero-rows-interleaved": [[0, 0, 0, 0, 0], [1, 2, 0, -1, 0],
+                              [0, 0, 0, 0, 0], [0, 0, 3, 1, 0],
+                              [0, 0, 0, 0, 0], [2, 4, 3, -1, 0],
+                              [0, 0, 0, 0, 0]],
+    "unit-row-under-a-first-column-pivot": [[1, 1], [2, 0]],
+    "unit-row-under-a-last-column-pivot": [[1, 0, 1], [0, 1, 1], [0, 0, -5]],
+    "unit-rows-descending": [[0, 0, 0, 1, 0], [0, 0, 1, 0, 0],
+                             [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]],
+    "unit-rows-repeated": [[0, 1, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0],
+                           [0, 1, 0, 0], [1, 0, 0, 0]],
+    "negative-and-fraction-single-entries": [
+        [0, -3, 0, 0], [Fraction(2, 3), 0, 0, 0], [0, Fraction(-1, 2), 0, 0],
+        [1, Fraction(1, 2), 0, 2], [0, 0, 0, Fraction(-7, 4)]],
+    "all-zero": [[0, 0, 0], [0, 0, 0]],
+    "full-rank-square": [[2, 1, 0], [1, 3, 1], [0, 1, 4]],
+    "columns-beyond-the-last-used": [[1, 2, 0, 0, 0], [0, 1, 3, 0, 0]],
+}
+
 SPARSE_CASES = [(seed, zeros) for seed in range(8) for zeros in (0.6, 0.75, 0.9)]
+SPARSE_CASES += [pytest.param(name, 0.75, id=name) for name in EDGE_CASES]
 
 
 def sparse_matrix(rng, nrows, ncols, zeros):
@@ -188,9 +215,26 @@ def from_sympy(mat):
 
 
 def sparse_case(seed, zeros):
+    if seed in EDGE_CASES:
+        mat = [[Fraction(v) for v in row] for row in EDGE_CASES[seed]]
+        return random.Random(seed), mat, len(mat[0])
     rng = random.Random(1000 + seed)
     nrows, ncols = rng.randint(5, 12), rng.randint(5, 12)
     return rng, sparse_matrix(rng, nrows, ncols, zeros), ncols
+
+
+@contextmanager
+def counting_eliminations():
+    """The lengths of the matrices ``linalg`` eliminates inside the block."""
+    calls = []
+    honest = linalg._echelon
+
+    def echelon(mat, *lead):
+        calls.append(len(mat))
+        return honest(mat, *lead)
+
+    with mock.patch.object(linalg, "_echelon", echelon):
+        yield calls
 
 
 def assert_elimination_matches_sympy(rng, mat, ncols):
@@ -198,6 +242,14 @@ def assert_elimination_matches_sympy(rng, mat, ncols):
     want = (sparse_rows(from_sympy(ref)[:len(ref_pivots)]), list(ref_pivots))
     kernel = sparse_rows([[Fraction(int(v.p), int(v.q)) for v in vec]
                           for vec in to_sympy(mat).nullspace()])
+    reduced_kernel = linalg.rref(kernel)
+    # reduced rows are kept as given, with no elimination
+    with counting_eliminations() as calls:
+        for rows, pivots in (want, reduced_kernel):
+            span = linalg.Span(rows)
+            assert (span.rows, span.pivots) == (rows, pivots)
+            assert all(a is b for a, b in zip(span.rows, rows))
+    assert calls == []
     # row order, nonzero row scaling and repeated rows leave the row space,
     # hence the reduced form, the rank and the kernel, unchanged
     shuffled = rng.sample(mat, len(mat))
@@ -209,6 +261,11 @@ def assert_elimination_matches_sympy(rng, mat, ncols):
         assert linalg.rref(variant) == want
         assert linalg.rank(variant) == len(ref_pivots)
         assert linalg.kernel_basis(variant, ncols) == kernel
+        # one elimination gives the kernel's reduced echelon rows
+        with counting_eliminations() as calls:
+            span = linalg.kernel_span(variant, ncols)
+        assert (span.rows, span.pivots) == reduced_kernel
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seed,zeros", SPARSE_CASES)
@@ -239,6 +296,27 @@ def test_sparse_solve_and_products_match_sympy(seed, zeros):
     other = sparse_matrix(rng, ncols, rng.randint(1, 9), zeros)
     assert linalg.mat_mul(sparse_rows(mat), sparse_rows(other)) == \
         sparse_rows(from_sympy(to_sympy(mat) * to_sympy(other)))
+
+
+def test_kernel_span_of_no_rows_is_every_column():
+    for ncols in (0, 1, 4):
+        span = linalg.kernel_span([], ncols)
+        assert (span.rows, span.pivots) == (linalg.identity(ncols),
+                                            list(range(ncols)))
+
+
+@pytest.mark.parametrize("mat", [
+    [[2, 0, 1], [0, 1, 0]],                 # a leading 2
+    [[1, 0, 1], [0, 1, 0], [0, 0, 1]],      # an entry at another's lead
+    [[0, 1, 0], [1, 0, 2]],                 # descending leading columns
+    [[1, 2], [0, 0], [0, 1]],               # a zero row
+], ids=["leading-two", "entry-at-a-lead", "descending-leads", "zero-row"])
+def test_span_reduces_rows_that_are_not_yet_reduced(mat):
+    mat = [[Fraction(v) for v in row] for row in mat]
+    reduced, pivots = to_sympy(mat).rref()
+    span = linalg.Span(sparse_rows(mat))
+    assert (span.rows, span.pivots) == (
+        sparse_rows(from_sympy(reduced)[:len(pivots)]), list(pivots))
 
 
 def test_rows_with_a_zero_factor_are_rescaled_when_the_pivot_changes():

@@ -8,9 +8,10 @@ import gc
 import pytest
 
 from cokahler import build_report, linalg, load_corpus, loads
-from cokahler.cdga import tensor_product
+from cokahler.cdga import Subcomplex, tensor_product
 
 from test_cdga import abelian_dga
+from test_linalg import counting_eliminations
 from test_report_bytes import model_texts
 
 # torus7 is flat; rot7-1-2-3 and kx5 are non-abelian co-Kahler; h3xR2 and
@@ -61,12 +62,31 @@ def test_a_chained_view_keeps_its_complex_alive():
     assert product == (1, 3, 3, 1)
 
 
+@pytest.mark.parametrize("name", ["torus5", "rot7-1-2-3"])
+def test_a_kernel_subcomplex_eliminates_each_degree_once(name):
+    m = _model_file(name).to_lie_model()
+    ce, lie = m.ce(), m.lie_xi()
+    with counting_eliminations() as calls:
+        sub = Subcomplex.kernel_of(ce, lie.matrix)
+    # one elimination per degree: the kernel's Span keeps its rows
+    assert len(calls) == ce.top + 1
+    assert sum(map(sub.dim, range(ce.top + 1))) > ce.top + 1
+
+
+def test_a_degree_with_zero_image_takes_one_kernel_elimination():
+    ce = _model_file("torus5").to_lie_model().ce()
+    # d = 0 on a torus: every degree's image is zero, and its kernel is H^p
+    with counting_eliminations() as calls:
+        assert ce.cohomology().betti() == (1, 5, 10, 10, 5, 1)
+    assert len(calls) == ce.top + 1
+
+
 def test_views_of_one_complex_compute_each_degree_once(monkeypatch):
     dga = load_corpus("heisenberg").to_lie_model().ce()
     kernels, products = [], []
-    honest_kernel, honest_wedge = linalg.kernel_basis, dga.wedge_coords
+    honest_kernel, honest_wedge = linalg.kernel_span, dga.wedge_coords
 
-    def kernel_basis(mat, ncols):
+    def kernel_span(mat, ncols):
         kernels.append(ncols)
         return honest_kernel(mat, ncols)
 
@@ -74,7 +94,7 @@ def test_views_of_one_complex_compute_each_degree_once(monkeypatch):
         products.append((p, q))
         return honest_wedge(p, v, q, w)
 
-    monkeypatch.setattr(linalg, "kernel_basis", kernel_basis)
+    monkeypatch.setattr(linalg, "kernel_span", kernel_span)
     monkeypatch.setattr(dga, "wedge_coords", wedge_coords)
     first = dga.cohomology()
     assert first.betti() == (1, 2, 2, 1)
