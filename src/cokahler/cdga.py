@@ -14,9 +14,11 @@ passes test the tables themselves: ``Derivation.leibniz_failure``, which
 the report records, and ``word_disagreements``, for sums of operator words.
 d_eta = L_xi needs no pass: when eta is the dual of xi, ``derivation``
 hands out one operator for both.  Every kernel subcomplex is
-``Subcomplex.kernel_of``.  A complex owns what its cohomology has computed;
-``cohomology()`` is a view of that store, and the complex keeps no
-reference to a view.
+``Subcomplex.kernel_of``, except the kernel of an operator whose matrices
+are all zero, which is the DGA itself (``eta.kernel_subcomplex``): a DGA
+is its own ``parent``, with identity ``parent_coords``.  A complex owns
+what its cohomology has computed; ``cohomology()`` is a view of that
+store, and the complex keeps no reference to a view.
 
 Coordinates are ``linalg`` sparse vectors; a degree-p matrix has one sparse
 row per target basis monomial, filled from each source monomial's image.
@@ -307,6 +309,12 @@ class CochainComplex:
         """A view that reads and fills ``cohomology_store``."""
         return CohomologyRing(self)
 
+    def basis_elements(self, p: int) -> list[Element]:
+        return [self.element(p, {j: 1}) for j in range(self.dim(p))]
+
+    def betti(self) -> tuple[int, ...]:
+        return self.cohomology().betti()
+
 
 class DGA(CochainComplex):
     """Free graded-commutative algebra with a degree +1 differential."""
@@ -339,6 +347,14 @@ class DGA(CochainComplex):
         if elem.degree != p:
             raise StructureError(f"element has degree {elem.degree}, expected {p}")
         return self.algebra.coords(elem)
+
+    @property
+    def parent(self) -> DGA:
+        """The DGA as the whole of itself (a property: no reference cycle)."""
+        return self
+
+    def parent_coords(self, p: int, coords: linalg.Vector) -> linalg.Vector:
+        return coords
 
     def __repr__(self) -> str:
         names = ",".join(g.name for g in self.algebra.generators)
@@ -396,9 +412,6 @@ class Subcomplex(CochainComplex):
         """Canonical basis, one row per generator, in parent coordinates."""
         return self.span(p).rows
 
-    def basis_elements(self, p: int) -> list[Element]:
-        return [self.parent.element(p, row) for row in self.basis_vectors(p)]
-
     def coords(self, p: int, elem: Element) -> linalg.Vector:
         """Coordinates in the canonical basis; raises if not a member."""
         span = self.span(p)
@@ -430,9 +443,6 @@ class Subcomplex(CochainComplex):
                 cols.append(target.coords(img))
             self._d_matrices[p] = linalg.transpose(cols, self.dim(p + 1))
         return self._d_matrices[p]
-
-    def betti(self) -> tuple[int, ...]:
-        return self.cohomology().betti()
 
     def __repr__(self) -> str:
         dims = ",".join(str(self.dim(p)) for p in range(self.top + 1))

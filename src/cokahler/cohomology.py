@@ -173,7 +173,11 @@ def kernel_witnesses(source, ind: InducedMap) -> list[str]:
 
 
 def inclusion_induced_map(sub, p: int) -> InducedMap:
-    """Map H^p(sub) -> H^p(parent) induced by a subcomplex inclusion."""
+    """Map H^p(sub) -> H^p(parent) induced by a subcomplex inclusion; the
+    identity, exactly, when ``sub`` is its own parent (a whole complex)."""
+    if sub.parent is sub:
+        n = sub.cohomology().dim(p)
+        return InducedMap(p, linalg.identity(n), n, n, n, [])
     return induced_map(sub, p, sub.parent, p,
                        lambda rep: sub.parent_coords(p, rep))
 

@@ -7,19 +7,22 @@ degree-1 eta dual to xi this recovers the Lie derivative along xi, whose
 kernel subcomplex splits into the forms annihilated by iota_xi and their
 eta-multiples; the former coincide with the basic forms of the foliation
 spanned by xi.  There rho_eta is iota_xi, d_eta is L_xi and ker(d_eta) is the
-invariant forms, as objects: operators and kernels are shared.  Subspaces are
-compared as ``linalg.Span``s; on co-Kahler models the splitting is also
-checked on minimal models, ℳ(Omega_eta) ≅ ℳ(Omega_1) (x) Λ(eta).  There
-ℳ(Omega_eta) is read as ℳ(Omega): quasi-isomorphic cdgas have isomorphic
-minimal models, and the inclusion Omega_eta -> Omega is checked to be a
-quasi-isomorphism in every degree, so only ℳ(Omega_1) is built anew.
+invariant forms, as objects: operators and kernels are shared.  When L_xi is
+zero in every degree (xi central, as on tori and K x S^1), ker(d_eta) is the
+full complex itself, with one cohomology and an identity inclusion.
+Subspaces are compared as ``linalg.Span``s; on co-Kahler models the
+splitting is also checked on minimal models, ℳ(Omega_eta) ≅ ℳ(Omega_1) (x)
+Λ(eta).  There ℳ(Omega_eta) is read as ℳ(Omega): quasi-isomorphic cdgas
+have isomorphic minimal models, and the inclusion Omega_eta -> Omega is
+checked to be a quasi-isomorphism in every degree, so only ℳ(Omega_1) is
+built anew.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .cdga import (Derivation, Subcomplex, derivation, supercommutator,
-                   supercommutes_with_d)
+from .cdga import (CochainComplex, Derivation, Subcomplex, derivation,
+                   supercommutator, supercommutes_with_d)
 from .cohomology import (inclusion_induced_map, kernel_witnesses,
                          kunneth_convolution)
 from .errors import StructureError
@@ -78,10 +81,16 @@ def verify_d_eta_equals_lie(m: LieModel) -> bool:
     return True
 
 
-def kernel_subcomplex(dga, op: Derivation) -> Subcomplex:
+def kernel_subcomplex(dga, op: Derivation) -> CochainComplex:
     """Degreewise kernel of a derivation supercommuting with d, built once
-    per (complex, operator)."""
+    per (complex, operator).  When every matrix of op is zero the kernel is
+    ``dga`` itself, closed under any d and not kept in ``dga.kernels`` (a
+    cycle); this is read off the matrices, not the generator images, which
+    fix them only when op's table is their Leibniz extension."""
     if op not in dga.kernels:
+        if op.algebra is dga.algebra and not any(
+                any(op.matrix(p)) for p in range(dga.top + 1)):
+            return dga
         if not supercommutes_with_d(dga, op):
             raise StructureError(
                 f"operator {op.name or op!r} does not supercommute with d; "
@@ -91,7 +100,7 @@ def kernel_subcomplex(dga, op: Derivation) -> Subcomplex:
 
 
 @once_per_model
-def invariant_forms(m: LieModel) -> Subcomplex:
+def invariant_forms(m: LieModel) -> CochainComplex:
     """Omega_eta: the forms annihilated by the Lie derivative along xi."""
     return kernel_subcomplex(m.ce(), m.lie_xi())
 
@@ -117,7 +126,7 @@ def split_form(m: LieModel, alpha: Element) -> SplitPair:
 
 class OmegaSplitting(Record):
     """Omega_eta = Omega_1 + eta ^ Omega_1 (directly, in positive degrees)."""
-    omega_eta: Subcomplex
+    omega_eta: CochainComplex     # the full complex when L_xi = 0
     omega1: Subcomplex
     omega2: Subcomplex
     direct_sum: list[bool]        # index p, asserted for p > 0

@@ -13,8 +13,8 @@ complementary degrees.
 from __future__ import annotations
 
 from . import linalg
-from .cdga import DGA, AlgebraMap, Subcomplex, embed_element, free_line_dga, \
-    invariant_subalgebra, tensor_product
+from .cdga import DGA, AlgebraMap, CochainComplex, Subcomplex, embed_element, \
+    free_line_dga, invariant_subalgebra, tensor_product
 from .cohomology import InducedMap, kernel_witnesses, map_from_classes
 from .errors import StructureError
 from .exterior import Element
@@ -118,7 +118,7 @@ def verify_lefschetz_iso(m: LieModel) -> LefschetzReport:
     return LefschetzReport(n, verdict.coKahler, degrees, top_nonzero, None)
 
 
-def _class(sub: Subcomplex, q: int, form: Element) -> linalg.Vector:
+def _class(sub: CochainComplex, q: int, form: Element) -> linalg.Vector:
     """Coordinates of the class of a closed form of Omega_eta in H^q_eta."""
     return sub.cohomology().class_of(q, sub.coords(q, form))
 

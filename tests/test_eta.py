@@ -13,7 +13,9 @@ import sympy
 
 from cokahler import cdga, geometry, linalg
 from cokahler import eta as eta_module
-from cokahler.cdga import Derivation, extend_derivation, supercommutes_with_d
+from cokahler.cdga import (Derivation, Subcomplex, extend_derivation,
+                           supercommutes_with_d)
+from cokahler.cohomology import induced_map
 from cokahler.errors import StructureError
 from cokahler.eta import (basic_complex, build_d_eta, eta_operator,
                           invariant_forms, kernel_subcomplex, omega_splitting,
@@ -25,6 +27,7 @@ from cokahler.lefschetz import splitting_check
 from cokahler.modelfile import CORPUS_MODELS, load_corpus, loads
 from cokahler.report import build_report, operator_identity_report, run_section
 from test_memo import ROT7_123
+from test_report_bytes import PINNED, pinned_text
 
 
 def oracle_kernel_dims(op, alg):
@@ -112,12 +115,15 @@ def test_kernel_of_d_is_cocycles(heisenberg):
         assert sub.dim(p) == oracle_kernel_dims(dga.d, dga.algebra)[p]
 
 
-def test_kernel_subcomplex_rejects_non_chain_operators(heisenberg):
+def test_kernel_subcomplex_rejects_non_chain_operators(heisenberg, torus3):
     dga = heisenberg.ce()
     alg = dga.algebra
     bad = extend_derivation(alg, {"e1": alg.gen("e3")}, 0)
     with pytest.raises(StructureError):
         kernel_subcomplex(dga, bad)
+    # a zero operator on another algebra is refused, not read as zero here
+    with pytest.raises(StructureError, match="different algebras"):
+        kernel_subcomplex(dga, Derivation(torus3.algebra(), 0, {}))
 
 
 def test_omega_splitting_torus3(torus3):
@@ -398,7 +404,9 @@ def test_report_computes_one_leibniz_verdict_per_derivation(monkeypatch):
 
 def test_kernel_subcomplex_is_kept_per_operator(heisenberg):
     # the coadjoint derivatives along X1, X2 and X3 share one name but not
-    # one kernel; a direct Derivation with L_X1's images gets its own entry
+    # one kernel; a direct Derivation with L_X1's images gets its own entry.
+    # X3 is central, so L_X3 is zero and its kernel is the complex itself,
+    # which the complex does not store (a cycle)
     dga, alg = heisenberg.ce(), heisenberg.algebra()
     ops = [heisenberg.lie_coadjoint({i: 1}) for i in range(3)]
     assert len({op.name for op in ops}) == 1
@@ -407,9 +415,50 @@ def test_kernel_subcomplex_is_kept_per_operator(heisenberg):
         assert kernel_subcomplex(dga, op) is sub
         assert [sub.dim(p) for p in range(4)] == oracle_kernel_dims(op, alg)
     assert [kernels[i].dim(1) for i in range(3)] == [2, 2, 3]
+    assert kernels[2] is dga and kernels[0] is not dga is not kernels[1]
     twin = Derivation(alg, 0, ops[0].images, ops[0].name)
     assert kernel_subcomplex(dga, twin) is not kernels[0]
-    assert set(dga.kernels) >= {*ops, twin}
+    assert set(dga.kernels) == {*ops[:2], twin}
+
+
+# the corpus and pinned models whose xi is central: L_xi is zero in every
+# degree, so ker(d_eta) is the full complex itself
+CENTRAL_XI = ("kx5", "kx5-q", "kx7", "torus3", "torus5", "torus7", "torus9")
+
+
+def pinned_or_corpus(name):
+    text = pinned_text(name) if name in PINNED else None
+    return (load_corpus(name) if text is None else loads(text)).to_lie_model()
+
+
+def lie_xi_is_zero(m):
+    return not any(any(m.lie_xi().matrix(p)) for p in range(m.ce().top + 1))
+
+
+def test_central_xi_lists_every_model_with_zero_lie_derivative():
+    with_xi = [m for m in map(pinned_or_corpus,
+                              sorted({*CORPUS_MODELS, *PINNED}))
+               if m.xi is not None]
+    assert tuple(m.name for m in with_xi if lie_xi_is_zero(m)) == CENTRAL_XI
+
+
+@pytest.mark.parametrize("name", CENTRAL_XI)
+def test_the_whole_complex_matches_the_kernel_of_a_zero_lie_derivative(name):
+    # oracle: the unit-row kernel subcomplex and the inclusion push, as a
+    # nonzero L_xi takes them, against the report's records
+    m = pinned_or_corpus(name)
+    ce = m.ce()
+    assert invariant_forms(m) is ce and len(ce.kernels) == 0
+    sub = Subcomplex.kernel_of(ce, m.lie_xi().matrix)
+    maps = [induced_map(sub, p, ce, p, functools.partial(sub.parent_coords, p))
+            for p in range(ce.top + 1)]
+    quism = run_section(m, "parallel_form_quism").record
+    assert quism["ranks"] == [ind.rank for ind in maps]
+    assert quism["degreewise_iso"] == [ind.isomorphism for ind in maps]
+    assert quism["betti_kernel"] == list(sub.betti())
+    assert quism["kernel_witnesses"] == {}
+    split = run_section(m, "splitting").record
+    assert split["omega_eta_dims"] == [sub.dim(p) for p in range(ce.top + 1)]
 
 
 def heis5():

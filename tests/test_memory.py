@@ -9,6 +9,8 @@ import pytest
 
 from cokahler import build_report, linalg, load_corpus, loads
 from cokahler.cdga import Subcomplex, tensor_product
+from cokahler.cohomology import CohomologyRing
+from cokahler.eta import omega_splitting
 
 from test_cdga import abelian_dga
 from test_linalg import counting_eliminations
@@ -106,3 +108,34 @@ def test_views_of_one_complex_compute_each_degree_once(monkeypatch):
     assert [second.cup_basis(1, i, 1, j)
             for i in range(2) for j in range(2)] == cups
     assert len(kernels) == 4 and len(products) == 4
+
+
+@pytest.mark.parametrize("name", ["torus7", "rot7-1-2-3"])
+def test_a_report_computes_each_degree_of_the_full_cohomology_once(
+        name, monkeypatch):
+    # torus7's xi is central: Omega_eta is Omega itself, with no stored
+    # kernel and no second cohomology of the same dimensions; rot7-1-2-3's
+    # L_xi is not zero, and its Omega_eta is the one stored kernel
+    mf = _model_file(name)
+    m = mf.to_lie_model()
+    monkeypatch.setattr(mf, "to_lie_model", lambda: m)
+    fills, honest = [], CohomologyRing._slice
+
+    def counted(ring, p):
+        if p not in ring._slices:
+            fills.append((ring.complex, p))
+        return honest(ring, p)
+
+    monkeypatch.setattr(CohomologyRing, "_slice", counted)
+    build_report(mf)
+    ce = m.ce()
+    assert sorted(p for cx, p in fills if cx is ce) == list(range(ce.top + 1))
+    omega_eta = omega_splitting(m).omega_eta
+    whole = [cx for cx, _ in fills if cx is not ce and isinstance(
+        cx, Subcomplex) and all(cx.dim(p) == ce.dim(p)
+                                for p in range(ce.top + 1))]
+    if name == "torus7":
+        assert whole == []
+        assert omega_eta is ce and len(ce.kernels) == 0
+    else:
+        assert list(ce.kernels.values()) == [omega_eta] and omega_eta is not ce

@@ -133,10 +133,12 @@ def test_tensor_split_refuses_a_model_of_another_complex(torus3):
 
 def test_tensor_split_refuses_a_kernel_other_than_the_invariant_forms():
     # ker(d_eta) rebuilt after the splitting: equal to the invariant forms,
-    # but a second object, so the construction is inconsistent
-    m = load_corpus("kx5").to_lie_model()
+    # but a second object, so the construction is inconsistent.  L_xi is
+    # not zero on rot7-1-2-3, so its kernel is a stored Subcomplex
+    m = loads(perfbench_models().rot_text((1, 2, 3))).to_lie_model()
     dga, d_eta = m.ce(), build_d_eta(m).d_eta
-    omega_splitting(m)
+    stored = omega_splitting(m).omega_eta
+    assert dga.kernels[d_eta] is stored is not dga
     dga.kernels[d_eta] = Subcomplex.kernel_of(dga, d_eta.matrix)
     with pytest.raises(StructureError, match="construction inconsistency"):
         model_tensor_split_check(m, minimal_model(dga, 3))
