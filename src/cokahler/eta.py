@@ -3,16 +3,16 @@
 From a k-form eta on a metric model one gets a linear map on 1-forms,
 nu -> contraction of eta with the metric dual of nu, its Leibniz extension
 rho_eta, and the derivation d_eta = {d, rho_eta} of degree k-1.  For a
-degree-1 eta dual to xi this recovers the Lie derivative along xi, whose
-kernel subcomplex splits into the forms annihilated by iota_xi and their
-eta-multiples; the former coincide with the basic forms of the foliation
-spanned by xi.  There rho_eta is iota_xi, d_eta is L_xi and ker(d_eta) is the
-invariant forms, as objects: operators and kernels are shared.  When L_xi is
-zero in every degree (xi central, as on tori and K x S^1), ker(d_eta) is the
-full complex itself, with one cohomology and an identity inclusion.
-Subspaces are compared as ``linalg.Span``s; on co-Kahler models the
-splitting is also checked on minimal models, ℳ(Omega_eta) ≅ ℳ(Omega_1) (x)
-Λ(eta).  There ℳ(Omega_eta) is read as ℳ(Omega): quasi-isomorphic cdgas
+degree-1 eta dual to xi this recovers the Lie derivative along xi.  There
+rho_eta is iota_xi, d_eta is L_xi and ker(d_eta) is the invariant forms, as
+objects: operators and kernels are shared.  When L_xi is zero in every
+degree (xi central, as on tori and K x S^1), ker(d_eta) is the full complex
+itself, with one cohomology and an identity inclusion.  The invariant forms
+split as Omega_1 + eta ^ Omega_1: Omega_1, the invariant forms annihilated
+by iota_xi, is the basic complex of the foliation spanned by xi, one kernel
+built once, and the eta-multiples are eta ^ its rows.  On co-Kahler models
+the splitting is also checked on minimal models, ℳ(Omega_eta) ≅ ℳ(Omega_1)
+(x) Λ(eta).  There ℳ(Omega_eta) is read as ℳ(Omega): quasi-isomorphic cdgas
 have isomorphic minimal models, and the inclusion Omega_eta -> Omega is
 checked to be a quasi-isomorphism in every degree, so only ℳ(Omega_1) is
 built anew.
@@ -129,8 +129,8 @@ class OmegaSplitting(Record):
     omega_eta: CochainComplex     # the full complex when L_xi = 0
     omega1: Subcomplex
     omega2: Subcomplex
-    direct_sum: list[bool]        # index p, asserted for p > 0
-    eta_wedge_match: list[bool]   # Omega_2^p = eta ^ Omega_1^{p-1}
+    direct_sum: list[bool]        # by dimension, against ker L_xi
+    eta_wedge_match: list[bool]   # Omega_2^p = eta ^ Omega_1^{p-1}, built so
     ok: bool
 
 
@@ -149,44 +149,36 @@ def splitting_obstruction(m: LieModel) -> str | None:
 
 @once_per_model
 def omega_splitting(m: LieModel) -> OmegaSplitting:
-    """Split the L_xi-invariant forms into the iota_xi kernel and its
-    eta-multiples, verifying directness and the eta-wedge description.
-    Raises the ``splitting_obstruction`` note when there is one.
+    """Split the L_xi-invariant forms as Omega_1 + eta ^ Omega_1, with
+    Omega_1 the basic complex.  Raises the ``splitting_obstruction`` note
+    when there is one.
 
-    Omega_1^p and Omega_2^p are the spans of alpha1 and alpha2
-    (``split_form``) over a basis of Omega_eta^p.  With eta(xi) = 1 and
-    d(eta) = 0, iota_xi and eta ^ commute with L_xi, so both components stay
-    invariant; alpha1 is alpha on ker iota_xi and alpha2 is alpha on
-    ker(eta ^), so the spans are those kernels in Omega_eta.  The unit has
-    alpha2 = 0: Omega_2 starts at degree 1."""
+    With eta(xi) = 1 and d(eta) = 0, L_xi eta = 0, so L_xi commutes with
+    iota_xi and with eta ^: Omega_1, the part of ker iota_xi in ker L_xi,
+    and Omega_2 = eta ^ Omega_1 lie in Omega_eta.  iota_xi(eta ^ alpha) =
+    alpha on Omega_1, so the sum is direct, and it is all of Omega_eta
+    exactly when dim Omega_eta^p = dim Omega_1^p + dim Omega_1^{p-1},
+    checked against ker L_xi built on its own.  Omega_2^0 = 0."""
     obstruction = splitting_obstruction(m)
     if obstruction:
         raise StructureError(obstruction)
-    sub = invariant_forms(m)
-    dga = m.ce()
-    eta = m.eta_element()
+    sub, omega1 = invariant_forms(m), basic_complex(m)
+    dga, eta = m.ce(), m.eta_element()
     top = dga.top
-    spans1: dict[int, list] = {}
-    spans2: dict[int, list] = {}
-    for p in range(top + 1):
-        pairs = [split_form(m, alpha) for alpha in sub.basis_elements(p)]
-        spans1[p] = [dga.coords(p, pair.alpha1) for pair in pairs]
-        spans2[p] = [dga.coords(p, pair.alpha2) for pair in pairs]
-    omega1 = Subcomplex(dga, spans1)
-    omega2 = Subcomplex(dga, spans2)
-    direct, eta_match = [True], [True]
-    for p in range(1, top + 1):
-        stacked = omega1.basis_vectors(p) + omega2.basis_vectors(p)
-        direct.append(linalg.rank(stacked) == len(stacked) == sub.dim(p))
-        wedge_span = [dga.coords(p, eta.wedge(dga.element(p - 1, row)))
-                      for row in omega1.basis_vectors(p - 1)]
-        eta_match.append(linalg.Span(wedge_span) == omega2.span(p))
-    ok = all(direct) and all(eta_match)
-    if not all(direct):
+    omega2 = Subcomplex(dga, {
+        p: [dga.coords(p, eta.wedge(dga.element(p - 1, row)))
+            for row in omega1.basis_vectors(p - 1)]
+        for p in range(1, top + 1)})
+    sums = [omega1.dim(p) + omega1.dim(p - 1) for p in range(top + 1)]
+    failing = [f"{p} (dim Omega_eta {sub.dim(p)}, dim Omega_1 + "
+               f"eta ^ Omega_1 {sums[p]})"
+               for p in range(top + 1) if sub.dim(p) != sums[p]]
+    if failing:
         raise StructureError(
-            "Omega_1 + Omega_2 is not a direct sum of the invariant forms; "
-            f"failing degrees {[p for p, v in enumerate(direct) if not v]}")
-    return OmegaSplitting(sub, omega1, omega2, direct, eta_match, ok)
+            "Omega_1 + eta ^ Omega_1 is not the invariant forms; failing "
+            f"degrees {', '.join(failing)}")
+    return OmegaSplitting(sub, omega1, omega2, [True] * (top + 1),
+                          [True] * (top + 1), True)
 
 
 @once_per_model
@@ -198,18 +190,16 @@ def basic_complex(m: LieModel) -> Subcomplex:
         iota.matrix(p + 1), dga.d_matrix(p)))
 
 
-class BasicMatchReport(Record):
-    """Degreewise comparison of Omega_1 with the basic complex of xi."""
-    per_degree: list[bool]
-    equal: bool
-
-
-def verify_basic_match(m: LieModel) -> BasicMatchReport:
-    split = omega_splitting(m)
-    basic = basic_complex(m)
-    per_degree = [split.omega1.span(p) == basic.span(p)
-                  for p in range(m.ce().top + 1)]
-    return BasicMatchReport(per_degree, all(per_degree))
+def verify_basic_match(m: LieModel) -> bool:
+    """Omega_1 is the basic complex of xi, decided where Omega_1 is built:
+    ``omega_splitting`` takes ``basic_complex``'s object as Omega_1.
+    Distinct objects mean a corrupt construction and raise, as
+    ``verify_d_eta_equals_lie`` does."""
+    if omega_splitting(m).omega1 is not basic_complex(m):
+        raise StructureError(
+            "construction inconsistency: Omega_1 and the basic complex of "
+            "xi are distinct subcomplexes")
+    return True
 
 
 class QuasiIsoReport(Record):

@@ -239,7 +239,7 @@ def _splitting_section(model: LieModel, cap, order) -> Section:
     if obstruction:
         return Section(None, hypothesis=obstruction)
     split = omega_splitting(model)
-    basic = verify_basic_match(model)
+    equal = verify_basic_match(model)
     coh_split = splitting_check(model)
     top = model.ce().top
     sec = Section({
@@ -248,7 +248,7 @@ def _splitting_section(model: LieModel, cap, order) -> Section:
         "omega2_dims": [split.omega2.dim(p) for p in range(top + 1)],
         "direct_sum": split.direct_sum,
         "eta_wedge_match": split.eta_wedge_match,
-        "omega1_equals_basic": basic.per_degree,
+        "omega1_equals_basic": [equal] * (top + 1),
         "betti_eta": list(coh_split.dims_eta),
         "betti_omega1": list(coh_split.dims_basic),
         "betti_basic": list(basic_complex(model).betti()),
@@ -257,7 +257,7 @@ def _splitting_section(model: LieModel, cap, order) -> Section:
     if _co_kahler(model):
         sec.check("omega_splitting", split.ok,
                   "Omega_eta = Omega_1 + eta^Omega_1 directly, p > 0")
-        sec.check("omega1_equals_basic", basic.equal,
+        sec.check("omega1_equals_basic", equal,
                   "the iota-kernel equals the basic complex of xi")
         sec.check("cohomology_splitting", coh_split.ok,
                   "H^p_eta = H^p_1 + [eta]^H^{p-1}_1")

@@ -11,8 +11,9 @@ from fractions import Fraction
 from cokahler import linalg
 from cokahler.cdga import AlgebraMap, supercommutator, supercommutes_with_d
 from cokahler.cohomology import kunneth_convolution
-from cokahler.eta import (build_d_eta, model_tensor_split_check,
-                          omega_splitting, verify_basic_match,
+from cokahler.eta import (basic_complex, build_d_eta,
+                          model_tensor_split_check, omega_splitting,
+                          verify_basic_match,
                           verify_d_eta_equals_lie, verify_parallel_form_quism)
 from cokahler.exterior import Element
 from cokahler.geometry import classify
@@ -102,7 +103,12 @@ def test_criterion_4_splitting_and_basic_cohomology():
             ok &= split.omega1.dim(p) + split.omega2.dim(p) == \
                 split.omega_eta.dim(p)
             ok &= split.direct_sum[p] and split.eta_wedge_match[p]
-        ok &= verify_basic_match(m).equal
+        ok &= verify_basic_match(m) and split.omega1 is basic_complex(m)
+        # Omega_1 against ker iota_xi in ker L_xi, eliminated here
+        for p in range(top + 1):
+            stacked = m.lie_xi().matrix(p) + m.iota_xi().matrix(p)
+            ok &= split.omega1.span(p) == linalg.Span(
+                linalg.kernel_basis(stacked, m.algebra().dim(p)))
         coh = splitting_check(m)
         ok &= coh.ok
         for p in range(top + 1):

@@ -15,7 +15,7 @@ from cokahler import cdga, geometry, linalg
 from cokahler import eta as eta_module
 from cokahler.cdga import (Derivation, Subcomplex, extend_derivation,
                            supercommutes_with_d)
-from cokahler.cohomology import induced_map
+from cokahler.cohomology import CohomologyRing, induced_map
 from cokahler.errors import StructureError
 from cokahler.eta import (basic_complex, build_d_eta, eta_operator,
                           invariant_forms, kernel_subcomplex, omega_splitting,
@@ -199,8 +199,8 @@ def test_basic_complex_heisenberg(heisenberg):
 
 def test_basic_equals_omega1(contact_models):
     for m in contact_models:
-        report = verify_basic_match(m)
-        assert report.equal
+        assert verify_basic_match(m) is True
+        assert omega_splitting(m).omega1 is basic_complex(m)
         binding = [r["check"] for r in run_section(m, "splitting").asserted]
         assert ("omega1_equals_basic" in binding) == \
             (m.name in ("torus3", "torus5"))
@@ -218,9 +218,81 @@ def test_basic_match_compares_spans_not_dimensions(torus3, monkeypatch):
     assert [other.dim(p) for p in range(4)] == \
         [omega1.dim(p) for p in range(4)]
     monkeypatch.setattr(eta_module, "basic_complex", lambda m: other)
-    report = verify_basic_match(torus3)
-    assert report.per_degree == [True, False, False, True]
-    assert not report.equal
+    with pytest.raises(StructureError, match="construction inconsistency"):
+        verify_basic_match(torus3)
+
+
+def test_splitting_names_each_degree_the_sum_misses(monkeypatch):
+    # an Omega_1 spanned by 1 and e2 alone is closed under d on torus3, but
+    # with its eta-multiples it misses the invariant forms in degrees 1-3
+    m = load_corpus("torus3").to_lie_model()
+    dga = m.ce()
+    small = cdga.Subcomplex(dga, {0: [{0: 1}],
+                                  1: [dga.coords(1, m.algebra().gen("e2"))]})
+    monkeypatch.setattr(eta_module, "basic_complex", lambda model: small)
+    with pytest.raises(StructureError) as info:
+        omega_splitting(m)
+    assert str(info.value) == (
+        "Omega_1 + eta ^ Omega_1 is not the invariant forms; failing degrees "
+        "1 (dim Omega_eta 3, dim Omega_1 + eta ^ Omega_1 2), "
+        "2 (dim Omega_eta 3, dim Omega_1 + eta ^ Omega_1 1), "
+        "3 (dim Omega_eta 1, dim Omega_1 + eta ^ Omega_1 0)")
+
+
+# the splitting section's records, pinned: (omega_eta_dims, omega1_dims,
+# betti_eta, betti_omega1); every verdict list is all true and omega2_dims
+# is omega1_dims shifted up one degree
+SPLITTING_RECORDS = {
+    "torus5": ([1, 5, 10, 10, 5, 1], [1, 4, 6, 4, 1, 0],
+               [1, 5, 10, 10, 5, 1], [1, 4, 6, 4, 1, 0]),
+    "kx5": ([1, 5, 10, 10, 5, 1], [1, 4, 6, 4, 1, 0],
+            [1, 3, 4, 4, 3, 1], [1, 2, 2, 2, 1, 0]),
+    "rot7-1-2-3": ([1, 1, 3, 5, 5, 3, 1, 1], [1, 0, 3, 2, 3, 0, 1, 0],
+                   [1, 1, 3, 5, 5, 3, 1, 1], [1, 0, 3, 2, 3, 0, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLITTING_RECORDS))
+def test_splitting_needs_no_split_pass(name, monkeypatch):
+    # Omega_1 is the basic complex and Omega_2 is eta ^ Omega_1: the section
+    # splits no form, reads no basis of Omega_eta and computes each degree
+    # of H(Omega_1) once, for betti_omega1 and betti_basic alike
+    m = (loads(ROT7_123) if name == "rot7-1-2-3" else
+         load_corpus(name)).to_lie_model()
+    omega_eta, omega1, betti_eta, betti1 = SPLITTING_RECORDS[name]
+
+    def refused(*args):
+        raise AssertionError("the splitting read a form one by one")
+
+    fills, honest = [], CohomologyRing._slice
+
+    def counted(ring, p):
+        if p not in ring._slices:
+            fills.append((ring.complex, p))
+        return honest(ring, p)
+
+    monkeypatch.setattr(eta_module, "split_form", refused)
+    monkeypatch.setattr(cdga.CochainComplex, "basis_elements", refused)
+    monkeypatch.setattr(CohomologyRing, "_slice", counted)
+    sec = run_section(m, "splitting")
+    top = m.ce().top
+    true = [True] * (top + 1)
+    assert sec.record == {
+        "omega_eta_dims": omega_eta, "omega1_dims": omega1,
+        "omega2_dims": [0] + omega1[:-1], "direct_sum": true,
+        "eta_wedge_match": true, "omega1_equals_basic": true,
+        "betti_eta": betti_eta, "betti_omega1": betti1,
+        "betti_basic": betti1, "cohomology_split": true}
+    assert [(a["check"], a["ok"]) for a in sec.asserted] == [
+        ("omega_splitting", True), ("omega1_equals_basic", True),
+        ("cohomology_splitting", True)]
+    basic = basic_complex(m)
+    assert omega_splitting(m).omega1 is basic
+    like_omega1 = [cx for cx, p in fills if cx is not m.ce() and all(
+        cx.dim(q) == basic.dim(q) for q in range(top + 1))]
+    degrees = [p for cx, p in fills if cx is basic]
+    assert all(cx is basic for cx in like_omega1)
+    assert set(range(top + 1)) <= set(degrees)
 
 
 def test_parallel_form_quism_tori(cokahler_models):
@@ -423,7 +495,8 @@ def test_kernel_subcomplex_is_kept_per_operator(heisenberg):
 
 # the corpus and pinned models whose xi is central: L_xi is zero in every
 # degree, so ker(d_eta) is the full complex itself
-CENTRAL_XI = ("kx5", "kx5-q", "kx7", "torus3", "torus5", "torus7", "torus9")
+CENTRAL_XI = ("kx5", "kx5-eta", "kx5-q", "kx7", "torus3", "torus5",
+              "torus5-eta", "torus7", "torus9")
 
 
 def pinned_or_corpus(name):
@@ -518,11 +591,13 @@ def eta_wedge_matrix(m, p):
 
 
 @pytest.mark.parametrize("name",
-                         ["kx5", "kx7", "rot7-1-2-3", "rot5-1-1-g", "torus5"])
+                         ["kx5", "kx7", "rot7-1-2-3", "rot5-1-1-g", "torus5",
+                          "kx5-eta", "torus5-eta"])
 def test_omega1_and_omega2_are_the_kernels_in_omega_eta(name):
-    # the spans of alpha1 and alpha2 over Omega_eta are ker iota_xi and
-    # ker(eta ^) inside Omega_eta, each taken here by kernel_basis on the
-    # operator matrices stacked under L_xi's
+    # Omega_1 and Omega_2 are ker iota_xi and ker(eta ^) inside Omega_eta,
+    # each taken here by kernel_basis on the operator matrices stacked under
+    # L_xi's; on kx5-eta and torus5-eta, eta is not e1, so Omega_2 is not
+    # spanned by the monomials that contain e1
     from test_report_bytes import pinned_text
     mf = load_corpus(name) if name in CORPUS_MODELS else loads(
         ROT7_123 if name == "rot7-1-2-3" else pinned_text(name))

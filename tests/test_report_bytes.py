@@ -37,7 +37,9 @@ LABELS = ("t2-rot4-mapping-torus", "t2-negid-mapping-torus")
 # identity; operator identities dominated rot9-1-2-3-4's report;
 # rot9-1-1-1-1 runs the most kill-round solves and comparison-map products;
 # heisenberg-q and kx5-q scale a corpus model's brackets to 2/3, so integer
-# and fractional coefficients meet in every section (kx5-q is co-Kahler)
+# and fractional coefficients meet in every section (kx5-q is co-Kahler);
+# kx5-eta and torus5-eta take eta off e1 with eta(xi) = 1 and d(eta) = 0, so
+# the splitting is computed with Omega_2 not spanned by monomials with e1
 PINNED = {
     "torus3":
         "d6582709674beb79eab8785b84d044ecd5a35b8e5c87b21eb6768fd153cac2cf",
@@ -69,6 +71,10 @@ PINNED = {
         "f05ac04b3d46932ddad0b942239a7d4720b806af80d83c057e47f370afc9201b",
     "kx5-q":
         "5d19eb13448ac9088d3f04692a982f00bb05ff987c4767b7d0479945b811af63",
+    "kx5-eta":
+        "3850c0a8beac76128df68e3ed1adf13ad818c9371e23aa9a7d8da9af1b4ca393",
+    "torus5-eta":
+        "654434122e22a8547d7f4872ac6d588fdf148d9db26bb7276c2db582b99c1ff5",
 }
 # a J-invariant metric on rot5-1-1: X2 pairs with X4 and X3 with X5
 ROT5_METRIC = "1 0 0 0 0\n0 2 0 1 0\n0 0 2 0 1\n0 1 0 2 0\n0 0 1 0 2"
@@ -88,12 +94,12 @@ def model_texts() -> dict:
     return perfbench_models().report_models()
 
 
-def rescaled(name: str, brackets: str, scaled: str) -> str:
-    """A corpus model renamed ``name``-q, its bracket lines replaced."""
+def variant(name: str, suffix: str, lines: str, replaced: str) -> str:
+    """A corpus model renamed ``name``-``suffix``, some lines replaced."""
     text = corpus_path(name).read_text()
-    assert brackets in text
-    return text.replace(f"name: {name}\n", f"name: {name}-q\n").replace(
-        brackets, scaled)
+    assert lines in text
+    return text.replace(f"name: {name}\n", f"name: {name}-{suffix}\n"
+                        ).replace(lines, replaced)
 
 
 def pinned_text(name: str) -> str | None:
@@ -114,9 +120,14 @@ def pinned_text(name: str) -> str | None:
                 "identity", ROT5_METRIC),
         "heisenberg-g": corpus_path("heisenberg").read_text().replace(
             "identity", "1 0 0\n0 2 0\n0 0 2"),
-        "heisenberg-q": rescaled("heisenberg", "1 2 3 1\n", "1 2 3 2/3\n"),
-        "kx5-q": rescaled("kx5", "2 4 5 1\n2 5 4 -1\n",
-                          "2 4 5 2/3\n2 5 4 -2/3\n"),
+        "heisenberg-q": variant("heisenberg", "q", "1 2 3 1\n",
+                                "1 2 3 2/3\n"),
+        "kx5-q": variant("kx5", "q", "2 4 5 1\n2 5 4 -1\n",
+                         "2 4 5 2/3\n2 5 4 -2/3\n"),
+        "kx5-eta": variant("kx5", "eta", "[eta]\ne1\n",
+                           "[eta]\n1 0 1 0 0\n"),
+        "torus5-eta": variant("torus5", "eta", "[eta]\ne1\n",
+                              "[eta]\n1 1 0 0 0\n"),
     }[name]
 
 
