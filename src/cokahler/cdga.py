@@ -18,7 +18,9 @@ hands out one operator for both.  Every kernel subcomplex is
 are all zero, which is the DGA itself (``eta.kernel_subcomplex``): a DGA
 is its own ``parent``, with identity ``parent_coords``.  A complex owns
 what its cohomology has computed; ``cohomology()`` is a view of that
-store, and the complex keeps no reference to a view.
+store, and the complex keeps no reference to a view.  ``DGA.extend`` adds
+generators to a new DGA that keeps every coordinate, d's computed table
+and matrices, and the cohomology of the degrees below the new generators.
 
 Coordinates are ``linalg`` sparse vectors; a degree-p matrix has one sparse
 row per target basis monomial, filled from each source monomial's image.
@@ -70,16 +72,31 @@ class _MonomialTable:
         """Matrix out of degree p, cached: one sparse row per target basis
         monomial, filled from the table."""
         if p not in self._matrices:
-            alg = self.algebra
-            q = p + self.degree
-            rows: linalg.Matrix = [{} for _ in range(alg.dim(q))]
-            if rows:
-                index = alg.basis_index(q)
-                for j, key in enumerate(alg.basis(p)):
-                    for k, c in self.image(key).items():
-                        rows[index[k]][j] = c
-            self._matrices[p] = rows
+            self._matrices[p] = self._grow(p, [], 0)
         return self._matrices[p]
+
+    def _grow(self, p: int, rows: linalg.Matrix,
+              start: int) -> linalg.Matrix:
+        """The matrix out of degree p from ``rows``, its part on the first
+        ``start`` source monomials: empty rows up to the target dimension,
+        then the columns from ``start`` on, filled from the table.  A given
+        row that gains an entry is copied, never changed."""
+        alg = self.algebra
+        q = p + self.degree
+        keys = alg.basis(p)[start:]
+        if len(rows) == alg.dim(q) and not keys:
+            return rows
+        old = len(rows)
+        out = rows + [{} for _ in range(alg.dim(q) - old)]
+        if out:
+            index = alg.basis_index(q)
+            for j, key in enumerate(keys, start):
+                for k, c in self.image(key).items():
+                    i = index[k]
+                    if i < old and out[i] is rows[i]:
+                        out[i] = dict(rows[i])
+                    out[i][j] = c
+        return out
 
     def __call__(self, elem: Element) -> Element:
         return self.apply(elem)
@@ -114,6 +131,27 @@ class Derivation(_MonomialTable):
         self._support = sum(1 << i for i in self.images)
         self._matrices: dict[int, linalg.Matrix] = {}
         self._table: dict = {}
+
+    def extend(self, algebra: GradedAlgebra,
+               images: dict[int, Element]) -> Derivation:
+        """This derivation on ``algebra``, an extension of its own
+        (``GradedAlgebra.extend``), with ``images`` for new generators
+        (elements of either algebra).  An old monomial's image does not
+        change, so the table carries over unless the keys change encoding,
+        and each computed matrix only grows by the new rows and columns."""
+        old = self.algebra
+        if any(i < len(old) for i in images):
+            raise StructureError("an extension gives images to new "
+                                 "generators only")
+        der = Derivation(algebra, self.degree,
+                         {i: algebra.lift(img) for i, img in
+                          (*self.images.items(), *images.items())},
+                         name=self.name)
+        if algebra.bitmask == old.bitmask:
+            der._table.update(self._table)
+        for p, rows in self._matrices.items():
+            der._matrices[p] = der._grow(p, rows, old.dim(p))
+        return der
 
     def image_of(self, i: int) -> Element:
         gen = self.algebra.generators[i]
@@ -282,7 +320,8 @@ def _require_generators_decide(f: Derivation, g: Derivation) -> None:
 
 class CochainComplex:
     """What DGAs and subcomplexes share, through ``dim``, ``d_matrix``,
-    ``element`` and ``coords(p, elem)``."""
+    ``element``, ``coords(p, elem)`` and ``wedge_coords``, the coordinates
+    of a product of two elements given by coordinates."""
 
     @functools.cached_property
     def _factors(self) -> dict:
@@ -300,10 +339,6 @@ class CochainComplex:
         if p not in self._factors:
             self._factors[p] = linalg.factor(self.d_matrix(p), self.dim(p))
         return linalg.solve_factored(self._factors[p], target)
-
-    def wedge_coords(self, p: int, v, q: int, w) -> linalg.Vector:
-        """Coordinates of the product of two elements given by coordinates."""
-        return self.coords(p + q, self.element(p, v).wedge(self.element(q, w)))
 
     def cohomology(self) -> CohomologyRing:
         """A view that reads and fills ``cohomology_store``."""
@@ -347,6 +382,42 @@ class DGA(CochainComplex):
         if elem.degree != p:
             raise StructureError(f"element has degree {elem.degree}, expected {p}")
         return self.algebra.coords(elem)
+
+    def wedge_coords(self, p: int, v, q: int, w) -> linalg.Vector:
+        """Coordinates of the product, read on basis keys (``merge_keys``)
+        with no ``Element`` in between."""
+        alg = self.algebra
+        if p + q > alg.top:
+            return {}
+        left, right = alg.basis(p), alg.basis(q)
+        index, merge = alg.basis_index(p + q), alg.merge_keys
+        out: linalg.Vector = {}
+        for i, a in v.items():
+            ka = left[i]
+            for j, b in w.items():
+                key, sign = merge(ka, right[j])
+                if sign:
+                    k, t = index[key], a * b if sign == 1 else -a * b
+                    out[k] = out[k] + t if k in out else t
+        return {k: c for k, c in out.items() if c}
+
+    def extend(self, generators: list[Generator],
+               images: dict[str, Element]) -> DGA:
+        """This DGA with ``generators`` appended, d of each one named in
+        ``images`` (elements of this DGA; a Hirsch extension when they are
+        cocycles) and the rest closed.  Coordinates keep their meaning
+        (``GradedAlgebra.extend``) and d what it has computed
+        (``Derivation.extend``).  The cohomology of each degree below the
+        least new degree carries over: no cochain there changes, nor d
+        into it, nor d out of it, whose columns sit on old coordinates."""
+        algebra = self.algebra.extend(generators)
+        d = self.d.extend(algebra, {algebra.index(name): img
+                                    for name, img in images.items()})
+        dga = DGA(algebra, d)
+        low = min(g.degree for g in generators)
+        dga.cohomology_store[0].update(
+            (p, s) for p, s in self.cohomology_store[0].items() if p < low)
+        return dga
 
     @property
     def parent(self) -> DGA:
@@ -414,8 +485,17 @@ class Subcomplex(CochainComplex):
 
     def coords(self, p: int, elem: Element) -> linalg.Vector:
         """Coordinates in the canonical basis; raises if not a member."""
+        return self._member_coords(p, self.parent.coords(p, elem))
+
+    def wedge_coords(self, p: int, v, q: int, w) -> linalg.Vector:
+        """The product, formed in the parent; raises if it leaves the
+        subcomplex."""
+        parent_coords = self.parent_coords
+        return self._member_coords(p + q, self.parent.wedge_coords(
+            p, parent_coords(p, v), q, parent_coords(q, w)))
+
+    def _member_coords(self, p: int, vec: linalg.Vector) -> linalg.Vector:
         span = self.span(p)
-        vec = self.parent.coords(p, elem)
         if span.residual(vec):
             raise StructureError(f"vector is not in the degree {p} subspace")
         return span.coords(vec)

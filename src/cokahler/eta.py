@@ -163,10 +163,11 @@ def omega_splitting(m: LieModel) -> OmegaSplitting:
     if obstruction:
         raise StructureError(obstruction)
     sub, omega1 = invariant_forms(m), basic_complex(m)
-    dga, eta = m.ce(), m.eta_element()
+    dga = m.ce()
+    eta = dga.coords(1, m.eta_element())
     top = dga.top
     omega2 = Subcomplex(dga, {
-        p: [dga.coords(p, eta.wedge(dga.element(p - 1, row)))
+        p: [dga.wedge_coords(1, eta, p - 1, row)
             for row in omega1.basis_vectors(p - 1)]
         for p in range(1, top + 1)})
     sums = [omega1.dim(p) + omega1.dim(p - 1) for p in range(top + 1)]

@@ -16,12 +16,15 @@ it.  Coordinates on the degree-p basis are ``linalg`` sparse vectors
 map to monomial keys and back.  Only the public ``Element`` constructor
 checks key degrees; keys the algebra made itself are trusted.
 
-Algebras and elements are immutable after construction.
+Algebras and elements are immutable after construction.  ``extend`` makes a
+new algebra with more generators whose bases begin with this one's, so
+coordinates on an algebra keep their meaning on its extensions.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import weakref
 from numbers import Rational
 
@@ -52,14 +55,16 @@ class GradedAlgebra:
     def __init__(self, generators: list[Generator] | tuple[Generator, ...],
                  max_degree: int | None = None):
         gens = tuple(generators)
-        names = [g.name for g in gens]
-        if len(set(names)) != len(names):
+        self._name_index = {g.name: i for i, g in enumerate(gens)}
+        if len(self._name_index) != len(gens):
             raise StructureError("generator names must be unique")
         self.generators = gens
-        self._name_index = {g.name: i for i, g in enumerate(gens)}
-        self.bitmask = all(g.degree == 1 for g in gens)
-        full = sum(g.degree for g in gens)
-        even = any(g.degree % 2 == 0 for g in gens)
+        self.max_degree = max_degree
+        degrees = [g.degree for g in gens]
+        self.bitmask = degrees.count(1) == len(degrees)
+        self._odd = tuple(d % 2 for d in degrees)
+        full = sum(degrees)
+        even = 0 in self._odd
         if even:
             if max_degree is None:
                 raise StructureError(
@@ -157,7 +162,19 @@ class GradedAlgebra:
                 inv ^= (k1 >> (j + 1)).bit_count() & 1
                 m2 &= m2 - 1
             return k1 | k2, -1 if inv else 1
-        return self.canonicalize(k1 + k2)
+        # the inversions are the pairs a in k1 > b in k2, both sorted; an
+        # odd generator in both kills the product
+        odd = self._odd
+        inv = 0
+        for a in k1:
+            if odd[a]:
+                for b in k2:
+                    if b >= a:
+                        if b == a:
+                            return (), 0
+                        break
+                    inv ^= odd[b]
+        return tuple(sorted(k1 + k2)), -1 if inv else 1
 
     def key_splits(self, key: Key,
                    support: int = -1) -> list[tuple[int, Key, Key, int]]:
@@ -194,7 +211,8 @@ class GradedAlgebra:
         return len(self.basis(p))
 
     def basis(self, p: int) -> tuple[Key, ...]:
-        """Canonical ordered monomial basis of degree p."""
+        """Ordered monomial basis of degree p: canonical, or for an
+        extension (``extend``) its prefix algebra's basis first."""
         if p < 0 or p > self.top:
             return ()
         if p not in self._basis_cache:
@@ -209,6 +227,58 @@ class GradedAlgebra:
                 keys = [tuple(m) for m in self._multisets(0, p)]
             self._basis_cache[p] = tuple(keys)
         return self._basis_cache[p]
+
+    def extend(self, generators) -> GradedAlgebra:
+        """This algebra with ``generators`` after its own and the same
+        ``max_degree``.  Each degree's basis is this algebra's, then the
+        monomials holding a new generator, so old coordinates keep their
+        basis elements; the keys change encoding (a bitmask becomes its
+        index tuple, in place) only when the first generator of degree
+        above 1 arrives.  Every degree's basis is enumerated here, as the
+        new generators' monomials times this algebra's."""
+        new = GradedAlgebra(self.generators + tuple(generators),
+                            self.max_degree)
+        top = new.top
+        old = [self.basis(p) for p in range(top + 1)]
+        recode = self.bitmask and not new.bitmask
+        if recode:
+            old = [tuple(map(self.key_indices, keys)) for keys in old]
+        join = operator.or_ if new.bitmask else operator.add
+        # the new generators' monomials by degree: each generator joins
+        # those before it once if odd, any number of times if even
+        parts = [[new._zero_key()]] + [[] for _ in range(top)]
+        for i in range(len(self), len(new)):
+            d = new.degree_of(i)
+            one = 1 << i if new.bitmask else (i,)
+            for r in (range(d, top + 1) if d % 2 == 0
+                      else range(top, d - 1, -1)):
+                parts[r] += [join(part, one) for part in parts[r - d]]
+        for p in range(top + 1):
+            added = tuple([join(m, part) for r in range(1, p + 1)
+                           for part in parts[r] for m in old[p - r]])
+            new._basis_cache[p] = old[p] + added if added else old[p]
+            index = self._index_cache.get(p)
+            if index is not None and not recode:
+                if added:
+                    index = dict(index)
+                    index.update(zip(added, itertools.count(len(old[p]))))
+                new._index_cache[p] = index
+        return new
+
+    def lift(self, elem: "Element") -> "Element":
+        """An element of an algebra this one extends (``extend``), as an
+        element of this one."""
+        src = elem.algebra
+        if src is self:
+            return elem
+        if (self.generators[:len(src)] != src.generators
+                or elem.terms and elem.degree > self.top):
+            raise StructureError("element of an algebra this one does not "
+                                 "extend")
+        terms = elem.terms
+        if src.bitmask != self.bitmask:
+            terms = {src.key_indices(k): c for k, c in terms.items()}
+        return Element._trusted(self, elem.degree, terms)
 
     def _multisets(self, start: int, remaining: int):
         if remaining == 0:

@@ -4,19 +4,23 @@ Generators are added degree by degree against a target cochain algebra: in
 each degree p, first closed generators until H^p maps onto H^p of the target,
 then generators killing the kernel of the map on H^{p+1}, in whole rounds:
 a round adds one generator y with dy = z for every basis class z of the
-kernel, and the model is rebuilt once per round.  New generators can spawn
-new kernel classes, so rounds repeat until the map is injective; degree-1
-generators therefore arrive in stages, which is exactly what
-non-simply-connected (nilmanifold-type) targets require.  The differential
-of every added generator is decomposable by construction, since it is a
-cocycle of degree p+1 in an algebra generated below degree p+1.
+kernel.  New generators can spawn new kernel classes, so rounds repeat until
+the map is injective; degree-1 generators therefore arrive in stages, which
+is exactly what non-simply-connected (nilmanifold-type) targets require.
+The differential of every added generator is decomposable by construction,
+since it is a cocycle of degree p+1 in an algebra generated below degree
+p+1.
+
+One model grows through a minimal_model call, one ``DGA.extend`` per round:
+each degree's basis gains the new monomials at its end, d is expanded on
+those alone, and the cohomology and induced map of each degree below p stay
+as computed, since a degree-p generator cannot change them.
 
 The target can be a DGA or a subcomplex that is closed under products
 (everything here goes through the shared cochain-algebra interface); the
-co-Kahler check on minimal models lives in ``eta``.  The
-comparison map's table of products is keyed by generator-index tuples, which
-stay valid as generators are appended, so it is kept across every rebuild of
-the model (whose monomial keys may change encoding) in a minimal_model call.
+co-Kahler check on minimal models lives in ``eta``.  The comparison map's
+table of products is keyed by generator-index tuples, which stay valid as
+generators are appended and across the one change of key encoding.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 
 from . import linalg
-from .cdga import DGA, Derivation, embed_element
+from .cdga import DGA, Derivation
 from .cohomology import InducedMap, induced_map
 from .errors import StructureError
 from .exterior import Element, Generator, GradedAlgebra
@@ -49,10 +53,15 @@ class _ComparisonMap:
     def push(self, elem: Element) -> linalg.Vector:
         """Image of a model element in target coordinates."""
         alg = elem.algebra
-        products = [self.product(alg, alg.key_indices(key))
-                    for key in elem.terms]
-        # the sum of each term's coefficient times its product of images
-        return linalg.combine(dict(enumerate(elem.terms.values())), products)
+        return self.push_coords(alg, elem.degree, alg.coords(elem))
+
+    def push_coords(self, alg: GradedAlgebra, p: int,
+                    coords: linalg.Vector) -> linalg.Vector:
+        """Image of the model cochain with these coordinates on
+        ``alg.basis(p)``: each coefficient times its product of images."""
+        keys = alg.basis(p)
+        return linalg.combine(coords, {
+            i: self.product(alg, alg.key_indices(keys[i])) for i in coords})
 
     def product(self, alg: GradedAlgebra, idx: tuple[int, ...]):
         """phi(g m) = phi(g) phi(m), g the first generator, filled once
@@ -86,44 +95,46 @@ class SullivanModel(Record):
 
 
 class _Builder:
-    """Mutable construction state.  The model DGA and its induced maps are
-    built on demand and dropped when generators arrive (names are stable, so
-    re-embedding the differential is safe)."""
+    """Mutable construction state: the model, grown by one ``DGA.extend``
+    per round of added generators, and its maps on cohomology, of which a
+    round of degree-p generators keeps those of the degrees below p."""
 
     def __init__(self, target, cap: int):
         self.target = target
         self.cap = cap
-        self.gens: list[Generator] = []
-        self.d_images: dict[str, Element] = {}
         self.comparison = _ComparisonMap(target)
-        self._dga: DGA | None = None
+        alg = GradedAlgebra([], max_degree=cap + 2)
+        self._model = DGA(alg, Derivation(alg, 1, {}, name="d"))
+        self._round: list[Generator] = []
+        self._d_images: dict[str, Element] = {}
         self._maps: dict[int, InducedMap] = {}
 
     def dga(self) -> DGA:
-        if self._dga is None:
-            alg = GradedAlgebra(self.gens, max_degree=self.cap + 2)
-            images = {alg.index(name): embed_element(img, alg)
-                      for name, img in self.d_images.items()}
-            self._dga = DGA(alg, Derivation(alg, 1, images, name="d"))
-        return self._dga
+        """The model, extended by the generators added since last asked."""
+        if self._round:
+            self._model = self._model.extend(self._round, self._d_images)
+            low = min(g.degree for g in self._round)
+            self._maps = {q: m for q, m in self._maps.items() if q < low}
+            self._round, self._d_images = [], {}
+        return self._model
 
     def add_generator(self, degree: int, d_image: Element | None,
                       target_coords: linalg.Vector):
-        name = f"x{len(self.gens) + 1}"
-        self.gens = self.gens + [Generator(name, degree)]
-        if d_image is not None and not d_image.is_zero():
-            self.d_images[name] = d_image
+        """A generator of the next round; ``d_image`` is an element of the
+        current model."""
+        gen = Generator(f"x{len(self.comparison.images) + 1}", degree)
+        self._round.append(gen)
+        if d_image is not None:
+            self._d_images[gen.name] = d_image
         self.comparison.images.append(dict(target_coords))
-        self._dga = None
-        self._maps = {}
 
     def induced_map(self, p: int) -> InducedMap:
-        """The map H^p(model) -> H^p(target), once per built model."""
+        """The map H^p(model) -> H^p(target), once per change of H^p."""
+        model = self.dga()
         if p not in self._maps:
-            model = self.dga()
             self._maps[p] = induced_map(
-                model, p, self.target, p,
-                lambda rep: self.comparison.push(model.element(p, rep)))
+                model, p, self.target, p, lambda rep:
+                self.comparison.push_coords(model.algebra, p, rep))
         return self._maps[p]
 
 
@@ -174,24 +185,27 @@ def _kill_kernel(builder: _Builder, p: int):
                 f"degree {p} stage did not stabilize in {_STAGE_CAP} rounds")
         model = builder.dga()
         ring = model.cohomology()
-        cocycles = [model.element(p + 1, ring.representative_of(p + 1, k))
-                    for k in kernel]
+        cocycles = [ring.representative_of(p + 1, k) for k in kernel]
         for z in cocycles:
-            w = builder.target.solve_d(p, builder.comparison.push(z))
+            w = builder.target.solve_d(p, builder.comparison.push_coords(
+                model.algebra, p + 1, z))
             if w is None:
                 raise StructureError("kernel class pushes to a non-exact "
                                      "cocycle; broken morphism")
-            builder.add_generator(p, z, w)
+            builder.add_generator(p, model.element(p + 1, z), w)
 
 
 def _finalize(builder: _Builder) -> SullivanModel:
-    model = builder.dga()
+    model, target = builder.dga(), builder.target
     comparison = builder.comparison
-    # chain-map check: pushing commutes with the differentials
+    # chain-map check: pushing commutes with the differentials, the
+    # target's d read by columns
+    columns = {p: linalg.transpose(target.d_matrix(p), target.dim(p))
+               for p in {g.degree for g in model.algebra.generators}}
+    images = model.d.images
     for i, gen in enumerate(model.algebra.generators):
-        lhs = comparison.push(model.d.image_of(i))
-        rhs = linalg.mat_vec(builder.target.d_matrix(gen.degree),
-                             comparison.images[i])
+        lhs = comparison.push(images[i]) if i in images else {}
+        rhs = linalg.combine(comparison.images[i], columns[gen.degree])
         if lhs != rhs:
             raise StructureError("comparison map is not a chain map")
     minimal = _is_minimal(model)
@@ -204,5 +218,5 @@ def _finalize(builder: _Builder) -> SullivanModel:
 def _is_minimal(model: DGA) -> bool:
     """Differential lands in products of at least two generators."""
     alg = model.algebra
-    return all(len(alg.key_indices(key)) >= 2 for i in range(len(alg))
-               for key in model.d.image_of(i).terms)
+    return all(len(alg.key_indices(key)) >= 2
+               for img in model.d.images.values() for key in img.terms)

@@ -1005,3 +1005,51 @@ def test_supercommutes_with_d_detects_failure():
     # e1 -> e3 does not chain-commute: {d, op}(e1) = d(e3) = -e12
     bad = extend_derivation(alg, {"e1": alg.gen("e3")}, 0)
     assert not supercommutes_with_d(heis, bad)
+
+
+def test_an_extension_grows_d_and_keeps_the_cohomology_below_it():
+    # Lambda(a, b; db = a^2) with a of degree 2, then c of degree 3 with
+    # dc = 0 and u of degree 4 with du = a c: every matrix, as grown, is
+    # the matrix of d built afresh on the extension, and the degrees below
+    # the new generators keep their computed cohomology as it was
+    alg = GradedAlgebra([Generator("a", 2), Generator("b", 3)], max_degree=9)
+    a = alg.gen("a")
+    dga = DGA(alg, extend_derivation(alg, {"b": a * a}, 1, name="d"))
+    before = [dga.d.matrix(p) for p in range(alg.top + 1)]
+    betti = dga.betti()
+    grown = dga.extend([Generator("c", 3)], {})
+    c = grown.algebra.gen("c")
+    grown = grown.extend([Generator("u", 4)],
+                         {"u": grown.algebra.lift(a) * c})
+    new = grown.algebra
+    fresh = Derivation(new, 1, {i: img for i, img in grown.d.images.items()})
+    for p in range(new.top + 1):
+        assert grown.d.matrix(p) == fresh.matrix(p)
+    assert [dga.d.matrix(p) for p in range(alg.top + 1)] == before
+    slices = grown.cohomology_store[0]
+    assert sorted(slices) == [0, 1, 2]
+    for p in range(3):
+        assert slices[p] is dga.cohomology_store[0][p]
+    assert grown.betti() == DGA(new, fresh).betti()
+    assert grown.betti()[:3] == betti[:3]
+    with pytest.raises(StructureError, match="new generators only"):
+        dga.d.extend(alg.extend([Generator("v", 5)]), {0: a})
+
+
+@pytest.mark.parametrize("even", [False, True], ids=["bitmask", "tuple"])
+def test_dga_wedge_coords_is_the_element_product(even):
+    degrees = (1, 2, 1, 3, 2) if even else (1,) * 6
+    alg = GradedAlgebra([Generator(f"g{i}", d) for i, d in enumerate(degrees)],
+                        max_degree=8)
+    dga = DGA(alg, extend_derivation(alg, {}, 1, name="d"))
+    rng = random.Random(3)
+    for _ in range(40):
+        p, q = rng.randint(0, alg.top), rng.randint(0, alg.top)
+        v = {j: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+             for j in range(alg.dim(p)) if rng.random() < 0.5}
+        w = {j: rng.randint(-4, 4) for j in range(alg.dim(q))
+             if rng.random() < 0.5}
+        v, w = ({j: c for j, c in x.items() if c} for x in (v, w))
+        product = dga.element(p, v).wedge(dga.element(q, w))
+        expected = {} if product.is_zero() else dga.coords(p + q, product)
+        assert dga.wedge_coords(p, v, q, w) == expected

@@ -192,3 +192,65 @@ def test_equal_elements_hash_equal(alg3):
     assert half == Fraction(1, 2) and Fraction(1, 2) in {half}
     x = alg3.monomial("e1", "e2")
     assert x in {alg3.monomial("e2", "e1", coeff=-1)} and x not in {x.scale(2)}
+
+
+EXTENSIONS = {
+    # (generator degrees before, degrees added, max_degree)
+    "bitmask": ((1, 1, 1), (1, 1), None),
+    "re-encoded": ((1, 1, 1), (2, 3, 1), 6),
+    "tuple": ((1, 2), (2, 3, 4), 7),
+    "empty": ((), (3, 2), 6),
+}
+
+
+def degree_algebra(degrees, max_degree, prefix="x"):
+    gens = [Generator(f"{prefix}{i + 1}", d) for i, d in enumerate(degrees)]
+    return GradedAlgebra(gens, max_degree=max_degree)
+
+
+@pytest.mark.parametrize("case", sorted(EXTENSIONS))
+def test_extension_keeps_the_old_basis_in_front(case):
+    before, added, cap = EXTENSIONS[case]
+    old = degree_algebra(before, cap)
+    new = old.extend([Generator(f"y{i + 1}", d) for i, d in enumerate(added)])
+    full = GradedAlgebra(new.generators, max_degree=cap)
+    assert new.bitmask == full.bitmask and new.top == full.top
+    assert new.bitmask == (case == "bitmask")
+    for p in range(new.top + 2):
+        keys = new.basis(p)
+        prefix = [old.key_indices(k) if old.bitmask and not new.bitmask
+                  else k for k in old.basis(p)]
+        assert list(keys[:len(prefix)]) == prefix
+        # the same monomials as a canonical build, each once
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == set(full.basis(p))
+        assert new.basis_index(p) == {k: i for i, k in enumerate(keys)}
+
+
+@pytest.mark.parametrize("case", sorted(EXTENSIONS))
+def test_lifted_products_are_products_in_the_extension(case):
+    before, added, cap = EXTENSIONS[case]
+    old = degree_algebra(before, cap)
+    new = old.extend([Generator(f"y{i + 1}", d) for i, d in enumerate(added)])
+    rng = random.Random(case)
+    for _ in range(20):
+        a, b = (old.element(p, {j: rng.randint(-3, 3) or 1
+                                for j in range(old.dim(p))})
+                for p in (rng.randint(0, old.top), rng.randint(0, old.top)))
+        assert new.lift(a.wedge(b)) == new.lift(a).wedge(new.lift(b))
+    assert new.lift(new.gen(0)) == new.gen(0)
+    with pytest.raises(StructureError, match="does not extend"):
+        new.lift(degree_algebra((1,), None, prefix="z").gen(0))
+
+
+def test_merge_keys_matches_canonicalize():
+    # the tuple path merges two sorted keys; canonicalize sorts by swaps
+    alg = degree_algebra((1, 2, 3, 1, 2, 3, 1), 12)
+    rng = random.Random(7)
+    for _ in range(500):
+        k1, k2 = (alg.canonicalize(rng.choices(range(len(alg)),
+                                                k=rng.randint(0, 4)))
+                  for _ in range(2))
+        if k1[1] and k2[1]:
+            assert alg.merge_keys(k1[0], k2[0]) == \
+                alg.canonicalize(k1[0] + k2[0])

@@ -1,6 +1,8 @@
 """Bounded-degree Sullivan models and the tensor-splitting comparison."""
 
 import importlib.util
+import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -8,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from cokahler import eta, linalg, load_corpus, loads
-from cokahler.cdga import DGA, Subcomplex, extend_derivation
+from cokahler.cdga import DGA, Derivation, Subcomplex, extend_derivation
 from cokahler.cli import main
-from cokahler.cohomology import InducedMap
+from cokahler.cohomology import CohomologyRing, InducedMap
 from cokahler.errors import StructureError
 from cokahler.eta import (QuasiIsoReport, build_d_eta, invariant_forms,
                           model_tensor_split_check, omega_splitting)
@@ -239,26 +241,30 @@ def test_quasi_iso_matrices_are_chain_maps(heisenberg):
 
 
 def test_each_generator_product_is_pushed_once_per_call(monkeypatch):
-    # Omega_eta of rot7-1-1-2 needs kill rounds: the model is rebuilt five
-    # times, and the table of products of images outlives every rebuild
+    # Omega_eta of rot7-1-1-2 needs kill rounds: one model grows by an
+    # extension per round, each of the one before, and the table of
+    # products of images serves every extension
     m = loads(perfbench_models().rot_text((1, 1, 2))).to_lie_model()
     target = invariant_forms(m)
-    wedges, rebuilds = [], []
-    wedge_coords, dga = target.wedge_coords, _Builder.dga
+    wedges, extensions = [], []
+    wedge_coords, extend = target.wedge_coords, DGA.extend
 
     def counting_wedge(*args):
         wedges.append(args)
         return wedge_coords(*args)
 
-    def counting_dga(self):
-        if self._dga is None:
-            rebuilds.append(len(self.gens))
-        return dga(self)
+    def recording_extend(self, generators, images):
+        extensions.append((self, extend(self, generators, images)))
+        return extensions[-1][1]
 
     monkeypatch.setattr(target, "wedge_coords", counting_wedge)
-    monkeypatch.setattr(_Builder, "dga", counting_dga)
+    monkeypatch.setattr(DGA, "extend", recording_extend)
     mm = minimal_model(target, 3)
-    assert len(rebuilds) >= 3
+    assert len(extensions) >= 3
+    for (_, grown), (base, _) in itertools.pairwise(extensions):
+        assert base is grown
+    assert extensions[-1][1] is mm.dga
+    assert len(extensions[0][0].algebra) == 0
     # one product per entry past the unit: no entry is computed twice
     assert len(wedges) == len(mm.comparison.table) - 1 > 0
     # each entry is the product of the images, wedged left to right
@@ -272,6 +278,133 @@ def test_each_generator_product_is_pushed_once_per_call(monkeypatch):
                 deg += alg.degree_of(i)
             assert mm.push(alg.element(p, {alg.basis_index(p)[key]: 1})) \
                 == vec
+
+
+def model_targets(label: str):
+    """The full complex and, on a co-Kahler model, the basic complex of a
+    corpus or rot model."""
+    if label.startswith("rot"):
+        weights = tuple(map(int, label.split("-")[1:]))
+        m = loads(perfbench_models().rot_text(weights)).to_lie_model()
+    else:
+        m = load_corpus(label).to_lie_model()
+    if label == "heisenberg":
+        return (m.ce(),)
+    return m.ce(), omega_splitting(m).omega1
+
+
+def expansions_and_slices(monkeypatch, target, cap):
+    """minimal_model(target, cap), with each d expansion of a model
+    monomial (named by its generators) and, in call order, each model
+    extension (its least new degree) and each model cohomology degree
+    computed."""
+    expanded, events = Counter(), []
+    expand, extend, slice_ = Derivation._expand, DGA.extend, \
+        CohomologyRing._slice
+
+    def counting_expand(self, key):
+        names = self.algebra.generators
+        if names and names[0].name == "x1":
+            expanded[tuple(names[i].name
+                           for i in self.algebra.key_indices(key))] += 1
+        return expand(self, key)
+
+    def recording_extend(self, generators, images):
+        events.append(("extend", min(g.degree for g in generators)))
+        return extend(self, generators, images)
+
+    def recording_slice(self, p):
+        if p not in self._slices and self.complex is not target:
+            events.append(("slice", p))
+        return slice_(self, p)
+
+    monkeypatch.setattr(Derivation, "_expand", counting_expand)
+    monkeypatch.setattr(DGA, "extend", recording_extend)
+    monkeypatch.setattr(CohomologyRing, "_slice", recording_slice)
+    return minimal_model(target, cap), expanded, events
+
+
+@pytest.mark.parametrize("label", ["heisenberg", "kx5", "rot7-1-1-2",
+                                   "rot7-1-1-1"])
+def test_each_model_monomial_is_expanded_once(monkeypatch, label):
+    # twice at most for a monomial on degree-1 generators only, which
+    # were expanded on bitmask keys before a generator of degree 2 came
+    target = model_targets(label)[0]
+    mm, expanded, _ = expansions_and_slices(monkeypatch, target, 3)
+    alg = mm.dga.algebra
+    assert expanded
+    for names, count in expanded.items():
+        degrees = {alg.degree_of(alg.index(name)) for name in names}
+        assert count == 1 or count == 2 and degrees == {1}, (names, count)
+    if alg.bitmask:
+        assert set(expanded.values()) == {1}
+
+
+@pytest.mark.parametrize("label, which", [
+    ("heisenberg", 0), ("kx5", 0), ("kx5", 1), ("rot7-1-1-2", 0),
+    ("rot7-1-1-2", 1), ("rot7-3-3-4", 0), ("rot7-3-3-4", 1)])
+def test_no_degree_below_the_newest_generator_is_recomputed(monkeypatch,
+                                                            label, which):
+    # a degree-p generator changes no cochain, differential or class
+    # below degree p: a degree computed once is computed again only after
+    # a generator of at most its degree arrives (which 1: the basic complex)
+    target = model_targets(label)[which]
+    _, _, events = expansions_and_slices(monkeypatch, target, 3)
+    computed: set[int] = set()
+    for kind, degree in events:
+        if kind == "extend":
+            computed = {q for q in computed if q < degree}
+        else:
+            assert degree not in computed, events
+            computed.add(degree)
+    assert sum(kind == "extend" for kind, _ in events) >= 2
+
+
+# Generator counts of the model of the full complex and of the basic
+# complex at cap 3, as the model rebuilt once per kill round read them;
+# every one of these models is minimal, an isomorphism on H^p for p <= cap
+# and injective in degree cap + 1
+PINNED_COUNTS = {
+    "torus3": ({1: 3}, {1: 2}),
+    "torus5": ({1: 5}, {1: 4}),
+    "kx5": ({1: 3, 2: 1, 3: 1}, {1: 2, 2: 1, 3: 1}),
+    "rot7-1-1-1": ({1: 1, 2: 9, 3: 36}, {2: 9, 3: 36}),
+    "rot7-1-1-2": ({1: 1, 2: 5, 3: 12}, {2: 5, 3: 12}),
+    "rot7-1-2-3": ({1: 1, 2: 3, 3: 5}, {2: 3, 3: 5}),
+    "rot7-1-2-4": ({1: 1, 2: 3, 3: 3}, {2: 3, 3: 3}),
+    "rot7-1-3-4": ({1: 1, 2: 3, 3: 5}, {2: 3, 3: 5}),
+    "rot7-2-3-4": ({1: 1, 2: 3, 3: 3}, {2: 3, 3: 3}),
+    "rot7-2-2-4": ({1: 1, 2: 5, 3: 12}, {2: 5, 3: 12}),
+    **{f"rot7-{a}-{b}-{c}": ({1: 1, 2: 5, 3: 10}, {2: 5, 3: 10})
+       for a, b, c in [(1, 1, 3), (1, 1, 4), (1, 2, 2), (1, 3, 3),
+                       (1, 4, 4), (2, 2, 3), (2, 3, 3), (2, 4, 4),
+                       (3, 3, 4), (3, 4, 4)]},
+}
+
+
+def assert_exact_model(mm, counts, cap):
+    assert mm.generator_counts() == counts
+    assert mm.minimal and mm.iso_degrees == [True] * (cap + 1)
+    assert mm.injective_above
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_COUNTS))
+def test_models_match_the_pinned_counts(label):
+    for target, counts in zip(model_targets(label), PINNED_COUNTS[label]):
+        assert_exact_model(minimal_model(target, 3), counts, 3)
+
+
+def test_rot9_with_repeated_weights_at_cap_four():
+    ce, omega1 = model_targets("rot9-1-1-1-1")
+    assert_exact_model(minimal_model(ce, 4),
+                       {1: 1, 2: 16, 3: 100, 4: 800}, 4)
+    assert_exact_model(minimal_model(omega1, 4), {2: 16, 3: 100, 4: 800}, 4)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_heisenberg_model_at_every_cap(cap):
+    assert_exact_model(minimal_model(model_targets("heisenberg")[0], cap),
+                       {1: 3}, cap)
 
 
 def test_push_into_a_subcomplex_checks_every_product(torus3):
