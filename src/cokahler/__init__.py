@@ -14,11 +14,10 @@ from .cdga import (AlgebraMap, DGA, Derivation, Subcomplex, extend_derivation,
 from .cohomology import CohomologyRing, inclusion_induced_map, \
     kunneth_convolution
 from .errors import ModelParseError, StructureError
-from .eta import (EtaOperator, SplitPair, basic_complex, build_d_eta,
-                  eta_operator, invariant_forms, kernel_subcomplex,
-                  model_tensor_split_check, omega_splitting, split_form,
-                  verify_basic_match, verify_d_eta_equals_lie,
-                  verify_parallel_form_quism)
+from .eta import (EtaOperator, basic_complex, build_d_eta, eta_operator,
+                  invariant_forms, kernel_subcomplex,
+                  model_tensor_split_check, omega_splitting, verify_basic_match,
+                  verify_d_eta_equals_lie, verify_parallel_form_quism)
 from .exterior import Element, Generator, GradedAlgebra
 from .geometry import (LieModel, StructureVerdict, classify, is_killing,
                        is_parallel_form, nijenhuis_normality, omega_element,
@@ -37,8 +36,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraMap", "CohomologyRing", "DGA", "Derivation", "Element",
     "EtaOperator", "Generator", "GradedAlgebra", "LefschetzReport", "LieModel",
-    "MasseyTriple", "ModelFile", "ModelParseError", "SplitPair", "Span",
-    "StructureError", "StructureVerdict", "Subcomplex", "SullivanModel",
+    "MasseyTriple", "ModelFile", "ModelParseError", "Span", "StructureError",
+    "StructureVerdict", "Subcomplex", "SullivanModel",
     "basic_complex", "build_d_eta", "build_report", "classify",
     "degree_one_massey_scan", "eta_operator", "extend_derivation",
     "free_line_dga", "inclusion_induced_map", "invariant_forms",
@@ -48,7 +47,7 @@ __all__ = [
     "mapping_torus_model", "minimal_model", "model_automorphism",
     "model_tensor_split_check", "nijenhuis_normality", "omega_element",
     "omega_splitting", "render_json", "render_text", "resolve", "serialize",
-    "split_form", "splitting_check", "supercommutator", "supercommutes_with_d",
+    "splitting_check", "supercommutator", "supercommutes_with_d",
     "tensor_product", "triple_massey", "validate_almost_contact",
     "verify_basic_match", "verify_d_eta_equals_lie", "verify_lefschetz_iso",
     "verify_parallel_form_quism", "word_disagreements",

@@ -105,25 +105,6 @@ def invariant_forms(m: LieModel) -> CochainComplex:
     return kernel_subcomplex(m.ce(), m.lie_xi())
 
 
-class SplitPair(Record):
-    """alpha = alpha1 + alpha2 with iota_xi alpha1 = 0 and eta ^ alpha2 = 0."""
-    alpha1: Element
-    alpha2: Element
-
-
-def split_form(m: LieModel, alpha: Element) -> SplitPair:
-    """alpha1 = alpha - eta ^ iota_xi alpha, alpha2 = eta ^ iota_xi alpha."""
-    eta = m.eta_element()
-    iota_xi = m.iota_xi()
-    alpha2 = eta.wedge(iota_xi.apply(alpha))
-    alpha1 = alpha - alpha2
-    if not iota_xi.apply(alpha1).is_zero():
-        raise StructureError("split failure: iota_xi alpha1 != 0")
-    if not eta.wedge(alpha2).is_zero():
-        raise StructureError("split failure: eta ^ alpha2 != 0")
-    return SplitPair(alpha1, alpha2)
-
-
 class OmegaSplitting(Record):
     """Omega_eta = Omega_1 + eta ^ Omega_1 (directly, in positive degrees)."""
     omega_eta: CochainComplex     # the full complex when L_xi = 0

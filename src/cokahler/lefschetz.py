@@ -8,6 +8,10 @@ It only sends closed forms to closed forms after restricting to the
 L_xi-invariant forms, where it descends to cohomology; on co-Kahler models
 the induced map in degrees 0..n must be an isomorphism onto the
 complementary degrees.
+
+With alpha_2 = eta ^ iota_xi(alpha) and alpha_1 = alpha - alpha_2, the
+eta-term is L(alpha_1) and the iota-term L(alpha_2): the component
+bookkeeping reads the two terms (``_terms``) and splits no form.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .cdga import DGA, AlgebraMap, CochainComplex, Subcomplex, embed_element, \
 from .cohomology import InducedMap, kernel_witnesses, map_from_classes
 from .errors import StructureError
 from .exterior import Element
-from .eta import omega_splitting, split_form
+from .eta import omega_splitting
 from .geometry import LieModel, classify, omega_element, once_per_model
 from .record import Record
 
@@ -40,6 +44,15 @@ def _omega_powers(m: LieModel) -> list[Element]:
     return powers
 
 
+def _terms(m: LieModel, alpha: Element) -> tuple[Element, Element]:
+    """The two terms of the Lefschetz map on alpha of degree p <= n:
+    (omega^{n-p} ^ eta ^ alpha, omega^{n-p+1} ^ iota_xi alpha)."""
+    powers = _omega_powers(m)
+    k = _contact_rank(m) - alpha.degree
+    return (powers[k].wedge(m.eta_element()).wedge(alpha),
+            powers[k + 1].wedge(m.iota_xi().apply(alpha)))
+
+
 def lefschetz_map(m: LieModel, alpha: Element) -> Element:
     """Apply the Lefschetz map to alpha in Omega^p_eta, 0 <= p <= n.
 
@@ -54,9 +67,8 @@ def lefschetz_map(m: LieModel, alpha: Element) -> Element:
         raise StructureError(
             "alpha is not L_xi-invariant: on such forms the Lefschetz map "
             "does not descend to cohomology; pass an element of Omega_eta")
-    powers = _omega_powers(m)
-    out = powers[n - p + 1].wedge(m.iota_xi().apply(alpha)) \
-        + powers[n - p].wedge(m.eta_element()).wedge(alpha)
+    eta_term, iota_term = _terms(m, alpha)
+    out = iota_term + eta_term
     if not m.lie_xi().apply(out).is_zero():
         raise StructureError("Lefschetz image left the invariant forms")
     if m.ce().d.apply(alpha).is_zero() and not m.ce().d.apply(out).is_zero():
@@ -139,15 +151,14 @@ def split_classes(m: LieModel) -> list[tuple[linalg.Matrix, linalg.Matrix]]:
 
 
 def _component_split_ok(m, split, spans, elem, q) -> tuple[dict, bool]:
-    """The class of L(elem) = L(alpha_1) + L(alpha_2), the sum of its
-    nonzero split components' classes, each mapped and reduced once, and
-    whether they land where the splitting says: L(alpha_1) in [eta] ^ H_1
-    and L(alpha_2) in H_1, whose class spans in degree q are ``spans``."""
-    pair = split_form(m, elem)
+    """The class of L(elem), the sum of its nonzero terms' classes, each
+    reduced once, and whether they land where the splitting says: the
+    eta-term's in [eta] ^ H_1 and the iota-term's in H_1, whose class spans
+    in degree q are ``spans``."""
     parts, ok = [], True
-    for part, span in zip((pair.alpha1, pair.alpha2), spans):
-        if not part.is_zero():
-            cls = _class(split.omega_eta, q, lefschetz_map(m, part))
+    for term, span in zip(_terms(m, elem), spans):
+        if not term.is_zero():
+            cls = _class(split.omega_eta, q, term)
             ok &= cls in span
             parts.append(cls)
     return linalg.combine(dict.fromkeys(range(len(parts)), 1), parts), ok

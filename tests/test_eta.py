@@ -19,7 +19,7 @@ from cokahler.cohomology import CohomologyRing, induced_map
 from cokahler.errors import StructureError
 from cokahler.eta import (basic_complex, build_d_eta, eta_operator,
                           invariant_forms, kernel_subcomplex, omega_splitting,
-                          split_form, splitting_obstruction, verify_basic_match,
+                          splitting_obstruction, verify_basic_match,
                           verify_d_eta_equals_lie, verify_parallel_form_quism)
 from cokahler.exterior import Element
 from cokahler.geometry import LieModel
@@ -160,28 +160,6 @@ def test_omega2_is_eta_wedge_omega1(contact_models):
                 [dict(r) for r in split.omega2.basis_vectors(p)])
 
 
-def test_split_form_examples(torus3, torus5):
-    alg = torus3.algebra()
-    pair = split_form(torus3, alg.gen("e1") + alg.gen("e2"))
-    assert pair.alpha1 == alg.gen("e2")
-    assert pair.alpha2 == alg.gen("e1")
-    assert pair.alpha1 + pair.alpha2 == alg.gen("e1") + alg.gen("e2")
-    alg5 = torus5.algebra()
-    pair5 = split_form(torus5, alg5.monomial("e2", "e3"))
-    assert pair5.alpha1 == alg5.monomial("e2", "e3")
-    assert pair5.alpha2.is_zero()
-
-
-def test_split_form_invariants(heisenberg):
-    alg = heisenberg.algebra()
-    for elem in (alg.gen("e1"), alg.monomial("e1", "e2"),
-                 alg.monomial("e1", "e2") + alg.monomial("e2", "e3")):
-        pair = split_form(heisenberg, elem)
-        assert heisenberg.iota(heisenberg.xi).apply(pair.alpha1).is_zero()
-        assert heisenberg.eta_element().wedge(pair.alpha2).is_zero()
-        assert pair.alpha1 + pair.alpha2 == elem
-
-
 def test_basic_complex_torus3(torus3):
     basic = basic_complex(torus3)
     alg = torus3.algebra()
@@ -255,8 +233,8 @@ SPLITTING_RECORDS = {
 @pytest.mark.parametrize("name", sorted(SPLITTING_RECORDS))
 def test_splitting_needs_no_split_pass(name, monkeypatch):
     # Omega_1 is the basic complex and Omega_2 is eta ^ Omega_1: the section
-    # splits no form, reads no basis of Omega_eta and computes each degree
-    # of H(Omega_1) once, for betti_omega1 and betti_basic alike
+    # reads no basis of Omega_eta form by form and computes each degree of
+    # H(Omega_1) once, for betti_omega1 and betti_basic alike
     m = (loads(ROT7_123) if name == "rot7-1-2-3" else
          load_corpus(name)).to_lie_model()
     omega_eta, omega1, betti_eta, betti1 = SPLITTING_RECORDS[name]
@@ -271,7 +249,6 @@ def test_splitting_needs_no_split_pass(name, monkeypatch):
             fills.append((ring.complex, p))
         return honest(ring, p)
 
-    monkeypatch.setattr(eta_module, "split_form", refused)
     monkeypatch.setattr(cdga.CochainComplex, "basis_elements", refused)
     monkeypatch.setattr(CohomologyRing, "_slice", counted)
     sec = run_section(m, "splitting")
@@ -495,8 +472,8 @@ def test_kernel_subcomplex_is_kept_per_operator(heisenberg):
 
 # the corpus and pinned models whose xi is central: L_xi is zero in every
 # degree, so ker(d_eta) is the full complex itself
-CENTRAL_XI = ("kx5", "kx5-eta", "kx5-q", "kx7", "torus3", "torus5",
-              "torus5-eta", "torus7", "torus9")
+CENTRAL_XI = ("kx5", "kx5-eta", "kx5-p", "kx5-q", "kx7", "rxkt5", "torus3",
+              "torus5", "torus5-eta", "torus7", "torus9")
 
 
 def pinned_or_corpus(name):

@@ -6,12 +6,13 @@ from pathlib import Path
 import pytest
 import sympy
 
-from cokahler import build_report, cohomology, lefschetz, linalg, loads
+from cokahler import build_report, cdga, cohomology, lefschetz, linalg, \
+    loads
 from cokahler.cdga import (AlgebraMap, DGA, extend_derivation, free_line_dga,
                            tensor_product)
 from cokahler.cohomology import kunneth_convolution
 from cokahler.errors import StructureError
-from cokahler.eta import invariant_forms, split_form
+from cokahler.eta import invariant_forms
 from cokahler.exterior import Generator, GradedAlgebra
 from cokahler.geometry import LieModel
 from cokahler.lefschetz import (lefschetz_map, mapping_torus_model,
@@ -19,6 +20,7 @@ from cokahler.lefschetz import (lefschetz_map, mapping_torus_model,
                                 verify_lefschetz_iso)
 from cokahler.modelfile import load_corpus
 from cokahler.report import run_section
+from test_eta import pinned_or_corpus
 
 
 def t2_dga():
@@ -254,28 +256,93 @@ def test_induced_map_rank_is_the_rank_of_its_matrix(monkeypatch):
         assert len(ind.kernel_classes) == ind.source_dim - ind.rank
 
 
-@pytest.mark.parametrize("name", ["torus5", "rot7-1-2-3"])
-def test_lefschetz_maps_each_split_component_once(monkeypatch, name):
-    # a column of the Lefschetz matrix is L(alpha1) + L(alpha2): the section
-    # maps each nonzero split component of a representative once, and never
-    # the representative itself
+def lie_model(name: str) -> LieModel:
+    """A corpus, pinned or rot7-1-2-3 model."""
     from test_memo import ROT7_123
-    mf = load_corpus(name) if name == "torus5" else loads(ROT7_123)
-    m = mf.to_lie_model()
-    sub = invariant_forms(m)
-    ring = sub.cohomology()
+    if name == "rot7-1-2-3":
+        return loads(ROT7_123).to_lie_model()
+    return pinned_or_corpus(name)
+
+
+@pytest.mark.parametrize("name, reps", [("kx5", 8), ("rot7-1-2-3", 10),
+                                        ("torus5", 16)])
+def test_lefschetz_applies_only_iota_xi_once_per_representative(
+        monkeypatch, name, reps):
+    # a column of the Lefschetz matrix is the sum of L's two terms on one
+    # representative: once the classification and the splitting are built,
+    # the section applies iota_xi once per representative and no other
+    # operator, splits no form and checks no component through
+    # lefschetz_map.  Operators are told apart by object, not by name: L_xi
+    # is also nabla_X1.
+    m = lie_model(name)
+    run_section(m, "classification")
+    run_section(m, "splitting")
+    ring = invariant_forms(m).cohomology()
     n = (m.dimension - 1) // 2
-    want = sum(not part.is_zero()
-               for p in range(n + 1) for rep in ring.representatives(p)
-               for part in vars(split_form(m, sub.element(p, rep))).values())
-    honest = lefschetz.lefschetz_map
-    mapped = []
+    assert sum(ring.dim(p) for p in range(n + 1)) == reps
+    iota_xi = m.iota_xi()
+    applied = []
+    honest = cdga.Derivation.apply
 
-    def counted(model, alpha):
-        mapped.append(alpha)
-        return honest(model, alpha)
+    def counted(op, elem):
+        applied.append(op)
+        return honest(op, elem)
 
-    monkeypatch.setattr(lefschetz, "lefschetz_map", counted)
+    def refused(*args):
+        raise AssertionError("the section called lefschetz_map")
+
+    monkeypatch.setattr(cdga.Derivation, "apply", counted)
+    monkeypatch.setattr(lefschetz, "lefschetz_map", refused)
     sec = run_section(m, "lefschetz")
     assert sec.asserted[0]["ok"]
-    assert len(mapped) == want
+    assert all(op is iota_xi for op in applied)
+    assert len(applied) == reps
+
+
+@pytest.mark.parametrize("name", ["torus5", "kx5", "rot7-1-2-3",
+                                  "heisenberg", "kx5-p"])
+def test_lefschetz_terms_are_the_maps_of_the_split_components(name):
+    # alpha_2 = eta ^ iota_xi alpha and alpha_1 = alpha - alpha_2 split every
+    # representative alpha of H^p_eta (p <= n); L's eta-term is L(alpha_1),
+    # its iota-term is L(alpha_2), and each is zero exactly when its
+    # component is
+    m = lie_model(name)
+    iota, eta = m.iota(m.xi), m.eta_element()
+    sub = invariant_forms(m)
+    ring = sub.cohomology()
+    seen = 0
+    for p in range((m.dimension - 1) // 2 + 1):
+        for rep in ring.representatives(p):
+            alpha = sub.element(p, rep)
+            alpha2 = eta.wedge(iota.apply(alpha))
+            alpha1 = alpha - alpha2
+            assert iota.apply(alpha1).is_zero()
+            assert eta.wedge(alpha2).is_zero()
+            terms = lefschetz._terms(m, alpha)
+            assert terms == (lefschetz_map(m, alpha1), lefschetz_map(m, alpha2))
+            assert [t.is_zero() for t in terms] == [alpha1.is_zero(),
+                                                    alpha2.is_zero()]
+            assert lefschetz_map(m, alpha) == terms[0] + terms[1]
+            seen += 1
+    assert seen
+
+
+@pytest.mark.parametrize("name, ranks, dims, witnesses", [
+    ("kx5-p", [1, 3, 4], [1, 3, 4], [[], [], []]),
+    ("rxkt5", [1, 3, 6], [1, 4, 7], [[], ["e3"], ["e1^e3"]]),
+], ids=["kx5-p", "rxkt5"])
+def test_lefschetz_on_kx5_p_and_rxkt5(name, ranks, dims, witnesses):
+    # kx5-p wedges with eta = e1 + e2; rxkt5 is cosymplectic, not co-Kahler,
+    # and its Lefschetz map has a kernel in degrees 1 and 2
+    m = lie_model(name)
+    report = verify_lefschetz_iso(m)
+    assert report.hypothesis_cokahler == (name == "kx5-p")
+    assert [d.rank for d in report.degrees] == ranks
+    assert [d.source_dim for d in report.degrees] == dims
+    assert [d.target_dim for d in report.degrees] == dims
+    assert [d.kernel_witnesses for d in report.degrees] == witnesses
+    assert [d.component_split_ok for d in report.degrees] == [True] * 3
+    assert report.top_class_nonzero
+    sec = run_section(m, "lefschetz")
+    assert [(r["check"], r["ok"]) for r in sec.asserted] == (
+        [("lefschetz_isomorphism", True)] if name == "kx5-p" else [])

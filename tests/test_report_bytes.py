@@ -39,7 +39,11 @@ LABELS = ("t2-rot4-mapping-torus", "t2-negid-mapping-torus")
 # heisenberg-q and kx5-q scale a corpus model's brackets to 2/3, so integer
 # and fractional coefficients meet in every section (kx5-q is co-Kahler);
 # kx5-eta and torus5-eta take eta off e1 with eta(xi) = 1 and d(eta) = 0, so
-# the splitting is computed with Omega_2 not spanned by monomials with e1
+# the splitting is computed with Omega_2 not spanned by monomials with e1;
+# kx5-p is kx5 in the basis X2' = X1 + X2 (eta = e1 + e2, a metric other
+# than the identity), the one co-Kahler model whose Lefschetz map wedges
+# with an eta off e1; rxkt5 (R xi x Kodaira-Thurston) is the one model
+# whose Lefschetz map is not an isomorphism
 PINNED = {
     "torus3":
         "d6582709674beb79eab8785b84d044ecd5a35b8e5c87b21eb6768fd153cac2cf",
@@ -75,9 +79,20 @@ PINNED = {
         "3850c0a8beac76128df68e3ed1adf13ad818c9371e23aa9a7d8da9af1b4ca393",
     "torus5-eta":
         "654434122e22a8547d7f4872ac6d588fdf148d9db26bb7276c2db582b99c1ff5",
+    "kx5-p":
+        "034cc1265a045575bcd4d504fd7816e624a602baeba6534179041c1445e5f73f",
+    "rxkt5":
+        "7e2c8affea1fe76480dc8dbb22c47ee7b4d5a7e1eb08aeff8857fbdf9e5cbdd6",
 }
 # a J-invariant metric on rot5-1-1: X2 pairs with X4 and X3 with X5
 ROT5_METRIC = "1 0 0 0 0\n0 2 0 1 0\n0 0 2 0 1\n0 1 0 2 0\n0 0 1 0 2"
+# kx5-p's metric, eta and first row of J, which replace kx5's identity
+# metric, e1 and zero row (xi = X1 and the other rows of J stay)
+KX5_P_CONTACT = ("1 1 0 0 0\n1 2 0 0 0\n0 0 1 0 0\n0 0 0 1 0\n0 0 0 0 1\n"
+                 "\n[xi]\nX1\n\n[eta]\n1 1 0 0 0\n\n[J]\n0 0 1 0 0\n")
+# rxkt5's contact data: J pairs X2 with X5 and X3 with X4
+RXKT5_CONTACT = ("\n[xi]\nX1\n\n[eta]\ne1\n\n[J]\n0 0 0 0 0\n0 0 0 0 -1\n"
+                 "0 0 0 -1 0\n0 0 1 0 0\n0 1 0 0 0\n")
 
 
 @cache
@@ -128,6 +143,10 @@ def pinned_text(name: str) -> str | None:
                            "[eta]\n1 0 1 0 0\n"),
         "torus5-eta": variant("torus5", "eta", "[eta]\ne1\n",
                               "[eta]\n1 1 0 0 0\n"),
+        "kx5-p": variant("kx5", "p", "identity\n\n[xi]\nX1\n\n[eta]\ne1\n"
+                         "\n[J]\n0 0 0 0 0\n", KX5_P_CONTACT),
+        "rxkt5": models.model_text("rxkt5", 5, [(2, 3, 4, 1)],
+                                   contact=False) + RXKT5_CONTACT,
     }[name]
 
 
