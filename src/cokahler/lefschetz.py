@@ -10,8 +10,11 @@ the induced map in degrees 0..n must be an isomorphism onto the
 complementary degrees.
 
 With alpha_2 = eta ^ iota_xi(alpha) and alpha_1 = alpha - alpha_2, the
-eta-term is L(alpha_1) and the iota-term L(alpha_2): the component
-bookkeeping reads the two terms (``_terms``) and splits no form.
+eta-term is L(alpha_1) and the iota-term L(alpha_2) (``_terms``).  The
+invariant forms split as complexes, Omega_eta = Omega_1 + eta ^ Omega_1
+(``omega_splitting``), so H_eta = H_1 + [eta] ^ H_1 is a Betti identity,
+and a term falls in its block once the iota-term lies in Omega_1.  Each
+column of the Lefschetz matrix is one class, of L(alpha), reduced once.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from __future__ import annotations
 from . import linalg
 from .cdga import DGA, AlgebraMap, CochainComplex, Subcomplex, embed_element, \
     free_line_dga, invariant_subalgebra, tensor_product
-from .cohomology import InducedMap, kernel_witnesses, map_from_classes
+from .cohomology import InducedMap, kernel_witnesses, kunneth_convolution, \
+    map_from_classes
 from .errors import StructureError
 from .exterior import Element
 from .eta import omega_splitting
@@ -98,7 +102,8 @@ class LefschetzReport(Record):
 
 def verify_lefschetz_iso(m: LieModel) -> LefschetzReport:
     """Induced Lefschetz matrices on the invariant cohomology for p <= n,
-    with the component bookkeeping of the splitting.
+    each column the class of L on one representative, with whether each
+    representative's iota-term lies in Omega_1 (``component_split_ok``).
 
     Off cosymplectic models the map does not descend to cohomology; the
     report then carries a note and no degrees."""
@@ -112,13 +117,10 @@ def verify_lefschetz_iso(m: LieModel) -> LefschetzReport:
     split = omega_splitting(m)
     sub = split.omega_eta
     ring = sub.cohomology()
-    classes = split_classes(m)
     degrees = []
     for p in range(n + 1):
         q = 2 * n + 1 - p
-        h1, eta_h1 = classes[q]
-        spans = (linalg.Span(eta_h1), linalg.Span(h1))
-        pairs = [_component_split_ok(m, split, spans, sub.element(p, rep), q)
+        pairs = [_component_split_ok(m, split, sub.element(p, rep), q)
                  for rep in ring.representatives(p)]
         ind = map_from_classes(p, [cls for cls, _ in pairs], ring.dim(p),
                                ring.dim(q))
@@ -135,38 +137,23 @@ def _class(sub: CochainComplex, q: int, form: Element) -> linalg.Vector:
     return sub.cohomology().class_of(q, sub.coords(q, form))
 
 
-@once_per_model
-def split_classes(m: LieModel) -> list[tuple[linalg.Matrix, linalg.Matrix]]:
-    """Entry q holds the classes in H^q_eta of the representatives of
-    H^q_1, and of eta ^ the representatives of H^{q-1}_1."""
-    split = omega_splitting(m)
+def _component_split_ok(m, split, elem, q) -> tuple[dict, bool]:
+    """The class of L(elem) in H^q_eta, reduced once, and whether L's
+    iota-term lies in Omega_1^q.  Then the iota-term's class lies in H_1,
+    and the eta-term, L(elem) minus the iota-term, lies in Omega_eta and is
+    an eta-multiple, so in eta ^ Omega_1: each term falls in its block of
+    H_eta = H_1 + [eta] ^ H_1."""
+    eta_term, iota_term = _terms(m, elem)
     omega1 = split.omega1
-    ring1 = omega1.cohomology()
-    eta = m.eta_element()
-    return [([_class(split.omega_eta, q, omega1.element(q, rep))
-              for rep in ring1.representatives(q)],
-             [_class(split.omega_eta, q, eta.wedge(omega1.element(q - 1, rep)))
-              for rep in ring1.representatives(q - 1)])
-            for q in range(m.ce().top + 1)]
-
-
-def _component_split_ok(m, split, spans, elem, q) -> tuple[dict, bool]:
-    """The class of L(elem), the sum of its nonzero terms' classes, each
-    reduced once, and whether they land where the splitting says: the
-    eta-term's in [eta] ^ H_1 and the iota-term's in H_1, whose class spans
-    in degree q are ``spans``."""
-    parts, ok = [], True
-    for term, span in zip(_terms(m, elem), spans):
-        if not term.is_zero():
-            cls = _class(split.omega_eta, q, term)
-            ok &= cls in span
-            parts.append(cls)
-    return linalg.combine(dict.fromkeys(range(len(parts)), 1), parts), ok
+    return (_class(split.omega_eta, q, eta_term + iota_term),
+            omega1.parent.coords(q, iota_term) in omega1.span(q))
 
 
 class SplittingReport(Record):
-    """dim H^p_eta = dim H^p_1 + dim H^{p-1}_1, via the explicit map
-    (x, y) -> x + [eta] ^ y."""
+    """dim H^p_eta = dim H^p_1 + dim H^{p-1}_1, the Betti numbers of H_1 (x)
+    Lambda(eta): Omega_eta = Omega_1 + eta ^ Omega_1 as complexes
+    (``omega_splitting``), so this is H_eta = H_1 + [eta] ^ H_1, read on two
+    cohomologies computed apart."""
     dims_eta: tuple[int, ...]
     dims_basic: tuple[int, ...]
     per_degree_ok: list[bool]
@@ -175,15 +162,11 @@ class SplittingReport(Record):
 
 def splitting_check(m: LieModel) -> SplittingReport:
     split = omega_splitting(m)
-    ring = split.omega_eta.cohomology()
-    ring1 = split.omega1.cohomology()
-    per_degree = []
-    for p, (h1, eta_h1) in enumerate(split_classes(m)):
-        want = ring1.dim(p) + ring1.dim(p - 1)
-        per_degree.append(want == ring.dim(p) and
-                          linalg.rank(h1 + eta_h1) == want)
-    return SplittingReport(ring.betti(), ring1.betti(), per_degree,
-                           all(per_degree))
+    dims_eta = split.omega_eta.cohomology().betti()
+    dims_basic = split.omega1.cohomology().betti()
+    want = kunneth_convolution(dims_basic, (1, 1))
+    per_degree = [dim == w for dim, w in zip(dims_eta, want)]
+    return SplittingReport(dims_eta, dims_basic, per_degree, all(per_degree))
 
 
 class MappingTorus(Record):
@@ -202,7 +185,10 @@ def mapping_torus_model(k_dga: DGA, phi: AlgebraMap,
                         order: int) -> MappingTorus:
     """Model of the mapping torus of a finite-order automorphism."""
     used = {g.name for g in k_dga.algebra.generators}
-    name = next(c for c in ("t", "s", "u", "z") if c not in used)
+    # t0, t1, ... after the four short names: one of len(used) + 1 is free
+    name = next(c for c in ("t", "s", "u", "z",
+                            *(f"t{i}" for i in range(len(used) + 1)))
+                if c not in used)
     fixed_k = invariant_subalgebra(k_dga, phi, order)
     total = tensor_product(k_dga, free_line_dga(name))
     images = {}

@@ -158,9 +158,13 @@ def _parse_vector(entries, dim: int, fieldname: str, prefix: str):
         raise ModelParseError(f"{fieldname} must be a single line",
                               entries[1][0], fieldname)
     lineno, toks = entries[0]
-    if len(toks) == 1 and toks[0].startswith(prefix) and \
-            toks[0][len(prefix):].isdigit():
-        idx = int(toks[0][len(prefix):])
+    index = toks[0][len(prefix):]
+    if len(toks) == 1 and toks[0].startswith(prefix) and index.isdigit():
+        # isdigit also holds for non-ASCII digits such as '²' and '١'
+        if not index.isascii():
+            raise ModelParseError(f"index {toks[0]!r} needs ASCII digits",
+                                  lineno, fieldname)
+        idx = int(index)
         if not 1 <= idx <= dim:
             raise ModelParseError(f"{toks[0]} out of range", lineno, fieldname)
         return [Fraction(int(t == idx)) for t in range(1, dim + 1)]

@@ -188,6 +188,16 @@ def test_ambiguous_model_file_is_an_input_error(capsys, tmp_path):
     assert "repeated bracket triple 1 2 3, first on line 3 (line 4" in err
 
 
+@pytest.mark.parametrize("section", ["[xi]\nX²", "[eta]\ne١"],
+                         ids=["superscript-two", "arabic-indic-one"])
+def test_non_ascii_index_is_an_input_error(capsys, tmp_path, section):
+    path = tmp_path / "bad.model"
+    path.write_text(f"dimension: 3\n{section}\n", encoding="utf-8")
+    code, out, err = run(capsys, "betti", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "needs ASCII digits (line 3" in err
+
+
 def test_contactless_model_rejected_for_classify(capsys):
     code, _, err = run(capsys, "classify", "t2-rot4-mapping-torus")
     assert code == 2 and "structure" in err

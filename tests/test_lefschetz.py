@@ -1,8 +1,5 @@
 """Lefschetz maps, cohomology splitting, mapping tori."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 import sympy
 
@@ -12,7 +9,7 @@ from cokahler.cdga import (AlgebraMap, DGA, extend_derivation, free_line_dga,
                            tensor_product)
 from cokahler.cohomology import kunneth_convolution
 from cokahler.errors import StructureError
-from cokahler.eta import invariant_forms
+from cokahler.eta import invariant_forms, omega_splitting
 from cokahler.exterior import Generator, GradedAlgebra
 from cokahler.geometry import LieModel
 from cokahler.lefschetz import (lefschetz_map, mapping_torus_model,
@@ -20,7 +17,8 @@ from cokahler.lefschetz import (lefschetz_map, mapping_torus_model,
                                 verify_lefschetz_iso)
 from cokahler.modelfile import load_corpus
 from cokahler.report import run_section
-from test_eta import pinned_or_corpus
+from test_memo import ROT7_123
+from test_report_bytes import PINNED, pinned_text
 
 
 def t2_dga():
@@ -205,22 +203,28 @@ def test_mapping_torus_from_model_files():
 
 
 def test_mapping_torus_circle_name_collision():
-    alg = GradedAlgebra([Generator("t", 1)])
-    dga = DGA(alg, extend_derivation(alg, {}, 1))
-    phi = AlgebraMap(alg, {"t": alg.gen("t")})
-    torus = mapping_torus_model(dga, phi, 1)
-    assert torus.circle_generator != "t"
+    # the first free name of t, s, u, z, then of t0, t1, ...
+    for names, expect in ((["t"], "s"), (["t", "s", "u", "z"], "t0"),
+                          (["z", "t0", "u", "s", "t"], "t1")):
+        alg = GradedAlgebra([Generator(name, 1) for name in names])
+        dga = DGA(alg, extend_derivation(alg, {}, 1))
+        phi = AlgebraMap(alg, {name: alg.gen(name) for name in names})
+        torus = mapping_torus_model(dga, phi, 1)
+        assert torus.circle_generator == expect
+        assert torus.betti == kunneth_convolution(dga.betti(), (1, 1))
 
 
-def test_split_classes_are_built_once_per_model(monkeypatch):
-    # splitting_check and the Lefschetz component check read one table of
-    # the classes of H_1 and eta ^ H_1; the Lefschetz matrix itself goes
-    # through induced_map, not _class
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_models",
-        Path(__file__).resolve().parent.parent / "perfbench" / "models.py")
-    models = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(models)
+@pytest.mark.parametrize("name, expect", [("torus5", 17), ("rot5-1-2", 5),
+                                          ("kx5", 9)])
+def test_a_report_reduces_one_class_per_lefschetz_column(monkeypatch, name,
+                                                         expect):
+    # a column of the Lefschetz matrix is the class of L(rep) for one
+    # representative of H^p_eta (p <= n), reduced once through _class; one
+    # more call is the class of omega^n ^ eta
+    mf = model_file(name)
+    ring = invariant_forms(mf.to_lie_model()).cohomology()
+    n = (mf.dimension - 1) // 2
+    assert sum(ring.dim(p) for p in range(n + 1)) + 1 == expect
     honest = lefschetz._class
     calls = []
 
@@ -229,11 +233,21 @@ def test_split_classes_are_built_once_per_model(monkeypatch):
         return honest(*args)
 
     monkeypatch.setattr(lefschetz, "_class", counted)
-    for mf, expect in ((load_corpus("torus5"), 49),
-                       (loads(models.rot_text((1, 2))), 13)):
-        calls.clear()
-        assert build_report(mf)["ok"]
-        assert len(calls) == expect
+    assert build_report(mf)["ok"]
+    assert len(calls) == expect
+
+
+@pytest.mark.parametrize("name", ["torus5", "rot5-1-2", "kx5", "kx5-p"])
+def test_splitting_check_reduces_no_class(monkeypatch, name):
+    # H_eta = H_1 + [eta] ^ H_1 is read off Betti numbers: Omega_eta splits
+    # as complexes, so no class is pushed from H_1 into H_eta
+    def refused(*args):
+        raise AssertionError("splitting_check reduced a class")
+
+    m = lie_model(name)
+    monkeypatch.setattr(cohomology.CohomologyRing, "class_of", refused)
+    report = splitting_check(m)
+    assert report.ok and report.per_degree_ok == [True] * (m.dimension + 1)
 
 
 def test_induced_map_rank_is_the_rank_of_its_matrix(monkeypatch):
@@ -256,12 +270,16 @@ def test_induced_map_rank_is_the_rank_of_its_matrix(monkeypatch):
         assert len(ind.kernel_classes) == ind.source_dim - ind.rank
 
 
-def lie_model(name: str) -> LieModel:
-    """A corpus, pinned or rot7-1-2-3 model."""
-    from test_memo import ROT7_123
+def model_file(name: str):
+    """A corpus, pinned or rot7-1-2-3 model file."""
     if name == "rot7-1-2-3":
-        return loads(ROT7_123).to_lie_model()
-    return pinned_or_corpus(name)
+        return loads(ROT7_123)
+    text = pinned_text(name) if name in PINNED else None
+    return load_corpus(name) if text is None else loads(text)
+
+
+def lie_model(name: str) -> LieModel:
+    return model_file(name).to_lie_model()
 
 
 @pytest.mark.parametrize("name, reps", [("kx5", 8), ("rot7-1-2-3", 10),
@@ -346,3 +364,51 @@ def test_lefschetz_on_kx5_p_and_rxkt5(name, ranks, dims, witnesses):
     sec = run_section(m, "lefschetz")
     assert [(r["check"], r["ok"]) for r in sec.asserted] == (
         [("lefschetz_isomorphism", True)] if name == "kx5-p" else [])
+
+
+def sympy_rank(rows: list[dict], width: int) -> int:
+    """The rank of sparse rows, by sympy."""
+    return sympy.Matrix(len(rows), width,
+                        [sympy.Rational(row.get(j, 0))
+                         for row in rows for j in range(width)]).rank()
+
+
+@pytest.mark.parametrize("name", ["torus5", "kx5", "kx5-p", "rot7-1-2-3",
+                                  "rxkt5"])
+def test_h1_and_eta_h1_classes_are_a_basis_holding_each_lefschetz_term(name):
+    # the theorem splitting_check and the component check read off Betti
+    # numbers and Omega_1: the classes in H^q_eta of the representatives of
+    # H^q_1 and of eta ^ those of H^{q-1}_1 form a basis of H^q_eta, and the
+    # eta-term of L on a representative of H^p_eta (p <= n) has its class in
+    # the eta-block, the iota-term in the H_1 block.  On rot7-1-2-3 L_xi != 0
+    # and Omega_eta is a proper subcomplex.
+    m = lie_model(name)
+    split = omega_splitting(m)
+    sub, omega1 = split.omega_eta, split.omega1
+    ring, ring1 = sub.cohomology(), omega1.cohomology()
+    eta = m.eta_element()
+
+    def cls(q, form):
+        return ring.class_of(q, sub.coords(q, form))
+
+    blocks = []
+    for q in range(m.ce().top + 1):
+        h1 = [cls(q, omega1.element(q, rep))
+              for rep in ring1.representatives(q)]
+        eta_h1 = [cls(q, eta.wedge(omega1.element(q - 1, rep)))
+                  for rep in (ring1.representatives(q - 1) if q else [])]
+        assert sympy_rank(h1 + eta_h1, ring.dim(q)) == \
+            len(h1) + len(eta_h1) == ring.dim(q)
+        blocks.append((eta_h1, h1))
+    n = (m.dimension - 1) // 2
+    seen = 0
+    for p in range(n + 1):
+        q = 2 * n + 1 - p
+        for rep in ring.representatives(p):
+            terms = lefschetz._terms(m, sub.element(p, rep))
+            for term, block in zip(terms, blocks[q]):
+                width = ring.dim(q)
+                assert sympy_rank(block + [cls(q, term)], width) == \
+                    sympy_rank(block, width)
+                seen += 1
+    assert seen

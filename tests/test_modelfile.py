@@ -54,6 +54,12 @@ def test_vector_shorthand_and_explicit_agree():
     ("dimension: 3\n[brackets]\n1 2 5 1\n", "out of range"),
     ("dimension: 3\n[brackets]\n1 2 3\n", "i j k c"),
     ("dimension: 3\n[xi]\n1 0\n", "3 components"),
+    # str.isdigit holds for '²', where int() fails, and for the
+    # Arabic-Indic '١', which int() reads as 1
+    ("dimension: 3\n[xi]\nX²\n",
+     "index 'X²' needs ASCII digits (line 3, field 'xi')"),
+    ("dimension: 3\n\n[eta]\ne١\n",
+     "index 'e١' needs ASCII digits (line 4, field 'eta')"),
     ("dimension: 3\n[J]\n1 0 0\n", "3 rows"),
     ("dimension: 3\n[brackets]\n1 2 3 x\n", "bad rational"),
     ("dimension: 3\n[weird]\n", "unknown section"),
@@ -128,3 +134,4 @@ def test_metric_section_explicit():
 def test_rational_entries():
     mf = loads("dimension: 2\n[brackets]\n1 2 1 -3/7\n")
     assert mf.brackets[0][3] == Fraction(-3, 7)
+
