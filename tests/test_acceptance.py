@@ -98,11 +98,16 @@ def test_criterion_4_splitting_and_basic_cohomology():
     for name in ("torus3", "torus5"):
         m = _model(name)
         split = omega_splitting(m)
-        top = m.ce().top
+        top, eta = m.ce().top, m.eta_element()
         for p in range(1, top + 1):
-            ok &= split.omega1.dim(p) + split.omega2.dim(p) == \
+            # eta ^ Omega_1^{p-1}, wedged here, with Omega_1^p: a basis of
+            # Omega_eta^p
+            omega2 = [m.ce().coords(p, eta.wedge(split.omega1.element(
+                p - 1, {t: Fraction(1)})))
+                for t in range(split.omega1.dim(p - 1))]
+            stacked = [dict(r) for r in split.omega1.basis_vectors(p)] + omega2
+            ok &= linalg.rank(stacked) == len(stacked) == \
                 split.omega_eta.dim(p)
-            ok &= split.direct_sum[p] and split.eta_wedge_match[p]
         ok &= verify_basic_match(m) and split.omega1 is basic_complex(m)
         # Omega_1 against ker iota_xi in ker L_xi, eliminated here
         for p in range(top + 1):

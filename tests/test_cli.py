@@ -188,14 +188,22 @@ def test_ambiguous_model_file_is_an_input_error(capsys, tmp_path):
     assert "repeated bracket triple 1 2 3, first on line 3 (line 4" in err
 
 
-@pytest.mark.parametrize("section", ["[xi]\nX²", "[eta]\ne١"],
-                         ids=["superscript-two", "arabic-indic-one"])
-def test_non_ascii_index_is_an_input_error(capsys, tmp_path, section):
+# int() and Fraction() read any Unicode decimal digit, and str.isdigit also
+# holds for '²', which int() refuses
+@pytest.mark.parametrize("text,where", [
+    ("dimension: 3\n[xi]\nX²\n", "(line 3, field 'xi')"),
+    ("dimension: 3\n[eta]\ne١\n", "(line 3, field 'eta')"),
+    ("dimension: ٣\n", "(line 1, field 'dimension')"),
+    ("dimension: 3\n[brackets]\n١ 2 3 1\n", "(line 3, field 'brackets')"),
+    ("dimension: 3\n[brackets]\n1 2 3 ２\n", "(line 3, field 'brackets')"),
+], ids=["superscript-two", "arabic-indic-one", "arabic-indic-dimension",
+        "arabic-indic-bracket-index", "fullwidth-coefficient"])
+def test_non_ascii_index_is_an_input_error(capsys, tmp_path, text, where):
     path = tmp_path / "bad.model"
-    path.write_text(f"dimension: 3\n{section}\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "betti", str(path))
     assert code == 2 and out == "" and err.startswith("error:")
-    assert "needs ASCII digits (line 3" in err
+    assert f"needs ASCII digits {where}" in err
 
 
 def test_contactless_model_rejected_for_classify(capsys):

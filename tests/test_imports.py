@@ -68,3 +68,24 @@ def test_only_the_report_reads_a_pass_over_the_basis():
                 callers.add(f"{path.name}:{node.lineno}")
     assert readers == {"report.py"}
     assert callers == set()
+
+
+def test_every_public_linalg_function_has_a_reader():
+    # a public function no other module reads is dead code, and the
+    # benchmark's tracer, which wraps each one, reports it as a metric
+    # stuck at 0
+    tree = ast.parse((PACKAGE / "linalg.py").read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")}
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and \
+                    getattr(node.value, "id", None) == "linalg":
+                read.add(node.attr)
+            if isinstance(node, ast.ImportFrom) and node.module == "linalg":
+                read.update(alias.name for alias in node.names)
+    assert public and sorted(public - read) == []

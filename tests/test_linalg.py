@@ -76,23 +76,23 @@ def test_solve_finds_solutions(seed):
     mat = random_matrix(rng, nrows, ncols)
     x = [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
     rhs = linalg.mat_vec(sparse_rows(mat), linalg.sparse(x))
-    sol = linalg.solve(sparse_rows(mat), rhs, ncols)
+    sol = linalg.solve_factored(linalg.factor(sparse_rows(mat), ncols), rhs)
     assert sol is not None
     assert linalg.mat_vec(sparse_rows(mat), sol) == rhs
 
 
 def test_solve_detects_inconsistency():
     mat = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
-    assert linalg.solve(sparse_rows(mat),
-                        linalg.sparse([Fraction(1), Fraction(2)]), 2) is None
+    assert linalg.solve_factored(linalg.factor(sparse_rows(mat), 2),
+                                 {0: Fraction(1), 1: Fraction(2)}) is None
 
 
 def test_solve_sets_free_variables_to_zero():
     # x + y = 1: the pivot is the first column, so y is free and set to zero
     mat = [[Fraction(1), Fraction(1)]]
-    assert linalg.dense(linalg.solve(sparse_rows(mat),
-                                     linalg.sparse([Fraction(1)]), 2),
-                        2) == [Fraction(1), Fraction(0)]
+    sol = linalg.solve_factored(linalg.factor(sparse_rows(mat), 2),
+                                {0: Fraction(1)})
+    assert linalg.dense(sol, 2) == [Fraction(1), Fraction(0)]
 
 
 def leading_minors(mat):
@@ -292,7 +292,8 @@ def test_sparse_solve_and_products_match_sympy(seed, zeros):
     sol, params = to_sympy(mat).gauss_jordan_solve(
         to_sympy([linalg.dense(rhs, len(mat))]).T)
     want = linalg.sparse(from_sympy(sol.subs({t: 0 for t in params}).T)[0])
-    assert linalg.solve(sparse_rows(mat), rhs, ncols) == want
+    assert linalg.solve_factored(linalg.factor(sparse_rows(mat), ncols),
+                                 rhs) == want
     other = sparse_matrix(rng, ncols, rng.randint(1, 9), zeros)
     assert linalg.mat_mul(sparse_rows(mat), sparse_rows(other)) == \
         sparse_rows(from_sympy(to_sympy(mat) * to_sympy(other)))
@@ -387,9 +388,10 @@ def test_sparse_forms_match_sympy(case, data):
     assert inside == (not rest)
     # solve, consistent or not; free variables are zero
     rhs = data.draw(st.lists(ENTRIES, min_size=len(mat), max_size=len(mat)))
-    sol = linalg.solve(rows, linalg.sparse(rhs), ncols)
+    fac = linalg.factor(rows, ncols)
+    sol = linalg.solve_factored(fac, linalg.sparse(rhs))
     # an entry of rhs past the last row is the equation 0 = 1
-    assert linalg.solve(rows, {len(mat): Fraction(1)}, ncols) is None
+    assert linalg.solve_factored(fac, {len(mat): Fraction(1)}) is None
     if not mat:
         assert sol == {}
         return
@@ -421,6 +423,7 @@ def test_one_factor_solves_many_right_hand_sides(case, data):
     rows = sparse_rows(mat)
     fac = linalg.factor(rows, ncols)
     ref = exact_sympy(mat, ncols)
+    pivot_columns = set(ref.rref()[1])
     solutions = [data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
                  for _ in range(3)]
     rhss = [linalg.mat_vec(rows, linalg.sparse(x)) for x in solutions]
@@ -432,7 +435,10 @@ def test_one_factor_solves_many_right_hand_sides(case, data):
     for rhs in rhss:
         sol = linalg.solve_factored(fac, rhs)
         assert sol == one_shot_solve(rows, rhs, ncols)
-        assert sol == linalg.solve(rows, rhs, ncols)
+        if sol is not None:
+            # a solution, zero on every free (non-pivot) column
+            assert linalg.mat_vec(rows, sol) == rhs
+            assert set(sol) <= pivot_columns
         if max(rhs, default=-1) >= len(mat):
             assert sol is None
             continue

@@ -60,6 +60,14 @@ def test_vector_shorthand_and_explicit_agree():
      "index 'X²' needs ASCII digits (line 3, field 'xi')"),
     ("dimension: 3\n\n[eta]\ne١\n",
      "index 'e١' needs ASCII digits (line 4, field 'eta')"),
+    # int() and Fraction() read any Unicode decimal digit: '٣' as 3, the
+    # fullwidth '２' as 2
+    ("dimension: ٣\n", "integer '٣' needs ASCII digits (line 1, field "
+     "'dimension')"),
+    ("dimension: 3\n[brackets]\n١ 2 3 ٢\n",
+     "integer '١' needs ASCII digits (line 3, field 'brackets')"),
+    ("dimension: 3\n[brackets]\n1 2 3 ２\n",
+     "rational '２' needs ASCII digits (line 3, field 'brackets')"),
     ("dimension: 3\n[J]\n1 0 0\n", "3 rows"),
     ("dimension: 3\n[brackets]\n1 2 3 x\n", "bad rational"),
     ("dimension: 3\n[weird]\n", "unknown section"),
