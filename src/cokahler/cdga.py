@@ -22,6 +22,20 @@ store, and the complex keeps no reference to a view.  ``DGA.extend`` adds
 generators to a new DGA that keeps every coordinate, d's computed table
 and matrices, and the cohomology of the degrees below the new generators.
 
+On bitmask keys (every generator of degree 1, as in a CE algebra) the
+tables read each sign off the key.  Replacing generator i of the monomial
+``key`` by a term k of its image gives rest | k, rest = key ^ bit_i (zero
+when rest & k), with sign
+
+    (-1)^(popcount(key & (bit_i - 1))
+          + sum_{a in k} popcount(rest & (bit_a - 1)))
+
+for a derivation of any degree: the first count moves g_i to the front,
+where D acts with no sign, and the second sorts k rest.  Index-tuple keys
+(generators of degree >= 2, as in minimal models) are split and merged
+instead (``key_splits``, ``merge_keys``); that path is the tested
+reference for the bitmask one.
+
 Coordinates are ``linalg`` sparse vectors; a degree-p matrix has one sparse
 row per target basis monomial, filled from each source monomial's image.
 """
@@ -129,6 +143,11 @@ class Derivation(_MonomialTable):
                     f"{gen.degree + degree} for a degree {degree} derivation")
             self.images[i] = img
         self._support = sum(1 << i for i in self.images)
+        # on bitmask keys, each generator bit's image terms with the masks
+        # their signs are read off (``_expand``)
+        self._bit_terms = [(1 << i, _signed_terms(1 << i, img.terms))
+                           for i, img in self.images.items()
+                           ] if algebra.bitmask else None
         self._matrices: dict[int, linalg.Matrix] = {}
         self._table: dict = {}
 
@@ -164,10 +183,25 @@ class Derivation(_MonomialTable):
     def _expand(self, key) -> dict:
         """D(left g right) = (-1)^{|D||left|} left D(g) right, summed over
         the occurrences in the basis monomial ``key`` of the generators g
-        that carry an image, as a {monomial: nonzero coefficient} map."""
+        that carry an image, as a {monomial: nonzero coefficient} map.
+
+        On bitmask keys a term k of D(g) gives ``rest | k`` (zero when they
+        meet), rest = key ^ g, with the sign of the module docstring's rule,
+        read off the mask ``_signed_terms`` stored with k; index tuples
+        are split and merged (``key_splits``, ``merge_keys``)."""
+        terms: dict = {}
+        if self._bit_terms is not None:
+            for bit, gen_terms in self._bit_terms:
+                if key & bit:
+                    rest = key ^ bit
+                    for k, mask, c in gen_terms:
+                        if not rest & k:
+                            out = rest | k
+                            t = -c if (rest & mask).bit_count() & 1 else c
+                            terms[out] = terms[out] + t if out in terms else t
+            return {k: c for k, c in terms.items() if c}
         merge = self.algebra.merge_keys
         odd = self.degree % 2
-        terms: dict = {}
         for gi, left, right, left_deg in self.algebra.key_splits(
                 key, self._support):
             flip = -1 if odd and left_deg % 2 else 1
@@ -192,30 +226,70 @@ class Derivation(_MonomialTable):
         obeys the same recursion, so D = E by induction on the factors of w.
         A w with |w| + max(|D|, 0) > top is skipped: both sides vanish
         there, while merged keys are not truncated.
+
+        On bitmask keys g = w & -w and m = w ^ g; a term k of Dg gives
+        m | k with the module docstring's sign (g is the lowest bit, so
+        nothing of w sits left of it), and a term k of Dm gives g | k with
+        sign (-1)^(popcount(k & (g - 1)) + |D|).  Index tuples are split
+        and merged (``key_splits``, ``merge_keys``).
         """
         alg = self.algebra
-        merge = alg.merge_keys
         image = self.image
-        gen_keys = [k for g in alg.gens() for k in g.terms]
         (unit,) = alg.basis(0)
         if image(unit):
             return alg.unit()
+        rhs = self._leibniz_bits() if alg.bitmask else self._leibniz_keys()
         for q in range(1, alg.top + 1 - max(self.degree, 0)):
             for w in alg.basis(q):
-                gi, _, m, _ = alg.key_splits(w)[0]
-                g = gen_keys[gi]
-                sign = -1 if (alg.degree_of(gi) * self.degree) % 2 else 1
-                rhs: dict = {}
-                for products, flip in (
-                        (((merge(k, m), c) for k, c in image(g).items()), 1),
-                        (((merge(g, k), c) for k, c in image(m).items()), sign)):
-                    for (key, s), c in products:        # Dg m, then g Dm
-                        if s:
-                            t = c if s == flip else -c
-                            rhs[key] = rhs[key] + t if key in rhs else t
-                if image(w) != {k: c for k, c in rhs.items() if c}:
+                if image(w) != rhs(w):
                     return Element._trusted(alg, q, {w: 1})
         return None
+
+    def _leibniz_bits(self):
+        """w -> Dg m + (-1)^{|D|} g Dm on bitmask keys, g = w & -w, with
+        Dg read once through ``image`` and Dm read through it per w."""
+        image, odd = self.image, self.degree % 2
+        gen_terms = {1 << i: _signed_terms(1 << i, image(1 << i))
+                     for i in range(len(self.algebra))}
+
+        def rhs(w):
+            g = w & -w
+            m, below = w ^ g, g - 1
+            out: dict = {}
+            for k, mask, c in gen_terms[g]:                     # Dg m
+                if not m & k:
+                    key = m | k
+                    t = -c if (m & mask).bit_count() & 1 else c
+                    out[key] = out[key] + t if key in out else t
+            for k, c in image(m).items():                       # g Dm
+                if not g & k:
+                    key = g | k
+                    t = -c if ((k & below).bit_count() + odd) & 1 else c
+                    out[key] = out[key] + t if key in out else t
+            return {k: c for k, c in out.items() if c}
+        return rhs
+
+    def _leibniz_keys(self):
+        """w -> Dg m + (-1)^{|D||g|} g Dm on index-tuple keys, g the first
+        generator of w, by ``key_splits`` and ``merge_keys``."""
+        alg = self.algebra
+        merge, image = alg.merge_keys, self.image
+        gen_keys = [k for g in alg.gens() for k in g.terms]
+
+        def rhs(w):
+            gi, _, m, _ = alg.key_splits(w)[0]
+            g = gen_keys[gi]
+            sign = -1 if (alg.degree_of(gi) * self.degree) % 2 else 1
+            out: dict = {}
+            for products, flip in (
+                    (((merge(k, m), c) for k, c in image(g).items()), 1),
+                    (((merge(g, k), c) for k, c in image(m).items()), sign)):
+                for (key, s), c in products:        # Dg m, then g Dm
+                    if s:
+                        t = c if s == flip else -c
+                        out[key] = out[key] + t if key in out else t
+            return {k: c for k, c in out.items() if c}
+        return rhs
 
     def matrix(self, p: int) -> linalg.Matrix:
         """Matrix of the derivation from degree p to degree p + |f|."""
@@ -227,6 +301,23 @@ class Derivation(_MonomialTable):
     def __repr__(self) -> str:
         label = self.name or "derivation"
         return f"<{label}: degree {self.degree:+d} on {len(self.algebra)} generators>"
+
+
+def _signed_terms(bit: int, terms: dict) -> list[tuple[int, int, object]]:
+    """The terms of a generator image on bitmask keys as (k, mask,
+    coefficient), ``bit`` the generator's: replacing the generator by k in
+    a monomial key gives rest | k, rest = key ^ bit, with the sign
+    (-1)^popcount(rest & mask).  The mask is (bit - 1) xor each (bit_a - 1)
+    for a in k, since popcount parities add over xor."""
+    out = []
+    for k, c in terms.items():
+        mask, left = bit - 1, k
+        while left:
+            low = left & -left
+            mask ^= low - 1
+            left ^= low
+        out.append((k, mask, c))
+    return out
 
 
 def word_disagreements(alg: GradedAlgebra,
@@ -598,7 +689,11 @@ class AlgebraMap(_MonomialTable):
         alg = self.algebra
         if not key:
             return {key: 1}
-        gi, _, rest, _ = alg.key_splits(key)[0]
+        if alg.bitmask:
+            low = key & -key
+            gi, rest = low.bit_length() - 1, key ^ low
+        else:
+            gi, rest = key[0], key[1:]
         tail = Element._trusted(alg, alg.key_degree(rest), self.image(rest))
         return self.images[gi].wedge(tail).terms
 
@@ -610,11 +705,19 @@ class AlgebraMap(_MonomialTable):
                    for p in range(1, self.algebra.top + 1))
 
     def has_order(self, m: int) -> bool:
+        """Whether phi^m is the identity in every degree: each degree's
+        powers are read up to the first identity, at most m of them, and
+        its exponent must divide m."""
         if m < 1:
             return False
-        return all(linalg.mat_pow(self.matrix(p), m)
-                   == linalg.identity(self.algebra.dim(p))
-                   for p in range(1, self.algebra.top + 1))
+        for p in range(1, self.algebra.top + 1):
+            mat, one = self.matrix(p), linalg.identity(self.algebra.dim(p))
+            power, j = mat, 1
+            while power != one and j < m:
+                power, j = linalg.mat_mul(power, mat), j + 1
+            if power != one or m % j:
+                return False
+        return True
 
     def commutes_with(self, der: Derivation) -> bool:
         """Whether phi der = der phi, decided on generators: both sides are

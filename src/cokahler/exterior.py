@@ -176,25 +176,18 @@ class GradedAlgebra:
                     inv ^= odd[b]
         return tuple(sorted(k1 + k2)), -1 if inv else 1
 
-    def key_splits(self, key: Key,
+    def key_splits(self, key: tuple[int, ...],
                    support: int = -1) -> list[tuple[int, Key, Key, int]]:
-        """Each generator occurrence of a canonical monomial, in order, as
-        (generator index, left sub-key, right sub-key, degree of the left).
+        """Each generator occurrence of a canonical index-tuple monomial, in
+        order, as (generator index, left sub-key, right sub-key, degree of
+        the left).  Bitmask keys are never split: ``cdga`` reads their
+        signs off the bits.
 
         The monomial is left * generator * right with sign +1.  Only the
         generators in the index bitmask ``support`` count as occurrences;
         the left degree counts every generator.
         """
         out = []
-        if self.bitmask:
-            rest = key & support
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                left = key & (low - 1)
-                out.append((low.bit_length() - 1, left, key ^ left ^ low,
-                            left.bit_count()))
-            return out
         left_deg = 0
         for t, i in enumerate(key):
             if support >> i & 1:

@@ -196,22 +196,25 @@ class LieModel:
     @once_per_model
     def levi_civita(self):
         """Connection coefficients Gamma[i][j] = components of nabla_{X_i} X_j,
-        from the Koszul formula for left-invariant metrics."""
+        from the Koszul formula for left-invariant metrics,
+        2 g(nabla_i X_j, X_k) = g([X_i, X_j], X_k) - g([X_j, X_k], X_i)
+        + g([X_k, X_i], X_j), accumulated from each nonzero
+        g([X_a, X_b], X_c), a < b, at its six places."""
         n = self.dimension
+        twice: dict[tuple[int, int], Vector] = {}   # 2 g(nabla_i X_j, X_k)
+        for (a, b), comps in self.brackets.items():
+            for c, v in self.flat(comps).items():
+                for i, j, k, t in ((a, b, c, v), (b, a, c, -v),
+                                   (c, a, b, -v), (c, b, a, v),
+                                   (b, c, a, v), (a, c, b, -v)):
+                    row = twice.setdefault((i, j), {})
+                    row[k] = row[k] + t if k in row else t
         ginv = self.metric_inverse()
-        # low[a][b][c] = g([X_a, X_b], X_c)
-        low = [[self.flat(self.bracket(a, b)) for b in range(n)] for a in range(n)]
-        gamma = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                rhs = {}
-                for k in range(n):
-                    v = low[i][j].get(k, 0) - low[j][k].get(i, 0) \
-                        + low[k][i].get(j, 0)
-                    if v:
-                        rhs[k] = Fraction(v, 2)
-                gamma[i][j] = {k: linalg.exact(c) for k, c
-                               in linalg.mat_vec(ginv, rhs).items()}
+        gamma: list[list[Vector]] = [[{} for _ in range(n)] for _ in range(n)]
+        for (i, j), row in twice.items():
+            half = {k: Fraction(v, 2) for k, v in row.items() if v}
+            gamma[i][j] = {k: linalg.exact(c) for k, c
+                           in linalg.mat_vec(ginv, half).items()}
         _check_connection(self, gamma)
         return gamma
 
@@ -260,19 +263,21 @@ def _check_metric(g, n: int):
 
 
 def _check_connection(m: LieModel, gamma):
+    """Raise unless Gamma is torsion-free and metric."""
     n = m.dimension
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1, n):   # the pair (j, i) is this one negated
             if linalg.combine({0: 1, 1: -1}, [gamma[i][j], gamma[j][i]]) \
                     != m.bracket(i, j):
                 raise StructureError("Koszul connection is not torsion-free")
-    # low[i][j][k] = g(nabla_{X_i} X_j, X_k); g is symmetric (_check_metric)
-    low = [[m.flat(gamma[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if low[i][j].get(k, 0) + low[i][k].get(j, 0) != 0:
-                    raise StructureError("Koszul connection is not metric")
+    # g(nabla_i X_j, X_k) + g(nabla_i X_k, X_j) = 0, read on each nonzero
+    # g(nabla_i X_j, X_k); g is symmetric (_check_metric)
+    low = {(i, j): m.flat(vec) for i, row in enumerate(gamma)
+           for j, vec in enumerate(row) if vec}
+    for (i, j), vec in low.items():
+        for k, v in vec.items():
+            if low.get((i, k), {}).get(j, 0) != -v:
+                raise StructureError("Koszul connection is not metric")
 
 
 # -- structure validation ---------------------------------------------------------

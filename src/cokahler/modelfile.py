@@ -23,17 +23,20 @@ A model file is line-oriented text with a header and named sections::
     0 1 0
 
 The optional section ``[automorphism]`` holds a first row ``order m``
-followed by a matrix, for mapping-torus runs.  The fundamental 2-form is
+followed by a matrix, for mapping-torus runs; a singular matrix, or one
+whose m-th power is not the identity, is refused.  The fundamental 2-form is
 always computed from J and the metric.  ``#`` starts a comment; rationals are
 written like ``-1/2``.  Every parse error carries a line diagnostic.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+from . import linalg
 from .errors import ModelParseError
 from .geometry import LieModel
 from .record import Fresh, Record
@@ -207,7 +210,31 @@ def _parse_automorphism(mf: ModelFile, entries):
     if matrix is None:
         raise ModelParseError("automorphism needs a matrix", lineno,
                               "automorphism")
+    # on degree 1 what cdga.invariant_subalgebra checks on every degree
+    sparse = [linalg.sparse(row) for row in matrix]
+    if linalg.rank(sparse) < mf.dimension:
+        raise ModelParseError("automorphism matrix is singular",
+                              entries[1][0], "automorphism")
+    if linalg.mat_pow(sparse, math.gcd(order, _order_bound(mf.dimension))
+                      ) != linalg.identity(mf.dimension):
+        raise ModelParseError(f"automorphism matrix does not have order "
+                              f"{order}", lineno, "automorphism")
     mf.automorphism = (matrix, order)
+
+
+def _order_bound(n: int) -> int:
+    """A multiple of the order of every finite-order n x n rational matrix,
+    so M^m = I exactly when M^gcd(m, bound) = I: the product of the prime
+    powers q with phi(q) <= n, since an eigenvalue whose order q divides
+    comes with at least phi(q) conjugates."""
+    out = 1
+    for p in range(2, n + 2):
+        if all(p % f for f in range(2, p)):
+            q = p
+            while q * (p - 1) <= n:         # phi(q p) = q (p - 1)
+                q *= p
+            out *= q
+    return out
 
 
 def serialize(mf: ModelFile) -> str:

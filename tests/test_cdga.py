@@ -389,6 +389,87 @@ def test_leibniz_check_agrees_with_all_pairs_on_a_truncated_algebra(
         assert (op.leibniz_failure is None) == leibniz_all_pairs(op)
 
 
+@st.composite
+def bitmask_derivations(draw):
+    """A derivation of degree -1, 0 or +1 on 1-7 degree-1 generators (capped
+    at their number, so the algebra extends by an even generator), with
+    random rational images on some generators."""
+    n = draw(st.integers(1, 7))
+    alg = GradedAlgebra([Generator(f"e{i + 1}", 1) for i in range(n)],
+                        max_degree=n)
+    degree = draw(st.sampled_from([-1, 0, 1]))
+    keys = alg.basis(1 + degree)
+    images = {}
+    for i in range(n):
+        if keys and draw(st.booleans()):
+            chosen = draw(st.lists(st.sampled_from(keys), max_size=3,
+                                   unique=True))
+            images[i] = Element(alg, 1 + degree, {
+                k: Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+                for k in chosen})
+    return Derivation(alg, degree, images)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(bitmask_derivations(), st.data())
+def test_bitmask_tables_agree_with_the_index_tuple_encoding(der, data):
+    # a degree-2 generator turns every key into its index tuple, where the
+    # tables are split and merged (key_splits, merge_keys): the reference
+    alg, degree = der.algebra, der.degree
+    wide = alg.extend([Generator("y", 2)])
+    assert alg.bitmask and not wide.bitmask
+    ref = der.extend(wide, {})
+    for p in range(alg.top + 1):
+        for key in alg.basis(p):
+            assert {alg.key_indices(k): c for k, c in der.image(key).items()
+                    } == ref.image(alg.key_indices(key))
+    assert der.leibniz_failure is None and ref.leibniz_failure is None
+    if len(alg) <= 5:
+        assert leibniz_all_pairs(der)
+    # a fault on one key of degree >= 2 is reported at that monomial, in
+    # both encodings, since every monomial before it in degree order reads
+    # only honest images
+    degrees = range(2, alg.top + 1 - max(degree, 0))
+    if not degrees:
+        return
+    q = data.draw(st.sampled_from(degrees))
+    key = data.draw(st.sampled_from(alg.basis(q)))
+    extra = alg.element(q + degree, {
+        data.draw(st.integers(0, alg.dim(q + degree) - 1)): 1})
+    bad = WrongOn(der, key, extra)
+    assert bad.leibniz_failure == Element(alg, q, {key: 1})
+    if len(alg) <= 5:
+        assert not leibniz_all_pairs(bad)
+    bad_ref = WrongOn(ref, alg.key_indices(key), wide.lift(extra))
+    assert bad_ref.leibniz_failure == Element(
+        wide, q, {alg.key_indices(key): 1})
+
+
+def test_bitmask_tables_neither_split_nor_merge_keys(monkeypatch):
+    # the degree-1 encoding reads each sign off the bitmask: a table fill
+    # or a Leibniz pass that fell back to the index-tuple path would call
+    # these; an algebra map takes its first generator off the bitmask too
+    # (its product is a wedge, which merges keys)
+    def refused(*args):
+        raise AssertionError("split or merge on a bitmask table")
+
+    m = rot5_model()
+    alg = m.algebra()
+    ops = [Derivation(alg, der.degree, der.images)
+           for der in (m.ce().d, m.iota_xi(), m.lie_xi())]
+    phi = AlgebraMap(alg, {i: -g for i, g in enumerate(alg.gens())})
+    monkeypatch.setattr(GradedAlgebra, "key_splits", refused)
+    (volume,) = alg.basis(alg.top)
+    assert phi.image(volume) == {volume: -1}        # (-1)^5
+    monkeypatch.setattr(GradedAlgebra, "merge_keys", refused)
+    for der in ops:
+        assert alg.bitmask and der.images
+        for p in range(alg.top + 1):
+            for key in alg.basis(p):
+                der.image(key)
+        assert der.leibniz_failure is None
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_supercommutator_antisymmetry(seed):
     rng = random.Random(seed)

@@ -15,7 +15,7 @@ import cokahler
 from cokahler import cdga, cli
 from cokahler.cdga import Derivation
 from cokahler.cli import main
-from cokahler.modelfile import loads, resolve
+from cokahler.modelfile import corpus_path, loads, resolve
 from cokahler.report import run_section
 
 
@@ -131,6 +131,37 @@ def test_mapping_torus_wrong_order(capsys):
     code, _, err = run(capsys, "mapping-torus", "t2-rot4-mapping-torus",
                        "--order", "3")
     assert code == 2 and "order" in err
+
+
+@pytest.mark.parametrize("command", ["betti", "report"])
+@pytest.mark.parametrize("old, new, message", [
+    ("order 4", "order 3", "automorphism matrix does not have order 3 "
+     "(line 11, field 'automorphism')"),
+    ("0 -1\n", "0 -0/11\n", "automorphism matrix is singular "
+     "(line 12, field 'automorphism')"),
+])
+def test_a_bad_automorphism_block_is_refused_by_every_command(
+        capsys, tmp_path, command, old, new, message):
+    # the file's block, not the --order flag: every command reads the file
+    # the same way, so betti refuses what report refuses
+    text = corpus_path("t2-rot4-mapping-torus").read_text()
+    assert old in text
+    path = tmp_path / "bad.model"
+    path.write_text(text.replace(old, new))
+    extra = ["--all"] if command == "report" else []
+    code, _, err = run(capsys, command, str(path), *extra)
+    assert code == 2 and message in err
+
+
+def test_a_huge_order_of_a_finite_order_block_is_read_quickly(capsys,
+                                                               tmp_path):
+    # 4 * 10**12 is a multiple of the quarter turn's order 4: the file loads,
+    # and each degree's powers are read only up to the identity
+    text = corpus_path("t2-rot4-mapping-torus").read_text()
+    path = tmp_path / "huge.model"
+    path.write_text(text.replace("order 4", "order 4000000000000"))
+    code, out, _ = run(capsys, "mapping-torus", str(path))
+    assert code == 0 and "4000000000000" in out
 
 
 def test_mapping_torus_without_block(capsys):

@@ -13,10 +13,11 @@ from cokahler import linalg
 from cokahler.cdga import supercommutator
 from cokahler.errors import StructureError
 from cokahler.exterior import Element
-from cokahler.geometry import (LieModel, classify, is_killing,
-                               is_parallel_form, nijenhuis_normality,
-                               omega_element, validate_almost_contact)
-from cokahler.modelfile import load_corpus, loads
+from cokahler.geometry import (LieModel, _check_connection, classify,
+                               is_killing, is_parallel_form,
+                               nijenhuis_normality, omega_element,
+                               validate_almost_contact)
+from cokahler.modelfile import CORPUS_MODELS, load_corpus, loads
 
 from test_report_bytes import PINNED, model_texts, pinned_text
 
@@ -146,6 +147,70 @@ def test_levi_civita_entries_are_ints_where_integral(name):
     assert entries
     assert all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
                for c in entries)
+
+
+def dense_koszul(m):
+    """Gamma by the Koszul formula on every index triple:
+    2 g(nabla_i X_j, X_k) = low[i][j][k] - low[j][k][i] + low[k][i][j],
+    with low[a][b][c] = g([X_a, X_b], X_c), solved with g^-1."""
+    n = m.dimension
+    ginv = m.metric_inverse()
+    low = [[m.flat(m.bracket(a, b)) for b in range(n)] for a in range(n)]
+    gamma = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rhs = {}
+            for k in range(n):
+                v = low[i][j].get(k, 0) - low[j][k].get(i, 0) \
+                    + low[k][i].get(j, 0)
+                if v:
+                    rhs[k] = Fraction(v, 2)
+            gamma[i][j] = {k: linalg.exact(c) for k, c
+                           in linalg.mat_vec(ginv, rhs).items()}
+    return gamma
+
+
+def dense_faults(m, gamma) -> set[str]:
+    """Which of torsion-freeness and metric compatibility Gamma violates,
+    read on every index pair and triple."""
+    n = m.dimension
+    faults = set()
+    for i in range(n):
+        for j in range(n):
+            if any(gamma[i][j].get(k, 0) - gamma[j][i].get(k, 0)
+                   != m.bracket(i, j).get(k, 0) for k in range(n)):
+                faults.add("torsion")
+    low = [[m.flat(gamma[i][j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if low[i][j].get(k, 0) + low[i][k].get(j, 0):
+                    faults.add("metric")
+    return faults
+
+
+@pytest.mark.parametrize("name", sorted({*CORPUS_MODELS, *PINNED}))
+def test_levi_civita_matches_the_dense_koszul_formula(name):
+    # kx5-p, rot5-1-1-g and heisenberg-g carry metrics other than the
+    # identity (kx5-p's is not diagonal)
+    text = pinned_text(name) if name in PINNED else None
+    m = (load_corpus(name) if text is None else loads(text)).to_lie_model()
+    gamma = m.levi_civita()
+    assert gamma == dense_koszul(m)
+    assert dense_faults(m, gamma) == set()
+    # nabla_0 X_1 moved by X_0 breaks torsion-freeness; moving nabla_1 X_0
+    # by X_0 as well restores it and breaks only metric compatibility, as
+    # g(nabla_1 X_0, X_0) then moves by g(X_0, X_0) > 0
+    torsion = [list(row) for row in gamma]
+    torsion[0][1] = linalg.combine({0: 1, 1: 1}, [gamma[0][1], {0: 1}])
+    metric = [list(row) for row in torsion]
+    metric[1][0] = linalg.combine({0: 1, 1: 1}, [gamma[1][0], {0: 1}])
+    assert "torsion" in dense_faults(m, torsion)
+    with pytest.raises(StructureError, match="not torsion-free"):
+        _check_connection(m, torsion)
+    assert dense_faults(m, metric) == {"metric"}
+    with pytest.raises(StructureError, match="not metric"):
+        _check_connection(m, metric)
 
 
 def test_killing_and_parallel(torus3, heisenberg):

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from cokahler.errors import ModelParseError
-from cokahler.modelfile import (CORPUS_MODELS, load_corpus, loads,
-                                resolve, serialize)
+from cokahler.modelfile import (CORPUS_MODELS, _order_bound, load_corpus,
+                                loads, resolve, serialize)
 from cokahler.report import _has_contact
 
 GOOD = """\
@@ -75,6 +75,14 @@ def test_vector_shorthand_and_explicit_agree():
     ("dim 3\n", "key: value"),
     ("dimension: 3\nfoo: bar\n", "unknown header"),
     ("dimension: 3\n[automorphism]\n1 0 0\n", "order"),
+    ("dimension: 2\n[automorphism]\norder 3\n0 -1\n1 0\n",
+     "automorphism matrix does not have order 3 (line 3, field "
+     "'automorphism')"),
+    ("dimension: 2\n[automorphism]\norder 4\n0 -0/11\n1 0\n",
+     "automorphism matrix is singular (line 4, field 'automorphism')"),
+    # a shear has infinite order: refused after at most gcd(m, 12) products
+    ("dimension: 2\n[automorphism]\norder 1000000000000\n1 1\n0 1\n",
+     "does not have order 1000000000000"),
     ("dimension: 3\n[omega]\n1 2 1\n", "unknown section"),
     ("name: a\nname: b\ndimension: 3\ndimension: 5\n",
      "repeated header key 'name', first on line 1 (line 2)"),
@@ -143,3 +151,22 @@ def test_rational_entries():
     mf = loads("dimension: 2\n[brackets]\n1 2 1 -3/7\n")
     assert mf.brackets[0][3] == Fraction(-3, 7)
 
+
+@pytest.mark.parametrize("order, ok", [
+    (4, True), (8, True), (4 * 10**12, True), (10**12 + 1, False)])
+def test_automorphism_order_is_read_exactly(order, ok):
+    # the quarter turn has order 4: M^m = I exactly when 4 divides m
+    text = f"dimension: 2\n[automorphism]\norder {order}\n0 -1\n1 0\n"
+    if ok:
+        assert loads(text).automorphism[1] == order
+    else:
+        with pytest.raises(ModelParseError, match="does not have order"):
+            loads(text)
+
+
+def test_order_bound_is_a_multiple_of_every_finite_order():
+    # orders of finite-order rational matrices of size n (cyclotomic
+    # companion blocks): 6 in size 2, 12 in size 4, 30 and 7 in size 6
+    for n, orders in ((1, (2,)), (2, (3, 4, 6)), (4, (5, 8, 10, 12)),
+                      (6, (7, 9, 14, 18, 30))):
+        assert all(_order_bound(n) % d == 0 for d in orders)
