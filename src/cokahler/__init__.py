@@ -8,9 +8,9 @@ numbers, ranks and tensor identities are computed over Q with fraction-free
 elimination, so verdicts carry no tolerances.
 """
 
-from .cdga import (AlgebraMap, DGA, Derivation, Subcomplex, extend_derivation,
-                   free_line_dga, invariant_subalgebra, supercommutator,
-                   supercommutes_with_d, tensor_product, word_disagreements)
+from .cdga import (AlgebraMap, DGA, Derivation, Subcomplex,
+                   invariant_subalgebra, supercommutator, supercommutes_with_d,
+                   word_disagreements)
 from .cohomology import CohomologyRing, inclusion_induced_map, \
     kunneth_convolution
 from .errors import ModelParseError, StructureError
@@ -39,16 +39,15 @@ __all__ = [
     "MasseyTriple", "ModelFile", "ModelParseError", "Span", "StructureError",
     "StructureVerdict", "Subcomplex", "SullivanModel",
     "basic_complex", "build_d_eta", "build_report", "classify",
-    "degree_one_massey_scan", "eta_operator", "extend_derivation",
-    "free_line_dga", "inclusion_induced_map", "invariant_forms",
-    "invariant_subalgebra", "is_killing", "is_parallel_form",
-    "kernel_subcomplex",
+    "degree_one_massey_scan", "eta_operator", "inclusion_induced_map",
+    "invariant_forms", "invariant_subalgebra", "is_killing",
+    "is_parallel_form", "kernel_subcomplex",
     "kunneth_convolution", "lefschetz_map", "load", "load_corpus", "loads",
     "mapping_torus_model", "minimal_model", "model_automorphism",
     "model_tensor_split_check", "nijenhuis_normality", "omega_element",
     "omega_splitting", "render_json", "render_text", "resolve", "serialize",
     "splitting_check", "supercommutator", "supercommutes_with_d",
-    "tensor_product", "triple_massey", "validate_almost_contact",
+    "triple_massey", "validate_almost_contact",
     "verify_basic_match", "verify_d_eta_equals_lie", "verify_lefschetz_iso",
     "verify_parallel_form_quism", "word_disagreements",
 ]

@@ -18,9 +18,10 @@ hands out one operator for both.  Every kernel subcomplex is
 are all zero, which is the DGA itself (``eta.kernel_subcomplex``): a DGA
 is its own ``parent``, with identity ``parent_coords``.  A complex owns
 what its cohomology has computed; ``cohomology()`` is a view of that
-store, and the complex keeps no reference to a view.  ``DGA.extend`` adds
-generators to a new DGA that keeps every coordinate, d's computed table
-and matrices, and the cohomology of the degrees below the new generators.
+store, and the complex keeps no reference to a view.  ``DGA.extend`` is
+the one way to adjoin generators (a Hirsch extension, or the circle of a
+mapping torus): the new DGA keeps every coordinate, d's computed table and
+matrices, and the cohomology of the degrees below the new generators.
 
 On bitmask keys (every generator of degree 1, as in a CE algebra) the
 tables read each sign off the key.  Replacing generator i of the monomial
@@ -371,19 +372,6 @@ def derivation(algebra: GradedAlgebra, degree: int,
     return algebra._derivations.setdefault(key, der)
 
 
-def extend_derivation(algebra: GradedAlgebra, images: dict, degree: int,
-                      name: str = "") -> Derivation:
-    """Unique graded derivation matching the given generator images.
-
-    Keys may be generator names or indices.
-    """
-    by_index = {}
-    for key, img in images.items():
-        i = key if isinstance(key, int) else algebra.index(key)
-        by_index[i] = img
-    return Derivation(algebra, degree, by_index, name=name)
-
-
 def supercommutator(f: Derivation, g: Derivation) -> Derivation:
     """{f, g} = f g - (-1)^{|f||g|} g f, returned as a shared derivation.
 
@@ -618,43 +606,6 @@ class Subcomplex(CochainComplex):
     def __repr__(self) -> str:
         dims = ",".join(str(self.dim(p)) for p in range(self.top + 1))
         return f"<Subcomplex dims ({dims})>"
-
-
-def embed_element(elem: Element, target: GradedAlgebra) -> Element:
-    """Re-express an element in an algebra containing generators of the
-    same names (used for tensor factors)."""
-    src = elem.algebra
-    out = target.zero(elem.degree)
-    for key, coeff in elem.terms.items():
-        names = [src.generators[i].name for i in src.key_indices(key)]
-        out = out + target.monomial(*names, coeff=coeff)
-    return out
-
-
-def tensor_product(a: DGA, b: DGA) -> DGA:
-    """Free graded-commutative product with the Koszul-signed differential
-    d(x y) = dx y + (-1)^{|x|} x dy."""
-    names_a = {g.name for g in a.algebra.generators}
-    names_b = {g.name for g in b.algebra.generators}
-    clash = names_a & names_b
-    if clash:
-        raise StructureError(f"generator name collision: {sorted(clash)}")
-    gens = a.algebra.generators + b.algebra.generators
-    even = any(g.degree % 2 == 0 for g in gens)
-    algebra = GradedAlgebra(gens, max_degree=a.top + b.top if even else None)
-    images = {}
-    for src in (a, b):
-        for i, gen in enumerate(src.algebra.generators):
-            img = src.d.image_of(i)
-            if not img.is_zero():
-                images[gen.name] = embed_element(img, algebra)
-    return DGA(algebra, extend_derivation(algebra, images, 1, name="d"))
-
-
-def free_line_dga(name: str = "t") -> DGA:
-    """The circle model: one closed degree-1 generator."""
-    algebra = GradedAlgebra([Generator(name, 1)])
-    return DGA(algebra, extend_derivation(algebra, {}, 1, name="d"))
 
 
 class AlgebraMap(_MonomialTable):

@@ -159,10 +159,12 @@ def omega_splitting(m: LieModel) -> OmegaSplitting:
 @once_per_model
 def basic_complex(m: LieModel) -> Subcomplex:
     """Basic forms of the rank-1 foliation spanned by xi:
-    iota_xi alpha = 0 and iota_xi d alpha = 0."""
-    dga, iota = m.ce(), m.iota_xi()
-    return Subcomplex.kernel_of(dga, lambda p: iota.matrix(p) + linalg.mat_mul(
-        iota.matrix(p + 1), dga.d_matrix(p)))
+    iota_xi alpha = 0 and iota_xi d alpha = 0.  On ker iota_xi, Cartan's
+    L_xi = iota_xi d + d iota_xi is iota_xi d, so the kernel is cut out by
+    iota_xi's and L_xi's rows, two matrices the model builds anyway."""
+    iota, lie = m.iota_xi(), m.lie_xi()
+    return Subcomplex.kernel_of(m.ce(), lambda p: iota.matrix(p)
+                                + lie.matrix(p))
 
 
 def verify_basic_match(m: LieModel) -> bool:

@@ -20,12 +20,12 @@ column of the Lefschetz matrix is one class, of L(alpha), reduced once.
 from __future__ import annotations
 
 from . import linalg
-from .cdga import DGA, AlgebraMap, CochainComplex, Subcomplex, embed_element, \
-    free_line_dga, invariant_subalgebra, tensor_product
+from .cdga import DGA, AlgebraMap, CochainComplex, Subcomplex, \
+    invariant_subalgebra
 from .cohomology import InducedMap, kernel_witnesses, kunneth_convolution, \
     map_from_classes
 from .errors import StructureError
-from .exterior import Element
+from .exterior import Element, Generator
 from .eta import omega_splitting
 from .geometry import LieModel, classify, omega_element, once_per_model
 from .record import Record
@@ -170,8 +170,8 @@ def splitting_check(m: LieModel) -> SplittingReport:
 
 
 class MappingTorus(Record):
-    """Mapping-torus model: the phi-invariant forms of K tensored with a
-    circle generator, realized as a subcomplex of K (x) line."""
+    """Mapping-torus model: the phi-invariant forms of K extended by a
+    closed circle generator t, phi extended by t -> t."""
     total: DGA
     invariant: Subcomplex
     fiber_fixed: Subcomplex
@@ -183,19 +183,20 @@ class MappingTorus(Record):
 
 def mapping_torus_model(k_dga: DGA, phi: AlgebraMap,
                         order: int) -> MappingTorus:
-    """Model of the mapping torus of a finite-order automorphism."""
+    """Model of the mapping torus of a finite-order automorphism: K
+    extended by t with dt = 0 (``DGA.extend``, which keeps K's truncation
+    degree), and phi's images lifted there (``GradedAlgebra.lift``)."""
     used = {g.name for g in k_dga.algebra.generators}
     # t0, t1, ... after the four short names: one of len(used) + 1 is free
     name = next(c for c in ("t", "s", "u", "z",
                             *(f"t{i}" for i in range(len(used) + 1)))
                 if c not in used)
     fixed_k = invariant_subalgebra(k_dga, phi, order)
-    total = tensor_product(k_dga, free_line_dga(name))
-    images = {}
-    for i, gen in enumerate(k_dga.algebra.generators):
-        images[gen.name] = embed_element(phi.images[i], total.algebra)
-    images[name] = total.algebra.gen(name)
-    phi_hat = AlgebraMap(total.algebra, images, name=f"{phi.name or 'phi'}^")
+    total = k_dga.extend([Generator(name, 1)], {})
+    alg = total.algebra
+    phi_hat = AlgebraMap(alg, dict(enumerate([*map(alg.lift, phi.images),
+                                              alg.gen(name)])),
+                         name=f"{phi.name or 'phi'}^")
     invariant = invariant_subalgebra(total, phi_hat, order)
     return MappingTorus(total, invariant, fixed_k, invariant.betti(),
                         fixed_k.betti(), order, name)

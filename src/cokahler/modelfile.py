@@ -26,7 +26,8 @@ The optional section ``[automorphism]`` holds a first row ``order m``
 followed by a matrix, for mapping-torus runs; a singular matrix, or one
 whose m-th power is not the identity, is refused.  The fundamental 2-form is
 always computed from J and the metric.  ``#`` starts a comment; rationals are
-written like ``-1/2``.  Every parse error carries a line diagnostic.
+written like ``-1/2``.  The dimension is at most ``MAX_DIMENSION``.  Every
+parse error carries a line diagnostic.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from .geometry import LieModel
 from .record import Fresh, Record
 
 _SECTIONS = ("brackets", "metric", "xi", "eta", "J", "automorphism")
+# above it nothing could be computed (the CE algebra has 2^dimension
+# monomials), and the dense vectors and matrices read here would fill memory
+MAX_DIMENSION = 64
 CORPUS_MODELS = ("torus3", "torus5", "heisenberg", "kx5",
                  "t2-rot4-mapping-torus", "t2-negid-mapping-torus")
 
@@ -69,11 +73,16 @@ class ModelFile(Record):
 
 def _number(token: str, line: int, fieldname: str, kind=Fraction):
     """``kind(token)``: a ``Fraction``, or an ``int`` for indices and orders.
-    Both read any Unicode decimal digit, so a non-ASCII token is refused."""
+    Both read any Unicode decimal digit, so a non-ASCII token is refused.
+    ``Fraction`` reads an exponent by computing the power, so a rational with
+    one is refused too: ``1e99999999`` took over a minute."""
     what = "integer" if kind is int else "rational"
     if not token.isascii():
         raise ModelParseError(f"{what} {token!r} needs ASCII digits", line,
                               fieldname)
+    if kind is Fraction and "e" in token.lower():
+        raise ModelParseError(f"rational {token!r} has an exponent; write it "
+                              "out", line, fieldname)
     try:
         return kind(token)
     except (ValueError, ZeroDivisionError):
@@ -108,14 +117,16 @@ def loads(text: str, name_hint: str = "model") -> ModelFile:
                 name = value
             elif key == "dimension":
                 dimension = _number(value, lineno, "dimension", int)
+                if not 1 <= dimension <= MAX_DIMENSION:
+                    raise ModelParseError(f"dimension must be 1.."
+                                          f"{MAX_DIMENSION}", lineno,
+                                          "dimension")
             else:
                 raise ModelParseError(f"unknown header key {key!r}", lineno)
             continue
         rows[section].append((lineno, line.split()))
     if dimension is None:
         raise ModelParseError("missing 'dimension:' header")
-    if dimension < 1:
-        raise ModelParseError("dimension must be positive", field="dimension")
     mf = ModelFile(name=name, dimension=dimension)
     _parse_brackets(mf, rows["brackets"])
     _parse_metric(mf, rows["metric"])
@@ -171,7 +182,7 @@ def _parse_vector(entries, dim: int, fieldname: str, prefix: str):
         if not index.isascii():
             raise ModelParseError(f"index {toks[0]!r} needs ASCII digits",
                                   lineno, fieldname)
-        idx = int(index)
+        idx = _number(index, lineno, fieldname, int)
         if not 1 <= idx <= dim:
             raise ModelParseError(f"{toks[0]} out of range", lineno, fieldname)
         return [Fraction(int(t == idx)) for t in range(1, dim + 1)]

@@ -1,4 +1,4 @@
-"""Derivations, differentials, cohomology, tensor products, group actions.
+"""Derivations, differentials, cohomology, extensions, group actions.
 
 Expected Betti numbers and induced-map ranks are frozen from independent
 oracles: explicit differential matrices rank-computed with sympy, Kunneth
@@ -16,10 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from cokahler import linalg
 from cokahler.cdga import (AlgebraMap, DGA, Derivation, Subcomplex,
-                           derivation, extend_derivation, free_line_dga,
-                           invariant_subalgebra, supercommutator,
-                           supercommutes_with_d, tensor_product,
-                           word_disagreements)
+                           derivation, invariant_subalgebra, supercommutator,
+                           supercommutes_with_d, word_disagreements)
 from cokahler.cohomology import (CohomologyRing, inclusion_induced_map,
                                  induced_map, kernel_witnesses,
                                  kunneth_convolution)
@@ -35,15 +33,22 @@ def ce_algebra(n, prefix="e"):
     return GradedAlgebra([Generator(f"{prefix}{i + 1}", 1) for i in range(n)])
 
 
+def named_derivation(alg, images, degree, name=""):
+    """The derivation with these generator images, keyed by name."""
+    return Derivation(alg, degree,
+                      {alg.index(key): img for key, img in images.items()},
+                      name=name)
+
+
 def abelian_dga(n, prefix="e"):
     alg = ce_algebra(n, prefix)
-    return DGA(alg, extend_derivation(alg, {}, 1, name="d"))
+    return DGA(alg, Derivation(alg, 1, {}, name="d"))
 
 
 def heisenberg_dga():
     alg = ce_algebra(3)
     e1, e2, _ = alg.gens()
-    return DGA(alg, extend_derivation(alg, {"e3": -(e1.wedge(e2))}, 1, name="d"))
+    return DGA(alg, named_derivation(alg, {"e3": -(e1.wedge(e2))}, 1, name="d"))
 
 
 def oracle_betti(dga):
@@ -78,7 +83,7 @@ def test_extend_derivation_heisenberg_example():
 
 def test_extension_of_zero_is_zero():
     alg = ce_algebra(3)
-    der = extend_derivation(alg, {}, 1)
+    der = Derivation(alg, 1, {})
     for p in range(4):
         for key in alg.basis(p):
             assert der.apply(Element(alg, p, {key: Fraction(1)})).is_zero()
@@ -87,7 +92,7 @@ def test_extension_of_zero_is_zero():
 def test_degree_mismatch_rejected():
     alg = ce_algebra(3)
     with pytest.raises(StructureError):
-        extend_derivation(alg, {"e1": alg.monomial("e1", "e2")}, 2)
+        named_derivation(alg, {"e1": alg.monomial("e1", "e2")}, 2)
 
 
 def test_derivation_vanishes_on_scalars():
@@ -99,7 +104,7 @@ def test_extension_is_unique():
     # two derivations with the same generator images agree everywhere
     dga = heisenberg_dga()
     alg = dga.algebra
-    clone = extend_derivation(
+    clone = named_derivation(
         alg, {"e3": alg.monomial("e1", "e2", coeff=-1)}, 1)
     for p in range(alg.top + 1):
         assert clone.matrix(p) == dga.d.matrix(p)
@@ -168,7 +173,7 @@ def graded_algebra():
     """x, z odd and y even, truncated above degree 6; d z = y^2."""
     alg = GradedAlgebra([Generator("x", 1), Generator("y", 2),
                          Generator("z", 3)], max_degree=6)
-    return alg, extend_derivation(alg, {"z": alg.monomial("y", "y")}, 1)
+    return alg, named_derivation(alg, {"z": alg.monomial("y", "y")}, 1)
 
 
 def test_leibniz_check_rejects_a_fault_on_one_degree_three_monomial():
@@ -227,7 +232,7 @@ def test_leibniz_check_reads_generator_images_through_apply():
     # every product with y lies above the cap, so a map that differs from a
     # derivation only on y is still a derivation there
     alg = GradedAlgebra([Generator("x", 1), Generator("y", 2)], max_degree=2)
-    number = extend_derivation(alg, dict(enumerate(alg.gens())), 0)
+    number = Derivation(alg, 0, dict(enumerate(alg.gens())))
     twisted = WrongOn(number, alg.gen("y").terms.popitem()[0], alg.gen("y"))
     assert twisted.apply(alg.gen("y")) != twisted.image_of(1)
     assert twisted.leibniz_failure is None and leibniz_all_pairs(twisted)
@@ -592,7 +597,7 @@ def test_derivation_shares_one_operator_per_degree_and_images():
 
 def test_supercommutator_checks_its_extension_against_the_composition():
     alg = ce_algebra(3)
-    number = extend_derivation(alg, dict(enumerate(alg.gens())), 0)
+    number = Derivation(alg, 0, dict(enumerate(alg.gens())))
     e12 = alg.monomial("e1", "e2")
     # zero on every generator, so zero as a derivation, but e1^e2 -> e1^e2^e3
     bad = WrongOn(Derivation(alg, 1, {}), next(iter(e12.terms)),
@@ -649,7 +654,7 @@ def test_identities_on_generators_refuse_opposite_signs_on_a_truncation():
     # the composition {d, iota} vanishes on generators but sends x y z to
     # y^3, since d(x y z) = -x y^3 lies above the cap
     alg, d = graded_algebra()
-    iota = extend_derivation(alg, {"x": alg.scalar(1)}, -1)
+    iota = named_derivation(alg, {"x": alg.scalar(1)}, -1)
     xyz = alg.monomial("x", "y", "z")
     assert d(iota(xyz)) + iota(d(xyz)) == alg.monomial("y", "y", "y")
     for call in (lambda: supercommutator(d, iota),
@@ -662,7 +667,7 @@ def test_identities_on_generators_refuse_opposite_signs_on_a_truncation():
 def test_cartan_supercommutator_is_lie_derivative():
     dga = heisenberg_dga()
     alg = dga.algebra
-    iota = extend_derivation(alg, {"e1": alg.scalar(1)}, -1, name="iota")
+    iota = named_derivation(alg, {"e1": alg.scalar(1)}, -1, name="iota")
     lie = supercommutator(dga.d, iota)
     assert lie.degree == 0
     assert lie.apply(alg.gen("e3")) == alg.gen("e2").scale(-1)
@@ -679,7 +684,7 @@ def test_d_with_itself_vanishes():
 def test_d_squared_detects_invalid_brackets():
     # de3 = -e12 with de2 = -e23 violates Jacobi: d(d(e3)) = -e123
     alg = ce_algebra(3)
-    d = extend_derivation(alg, {
+    d = named_derivation(alg, {
         "e3": alg.monomial("e1", "e2", coeff=-1),
         "e2": alg.monomial("e2", "e3", coeff=-1)}, 1)
     dga = DGA(alg, d)
@@ -692,7 +697,7 @@ def test_d_squared_accepts_e11_style_brackets():
     # de3 = -e12, de2 = -e13 happens to satisfy Jacobi (a solvable algebra),
     # so d squared vanishes even though the model is not nilpotent
     alg = ce_algebra(3)
-    d = extend_derivation(alg, {
+    d = named_derivation(alg, {
         "e3": alg.monomial("e1", "e2", coeff=-1),
         "e2": alg.monomial("e1", "e3", coeff=-1)}, 1)
     assert supercommutes_with_d(DGA(alg, d), d)
@@ -803,7 +808,7 @@ def test_noninjective_induced_map_on_heisenberg():
     from cokahler import linalg
     dga = heisenberg_dga()
     alg = dga.algebra
-    iota = extend_derivation(alg, {"e1": alg.scalar(1)}, -1)
+    iota = named_derivation(alg, {"e1": alg.scalar(1)}, -1)
     lie = supercommutator(dga.d, iota)
     spans = {p: linalg.kernel_basis(lie.matrix(p), alg.dim(p))
              for p in range(4)}
@@ -843,7 +848,7 @@ def heisenberg_lie_kernel():
     span(e1^e2, e2^e3) in degree 2."""
     dga = heisenberg_dga()
     alg = dga.algebra
-    iota = extend_derivation(alg, {"e1": alg.scalar(1)}, -1)
+    iota = named_derivation(alg, {"e1": alg.scalar(1)}, -1)
     lie = supercommutator(dga.d, iota)
     return Subcomplex(dga, {p: linalg.kernel_basis(lie.matrix(p), alg.dim(p))
                             for p in range(4)})
@@ -905,26 +910,26 @@ def test_subcomplex_closure_failure_raises():
         Subcomplex(dga, spans)
 
 
-# -- tensor products ----------------------------------------------------------------
+# -- extensions by closed and Hirsch generators -------------------------------
 
 
 def test_tensor_unit():
+    # the empty DGA extended by T^3's generators is T^3
     t3 = abelian_dga(3)
     trivial_alg = GradedAlgebra([])
-    trivial = DGA(trivial_alg, extend_derivation(trivial_alg, {}, 1))
-    line_only = tensor_product(t3, trivial)
-    assert line_only.cohomology().betti() == t3.cohomology().betti()
+    trivial = DGA(trivial_alg, Derivation(trivial_alg, 1, {}))
+    extended = trivial.extend(list(t3.algebra.generators), {})
+    assert extended.cohomology().betti() == t3.cohomology().betti()
 
 
 def test_kunneth_t2_times_circle_is_t3():
-    t2 = abelian_dga(2, prefix="a")
-    prod = tensor_product(t2, free_line_dga("h"))
+    prod = abelian_dga(2, prefix="a").extend([Generator("h", 1)], {})
     assert prod.cohomology().betti() == (1, 3, 3, 1)
 
 
 def test_kunneth_heisenberg_times_circle():
     # oracle: convolution of (1,2,2,1) with (1,1), computed by hand
-    prod = tensor_product(heisenberg_dga(), free_line_dga("t"))
+    prod = heisenberg_dga().extend([Generator("t", 1)], {})
     assert kunneth_convolution((1, 2, 2, 1), (1, 1)) == (1, 3, 4, 3, 1)
     assert prod.cohomology().betti() == (1, 3, 4, 3, 1)
     assert oracle_betti(prod) == (1, 3, 4, 3, 1)
@@ -932,27 +937,29 @@ def test_kunneth_heisenberg_times_circle():
 
 @pytest.mark.parametrize("left,right", [(2, 2), (3, 2)])
 def test_kunneth_dimension_identity(left, right):
-    a = abelian_dga(left, prefix="a")
-    b = heisenberg_dga() if right == 3 else abelian_dga(right, prefix="b")
-    prod = tensor_product(a, b)
+    a, b = abelian_dga(left, prefix="a"), abelian_dga(right, prefix="b")
+    prod = a.extend(list(b.algebra.generators), {})
     assert prod.cohomology().betti() == kunneth_convolution(
         a.cohomology().betti(), b.cohomology().betti())
 
 
 def test_tensor_name_collision_rejected():
-    with pytest.raises(StructureError):
-        tensor_product(abelian_dga(2), abelian_dga(2))
+    with pytest.raises(StructureError, match="unique"):
+        abelian_dga(2).extend([Generator("e1", 1)], {})
 
 
 def test_tensor_differential_signs():
-    # d(a (x) b) = da (x) b + (-1)^{|a|} a (x) db on the heisenberg x heisenberg
-    h1 = heisenberg_dga()
-    h2_alg = ce_algebra(3, prefix="f")
-    f1, f2, _ = h2_alg.gens()
-    h2 = DGA(h2_alg, extend_derivation(h2_alg, {"f3": -(f1.wedge(f2))}, 1))
-    prod = tensor_product(h1, h2)
+    # d(a (x) b) = da (x) b + (-1)^{|a|} a (x) db on heisenberg x heisenberg,
+    # the second factor adjoined as two closed generators, then a third
+    # with d f3 = -f1 f2
+    closed = heisenberg_dga().extend([Generator("f1", 1),
+                                      Generator("f2", 1)], {})
+    f1, f2 = closed.algebra.gen("f1"), closed.algebra.gen("f2")
+    prod = closed.extend([Generator("f3", 1)], {"f3": -(f1.wedge(f2))})
     assert supercommutes_with_d(prod, prod.d)
     assert prod.d.leibniz_failure is None
+    assert prod.cohomology().betti() == kunneth_convolution(
+        (1, 2, 2, 1), (1, 2, 2, 1))
 
 
 # -- invariant subalgebras ----------------------------------------------------------
@@ -1081,10 +1088,10 @@ def test_commutes_with_reads_every_monomial_of_the_map():
 def test_supercommutes_with_d_detects_failure():
     heis = heisenberg_dga()
     alg = heis.algebra
-    lie2 = supercommutator(heis.d, extend_derivation(alg, {"e2": alg.scalar(1)}, -1))
+    lie2 = supercommutator(heis.d, named_derivation(alg, {"e2": alg.scalar(1)}, -1))
     assert supercommutes_with_d(heis, lie2)
     # e1 -> e3 does not chain-commute: {d, op}(e1) = d(e3) = -e12
-    bad = extend_derivation(alg, {"e1": alg.gen("e3")}, 0)
+    bad = named_derivation(alg, {"e1": alg.gen("e3")}, 0)
     assert not supercommutes_with_d(heis, bad)
 
 
@@ -1095,7 +1102,7 @@ def test_an_extension_grows_d_and_keeps_the_cohomology_below_it():
     # the new generators keep their computed cohomology as it was
     alg = GradedAlgebra([Generator("a", 2), Generator("b", 3)], max_degree=9)
     a = alg.gen("a")
-    dga = DGA(alg, extend_derivation(alg, {"b": a * a}, 1, name="d"))
+    dga = DGA(alg, named_derivation(alg, {"b": a * a}, 1, name="d"))
     before = [dga.d.matrix(p) for p in range(alg.top + 1)]
     betti = dga.betti()
     grown = dga.extend([Generator("c", 3)], {})
@@ -1122,7 +1129,7 @@ def test_dga_wedge_coords_is_the_element_product(even):
     degrees = (1, 2, 1, 3, 2) if even else (1,) * 6
     alg = GradedAlgebra([Generator(f"g{i}", d) for i, d in enumerate(degrees)],
                         max_degree=8)
-    dga = DGA(alg, extend_derivation(alg, {}, 1, name="d"))
+    dga = DGA(alg, Derivation(alg, 1, {}, name="d"))
     rng = random.Random(3)
     for _ in range(40):
         p, q = rng.randint(0, alg.top), rng.randint(0, alg.top)

@@ -13,8 +13,7 @@ import sympy
 
 from cokahler import cdga, geometry, linalg
 from cokahler import eta as eta_module
-from cokahler.cdga import (Derivation, Subcomplex, extend_derivation,
-                           supercommutes_with_d)
+from cokahler.cdga import Derivation, Subcomplex, supercommutes_with_d
 from cokahler.cohomology import CohomologyRing, induced_map
 from cokahler.errors import StructureError
 from cokahler.eta import (basic_complex, build_d_eta, eta_operator,
@@ -118,7 +117,7 @@ def test_kernel_of_d_is_cocycles(heisenberg):
 def test_kernel_subcomplex_rejects_non_chain_operators(heisenberg, torus3):
     dga = heisenberg.ce()
     alg = dga.algebra
-    bad = extend_derivation(alg, {"e1": alg.gen("e3")}, 0)
+    bad = Derivation(alg, 0, {0: alg.gen("e3")})
     with pytest.raises(StructureError):
         kernel_subcomplex(dga, bad)
     # a zero operator on another algebra is refused, not read as zero here

@@ -9,6 +9,8 @@ them along xi only.
 The report reads ℳ(Omega_eta) as ℳ(Omega) through the verified inclusion
 Omega_eta -> Omega; here ℳ(Omega_eta) is built from Omega_eta itself and
 compared with the report's record.
+Mapping tori of generated signed-permutation automorphisms of T^2 .. T^4
+are checked against the oracle's Betti numbers.
 The transverse-rotation family R^2 x R^{2k} (xi = X1 and X2 rotate the
 J-planes, X3 is central; kx5 and kx7 are members) gives co-Kahler models
 with d != 0 on Omega_1.  On it, and on pinned models with other metrics and
@@ -19,6 +21,7 @@ dense matrix formulas for nabla xi, nabla eta and nabla J.
 import contextlib
 import importlib.util
 import io
+import math
 import tempfile
 from functools import cache
 from pathlib import Path
@@ -248,3 +251,38 @@ def test_parallel_forms_match_the_dense_connection(text):
     verdict = classify(m)
     assert (verdict.parallel_xi, verdict.parallel_eta, verdict.parallel_J) \
         == (parallel["xi"], parallel["eta"], parallel["J"])
+
+
+@st.composite
+def signed_permutation_text(draw):
+    """Model text of T^n, n = 2..4, with an ``[automorphism]`` block e_i ->
+    s_i e_sigma(i) and its exact order: the lcm over the cycles of sigma of
+    the length, doubled where the product of the cycle's signs is -1."""
+    n = draw(st.integers(2, 4))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    order, seen = 1, set()
+    for start in range(n):
+        if start in seen:
+            continue
+        length, sign, i = 0, 1, start
+        while i not in seen:
+            seen.add(i)
+            length, sign, i = length + 1, sign * signs[i], perm[i]
+        order = math.lcm(order, length * (1 if sign == 1 else 2))
+    rows = [[signs[i] if perm[i] == j else 0 for i in range(n)]
+            for j in range(n)]
+    return (f"name: auto\ndimension: {n}\n\n[automorphism]\norder {order}\n"
+            + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(signed_permutation_text())
+def test_mapping_torus_matches_the_oracle_on_signed_permutations(text):
+    section = build_report(loads(text))["mapping_torus"]
+    betti = perfbench_module("oracle").abelian_mapping_torus_betti(text)
+    fixed = [betti[0]]              # b_p = f_p + f_{p-1}
+    for b in betti[1:-1]:
+        fixed.append(b - fixed[-1])
+    assert section["betti"] == list(betti)
+    assert section["fixed_betti"] == fixed

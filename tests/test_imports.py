@@ -70,22 +70,34 @@ def test_only_the_report_reads_a_pass_over_the_basis():
     assert callers == set()
 
 
-def test_every_public_linalg_function_has_a_reader():
-    # a public function no other module reads is dead code, and the
-    # benchmark's tracer, which wraps each one, reports it as a metric
-    # stuck at 0
-    tree = ast.parse((PACKAGE / "linalg.py").read_text())
+def unread_public_functions(module: str) -> list[str]:
+    """The public module-level functions of ``module`` that no other module
+    of the package reads; a re-export in ``__init__`` is not a reader.  Such
+    a function is dead code, and the benchmark's tracer, which wraps each
+    one, reports it as a metric stuck at 0."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     public = {node.name for node in tree.body
               if isinstance(node, ast.FunctionDef)
               and not node.name.startswith("_")}
+    assert public
     read = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "linalg.py":
+        if path.name in (f"{module}.py", "__init__.py"):
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute) and \
-                    getattr(node.value, "id", None) == "linalg":
+                    getattr(node.value, "id", None) == module:
                 read.add(node.attr)
-            if isinstance(node, ast.ImportFrom) and node.module == "linalg":
+            if isinstance(node, ast.ImportFrom) and node.module == module:
                 read.update(alias.name for alias in node.names)
-    assert public and sorted(public - read) == []
+    return sorted(public - read)
+
+
+def test_every_public_linalg_function_has_a_reader():
+    assert unread_public_functions("linalg") == []
+
+
+def test_every_public_cdga_function_has_a_reader():
+    # word_disagreements is a tool for the tests
+    assert [name for name in unread_public_functions("cdga")
+            if name != "word_disagreements"] == []

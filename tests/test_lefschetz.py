@@ -5,8 +5,7 @@ import sympy
 
 from cokahler import build_report, cdga, cohomology, lefschetz, linalg, \
     loads
-from cokahler.cdga import (AlgebraMap, DGA, extend_derivation, free_line_dga,
-                           tensor_product)
+from cokahler.cdga import AlgebraMap, DGA, Derivation
 from cokahler.cohomology import kunneth_convolution
 from cokahler.errors import StructureError
 from cokahler.eta import invariant_forms, omega_splitting
@@ -23,7 +22,7 @@ from test_report_bytes import PINNED, pinned_text
 
 def t2_dga():
     alg = GradedAlgebra([Generator("e1", 1), Generator("e2", 1)])
-    return DGA(alg, extend_derivation(alg, {}, 1, name="d"))
+    return DGA(alg, Derivation(alg, 1, {}, name="d"))
 
 
 def test_lefschetz_values_on_torus3(torus3):
@@ -177,7 +176,7 @@ def test_mapping_torus_identity_matches_tensor():
     ident = AlgebraMap(t2.algebra, {"e1": e1, "e2": e2})
     torus = mapping_torus_model(t2, ident, 1)
     assert torus.betti == (1, 3, 3, 1)
-    direct = tensor_product(t2_dga(), free_line_dga("h"))
+    direct = t2_dga().extend([Generator("h", 1)], {})
     assert torus.betti == direct.cohomology().betti()
 
 
@@ -207,7 +206,7 @@ def test_mapping_torus_circle_name_collision():
     for names, expect in ((["t"], "s"), (["t", "s", "u", "z"], "t0"),
                           (["z", "t0", "u", "s", "t"], "t1")):
         alg = GradedAlgebra([Generator(name, 1) for name in names])
-        dga = DGA(alg, extend_derivation(alg, {}, 1))
+        dga = DGA(alg, Derivation(alg, 1, {}))
         phi = AlgebraMap(alg, {name: alg.gen(name) for name in names})
         torus = mapping_torus_model(dga, phi, 1)
         assert torus.circle_generator == expect

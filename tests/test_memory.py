@@ -8,16 +8,18 @@ import gc
 import pytest
 
 from cokahler import build_report, linalg, load_corpus, loads
-from cokahler.cdga import Subcomplex, tensor_product
+from cokahler.cdga import Subcomplex
 from cokahler.cohomology import CohomologyRing
 from cokahler.eta import omega_splitting
+from cokahler.exterior import Generator
 
 from test_cdga import abelian_dga
 from test_linalg import counting_eliminations
 from test_report_bytes import model_texts
 
 # torus7 is flat; rot7-1-2-3 and kx5 are non-abelian co-Kahler; h3xR2 and
-# nil5 are not co-Kahler; t2-rot4-mapping-torus takes the tensor_product path
+# nil5 are not co-Kahler; t2-rot4-mapping-torus extends its CE algebra by
+# the circle
 MODELS = ("torus7", "rot7-1-2-3", "kx5", "h3xR2", "nil5",
           "t2-rot4-mapping-torus")
 
@@ -58,7 +60,7 @@ def test_a_chained_view_keeps_its_complex_alive():
     # outside the asserts, whose rewriting would hold every temporary
     text = model_texts()["rot7-1-2-3"]
     ce = loads(text).to_lie_model().ce().cohomology().betti()
-    product = tensor_product(abelian_dga(2), abelian_dga(1, "f")) \
+    product = abelian_dga(2).extend([Generator("f1", 1)], {}) \
         .cohomology().betti()
     assert ce == (1, 1, 3, 5, 5, 3, 1, 1)
     assert product == (1, 3, 3, 1)

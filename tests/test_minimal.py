@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cokahler import eta, linalg, load_corpus, loads
-from cokahler.cdga import DGA, Derivation, Subcomplex, extend_derivation
+from cokahler.cdga import DGA, Derivation, Subcomplex
 from cokahler.cli import main
 from cokahler.cohomology import CohomologyRing, InducedMap
 from cokahler.errors import StructureError
@@ -58,7 +58,7 @@ def test_heisenberg_model_shape(heisenberg):
 def test_even_degree_target_skips_degree_one():
     # H^1 = 0: the degree-1 stage adds nothing
     alg = GradedAlgebra([Generator("a", 2)], max_degree=5)
-    dga = DGA(alg, extend_derivation(alg, {}, 1))
+    dga = DGA(alg, Derivation(alg, 1, {}))
     mm = minimal_model(dga, 3)
     assert mm.generator_counts() == {2: 1}
     assert mm.minimal and mm.quasi_iso
@@ -68,7 +68,7 @@ def test_sphere_like_target_with_relation():
     # target: free on a (deg 2), b (deg 3), db = a^2 -- an S^2 model
     alg = GradedAlgebra([Generator("a", 2), Generator("b", 3)], max_degree=6)
     a = alg.gen("a")
-    dga = DGA(alg, extend_derivation(alg, {"b": a.wedge(a)}, 1))
+    dga = DGA(alg, Derivation(alg, 1, {1: a.wedge(a)}))
     mm = minimal_model(dga, 4)
     assert mm.generator_counts() == {2: 1, 3: 1}
     assert mm.minimal and mm.quasi_iso

@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cokahler.errors import ModelParseError
-from cokahler.modelfile import (CORPUS_MODELS, _order_bound, load_corpus,
-                                loads, resolve, serialize)
+from cokahler.modelfile import (CORPUS_MODELS, _SECTIONS, _order_bound,
+                                corpus_path, load_corpus, loads, resolve,
+                                serialize)
 from cokahler.report import _has_contact
+from test_report_bytes import PINNED, pinned_text
 
 GOOD = """\
 # a comment
@@ -83,6 +86,18 @@ def test_vector_shorthand_and_explicit_agree():
     # a shear has infinite order: refused after at most gcd(m, 12) products
     ("dimension: 2\n[automorphism]\norder 1000000000000\n1 1\n0 1\n",
      "does not have order 1000000000000"),
+    # a dense [xi] of a million entries took 0.8 s and 130 MB before any
+    # check; a 12-digit dimension filled memory
+    ("dimension: 1000000\n[xi]\nX1\n",
+     "dimension must be 1..64 (line 1, field 'dimension')"),
+    ("name: big\ndimension: 999999999999\n",
+     "dimension must be 1..64 (line 2, field 'dimension')"),
+    ("dimension: 0\n", "dimension must be 1..64 (line 1, field 'dimension')"),
+    # Fraction computes 10**99999999 for '1e99999999', for over a minute
+    ("dimension: 3\n[brackets]\n1 2 3 1e400\n",
+     "rational '1e400' has an exponent; write it out (line 3, field "
+     "'brackets')"),
+    ("dimension: 3\n[eta]\n0 2E1 0\n", "rational '2E1' has an exponent"),
     ("dimension: 3\n[omega]\n1 2 1\n", "unknown section"),
     ("name: a\nname: b\ndimension: 3\ndimension: 5\n",
      "repeated header key 'name', first on line 1 (line 2)"),
@@ -95,6 +110,12 @@ def test_parse_errors(text, fragment):
     with pytest.raises(ModelParseError) as err:
         loads(text)
     assert fragment in str(err.value)
+
+
+def test_an_index_past_the_digit_limit_is_a_parse_error():
+    # int() reads at most 4300 digits; past that it raised a bare ValueError
+    with pytest.raises(ModelParseError, match="bad integer .* field 'xi'"):
+        loads("dimension: 3\n[xi]\nX" + "1" * 4301 + "\n")
 
 
 def test_parse_error_reports_line_numbers():
@@ -170,3 +191,39 @@ def test_order_bound_is_a_multiple_of_every_finite_order():
     for n, orders in ((1, (2,)), (2, (3, 4, 6)), (4, (5, 8, 10, 12)),
                       (6, (7, 9, 14, 18, 30))):
         assert all(_order_bound(n) % d == 0 for d in orders)
+
+
+# the texts the fuzz starts from, and the pieces it inserts: every token
+# class the grammar reads, Unicode digits int() and Fraction() would accept,
+# and the tab and CR that split() and splitlines() read as breaks
+SEED_TEXTS = tuple(
+    [corpus_path(name).read_text() for name in CORPUS_MODELS]
+    + [pinned_text(name) for name in sorted(PINNED)
+       if pinned_text(name) is not None])
+PIECES = (*"0123456789", "-", "+", "/", "[", "]", ":", " ", "\n", "\t", "\r",
+          *(f"[{name}]" for name in _SECTIONS), "identity", "order", "X",
+          "e", "٣", "２", "²")
+
+
+@st.composite
+def mutated_text(draw):
+    """A seed text after one to four insertions, deletions or replacements
+    of a few characters."""
+    text = draw(st.sampled_from(SEED_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        at = draw(st.integers(0, len(text)))
+        piece = "" if edit == "delete" else draw(st.sampled_from(PIECES))
+        cut = 0 if edit == "insert" else draw(st.integers(1, 3))
+        text = text[:at] + piece + text[at + cut:]
+    return text
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(mutated_text())
+def test_a_mutated_text_loads_and_round_trips_or_is_a_parse_error(text):
+    try:
+        mf = loads(text)
+    except ModelParseError:
+        return
+    assert loads(serialize(mf)) == mf
