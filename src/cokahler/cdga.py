@@ -14,14 +14,14 @@ passes test the tables themselves: ``Derivation.leibniz_failure``, which
 the report records, and ``word_disagreements``, for sums of operator words.
 d_eta = L_xi needs no pass: when eta is the dual of xi, ``derivation``
 hands out one operator for both.  Every kernel subcomplex is
-``Subcomplex.kernel_of``, except the kernel of an operator whose matrices
-are all zero, which is the DGA itself (``eta.kernel_subcomplex``): a DGA
-is its own ``parent``, with identity ``parent_coords``.  A complex owns
-what its cohomology has computed; ``cohomology()`` is a view of that
+``Subcomplex.kernel_of``, except the kernel of an operator that vanishes
+on every basis monomial, which is the DGA itself (``eta.kernel_subcomplex``):
+a DGA is its own ``parent``, with identity ``parent_coords``.  A complex
+owns what its cohomology has computed; ``cohomology()`` is a view of that
 store, and the complex keeps no reference to a view.  ``DGA.extend`` is
 the one way to adjoin generators (a Hirsch extension, or the circle of a
 mapping torus): the new DGA keeps every coordinate, d's computed table and
-matrices, and the cohomology of the degrees below the new generators.
+columns, and the cohomology of the degrees below the new generators.
 
 On bitmask keys (every generator of degree 1, as in a CE algebra) the
 tables read each sign off the key.  Replacing generator i of the monomial
@@ -37,8 +37,12 @@ where D acts with no sign, and the second sorts k rest.  Index-tuple keys
 instead (``key_splits``, ``merge_keys``); that path is the tested
 reference for the bitmask one.
 
-Coordinates are ``linalg`` sparse vectors; a degree-p matrix has one sparse
-row per target basis monomial, filled from each source monomial's image.
+Coordinates are ``linalg`` sparse vectors, and a matrix is stored once, by
+columns: an operator keeps only its table, from which ``columns(p)`` reads
+one {target index: coefficient} column per source basis monomial, and a
+complex keeps d out of each degree by columns (``d_columns``).  Rows exist
+only for an elimination: ``matrix`` and ``d_matrix`` transpose the columns
+and keep nothing.
 """
 
 from __future__ import annotations
@@ -83,35 +87,13 @@ class _MonomialTable:
         return Element._trusted(self.algebra, elem.degree + self.degree,
                                 self._extend(elem.terms))
 
-    def _basis_matrix(self, p: int) -> linalg.Matrix:
-        """Matrix out of degree p, cached: one sparse row per target basis
-        monomial, filled from the table."""
-        if p not in self._matrices:
-            self._matrices[p] = self._grow(p, [], 0)
-        return self._matrices[p]
-
-    def _grow(self, p: int, rows: linalg.Matrix,
-              start: int) -> linalg.Matrix:
-        """The matrix out of degree p from ``rows``, its part on the first
-        ``start`` source monomials: empty rows up to the target dimension,
-        then the columns from ``start`` on, filled from the table.  A given
-        row that gains an entry is copied, never changed."""
-        alg = self.algebra
-        q = p + self.degree
-        keys = alg.basis(p)[start:]
-        if len(rows) == alg.dim(q) and not keys:
-            return rows
-        old = len(rows)
-        out = rows + [{} for _ in range(alg.dim(q) - old)]
-        if out:
-            index = alg.basis_index(q)
-            for j, key in enumerate(keys, start):
-                for k, c in self.image(key).items():
-                    i = index[k]
-                    if i < old and out[i] is rows[i]:
-                        out[i] = dict(rows[i])
-                    out[i][j] = c
-        return out
+    def columns(self, p: int, start: int = 0) -> linalg.Matrix:
+        """Degree p read off the table, by columns: one {target index:
+        nonzero coefficient} per source basis monomial from the ``start``-th
+        on, in basis order.  Nothing is kept; ``matrix`` is the transpose."""
+        index, image = self.algebra.basis_index(p + self.degree), self.image
+        return [{index[k]: c for k, c in image(key).items()}
+                for key in self.algebra.basis(p)[start:]]
 
     def __call__(self, elem: Element) -> Element:
         return self.apply(elem)
@@ -121,8 +103,9 @@ class Derivation(_MonomialTable):
     """Graded derivation of fixed degree, determined by generator images.
 
     Missing generators map to zero; every derivation vanishes on scalars.
-    Images are fixed at construction; monomial images and per-degree
-    matrices are computed when first asked and cached (both write-once).
+    Images are fixed at construction; monomial images are computed when
+    first asked and kept (write-once), and they are the one store: a
+    matrix is read off them when asked for, and not kept.
     """
 
     def __init__(self, algebra: GradedAlgebra, degree: int,
@@ -149,7 +132,6 @@ class Derivation(_MonomialTable):
         self._bit_terms = [(1 << i, _signed_terms(1 << i, img.terms))
                            for i, img in self.images.items()
                            ] if algebra.bitmask else None
-        self._matrices: dict[int, linalg.Matrix] = {}
         self._table: dict = {}
 
     def extend(self, algebra: GradedAlgebra,
@@ -157,8 +139,7 @@ class Derivation(_MonomialTable):
         """This derivation on ``algebra``, an extension of its own
         (``GradedAlgebra.extend``), with ``images`` for new generators
         (elements of either algebra).  An old monomial's image does not
-        change, so the table carries over unless the keys change encoding,
-        and each computed matrix only grows by the new rows and columns."""
+        change, so the table carries over unless the keys change encoding."""
         old = self.algebra
         if any(i < len(old) for i in images):
             raise StructureError("an extension gives images to new "
@@ -169,8 +150,6 @@ class Derivation(_MonomialTable):
                          name=self.name)
         if algebra.bitmask == old.bitmask:
             der._table.update(self._table)
-        for p, rows in self._matrices.items():
-            der._matrices[p] = der._grow(p, rows, old.dim(p))
         return der
 
     def image_of(self, i: int) -> Element:
@@ -293,8 +272,10 @@ class Derivation(_MonomialTable):
         return rhs
 
     def matrix(self, p: int) -> linalg.Matrix:
-        """Matrix of the derivation from degree p to degree p + |f|."""
-        return self._basis_matrix(p)
+        """Matrix of the derivation from degree p to degree p + |f|, by
+        rows, for an elimination: the transpose of ``columns(p)``."""
+        return linalg.transpose(self.columns(p),
+                                self.algebra.dim(p + self.degree))
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images.values())
@@ -398,13 +379,30 @@ def _require_generators_decide(f: Derivation, g: Derivation) -> None:
 
 
 class CochainComplex:
-    """What DGAs and subcomplexes share, through ``dim``, ``d_matrix``,
+    """What DGAs and subcomplexes share, through ``dim``, ``d_columns``,
     ``element``, ``coords(p, elem)`` and ``wedge_coords``, the coordinates
     of a product of two elements given by coordinates."""
 
     @functools.cached_property
     def _factors(self) -> dict:
         return {}
+
+    @functools.cached_property
+    def _columns(self) -> dict:
+        return {}
+
+    def d_columns(self, p: int) -> linalg.Matrix:
+        """d out of degree p by columns, one {index: nonzero coefficient} in
+        degree p + 1 per basis vector of degree p: the complex's one store
+        of d, filled on first use (``_d_columns``) and kept."""
+        if p not in self._columns:
+            self._columns[p] = self._d_columns(p)
+        return self._columns[p]
+
+    def d_matrix(self, p: int) -> linalg.Matrix:
+        """d out of degree p by rows, for an elimination: the transpose of
+        ``d_columns(p)``, not kept."""
+        return linalg.transpose(self.d_columns(p), self.dim(p + 1))
 
     @functools.cached_property
     def cohomology_store(self) -> tuple[dict, dict]:
@@ -449,8 +447,8 @@ class DGA(CochainComplex):
     def dim(self, p: int) -> int:
         return self.algebra.dim(p)
 
-    def d_matrix(self, p: int) -> linalg.Matrix:
-        return self.d.matrix(p)
+    def _d_columns(self, p: int) -> linalg.Matrix:
+        return self.d.columns(p)
 
     def element(self, p: int, coords) -> Element:
         return self.algebra.element(p, coords)
@@ -485,14 +483,19 @@ class DGA(CochainComplex):
         """This DGA with ``generators`` appended, d of each one named in
         ``images`` (elements of this DGA; a Hirsch extension when they are
         cocycles) and the rest closed.  Coordinates keep their meaning
-        (``GradedAlgebra.extend``) and d what it has computed
-        (``Derivation.extend``).  The cohomology of each degree below the
-        least new degree carries over: no cochain there changes, nor d
-        into it, nor d out of it, whose columns sit on old coordinates."""
+        (``GradedAlgebra.extend``) and d what it has computed: its table
+        (``Derivation.extend``) and, copied, each stored degree of its
+        columns, grown by the new monomials' columns (an old column sits on
+        old coordinates, even where the keys change encoding and the table
+        does not carry over).  The cohomology of each degree below the least
+        new degree carries over: no cochain there changes, nor d into it,
+        nor d out of it."""
         algebra = self.algebra.extend(generators)
         d = self.d.extend(algebra, {algebra.index(name): img
                                     for name, img in images.items()})
         dga = DGA(algebra, d)
+        dga._columns.update((p, cols + d.columns(p, len(cols)))
+                            for p, cols in self._columns.items())
         low = min(g.degree for g in generators)
         dga.cohomology_store[0].update(
             (p, s) for p, s in self.cohomology_store[0].items() if p < low)
@@ -535,9 +538,8 @@ class Subcomplex(CochainComplex):
             span = spans.get(p, [])
             self._spans[p] = (span if isinstance(span, linalg.Span)
                               else linalg.Span(span))
-        self._d_matrices: dict[int, linalg.Matrix] = {}
         for p in range(parent.top + 1):
-            self.d_matrix(p)  # raises on a closure failure
+            self.d_columns(p)  # raises on a closure failure
 
     @classmethod
     def kernel_of(cls, parent: DGA, matrix) -> Subcomplex:
@@ -585,23 +587,20 @@ class Subcomplex(CochainComplex):
     def element(self, p: int, coords: linalg.Vector) -> Element:
         return self.parent.element(p, self.parent_coords(p, coords))
 
-    def d_matrix(self, p: int) -> linalg.Matrix:
-        if p not in self._d_matrices:
-            # the parent's d by columns: the image of a row is a combination
-            columns = linalg.transpose(self.parent.d_matrix(p),
-                                       self.parent.dim(p))
-            target = self.span(p + 1)
-            cols = []
-            for row in self.basis_vectors(p):
-                img = linalg.combine(row, columns)
-                if img not in target:
-                    elem = self.parent.element(p, row)
-                    raise StructureError(
-                        f"subspace is not closed under d in degree {p}: "
-                        f"d({elem!r}) leaves the subspace")
-                cols.append(target.coords(img))
-            self._d_matrices[p] = linalg.transpose(cols, self.dim(p + 1))
-        return self._d_matrices[p]
+    def _d_columns(self, p: int) -> linalg.Matrix:
+        """d of each basis vector, a combination of the parent's columns,
+        in coordinates on degree p + 1's span, which must hold it."""
+        columns, target = self.parent.d_columns(p), self.span(p + 1)
+        cols = []
+        for row in self.basis_vectors(p):
+            img = linalg.combine(row, columns)
+            if img not in target:
+                elem = self.parent.element(p, row)
+                raise StructureError(
+                    f"subspace is not closed under d in degree {p}: "
+                    f"d({elem!r}) leaves the subspace")
+            cols.append(target.coords(img))
+        return cols
 
     def __repr__(self) -> str:
         dims = ",".join(str(self.dim(p)) for p in range(self.top + 1))
@@ -628,7 +627,6 @@ class AlgebraMap(_MonomialTable):
                 raise StructureError(
                     f"image of {gen.name} must have degree {gen.degree}")
             self.images.append(img)
-        self._matrices: dict[int, linalg.Matrix] = {}
         self._table: dict = {}
 
     def apply(self, elem: Element) -> Element:
@@ -649,10 +647,11 @@ class AlgebraMap(_MonomialTable):
         return self.images[gi].wedge(tail).terms
 
     def matrix(self, p: int) -> linalg.Matrix:
-        return self._basis_matrix(p)
+        """The transpose of ``columns(p)``, not kept."""
+        return linalg.transpose(self.columns(p), self.algebra.dim(p))
 
     def is_automorphism(self) -> bool:
-        return all(linalg.rank(self.matrix(p)) == self.algebra.dim(p)
+        return all(linalg.rank(self.columns(p)) == self.algebra.dim(p)
                    for p in range(1, self.algebra.top + 1))
 
     def has_order(self, m: int) -> bool:

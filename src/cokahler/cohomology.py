@@ -1,11 +1,13 @@
 """Cohomology of finite cochain complexes over the rationals.
 
-Works uniformly over any ``cdga.CochainComplex`` (``dim``, ``d_matrix``,
+Works uniformly over any ``cdga.CochainComplex`` (``dim``, ``d_columns``,
 ``element``, ``coords(p, elem)``, ``top``, ``cohomology_store``): full DGAs
 and subcomplexes alike.  Cochains, representatives and classes are ``linalg``
 sparse vectors (``{index: rational}``, no zero values) on the complex's
-basis or on the representative basis of H^p, and every matrix is a list of
-such rows.  The complex owns the computed degrees and cup products; a
+basis or on the representative basis of H^p.  d is the complex's, by
+columns: those into degree p span the image, and those out of it test
+closure; its rows (``d_matrix``) are made only to eliminate the kernel.
+The complex owns the computed degrees and cup products; a
 ``CohomologyRing`` is a view that keeps its complex alive and shares them,
 and no complex refers to a view.  A degree is computed on first use, from
 the differentials into and out of it only, and holds the image of d and
@@ -25,10 +27,9 @@ from .record import Record
 
 
 class DegreeSlice(Record):
-    """One degree of a cohomology ring."""
+    """One degree of a cohomology ring (d is the complex's)."""
     representatives: linalg.Span    # cocycles, zero at im(d)'s pivots
     image: linalg.Span              # im(d)
-    d_columns: linalg.Matrix        # d out of degree p, by columns
 
 
 class CohomologyRing:
@@ -47,18 +48,16 @@ class CohomologyRing:
             return self._slices[p]
         cx = self.complex
         n = cx.dim(p)
-        d_out = cx.d_matrix(p)
-        kernel = linalg.kernel_span(d_out, n)
-        prev = cx.d_matrix(p - 1) if p > 0 and n else []
-        image = linalg.Span(linalg.transpose(prev, cx.dim(p - 1))
-                            if any(prev) else [])
+        kernel = linalg.kernel_span(cx.d_matrix(p), n)
+        prev = cx.d_columns(p - 1) if p > 0 and n else []
+        image = linalg.Span(prev if any(prev) else [])
         reps = linalg.Span([r for r in map(image.residual, kernel.rows)
                             if r]) if image.rows else kernel
         if len(reps) != len(kernel) - len(image):
             raise StructureError(
                 f"rank-nullity mismatch in degree {p}: "
                 f"{len(reps)} != {len(kernel)} - {len(image)}")
-        self._slices[p] = DegreeSlice(reps, image, linalg.transpose(d_out, n))
+        self._slices[p] = DegreeSlice(reps, image)
         return self._slices[p]
 
     @property
@@ -96,7 +95,7 @@ class CohomologyRing:
                 raise StructureError(f"no cohomology in degree {p}")
             return {}
         s = self._slice(p)
-        if linalg.combine(vec, s.d_columns):
+        if linalg.combine(vec, self.complex.d_columns(p)):
             raise StructureError(f"vector of degree {p} is not closed")
         rest = s.image.residual(vec)
         coeffs = s.representatives.coords(rest)

@@ -84,13 +84,14 @@ def verify_d_eta_equals_lie(m: LieModel) -> bool:
 
 def kernel_subcomplex(dga, op: Derivation) -> CochainComplex:
     """Degreewise kernel of a derivation supercommuting with d, built once
-    per (complex, operator).  When every matrix of op is zero the kernel is
-    ``dga`` itself, closed under any d and not kept in ``dga.kernels`` (a
-    cycle); this is read off the matrices, not the generator images, which
-    fix them only when op's table is their Leibniz extension."""
+    per (complex, operator).  When op's table is zero on every basis
+    monomial the kernel is ``dga`` itself, closed under any d and not kept
+    in ``dga.kernels`` (a cycle); the generator images fix the table only
+    when it is their Leibniz extension, so they are not read for this."""
     if op not in dga.kernels:
         if op.algebra is dga.algebra and not any(
-                any(op.matrix(p)) for p in range(dga.top + 1)):
+                op.image(key) for p in range(dga.top + 1)
+                for key in dga.algebra.basis(p)):
             return dga
         if not supercommutes_with_d(dga, op):
             raise StructureError(

@@ -198,14 +198,12 @@ def _kill_kernel(builder: _Builder, p: int):
 def _finalize(builder: _Builder) -> SullivanModel:
     model, target = builder.dga(), builder.target
     comparison = builder.comparison
-    # chain-map check: pushing commutes with the differentials, the
-    # target's d read by columns
-    columns = {p: linalg.transpose(target.d_matrix(p), target.dim(p))
-               for p in {g.degree for g in model.algebra.generators}}
+    # chain-map check: pushing commutes with the differentials
     images = model.d.images
     for i, gen in enumerate(model.algebra.generators):
         lhs = comparison.push(images[i]) if i in images else {}
-        rhs = linalg.combine(comparison.images[i], columns[gen.degree])
+        rhs = linalg.combine(comparison.images[i],
+                             target.d_columns(gen.degree))
         if lhs != rhs:
             raise StructureError("comparison map is not a chain map")
     minimal = _is_minimal(model)

@@ -886,15 +886,18 @@ def test_wedge_coords_agree_on_a_dga_and_its_full_subcomplex():
 
 
 def test_a_ring_computes_a_degree_when_first_asked():
+    # d is read by rows (an elimination) and by columns (the image and
+    # class_of); both readers are spied
     dga = abelian_dga(5)
     read = []
-    honest = dga.d_matrix
 
-    def spy(p):
-        read.append(p)
-        return honest(p)
+    def spy(reader):
+        def spied(p):
+            read.append(p)
+            return reader(p)
+        return spied
 
-    dga.d_matrix = spy
+    dga.d_matrix, dga.d_columns = spy(dga.d_matrix), spy(dga.d_columns)
     ring = CohomologyRing(dga)
     assert read == []
     assert ring.dim(3) == 10
@@ -1097,13 +1100,13 @@ def test_supercommutes_with_d_detects_failure():
 
 def test_an_extension_grows_d_and_keeps_the_cohomology_below_it():
     # Lambda(a, b; db = a^2) with a of degree 2, then c of degree 3 with
-    # dc = 0 and u of degree 4 with du = a c: every matrix, as grown, is
-    # the matrix of d built afresh on the extension, and the degrees below
-    # the new generators keep their computed cohomology as it was
+    # dc = 0 and u of degree 4 with du = a c: d's columns, as grown on
+    # copies, are those of d built afresh on the extension, and the degrees
+    # below the new generators keep their computed cohomology as it was
     alg = GradedAlgebra([Generator("a", 2), Generator("b", 3)], max_degree=9)
     a = alg.gen("a")
     dga = DGA(alg, named_derivation(alg, {"b": a * a}, 1, name="d"))
-    before = [dga.d.matrix(p) for p in range(alg.top + 1)]
+    before = [list(dga.d_columns(p)) for p in range(alg.top + 1)]
     betti = dga.betti()
     grown = dga.extend([Generator("c", 3)], {})
     c = grown.algebra.gen("c")
@@ -1112,8 +1115,9 @@ def test_an_extension_grows_d_and_keeps_the_cohomology_below_it():
     new = grown.algebra
     fresh = Derivation(new, 1, {i: img for i, img in grown.d.images.items()})
     for p in range(new.top + 1):
+        assert grown.d_columns(p) == DGA(new, fresh).d_columns(p)
         assert grown.d.matrix(p) == fresh.matrix(p)
-    assert [dga.d.matrix(p) for p in range(alg.top + 1)] == before
+    assert [dga.d_columns(p) for p in range(alg.top + 1)] == before
     slices = grown.cohomology_store[0]
     assert sorted(slices) == [0, 1, 2]
     for p in range(3):
@@ -1122,6 +1126,26 @@ def test_an_extension_grows_d_and_keeps_the_cohomology_below_it():
     assert grown.betti()[:3] == betti[:3]
     with pytest.raises(StructureError, match="new generators only"):
         dga.d.extend(alg.extend([Generator("v", 5)]), {0: a})
+
+
+def test_an_extension_keeps_d_columns_when_the_keys_change_encoding():
+    # the Heisenberg algebra (bitmask keys) extended by w of degree 2 with
+    # dw = xyz (index-tuple keys): d's table starts afresh, and its stored
+    # columns, on coordinates, carry over, so only monomials with w are
+    # expanded
+    alg = GradedAlgebra([Generator(g, 1) for g in "xyz"], max_degree=5)
+    x, y, z = alg.gens()
+    dga = DGA(alg, named_derivation(alg, {"z": x * y}, 1, name="d"))
+    stored = [dga.d_columns(p) for p in range(alg.top + 1)]
+    grown = dga.extend([Generator("w", 2)], {"w": x * y * z})
+    new = grown.algebra
+    assert alg.bitmask and not new.bitmask
+    assert grown.d._table and all(3 in key for key in grown.d._table)
+    fresh = DGA(new, Derivation(new, 1, dict(grown.d.images)))
+    for p in range(new.top + 1):
+        assert grown.d_columns(p) == fresh.d_columns(p)
+        assert p > alg.top or grown.d_columns(p)[:len(stored[p])] == stored[p]
+    assert grown.betti() == fresh.betti()
 
 
 @pytest.mark.parametrize("even", [False, True], ids=["bitmask", "tuple"])

@@ -11,6 +11,9 @@ Omega_eta -> Omega; here ℳ(Omega_eta) is built from Omega_eta itself and
 compared with the report's record.
 Mapping tori of generated signed-permutation automorphisms of T^2 .. T^4
 are checked against the oracle's Betti numbers.
+Structured models, 2-step nilpotent and R x_D R^k with rational brackets and
+a random rational metric, are fed to the CLI's report, which may find them
+not co-Kahler but never refuses them as input.
 The transverse-rotation family R^2 x R^{2k} (xi = X1 and X2 rotate the
 J-planes, X3 is central; kx5 and kx7 are members) gives co-Kahler models
 with d != 0 on Omega_1.  On it, and on pinned models with other metrics and
@@ -23,6 +26,7 @@ import importlib.util
 import io
 import math
 import tempfile
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -286,3 +290,57 @@ def test_mapping_torus_matches_the_oracle_on_signed_permutations(text):
         fixed.append(b - fixed[-1])
     assert section["betti"] == list(betti)
     assert section["fixed_betti"] == fixed
+
+
+RATIONALS = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+POSITIVE = st.builds(Fraction, st.integers(1, 3), st.integers(1, 2))
+
+
+@st.composite
+def structured_brackets(draw):
+    """(dimension, brackets (i, j, k, c), 1-based, meaning [X_i, X_j] =
+    c X_k): a 2-step nilpotent algebra, or R x_D R^k for k = 2, 4 with
+    [X1, X_{j+1}] = sum_i D_ij X_{i+1}.  Jacobi holds by construction."""
+    if draw(st.booleans()):
+        a, b = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+        return a + b, [(i + 1, j + 1, a + k + 1, draw(RATIONALS))
+                       for i in range(a) for j in range(i + 1, a)
+                       for k in range(b)]
+    k = draw(st.sampled_from((2, 4)))
+    return k + 1, [(1, j + 2, i + 2, draw(RATIONALS))
+                   for j in range(k) for i in range(k)]
+
+
+@st.composite
+def ldl_metric(draw, n):
+    """A rational positive-definite metric L D L^T, with L unit lower
+    triangular and D a positive diagonal."""
+    lower = [[1 if i == j else draw(RATIONALS) if j < i else 0
+              for j in range(n)] for i in range(n)]
+    diag = [draw(POSITIVE) for _ in range(n)]
+    return [[sum(lower[i][t] * diag[t] * lower[j][t] for t in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def structured_model_text(draw):
+    """Model text of a structured algebra with an LDL^T metric, xi = X1,
+    eta = e1 and J rotating the planes (X2, X3), (X4, X5), ..."""
+    n, brackets = draw(structured_brackets())
+    metric = draw(ldl_metric(n))
+    text = perfbench_module("models").model_text(
+        "structured", n, [b for b in brackets if b[3]])
+    return text.replace("identity", "\n".join(
+        " ".join(map(str, row)) for row in metric))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(structured_model_text())
+def test_a_structured_model_is_never_an_input_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["--informational", "report", str(path)])
+    assert code in (0, 1), err.getvalue()

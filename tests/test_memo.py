@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from cokahler import cdga, linalg, report
-from cokahler.cdga import AlgebraMap, Derivation
+from cokahler.cdga import AlgebraMap, CochainComplex, Derivation
 from cokahler.errors import StructureError
 from cokahler.eta import (basic_complex, build_d_eta, invariant_forms,
                           kernel_subcomplex, omega_splitting,
@@ -118,20 +118,28 @@ def test_a_report_expands_each_monomial_once_per_derivation(monkeypatch,
 @pytest.mark.parametrize("name", ["rot7-1-2-3", "kx5"])
 def test_a_report_factors_each_differential_once(monkeypatch, name):
     # Massey bounding cochains and kill rounds solve d x = b on several
-    # complexes; d_matrix is cached, so its matrix object names the
-    # (complex, degree) pair
-    factored, solves, matrices = Counter(), [], []
+    # complexes; d's rows are built afresh for each elimination, so each
+    # row matrix is traced back to the (complex, degree) it was read from
+    factored, solves, origin = Counter(), [], {}
     factor, solve_factored = linalg.factor, linalg.solve_factored
+    d_matrix = CochainComplex.d_matrix
+
+    def traced_d_matrix(cx, p):
+        rows = d_matrix(cx, p)
+        origin[id(rows)] = (rows, cx, p)    # keeps each id unique
+        return rows
 
     def counting_factor(mat, ncols):
-        matrices.append(mat)        # keeps each id unique while counting
-        factored[id(mat)] += 1
+        if id(mat) in origin:               # not the metric's inverse
+            _, cx, p = origin[id(mat)]
+            factored[cx, p] += 1
         return factor(mat, ncols)
 
     def counting_solve(fac, rhs):
         solves.append(rhs)
         return solve_factored(fac, rhs)
 
+    monkeypatch.setattr(CochainComplex, "d_matrix", traced_d_matrix)
     monkeypatch.setattr(linalg, "factor", counting_factor)
     monkeypatch.setattr(linalg, "solve_factored", counting_solve)
     build_report(loads(ROT7_123) if name == "rot7-1-2-3" else load_corpus(name))

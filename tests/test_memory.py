@@ -1,14 +1,16 @@
 """Memory follows the live set: a complex owns what its cohomology has
 computed, a ring is a view that keeps its complex alive, and a report leaves
 nothing to the cyclic collector, so reference counting frees its complexes,
-rings, operator tables and spans when it returns."""
+rings, operator tables and spans when it returns.  Each matrix is stored
+once: an operator keeps only its monomial table, and a complex keeps d by
+columns."""
 
 import gc
 
 import pytest
 
 from cokahler import build_report, linalg, load_corpus, loads
-from cokahler.cdga import Subcomplex
+from cokahler.cdga import CochainComplex, Subcomplex
 from cokahler.cohomology import CohomologyRing
 from cokahler.eta import omega_splitting
 from cokahler.exterior import Generator
@@ -54,6 +56,43 @@ def test_a_report_leaves_no_cycle(name):
     ours = sorted({type(o).__qualname__ for o in left
                    if type(o).__module__.startswith("cokahler")})
     assert ours == []
+
+
+def _matrix_stores(obj) -> list[str]:
+    """The attributes of ``obj`` holding per-degree matrices: dicts whose
+    values include lists of sparse vectors."""
+    return [attr for attr, value in vars(obj).items()
+            if isinstance(value, dict) and any(
+                isinstance(v, list) and all(isinstance(r, dict) for r in v)
+                for v in value.values())]
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_after_a_report_each_matrix_is_stored_once(name, monkeypatch):
+    # d, iota_xi and L_xi keep their tables and no matrix: a second read
+    # builds a new one; every complex on the CE algebra keeps d by columns,
+    # one per basis vector, and its rows only for the caller
+    mf = _model_file(name)
+    m = mf.to_lie_model()
+    monkeypatch.setattr(mf, "to_lie_model", lambda: m)
+    build_report(mf)
+    ce = m.ce()
+    operators = [ce.d] + ([m.iota_xi(), m.lie_xi()] if m.xi is not None
+                            else [])
+    for op in operators:
+        assert _matrix_stores(op) == []
+        for p in range(ce.top + 1):
+            assert op.matrix(p) is not op.matrix(p)
+    gc.collect()
+    complexes = [cx for cx in gc.get_objects()
+                 if isinstance(cx, CochainComplex) and cx.parent is ce]
+    assert ce in complexes
+    for cx in complexes:
+        assert _matrix_stores(cx) == ["_columns"]
+        for p, columns in cx._columns.items():
+            assert len(columns) == cx.dim(p)
+            assert cx.d_columns(p) is columns
+            assert cx.d_matrix(p) is not cx.d_matrix(p)
 
 
 def test_a_chained_view_keeps_its_complex_alive():
