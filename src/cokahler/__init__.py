@@ -9,8 +9,7 @@ elimination, so verdicts carry no tolerances.
 """
 
 from .cdga import (AlgebraMap, DGA, Derivation, Subcomplex,
-                   invariant_subalgebra, supercommutator, supercommutes_with_d,
-                   word_disagreements)
+                   invariant_subalgebra, supercommutator, supercommutes_with_d)
 from .cohomology import CohomologyRing, inclusion_induced_map, \
     kunneth_convolution
 from .errors import ModelParseError, StructureError
@@ -49,5 +48,5 @@ __all__ = [
     "splitting_check", "supercommutator", "supercommutes_with_d",
     "triple_massey", "validate_almost_contact",
     "verify_basic_match", "verify_d_eta_equals_lie", "verify_lefschetz_iso",
-    "verify_parallel_form_quism", "word_disagreements",
+    "verify_parallel_form_quism",
 ]

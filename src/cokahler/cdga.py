@@ -9,13 +9,13 @@ of a DGA is a degree +1 derivation.  Identities between operators are
 decided on generators: a supercommutator of derivations is a derivation
 (building one, d squared, {d, op} = 0), and phi d - d phi is a
 phi-derivation (``AlgebraMap.commutes_with``).  Each verdict has one name
-(d^2 = 0 is ``supercommutes_with_d(dga, dga.d)``).  The per-monomial
-passes test the tables themselves: ``Derivation.leibniz_failure``, which
-the report records, and ``word_disagreements``, for sums of operator words.
-d_eta = L_xi needs no pass: when eta is the dual of xi, ``derivation``
-hands out one operator for both.  Every kernel subcomplex is
-``Subcomplex.kernel_of``, except the kernel of an operator that vanishes
-on every basis monomial, which is the DGA itself (``eta.kernel_subcomplex``):
+(d^2 = 0 is ``supercommutes_with_d(dga, dga.d)``).  The one per-monomial
+pass, ``Derivation.leibniz_failure``, which the report records, tests the
+tables themselves.  d_eta = L_xi needs no pass: when eta is the dual of
+xi, ``derivation`` hands out one operator for both.  Every kernel
+subcomplex is ``Subcomplex.kernel_of``, on a DGA or inside a subcomplex
+(Omega_1 in Omega_eta), except the kernel of an operator that vanishes on
+every basis monomial, which is the DGA itself (``eta.kernel_subcomplex``):
 a DGA is its own ``parent``, with identity ``parent_coords``.  A complex
 owns what its cohomology has computed; ``cohomology()`` is a view of that
 store, and the complex keeps no reference to a view.  ``DGA.extend`` is
@@ -302,47 +302,6 @@ def _signed_terms(bit: int, terms: dict) -> list[tuple[int, int, object]]:
     return out
 
 
-def word_disagreements(alg: GradedAlgebra,
-                       identities) -> list[Element | None]:
-    """For each identity (lhs, rhs) between two sums of operator words, the
-    first basis monomial, in degree order, where they differ, or None, all
-    in one pass.  A word is a tuple of operators on ``alg``, composed right
-    to left ((d, iota) is d after iota) on their tables.  An empty side is
-    zero."""
-    if any(op.algebra is not alg for sides in identities
-           for word in (*sides[0], *sides[1]) for op in word):
-        raise StructureError("operator acts on a different algebra")
-    # lhs - rhs as (sign, first table, middle operators in turn, last table)
-    signed = [[(sign, word[-1].image if word[1:] else None, word[-2:0:-1],
-                word[0].image)
-               for words, sign in ((lhs, 1), (rhs, -1)) for word in words]
-              for lhs, rhs in identities]
-    found: list[Element | None] = [None] * len(identities)
-    for p in range(alg.top + 1):
-        for key in alg.basis(p):
-            for j, words in enumerate(signed):
-                if found[j] is None and _words_differ(words, key):
-                    found[j] = Element._trusted(alg, p, {key: 1})
-            if all(f is not None for f in found):
-                return found
-    return found
-
-
-def _words_differ(signed_words, key) -> bool:
-    """Whether the signed words sum to nonzero on one basis monomial."""
-    total: dict = {}
-    for sign, first, middle, last in signed_words:
-        vec = first(key) if first else {key: 1}
-        for op in middle:
-            vec = op._extend(vec)
-        for k, c in vec.items():
-            c = c if sign == 1 else -c
-            for k2, c2 in last(k).items():
-                t = c2 if c == 1 else c * c2
-                total[k2] = total[k2] + t if k2 in total else t
-    return any(total.values())
-
-
 def derivation(algebra: GradedAlgebra, degree: int,
                images: dict[int, Element], name: str = "") -> Derivation:
     """The one live derivation of this degree and these nonzero generator
@@ -509,6 +468,9 @@ class DGA(CochainComplex):
     def parent_coords(self, p: int, coords: linalg.Vector) -> linalg.Vector:
         return coords
 
+    def basis_columns(self, p: int, columns: linalg.Matrix) -> linalg.Matrix:
+        return columns
+
     def __repr__(self) -> str:
         names = ",".join(g.name for g in self.algebra.generators)
         return f"<DGA on ({names})>"
@@ -530,24 +492,27 @@ class Subcomplex(CochainComplex):
     spans have equal bases (its rows), and coordinates are pivot entries.
     """
 
-    def __init__(self, parent: DGA,
-                 spans: dict[int, linalg.Matrix | linalg.Span]):
+    def __init__(self, parent: DGA, spans: dict[int, linalg.Matrix]):
         self.parent = parent
         self._spans = defaultdict(linalg.Span)
         for p in range(parent.top + 1):
-            span = spans.get(p, [])
-            self._spans[p] = (span if isinstance(span, linalg.Span)
-                              else linalg.Span(span))
+            self._spans[p] = linalg.Span(spans.get(p, []))
         for p in range(parent.top + 1):
             self.d_columns(p)  # raises on a closure failure
 
     @classmethod
-    def kernel_of(cls, parent: DGA, matrix) -> Subcomplex:
-        """The subcomplex cut out by a per-degree matrix on the parent: its
-        degree-p part is the kernel of ``matrix(p)`` for p = 0..top.  Raises
-        when that is not closed under d."""
-        return cls(parent, {p: linalg.kernel_span(matrix(p), parent.dim(p))
-                            for p in range(parent.top + 1)})
+    def kernel_of(cls, domain: CochainComplex, columns,
+                  degree: int) -> Subcomplex:
+        """The kernel on ``domain``, a DGA or a subcomplex, of an operator
+        of this degree given out of each parent degree p by ``columns(p)``,
+        as a subcomplex of the parent; raises when it is not d-closed."""
+        parent, spans = domain.parent, {}
+        for p in range(parent.top + 1):
+            images = domain.basis_columns(p, columns(p))
+            rows = linalg.transpose(images, parent.dim(p + degree))
+            spans[p] = [domain.parent_coords(p, v) for v in
+                        linalg.kernel_span(rows, len(images)).rows]
+        return cls(parent, spans)
 
     @property
     def top(self) -> int:
@@ -587,20 +552,20 @@ class Subcomplex(CochainComplex):
     def element(self, p: int, coords: linalg.Vector) -> Element:
         return self.parent.element(p, self.parent_coords(p, coords))
 
+    def basis_columns(self, p: int, columns: linalg.Matrix) -> linalg.Matrix:
+        return [linalg.combine(row, columns) for row in self.basis_vectors(p)]
+
     def _d_columns(self, p: int) -> linalg.Matrix:
-        """d of each basis vector, a combination of the parent's columns,
-        in coordinates on degree p + 1's span, which must hold it."""
-        columns, target = self.parent.d_columns(p), self.span(p + 1)
-        cols = []
-        for row in self.basis_vectors(p):
-            img = linalg.combine(row, columns)
+        """d of each basis vector (``basis_columns``), in coordinates on
+        degree p + 1's span, which must hold it."""
+        target = self.span(p + 1)
+        images = self.basis_columns(p, self.parent.d_columns(p))
+        for j, img in enumerate(images):
             if img not in target:
-                elem = self.parent.element(p, row)
                 raise StructureError(
                     f"subspace is not closed under d in degree {p}: "
-                    f"d({elem!r}) leaves the subspace")
-            cols.append(target.coords(img))
-        return cols
+                    f"d({self.element(p, {j: 1})!r}) leaves the subspace")
+        return [target.coords(img) for img in images]
 
     def __repr__(self) -> str:
         dims = ",".join(str(self.dim(p)) for p in range(self.top + 1))
@@ -687,4 +652,4 @@ def invariant_subalgebra(dga: DGA, phi: AlgebraMap, order: int) -> Subcomplex:
     if not phi.commutes_with(dga.d):
         raise StructureError("automorphism does not commute with d")
     return Subcomplex.kernel_of(dga, lambda p: linalg.mat_sub(
-        phi.matrix(p), linalg.identity(dga.dim(p))))
+        phi.columns(p), linalg.identity(dga.dim(p))), 0)

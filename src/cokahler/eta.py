@@ -8,15 +8,15 @@ rho_eta is iota_xi, d_eta is L_xi and ker(d_eta) is the invariant forms, as
 objects: operators and kernels are shared.  When L_xi is zero in every
 degree (xi central, as on tori and K x S^1), ker(d_eta) is the full complex
 itself, with one cohomology and an identity inclusion.  The invariant forms
-split as Omega_1 + eta ^ Omega_1: Omega_1, the invariant forms annihilated
-by iota_xi, is the basic complex of the foliation spanned by xi, one kernel
-built once, and the eta-multiples are Omega_1 shifted up one degree, so
-they are counted, not built.  On co-Kahler models
-the splitting is also checked on minimal models, ℳ(Omega_eta) ≅ ℳ(Omega_1)
-(x) Λ(eta).  There ℳ(Omega_eta) is read as ℳ(Omega): quasi-isomorphic cdgas
-have isomorphic minimal models, and the inclusion Omega_eta -> Omega is
-checked to be a quasi-isomorphism in every degree, so only ℳ(Omega_1) is
-built anew.
+split as Omega_1 + eta ^ Omega_1: Omega_1, the basic complex of the
+foliation spanned by xi, is iota_xi's kernel inside Omega_eta (every
+kernel subcomplex is ``Subcomplex.kernel_of``), and the eta-multiples are
+Omega_1 shifted up one degree, so they are counted, not built.  On
+co-Kahler models the splitting is also checked on minimal models,
+ℳ(Omega_eta) ≅ ℳ(Omega_1) (x) Λ(eta).  There ℳ(Omega_eta) is read as
+ℳ(Omega): quasi-isomorphic cdgas have isomorphic minimal models, and the
+inclusion Omega_eta -> Omega is checked to be a quasi-isomorphism in every
+degree, so only ℳ(Omega_1) is built anew.
 """
 
 from __future__ import annotations
@@ -84,10 +84,10 @@ def verify_d_eta_equals_lie(m: LieModel) -> bool:
 
 def kernel_subcomplex(dga, op: Derivation) -> CochainComplex:
     """Degreewise kernel of a derivation supercommuting with d, built once
-    per (complex, operator).  When op's table is zero on every basis
-    monomial the kernel is ``dga`` itself, closed under any d and not kept
-    in ``dga.kernels`` (a cycle); the generator images fix the table only
-    when it is their Leibniz extension, so they are not read for this."""
+    per (complex, operator) by ``Subcomplex.kernel_of``.  When op's table
+    is zero on every basis monomial the kernel is ``dga`` itself, closed
+    under any d and not kept in ``dga.kernels`` (a cycle).  The test reads
+    the table: generator images fix it only as their Leibniz extension."""
     if op not in dga.kernels:
         if op.algebra is dga.algebra and not any(
                 op.image(key) for p in range(dga.top + 1)
@@ -97,7 +97,7 @@ def kernel_subcomplex(dga, op: Derivation) -> CochainComplex:
             raise StructureError(
                 f"operator {op.name or op!r} does not supercommute with d; "
                 "its kernel need not be a subcomplex")
-        dga.kernels[op] = Subcomplex.kernel_of(dga, op.matrix)
+        dga.kernels[op] = Subcomplex.kernel_of(dga, op.columns, op.degree)
     return dga.kernels[op]
 
 
@@ -135,12 +135,12 @@ def omega_splitting(m: LieModel) -> OmegaSplitting:
     when there is one, and when the sum is not all of Omega_eta.
 
     With eta(xi) = 1 and d(eta) = 0, L_xi eta = 0, so L_xi commutes with
-    iota_xi and with eta ^: Omega_1, the part of ker iota_xi in ker L_xi,
+    iota_xi and with eta ^: Omega_1, the part of ker iota_xi in Omega_eta,
     and eta ^ Omega_1 lie in Omega_eta, and d(eta ^ alpha) = -eta ^ d alpha
     keeps eta ^ Omega_1 a subcomplex.  iota_xi(eta ^ alpha) = alpha on
     Omega_1, so eta ^ is injective there and the sum is direct; it is all
-    of Omega_eta exactly when dim Omega_eta^p = dim Omega_1^p +
-    dim Omega_1^{p-1}, checked against ker L_xi built on its own."""
+    of Omega_eta exactly when iota_xi maps Omega_eta^p onto Omega_1^{p-1},
+    that is when dim Omega_eta^p = dim Omega_1^p + dim Omega_1^{p-1}."""
     obstruction = splitting_obstruction(m)
     if obstruction:
         raise StructureError(obstruction)
@@ -159,13 +159,10 @@ def omega_splitting(m: LieModel) -> OmegaSplitting:
 
 @once_per_model
 def basic_complex(m: LieModel) -> Subcomplex:
-    """Basic forms of the rank-1 foliation spanned by xi:
-    iota_xi alpha = 0 and iota_xi d alpha = 0.  On ker iota_xi, Cartan's
-    L_xi = iota_xi d + d iota_xi is iota_xi d, so the kernel is cut out by
-    iota_xi's and L_xi's rows, two matrices the model builds anyway."""
-    iota, lie = m.iota_xi(), m.lie_xi()
-    return Subcomplex.kernel_of(m.ce(), lambda p: iota.matrix(p)
-                                + lie.matrix(p))
+    """Basic forms of the rank-1 foliation spanned by xi, Omega_1:
+    iota_xi alpha = 0 and L_xi alpha = 0, so iota_xi's kernel on Omega_eta,
+    a subcomplex of Omega_eta and of Omega."""
+    return Subcomplex.kernel_of(invariant_forms(m), m.iota_xi().columns, -1)
 
 
 def verify_basic_match(m: LieModel) -> bool:

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from cokahler import linalg
 from cokahler.cdga import (AlgebraMap, DGA, Derivation, Subcomplex,
                            derivation, invariant_subalgebra, supercommutator,
-                           supercommutes_with_d, word_disagreements)
+                           supercommutes_with_d)
 from cokahler.cohomology import (CohomologyRing, inclusion_induced_map,
                                  induced_map, kernel_witnesses,
                                  kunneth_convolution)
@@ -27,6 +27,7 @@ from cokahler.exterior import Element, Generator, GradedAlgebra
 from cokahler.geometry import LieModel
 from cokahler.modelfile import CORPUS_MODELS, load_corpus
 from cokahler.report import operator_identity_report
+from operator_words import word_disagreements
 
 
 def ce_algebra(n, prefix="e"):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import cokahler
-from cokahler import cdga, cli
+from cokahler import cli
 from cokahler.cdga import Derivation
 from cokahler.cli import main
 from cokahler.modelfile import corpus_path, loads, resolve
@@ -104,8 +104,8 @@ def test_mapping_torus_command(capsys):
 
 def test_only_the_report_makes_a_pass_over_the_basis(capsys, monkeypatch):
     # identities between operators are decided on generators, so a command
-    # makes a per-monomial pass (a Leibniz verdict or word_disagreements)
-    # only where the report records the operator identities
+    # makes a per-monomial pass (a Leibniz verdict) only where the report
+    # records the operator identities
     honest = Derivation.leibniz_failure.func
     passes = []
 
@@ -116,8 +116,6 @@ def test_only_the_report_makes_a_pass_over_the_basis(capsys, monkeypatch):
     verdict = functools.cached_property(counted)
     verdict.__set_name__(Derivation, "leibniz_failure")
     monkeypatch.setattr(Derivation, "leibniz_failure", verdict)
-    monkeypatch.setattr(cdga, "word_disagreements",
-                        lambda *args: passes.append("word_disagreements"))
     for command, model in (("split", "kx5"), ("lefschetz", "kx5"),
                            ("verbitsky", "kx5"),
                            ("mapping-torus", "t2-rot4-mapping-torus")):

@@ -34,14 +34,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cokahler import build_report, load_corpus, loads
-from cokahler.cdga import word_disagreements
 from cokahler.cli import main
 from cokahler.eta import omega_splitting
 from cokahler.geometry import (LieModel, classify, is_parallel_form,
                                omega_element)
 from cokahler.minimal import minimal_model
+from cokahler.modelfile import CORPUS_MODELS
+from cokahler.report import _plain
+from conjugation import bases, basis_free, conjugated
+from operator_words import word_disagreements
 from test_cdga import faulty
-from test_report_bytes import pinned_text
+from test_report_bytes import PINNED, pinned_text
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WEIGHTS = st.integers(-2, 2)
@@ -344,3 +347,28 @@ def test_a_structured_model_is_never_an_input_error(text):
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(["--informational", "report", str(path)])
     assert code in (0, 1), err.getvalue()
+
+
+@cache
+def basis_free_report(name):
+    """A corpus or pinned model file and its report without what names a
+    basis (``conjugation.basis_free``)."""
+    text = pinned_text(name) if name in PINNED else None
+    mf = load_corpus(name) if text is None else loads(text)
+    return mf, basis_free(_plain(build_report(mf)))
+
+
+@pytest.mark.parametrize("unimodular", [True, False],
+                         ids=["unimodular", "rational"])
+@pytest.mark.parametrize("name", sorted({*CORPUS_MODELS, *PINNED}))
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(data=st.data())
+def test_a_report_does_not_depend_on_the_basis(name, unimodular, data):
+    # the paper's statements are basis-free: brackets, metric, xi, eta, J
+    # and the mapping tori's automorphism conjugated by a seeded rational P
+    # leave every report field as it was, witnesses and the degree-one
+    # Massey scan aside (conjugation.basis_free)
+    mf, expected = basis_free_report(name)
+    P = data.draw(bases(mf.dimension, unimodular))
+    conjugate = conjugated(mf, P)
+    assert basis_free(_plain(build_report(conjugate))) == expected

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from cokahler import cdga, linalg, report
+from cokahler import cdga, linalg
 from cokahler.cdga import AlgebraMap, CochainComplex, Derivation
 from cokahler.errors import StructureError
 from cokahler.eta import (basic_complex, build_d_eta, invariant_forms,
@@ -16,6 +16,7 @@ from cokahler.geometry import (LieModel, classify, omega_element,
                                validate_almost_contact)
 from cokahler.modelfile import load_corpus, loads
 from cokahler.report import build_report
+from test_report_bytes import pinned_text
 
 BUILDERS = {
     "algebra": lambda m: m.algebra(),
@@ -176,28 +177,60 @@ def test_eta_operators_are_iota_and_lie_along_xi(monkeypatch, name):
 
 def test_a_report_keeps_one_contraction_at_a_time(monkeypatch):
     # the report decides iota^2 = 0 and Cartan along xi from Leibniz
-    # verdicts and generator images, with no word_disagreements pass; the
-    # one contraction it tabulates is iota_xi (iota_1 on rot7, as xi = X1),
-    # and iota_i for i != 1 only meets eta, for rho_eta's generator images
+    # verdicts and generator images; the one contraction it tabulates is
+    # iota_xi (iota_1 on rot7, as xi = X1), and iota_i for i != 1 only meets
+    # eta, for rho_eta's generator images
     mf, m = report_model("rot7-1-2-3", monkeypatch)
-    honest_words, honest_iota = cdga.word_disagreements, LieModel.iota
-    passes, contractions = [], []
-
-    def counted(alg, identities):
-        passes.append(identities)
-        return honest_words(alg, identities)
+    honest_iota, contractions = LieModel.iota, []
 
     def recorded(self, vector):
         contractions.append(honest_iota(self, vector))
         return contractions[-1]
 
-    monkeypatch.setattr(cdga, "word_disagreements", counted)
     monkeypatch.setattr(LieModel, "iota", recorded)
     assert build_report(mf)["ok"]
-    assert not hasattr(report, "word_disagreements") and passes == []
     eta_keys = set(m.eta_element().terms)
     transverse = [iota for iota in contractions if iota is not m.iota_xi()]
     assert len(transverse) == m.dimension - 1
     for iota in transverse:
         assert set(iota._table) <= eta_keys
         assert "leibniz_failure" not in vars(iota)
+
+
+@pytest.mark.parametrize("name", ["rot7-1-2-3", "rot7-1-2-3-conj", "torus5"])
+def test_omega1_is_cut_out_inside_omega_eta(monkeypatch, name):
+    # Omega_1 is iota_xi's kernel on Omega_eta: each of its eliminations has
+    # one column per basis vector of Omega_eta, not of Omega, and a report
+    # reads L_xi's columns at most once per degree, for Omega_eta alone; on
+    # torus5 L_xi vanishes, Omega_eta is Omega, and only the zero test
+    # reads L_xi (through its table)
+    text = pinned_text(name) if name != "rot7-1-2-3" else ROT7_123
+    mf = load_corpus(name) if text is None else loads(text)
+    m = mf.to_lie_model()
+    monkeypatch.setattr(mf, "to_lie_model", lambda: m)
+    reads, widths = Counter(), []
+    honest_columns, honest_kernel = cdga._MonomialTable.columns, \
+        linalg.kernel_span
+
+    def counted_columns(op, p, start=0):
+        if op is m.lie_xi():
+            reads[p] += 1
+        return honest_columns(op, p, start)
+
+    def measured_kernel(mat, ncols):
+        widths.append(ncols)
+        return honest_kernel(mat, ncols)
+
+    monkeypatch.setattr(cdga._MonomialTable, "columns", counted_columns)
+    omega_eta = invariant_forms(m)
+    monkeypatch.setattr(linalg, "kernel_span", measured_kernel)
+    basic_complex(m)
+    monkeypatch.setattr(linalg, "kernel_span", honest_kernel)
+    assert widths == [omega_eta.dim(p) for p in range(m.ce().top + 1)]
+    assert build_report(mf)["ok"]
+    if name == "torus5":
+        assert omega_eta is m.ce() and reads == Counter()
+    else:
+        assert omega_eta is not m.ce()
+        assert sorted(reads) == list(range(m.ce().top + 1))
+        assert max(reads.values()) == 1

@@ -110,7 +110,7 @@ def test_a_kernel_subcomplex_eliminates_each_degree_once(name):
     m = _model_file(name).to_lie_model()
     ce, lie = m.ce(), m.lie_xi()
     with counting_eliminations() as calls:
-        sub = Subcomplex.kernel_of(ce, lie.matrix)
+        sub = Subcomplex.kernel_of(ce, lie.columns, 0)
     # one elimination per degree: the kernel's Span keeps its rows
     assert len(calls) == ce.top + 1
     assert sum(map(sub.dim, range(ce.top + 1))) > ce.top + 1

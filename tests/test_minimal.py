@@ -141,7 +141,7 @@ def test_tensor_split_refuses_a_kernel_other_than_the_invariant_forms():
     dga, d_eta = m.ce(), build_d_eta(m).d_eta
     stored = omega_splitting(m).omega_eta
     assert dga.kernels[d_eta] is stored is not dga
-    dga.kernels[d_eta] = Subcomplex.kernel_of(dga, d_eta.matrix)
+    dga.kernels[d_eta] = Subcomplex.kernel_of(dga, d_eta.columns, 0)
     with pytest.raises(StructureError, match="construction inconsistency"):
         model_tensor_split_check(m, minimal_model(dga, 3))
 

@@ -25,8 +25,10 @@ import pytest
 
 from cokahler import build_report, load_corpus, loads, render_json
 from cokahler.eta import build_d_eta, invariant_forms, kernel_subcomplex
-from cokahler.modelfile import CORPUS_MODELS, corpus_path
+from cokahler.modelfile import CORPUS_MODELS, corpus_path, serialize
 from cokahler.report import _plain, run_section
+
+from conjugation import conjugated, item15_basis
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LABELS = ("t2-rot4-mapping-torus", "t2-negid-mapping-torus")
@@ -43,7 +45,9 @@ LABELS = ("t2-rot4-mapping-torus", "t2-negid-mapping-torus")
 # kx5-p is kx5 in the basis X2' = X1 + X2 (eta = e1 + e2, a metric other
 # than the identity), the one co-Kahler model whose Lefschetz map wedges
 # with an eta off e1; rxkt5 (R xi x Kodaira-Thurston) is the one model
-# whose Lefschetz map is not an isomorphism
+# whose Lefschetz map is not an isomorphism; rot7-1-2-3-conj is rot7-1-2-3
+# in the basis of ``conjugation.item15_basis``, where xi is not a basis
+# vector, so ker iota_xi is not spanned by monomials
 PINNED = {
     "torus3":
         "d6582709674beb79eab8785b84d044ecd5a35b8e5c87b21eb6768fd153cac2cf",
@@ -83,6 +87,8 @@ PINNED = {
         "034cc1265a045575bcd4d504fd7816e624a602baeba6534179041c1445e5f73f",
     "rxkt5":
         "7e2c8affea1fe76480dc8dbb22c47ee7b4d5a7e1eb08aeff8857fbdf9e5cbdd6",
+    "rot7-1-2-3-conj":
+        "835c9469f3ee70772af9892a67ab2a1da2a0d2d70717b2c5bfa10592966b9382",
 }
 # a J-invariant metric on rot5-1-1: X2 pairs with X4 and X3 with X5
 ROT5_METRIC = "1 0 0 0 0\n0 2 0 1 0\n0 0 2 0 1\n0 1 0 2 0\n0 0 1 0 2"
@@ -147,6 +153,9 @@ def pinned_text(name: str) -> str | None:
                          "\n[J]\n0 0 0 0 0\n", KX5_P_CONTACT),
         "rxkt5": models.model_text("rxkt5", 5, [(2, 3, 4, 1)],
                                    contact=False) + RXKT5_CONTACT,
+        "rot7-1-2-3-conj": serialize(conjugated(
+            loads(models.rot_text((1, 2, 3))), item15_basis(7))).replace(
+                "name: rot7-1-2-3\n", "name: rot7-1-2-3-conj\n"),
     }[name]
 
 
