@@ -212,7 +212,8 @@ class LieModel:
         ginv = self.metric_inverse()
         gamma: list[list[Vector]] = [[{} for _ in range(n)] for _ in range(n)]
         for (i, j), row in twice.items():
-            half = {k: Fraction(v, 2) for k, v in row.items() if v}
+            half = {k: v // 2 if v % 2 == 0 else Fraction(v, 2)
+                    for k, v in row.items() if v}
             gamma[i][j] = {k: linalg.exact(c) for k, c
                            in linalg.mat_vec(ginv, half).items()}
         _check_connection(self, gamma)

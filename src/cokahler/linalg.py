@@ -43,12 +43,15 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
-Vector = dict[int, int | Fraction]
+Rational = int | Fraction
+Vector = dict[int, Rational]
 Matrix = list[Vector]
 
 
-def exact(value) -> int | Fraction:
+def exact(value) -> Rational:
     """A rational as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
     value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 

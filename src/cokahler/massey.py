@@ -85,7 +85,9 @@ class MasseyScan(Record):
     """All triple products among degree-1 basis classes with vanishing
     pairwise products."""
     triples: list[tuple[tuple[int, int, int], MasseyTriple]]
-    status: str   # "obstructed" or "consistent-with-formal"
+    # "obstructed" or "consistent-with-formal" over the triples of the H^1
+    # basis only, so off co-Kahler models it can depend on that basis
+    status: str
 
     @property
     def obstructed(self) -> bool:
@@ -93,6 +95,8 @@ class MasseyScan(Record):
 
 
 def degree_one_massey_scan(ring: CohomologyRing) -> MasseyScan:
+    """Tries only the triples of the ring's H^1 basis classes, so the status
+    can depend on the basis: nil5 and rxkt5 change it in a rational basis."""
     n1 = ring.dim(1)
     results = []
     obstructed = False

@@ -26,8 +26,9 @@ The optional section ``[automorphism]`` holds a first row ``order m``
 followed by a matrix, for mapping-torus runs; a singular matrix, or one
 whose m-th power is not the identity, is refused.  The fundamental 2-form is
 always computed from J and the metric.  ``#`` starts a comment; rationals are
-written like ``-1/2``.  The dimension is at most ``MAX_DIMENSION``.  Every
-parse error carries a line diagnostic.
+written like ``-1/2``, and each is read as an ``int`` where it is integral and
+a ``Fraction`` otherwise, as ``linalg`` keeps them.  The dimension is at most
+``MAX_DIMENSION``.  Every parse error carries a line diagnostic.
 """
 
 from __future__ import annotations
@@ -48,23 +49,24 @@ _SECTIONS = ("brackets", "metric", "xi", "eta", "J", "automorphism")
 MAX_DIMENSION = 64
 CORPUS_MODELS = ("torus3", "torus5", "heisenberg", "kx5",
                  "t2-rot4-mapping-torus", "t2-negid-mapping-torus")
+_CORPUS = resources.files("cokahler.corpus")
 
 
 class ModelFile(Record):
     name: str
     dimension: int
-    brackets: list[tuple[int, int, int, Fraction]] = Fresh(list)
-    metric: list[list[Fraction]] | None = None
-    xi: list[Fraction] | None = None
-    eta: list[Fraction] | None = None
-    J: list[list[Fraction]] | None = None
-    automorphism: tuple[list[list[Fraction]], int] | None = None
+    brackets: list[tuple[int, int, int, linalg.Rational]] = Fresh(list)
+    metric: list[list[linalg.Rational]] | None = None
+    xi: list[linalg.Rational] | None = None
+    eta: list[linalg.Rational] | None = None
+    J: list[list[linalg.Rational]] | None = None
+    automorphism: tuple[list[list[linalg.Rational]], int] | None = None
 
     def to_lie_model(self) -> LieModel:
-        grouped: dict[tuple[int, int], dict[int, Fraction]] = {}
+        grouped: dict[tuple[int, int], dict[int, linalg.Rational]] = {}
         for i, j, k, c in self.brackets:
             slot = grouped.setdefault((i - 1, j - 1), {})
-            slot[k - 1] = slot.get(k - 1, Fraction(0)) + c
+            slot[k - 1] = slot.get(k - 1, 0) + c
         return LieModel(
             self.dimension, grouped, name=self.name, metric=self.metric,
             xi=self.xi, eta=self.eta, J=self.J,
@@ -72,10 +74,12 @@ class ModelFile(Record):
 
 
 def _number(token: str, line: int, fieldname: str, kind=Fraction):
-    """``kind(token)``: a ``Fraction``, or an ``int`` for indices and orders.
+    """The rational ``token`` names, an ``int`` where it is integral and a
+    ``Fraction`` otherwise, or with ``kind=int`` (indices, orders) an ``int``.
     Both read any Unicode decimal digit, so a non-ASCII token is refused.
     ``Fraction`` reads an exponent by computing the power, so a rational with
-    one is refused too: ``1e99999999`` took over a minute."""
+    one is refused too: ``1e99999999`` took over a minute.  ``int`` reads a
+    token with no ``/`` and no ``.``, and accepts what ``Fraction`` would."""
     what = "integer" if kind is int else "rational"
     if not token.isascii():
         raise ModelParseError(f"{what} {token!r} needs ASCII digits", line,
@@ -84,7 +88,9 @@ def _number(token: str, line: int, fieldname: str, kind=Fraction):
         raise ModelParseError(f"rational {token!r} has an exponent; write it "
                               "out", line, fieldname)
     try:
-        return kind(token)
+        if kind is int or not ("/" in token or "." in token):
+            return int(token)
+        return linalg.exact(Fraction(token))
     except (ValueError, ZeroDivisionError):
         raise ModelParseError(f"bad {what} {token!r}", line, fieldname) from None
 
@@ -185,7 +191,7 @@ def _parse_vector(entries, dim: int, fieldname: str, prefix: str):
         idx = _number(index, lineno, fieldname, int)
         if not 1 <= idx <= dim:
             raise ModelParseError(f"{toks[0]} out of range", lineno, fieldname)
-        return [Fraction(int(t == idx)) for t in range(1, dim + 1)]
+        return [int(t == idx) for t in range(1, dim + 1)]
     if len(toks) != dim:
         raise ModelParseError(f"{fieldname} needs {dim} components",
                               lineno, fieldname)
@@ -278,7 +284,7 @@ def corpus_path(name: str):
     if stem not in CORPUS_MODELS:
         raise ModelParseError(f"unknown corpus model {name!r}; available: "
                               + ", ".join(CORPUS_MODELS))
-    return resources.files("cokahler.corpus").joinpath(f"{stem}.model")
+    return _CORPUS.joinpath(f"{stem}.model")
 
 
 def load_corpus(name: str) -> ModelFile:

@@ -1,16 +1,17 @@
 """Model-file parsing, diagnostics, and canonical round-trips."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cokahler.errors import ModelParseError
-from cokahler.modelfile import (CORPUS_MODELS, _SECTIONS, _order_bound,
-                                corpus_path, load_corpus, loads, resolve,
-                                serialize)
+from cokahler.modelfile import (CORPUS_MODELS, _SECTIONS, _number,
+                                _order_bound, corpus_path, load_corpus, loads,
+                                resolve, serialize)
 from cokahler.report import _has_contact
-from test_report_bytes import PINNED, pinned_text
+from test_report_bytes import PINNED, model_texts, pinned_text
 
 GOOD = """\
 # a comment
@@ -227,3 +228,156 @@ def test_a_mutated_text_loads_and_round_trips_or_is_a_parse_error(text):
     except ModelParseError:
         return
     assert loads(serialize(mf)) == mf
+
+
+def fraction_number(token: str, line: int, fieldname: str):
+    """The rational reader that ``_number`` replaced: the same ASCII and
+    exponent refusals, then ``Fraction`` on every token."""
+    if not token.isascii():
+        raise ModelParseError(f"rational {token!r} needs ASCII digits", line,
+                              fieldname)
+    if "e" in token.lower():
+        raise ModelParseError(f"rational {token!r} has an exponent; write it "
+                              "out", line, fieldname)
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ModelParseError(f"bad rational {token!r}", line,
+                              fieldname) from None
+
+
+def parsed(read, token: str):
+    """(value, None) when ``read`` takes the token, (None, error text) when
+    it refuses it."""
+    try:
+        return read(token, 7, "metric"), None
+    except ModelParseError as err:
+        return None, str(err)
+
+
+# tokens over the characters a rational is written with, exponent marks, a
+# few letters and a non-ASCII digit, and well-formed rationals with signs,
+# underscores, slashes, points and leading zeros
+NUMBER_CHARS = "0123456789+-_./eExa٣"
+DIGITS = st.text("0123456789", min_size=1, max_size=4)
+
+
+@st.composite
+def rational_token(draw):
+    token = draw(st.sampled_from(("", "-", "+"))) + draw(DIGITS)
+    if draw(st.booleans()):
+        token += "_" + draw(DIGITS)
+    tail = draw(st.sampled_from(("", "/", ".")))
+    return token + tail + (draw(DIGITS) if tail else "")
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.one_of(st.text(NUMBER_CHARS, max_size=8), rational_token()))
+def test_a_rational_reads_as_fraction_reads_it_and_is_an_int_where_integral(
+        token):
+    value, error = parsed(_number, token)
+    expected, expected_error = parsed(fraction_number, token)
+    assert error == expected_error
+    if expected_error is None:
+        assert value == expected
+        assert (type(value) is int) == (expected.denominator == 1)
+        assert type(value) in (int, Fraction)
+
+
+def fractions_in(value) -> list:
+    """Every ``Fraction`` in nested lists, tuples and dict values."""
+    if isinstance(value, Fraction):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [f for v in value for f in fractions_in(v)]
+    return []
+
+
+@pytest.mark.parametrize("name", [*CORPUS_MODELS, "rot7-1-3-4", "torus7"])
+def test_an_integral_model_meets_no_fraction_up_to_the_connection(name):
+    mf = load_corpus(name) if name in CORPUS_MODELS else loads(
+        model_texts()[name])
+    assert fractions_in(list(vars(mf).values())) == []
+    m = mf.to_lie_model()
+    assert fractions_in([m.brackets, m.metric, m.xi, m.eta, m.J]) == []
+    gamma = [c for row in m.levi_civita() for vec in row
+             for c in vec.values()]
+    assert fractions_in([c for c in gamma if c == int(c)]) == []
+    if name == "heisenberg":     # Gamma_12^3 = 1/2 and its kin
+        assert sorted(set(gamma)) == [Fraction(-1, 2), Fraction(1, 2)]
+        assert all(type(c) is Fraction for c in gamma)
+
+
+def test_a_rational_stays_a_fraction_and_an_integral_one_becomes_an_int():
+    mf = loads("dimension: 3\n[brackets]\n1 2 3 1/2\n1 3 2 4/2\n"
+               "[eta]\n2.0 -0 6/3\n")
+    assert [type(c) for *_, c in mf.brackets] == [Fraction, int]
+    assert mf.eta == [2, 0, 2] and {type(c) for c in mf.eta} == {int}
+    assert type(mf.to_lie_model().brackets[0, 1][2]) is Fraction
+
+
+# SHA-256 of serialize(load(...)) for every corpus and pinned model, taken
+# when every number was read as a Fraction: ints in the fields print alike
+CANONICAL = {
+    "h3xR2":
+        "c53ef85ba7dee794753dbc7ffc56807570abeb839310e224a6839433fe0349db",
+    "heisenberg":
+        "b75767ff31e1c24db502a207c2b4a13c5a1d50a1a8b902a13b38f326cdb0c312",
+    "heisenberg-g":
+        "7445eebe7cf4e67acdde36d1f6152ecc6fc2daadd41d3624c32a5e2990b9868a",
+    "heisenberg-q":
+        "d9a08c4fc226b47067666c25e39495ceb4a4418d25b63ce08ae15b40dbff1d8a",
+    "kx5": "8558cd431670c5d85d456a9596ba02ae193da0416444fc6437ceb06ac42c5136",
+    "kx5-eta":
+        "0f543ce923b823815f261f8308d5c6e5ebd6c1e8d0a856d54bae4e8476831a21",
+    "kx5-p":
+        "b691afe02d0be504574d9a505fa40a051ab18dee53fe6b56c87a2385a408040e",
+    "kx5-q":
+        "b657fd3077274b5f1767e8c78750db3e536c79e18176607d1e31347f10070c47",
+    "kx7": "da4d816e813b4c849a81c03e3b7178029f56e5d32184dc74e349c13cc3752e52",
+    "nil5": "22575f8b592169601b73a05e9082a3f95c7946b66feea68d9c1b06d80b63f5b5",
+    "rot5-1-1-g":
+        "03e29b62bd5c2862116c0afaaa85e3627c409c2ecde02a51a4a2585ab340ee25",
+    "rot5-1-2":
+        "1b0f7d9d7bd5d9890615bebf6ad71c306b39764ca7285cb512efaa8d2ec8db1b",
+    "rot7-1-1-1":
+        "43dcac5ff7c223619adfd11a228e4b0ceb5ebf3e8c93d7c069ded32251bdf766",
+    "rot7-1-1-3":
+        "1e641c172a4e4b9a542731efdfe098997f0aabeab3537ca6b116fb5b5c1948a0",
+    "rot7-1-2-3-conj":
+        "caad3c7652f6eec95b4c9552dab7d55da0d3d408637198d0a90c1eaac89b8ab9",
+    "rot9-1-1-1-1":
+        "4a879e8702707140f3c813cdd5142159e185e601709d4c8091fcf33a22f81a28",
+    "rot9-1-2-3-4":
+        "fd7b081ed1971a394ea5ee54a99b3a5adc6fdf30879db4948569b2faefdeb000",
+    "rxkt5":
+        "059f6059088e8ebe79afc30b8ee0a1829a5d313e5b8e4ac7da24dbee8d488421",
+    "t2-negid-mapping-torus":
+        "1fb638502fec8f54924a518e61cd6a974d6d8145fe0560374e7da9fd2cfd35f1",
+    "t2-rot4-mapping-torus":
+        "9656aa07549ac51b2d7321750dea23696fe78d7872c98cce84702205ca3b01a4",
+    "torus3":
+        "de6ebf3aeb463e13f9ac513f4956908b08cd6dc0fe70e71cdf83fb0f37d04a27",
+    "torus5":
+        "6c7829282121e7113ac564c6fa5ab35ea5bb13dcfbed6e6e35252d3ff8f5dff5",
+    "torus5-eta":
+        "ffda3e843148021823f5b30bfddee5382c4fd7ce6ae853a433bb1623dd7a00bd",
+    "torus7":
+        "81c387e9455954e314397e580fbd53999d0e962d374770b146bd9894d8a18db2",
+    "torus9":
+        "374aebab389ffe8af2a23e918703e7a814ab0f46e795c4d8929e5dfc2f01401b",
+}
+
+
+def test_the_canonical_bytes_cover_every_corpus_and_pinned_model():
+    assert set(CANONICAL) == {*CORPUS_MODELS, *PINNED}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL))
+def test_canonical_bytes_match_the_pinned_hash(name):
+    text = pinned_text(name) if name in PINNED else None
+    mf = load_corpus(name) if text is None else loads(text)
+    data = serialize(mf).encode()
+    assert hashlib.sha256(data).hexdigest() == CANONICAL[name]
