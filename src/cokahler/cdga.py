@@ -611,28 +611,19 @@ class AlgebraMap(_MonomialTable):
         tail = Element._trusted(alg, alg.key_degree(rest), self.image(rest))
         return self.images[gi].wedge(tail).terms
 
-    def matrix(self, p: int) -> linalg.Matrix:
-        """The transpose of ``columns(p)``, not kept."""
-        return linalg.transpose(self.columns(p), self.algebra.dim(p))
-
-    def is_automorphism(self) -> bool:
-        return all(linalg.rank(self.columns(p)) == self.algebra.dim(p)
-                   for p in range(1, self.algebra.top + 1))
-
     def has_order(self, m: int) -> bool:
-        """Whether phi^m is the identity in every degree: each degree's
-        powers are read up to the first identity, at most m of them, and
-        its exponent must divide m."""
+        """Whether phi^m is the identity, decided on generators: phi is
+        iterated on them up to the first power that fixes them all, at most
+        m times, and that power must divide m.  An endomorphism with
+        phi^m = id is invertible, so this also decides that phi is an
+        automorphism."""
         if m < 1:
             return False
-        for p in range(1, self.algebra.top + 1):
-            mat, one = self.matrix(p), linalg.identity(self.algebra.dim(p))
-            power, j = mat, 1
-            while power != one and j < m:
-                power, j = linalg.mat_mul(power, mat), j + 1
-            if power != one or m % j:
-                return False
-        return True
+        gens = self.algebra.gens()
+        power, j = [self(x) for x in gens], 1
+        while power != gens and j < m:
+            power, j = [self(x) for x in power], j + 1
+        return power == gens and m % j == 0
 
     def commutes_with(self, der: Derivation) -> bool:
         """Whether phi der = der phi, decided on generators: both sides are
@@ -642,11 +633,9 @@ class AlgebraMap(_MonomialTable):
 
 def invariant_subalgebra(dga: DGA, phi: AlgebraMap, order: int) -> Subcomplex:
     """Degreewise fixed subspaces of a finite-order automorphism commuting
-    with d, as a subcomplex."""
+    with d, as a subcomplex; phi^order = id makes phi an automorphism."""
     if phi.algebra is not dga.algebra:
         raise StructureError("automorphism acts on a different algebra")
-    if not phi.is_automorphism():
-        raise StructureError("map is not an algebra automorphism")
     if not phi.has_order(order):
         raise StructureError(f"map does not have order {order}")
     if not phi.commutes_with(dga.d):

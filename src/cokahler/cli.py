@@ -203,7 +203,8 @@ def _show_minimal(sec) -> None:
     print(f"injective in degree {cap + 1}: {rec['injective_above']}")
     for r in sec.asserted:
         if r["check"] == "minimal_model_tensor_split":
-            print(f"tensor split (counts and Betti): {r['ok']}")
+            print(f"tensor split (Omega_1 model minimal and exact): "
+                  f"{r['ok']}")
 
 
 def _show_mapping_torus(sec) -> None:

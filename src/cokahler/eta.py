@@ -12,11 +12,10 @@ split as Omega_1 + eta ^ Omega_1: Omega_1, the basic complex of the
 foliation spanned by xi, is iota_xi's kernel inside Omega_eta (every
 kernel subcomplex is ``Subcomplex.kernel_of``), and the eta-multiples are
 Omega_1 shifted up one degree, so they are counted, not built.  On
-co-Kahler models the splitting is also checked on minimal models,
-ℳ(Omega_eta) ≅ ℳ(Omega_1) (x) Λ(eta).  There ℳ(Omega_eta) is read as
-ℳ(Omega): quasi-isomorphic cdgas have isomorphic minimal models, and the
-inclusion Omega_eta -> Omega is checked to be a quasi-isomorphism in every
-degree, so only ℳ(Omega_1) is built anew.
+co-Kahler models the minimal model of Omega is built as ℳ(Omega_1) (x)
+Λ(eta): ℳ(Omega_1) once, extended by a closed t -> eta and checked as the
+minimal model of Omega itself, so ℳ(Omega_eta) ≅ ℳ(Omega_1) (x) Λ(eta)
+holds by construction and one Sullivan model is built per report.
 """
 
 from __future__ import annotations
@@ -24,12 +23,11 @@ from __future__ import annotations
 from . import linalg
 from .cdga import (CochainComplex, Derivation, Subcomplex, derivation,
                    supercommutator, supercommutes_with_d)
-from .cohomology import (inclusion_induced_map, kernel_witnesses,
-                         kunneth_convolution)
+from .cohomology import inclusion_induced_map, kernel_witnesses
 from .errors import StructureError
 from .exterior import Element
 from .geometry import LieModel, classify, is_parallel_form, once_per_model
-from .minimal import SullivanModel, minimal_model
+from .minimal import SullivanModel, circle_extension, minimal_model
 from .record import Record
 
 
@@ -207,72 +205,19 @@ def verify_parallel_form_quism(m: LieModel) -> QuasiIsoReport:
                           dga.cohomology().betti(), all(iso), witnesses)
 
 
-def _betti_through(model: SullivanModel, cap: int) -> tuple[int, ...]:
-    """The model's Betti numbers in degrees 0 .. min(cap, top), none above."""
-    ring = model.dga.cohomology()
-    return tuple(ring.dim(p) for p in range(min(cap, ring.top) + 1))
-
-
-class TensorSplitReport(Record):
-    """Minimal-model comparison ℳ(Omega_eta) against ℳ(Omega_1) (x) Λ(eta).
-    The ``_eta`` fields are ℳ(Omega)'s, which is ℳ(Omega_eta) through the
-    inclusion verdict that ``models_quasi_iso`` includes.  The cochain-level
-    split Omega_eta = Omega_1 + eta ^ Omega_1 holds once the report exists:
-    ``omega_splitting`` raises where it fails."""
-    counts_eta: dict[int, int]
-    counts_basic: dict[int, int]
-    counts_match: bool
-    betti_eta: tuple[int, ...]
-    betti_tensor: tuple[int, ...]
-    betti_match: bool
-    models_minimal: bool
-    models_quasi_iso: bool
-
-    @property
-    def ok(self) -> bool:
-        return all((self.counts_match, self.betti_match,
-                    self.models_minimal, self.models_quasi_iso))
-
-
 def model_tensor_split_check(m: LieModel,
-                             model_ce: SullivanModel) -> TensorSplitReport:
-    """Verify that the minimal model of the invariant forms splits off a
-    one-dimensional circle factor over the minimal model of the iota-kernel,
-    and that the split is an equality already at the cochain level.
-
-    ℳ(Omega_eta) is read as ``model_ce`` = ℳ(Omega), the model of
-    ``m.ce()``, whose cap is the check's: when the inclusion Omega_eta =
-    ker(d_eta) -> Omega is a quasi-isomorphism (``verify_parallel_form_quism``,
-    part of the verdict), ℳ(Omega_eta) is also a minimal model of Omega, and
-    minimal models are unique up to isomorphism.  A co-Kahler metric forces
-    eta = xi-flat, so ker(d_eta) must be the invariant forms Omega_1 splits.
-    Only ℳ(Omega_1) is built here."""
+                             basic: SullivanModel) -> SullivanModel:
+    """ℳ(Omega), built from ``basic`` = ℳ(Omega_1) as ℳ(Omega_1) (x) Λ(t)
+    with t -> eta (``circle_extension``) and checked as the minimal model of
+    Omega itself.  Once the splitting holds, a (x) 1 -> a, a (x) t ->
+    a ^ eta is a DGA isomorphism Omega_1 (x) Λ(t) -> Omega_eta, so with
+    minimal models unique up to isomorphism the split ℳ(Omega_eta) ≅
+    ℳ(Omega_1) (x) Λ(eta) rests on ℳ(Omega_1)'s own verdict."""
     if not classify(m).coKahler:
         raise StructureError(
             f"model {m.name!r} is not co-Kahler; the tensor splitting of the "
             "minimal model is only claimed under that hypothesis")
-    if model_ce.comparison.target is not m.ce():
+    if basic.comparison.target is not omega_splitting(m).omega1:
         raise StructureError(
-            "model_ce must be the minimal model of the model's full complex")
-    split = omega_splitting(m)
-    if kernel_subcomplex(m.ce(), build_d_eta(m).d_eta) is not split.omega_eta:
-        raise StructureError(
-            "construction inconsistency: the model is co-Kahler, but "
-            "ker(d_eta) and the invariant forms are distinct subcomplexes")
-    quism = verify_parallel_form_quism(m)
-    cap = model_ce.cap
-    model_basic = minimal_model(split.omega1, cap)
-    counts_eta = model_ce.generator_counts()
-    counts_basic = model_basic.generator_counts()
-    counts_match = all(
-        counts_eta.get(p, 0) == counts_basic.get(p, 0) + (1 if p == 1 else 0)
-        for p in range(1, cap + 1))
-    betti_eta = _betti_through(model_ce, cap)
-    # M(Omega_1) tensor the circle model Lambda(eta), by Kunneth
-    betti_tensor = kunneth_convolution(
-        _betti_through(model_basic, cap), (1, 1))[:cap + 1]
-    return TensorSplitReport(
-        counts_eta, counts_basic, counts_match,
-        betti_eta, betti_tensor, betti_eta == betti_tensor,
-        model_ce.minimal and model_basic.minimal,
-        model_ce.quasi_iso and model_basic.quasi_iso and quism.conclusion)
+            "basic must be the minimal model of the basic complex Omega_1")
+    return circle_extension(basic, m.ce().coords(1, m.eta_element()))

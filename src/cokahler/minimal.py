@@ -17,8 +17,11 @@ those alone, and the cohomology and induced map of each degree below p stay
 as computed, since a degree-p generator cannot change them.
 
 The target can be a DGA or a subcomplex that is closed under products
-(everything here goes through the shared cochain-algebra interface); the
-co-Kahler check on minimal models lives in ``eta``.  The comparison map's
+(everything here goes through the shared cochain-algebra interface).  A
+model of a subcomplex extends, by one closed degree-1 generator, to a
+candidate model of the whole complex (``circle_extension``), checked as
+``minimal_model`` checks its own result; ``eta`` builds ℳ(Omega) of a
+co-Kahler model that way from ℳ(Omega_1).  The comparison map's
 table of products is keyed by generator-index tuples, which stay valid as
 generators are appended and across the one change of key encoding.
 """
@@ -99,12 +102,16 @@ class _Builder:
     per round of added generators, and its maps on cohomology, of which a
     round of degree-p generators keeps those of the degrees below p."""
 
-    def __init__(self, target, cap: int):
+    def __init__(self, target, cap: int, model: DGA | None = None,
+                 images: list[linalg.Vector] = ()):
         self.target = target
         self.cap = cap
         self.comparison = _ComparisonMap(target)
-        alg = GradedAlgebra([], max_degree=cap + 2)
-        self._model = DGA(alg, Derivation(alg, 1, {}, name="d"))
+        self.comparison.images = list(images)
+        if model is None:
+            alg = GradedAlgebra([], max_degree=cap + 2)
+            model = DGA(alg, Derivation(alg, 1, {}, name="d"))
+        self._model = model
         self._round: list[Generator] = []
         self._d_images: dict[str, Element] = {}
         self._maps: dict[int, InducedMap] = {}
@@ -150,6 +157,21 @@ def minimal_model(target, cap: int) -> SullivanModel:
     for p in range(1, cap + 1):
         _extend_surjective(builder, p)
         _kill_kernel(builder, p)
+    return _finalize(builder)
+
+
+def circle_extension(model: SullivanModel,
+                     t_image: linalg.Vector) -> SullivanModel:
+    """ℳ (x) Λ(t), dt = 0, for ``model`` = ℳ of a subcomplex, mapped into
+    the subcomplex's parent: each generator of ℳ to its image there, t to
+    ``t_image``, a degree-1 cocycle of the parent.  It is checked as a
+    model of the parent through ``model.cap`` by ``_finalize``, as a
+    ``minimal_model`` of the parent is."""
+    sub = model.comparison.target
+    builder = _Builder(sub.parent, model.cap, model.dga, [
+        sub.parent_coords(g.degree, v) for g, v in
+        zip(model.dga.algebra.generators, model.comparison.images)])
+    builder.add_generator(1, None, t_image)
     return _finalize(builder)
 
 

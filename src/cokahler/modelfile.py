@@ -227,7 +227,7 @@ def _parse_automorphism(mf: ModelFile, entries):
     if matrix is None:
         raise ModelParseError("automorphism needs a matrix", lineno,
                               "automorphism")
-    # on degree 1 what cdga.invariant_subalgebra checks on every degree
+    # on degree 1 what cdga.invariant_subalgebra checks on generators
     sparse = [linalg.sparse(row) for row in matrix]
     if linalg.rank(sparse) < mf.dimension:
         raise ModelParseError("automorphism matrix is singular",

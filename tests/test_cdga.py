@@ -998,7 +998,8 @@ def test_rotation_by_90_degrees():
     inv = invariant_subalgebra(t2, phi, 4)
     assert [inv.dim(p) for p in range(3)] == [1, 0, 1]
     assert oracle_fixed_dims([[linalg.dense(row, t2.dim(p))
-                               for row in phi.matrix(p)]
+                               for row in linalg.transpose(
+                                   phi.columns(p), t2.dim(p))]
                               for p in range(3)]) == [1, 0, 1]
     assert inv.basis_elements(2) == [t2.algebra.monomial("e1", "e2")]
 
@@ -1010,7 +1011,8 @@ def test_minus_identity():
     inv = invariant_subalgebra(t2, phi, 2)
     assert [inv.dim(p) for p in range(3)] == [1, 0, 1]
     assert oracle_fixed_dims([[linalg.dense(row, t2.dim(p))
-                               for row in phi.matrix(p)]
+                               for row in linalg.transpose(
+                                   phi.columns(p), t2.dim(p))]
                               for p in range(3)]) == [1, 0, 1]
 
 
@@ -1086,7 +1088,7 @@ def test_commutes_with_reads_every_monomial_of_the_map():
     # breaks it, and word_disagreements finds the fault
     assert bad.commutes_with(d)
     assert word_disagreements(alg, [([(bad, d)], [(d, bad)])])[0] == e45
-    assert bad.matrix(2) != ident.matrix(2)
+    assert bad.columns(2) != ident.columns(2)
 
 
 def test_supercommutes_with_d_detects_failure():

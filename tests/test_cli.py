@@ -17,6 +17,7 @@ from cokahler.cdga import Derivation
 from cokahler.cli import main
 from cokahler.modelfile import corpus_path, loads, resolve
 from cokahler.report import run_section
+from test_report_bytes import pinned_text
 
 
 def run(capsys, *argv):
@@ -433,7 +434,8 @@ SECTION_VERDICTS = {
     "classify": ({"classification_consistency"}, (), ()),
     "betti": (set(), (), ()),
     "lefschetz": ({"lefschetz_isomorphism"},
-                  ("not co-Kahler: Lefschetz", "model is not cosymplectic"),
+                  ("not co-Kahler: Lefschetz", "model is not cosymplectic",
+                   "not unimodular: no compact quotient"),
                   ()),
     "verbitsky": ({"parallel_form_quism"}, ("eta not parallel",), ()),
     "split": ({"omega_splitting", "omega1_equals_basic",
@@ -454,9 +456,12 @@ def test_subcommands_exit_as_their_report_sections_say(capsys, tmp_path,
     nil5.write_text(NIL5)
     heis5 = tmp_path / "heis5.model"
     heis5.write_text(HEIS5)
+    rxaff3 = tmp_path / "rxaff3.model"        # curved: Lefschetz is a note
+    rxaff3.write_text(pinned_text("rxaff3"))
     seen_exits = set()
     for model in ("torus3", "torus5", "heisenberg", "t2-rot4-mapping-torus",
-                  "t2-negid-mapping-torus", str(nil5), str(heis5)):
+                  "t2-negid-mapping-torus", str(nil5), str(heis5),
+                  str(rxaff3)):
         code, out, _ = run(capsys, "report", "--json", model)
         report = json.loads(out)
         assert code == (0 if report["ok"] else 1)

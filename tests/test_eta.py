@@ -494,8 +494,9 @@ def test_kernel_subcomplex_is_kept_per_operator(heisenberg):
 
 # the corpus and pinned models whose xi is central: L_xi is zero in every
 # degree, so ker(d_eta) is the full complex itself
-CENTRAL_XI = ("kx5", "kx5-eta", "kx5-p", "kx5-q", "kx7", "rxkt5", "torus3",
-              "torus5", "torus5-eta", "torus7", "torus9")
+CENTRAL_XI = ("kx5", "kx5-eta", "kx5-p", "kx5-q", "kx7", "rxaff3", "rxaff5",
+              "rxch2", "rxkt5", "torus3", "torus5", "torus5-eta", "torus7",
+              "torus9")
 
 
 def pinned_or_corpus(name):

@@ -6,9 +6,9 @@ Lie algebra, so they test the construction, not a model: they are checked
 here for every basis vector of generated algebras (Jacobi holds by
 construction), through ``word_disagreements``, while the report decides
 them along xi only.
-The report reads ℳ(Omega_eta) as ℳ(Omega) through the verified inclusion
-Omega_eta -> Omega; here ℳ(Omega_eta) is built from Omega_eta itself and
-compared with the report's record.
+The report builds ℳ(Omega) of a co-Kahler model as ℳ(Omega_1) (x)
+Λ(eta); here ℳ(Omega) is built directly and compared with the report's
+record.
 Mapping tori of generated signed-permutation automorphisms of T^2 .. T^4
 are checked against the oracle's Betti numbers.
 Structured models, 2-step nilpotent and R x_D R^k with rational brackets and
@@ -40,7 +40,7 @@ from cokahler.geometry import (LieModel, classify, is_parallel_form,
                                omega_element)
 from cokahler.minimal import minimal_model
 from cokahler.modelfile import CORPUS_MODELS
-from cokahler.report import _plain
+from cokahler.report import _co_kahler, _plain
 from conjugation import bases, basis_free, conjugated
 from operator_words import word_disagreements
 from test_cdga import faulty
@@ -148,7 +148,8 @@ def test_transverse_rotation_family_is_co_kahler(weights):
     h1 = report["splitting"]["betti_omega1"]
     assert betti == [h1[p] + (h1[p - 1] if p else 0)
                      for p in range(len(betti))]
-    assert "lefschetz" in report and "tensor_split" in report["minimal_model"]
+    assert "lefschetz" in report and "minimal_model_tensor_split" in {
+        r["check"] for r in report["asserted"]}
     # d != 0 on Omega_1
     m = loads(text).to_lie_model()
     omega1, d = omega_splitting(m).omega1, m.ce().d
@@ -165,28 +166,48 @@ def test_transverse_rotation_family_is_co_kahler(weights):
 
 
 def assert_invariant_model_matches_the_report(mf, cap=3):
-    """ℳ(Omega_eta), built from the invariant forms themselves, has the
-    generator counts and Betti numbers that the report's tensor-split record
-    gives the invariant-forms model, and it is minimal and exact."""
-    record = build_report(mf, max_degree=cap)["minimal_model"]["tensor_split"]
-    mm = minimal_model(omega_splitting(mf.to_lie_model()).omega_eta, cap)
+    """ℳ(Omega), built directly on the full complex, has the generator
+    counts and verdicts of the report's record, which a co-Kahler report
+    reads off ℳ(Omega_1) (x) Λ(eta): minimal models are unique."""
+    record = build_report(mf, max_degree=cap)["minimal_model"]
+    mm = minimal_model(mf.to_lie_model().ce(), cap)
     assert mm.minimal and mm.quasi_iso
-    assert {str(p): n for p, n in mm.generator_counts().items()} \
-        == record["counts_invariant"]
-    ring = mm.dga.cohomology()
-    assert [ring.dim(p) for p in range(min(cap, ring.top) + 1)] \
-        == record["betti_invariant_model"]
+    assert _plain({
+        "generator_counts": dict(sorted(mm.generator_counts().items())),
+        "minimal": mm.minimal,
+        "quasi_iso_degrees": mm.iso_degrees,
+        "injective_above": mm.injective_above,
+    }) == {key: record[key] for key in ("generator_counts", "minimal",
+                                        "quasi_iso_degrees",
+                                        "injective_above")}
 
 
-@pytest.mark.parametrize("label", ["torus3", "torus5", "kx5", "kx7",
-                                   "rot7-1-3-4", "rot7-3-3-4"])
+# the co-Kahler pinned models, the curved rxaff3, rxaff5 and rxch2 among them
+COKAHLER_PINNED = ("kx5", "kx5-p", "kx5-q", "kx7", "rot5-1-1-g", "rot5-1-2",
+                   "rot7-1-1-1", "rot7-1-1-3", "rot7-1-2-3-conj",
+                   "rot9-1-1-1-1", "rot9-1-2-3-4", "rxaff3", "rxaff5",
+                   "rxch2", "torus3", "torus5", "torus7", "torus9")
+
+
+def pinned_or_corpus(name):
+    text = pinned_text(name) if name in PINNED else None
+    return load_corpus(name) if text is None else loads(text)
+
+
+def test_cokahler_pinned_lists_every_cokahler_pinned_model():
+    assert tuple(name for name in sorted({*CORPUS_MODELS, *PINNED})
+                 if _co_kahler(pinned_or_corpus(name).to_lie_model())) \
+        == COKAHLER_PINNED
+
+
+@pytest.mark.parametrize("label", sorted({*COKAHLER_PINNED, "rot7-1-3-4",
+                                          "rot7-3-3-4"}))
 def test_invariant_forms_model_is_the_one_the_report_reads(label):
-    if label.startswith("rot7"):
+    if label not in PINNED:
         weights = tuple(int(w) for w in label.split("-")[1:])
         mf = loads(perfbench_module("models").rot_text(weights))
     else:
-        text = pinned_text(label)
-        mf = load_corpus(label) if text is None else loads(text)
+        mf = pinned_or_corpus(label)
     assert_invariant_model_matches_the_report(mf)
 
 
@@ -353,8 +374,7 @@ def test_a_structured_model_is_never_an_input_error(text):
 def basis_free_report(name):
     """A corpus or pinned model file and its report without what names a
     basis (``conjugation.basis_free``)."""
-    text = pinned_text(name) if name in PINNED else None
-    mf = load_corpus(name) if text is None else loads(text)
+    mf = pinned_or_corpus(name)
     return mf, basis_free(_plain(build_report(mf)))
 
 

@@ -99,3 +99,11 @@ def test_every_public_linalg_function_has_a_reader():
 
 def test_every_public_cdga_function_has_a_reader():
     assert unread_public_functions("cdga") == []
+
+
+def test_every_public_minimal_function_has_a_reader():
+    assert unread_public_functions("minimal") == []
+
+
+def test_every_public_cohomology_function_has_a_reader():
+    assert unread_public_functions("cohomology") == []

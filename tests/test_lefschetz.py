@@ -14,7 +14,8 @@ from cokahler.geometry import LieModel
 from cokahler.lefschetz import (lefschetz_map, mapping_torus_model,
                                 model_automorphism, splitting_check,
                                 verify_lefschetz_iso)
-from cokahler.modelfile import load_corpus
+from cokahler.cli import main
+from cokahler.modelfile import CORPUS_MODELS, load_corpus
 from cokahler.report import run_section
 from test_memo import ROT7_123
 from test_report_bytes import PINNED, pinned_text
@@ -157,7 +158,8 @@ def test_mapping_torus_rotation(torus3):
     assert kunneth_convolution(torus.fiber_fixed_betti, (1, 1)) == torus.betti
     # oracle: fixed dims straight from sympy.nullspace(phi - id)
     assert oracle_fixed_betti([[linalg.dense(row, t2.dim(p))
-                                for row in rot.matrix(p)]
+                                for row in linalg.transpose(
+                                    rot.columns(p), t2.dim(p))]
                                for p in range(3)], t2) \
         == [1, 0, 1]
 
@@ -363,6 +365,45 @@ def test_lefschetz_on_kx5_p_and_rxkt5(name, ranks, dims, witnesses):
     sec = run_section(m, "lefschetz")
     assert [(r["check"], r["ok"]) for r in sec.asserted] == (
         [("lefschetz_isomorphism", True)] if name == "kx5-p" else [])
+
+
+CURVED_NOTE = ("not unimodular: no compact quotient, Lefschetz ranks "
+               "reported without a verdict (all iso: False)")
+
+
+@pytest.mark.parametrize("name", ["rxaff3", "rxaff5", "rxch2"])
+def test_a_curved_cokahler_model_reports_lefschetz_ranks_without_a_verdict(
+        name, capsys, tmp_path):
+    # the co-Kahler Lefschetz theorem is about compact manifolds, and a Lie
+    # group with a lattice is unimodular: on these curved models the map is
+    # not an isomorphism, and that is a note, not a failed verdict
+    report = build_report(model_file(name))
+    assert report["classification"]["coKahler"]
+    assert not report["model"]["unimodular"]
+    assert report["ok"] and report["notes"] == [CURVED_NOTE]
+    assert "lefschetz_isomorphism" not in {
+        r["check"] for r in report["asserted"]}
+    assert report["lefschetz"]["top_class_nonzero"] is False
+    path = tmp_path / f"{name}.model"
+    path.write_text(pinned_text(name))
+    for flags, code in (((), 1), (("--informational",), 0)):
+        assert main([*flags, "lefschetz", str(path)]) == code
+        assert f"note: {CURVED_NOTE}\n" in capsys.readouterr().out
+        assert main([*flags, "report", str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_every_unimodular_cokahler_model_binds_the_lefschetz_verdict():
+    bound = {}
+    for name in sorted({*CORPUS_MODELS, *PINNED}):
+        report = build_report(model_file(name))
+        if report.get("classification", {}).get("coKahler"):
+            bound[name] = (report["model"]["unimodular"],
+                           "lefschetz_isomorphism" in {
+                               r["check"] for r in report["asserted"]})
+    assert {name for name, (uni, _) in bound.items() if not uni} == {
+        "rxaff3", "rxaff5", "rxch2"}
+    assert all(uni == binds for uni, binds in bound.values())
 
 
 def sympy_rank(rows: list[dict], width: int) -> int:

@@ -1,7 +1,9 @@
-"""Bounded-degree Sullivan models and the tensor-splitting comparison."""
+"""Bounded-degree Sullivan models, and ℳ(Omega) of a co-Kahler model built
+as ℳ(Omega_1) (x) Λ(eta)."""
 
 import importlib.util
 import itertools
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -9,18 +11,18 @@ from pathlib import Path
 
 import pytest
 
-from cokahler import eta, linalg, load_corpus, loads
+from cokahler import linalg, load_corpus, loads, minimal
 from cokahler.cdga import DGA, Derivation, Subcomplex
 from cokahler.cli import main
 from cokahler.cohomology import CohomologyRing, InducedMap
 from cokahler.errors import StructureError
-from cokahler.eta import (QuasiIsoReport, build_d_eta, invariant_forms,
-                          model_tensor_split_check, omega_splitting)
+from cokahler.eta import (invariant_forms, model_tensor_split_check,
+                          omega_splitting)
 from cokahler.exterior import Generator, GradedAlgebra
-from cokahler.minimal import (_Builder, _ComparisonMap, _extend_surjective,
-                              minimal_model)
+from cokahler.minimal import (_ComparisonMap, _extend_surjective,
+                              circle_extension, minimal_model)
 from cokahler.modelfile import ModelFile
-from cokahler.report import build_report, run_section
+from cokahler.report import run_section
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -104,21 +106,35 @@ def test_models_of_subcomplexes(torus3, torus5):
         assert mm.minimal and mm.quasi_iso
 
 
+def tensor_split(m, cap):
+    """ℳ(Omega_1) and ℳ(Omega) built from it, as the report builds them."""
+    basic = minimal_model(omega_splitting(m).omega1, cap)
+    return basic, model_tensor_split_check(m, basic)
+
+
 def test_tensor_split_on_cokahler_models(torus3, torus5):
-    r3 = model_tensor_split_check(torus3, minimal_model(torus3.ce(), 3))
-    assert r3.ok
-    assert r3.counts_eta == {1: 3}
-    assert r3.counts_basic == {1: 2}
-    assert r3.betti_eta == r3.betti_tensor == (1, 3, 3, 1)
-    r5 = model_tensor_split_check(torus5, minimal_model(torus5.ce(), 3))
-    assert r5.ok
-    assert r5.counts_eta == {1: 5} and r5.counts_basic == {1: 4}
+    # ℳ(Omega_1), extended by a closed t -> eta, checked as the model of
+    # Omega itself: one generator more, in degree 1
+    for m, n in ((torus3, 3), (torus5, 5)):
+        basic, mm = tensor_split(m, 3)
+        assert basic.comparison.target is omega_splitting(m).omega1
+        assert mm.comparison.target is m.ce()
+        assert basic.generator_counts() == {1: n - 1}
+        assert mm.generator_counts() == {1: n}
+        assert basic.minimal and basic.quasi_iso
+        assert mm.minimal and mm.quasi_iso
+        t = len(mm.dga.algebra) - 1
+        assert mm.dga.d.image_of(t).is_zero()
+        assert mm.comparison.images[t] == m.ce().coords(1, m.eta_element())
+    ring = tensor_split(torus3, 3)[1].dga.cohomology()
+    assert ring.betti() == (1, 3, 3, 1)
 
 
 def test_tensor_split_degenerate_cap(torus3):
-    r = model_tensor_split_check(torus3, minimal_model(torus3.ce(), 1))
-    assert r.counts_match
-    assert r.counts_eta == {1: 3} and r.counts_basic == {1: 2}
+    basic, mm = tensor_split(torus3, 1)
+    assert basic.generator_counts() == {1: 2}
+    assert mm.generator_counts() == {1: 3}
+    assert mm.iso_degrees == [True, True] and mm.injective_above
 
 
 def test_tensor_split_requires_cokahler(heisenberg):
@@ -127,74 +143,54 @@ def test_tensor_split_requires_cokahler(heisenberg):
 
 
 def test_tensor_split_refuses_a_model_of_another_complex(torus3):
-    # ℳ(Omega_1) passed where ℳ(Omega) belongs
-    wrong = minimal_model(omega_splitting(torus3).omega1, 3)
-    with pytest.raises(StructureError, match="full complex"):
-        model_tensor_split_check(torus3, wrong)
+    # ℳ(Omega) passed where ℳ(Omega_1) belongs
+    with pytest.raises(StructureError, match="basic complex"):
+        model_tensor_split_check(torus3, minimal_model(torus3.ce(), 3))
 
 
-def test_tensor_split_refuses_a_kernel_other_than_the_invariant_forms():
-    # ker(d_eta) rebuilt after the splitting: equal to the invariant forms,
-    # but a second object, so the construction is inconsistent.  L_xi is
-    # not zero on rot7-1-2-3, so its kernel is a stored Subcomplex
-    m = loads(perfbench_models().rot_text((1, 2, 3))).to_lie_model()
-    dga, d_eta = m.ce(), build_d_eta(m).d_eta
-    stored = omega_splitting(m).omega_eta
-    assert dga.kernels[d_eta] is stored is not dga
-    dga.kernels[d_eta] = Subcomplex.kernel_of(dga, d_eta.columns, 0)
-    with pytest.raises(StructureError, match="construction inconsistency"):
-        model_tensor_split_check(m, minimal_model(dga, 3))
+@pytest.mark.parametrize("label", ["kx5", "rot7-1-2-3"])
+def test_a_circle_generator_sent_to_zero_fails_the_model(label):
+    # t -> 0 in place of t -> eta: still a chain map, but [eta] is not
+    # reached, so H^1 is not an isomorphism
+    basic, mm = tensor_split(model_of(label), 3)
+    wrong = circle_extension(basic, {})
+    assert wrong.generator_counts() == mm.generator_counts()
+    assert wrong.minimal and wrong.iso_degrees[1] is False
+    assert mm.iso_degrees == [True] * 4
 
 
-def test_a_failed_inclusion_fails_the_tensor_split(monkeypatch):
-    # ℳ(Omega) stands for ℳ(Omega_eta) only through the inclusion verdict
-    honest = eta.verify_parallel_form_quism
-
-    def failed(m):
-        return QuasiIsoReport(**{**vars(honest(m)), "conclusion": False})
-
-    monkeypatch.setattr(eta, "verify_parallel_form_quism", failed)
-    mf = load_corpus("kx5")
-    m = mf.to_lie_model()
-    tensor = model_tensor_split_check(m, minimal_model(m.ce(), 3))
-    assert tensor.counts_match and tensor.betti_match
-    assert tensor.models_quasi_iso is False and tensor.ok is False
-    verdicts = {r["check"]: r["ok"] for r in build_report(mf)["asserted"]}
-    assert verdicts["minimal_model_tensor_split"] is False
-
-
-def test_a_cokahler_model_builds_two_minimal_models(capsys, monkeypatch,
+def test_a_cokahler_report_builds_one_minimal_model(capsys, monkeypatch,
                                                     tmp_path):
-    # ℳ(Omega) and ℳ(Omega_1); ℳ(Omega_eta) is read as ℳ(Omega)
+    # ℳ(Omega_1) on a co-Kahler model, extended to ℳ(Omega) by t -> eta;
+    # ℳ(Omega) itself elsewhere: minimal_model runs once per command,
+    # wherever the package binds it
     targets, models = [], []
-    init, to_lie_model = _Builder.__init__, ModelFile.to_lie_model
+    build, to_lie_model = minimal.minimal_model, ModelFile.to_lie_model
 
-    def counting_init(self, target, cap):
+    def counting(target, cap):
         targets.append(target)
-        init(self, target, cap)
+        return build(target, cap)
 
     def recording(mf):
         models.append(to_lie_model(mf))
         return models[-1]
 
-    monkeypatch.setattr(_Builder, "__init__", counting_init)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cokahler" and \
+                vars(module).get("minimal_model") is build:
+            monkeypatch.setattr(module, "minimal_model", counting)
     monkeypatch.setattr(ModelFile, "to_lie_model", recording)
     path = tmp_path / "rot7-1-2-3.model"
     path.write_text(perfbench_models().rot_text((1, 2, 3)))
-    for model in ("kx5", str(path)):
+    for model in ("kx5", str(path), "heisenberg"):
         for command in ("report", "minimal"):
             targets.clear()
             models.clear()
             assert main([command, model]) == 0
             (m,) = models
-            assert len(targets) == 2, (model, command)
-            assert targets[0] is m.ce()
-            assert targets[1] is omega_splitting(m).omega1
-    targets.clear()
-    models.clear()
-    assert main(["report", "heisenberg"]) == 0
-    (m,) = models
-    assert len(targets) == 1 and targets[0] is m.ce()
+            assert len(targets) == 1, (model, command)
+            assert targets[0] is (m.ce() if model == "heisenberg"
+                                  else omega_splitting(m).omega1)
     capsys.readouterr()
 
 
@@ -280,14 +276,18 @@ def test_each_generator_product_is_pushed_once_per_call(monkeypatch):
                 == vec
 
 
+def model_of(label: str):
+    """A corpus or rot model."""
+    if label.startswith("rot"):
+        weights = tuple(map(int, label.split("-")[1:]))
+        return loads(perfbench_models().rot_text(weights)).to_lie_model()
+    return load_corpus(label).to_lie_model()
+
+
 def model_targets(label: str):
     """The full complex and, on a co-Kahler model, the basic complex of a
     corpus or rot model."""
-    if label.startswith("rot"):
-        weights = tuple(map(int, label.split("-")[1:]))
-        m = loads(perfbench_models().rot_text(weights)).to_lie_model()
-    else:
-        m = load_corpus(label).to_lie_model()
+    m = model_of(label)
     if label == "heisenberg":
         return (m.ce(),)
     return m.ce(), omega_splitting(m).omega1
@@ -392,6 +392,10 @@ def assert_exact_model(mm, counts, cap):
 def test_models_match_the_pinned_counts(label):
     for target, counts in zip(model_targets(label), PINNED_COUNTS[label]):
         assert_exact_model(minimal_model(target, 3), counts, 3)
+    # the report's ℳ(Omega): ℳ(Omega_1) extended by t -> eta
+    basic, mm = tensor_split(model_of(label), 3)
+    assert_exact_model(basic, PINNED_COUNTS[label][1], 3)
+    assert_exact_model(mm, PINNED_COUNTS[label][0], 3)
 
 
 def test_rot9_with_repeated_weights_at_cap_four():

@@ -352,6 +352,12 @@ CANONICAL = {
         "4a879e8702707140f3c813cdd5142159e185e601709d4c8091fcf33a22f81a28",
     "rot9-1-2-3-4":
         "fd7b081ed1971a394ea5ee54a99b3a5adc6fdf30879db4948569b2faefdeb000",
+    "rxaff3":
+        "3380fde0a7ac2b9aeee3cf04f8362147b1397db7e5378a5862db6cf3a1010c64",
+    "rxaff5":
+        "506bbe3a374289be6553feb4ec7a20dc6daecac53959b5836ea2da0c91ea5dea",
+    "rxch2":
+        "7fb263cd0d4c96716c09485712b1bc3e58e8cb33a7421d8b6986a831f5f8fa00",
     "rxkt5":
         "059f6059088e8ebe79afc30b8ee0a1829a5d313e5b8e4ac7da24dbee8d488421",
     "t2-negid-mapping-torus":
