@@ -160,8 +160,7 @@ def _show_lefschetz(sec) -> None:
 def _show_quism(sec) -> None:
     rec = sec.record
     print(f"eta parallel: {rec['eta_parallel']}")
-    print(f"ker(d_eta) betti: {_fmt(rec['betti_kernel'])}; "
-          f"full betti: {_fmt(rec['betti_full'])}")
+    print(f"ker(d_eta) betti: {_fmt(rec['betti_kernel'])}")
     print(f"degreewise isomorphism: {rec['degreewise_iso']}")
     for p, witnesses in rec["kernel_witnesses"].items():
         for w in witnesses:
@@ -173,10 +172,6 @@ def _show_splitting(sec) -> None:
     rec = sec.record
     print(f"Omega_eta dims: {_fmt(rec['omega_eta_dims'])}")
     print(f"Omega_1   dims: {_fmt(rec['omega1_dims'])}")
-    print(f"Omega_2   dims: {_fmt(rec['omega2_dims'])}")
-    print(f"direct sum (p>0): {all(rec['direct_sum'])}")
-    print(f"Omega_2 = eta ^ Omega_1: {all(rec['eta_wedge_match'])}")
-    print(f"Omega_1 = basic complex: {all(rec['omega1_equals_basic'])}")
     print(f"H_eta betti: {_fmt(rec['betti_eta'])}; "
           f"H_1 betti: {_fmt(rec['betti_omega1'])}")
     print(f"H^p_eta = H^p_1 + [eta]^H^(p-1)_1: "

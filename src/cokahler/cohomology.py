@@ -155,7 +155,7 @@ def map_from_classes(p: int, cols: linalg.Matrix, source_dim: int,
     """The map from H^p whose column j is ``cols[j]``, the class of the
     image of the j-th representative."""
     matrix = linalg.transpose(cols, target_dim)
-    kernel = linalg.kernel_basis(matrix, source_dim)
+    kernel = linalg.kernel_span(matrix, source_dim).rows
     return InducedMap(p, matrix, source_dim, target_dim,
                       source_dim - len(kernel), kernel)
 

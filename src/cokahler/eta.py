@@ -64,12 +64,13 @@ def build_d_eta(m: LieModel) -> EtaOperator:
 def verify_d_eta_equals_lie(m: LieModel) -> bool:
     """d_eta = L_xi in every degree, decided where d_eta is built.
 
-    Requires eta to be the metric dual of xi, which is the only input the
-    identity uses; parallelism is not needed.  Then rho_eta sends e^i to
-    eta(sharp e^i) = xi_i, iota_xi's generator images, so ``derivation``
-    hands out iota_xi as rho_eta and L_xi as d_eta = {d, rho_eta}: the two
-    are one operator.  Distinct operators mean a corrupt construction and
-    raise, as ``classify`` does on an inconsistency.
+    Requires eta to be the metric dual of xi, the only input the identity
+    uses: it is algebraic, needing neither parallelism nor a compact
+    quotient.  Then rho_eta sends e^i to eta(sharp e^i) = xi_i, iota_xi's
+    generator images, so ``derivation`` hands out iota_xi as rho_eta and
+    L_xi as d_eta = {d, rho_eta}: the two are one operator.  Distinct
+    operators mean a corrupt construction and raise, as ``classify`` does
+    on an inconsistency.
     """
     if m.flat(m._require("xi")) != m._require("eta"):
         raise StructureError("eta is not the metric dual of xi")
@@ -181,16 +182,15 @@ class QuasiIsoReport(Record):
     degreewise_iso: list[bool]
     ranks: list[int]
     sub_betti: tuple[int, ...]
-    full_betti: tuple[int, ...]
     conclusion: bool              # inclusion is a quasi-isomorphism
     kernel_witnesses: dict[int, list[str]]
 
 
 @once_per_model
 def verify_parallel_form_quism(m: LieModel) -> QuasiIsoReport:
-    """Check that ker(d_eta) includes quasi-isomorphically into the full
-    complex; the verdict is a theorem when eta is parallel, that is when
-    nabla_{X_i} eta = 0 for every i (``is_parallel_form``)."""
+    """ker(d_eta) includes quasi-isomorphically into the full complex, a
+    theorem when eta is parallel: nabla_{X_i} eta = 0 for every i
+    (``is_parallel_form``).  Algebraic: it needs no compact quotient."""
     parallel, _ = is_parallel_form(m, m.eta_element())
     dga = m.ce()
     sub = kernel_subcomplex(dga, build_d_eta(m).d_eta)
@@ -201,8 +201,8 @@ def verify_parallel_form_quism(m: LieModel) -> QuasiIsoReport:
         ranks.append(ind.rank)
         if not ind.injective:
             witnesses[p] = kernel_witnesses(sub, ind)
-    return QuasiIsoReport(parallel, iso, ranks, sub.betti(),
-                          dga.cohomology().betti(), all(iso), witnesses)
+    return QuasiIsoReport(parallel, iso, ranks, sub.betti(), all(iso),
+                          witnesses)
 
 
 def model_tensor_split_check(m: LieModel,

@@ -421,7 +421,6 @@ def _fmt_vector(vec: Vector) -> str:
 
 class StructureVerdict(Record):
     """Classification of an almost-contact metric Lie model."""
-    almost_contact: bool
     cosymplectic: bool
     normal: bool
     coKahler: bool
@@ -470,7 +469,6 @@ def classify(m: LieModel) -> StructureVerdict:
             "classification inconsistency: co-Kahler model with non-parallel "
             "or non-Killing Reeb data")
     return StructureVerdict(
-        almost_contact=True, cosymplectic=cosymplectic, normal=normal,
-        coKahler=co_kahler, killing_xi=killing, parallel_xi=par_xi,
-        parallel_eta=par_eta, parallel_J=par_j,
-        unimodular=m.is_unimodular(), witnesses=witnesses)
+        cosymplectic=cosymplectic, normal=normal, coKahler=co_kahler,
+        killing_xi=killing, parallel_xi=par_xi, parallel_eta=par_eta,
+        parallel_J=par_j, unimodular=m.is_unimodular(), witnesses=witnesses)

@@ -13,8 +13,8 @@ With alpha_2 = eta ^ iota_xi(alpha) and alpha_1 = alpha - alpha_2, the
 eta-term is L(alpha_1) and the iota-term L(alpha_2) (``_terms``).  The
 invariant forms split as complexes, Omega_eta = Omega_1 + eta ^ Omega_1
 (``omega_splitting``), so H_eta = H_1 + [eta] ^ H_1 is a Betti identity,
-and a term falls in its block once the iota-term lies in Omega_1.  Each
-column of the Lefschetz matrix is one class, of L(alpha), reduced once.
+and each term falls in its block, the iota-term in Omega_1 (checked).
+Each column of the Lefschetz matrix is one class, of L(alpha), reduced once.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ def lefschetz_map(m: LieModel, alpha: Element) -> Element:
 class LefschetzDegree(InducedMap):
     """The induced map H^p_eta -> H^{2n+1-p}_eta."""
     kernel_witnesses: list[str]
-    component_split_ok: bool
 
 
 class LefschetzReport(Record):
@@ -102,11 +101,10 @@ class LefschetzReport(Record):
 
 def verify_lefschetz_iso(m: LieModel) -> LefschetzReport:
     """Induced Lefschetz matrices on the invariant cohomology for p <= n,
-    each column the class of L on one representative, with whether each
-    representative's iota-term lies in Omega_1 (``component_split_ok``).
-
-    Off cosymplectic models the map does not descend to cohomology; the
-    report then carries a note and no degrees."""
+    each column the class of L on one representative (``_component_split_ok``).
+    That each is an isomorphism needs a compact quotient, so that verdict
+    binds only on unimodular models.  Off cosymplectic models the map does
+    not descend to cohomology: a note and no degrees."""
     n = _contact_rank(m)
     verdict = classify(m)
     if not verdict.cosymplectic:
@@ -120,13 +118,11 @@ def verify_lefschetz_iso(m: LieModel) -> LefschetzReport:
     degrees = []
     for p in range(n + 1):
         q = 2 * n + 1 - p
-        pairs = [_component_split_ok(m, split, sub.element(p, rep), q)
-                 for rep in ring.representatives(p)]
-        ind = map_from_classes(p, [cls for cls, _ in pairs], ring.dim(p),
-                               ring.dim(q))
+        cols = [_component_split_ok(m, split, sub.element(p, rep), q)
+                for rep in ring.representatives(p)]
+        ind = map_from_classes(p, cols, ring.dim(p), ring.dim(q))
         degrees.append(LefschetzDegree(
-            **vars(ind), kernel_witnesses=kernel_witnesses(sub, ind),
-            component_split_ok=all(ok for _, ok in pairs)))
+            **vars(ind), kernel_witnesses=kernel_witnesses(sub, ind)))
     top = _omega_powers(m)[n].wedge(m.eta_element())
     top_nonzero = bool(_class(sub, 2 * n + 1, top))
     return LefschetzReport(n, verdict.coKahler, degrees, top_nonzero, None)
@@ -137,16 +133,19 @@ def _class(sub: CochainComplex, q: int, form: Element) -> linalg.Vector:
     return sub.cohomology().class_of(q, sub.coords(q, form))
 
 
-def _component_split_ok(m, split, elem, q) -> tuple[dict, bool]:
-    """The class of L(elem) in H^q_eta, reduced once, and whether L's
-    iota-term lies in Omega_1^q.  Then the iota-term's class lies in H_1,
-    and the eta-term, L(elem) minus the iota-term, lies in Omega_eta and is
-    an eta-multiple, so in eta ^ Omega_1: each term falls in its block of
-    H_eta = H_1 + [eta] ^ H_1."""
+def _component_split_ok(m, split, elem, q) -> linalg.Vector:
+    """The class of L(elem) in H^q_eta, reduced once.  omega is basic and
+    Omega_1 a subalgebra, so L's iota-term lies in Omega_1^q and the
+    eta-term in eta ^ Omega_1: each falls in its block of H_eta = H_1 +
+    [eta] ^ H_1.  An iota-term outside Omega_1 is a corrupt construction
+    and raises, as ``verify_basic_match`` does."""
     eta_term, iota_term = _terms(m, elem)
     omega1 = split.omega1
-    return (_class(split.omega_eta, q, eta_term + iota_term),
-            omega1.parent.coords(q, iota_term) in omega1.span(q))
+    if omega1.parent.coords(q, iota_term) not in omega1.span(q):
+        raise StructureError(
+            "construction inconsistency: the iota-term of the Lefschetz map "
+            f"leaves Omega_1 in degree {q}")
+    return _class(split.omega_eta, q, eta_term + iota_term)
 
 
 class SplittingReport(Record):
@@ -185,7 +184,8 @@ def mapping_torus_model(k_dga: DGA, phi: AlgebraMap,
                         order: int) -> MappingTorus:
     """Model of the mapping torus of a finite-order automorphism: K
     extended by t with dt = 0 (``DGA.extend``, which keeps K's truncation
-    degree), and phi's images lifted there (``GradedAlgebra.lift``)."""
+    degree), and phi's images lifted there (``GradedAlgebra.lift``).  Its
+    Betti verdict is algebraic: it needs no compact quotient."""
     used = {g.name for g in k_dga.algebra.generators}
     # t0, t1, ... after the four short names: one of len(used) + 1 is free
     name = next(c for c in ("t", "s", "u", "z",

@@ -152,19 +152,6 @@ def rank(mat: Matrix) -> int:
     return len(_echelon(mat))
 
 
-def kernel_basis(mat: Matrix, ncols: int) -> list[Vector]:
-    """Basis of {x : mat @ x = 0}, one vector per free column, ascending."""
-    rows, pivots = rref(mat)
-    basis = {j: {j: 1} for j in range(ncols)}
-    for c in pivots:
-        del basis[c]
-    for row, c in zip(rows, pivots):
-        for j, v in row.items():
-            if j != c:
-                basis[j][c] = -v
-    return list(basis.values())
-
-
 def kernel_span(mat: Matrix, ncols: int) -> Span:
     """{x : mat @ x = 0} as a ``Span``, from one elimination.
 

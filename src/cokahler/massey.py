@@ -6,8 +6,8 @@ dU = a b and dV = b c (echelon solve, free variables zero) and form
     w = U c - (-1)^{|x|} a V.
 
 The class of w modulo the indeterminacy x H + H z is the triple product; a
-nonvanishing product obstructs formality.  Vanishing products prove nothing,
-so scans report "obstructed" or "consistent-with-formal", never "formal".
+nonvanishing one obstructs formality.  Vanishing ones prove nothing, so a
+scan reports "obstructed" or "no obstruction among basis triples" only.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class MasseyScan(Record):
     """All triple products among degree-1 basis classes with vanishing
     pairwise products."""
     triples: list[tuple[tuple[int, int, int], MasseyTriple]]
-    # "obstructed" or "consistent-with-formal" over the triples of the H^1
-    # basis only, so off co-Kahler models it can depend on that basis
+    # read on the triples of the H^1 basis only, so off co-Kahler models
+    # it can depend on that basis
     status: str
 
     @property
@@ -108,4 +108,4 @@ def degree_one_massey_scan(ring: CohomologyRing) -> MasseyScan:
         results.append(((i, j, k), triple))
         obstructed |= not triple.vanishes
     return MasseyScan(results, "obstructed" if obstructed
-                      else "consistent-with-formal")
+                      else "no obstruction among basis triples")

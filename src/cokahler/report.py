@@ -150,6 +150,7 @@ def _model_section(model: LieModel, cap, order) -> Section:
 
 
 def _classification_section(model: LieModel, cap, order) -> Section:
+    """The consistency verdict is algebraic: no compact quotient is needed."""
     verdict = classify(model)
     sec = Section({**vars(verdict),
                    "witnesses": dict(sorted(verdict.witnesses.items()))})
@@ -171,31 +172,30 @@ def operator_identity_report(m: LieModel) -> Section:
     the coadjoint derivative on generators; iota_xi^2 = {iota_xi, iota_xi}/2
     is a degree -2 derivation, zero on generators, so iota_xi's verdict
     decides it.  Along other X they hold on every Lie algebra, so they test
-    the construction, and tests/test_generated_models.py checks them."""
+    the construction, and tests/test_generated_models.py checks them.  The
+    section writes no record: its verdicts, all algebraic (no compact
+    quotient is needed), are its asserted checks."""
     dga = m.ce()
     d, iota, lie, op = dga.d, m.iota_xi(), m.lie_xi(), build_d_eta(m)
     leibniz = {der: der.leibniz_failure is None
                for der in (d, iota, lie, op.d_eta, op.rho)}
     coadjoint = m.lie_coadjoint(m.xi)
-    out: dict = {
-        "iota_squared_zero": leibniz[iota],
-        "cartan_formula": leibniz[d] and leibniz[iota] and leibniz[lie]
-        and all(lie(x) == coadjoint(x) for x in m.algebra().gens()),
-        "d_squared_zero": supercommutes_with_d(dga, d),
-        "leibniz_d": leibniz[d],
-        "leibniz_operators": all(leibniz[der] for der
-                                 in (iota, lie, op.d_eta, op.rho)),
-        "d_eta_supercommutes_with_d": supercommutes_with_d(dga, op.d_eta)}
-    sec = Section(out)
-    for key, invariant in (
-            ("iota_squared_zero", "iota_xi composed with itself vanishes"),
-            ("cartan_formula",
+    sec = Section(None)
+    for key, ok, invariant in (
+            ("iota_squared_zero", leibniz[iota],
+             "iota_xi composed with itself vanishes"),
+            ("cartan_formula", leibniz[d] and leibniz[iota] and leibniz[lie]
+             and all(lie(x) == coadjoint(x) for x in m.algebra().gens()),
              "{d, iota_xi} equals the coadjoint Lie derivative along xi"),
-            ("d_squared_zero", "d is a differential"),
-            ("leibniz_d", "d satisfies the graded Leibniz rule"),
-            ("leibniz_operators", "iota, L and d_eta satisfy Leibniz"),
-            ("d_eta_supercommutes_with_d", "{d, d_eta} = 0")):
-        sec.check(key, out[key], invariant)
+            ("d_squared_zero", supercommutes_with_d(dga, d),
+             "d is a differential"),
+            ("leibniz_d", leibniz[d], "d satisfies the graded Leibniz rule"),
+            ("leibniz_operators", all(leibniz[der] for der
+                                      in (iota, lie, op.d_eta, op.rho)),
+             "iota, L and d_eta satisfy Leibniz"),
+            ("d_eta_supercommutes_with_d", supercommutes_with_d(dga, op.d_eta),
+             "{d, d_eta} = 0")):
+        sec.check(key, ok, invariant)
     return sec
 
 
@@ -203,11 +203,8 @@ def _d_eta_equals_lie_section(model: LieModel, cap, order) -> Section:
     if model.flat(model.xi) != model.eta:
         return Section(None, notes=["eta is not the metric dual of xi: "
                                     "d_eta = L_xi not applicable"])
-    equal = verify_d_eta_equals_lie(model)
-    sec = Section({"equal": equal,
-                   "degreewise": [equal] * (model.ce().top + 1),
-                   "degree0": equal, "degree1": equal})
-    sec.check("d_eta_equals_lie", equal,
+    sec = Section(None)
+    sec.check("d_eta_equals_lie", verify_d_eta_equals_lie(model),
               "d_eta = L_xi whenever eta is the metric dual of xi")
     return sec
 
@@ -219,7 +216,6 @@ def _parallel_form_quism_section(model: LieModel, cap, order) -> Section:
         "degreewise_iso": quism.degreewise_iso,
         "ranks": quism.ranks,
         "betti_kernel": list(quism.sub_betti),
-        "betti_full": list(quism.full_betti),
         "quasi_isomorphism": quism.conclusion,
         "kernel_witnesses": quism.kernel_witnesses,
     })
@@ -235,25 +231,21 @@ def _parallel_form_quism_section(model: LieModel, cap, order) -> Section:
 
 
 def _splitting_section(model: LieModel, cap, order) -> Section:
+    """Omega_eta = Omega_1 + eta ^ Omega_1 once omega_splitting returns,
+    and eta ^ Omega_1 is Omega_1 one degree up.  The three verdicts are
+    algebraic: none needs a compact quotient."""
     obstruction = splitting_obstruction(model)
     if obstruction:
         return Section(None, hypothesis=obstruction)
-    split = omega_splitting(model)
+    omega_eta, omega1 = omega_splitting(model).omega_eta, basic_complex(model)
     equal = verify_basic_match(model)
     coh_split = splitting_check(model)
-    top = model.ce().top
-    omega1_dims = [split.omega1.dim(p) for p in range(top + 1)]
-    # omega_splitting raised unless Omega_eta = Omega_1 + eta ^ Omega_1
+    degrees = range(model.ce().top + 1)
     sec = Section({
-        "omega_eta_dims": [split.omega_eta.dim(p) for p in range(top + 1)],
-        "omega1_dims": omega1_dims,
-        "omega2_dims": [0] + omega1_dims[:-1],
-        "direct_sum": [True] * (top + 1),
-        "eta_wedge_match": [True] * (top + 1),
-        "omega1_equals_basic": [equal] * (top + 1),
+        "omega_eta_dims": [omega_eta.dim(p) for p in degrees],
+        "omega1_dims": [omega1.dim(p) for p in degrees],
         "betti_eta": list(coh_split.dims_eta),
         "betti_omega1": list(coh_split.dims_basic),
-        "betti_basic": list(basic_complex(model).betti()),
         "cohomology_split": coh_split.per_degree_ok,
     })
     if _co_kahler(model):
@@ -280,7 +272,6 @@ def _lefschetz_section(model: LieModel, cap, order) -> Section:
             "p": d.degree, "rank": d.rank, "source_dim": d.source_dim,
             "target_dim": d.target_dim, "isomorphism": d.isomorphism,
             "kernel_witnesses": d.kernel_witnesses,
-            "component_split_ok": d.component_split_ok,
         } for d in lef.degrees],
     })
     # the theorem is about compact quotients, and a Lie group with a
@@ -301,6 +292,8 @@ def _lefschetz_section(model: LieModel, cap, order) -> Section:
 
 
 def _massey_section(model: LieModel, cap, order) -> Section:
+    """The verdict rests on a compact-manifold theorem (compact co-Kahler
+    manifolds are formal), yet binds on curved models with no quotient."""
     ring = model.ce().cohomology()
     scan = degree_one_massey_scan(ring)
     triples = []
@@ -326,6 +319,7 @@ def _massey_section(model: LieModel, cap, order) -> Section:
 
 
 def _minimal_model_section(model: LieModel, cap: int, order) -> Section:
+    """Both verdicts are algebraic: no compact quotient is needed."""
     if _co_kahler(model):       # ℳ(Omega) built as ℳ(Omega_1) (x) Λ(eta)
         basic = minimal_model(omega_splitting(model).omega1, cap)
         mm = model_tensor_split_check(model, basic)

@@ -14,6 +14,8 @@ are checked against the oracle's Betti numbers.
 Structured models, 2-step nilpotent and R x_D R^k with rational brackets and
 a random rational metric, are fed to the CLI's report, which may find them
 not co-Kahler but never refuses them as input.
+The curved family R x aff(R)^a x (solvable CH^2)^b is co-Kahler and not
+unimodular: no compact quotient, so its Lefschetz ranks carry a note.
 The transverse-rotation family R^2 x R^{2k} (xi = X1 and X2 rotate the
 J-planes, X3 is central; kx5 and kx7 are members) gives co-Kahler models
 with d != 0 on Omega_1.  On it, and on pinned models with other metrics and
@@ -134,6 +136,18 @@ def transverse_weights(draw):
     return xi, x2
 
 
+def assert_compact_quotient_betti(betti, unimodular):
+    """Poincare duality, b_1 odd and b_0 <= b_1 <= ... <= b_n: theorems on
+    compact co-Kahler manifolds (Chinea-de Leon-Marrero), so checked only
+    where a lattice can exist, on unimodular models.  R x aff(R), with no
+    compact quotient, has b_1 = 2."""
+    if unimodular:
+        n = (len(betti) - 2) // 2
+        assert betti == betti[::-1]
+        assert betti[1] % 2 == 1
+        assert betti[:n + 1] == sorted(betti[:n + 1])
+
+
 @settings(derandomize=True, max_examples=8, deadline=None)
 @given(transverse_weights())
 @example(([0], [1]))                        # kx5
@@ -144,7 +158,8 @@ def test_transverse_rotation_family_is_co_kahler(weights):
     assert report["ok"], report["asserted"]
     betti = report["model"]["betti"]
     assert betti == list(perfbench_module("oracle").betti(text))
-    assert betti[1] % 2 == 1
+    assert report["model"]["unimodular"]
+    assert_compact_quotient_betti(betti, True)
     h1 = report["splitting"]["betti_omega1"]
     assert betti == [h1[p] + (h1[p - 1] if p else 0)
                      for p in range(len(betti))]
@@ -163,6 +178,78 @@ def test_transverse_rotation_family_is_co_kahler(weights):
         for command in CONTACT_COMMANDS:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["--informational", command, str(path)]) == 0
+
+
+def curved_text(a: int, b: int) -> str:
+    """R x aff(R)^a x (the solvable group of CH^2)^b, the product metric,
+    xi = X1 and eta = e1.  J rotates each aff(R) plane (X_o, X_{o+1}), where
+    [X_o, X_{o+1}] = X_{o+1}, as on rxaff5, and pairs X_o with X_{o+3} and
+    X_{o+1} with X_{o+2} on each CH^2 block, as on rxch2."""
+    n = 1 + 2 * a + 4 * b
+    brackets, J = [], [[0] * n for _ in range(n)]
+    pairs = []
+    for t in range(a):
+        o = 2 + 2 * t
+        brackets.append((o, o + 1, o + 1, 1))
+        pairs.append((o, o + 1))
+    for t in range(b):
+        o = 2 + 2 * a + 4 * t
+        half = Fraction(1, 2)
+        brackets += [(o, o + 1, o + 1, half), (o, o + 2, o + 2, half),
+                     (o, o + 3, o + 3, 1), (o + 1, o + 2, o + 3, 1)]
+        pairs += [(o, o + 3), (o + 1, o + 2)]
+    for x, y in pairs:
+        J[x - 1][y - 1], J[y - 1][x - 1] = -1, 1
+    return perfbench_module("models").model_text(
+        f"curved{n}-{a}-{b}", n, brackets, contact=False) + (
+        "\n[xi]\nX1\n\n[eta]\ne1\n\n[J]\n"
+        + "".join(" ".join(map(str, row)) + "\n" for row in J))
+
+
+def test_the_curved_family_holds_the_curved_pins():
+    for (a, b), name in (((1, 0), "rxaff3"), ((2, 0), "rxaff5"),
+                         ((0, 1), "rxch2")):
+        n = 1 + 2 * a + 4 * b
+        assert curved_text(a, b).replace(f"curved{n}-{a}-{b}", name) == \
+            pinned_text(name)
+
+
+CURVED_SHAPES = st.tuples(st.integers(0, 3), st.integers(0, 1)).filter(
+    lambda ab: sum(ab) and 1 + 2 * ab[0] + 4 * ab[1] <= 7)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(CURVED_SHAPES)
+def test_curved_family_is_co_kahler_without_a_compact_quotient(shape):
+    # Kahler factors of negative curvature: co-Kahler, not unimodular, so
+    # no lattice and no compact quotient; Lefschetz ranks carry a note
+    # instead of a verdict, and every other verdict holds
+    text = curved_text(*shape)
+    m = loads(text).to_lie_model()
+    verdict = classify(m)
+    assert verdict.coKahler and not verdict.unimodular
+    report = build_report(loads(text))
+    betti = report["model"]["betti"]
+    assert betti == list(perfbench_module("oracle").betti(text))
+    assert_compact_quotient_betti(betti, report["model"]["unimodular"])
+    checks = {r["check"] for r in report["asserted"]}
+    assert report["ok"], report["asserted"]
+    assert "lefschetz_isomorphism" not in checks
+    assert sum(note.startswith("not unimodular: no compact quotient")
+               for note in report["notes"]) == 1
+    assert report["lefschetz"]["degrees"]
+    # the splitting is computed, with d != 0 on Omega_1
+    assert {"omega_splitting", "cohomology_splitting"} <= checks
+    omega1, d = omega_splitting(m).omega1, m.ce().d
+    assert any(not d.apply(form).is_zero() for p in range(m.dimension + 1)
+               for form in omega1.basis_elements(p))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--informational", "report", str(path)]) == 0
+            assert main(["lefschetz", str(path)]) == 1
+            assert main(["--informational", "lefschetz", str(path)]) == 0
 
 
 def assert_invariant_model_matches_the_report(mf, cap=3):

@@ -107,3 +107,32 @@ def test_every_public_minimal_function_has_a_reader():
 
 def test_every_public_cohomology_function_has_a_reader():
     assert unread_public_functions("cohomology") == []
+
+
+# the public functions that only their own module reads, named one by one:
+# each is package API (re-exported in __init__) with a reader beside it, so
+# the next public function that nothing reads fails here
+
+
+def test_the_unread_public_eta_functions_are_named():
+    # eta_operator builds rho and d_eta for any form, build_d_eta for the
+    # model's eta; invariant_forms and kernel_subcomplex build Omega_eta and
+    # ker(d_eta)
+    assert unread_public_functions("eta") == [
+        "eta_operator", "invariant_forms", "kernel_subcomplex"]
+
+
+def test_the_unread_public_lefschetz_functions_are_named():
+    # lefschetz_map is the checked map that _terms is tested against
+    assert unread_public_functions("lefschetz") == ["lefschetz_map"]
+
+
+def test_the_unread_public_massey_functions_are_named():
+    # triple_massey is one product; the scan takes it on each basis triple
+    assert unread_public_functions("massey") == ["triple_massey"]
+
+
+def test_the_unread_public_geometry_functions_are_named():
+    # is_killing and nijenhuis_normality are two of classify's checks
+    assert unread_public_functions("geometry") == [
+        "is_killing", "nijenhuis_normality"]

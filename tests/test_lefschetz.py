@@ -84,7 +84,6 @@ def test_lefschetz_iso_on_tori(torus3, torus5):
             [("lefschetz_isomorphism", True)]
         for d in report.degrees:
             assert d.rank == d.source_dim == d.target_dim
-            assert d.component_split_ok
             # oracle: full rank via sympy
             matrix = [linalg.dense(row, d.source_dim) for row in d.matrix]
             if matrix and matrix[0]:
@@ -346,6 +345,25 @@ def test_lefschetz_terms_are_the_maps_of_the_split_components(name):
     assert seen
 
 
+def test_an_iota_term_outside_omega1_is_a_construction_inconsistency(
+        torus3, monkeypatch):
+    # on torus3, L(e1) = omega = e2^e3 is all iota-term; an Omega_1 without
+    # e2^e3 in degree 2 misses it, and the section raises instead of
+    # reporting a column whose terms fall outside their blocks
+    dga, alg = torus3.ce(), torus3.algebra()
+    split = omega_splitting(torus3)
+    short = cdga.Subcomplex(dga, {0: [{0: 1}], 1: [
+        dga.coords(1, alg.gen("e2")), dga.coords(1, alg.gen("e3"))]})
+    broken = type(split)(split.omega_eta, short)
+    assert lefschetz._component_split_ok(torus3, split, alg.gen("e1"), 2)
+    with pytest.raises(StructureError, match="construction inconsistency: "
+                       "the iota-term .* leaves Omega_1 in degree 2"):
+        lefschetz._component_split_ok(torus3, broken, alg.gen("e1"), 2)
+    monkeypatch.setattr(lefschetz, "omega_splitting", lambda m: broken)
+    with pytest.raises(StructureError, match="construction inconsistency"):
+        verify_lefschetz_iso(torus3)
+
+
 @pytest.mark.parametrize("name, ranks, dims, witnesses", [
     ("kx5-p", [1, 3, 4], [1, 3, 4], [[], [], []]),
     ("rxkt5", [1, 3, 6], [1, 4, 7], [[], ["e3"], ["e1^e3"]]),
@@ -360,7 +378,6 @@ def test_lefschetz_on_kx5_p_and_rxkt5(name, ranks, dims, witnesses):
     assert [d.source_dim for d in report.degrees] == dims
     assert [d.target_dim for d in report.degrees] == dims
     assert [d.kernel_witnesses for d in report.degrees] == witnesses
-    assert [d.component_split_ok for d in report.degrees] == [True] * 3
     assert report.top_class_nonzero
     sec = run_section(m, "lefschetz")
     assert [(r["check"], r["ok"]) for r in sec.asserted] == (

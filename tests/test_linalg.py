@@ -44,7 +44,7 @@ def test_kernel_is_a_nullspace_basis(seed):
     rng = random.Random(seed)
     nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
     mat = random_matrix(rng, nrows, ncols)
-    kern = linalg.kernel_basis(sparse_rows(mat), ncols)
+    kern = linalg.kernel_span(sparse_rows(mat), ncols).rows
     for vec in kern:
         assert all(v == 0 for v in linalg.dense(
             linalg.mat_vec(sparse_rows(mat), vec), nrows))
@@ -260,10 +260,10 @@ def assert_elimination_matches_sympy(rng, mat, ncols):
     for variant in map(sparse_rows, (mat, shuffled, scaled, repeated)):
         assert linalg.rref(variant) == want
         assert linalg.rank(variant) == len(ref_pivots)
-        assert linalg.kernel_basis(variant, ncols) == kernel
         # one elimination gives the kernel's reduced echelon rows
         with counting_eliminations() as calls:
             span = linalg.kernel_span(variant, ncols)
+        assert span == linalg.Span(kernel)
         assert (span.rows, span.pivots) == reduced_kernel
         assert len(calls) == 1
 
@@ -373,8 +373,9 @@ def test_sparse_forms_match_sympy(case, data):
     reduced, pivots = ref.rref()
     rref = linalg.rref(rows)
     assert rref == (sparse_rows(from_sympy(reduced)[:rank]), list(pivots))
-    assert linalg.kernel_basis(rows, ncols) == sparse_rows(
-        [[Fraction(int(v.p), int(v.q)) for v in vec] for vec in ref.nullspace()])
+    nullspace = [[Fraction(int(v.p), int(v.q)) for v in vec]
+                 for vec in ref.nullspace()]
+    assert linalg.kernel_span(rows, ncols) == linalg.Span(sparse_rows(nullspace))
     # residual and membership, for a vector inside or outside the row space
     vec = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
     span = linalg.Span(rows)
@@ -504,8 +505,8 @@ def test_mixed_int_and_fraction_entries_give_the_all_fraction_results(case,
     for rows in (rref[0], linalg.rref(fracs)[0]):
         assert all(type(v) is int for row in rows for v in row.values()
                    if Fraction(v).denominator == 1)
-    kernel = linalg.kernel_basis(mixed, ncols)
-    assert kernel == linalg.kernel_basis(fracs, ncols)
+    kernel = linalg.kernel_span(mixed, ncols).rows
+    assert kernel == linalg.kernel_span(fracs, ncols).rows
     assert_exact(kernel)
     vec = mixed_rows(data.draw, [data.draw(
         st.lists(ENTRIES, min_size=ncols, max_size=ncols))])[0]
@@ -579,14 +580,14 @@ def test_span_equality_membership_and_coords_match_sympy(case, data):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(sparse_cases(), st.data())
 def test_row_order_moves_no_result(case, data):
-    # rref, kernel_basis, factor and Span see the row space, not the rows
+    # rref, kernel_span, factor and Span see the row space, not the rows
     mat, ncols = case
     order = data.draw(st.permutations(range(len(mat))))
     rows = sparse_rows(mat)
     shuffled = [rows[i] for i in order]
     assert linalg.rref(shuffled) == linalg.rref(rows)
-    assert linalg.kernel_basis(shuffled, ncols) == \
-        linalg.kernel_basis(rows, ncols)
+    assert linalg.kernel_span(shuffled, ncols).rows == \
+        linalg.kernel_span(rows, ncols).rows
     assert linalg.Span(shuffled) == linalg.Span(rows)
     fac, fac_shuffled = linalg.factor(rows, ncols), linalg.factor(shuffled,
                                                                  ncols)

@@ -54,19 +54,16 @@ def test_vars_hold_exactly_the_fields_in_order():
 
 def test_subclass_fields_follow_the_inherited_ones():
     ind = InducedMap(**INDUCED)
-    lef = LefschetzDegree(**vars(ind), kernel_witnesses=["e1"],
-                          component_split_ok=True)
-    assert list(vars(lef)) == [*INDUCED, "kernel_witnesses",
-                               "component_split_ok"]
-    assert lef == LefschetzDegree(*INDUCED.values(), ["e1"], True)
-    assert lef != LefschetzDegree(*INDUCED.values(), ["e1"], False)
+    lef = LefschetzDegree(**vars(ind), kernel_witnesses=["e1"])
+    assert list(vars(lef)) == [*INDUCED, "kernel_witnesses"]
+    assert lef == LefschetzDegree(*INDUCED.values(), ["e1"])
+    assert lef != LefschetzDegree(*INDUCED.values(), ["e2"])
     assert lef.kernel_classes == [{1: 1}] and lef.injective is False
 
 
 def test_equality_needs_the_same_class():
     ind = InducedMap(**INDUCED)
-    lef = LefschetzDegree(**INDUCED, kernel_witnesses=[],
-                          component_split_ok=True)
+    lef = LefschetzDegree(**INDUCED, kernel_witnesses=[])
     assert ind != lef and lef != ind
     assert ind != INDUCED and ind != tuple(INDUCED.values())
     assert ind != InducedMap(**{**INDUCED, "rank": 2})
