@@ -28,7 +28,7 @@ from .linalg import Span
 from .massey import MasseyTriple, degree_one_massey_scan, triple_massey
 from .minimal import SullivanModel, minimal_model
 from .modelfile import ModelFile, load, load_corpus, loads, resolve, serialize
-from .report import build_report, render_json, render_text
+from .report import build_report, render_json
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "kunneth_convolution", "lefschetz_map", "load", "load_corpus", "loads",
     "mapping_torus_model", "minimal_model", "model_automorphism",
     "model_tensor_split_check", "nijenhuis_normality", "omega_element",
-    "omega_splitting", "render_json", "render_text", "resolve", "serialize",
+    "omega_splitting", "render_json", "resolve", "serialize",
     "splitting_check", "supercommutator", "supercommutes_with_d",
     "triple_massey", "validate_almost_contact",
     "verify_basic_match", "verify_d_eta_equals_lie", "verify_lefschetz_iso",

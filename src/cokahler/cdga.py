@@ -48,7 +48,6 @@ and keep nothing.
 from __future__ import annotations
 
 import functools
-import weakref
 from collections import defaultdict
 
 from . import linalg
@@ -151,10 +150,6 @@ class Derivation(_MonomialTable):
         if algebra.bitmask == old.bitmask:
             der._table.update(self._table)
         return der
-
-    def image_of(self, i: int) -> Element:
-        gen = self.algebra.generators[i]
-        return self.images.get(i, self.algebra.zero(gen.degree + self.degree))
 
     def apply(self, elem: Element) -> Element:
         """The linear extension of the monomial table (``image``)."""
@@ -380,9 +375,6 @@ class CochainComplex:
         """A view that reads and fills ``cohomology_store``."""
         return CohomologyRing(self)
 
-    def basis_elements(self, p: int) -> list[Element]:
-        return [self.element(p, {j: 1}) for j in range(self.dim(p))]
-
     def betti(self) -> tuple[int, ...]:
         return self.cohomology().betti()
 
@@ -397,7 +389,6 @@ class DGA(CochainComplex):
             raise StructureError("differential must have degree +1")
         self.algebra = algebra
         self.d = differential
-        self.kernels = weakref.WeakKeyDictionary()  # eta.kernel_subcomplex
 
     @property
     def top(self) -> int:

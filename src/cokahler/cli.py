@@ -4,39 +4,38 @@ Models are files in the documented format or names of bundled corpus models
 (torus3, torus5, heisenberg, kx5, t2-rot4-mapping-torus,
 t2-negid-mapping-torus).
 
-Each subcommand prints one report section and exits by that section's
-verdicts: 0 when every asserted verdict passes, 1 on a failed verdict or a
-violated hypothesis (the latter suppressed by --informational), 2 on bad
-input or a model without the structure the section needs.  `report` runs
-every section and exits by all of its asserted verdicts.
-COKAHLER_MAX_DEGREE sets the default minimal-model degree cap.
+A section's one text form is its view: its formatter's lines, a ``check
+<name>: <ok>`` line per asserted verdict and a ``note:`` line per note.  A
+subcommand prints one section's view and exits 0 when every asserted
+verdict passes, 1 on a failed verdict or a violated hypothesis (the latter
+suppressed by --informational), 2 on bad input or a model without the
+structure the section needs.  `report` prints each section it runs under a
+``[<key>]`` header and exits by all of its asserted verdicts; `report
+--json` prints the full record.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from .errors import ModelParseError, StructureError
 from .modelfile import resolve, serialize
-from .report import build_report, render_json, render_text, run_section
+from .report import (build_report, render_json, report_notes,
+                     report_sections, run_section)
 
 _OK, _FAIL, _ERROR = 0, 1, 2
 
 
-def _degree_cap(flag: str | None) -> int:
-    """--max-degree, else $COKAHLER_MAX_DEGREE, else 3, as given; anything
-    but an integer >= 1 is an input error."""
-    source, text = ("--max-degree", flag) if flag is not None else \
-        ("COKAHLER_MAX_DEGREE", os.environ.get("COKAHLER_MAX_DEGREE", "3"))
+def _degree_cap(text: str) -> int:
+    """--max-degree; anything but an integer >= 1 is an input error."""
     try:
         cap = int(text)
     except ValueError:
         cap = 0
     if cap < 1:
-        raise ValueError(f"{source} must be an integer >= 1, got {text!r}")
+        raise ValueError(f"--max-degree must be an integer >= 1, got {text!r}")
     return cap
 
 
@@ -52,39 +51,21 @@ def _parser() -> argparse.ArgumentParser:
                         help="do not fail the exit code on violated "
                              "hypotheses (failed asserted verdicts still fail)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, **extra):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("model", help="model file path or corpus name")
-        for flag, kwargs in extra.items():
-            cmd.add_argument(flag, **kwargs)
-        return cmd
-
-    cap_flag = dict(default=None, metavar="N",
-                    help="degree cap (default: $COKAHLER_MAX_DEGREE or 3)")
-    add("classify", "almost-contact / cosymplectic / normal / co-Kahler verdict")
-    add("betti", "Betti numbers of the Chevalley-Eilenberg complex")
-    add("lefschetz", "Lefschetz isomorphism report (co-Kahler hypothesis)")
-    add("verbitsky", "quasi-isomorphism of ker(d_eta) (parallel-form "
-                     "hypothesis)")
-    add("split", "invariant-form and cohomology splitting checks")
-    add("massey", "degree-1 triple Massey products (formality obstructions)")
-    add("minimal", "bounded-degree Sullivan minimal model",
-        **{"--max-degree": cap_flag})
-    add("mapping-torus", "mapping-torus model from the automorphism block",
-        **{"--order": dict(type=int, default=None, metavar="M",
-                           help="expected automorphism order (default: from "
-                                "the model file)")})
-    report_cmd = add("report", "run every applicable check",
-                     **{"--json": dict(action="store_true",
-                                       help="machine-readable output"),
-                        "--max-degree": cap_flag})
-    report_cmd.add_argument("--all", action="store_true",
-                            help="run all checks (the default; kept for "
-                                 "scripting clarity)")
-    canon = sub.add_parser("canonicalize",
-                           help="print the canonical form of a model file")
-    canon.add_argument("model")
+    commands = {name: help_text for name, (_, _, help_text) in _VIEWS.items()}
+    commands["report"] = "run every applicable check"
+    commands["canonicalize"] = "print the canonical form of a model file"
+    for name, help_text in commands.items():
+        sub.add_parser(name, help=help_text).add_argument(
+            "model", help="model file path or corpus name")
+    for name in ("minimal", "report"):
+        sub.choices[name].add_argument("--max-degree", default="3",
+                                       metavar="N",
+                                       help="degree cap (default: 3)")
+    sub.choices["report"].add_argument("--json", action="store_true",
+                                       help="the full record as JSON")
+    sub.choices["report"].add_argument(
+        "--all", action="store_true",
+        help="run all checks (the default; kept for scripting clarity)")
     return parser
 
 
@@ -107,24 +88,33 @@ def _dispatch(args, mf, cap: int) -> int:
     if args.command == "canonicalize":
         sys.stdout.write(serialize(mf))
         return _OK
-    if args.command == "report":
+    if args.command == "report" and args.json:
         report = build_report(mf, max_degree=cap)
-        sys.stdout.write(render_json(report) if args.json
-                         else render_text(report))
-        asserted, hypothesis = report["asserted"], None
+        sys.stdout.write(render_json(report))
+        return _OK if report["ok"] else _FAIL
+    model, text_report = mf.to_lie_model(), args.command == "report"
+    if text_report:
+        for note in report_notes(model):
+            print(f"note: {note}")
+        sections = report_sections(model, cap)
     else:
-        key, show = _VIEWS[args.command]
-        sec = run_section(mf.to_lie_model(), key, max_degree=cap,
-                          order=getattr(args, "order", None))
-        if sec.record is not None:
-            show(sec)
+        key = _VIEWS[args.command][0]
+        sections = [(key, run_section(model, key, max_degree=cap))]
+    for key, sec in sections:
+        if text_report:
+            print(f"[{key}]")
+        if sec.record is not None and key in _SHOW:
+            _SHOW[key](sec)
+        for r in sec.asserted:
+            print(f"check {r['check']}: {r['ok']}")
         for note in sec.notes + ([sec.hypothesis] if sec.hypothesis else []):
             print(f"note: {note}")
-        asserted, hypothesis = sec.asserted, sec.hypothesis
-    if not all(r["ok"] for r in asserted) or \
-            (hypothesis and not args.informational):
-        return _FAIL
-    return _OK
+    ok = all(r["ok"] for _, sec in sections for r in sec.asserted)
+    if text_report:
+        print(f"ok: {ok}")
+    elif sections[0][1].hypothesis and not args.informational:
+        ok = False
+    return _OK if ok else _FAIL
 
 
 def _fmt(seq) -> str:
@@ -174,8 +164,6 @@ def _show_splitting(sec) -> None:
     print(f"Omega_1   dims: {_fmt(rec['omega1_dims'])}")
     print(f"H_eta betti: {_fmt(rec['betti_eta'])}; "
           f"H_1 betti: {_fmt(rec['betti_omega1'])}")
-    print(f"H^p_eta = H^p_1 + [eta]^H^(p-1)_1: "
-          f"{all(rec['cohomology_split'])}")
 
 
 def _show_massey(sec) -> None:
@@ -196,10 +184,6 @@ def _show_minimal(sec) -> None:
     print(f"minimal (decomposable differential): {rec['minimal']}")
     print(f"H^p isomorphism for p <= {cap}: {rec['quasi_iso_degrees']}")
     print(f"injective in degree {cap + 1}: {rec['injective_above']}")
-    for r in sec.asserted:
-        if r["check"] == "minimal_model_tensor_split":
-            print(f"tensor split (Omega_1 model minimal and exact): "
-                  f"{r['ok']}")
 
 
 def _show_mapping_torus(sec) -> None:
@@ -207,22 +191,31 @@ def _show_mapping_torus(sec) -> None:
     print(f"automorphism order: {rec['order']}")
     print(f"fixed subcomplex betti: {_fmt(rec['fixed_betti'])}")
     print(f"mapping torus betti:    {_fmt(rec['betti'])}")
-    print(f"fixed betti * (1,1) == mapping torus betti: "
-          f"{rec['fixed_convolved'] == rec['betti']}")
 
 
-# subcommand -> (the report section it prints, its formatter)
+# subcommand -> (the report section it prints, its formatter, its help)
 _VIEWS = {
-    "classify": ("classification", _show_classification),
-    "betti": ("model", _show_betti),
-    "lefschetz": ("lefschetz", _show_lefschetz),
-    "verbitsky": ("parallel_form_quism", _show_quism),
-    "split": ("splitting", _show_splitting),
-    "massey": ("massey", _show_massey),
-    "minimal": ("minimal_model", _show_minimal),
-    "mapping-torus": ("mapping_torus", _show_mapping_torus),
+    "classify": ("classification", _show_classification,
+                 "almost-contact / cosymplectic / normal / co-Kahler verdict"),
+    "betti": ("model", _show_betti,
+              "Betti numbers of the Chevalley-Eilenberg complex"),
+    "lefschetz": ("lefschetz", _show_lefschetz,
+                  "Lefschetz isomorphism report (co-Kahler hypothesis)"),
+    "verbitsky": ("parallel_form_quism", _show_quism,
+                  "quasi-isomorphism of ker(d_eta) (parallel-form "
+                  "hypothesis)"),
+    "split": ("splitting", _show_splitting,
+              "invariant-form and cohomology splitting checks"),
+    "massey": ("massey", _show_massey,
+               "degree-1 triple Massey products (formality obstructions)"),
+    "minimal": ("minimal_model", _show_minimal,
+                "bounded-degree Sullivan minimal model"),
+    "mapping-torus": ("mapping_torus", _show_mapping_torus,
+                      "mapping-torus model from the automorphism block"),
 }
-
+# report section -> its formatter; the sections without a subcommand print
+# only their check and note lines
+_SHOW = {key: show for key, show, _ in _VIEWS.values()}
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -27,7 +27,7 @@ from .cohomology import inclusion_induced_map, kernel_witnesses
 from .errors import StructureError
 from .exterior import Element
 from .geometry import LieModel, classify, is_parallel_form, once_per_model
-from .minimal import SullivanModel, circle_extension, minimal_model
+from .minimal import SullivanModel, circle_extension
 from .record import Record
 
 
@@ -82,22 +82,21 @@ def verify_d_eta_equals_lie(m: LieModel) -> bool:
 
 
 def kernel_subcomplex(dga, op: Derivation) -> CochainComplex:
-    """Degreewise kernel of a derivation supercommuting with d, built once
-    per (complex, operator) by ``Subcomplex.kernel_of``.  When op's table
-    is zero on every basis monomial the kernel is ``dga`` itself, closed
-    under any d and not kept in ``dga.kernels`` (a cycle).  The test reads
-    the table: generator images fix it only as their Leibniz extension."""
-    if op not in dga.kernels:
-        if op.algebra is dga.algebra and not any(
-                op.image(key) for p in range(dga.top + 1)
-                for key in dga.algebra.basis(p)):
-            return dga
-        if not supercommutes_with_d(dga, op):
-            raise StructureError(
-                f"operator {op.name or op!r} does not supercommute with d; "
-                "its kernel need not be a subcomplex")
-        dga.kernels[op] = Subcomplex.kernel_of(dga, op.columns, op.degree)
-    return dga.kernels[op]
+    """Degreewise kernel of a derivation supercommuting with d
+    (``Subcomplex.kernel_of``), built on each call: Omega_eta is built once
+    per model by ``invariant_forms``.  When op's table is zero on every
+    basis monomial the kernel is ``dga`` itself, closed under any d.  The
+    test reads the table: generator images fix it only as their Leibniz
+    extension."""
+    if op.algebra is dga.algebra and not any(
+            op.image(key) for p in range(dga.top + 1)
+            for key in dga.algebra.basis(p)):
+        return dga
+    if not supercommutes_with_d(dga, op):
+        raise StructureError(
+            f"operator {op.name or op!r} does not supercommute with d; "
+            "its kernel need not be a subcomplex")
+    return Subcomplex.kernel_of(dga, op.columns, op.degree)
 
 
 @once_per_model
@@ -192,8 +191,9 @@ def verify_parallel_form_quism(m: LieModel) -> QuasiIsoReport:
     theorem when eta is parallel: nabla_{X_i} eta = 0 for every i
     (``is_parallel_form``).  Algebraic: it needs no compact quotient."""
     parallel, _ = is_parallel_form(m, m.eta_element())
-    dga = m.ce()
-    sub = kernel_subcomplex(dga, build_d_eta(m).d_eta)
+    dga, d_eta = m.ce(), build_d_eta(m).d_eta
+    sub = invariant_forms(m) if d_eta is m.lie_xi() else \
+        kernel_subcomplex(dga, d_eta)
     iso, ranks, witnesses = [], [], {}
     for p in range(dga.top + 1):
         ind = inclusion_induced_map(sub, p)

@@ -20,8 +20,7 @@ Each column of the Lefschetz matrix is one class, of L(alpha), reduced once.
 from __future__ import annotations
 
 from . import linalg
-from .cdga import DGA, AlgebraMap, CochainComplex, Subcomplex, \
-    invariant_subalgebra
+from .cdga import DGA, AlgebraMap, CochainComplex, invariant_subalgebra
 from .cohomology import InducedMap, kernel_witnesses, kunneth_convolution, \
     map_from_classes
 from .errors import StructureError
@@ -171,9 +170,6 @@ def splitting_check(m: LieModel) -> SplittingReport:
 class MappingTorus(Record):
     """Mapping-torus model: the phi-invariant forms of K extended by a
     closed circle generator t, phi extended by t -> t."""
-    total: DGA
-    invariant: Subcomplex
-    fiber_fixed: Subcomplex
     betti: tuple[int, ...]
     fiber_fixed_betti: tuple[int, ...]
     order: int
@@ -198,8 +194,7 @@ def mapping_torus_model(k_dga: DGA, phi: AlgebraMap,
                                               alg.gen(name)])),
                          name=f"{phi.name or 'phi'}^")
     invariant = invariant_subalgebra(total, phi_hat, order)
-    return MappingTorus(total, invariant, fixed_k, invariant.betti(),
-                        fixed_k.betti(), order, name)
+    return MappingTorus(invariant.betti(), fixed_k.betti(), order, name)
 
 
 def model_automorphism(m: LieModel) -> tuple[AlgebraMap, int]:

@@ -6,7 +6,8 @@ the section's own hypothesis (Lefschetz, quasi-isomorphism, splitting).
 ``build_report`` runs every section that applies to a model file and
 returns a JSON-safe dict (Fractions as strings, tuples as lists, keys
 stable): binding verdicts land in ``asserted``, everything else in
-``notes``.  The CLI prints one section through ``run_section``.
+``notes``.  ``report_sections`` yields the same sections as objects, and
+the CLI prints each through its view; ``run_section`` runs one section.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import StructureError
 from .eta import (basic_complex, build_d_eta, model_tensor_split_check,
                   omega_splitting, splitting_obstruction, verify_basic_match,
                   verify_d_eta_equals_lie, verify_parallel_form_quism)
-from .exterior import Element
 from .geometry import LieModel, classify, validate_almost_contact
 from .lefschetz import (mapping_torus_model, model_automorphism,
                         splitting_check, verify_lefschetz_iso)
@@ -35,10 +35,7 @@ def _plain(value):
     """Recursively convert to JSON-safe data with deterministic ordering."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, Element):
-        return repr(value)
     if isinstance(value, dict):
-        # construction order is deterministic; keep it for the text rendering
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
@@ -91,47 +88,47 @@ def _missing(model: LieModel, needs: str | None) -> str | None:
     return None
 
 
-def _section(key: str, model: LieModel, cap: int,
-             order: int | None) -> Section:
+def _section(key: str, model: LieModel, cap: int) -> Section:
     if key in ("classification", "lefschetz"):     # read the classification
         ac = validate_almost_contact(model)
         if not ac:
             return Section(None,
                            hypothesis=f"not almost contact: {ac.witnesses}")
-    return globals()[f"_{key}_section"](model, cap, order)
+    return globals()[f"_{key}_section"](model, cap)
 
 
-def run_section(model: LieModel, key: str, max_degree: int = 3,
-                order: int | None = None) -> Section:
-    """One section on one model; ``order`` replaces the order of the
-    model's automorphism block.  Raises StructureError when the model lacks
-    the structure the section needs."""
+def run_section(model: LieModel, key: str, max_degree: int = 3) -> Section:
+    """One section on one model.  Raises StructureError when the model
+    lacks the structure the section needs."""
     missing = _missing(model, SECTIONS[key])
     if missing:
         raise StructureError(missing)
-    return _section(key, model, max_degree, order)
+    return _section(key, model, max_degree)
+
+
+def report_notes(model: LieModel) -> list[str]:
+    """The report's own notes, which belong to no section."""
+    return [] if _has_contact(model) else [
+        "no contact structure (J, xi, eta): geometric checks skipped"]
+
+
+def report_sections(model: LieModel, cap: int) -> list[tuple[str, Section]]:
+    """(key, section) for every section the report runs, in report order."""
+    return [(key, _section(key, model, cap)) for key, needs in SECTIONS.items()
+            if not _missing(model, "contact" if key in _REPORT_NEEDS_CONTACT
+                            else needs)]
 
 
 def build_report(mf: ModelFile, max_degree: int = 3) -> dict:
     model = mf.to_lie_model()
-    report: dict = {}
-    asserted: list[dict] = []
-    notes: list[str] = []
-    if not _has_contact(model):
-        notes.append("no contact structure (J, xi, eta): geometric checks "
-                     "skipped")
-    for key, needs in SECTIONS.items():
-        if _missing(model, "contact" if key in _REPORT_NEEDS_CONTACT
-                    else needs):
-            continue
-        sec = _section(key, model, max_degree, None)
-        if sec.record is not None:
-            report[key] = sec.record
-        asserted += sec.asserted
-        notes += sec.notes + ([sec.hypothesis] if sec.hypothesis else [])
-    report["asserted"] = asserted
-    report["notes"] = notes
-    report["ok"] = all(r["ok"] for r in asserted)
+    sections = report_sections(model, max_degree)
+    report = {key: sec.record for key, sec in sections
+              if sec.record is not None}
+    report["asserted"] = [r for _, sec in sections for r in sec.asserted]
+    report["notes"] = report_notes(model) + [
+        note for _, sec in sections
+        for note in sec.notes + ([sec.hypothesis] if sec.hypothesis else [])]
+    report["ok"] = all(r["ok"] for r in report["asserted"])
     return _plain(report)
 
 
@@ -140,7 +137,13 @@ def _co_kahler(model: LieModel) -> bool:
         and classify(model).coKahler
 
 
-def _model_section(model: LieModel, cap, order) -> Section:
+def _unimodular_co_kahler(model: LieModel) -> bool:
+    """The hypothesis of the compact-manifold theorems: a Lie group with a
+    lattice is unimodular."""
+    return _co_kahler(model) and model.is_unimodular()
+
+
+def _model_section(model: LieModel, cap) -> Section:
     return Section({
         "name": model.name,
         "dimension": model.dimension,
@@ -149,7 +152,7 @@ def _model_section(model: LieModel, cap, order) -> Section:
     })
 
 
-def _classification_section(model: LieModel, cap, order) -> Section:
+def _classification_section(model: LieModel, cap) -> Section:
     """The consistency verdict is algebraic: no compact quotient is needed."""
     verdict = classify(model)
     sec = Section({**vars(verdict),
@@ -161,7 +164,7 @@ def _classification_section(model: LieModel, cap, order) -> Section:
     return sec
 
 
-def _operator_identities_section(model: LieModel, cap, order) -> Section:
+def _operator_identities_section(model: LieModel, cap) -> Section:
     return operator_identity_report(model)
 
 
@@ -199,7 +202,7 @@ def operator_identity_report(m: LieModel) -> Section:
     return sec
 
 
-def _d_eta_equals_lie_section(model: LieModel, cap, order) -> Section:
+def _d_eta_equals_lie_section(model: LieModel, cap) -> Section:
     if model.flat(model.xi) != model.eta:
         return Section(None, notes=["eta is not the metric dual of xi: "
                                     "d_eta = L_xi not applicable"])
@@ -209,7 +212,7 @@ def _d_eta_equals_lie_section(model: LieModel, cap, order) -> Section:
     return sec
 
 
-def _parallel_form_quism_section(model: LieModel, cap, order) -> Section:
+def _parallel_form_quism_section(model: LieModel, cap) -> Section:
     quism = verify_parallel_form_quism(model)
     sec = Section({
         "eta_parallel": quism.eta_parallel,
@@ -230,7 +233,7 @@ def _parallel_form_quism_section(model: LieModel, cap, order) -> Section:
     return sec
 
 
-def _splitting_section(model: LieModel, cap, order) -> Section:
+def _splitting_section(model: LieModel, cap) -> Section:
     """Omega_eta = Omega_1 + eta ^ Omega_1 once omega_splitting returns,
     and eta ^ Omega_1 is Omega_1 one degree up.  The three verdicts are
     algebraic: none needs a compact quotient."""
@@ -262,7 +265,7 @@ def _splitting_section(model: LieModel, cap, order) -> Section:
     return sec
 
 
-def _lefschetz_section(model: LieModel, cap, order) -> Section:
+def _lefschetz_section(model: LieModel, cap) -> Section:
     lef = verify_lefschetz_iso(model)
     sec = Section({
         "n": lef.n,
@@ -274,9 +277,7 @@ def _lefschetz_section(model: LieModel, cap, order) -> Section:
             "kernel_witnesses": d.kernel_witnesses,
         } for d in lef.degrees],
     })
-    # the theorem is about compact quotients, and a Lie group with a
-    # lattice is unimodular
-    if lef.hypothesis_cokahler and model.is_unimodular():
+    if _unimodular_co_kahler(model):
         sec.check("lefschetz_isomorphism",
                   lef.all_iso and lef.top_class_nonzero,
                   "Lefschetz map is an isomorphism for 0 <= p <= n")
@@ -291,9 +292,9 @@ def _lefschetz_section(model: LieModel, cap, order) -> Section:
     return sec
 
 
-def _massey_section(model: LieModel, cap, order) -> Section:
+def _massey_section(model: LieModel, cap) -> Section:
     """The verdict rests on a compact-manifold theorem (compact co-Kahler
-    manifolds are formal), yet binds on curved models with no quotient."""
+    manifolds are formal), so it binds only on unimodular models."""
     ring = model.ce().cohomology()
     scan = degree_one_massey_scan(ring)
     triples = []
@@ -308,9 +309,12 @@ def _massey_section(model: LieModel, cap, order) -> Section:
             "vanishes": t.vanishes,
         })
     sec = Section({"status": scan.status, "degree_one_triples": triples})
-    if _co_kahler(model):
+    if _unimodular_co_kahler(model):
         sec.check("massey_formality_obstruction", not scan.obstructed,
                   "degree-1 triple Massey products vanish on formal models")
+    elif _co_kahler(model):
+        sec.notes.append("not unimodular: no compact quotient, Massey status "
+                         f"reported without a verdict (status: {scan.status})")
     elif scan.obstructed:
         sec.notes.append("nonvanishing triple Massey product: the model is "
                          "not formal (no verdict asserted; model is not "
@@ -318,7 +322,7 @@ def _massey_section(model: LieModel, cap, order) -> Section:
     return sec
 
 
-def _minimal_model_section(model: LieModel, cap: int, order) -> Section:
+def _minimal_model_section(model: LieModel, cap: int) -> Section:
     """Both verdicts are algebraic: no compact quotient is needed."""
     if _co_kahler(model):       # ℳ(Omega) built as ℳ(Omega_1) (x) Λ(eta)
         basic = minimal_model(omega_splitting(model).omega1, cap)
@@ -344,10 +348,8 @@ def _minimal_model_section(model: LieModel, cap: int, order) -> Section:
     return sec
 
 
-def _mapping_torus_section(model: LieModel, cap,
-                           order: int | None) -> Section:
-    phi, file_order = model_automorphism(model)
-    order = file_order if order is None else order
+def _mapping_torus_section(model: LieModel, cap) -> Section:
+    phi, order = model_automorphism(model)
     torus = mapping_torus_model(model.ce(), phi, order)
     convolved = kunneth_convolution(torus.fiber_fixed_betti, (1, 1))
     sec = Section({
@@ -365,25 +367,3 @@ def _mapping_torus_section(model: LieModel, cap,
 def render_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
-
-def render_text(report: dict) -> str:
-    lines: list[str] = []
-    _render(report, lines, 0)
-    return "\n".join(lines) + "\n"
-
-
-def _render(value, lines: list[str], depth: int, label: str | None = None):
-    pad = "  " * depth
-    if isinstance(value, dict):
-        if label is not None:
-            lines.append(f"{pad}{label}:")
-        for k in value:
-            _render(value[k], lines, depth + (label is not None), k)
-    elif isinstance(value, list) and value and isinstance(value[0], dict):
-        lines.append(f"{pad}{label}:")
-        for item in value:
-            _render(item, lines, depth + 1, "-")
-    else:
-        if isinstance(value, list):
-            value = "[" + ", ".join(str(v) for v in value) + "]"
-        lines.append(f"{pad}{label}: {value}")

@@ -2,6 +2,7 @@
 
 import functools
 import importlib.metadata
+import importlib.util
 import json
 import os
 import shutil
@@ -15,9 +16,10 @@ import cokahler
 from cokahler import cli
 from cokahler.cdga import Derivation
 from cokahler.cli import main
-from cokahler.modelfile import corpus_path, loads, resolve
-from cokahler.report import run_section
-from test_report_bytes import pinned_text
+from cokahler.errors import StructureError
+from cokahler.modelfile import CORPUS_MODELS, corpus_path, loads, resolve
+from cokahler.report import report_notes, report_sections, run_section
+from test_report_bytes import PERFBENCH, PINNED, pinned_text
 
 
 def run(capsys, *argv):
@@ -73,13 +75,16 @@ def test_verbitsky_exit_codes(capsys):
 
 def test_split_command(capsys):
     # dim eta ^ Omega_1 is Omega_1's one degree up, and Omega_1 = basic
-    # complex is the asserted check, so neither has a line of its own
+    # complex and the cohomology splitting are asserted checks, so each is
+    # stated once, by its check line
     code, out, _ = run(capsys, "split", "torus3")
     assert code == 0
     assert out == ("Omega_eta dims: (1, 3, 3, 1)\n"
                    "Omega_1   dims: (1, 2, 1, 0)\n"
                    "H_eta betti: (1, 3, 3, 1); H_1 betti: (1, 2, 1, 0)\n"
-                   "H^p_eta = H^p_1 + [eta]^H^(p-1)_1: True\n")
+                   "check omega_splitting: True\n"
+                   "check omega1_equals_basic: True\n"
+                   "check cohomology_splitting: True\n")
     code, out, _ = run(capsys, "--informational", "split", "heisenberg")
     assert code == 0
 
@@ -98,19 +103,14 @@ def test_minimal_command(capsys):
     assert "minimal (decomposable differential): True" in out
 
 
-def test_minimal_respects_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("COKAHLER_MAX_DEGREE", "2")
-    code, out, _ = run(capsys, "minimal", "torus3")
-    assert code == 0 and "p <= 2" in out
-
-
 def test_mapping_torus_command(capsys):
     code, out, _ = run(capsys, "mapping-torus", "t2-rot4-mapping-torus")
     assert code == 0
     assert "(1, 1, 1, 1)" in out
-    code, out, _ = run(capsys, "mapping-torus", "t2-negid-mapping-torus",
-                       "--order", "2")
-    assert code == 0 and "(1, 1, 1, 1)" in out
+    code, out, _ = run(capsys, "mapping-torus", "t2-negid-mapping-torus")
+    assert code == 0 and "automorphism order: 2\n" in out
+    assert out.endswith("mapping torus betti:    (1, 1, 1, 1)\n"
+                        "check mapping_torus_betti: True\n")
 
 
 def test_only_the_report_makes_a_pass_over_the_basis(capsys, monkeypatch):
@@ -136,12 +136,6 @@ def test_only_the_report_makes_a_pass_over_the_basis(capsys, monkeypatch):
     assert code == 0 and passes == ["d", "iota", "nabla_X1"]
 
 
-def test_mapping_torus_wrong_order(capsys):
-    code, _, err = run(capsys, "mapping-torus", "t2-rot4-mapping-torus",
-                       "--order", "3")
-    assert code == 2 and "order" in err
-
-
 @pytest.mark.parametrize("command", ["betti", "report"])
 @pytest.mark.parametrize("old, new, message", [
     ("order 4", "order 3", "automorphism matrix does not have order 3 "
@@ -151,8 +145,8 @@ def test_mapping_torus_wrong_order(capsys):
 ])
 def test_a_bad_automorphism_block_is_refused_by_every_command(
         capsys, tmp_path, command, old, new, message):
-    # the file's block, not the --order flag: every command reads the file
-    # the same way, so betti refuses what report refuses
+    # the order is the file's: every command reads the block the same way,
+    # so betti refuses what report refuses
     text = corpus_path("t2-rot4-mapping-torus").read_text()
     assert old in text
     path = tmp_path / "bad.model"
@@ -418,23 +412,20 @@ def test_splitting_with_non_closed_eta_is_a_hypothesis(capsys, tmp_path):
 
 
 def test_degree_cap_is_an_integer_of_at_least_one(capsys, monkeypatch):
-    monkeypatch.delenv("COKAHLER_MAX_DEGREE", raising=False)
     for argv in (("minimal", "torus3", "--max-degree", "0"),
                  ("minimal", "torus3", "--max-degree", "-1"),
                  ("minimal", "torus3", "--max-degree", "two"),
+                 ("minimal", "torus3", "--max-degree", ""),
                  ("report", "torus3", "--max-degree", "0")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:"), argv
-    for value in ("abc", "0", "-2", ""):
-        monkeypatch.setenv("COKAHLER_MAX_DEGREE", value)
-        code, out, err = run(capsys, "minimal", "torus3")
-        assert code == 2 and out == "", value
-        assert err.startswith("error:") and "COKAHLER_MAX_DEGREE" in err
-    monkeypatch.setenv("COKAHLER_MAX_DEGREE", "1")
-    code, out, _ = run(capsys, "minimal", "torus3")
+        assert "--max-degree" in err
+    code, out, _ = run(capsys, "minimal", "torus3", "--max-degree", "1")
     assert code == 0 and "p <= 1:" in out
-    code, out, _ = run(capsys, "minimal", "torus3", "--max-degree", "2")
-    assert code == 0 and "p <= 2:" in out
+    # the flag is the cap's one source: the environment sets nothing
+    monkeypatch.setenv("COKAHLER_MAX_DEGREE", "2")
+    code, out, _ = run(capsys, "minimal", "torus3")
+    assert code == 0 and "p <= 3:" in out
 
 
 # subcommand -> (the asserted checks of the report section it prints, the
@@ -445,23 +436,22 @@ SECTION_VERDICTS = {
     "betti": (set(), (), ()),
     "lefschetz": ({"lefschetz_isomorphism"},
                   ("not co-Kahler: Lefschetz", "model is not cosymplectic",
-                   "not unimodular: no compact quotient"),
+                   "not unimodular: no compact quotient, Lefschetz"),
                   ()),
     "verbitsky": ({"parallel_form_quism"}, ("eta not parallel",), ()),
     "split": ({"omega_splitting", "omega1_equals_basic",
                "cohomology_splitting"},
               ("not co-Kahler: splitting", "d(eta) = "), ()),
     "massey": ({"massey_formality_obstruction"}, (),
-               ("nonvanishing triple Massey product",)),
+               ("nonvanishing triple Massey product",
+                "not unimodular: no compact quotient, Massey")),
     "minimal": ({"minimal_model", "minimal_model_tensor_split"}, (),
                 ("not co-Kahler: minimal-model",)),
     "mapping-torus": ({"mapping_torus_betti"}, (), ()),
 }
 
 
-def test_subcommands_exit_as_their_report_sections_say(capsys, tmp_path,
-                                                      monkeypatch):
-    monkeypatch.delenv("COKAHLER_MAX_DEGREE", raising=False)
+def test_subcommands_exit_as_their_report_sections_say(capsys, tmp_path):
     nil5 = tmp_path / "nil5.model"
     nil5.write_text(NIL5)
     heis5 = tmp_path / "heis5.model"
@@ -500,6 +490,137 @@ def test_subcommands_exit_as_their_report_sections_say(capsys, tmp_path,
                 assert printed == notes, (model, command)
                 seen_exits.add(code)
     assert seen_exits == {0, 1}
+
+
+# report section -> the subcommand that prints it alone; the operator
+# identities and d_eta = L_xi have none, so their blocks hold only check and
+# note lines
+SECTION_COMMANDS = {
+    "model": "betti", "classification": "classify",
+    "operator_identities": None, "d_eta_equals_lie": None,
+    "parallel_form_quism": "verbitsky", "splitting": "split",
+    "lefschetz": "lefschetz", "massey": "massey",
+    "minimal_model": "minimal", "mapping_torus": "mapping-torus",
+}
+
+
+def report_blocks(text: str):
+    """A text report's lines before its first ``[<key>]`` header, each
+    section's block (the lines under its header) and its last line."""
+    lines = text.splitlines(keepends=True)
+    head, blocks, key = [], {}, None
+    for line in lines[:-1]:
+        if line[1:-2] in SECTION_COMMANDS and line == f"[{line[1:-2]}]\n":
+            key = line[1:-2]
+            blocks[key] = ""
+        elif key is None:
+            head.append(line)
+        else:
+            blocks[key] += line
+    return head, blocks, lines[-1]
+
+
+def verdict_lines(sec) -> str:
+    return "".join(f"check {r['check']}: {r['ok']}\n" for r in sec.asserted)
+
+
+def model_arg(name: str, tmp_path) -> str:
+    """A corpus name, or the path of a pinned model's file."""
+    text = pinned_text(name) if name in PINNED else None
+    if text is None:
+        return name
+    path = tmp_path / f"{name}.model"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted({*CORPUS_MODELS, *PINNED}))
+def test_each_report_section_prints_as_its_subcommand(capsys, tmp_path,
+                                                      name):
+    # one text form per section: each [<key>] block of the text report is,
+    # byte for byte, what the section's subcommand prints, and the blocks'
+    # check lines are the JSON report's asserted verdicts, in order
+    model = model_arg(name, tmp_path)
+    code, out, err = run(capsys, "report", model)
+    report = json.loads(run(capsys, "report", "--json", model)[1])
+    assert (code, err) == (0 if report["ok"] else 1, "")
+    m = resolve(model).to_lie_model()
+    sections = report_sections(m, 3)
+    head, blocks, last = report_blocks(out)
+    assert head == [f"note: {note}\n" for note in report_notes(m)]
+    assert last == f"ok: {report['ok']}\n"
+    assert list(blocks) == [key for key, _ in sections]
+    for key, sec in sections:
+        command = SECTION_COMMANDS[key]
+        if command is None:
+            notes = sec.notes + ([sec.hypothesis] if sec.hypothesis else [])
+            want = verdict_lines(sec) + "".join(f"note: {n}\n" for n in notes)
+        else:
+            want = run(capsys, "--informational", command, model)[1]
+        assert blocks[key] == want, key
+        assert verdict_lines(sec) in blocks[key], key
+    checks = [line for line in out.splitlines() if line.startswith("check ")]
+    assert checks == [f"check {r['check']}: {r['ok']}"
+                      for r in report["asserted"]]
+
+
+@pytest.mark.parametrize("name", ["torus3", "heisenberg", "kx5",
+                                  "t2-rot4-mapping-torus"])
+def test_every_subcommand_prints_one_check_line_per_verdict(capsys, name):
+    # also where the report does not run the section: massey and minimal
+    # on a model without (J, xi, eta)
+    m = resolve(name).to_lie_model()
+    for command, key in ((c, k) for k, c in SECTION_COMMANDS.items() if c):
+        try:
+            sec = run_section(m, key)
+        except StructureError:
+            assert run(capsys, command, name)[0] == 2, command
+            continue
+        out = run(capsys, command, name)[1]
+        printed = [line + "\n" for line in out.splitlines()
+                   if line.startswith("check ")]
+        assert "".join(printed) == verdict_lines(sec), (command, printed)
+        assert len(printed) == len(sec.asserted)
+
+
+def perfbench_checks():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", PERFBENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
+
+
+@pytest.mark.parametrize("name", ["torus3", "torus5", "heisenberg",
+                                  "t2-rot4-mapping-torus",
+                                  "t2-negid-mapping-torus"])
+def test_the_lines_the_benchmark_parses_are_unchanged(capsys, name):
+    # perfbench/checks.py reads the Betti line, the mapping-torus Betti
+    # line, the Lefschetz degree lines and the coKahler line
+    checks = perfbench_checks()
+    report = json.loads(run(capsys, "report", "--json", name)[1])
+    betti = tuple(report["model"]["betti"])
+    out = run(capsys, "betti", name)[1]
+    assert out == f"{name}: betti {betti}\n"
+    assert checks.cli_betti(name, out, betti) == []
+    if "mapping_torus" in report:
+        torus = tuple(report["mapping_torus"]["betti"])
+        out = run(capsys, "mapping-torus", name)[1]
+        assert f"\nmapping torus betti:    {torus}\n" in out
+        assert checks.cli_mapping_torus(name, out, torus) == []
+        return
+    co_kahler = report["classification"]["coKahler"]
+    out = run(capsys, "classify", name)[1]
+    assert f"coKahler: {co_kahler}" in out.splitlines()
+    assert checks.cli_classify(name, out, co_kahler) == []
+    out = run(capsys, "lefschetz", name)[1]
+    assert [line for line in out.splitlines() if line.startswith("  p=")] == [
+        f"  p={d['p']}: rank {d['rank']} of {d['source_dim']}->"
+        f"{d['target_dim']}, iso: {d['isomorphism']}"
+        for d in report["lefschetz"]["degrees"]]
+    if co_kahler:
+        n = int(name[-1])
+        assert checks.cli_lefschetz_torus(name, out, n) == []
 
 
 def test_canonicalize_round_trip(capsys, tmp_path):

@@ -168,8 +168,8 @@ def test_transverse_rotation_family_is_co_kahler(weights):
     # d != 0 on Omega_1
     m = loads(text).to_lie_model()
     omega1, d = omega_splitting(m).omega1, m.ce().d
-    assert any(not d.apply(form).is_zero() for p in range(m.dimension + 1)
-               for form in omega1.basis_elements(p))
+    assert any(not d.apply(omega1.element(p, {j: 1})).is_zero()
+               for p in range(m.dimension + 1) for j in range(omega1.dim(p)))
     # the mapping-torus command needs an automorphism block, which these
     # models do not carry; every other subcommand exits 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -222,8 +222,8 @@ CURVED_SHAPES = st.tuples(st.integers(0, 3), st.integers(0, 1)).filter(
 @given(CURVED_SHAPES)
 def test_curved_family_is_co_kahler_without_a_compact_quotient(shape):
     # Kahler factors of negative curvature: co-Kahler, not unimodular, so
-    # no lattice and no compact quotient; Lefschetz ranks carry a note
-    # instead of a verdict, and every other verdict holds
+    # no lattice and no compact quotient; Lefschetz ranks and the Massey
+    # status carry a note instead of a verdict, and every other verdict holds
     text = curved_text(*shape)
     m = loads(text).to_lie_model()
     verdict = classify(m)
@@ -234,15 +234,17 @@ def test_curved_family_is_co_kahler_without_a_compact_quotient(shape):
     assert_compact_quotient_betti(betti, report["model"]["unimodular"])
     checks = {r["check"] for r in report["asserted"]}
     assert report["ok"], report["asserted"]
-    assert "lefschetz_isomorphism" not in checks
-    assert sum(note.startswith("not unimodular: no compact quotient")
-               for note in report["notes"]) == 1
+    assert {"lefschetz_isomorphism",
+            "massey_formality_obstruction"}.isdisjoint(checks)
+    assert [note.split(",")[1].split()[0] for note in report["notes"]
+            if note.startswith("not unimodular: no compact quotient")] == [
+                "Lefschetz", "Massey"]
     assert report["lefschetz"]["degrees"]
     # the splitting is computed, with d != 0 on Omega_1
     assert {"omega_splitting", "cohomology_splitting"} <= checks
     omega1, d = omega_splitting(m).omega1, m.ce().d
-    assert any(not d.apply(form).is_zero() for p in range(m.dimension + 1)
-               for form in omega1.basis_elements(p))
+    assert any(not d.apply(omega1.element(p, {j: 1})).is_zero()
+               for p in range(m.dimension + 1) for j in range(omega1.dim(p)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.txt"
         path.write_text(text)
@@ -250,6 +252,7 @@ def test_curved_family_is_co_kahler_without_a_compact_quotient(shape):
             assert main(["--informational", "report", str(path)]) == 0
             assert main(["lefschetz", str(path)]) == 1
             assert main(["--informational", "lefschetz", str(path)]) == 0
+            assert main(["massey", str(path)]) == 0
 
 
 def assert_invariant_model_matches_the_report(mf, cap=3):

@@ -136,3 +136,39 @@ def test_the_unread_public_geometry_functions_are_named():
     # is_killing and nijenhuis_normality are two of classify's checks
     assert unread_public_functions("geometry") == [
         "is_killing", "nijenhuis_normality"]
+
+
+
+# modules whose classes' public methods each need a reader in src/
+METHOD_MODULES = ("cdga", "cohomology", "exterior", "linalg", "geometry",
+                  "eta", "lefschetz", "minimal", "massey")
+
+
+def unread_public_methods() -> list[str]:
+    """``module.Class.method`` for each public method of a class in
+    ``METHOD_MODULES`` whose name no ``ast.Attribute`` or ``ast.Name`` of
+    the package reads outside the method's own body.  Such a method is
+    dead code, or API that only the tests read."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    reads = [(node, node.attr if isinstance(node, ast.Attribute) else node.id)
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Attribute, ast.Name))]
+    unread = []
+    for module in METHOD_MODULES:
+        for cls in trees[module].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or \
+                        fn.name.startswith("_"):
+                    continue
+                own = {id(node) for node in ast.walk(fn)}
+                if not any(name == fn.name and id(node) not in own
+                           for node, name in reads):
+                    unread.append(f"{module}.{cls.name}.{fn.name}")
+    return unread
+
+
+def test_every_public_method_has_a_reader():
+    assert unread_public_methods() == []

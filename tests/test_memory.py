@@ -12,7 +12,7 @@ import pytest
 from cokahler import build_report, linalg, load_corpus, loads
 from cokahler.cdga import CochainComplex, Subcomplex
 from cokahler.cohomology import CohomologyRing
-from cokahler.eta import omega_splitting
+from cokahler.eta import invariant_forms, omega_splitting
 from cokahler.exterior import Generator
 
 from test_cdga import abelian_dga
@@ -154,9 +154,9 @@ def test_views_of_one_complex_compute_each_degree_once(monkeypatch):
 @pytest.mark.parametrize("name", ["torus7", "rot7-1-2-3"])
 def test_a_report_computes_each_degree_of_the_full_cohomology_once(
         name, monkeypatch):
-    # torus7's xi is central: Omega_eta is Omega itself, with no stored
-    # kernel and no second cohomology of the same dimensions; rot7-1-2-3's
-    # L_xi is not zero, and its Omega_eta is the one stored kernel
+    # torus7's xi is central: Omega_eta is Omega itself, with no second
+    # cohomology of the same dimensions; rot7-1-2-3's L_xi is not zero, and
+    # its Omega_eta is the one kernel invariant_forms builds
     mf = _model_file(name)
     m = mf.to_lie_model()
     monkeypatch.setattr(mf, "to_lie_model", lambda: m)
@@ -177,6 +177,6 @@ def test_a_report_computes_each_degree_of_the_full_cohomology_once(
                                 for p in range(ce.top + 1))]
     if name == "torus7":
         assert whole == []
-        assert omega_eta is ce and len(ce.kernels) == 0
+        assert omega_eta is ce
     else:
-        assert list(ce.kernels.values()) == [omega_eta] and omega_eta is not ce
+        assert omega_eta is invariant_forms(m) and omega_eta is not ce

@@ -52,7 +52,8 @@ LABELS = ("t2-rot4-mapping-torus", "t2-negid-mapping-torus")
 # vector, so ker iota_xi is not spanned by monomials; rxaff3, rxaff5 and
 # rxch2 are R x aff(R), R x aff(R)^2 and R x the solvable group of CH^2,
 # the curved co-Kahler models: not unimodular, so no compact quotient, and
-# their Lefschetz ranks carry a hypothesis note instead of a verdict
+# their Lefschetz ranks carry a hypothesis note instead of a verdict, their
+# Massey status a plain note
 PINNED = {
     "torus3":
         "84fc609b926a2e819a666ab94fd5528b6a440881bbc70028da47872054978b2b",
@@ -95,11 +96,11 @@ PINNED = {
     "rot7-1-2-3-conj":
         "c09a518d24655cdf4c022e9ebb7e731eabfd8c2e797a5bff5bf4387039cab183",
     "rxaff3":
-        "d0466b4c1d4dda229355b00971296e5216d9315d9e79193e5097694f738fb5c9",
+        "1d7f5efade56b65afcb79fbb52443621509318379d71ca9ddf62c50a34544ef0",
     "rxaff5":
-        "62f38a49bc3b2b7a6cb5fe07ee76f492fab85f78364e7d0ab4718e058e044789",
+        "4141f7b650e423e5c2add0d747c5db3ac5297dd73dc8930a7a1d9a37290c6743",
     "rxch2":
-        "ecd980d0bc57802db1e7ebcc391e81d81b133ad636dc1de80e410f82d337fdf6",
+        "576a91de5ce131400d56c089a97038a79fb6a4f89739bfd93bf6c177cb70065b",
 }
 # a J-invariant metric on rot5-1-1: X2 pairs with X4 and X3 with X5
 ROT5_METRIC = "1 0 0 0 0\n0 2 0 1 0\n0 0 2 0 1\n0 1 0 2 0\n0 0 1 0 2"
