@@ -272,9 +272,6 @@ class Derivation(_MonomialTable):
         return linalg.transpose(self.columns(p),
                                 self.algebra.dim(p + self.degree))
 
-    def is_zero(self) -> bool:
-        return all(img.is_zero() for img in self.images.values())
-
     def __repr__(self) -> str:
         label = self.name or "derivation"
         return f"<{label}: degree {self.degree:+d} on {len(self.algebra)} generators>"

@@ -155,7 +155,6 @@ def _show_quism(sec) -> None:
     for p, witnesses in rec["kernel_witnesses"].items():
         for w in witnesses:
             print(f"  H^{p} kernel witness: {w}")
-    print(f"quasi-isomorphism: {rec['quasi_isomorphism']}")
 
 
 def _show_splitting(sec) -> None:

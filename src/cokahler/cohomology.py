@@ -15,8 +15,7 @@ the representative cocycles as ``linalg.Span``s.  Representatives are
 canonical: kernel vectors are reduced modulo the image and re-echelonized,
 so the same subspace always yields the same representative cocycles.
 Every map on cohomology (an inclusion, a minimal model's comparison map,
-the Lefschetz map) is built by ``map_from_classes`` from its columns'
-classes.
+the Lefschetz map) is built by ``induced_map`` from its columns' classes.
 """
 
 from __future__ import annotations
@@ -147,13 +146,7 @@ def induced_map(source, p: int, target, q: int, push) -> InducedMap:
     ring_s = source.cohomology()
     ring_t = target.cohomology()
     cols = [ring_t.class_of(q, push(rep)) for rep in ring_s.representatives(p)]
-    return map_from_classes(p, cols, ring_s.dim(p), ring_t.dim(q))
-
-
-def map_from_classes(p: int, cols: linalg.Matrix, source_dim: int,
-                     target_dim: int) -> InducedMap:
-    """The map from H^p whose column j is ``cols[j]``, the class of the
-    image of the j-th representative."""
+    source_dim, target_dim = ring_s.dim(p), ring_t.dim(q)
     matrix = linalg.transpose(cols, target_dim)
     kernel = linalg.kernel_span(matrix, source_dim).rows
     return InducedMap(p, matrix, source_dim, target_dim,

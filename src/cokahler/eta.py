@@ -11,7 +11,10 @@ itself, with one cohomology and an identity inclusion.  The invariant forms
 split as Omega_1 + eta ^ Omega_1: Omega_1, the basic complex of the
 foliation spanned by xi, is iota_xi's kernel inside Omega_eta (every
 kernel subcomplex is ``Subcomplex.kernel_of``), and the eta-multiples are
-Omega_1 shifted up one degree, so they are counted, not built.  On
+Omega_1 shifted up one degree, so they are counted, not built.  Each
+complex has one name, read wherever it is used: ``invariant_forms`` is
+Omega_eta and ``basic_complex`` Omega_1, which ``omega_splitting`` returns
+once the sum is checked.  On
 co-Kahler models the minimal model of Omega is built as ℳ(Omega_1) (x)
 Λ(eta): ℳ(Omega_1) once, extended by a closed t -> eta and checked as the
 minimal model of Omega itself, so ℳ(Omega_eta) ≅ ℳ(Omega_1) (x) Λ(eta)
@@ -105,14 +108,6 @@ def invariant_forms(m: LieModel) -> CochainComplex:
     return kernel_subcomplex(m.ce(), m.lie_xi())
 
 
-class OmegaSplitting(Record):
-    """Omega_eta = Omega_1 + eta ^ Omega_1 (directly, in positive degrees),
-    held as the two kernels the splitting compares; eta ^ Omega_1 is
-    Omega_1 shifted up one degree."""
-    omega_eta: CochainComplex     # the full complex when L_xi = 0
-    omega1: Subcomplex
-
-
 def splitting_obstruction(m: LieModel) -> str | None:
     """Why no splitting is computed, or None: eta(xi) != 1 breaks alpha =
     alpha1 + eta ^ iota_xi alpha; d(eta) != 0 leaves eta-multiples unclosed."""
@@ -127,10 +122,10 @@ def splitting_obstruction(m: LieModel) -> str | None:
 
 
 @once_per_model
-def omega_splitting(m: LieModel) -> OmegaSplitting:
-    """Split the L_xi-invariant forms as Omega_1 + eta ^ Omega_1, with
-    Omega_1 the basic complex.  Raises the ``splitting_obstruction`` note
-    when there is one, and when the sum is not all of Omega_eta.
+def omega_splitting(m: LieModel) -> Subcomplex:
+    """Omega_1, the basic complex, once the L_xi-invariant forms are checked
+    to split as Omega_1 + eta ^ Omega_1.  Raises the ``splitting_obstruction``
+    note when there is one, and when the sum is not all of Omega_eta.
 
     With eta(xi) = 1 and d(eta) = 0, L_xi eta = 0, so L_xi commutes with
     iota_xi and with eta ^: Omega_1, the part of ker iota_xi in Omega_eta,
@@ -152,7 +147,7 @@ def omega_splitting(m: LieModel) -> OmegaSplitting:
         raise StructureError(
             "Omega_1 + eta ^ Omega_1 is not the invariant forms; failing "
             f"degrees {', '.join(failing)}")
-    return OmegaSplitting(sub, omega1)
+    return omega1
 
 
 @once_per_model
@@ -165,10 +160,10 @@ def basic_complex(m: LieModel) -> Subcomplex:
 
 def verify_basic_match(m: LieModel) -> bool:
     """Omega_1 is the basic complex of xi, decided where Omega_1 is built:
-    ``omega_splitting`` takes ``basic_complex``'s object as Omega_1.
-    Distinct objects mean a corrupt construction and raise, as
+    ``omega_splitting`` returns ``basic_complex``'s object.  Distinct
+    objects mean a corrupt construction and raise, as
     ``verify_d_eta_equals_lie`` does."""
-    if omega_splitting(m).omega1 is not basic_complex(m):
+    if omega_splitting(m) is not basic_complex(m):
         raise StructureError(
             "construction inconsistency: Omega_1 and the basic complex of "
             "xi are distinct subcomplexes")
@@ -217,7 +212,7 @@ def model_tensor_split_check(m: LieModel,
         raise StructureError(
             f"model {m.name!r} is not co-Kahler; the tensor splitting of the "
             "minimal model is only claimed under that hypothesis")
-    if basic.comparison.target is not omega_splitting(m).omega1:
+    if basic.comparison.target is not basic_complex(m):
         raise StructureError(
             "basic must be the minimal model of the basic complex Omega_1")
     return circle_extension(basic, m.ce().coords(1, m.eta_element()))

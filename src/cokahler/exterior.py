@@ -420,9 +420,6 @@ class Element:
 
     __xor__ = wedge
 
-    def coords(self) -> Vector:
-        return self.algebra.coords(self)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Rational):
             other = self.algebra.scalar(other)

@@ -91,8 +91,8 @@ class LieModel:
         self.automorphism = None
         if automorphism is not None:
             mat, order = automorphism
-            self.automorphism = ([linalg.sparse(row) for row in mat],
-                                 int(order))
+            self.automorphism = (_sparse_rows("automorphism", mat, dimension,
+                                              dimension), int(order))
         self._derived: dict = {}    # see once_per_model
         d = self.ce().d
         if not all(d.apply(img).is_zero() for img in d.images.values()):

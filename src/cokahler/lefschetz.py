@@ -14,18 +14,18 @@ eta-term is L(alpha_1) and the iota-term L(alpha_2) (``_terms``).  The
 invariant forms split as complexes, Omega_eta = Omega_1 + eta ^ Omega_1
 (``omega_splitting``), so H_eta = H_1 + [eta] ^ H_1 is a Betti identity,
 and each term falls in its block, the iota-term in Omega_1 (checked).
-Each column of the Lefschetz matrix is one class, of L(alpha), reduced once.
+Each degree is the ``induced_map`` of L on Omega_eta, one class per column.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .cdga import DGA, AlgebraMap, CochainComplex, invariant_subalgebra
-from .cohomology import InducedMap, kernel_witnesses, kunneth_convolution, \
-    map_from_classes
+from .cdga import DGA, AlgebraMap, invariant_subalgebra
+from .cohomology import InducedMap, induced_map, kernel_witnesses, \
+    kunneth_convolution
 from .errors import StructureError
 from .exterior import Element, Generator
-from .eta import omega_splitting
+from .eta import basic_complex, invariant_forms, omega_splitting
 from .geometry import LieModel, classify, omega_element, once_per_model
 from .record import Record
 
@@ -99,8 +99,8 @@ class LefschetzReport(Record):
 
 
 def verify_lefschetz_iso(m: LieModel) -> LefschetzReport:
-    """Induced Lefschetz matrices on the invariant cohomology for p <= n,
-    each column the class of L on one representative (``_component_split_ok``).
+    """Induced Lefschetz maps on the invariant cohomology for p <= n, each
+    ``induced_map`` of L on Omega_eta (``_component_split_ok``).
     That each is an isomorphism needs a compact quotient, so that verdict
     binds only on unimodular models.  Off cosymplectic models the map does
     not descend to cohomology: a note and no degrees."""
@@ -111,40 +111,32 @@ def verify_lefschetz_iso(m: LieModel) -> LefschetzReport:
             n, verdict.coKahler, [], None,
             "model is not cosymplectic: the Lefschetz map does not descend "
             "to cohomology; no ranks computed")
-    split = omega_splitting(m)
-    sub = split.omega_eta
-    ring = sub.cohomology()
+    sub = invariant_forms(m)
     degrees = []
     for p in range(n + 1):
         q = 2 * n + 1 - p
-        cols = [_component_split_ok(m, split, sub.element(p, rep), q)
-                for rep in ring.representatives(p)]
-        ind = map_from_classes(p, cols, ring.dim(p), ring.dim(q))
+        ind = induced_map(sub, p, sub, q, lambda rep: _component_split_ok(
+            m, sub.element(p, rep), q))
         degrees.append(LefschetzDegree(
             **vars(ind), kernel_witnesses=kernel_witnesses(sub, ind)))
-    top = _omega_powers(m)[n].wedge(m.eta_element())
-    top_nonzero = bool(_class(sub, 2 * n + 1, top))
+    top = sub.coords(2 * n + 1, _omega_powers(m)[n].wedge(m.eta_element()))
+    top_nonzero = bool(sub.cohomology().class_of(2 * n + 1, top))
     return LefschetzReport(n, verdict.coKahler, degrees, top_nonzero, None)
 
 
-def _class(sub: CochainComplex, q: int, form: Element) -> linalg.Vector:
-    """Coordinates of the class of a closed form of Omega_eta in H^q_eta."""
-    return sub.cohomology().class_of(q, sub.coords(q, form))
-
-
-def _component_split_ok(m, split, elem, q) -> linalg.Vector:
-    """The class of L(elem) in H^q_eta, reduced once.  omega is basic and
-    Omega_1 a subalgebra, so L's iota-term lies in Omega_1^q and the
-    eta-term in eta ^ Omega_1: each falls in its block of H_eta = H_1 +
-    [eta] ^ H_1.  An iota-term outside Omega_1 is a corrupt construction
-    and raises, as ``verify_basic_match`` does."""
+def _component_split_ok(m, elem, q) -> linalg.Vector:
+    """L(elem)'s coordinates on Omega_eta^q.  omega is basic and Omega_1 a
+    subalgebra, so L's iota-term lies in Omega_1^q and the eta-term in
+    eta ^ Omega_1: each falls in its block of H_eta = H_1 + [eta] ^ H_1.
+    An iota-term outside Omega_1 is a corrupt construction and raises, as
+    ``verify_basic_match`` does."""
     eta_term, iota_term = _terms(m, elem)
-    omega1 = split.omega1
+    omega1 = basic_complex(m)
     if omega1.parent.coords(q, iota_term) not in omega1.span(q):
         raise StructureError(
             "construction inconsistency: the iota-term of the Lefschetz map "
             f"leaves Omega_1 in degree {q}")
-    return _class(split.omega_eta, q, eta_term + iota_term)
+    return invariant_forms(m).coords(q, eta_term + iota_term)
 
 
 class SplittingReport(Record):
@@ -159,9 +151,8 @@ class SplittingReport(Record):
 
 
 def splitting_check(m: LieModel) -> SplittingReport:
-    split = omega_splitting(m)
-    dims_eta = split.omega_eta.cohomology().betti()
-    dims_basic = split.omega1.cohomology().betti()
+    dims_basic = omega_splitting(m).cohomology().betti()
+    dims_eta = invariant_forms(m).cohomology().betti()
     want = kunneth_convolution(dims_basic, (1, 1))
     per_degree = [dim == w for dim, w in zip(dims_eta, want)]
     return SplittingReport(dims_eta, dims_basic, per_degree, all(per_degree))

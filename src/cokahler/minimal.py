@@ -89,9 +89,6 @@ class SullivanModel(Record):
     def generator_counts(self) -> dict[int, int]:
         return dict(Counter(g.degree for g in self.dga.algebra.generators))
 
-    def push(self, elem: Element) -> linalg.Vector:
-        return self.comparison.push(elem)
-
     @property
     def quasi_iso(self) -> bool:
         return all(self.iso_degrees) and self.injective_above

@@ -19,8 +19,9 @@ from . import linalg
 from .cdga import supercommutes_with_d
 from .cohomology import kunneth_convolution
 from .errors import StructureError
-from .eta import (basic_complex, build_d_eta, model_tensor_split_check,
-                  omega_splitting, splitting_obstruction, verify_basic_match,
+from .eta import (basic_complex, build_d_eta, invariant_forms,
+                  model_tensor_split_check, omega_splitting,
+                  splitting_obstruction, verify_basic_match,
                   verify_d_eta_equals_lie, verify_parallel_form_quism)
 from .geometry import LieModel, classify, validate_almost_contact
 from .lefschetz import (mapping_torus_model, model_automorphism,
@@ -240,7 +241,7 @@ def _splitting_section(model: LieModel, cap) -> Section:
     obstruction = splitting_obstruction(model)
     if obstruction:
         return Section(None, hypothesis=obstruction)
-    omega_eta, omega1 = omega_splitting(model).omega_eta, basic_complex(model)
+    omega1, omega_eta = omega_splitting(model), invariant_forms(model)
     equal = verify_basic_match(model)
     coh_split = splitting_check(model)
     degrees = range(model.ce().top + 1)
@@ -325,7 +326,7 @@ def _massey_section(model: LieModel, cap) -> Section:
 def _minimal_model_section(model: LieModel, cap: int) -> Section:
     """Both verdicts are algebraic: no compact quotient is needed."""
     if _co_kahler(model):       # ℳ(Omega) built as ℳ(Omega_1) (x) Λ(eta)
-        basic = minimal_model(omega_splitting(model).omega1, cap)
+        basic = minimal_model(basic_complex(model), cap)
         mm = model_tensor_split_check(model, basic)
     else:
         basic, mm = None, minimal_model(model.ce(), cap)

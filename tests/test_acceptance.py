@@ -11,7 +11,7 @@ from fractions import Fraction
 from cokahler import linalg
 from cokahler.cdga import AlgebraMap, supercommutator, supercommutes_with_d
 from cokahler.cohomology import kunneth_convolution
-from cokahler.eta import (basic_complex, build_d_eta,
+from cokahler.eta import (basic_complex, build_d_eta, invariant_forms,
                           model_tensor_split_check, omega_splitting,
                           verify_basic_match,
                           verify_d_eta_equals_lie, verify_parallel_form_quism)
@@ -97,22 +97,22 @@ def test_criterion_4_splitting_and_basic_cohomology():
     ok = True
     for name in ("torus3", "torus5"):
         m = _model(name)
-        split = omega_splitting(m)
+        omega1 = omega_splitting(m)
         top, eta = m.ce().top, m.eta_element()
         for p in range(1, top + 1):
             # eta ^ Omega_1^{p-1}, wedged here, with Omega_1^p: a basis of
             # Omega_eta^p
-            omega2 = [m.ce().coords(p, eta.wedge(split.omega1.element(
+            omega2 = [m.ce().coords(p, eta.wedge(omega1.element(
                 p - 1, {t: Fraction(1)})))
-                for t in range(split.omega1.dim(p - 1))]
-            stacked = [dict(r) for r in split.omega1.basis_vectors(p)] + omega2
+                for t in range(omega1.dim(p - 1))]
+            stacked = [dict(r) for r in omega1.basis_vectors(p)] + omega2
             ok &= linalg.rank(stacked) == len(stacked) == \
-                split.omega_eta.dim(p)
-        ok &= verify_basic_match(m) and split.omega1 is basic_complex(m)
+                invariant_forms(m).dim(p)
+        ok &= verify_basic_match(m) and omega1 is basic_complex(m)
         # Omega_1 against ker iota_xi in ker L_xi, eliminated here
         for p in range(top + 1):
             stacked = m.lie_xi().matrix(p) + m.iota_xi().matrix(p)
-            ok &= split.omega1.span(p) == linalg.kernel_span(
+            ok &= omega1.span(p) == linalg.kernel_span(
                 stacked, m.algebra().dim(p))
         coh = splitting_check(m)
         ok &= coh.ok
@@ -201,7 +201,7 @@ def test_criterion_8_formality():
         # ℳ(Omega_1) (x) Λ(eta) is a minimal model of Omega, with the
         # counts of the one built directly
         m = _model(name)
-        basic = minimal_model(omega_splitting(m).omega1, 3)
+        basic = minimal_model(omega_splitting(m), 3)
         mm = model_tensor_split_check(m, basic)
         ok &= basic.minimal and basic.quasi_iso and mm.minimal and mm.quasi_iso
         ok &= mm.generator_counts() == direct[name]

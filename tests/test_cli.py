@@ -61,14 +61,19 @@ def test_lefschetz_exit_codes(capsys):
 
 
 def test_verbitsky_exit_codes(capsys):
+    # the verdict is stated once: as a check when eta is parallel, and in
+    # the hypothesis note otherwise
     code, out, _ = run(capsys, "verbitsky", "torus5")
-    assert code == 0 and "quasi-isomorphism: True" in out
+    assert code == 0 and "check parallel_form_quism: True\n" in out
+    assert "quasi-isomorphism:" not in out
     # the full complex's Betti numbers are the betti command's
     assert "ker(d_eta) betti: (1, 5, 10, 10, 5, 1)\n" in out
     assert "full betti" not in out
     code, out, _ = run(capsys, "verbitsky", "heisenberg")
     assert code == 1
     assert "kernel witness: e1^e2" in out
+    assert "reported without a verdict (holds: False)\n" in out
+    assert "quasi-isomorphism:" not in out and "check " not in out
     code, _, _ = run(capsys, "--informational", "verbitsky", "heisenberg")
     assert code == 0
 

@@ -161,7 +161,7 @@ def test_public_constructor_checks_every_key_degree(even):
 
 def test_coords_round_trip(alg3):
     elem = alg3.monomial("e1", "e3") - alg3.monomial("e2", "e3", coeff=Fraction(1, 2))
-    assert alg3.element(2, elem.coords()) == elem
+    assert alg3.element(2, alg3.coords(elem)) == elem
 
 
 def test_duplicate_names_rejected():

@@ -167,7 +167,7 @@ def test_transverse_rotation_family_is_co_kahler(weights):
         r["check"] for r in report["asserted"]}
     # d != 0 on Omega_1
     m = loads(text).to_lie_model()
-    omega1, d = omega_splitting(m).omega1, m.ce().d
+    omega1, d = omega_splitting(m), m.ce().d
     assert any(not d.apply(omega1.element(p, {j: 1})).is_zero()
                for p in range(m.dimension + 1) for j in range(omega1.dim(p)))
     # the mapping-torus command needs an automorphism block, which these
@@ -242,7 +242,7 @@ def test_curved_family_is_co_kahler_without_a_compact_quotient(shape):
     assert report["lefschetz"]["degrees"]
     # the splitting is computed, with d != 0 on Omega_1
     assert {"omega_splitting", "cohomology_splitting"} <= checks
-    omega1, d = omega_splitting(m).omega1, m.ce().d
+    omega1, d = omega_splitting(m), m.ce().d
     assert any(not d.apply(omega1.element(p, {j: 1})).is_zero()
                for p in range(m.dimension + 1) for j in range(omega1.dim(p)))
     with tempfile.TemporaryDirectory() as tmp:

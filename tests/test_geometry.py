@@ -36,6 +36,15 @@ def test_model_validations():
         LieModel(3, {(0, 1): {2: 1}, (1, 2): {1: 1}})
 
 
+@pytest.mark.parametrize("mat", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1, 0]],      # a row of 4 entries
+    [[1, 0, 0], [0, 1, 0]],                    # 2 x 3
+])
+def test_an_automorphism_of_the_wrong_shape_is_refused(mat):
+    with pytest.raises(StructureError, match="automorphism has the wrong shape"):
+        LieModel(3, {}, automorphism=(mat, 2))
+
+
 def test_bracket_antisymmetry_completion():
     m = LieModel(3, {(0, 1): {2: 1}})
     assert m.bracket(0, 1) == {2: Fraction(1)}

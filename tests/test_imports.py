@@ -3,12 +3,15 @@ machinery, and no module imports inside a function.  The public API is what
 the package imports, so a deleted function cannot linger as an export."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import cokahler
+from cokahler import build_report, cli
+from cokahler.modelfile import CORPUS_MODELS, corpus_path, load_corpus
 
 PACKAGE = Path(cokahler.__file__).parent
 # with ast, dis and tokenize behind them, about half of a cold import
@@ -116,10 +119,9 @@ def test_every_public_cohomology_function_has_a_reader():
 
 def test_the_unread_public_eta_functions_are_named():
     # eta_operator builds rho and d_eta for any form, build_d_eta for the
-    # model's eta; invariant_forms and kernel_subcomplex build Omega_eta and
-    # ker(d_eta)
+    # model's eta; kernel_subcomplex builds ker(d_eta) for any operator
     assert unread_public_functions("eta") == [
-        "eta_operator", "invariant_forms", "kernel_subcomplex"]
+        "eta_operator", "kernel_subcomplex"]
 
 
 def test_the_unread_public_lefschetz_functions_are_named():
@@ -172,3 +174,66 @@ def unread_public_methods() -> list[str]:
 
 def test_every_public_method_has_a_reader():
     assert unread_public_methods() == []
+
+
+# public functions and methods that no run of the package enters, each with
+# the reader that keeps it
+NOT_ENTERED = {
+    "cdga.Derivation.matrix": "the benchmark tracer's COUNTERS wrap it",
+    "lefschetz.lefschetz_map": "the checked map _terms is tested against",
+    "geometry.once_per_model": "a decorator, applied at import",
+}
+
+
+def public_code() -> dict:
+    """``module.qualname`` -> code object of every public module function
+    and every public method of a class (dunders excluded) that a package
+    module defines; a memoized function is read through its wrapper."""
+    out = {}
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        mod = importlib.import_module(f"cokahler.{path.stem}")
+        for name, value in vars(mod).items():
+            if getattr(value, "__module__", None) != mod.__name__:
+                continue
+            if isinstance(value, type):
+                methods = [(f"{name}.{attr}", fn)
+                           for attr, fn in vars(value).items()
+                           if not attr.startswith("_")]
+            elif callable(value) and not name.startswith("_"):
+                methods = [(name, value)]
+            else:
+                continue
+            for qualname, fn in methods:
+                fn = getattr(fn, "fget", None) or getattr(fn, "__func__", fn)
+                fn = getattr(fn, "__wrapped__", fn)
+                if hasattr(fn, "__code__"):
+                    out[f"{path.stem}.{qualname}"] = fn.__code__
+    return out
+
+
+def test_every_public_function_is_entered_by_a_run(capsys):
+    # the traffic of every entry point on every corpus model: build_report,
+    # load on the model's file and each CLI command, under a profile hook
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    commands = [[name] for name in cli._VIEWS] + [
+        ["report"], ["report", "--all", "--json"], ["canonicalize"]]
+    old = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        for name in CORPUS_MODELS:
+            build_report(load_corpus(name))
+            cokahler.load(str(corpus_path(name)))
+            for command in commands:
+                cli.main(["--informational", *command, name])
+    finally:
+        sys.setprofile(old)
+    capsys.readouterr()
+    code = public_code()
+    assert len(code) > 100
+    missed = sorted(name for name, c in code.items() if c not in entered)
+    assert missed == sorted(NOT_ENTERED)

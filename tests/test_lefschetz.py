@@ -3,6 +3,7 @@
 import pytest
 import sympy
 
+import cokahler.report as report_module
 from cokahler import build_report, cdga, cohomology, lefschetz, linalg, \
     loads
 from cokahler.cdga import AlgebraMap, DGA, Derivation
@@ -220,22 +221,34 @@ def test_mapping_torus_circle_name_collision():
 def test_a_report_reduces_one_class_per_lefschetz_column(monkeypatch, name,
                                                          expect):
     # a column of the Lefschetz matrix is the class of L(rep) for one
-    # representative of H^p_eta (p <= n), reduced once through _class; one
-    # more call is the class of omega^n ^ eta
+    # representative of H^p_eta (p <= n), reduced once by class_of on
+    # H_eta; one more call is the class of omega^n ^ eta
     mf = model_file(name)
     ring = invariant_forms(mf.to_lie_model()).cohomology()
     n = (mf.dimension - 1) // 2
     assert sum(ring.dim(p) for p in range(n + 1)) + 1 == expect
-    honest = lefschetz._class
-    calls = []
+    honest = cohomology.CohomologyRing.class_of
+    honest_verify = report_module.verify_lefschetz_iso
+    models, inside, calls = [], [], []
 
-    def counted(*args):
-        calls.append(args)
-        return honest(*args)
+    def counted(self, *args):
+        if inside:
+            calls.append(self.complex)
+        return honest(self, *args)
 
-    monkeypatch.setattr(lefschetz, "_class", counted)
+    def section(m):
+        models.append(m)
+        inside.append(m)
+        try:
+            return honest_verify(m)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cohomology.CohomologyRing, "class_of", counted)
+    monkeypatch.setattr(report_module, "verify_lefschetz_iso", section)
     assert build_report(mf)["ok"]
-    assert len(calls) == expect
+    (m,) = models
+    assert calls == [invariant_forms(m)] * expect
 
 
 @pytest.mark.parametrize("name", ["torus5", "rot5-1-2", "kx5", "kx5-p"])
@@ -352,15 +365,13 @@ def test_an_iota_term_outside_omega1_is_a_construction_inconsistency(
     # e2^e3 in degree 2 misses it, and the section raises instead of
     # reporting a column whose terms fall outside their blocks
     dga, alg = torus3.ce(), torus3.algebra()
-    split = omega_splitting(torus3)
     short = cdga.Subcomplex(dga, {0: [{0: 1}], 1: [
         dga.coords(1, alg.gen("e2")), dga.coords(1, alg.gen("e3"))]})
-    broken = type(split)(split.omega_eta, short)
-    assert lefschetz._component_split_ok(torus3, split, alg.gen("e1"), 2)
+    assert lefschetz._component_split_ok(torus3, alg.gen("e1"), 2)
+    monkeypatch.setattr(lefschetz, "basic_complex", lambda m: short)
     with pytest.raises(StructureError, match="construction inconsistency: "
                        "the iota-term .* leaves Omega_1 in degree 2"):
-        lefschetz._component_split_ok(torus3, broken, alg.gen("e1"), 2)
-    monkeypatch.setattr(lefschetz, "omega_splitting", lambda m: broken)
+        lefschetz._component_split_ok(torus3, alg.gen("e1"), 2)
     with pytest.raises(StructureError, match="construction inconsistency"):
         verify_lefschetz_iso(torus3)
 
@@ -447,8 +458,7 @@ def test_h1_and_eta_h1_classes_are_a_basis_holding_each_lefschetz_term(name):
     # the eta-block, the iota-term in the H_1 block.  On rot7-1-2-3 L_xi != 0
     # and Omega_eta is a proper subcomplex.
     m = lie_model(name)
-    split = omega_splitting(m)
-    sub, omega1 = split.omega_eta, split.omega1
+    sub, omega1 = invariant_forms(m), omega_splitting(m)
     ring, ring1 = sub.cohomology(), omega1.cohomology()
     eta = m.eta_element()
 

@@ -159,8 +159,8 @@ def report_model(name, monkeypatch):
 def test_eta_operators_are_iota_and_lie_along_xi(monkeypatch, name):
     # eta is the dual of xi: rho_eta is iota_xi, d_eta is L_xi, and a report
     # takes one kernel, Omega_eta = invariant_forms(m), for the
-    # quasi-isomorphism and the splitting alike; kx5's xi is central, so
-    # that kernel is Omega itself
+    # quasi-isomorphism, as the splitting and Lefschetz sections read it by
+    # that name; kx5's xi is central, so that kernel is Omega itself
     mf, m = report_model(name, monkeypatch)
     op = build_d_eta(m)
     assert op.rho is m.iota_xi() and op.d_eta is m.lie_xi()
@@ -174,7 +174,6 @@ def test_eta_operators_are_iota_and_lie_along_xi(monkeypatch, name):
     build_report(mf)
     assert len(included) == m.ce().top + 1
     assert all(sub is invariant_forms(m) for sub in included)
-    assert omega_splitting(m).omega_eta is invariant_forms(m)
     assert (invariant_forms(m) is m.ce()) == (name == "kx5")
 
 

@@ -12,7 +12,7 @@ import pytest
 from cokahler import build_report, linalg, load_corpus, loads
 from cokahler.cdga import CochainComplex, Subcomplex
 from cokahler.cohomology import CohomologyRing
-from cokahler.eta import invariant_forms, omega_splitting
+from cokahler.eta import invariant_forms
 from cokahler.exterior import Generator
 
 from test_cdga import abelian_dga
@@ -171,7 +171,7 @@ def test_a_report_computes_each_degree_of_the_full_cohomology_once(
     build_report(mf)
     ce = m.ce()
     assert sorted(p for cx, p in fills if cx is ce) == list(range(ce.top + 1))
-    omega_eta = omega_splitting(m).omega_eta
+    omega_eta = invariant_forms(m)
     whole = [cx for cx, _ in fills if cx is not ce and isinstance(
         cx, Subcomplex) and all(cx.dim(p) == ce.dim(p)
                                 for p in range(ce.top + 1))]
@@ -179,4 +179,4 @@ def test_a_report_computes_each_degree_of_the_full_cohomology_once(
         assert whole == []
         assert omega_eta is ce
     else:
-        assert omega_eta is invariant_forms(m) and omega_eta is not ce
+        assert omega_eta is not ce

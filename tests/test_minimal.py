@@ -101,15 +101,14 @@ def test_disconnected_target_refused(torus3):
 
 def test_models_of_subcomplexes(torus3, torus5):
     for m, expect in ((torus3, 2), (torus5, 4)):
-        split = omega_splitting(m)
-        mm = minimal_model(split.omega1, 3)
+        mm = minimal_model(omega_splitting(m), 3)
         assert mm.generator_counts() == {1: expect}
         assert mm.minimal and mm.quasi_iso
 
 
 def tensor_split(m, cap):
     """ℳ(Omega_1) and ℳ(Omega) built from it, as the report builds them."""
-    basic = minimal_model(omega_splitting(m).omega1, cap)
+    basic = minimal_model(omega_splitting(m), cap)
     return basic, model_tensor_split_check(m, basic)
 
 
@@ -118,7 +117,7 @@ def test_tensor_split_on_cokahler_models(torus3, torus5):
     # Omega itself: one generator more, in degree 1
     for m, n in ((torus3, 3), (torus5, 5)):
         basic, mm = tensor_split(m, 3)
-        assert basic.comparison.target is omega_splitting(m).omega1
+        assert basic.comparison.target is omega_splitting(m)
         assert mm.comparison.target is m.ce()
         assert basic.generator_counts() == {1: n - 1}
         assert mm.generator_counts() == {1: n}
@@ -191,7 +190,7 @@ def test_a_cokahler_report_builds_one_minimal_model(capsys, monkeypatch,
             (m,) = models
             assert len(targets) == 1, (model, command)
             assert targets[0] is (m.ce() if model == "heisenberg"
-                                  else omega_splitting(m).omega1)
+                                  else omega_splitting(m))
     capsys.readouterr()
 
 
@@ -230,7 +229,7 @@ def test_quasi_iso_matrices_are_chain_maps(heisenberg):
     mm = minimal_model(heisenberg.ce(), 3)
     target = heisenberg.ce()
     for i, gen in enumerate(mm.dga.algebra.generators):
-        pushed_d = mm.push(mm.dga.d.apply(mm.dga.algebra.gen(i)))
+        pushed_d = mm.comparison.push(mm.dga.d.apply(mm.dga.algebra.gen(i)))
         import cokahler.linalg as la
         d_pushed = la.mat_vec(target.d_matrix(gen.degree),
                               mm.comparison.images[i])
@@ -273,8 +272,8 @@ def test_each_generator_product_is_pushed_once_per_call(monkeypatch):
                 vec = wedge_coords(deg, vec, alg.degree_of(i),
                                    mm.comparison.images[i])
                 deg += alg.degree_of(i)
-            assert mm.push(alg.element(p, {alg.basis_index(p)[key]: 1})) \
-                == vec
+            assert mm.comparison.push(
+                alg.element(p, {alg.basis_index(p)[key]: 1})) == vec
 
 
 def model_of(label: str):
@@ -291,7 +290,7 @@ def model_targets(label: str):
     m = model_of(label)
     if label == "heisenberg":
         return (m.ce(),)
-    return m.ce(), omega_splitting(m).omega1
+    return m.ce(), omega_splitting(m)
 
 
 def expansions_and_slices(monkeypatch, target, cap):
