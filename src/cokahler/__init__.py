@@ -22,8 +22,7 @@ from .geometry import (LieModel, StructureVerdict, classify, is_killing,
                        is_parallel_form, nijenhuis_normality, omega_element,
                        validate_almost_contact)
 from .lefschetz import (LefschetzReport, lefschetz_map, mapping_torus_model,
-                        model_automorphism, splitting_check,
-                        verify_lefschetz_iso)
+                        splitting_check, verify_lefschetz_iso)
 from .linalg import Span
 from .massey import MasseyTriple, degree_one_massey_scan, triple_massey
 from .minimal import SullivanModel, minimal_model
@@ -42,7 +41,7 @@ __all__ = [
     "invariant_forms", "invariant_subalgebra", "is_killing",
     "is_parallel_form", "kernel_subcomplex",
     "kunneth_convolution", "lefschetz_map", "load", "load_corpus", "loads",
-    "mapping_torus_model", "minimal_model", "model_automorphism",
+    "mapping_torus_model", "minimal_model",
     "model_tensor_split_check", "nijenhuis_normality", "omega_element",
     "omega_splitting", "render_json", "resolve", "serialize",
     "splitting_check", "supercommutator", "supercommutes_with_d",

@@ -14,11 +14,11 @@ kernel subcomplex is ``Subcomplex.kernel_of``), and the eta-multiples are
 Omega_1 shifted up one degree, so they are counted, not built.  Each
 complex has one name, read wherever it is used: ``invariant_forms`` is
 Omega_eta and ``basic_complex`` Omega_1, which ``omega_splitting`` returns
-once the sum is checked.  On
-co-Kahler models the minimal model of Omega is built as ℳ(Omega_1) (x)
-Λ(eta): ℳ(Omega_1) once, extended by a closed t -> eta and checked as the
-minimal model of Omega itself, so ℳ(Omega_eta) ≅ ℳ(Omega_1) (x) Λ(eta)
-holds by construction and one Sullivan model is built per report.
+once the sum is checked.  On co-Kahler models the minimal model of Omega
+is built as ℳ(Omega_1) (x) Λ(eta): ℳ(Omega_1) once, extended by a closed
+t -> eta and checked as the minimal model of Omega itself, so ℳ(Omega_eta)
+≅ ℳ(Omega_1) (x) Λ(eta) holds by construction and one Sullivan model is
+built per report.  ``QuasiIsoReport`` is its report record, field by field.
 """
 
 from __future__ import annotations
@@ -175,8 +175,8 @@ class QuasiIsoReport(Record):
     eta_parallel: bool
     degreewise_iso: list[bool]
     ranks: list[int]
-    sub_betti: tuple[int, ...]
-    conclusion: bool              # inclusion is a quasi-isomorphism
+    betti_kernel: list[int]
+    quasi_isomorphism: bool       # the inclusion is one
     kernel_witnesses: dict[int, list[str]]
 
 
@@ -189,15 +189,16 @@ def verify_parallel_form_quism(m: LieModel) -> QuasiIsoReport:
     dga, d_eta = m.ce(), build_d_eta(m).d_eta
     sub = invariant_forms(m) if d_eta is m.lie_xi() else \
         kernel_subcomplex(dga, d_eta)
-    iso, ranks, witnesses = [], [], {}
+    iso, ranks, kernel = [], [], {}
     for p in range(dga.top + 1):
         ind = inclusion_induced_map(sub, p)
         iso.append(ind.isomorphism)
         ranks.append(ind.rank)
         if not ind.injective:
-            witnesses[p] = kernel_witnesses(sub, ind)
-    return QuasiIsoReport(parallel, iso, ranks, sub.betti(), all(iso),
-                          witnesses)
+            kernel[p] = kernel_witnesses(sub, ind)
+    return QuasiIsoReport(
+        eta_parallel=parallel, degreewise_iso=iso, quasi_isomorphism=all(iso),
+        ranks=ranks, betti_kernel=list(sub.betti()), kernel_witnesses=kernel)
 
 
 def model_tensor_split_check(m: LieModel,

@@ -387,16 +387,6 @@ class Element:
         return Element._trusted(self.algebra, self.degree,
                                 {k: c * v for k, v in self.terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            return self.scale(other)
-        return self.wedge(other)
-
-    def __rmul__(self, other):
-        if isinstance(other, Rational):
-            return self.scale(other)
-        return NotImplemented
-
     def wedge(self, other: "Element") -> "Element":
         """Graded-commutative product with Koszul signs."""
         self._check_compatible(other)
@@ -417,8 +407,6 @@ class Element:
                 else:
                     terms.pop(key, None)
         return Element._trusted(alg, degree, terms)
-
-    __xor__ = wedge
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Rational):

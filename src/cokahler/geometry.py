@@ -21,7 +21,7 @@ import functools
 from fractions import Fraction
 
 from . import linalg
-from .cdga import DGA, Derivation, derivation, supercommutator
+from .cdga import DGA, AlgebraMap, Derivation, derivation, supercommutator
 from .errors import StructureError
 from .exterior import Element, Generator, GradedAlgebra
 from .linalg import Matrix, Vector
@@ -53,7 +53,8 @@ class LieModel:
     induced Chevalley-Eilenberg complex (d's degree-2 images only; the
     report records d's Leibniz verdict).  ``metric``, ``xi``, ``eta``, ``J``
     and the automorphism matrix are given as dense rows, checked for shape,
-    and stored sparse.
+    and stored sparse.  ``automorphism`` is (phi, order), phi the algebra
+    map of the matrix, refused when it does not commute with d.
     """
 
     def __init__(self, dimension: int, brackets: dict, name: str = "model",
@@ -88,16 +89,21 @@ class LieModel:
             if eta is not None else None
         self.J = _sparse_rows("J", J, dimension, dimension) \
             if J is not None else None
-        self.automorphism = None
-        if automorphism is not None:
-            mat, order = automorphism
-            self.automorphism = (_sparse_rows("automorphism", mat, dimension,
-                                              dimension), int(order))
         self._derived: dict = {}    # see once_per_model
         d = self.ce().d
         if not all(d.apply(img).is_zero() for img in d.images.values()):
             raise StructureError(
                 f"structure constants of {name!r} violate the Jacobi identity")
+        self.automorphism = None
+        if automorphism is not None:
+            mat, order = automorphism
+            alg, n = self.algebra(), dimension
+            cols = linalg.transpose(_sparse_rows("automorphism", mat, n, n), n)
+            phi = AlgebraMap(alg, {i: alg.element(1, col)
+                                   for i, col in enumerate(cols)}, name="phi")
+            if not phi.commutes_with(d):
+                raise StructureError("automorphism does not commute with d")
+            self.automorphism = (phi, int(order))
 
     # -- brackets ------------------------------------------------------------
 
@@ -471,4 +477,5 @@ def classify(m: LieModel) -> StructureVerdict:
     return StructureVerdict(
         cosymplectic=cosymplectic, normal=normal, coKahler=co_kahler,
         killing_xi=killing, parallel_xi=par_xi, parallel_eta=par_eta,
-        parallel_J=par_j, unimodular=m.is_unimodular(), witnesses=witnesses)
+        parallel_J=par_j, unimodular=m.is_unimodular(),
+        witnesses=dict(sorted(witnesses.items())))

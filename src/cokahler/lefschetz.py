@@ -15,6 +15,7 @@ invariant forms split as complexes, Omega_eta = Omega_1 + eta ^ Omega_1
 (``omega_splitting``), so H_eta = H_1 + [eta] ^ H_1 is a Betti identity,
 and each term falls in its block, the iota-term in Omega_1 (checked).
 Each degree is the ``induced_map`` of L on Omega_eta, one class per column.
+The splitting and mapping-torus results are their report records as they are.
 """
 
 from __future__ import annotations
@@ -144,26 +145,32 @@ class SplittingReport(Record):
     Lambda(eta): Omega_eta = Omega_1 + eta ^ Omega_1 as complexes
     (``omega_splitting``), so this is H_eta = H_1 + [eta] ^ H_1, read on two
     cohomologies computed apart."""
-    dims_eta: tuple[int, ...]
-    dims_basic: tuple[int, ...]
-    per_degree_ok: list[bool]
-    ok: bool
+    betti_eta: list[int]
+    betti_omega1: list[int]
+    cohomology_split: list[bool]
+
+    @property
+    def ok(self) -> bool:
+        return all(self.cohomology_split)
 
 
 def splitting_check(m: LieModel) -> SplittingReport:
-    dims_basic = omega_splitting(m).cohomology().betti()
-    dims_eta = invariant_forms(m).cohomology().betti()
-    want = kunneth_convolution(dims_basic, (1, 1))
-    per_degree = [dim == w for dim, w in zip(dims_eta, want)]
-    return SplittingReport(dims_eta, dims_basic, per_degree, all(per_degree))
+    h1 = list(omega_splitting(m).betti())
+    h_eta = list(invariant_forms(m).betti())
+    want = kunneth_convolution(h1, (1, 1))
+    return SplittingReport(
+        betti_eta=h_eta, betti_omega1=h1,
+        cohomology_split=[b == w for b, w in zip(h_eta, want)])
 
 
 class MappingTorus(Record):
     """Mapping-torus model: the phi-invariant forms of K extended by a
-    closed circle generator t, phi extended by t -> t."""
-    betti: tuple[int, ...]
-    fiber_fixed_betti: tuple[int, ...]
+    closed circle generator t, phi extended by t -> t; ``fixed_convolved``
+    is the Betti vector of K's phi-invariant forms convolved with (1, 1)."""
     order: int
+    betti: list[int]
+    fixed_betti: list[int]
+    fixed_convolved: list[int]
     circle_generator: str
 
 
@@ -178,22 +185,13 @@ def mapping_torus_model(k_dga: DGA, phi: AlgebraMap,
     name = next(c for c in ("t", "s", "u", "z",
                             *(f"t{i}" for i in range(len(used) + 1)))
                 if c not in used)
-    fixed_k = invariant_subalgebra(k_dga, phi, order)
+    fixed = list(invariant_subalgebra(k_dga, phi, order).betti())
     total = k_dga.extend([Generator(name, 1)], {})
     alg = total.algebra
     phi_hat = AlgebraMap(alg, dict(enumerate([*map(alg.lift, phi.images),
                                               alg.gen(name)])),
                          name=f"{phi.name or 'phi'}^")
-    invariant = invariant_subalgebra(total, phi_hat, order)
-    return MappingTorus(invariant.betti(), fixed_k.betti(), order, name)
-
-
-def model_automorphism(m: LieModel) -> tuple[AlgebraMap, int]:
-    """The automorphism block of a model file as a degree-1 algebra map."""
-    if m.automorphism is None:
-        raise StructureError(f"model {m.name!r} carries no automorphism block")
-    mat, order = m.automorphism
-    alg = m.algebra()
-    images = {gen.name: alg.element(1, column) for gen, column
-              in zip(alg.generators, linalg.transpose(mat, m.dimension))}
-    return AlgebraMap(alg, images, name="phi"), order
+    betti = list(invariant_subalgebra(total, phi_hat, order).betti())
+    return MappingTorus(
+        order=order, betti=betti, fixed_betti=fixed, circle_generator=name,
+        fixed_convolved=list(kunneth_convolution(fixed, (1, 1))))

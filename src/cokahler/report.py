@@ -17,15 +17,14 @@ from fractions import Fraction
 
 from . import linalg
 from .cdga import supercommutes_with_d
-from .cohomology import kunneth_convolution
 from .errors import StructureError
 from .eta import (basic_complex, build_d_eta, invariant_forms,
                   model_tensor_split_check, omega_splitting,
                   splitting_obstruction, verify_basic_match,
                   verify_d_eta_equals_lie, verify_parallel_form_quism)
 from .geometry import LieModel, classify, validate_almost_contact
-from .lefschetz import (mapping_torus_model, model_automorphism,
-                        splitting_check, verify_lefschetz_iso)
+from .lefschetz import mapping_torus_model, splitting_check, \
+    verify_lefschetz_iso
 from .massey import degree_one_massey_scan
 from .minimal import minimal_model
 from .modelfile import ModelFile
@@ -156,8 +155,7 @@ def _model_section(model: LieModel, cap) -> Section:
 def _classification_section(model: LieModel, cap) -> Section:
     """The consistency verdict is algebraic: no compact quotient is needed."""
     verdict = classify(model)
-    sec = Section({**vars(verdict),
-                   "witnesses": dict(sorted(verdict.witnesses.items()))})
+    sec = Section(dict(vars(verdict)))
     sec.check("classification_consistency",
               verdict.coKahler == (verdict.cosymplectic and verdict.normal)
               == verdict.parallel_J,
@@ -215,22 +213,15 @@ def _d_eta_equals_lie_section(model: LieModel, cap) -> Section:
 
 def _parallel_form_quism_section(model: LieModel, cap) -> Section:
     quism = verify_parallel_form_quism(model)
-    sec = Section({
-        "eta_parallel": quism.eta_parallel,
-        "degreewise_iso": quism.degreewise_iso,
-        "ranks": quism.ranks,
-        "betti_kernel": list(quism.sub_betti),
-        "quasi_isomorphism": quism.conclusion,
-        "kernel_witnesses": quism.kernel_witnesses,
-    })
+    sec = Section(dict(vars(quism)))
     if quism.eta_parallel:
-        sec.check("parallel_form_quism", quism.conclusion,
+        sec.check("parallel_form_quism", quism.quasi_isomorphism,
                   "ker(d_eta) includes quasi-isomorphically when eta is "
                   "parallel")
     else:
         sec.hypothesis = ("eta not parallel: quasi-isomorphism of ker(d_eta) "
                           "reported without a verdict "
-                          f"(holds: {quism.conclusion})")
+                          f"(holds: {quism.quasi_isomorphism})")
     return sec
 
 
@@ -242,16 +233,11 @@ def _splitting_section(model: LieModel, cap) -> Section:
     if obstruction:
         return Section(None, hypothesis=obstruction)
     omega1, omega_eta = omega_splitting(model), invariant_forms(model)
-    equal = verify_basic_match(model)
-    coh_split = splitting_check(model)
+    equal, coh_split = verify_basic_match(model), splitting_check(model)
     degrees = range(model.ce().top + 1)
-    sec = Section({
-        "omega_eta_dims": [omega_eta.dim(p) for p in degrees],
-        "omega1_dims": [omega1.dim(p) for p in degrees],
-        "betti_eta": list(coh_split.dims_eta),
-        "betti_omega1": list(coh_split.dims_basic),
-        "cohomology_split": coh_split.per_degree_ok,
-    })
+    sec = Section({"omega_eta_dims": [omega_eta.dim(p) for p in degrees],
+                   "omega1_dims": [omega1.dim(p) for p in degrees],
+                   **vars(coh_split)})
     if _co_kahler(model):
         sec.check("omega_splitting", True,
                   "Omega_eta = Omega_1 + eta^Omega_1 directly, p > 0")
@@ -350,17 +336,9 @@ def _minimal_model_section(model: LieModel, cap: int) -> Section:
 
 
 def _mapping_torus_section(model: LieModel, cap) -> Section:
-    phi, order = model_automorphism(model)
-    torus = mapping_torus_model(model.ce(), phi, order)
-    convolved = kunneth_convolution(torus.fiber_fixed_betti, (1, 1))
-    sec = Section({
-        "order": order,
-        "betti": list(torus.betti),
-        "fixed_betti": list(torus.fiber_fixed_betti),
-        "fixed_convolved": list(convolved),
-        "circle_generator": torus.circle_generator,
-    })
-    sec.check("mapping_torus_betti", convolved == torus.betti,
+    torus = mapping_torus_model(model.ce(), *model.automorphism)
+    sec = Section(dict(vars(torus)))
+    sec.check("mapping_torus_betti", torus.fixed_convolved == torus.betti,
               "mapping-torus Betti equals fixed Betti convolved with (1,1)")
     return sec
 

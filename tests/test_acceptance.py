@@ -18,8 +18,7 @@ from cokahler.eta import (basic_complex, build_d_eta, invariant_forms,
 from cokahler.exterior import Element
 from cokahler.geometry import classify
 from cokahler.lefschetz import (lefschetz_map, mapping_torus_model,
-                                model_automorphism, splitting_check,
-                                verify_lefschetz_iso)
+                                splitting_check, verify_lefschetz_iso)
 from cokahler.massey import degree_one_massey_scan, triple_massey
 from cokahler.minimal import minimal_model
 from cokahler.modelfile import load_corpus
@@ -117,8 +116,8 @@ def test_criterion_4_splitting_and_basic_cohomology():
         coh = splitting_check(m)
         ok &= coh.ok
         for p in range(top + 1):
-            prev = coh.dims_basic[p - 1] if p >= 1 else 0
-            ok &= coh.dims_eta[p] == coh.dims_basic[p] + prev
+            prev = coh.betti_omega1[p - 1] if p >= 1 else 0
+            ok &= coh.betti_eta[p] == coh.betti_omega1[p] + prev
     _report(4, "Omega_eta = Omega_1 (+) eta^Omega_1 exactly, Omega_1 is the "
                "basic complex, and H-dimension splitting on co-Kahler models",
             ok)
@@ -160,21 +159,21 @@ def test_criterion_6_classification_and_parallel_fields():
 
 def test_criterion_7_mapping_torus_models():
     rot = _model("t2-rot4-mapping-torus")
-    phi, order = model_automorphism(rot)
+    phi, order = rot.automorphism
     torus = mapping_torus_model(rot.ce(), phi, order)
-    ok = torus.betti == (1, 1, 1, 1)
+    ok = torus.betti == [1, 1, 1, 1]
     gens = rot.algebra().gens()
     ident = AlgebraMap(rot.algebra(), {"e1": gens[0], "e2": gens[1]})
     trivial = mapping_torus_model(rot.ce(), ident, 1)
-    ok &= trivial.betti == (1, 3, 3, 1)
-    ok &= trivial.betti == _model("torus3").ce().cohomology().betti()
+    ok &= trivial.betti == [1, 3, 3, 1]
+    ok &= tuple(trivial.betti) == _model("torus3").ce().cohomology().betti()
     neg = _model("t2-negid-mapping-torus")
-    phi2, order2 = model_automorphism(neg)
+    phi2, order2 = neg.automorphism
     for dga, auto, m_order in ((rot.ce(), phi, order), (neg.ce(), phi2, order2),
                                (rot.ce(), ident, 1)):
         built = mapping_torus_model(dga, auto, m_order)
-        ok &= kunneth_convolution(built.fiber_fixed_betti, (1, 1)) == \
-            built.betti
+        ok &= kunneth_convolution(built.fixed_betti, (1, 1)) == \
+            tuple(built.betti)
     _report(7, "mapping torus of T^2: order-4 rotation gives (1,1,1,1), "
                "identity gives (1,3,3,1) = torus3, and fixed Betti * (1,1) "
                "always equals the mapping-torus Betti", ok)

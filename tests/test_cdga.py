@@ -1115,13 +1115,13 @@ def test_an_extension_grows_d_and_keeps_the_cohomology_below_it():
     # below the new generators keep their computed cohomology as it was
     alg = GradedAlgebra([Generator("a", 2), Generator("b", 3)], max_degree=9)
     a = alg.gen("a")
-    dga = DGA(alg, named_derivation(alg, {"b": a * a}, 1, name="d"))
+    dga = DGA(alg, named_derivation(alg, {"b": a.wedge(a)}, 1, name="d"))
     before = [list(dga.d_columns(p)) for p in range(alg.top + 1)]
     betti = dga.betti()
     grown = dga.extend([Generator("c", 3)], {})
     c = grown.algebra.gen("c")
     grown = grown.extend([Generator("u", 4)],
-                         {"u": grown.algebra.lift(a) * c})
+                         {"u": grown.algebra.lift(a).wedge(c)})
     new = grown.algebra
     fresh = Derivation(new, 1, {i: img for i, img in grown.d.images.items()})
     for p in range(new.top + 1):
@@ -1145,9 +1145,9 @@ def test_an_extension_keeps_d_columns_when_the_keys_change_encoding():
     # expanded
     alg = GradedAlgebra([Generator(g, 1) for g in "xyz"], max_degree=5)
     x, y, z = alg.gens()
-    dga = DGA(alg, named_derivation(alg, {"z": x * y}, 1, name="d"))
+    dga = DGA(alg, named_derivation(alg, {"z": x.wedge(y)}, 1, name="d"))
     stored = [dga.d_columns(p) for p in range(alg.top + 1)]
-    grown = dga.extend([Generator("w", 2)], {"w": x * y * z})
+    grown = dga.extend([Generator("w", 2)], {"w": x.wedge(y).wedge(z)})
     new = grown.algebra
     assert alg.bitmask and not new.bitmask
     assert grown.d._table and all(3 in key for key in grown.d._table)

@@ -161,6 +161,23 @@ def test_a_bad_automorphism_block_is_refused_by_every_command(
     assert code == 2 and message in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--informational"]])
+def test_an_automorphism_not_commuting_with_d_is_refused_by_every_command(
+        capsys, tmp_path, flags):
+    # kx5 with e2 -> -e2, which reverses d e4 = e2 ^ e5: every command that
+    # builds the model refuses it alike, and only canonicalize, which
+    # builds none, prints the file
+    path = tmp_path / "kx5-flip.model"
+    path.write_text(corpus_path("kx5").read_text() + "\n[automorphism]\n"
+                    "order 2\n1 0 0 0 0\n0 -1 0 0 0\n0 0 1 0 0\n"
+                    "0 0 0 1 0\n0 0 0 0 1\n")
+    for argv in ([name] for name in (*cli._VIEWS, "report")):
+        assert run(capsys, *flags, *argv, str(path)) == (
+            2, "", "error: automorphism does not commute with d\n"), argv
+    assert run(capsys, *flags, "report", "--json", str(path))[0] == 2
+    assert run(capsys, *flags, "canonicalize", str(path))[0] == 0
+
+
 def test_a_huge_order_of_a_finite_order_block_is_read_quickly(capsys,
                                                                tmp_path):
     # 4 * 10**12 is a multiple of the quarter turn's order 4: the file loads,

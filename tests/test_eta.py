@@ -302,7 +302,7 @@ def test_parallel_form_quism_tori(cokahler_models):
     for m in cokahler_models:
         report = verify_parallel_form_quism(m)
         assert report.eta_parallel
-        assert all(report.degreewise_iso) and report.conclusion
+        assert all(report.degreewise_iso) and report.quasi_isomorphism
         sec = run_section(m, "parallel_form_quism")
         assert [(r["check"], r["ok"]) for r in sec.asserted] == \
             [("parallel_form_quism", True)]
@@ -312,14 +312,14 @@ def test_parallel_form_quism_heisenberg(heisenberg):
     report = verify_parallel_form_quism(heisenberg)
     assert not report.eta_parallel
     assert report.degreewise_iso == [True, True, False, True]
-    assert not report.conclusion
+    assert not report.quasi_isomorphism
     sec = run_section(heisenberg, "parallel_form_quism")
     assert sec.asserted == []        # informational: hypothesis fails
     assert sec.hypothesis.startswith("eta not parallel")
     assert report.kernel_witnesses[2] == ["e1^e2"]
     # oracle: the induced H^2 matrix has rank 1 although both sides have dim 2
     assert report.ranks[2] == 1
-    assert report.sub_betti == (1, 2, 2, 1)
+    assert report.betti_kernel == [1, 2, 2, 1]
     assert heisenberg.ce().cohomology().betti() == (1, 2, 2, 1)
 
 

@@ -174,7 +174,7 @@ def test_constructors_store_integral_coefficients_as_ints(alg3):
     e1, e2, _ = alg3.gens()
     made = [e1, alg3.scalar(True), alg3.scalar(Fraction(6, 3)),
             alg3.monomial("e2", "e1", coeff=Fraction(4, 2)),
-            e1.scale(Fraction(-3, 1)), e1.wedge(e2), 2 * e1]
+            e1.scale(Fraction(-3, 1)), e1.wedge(e2), e1.scale(2)]
     assert [type(c) for elem in made for c in elem.terms.values()] == [int] * 7
     assert made[3] == alg3.monomial("e1", "e2", coeff=-2)
     half = e1.scale(Fraction(1, 2))

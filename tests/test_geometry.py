@@ -45,6 +45,24 @@ def test_an_automorphism_of_the_wrong_shape_is_refused(mat):
         LieModel(3, {}, automorphism=(mat, 2))
 
 
+def test_an_automorphism_that_does_not_commute_with_d_is_refused():
+    # kx5's brackets: d e4 and d e5 hold e2, so e2 -> -e2 turns d e4 to
+    # -d e4 while fixing e4; turning e4 and e5 over instead commutes with d
+    kx5 = {(1, 3): {4: 1}, (1, 4): {3: -1}}
+
+    def diagonal(*entries):
+        return [[entries[i] if i == j else 0 for j in range(5)]
+                for i in range(5)]
+
+    with pytest.raises(StructureError,
+                       match="automorphism does not commute with d"):
+        LieModel(5, kx5, automorphism=(diagonal(1, -1, 1, 1, 1), 2))
+    phi, order = LieModel(5, kx5, automorphism=(
+        diagonal(1, 1, 1, -1, -1), 2)).automorphism
+    e4 = phi.algebra.gen("e4")
+    assert order == 2 and phi(e4) == -e4
+
+
 def test_bracket_antisymmetry_completion():
     m = LieModel(3, {(0, 1): {2: 1}})
     assert m.bracket(0, 1) == {2: Fraction(1)}

@@ -13,8 +13,7 @@ from cokahler.eta import invariant_forms, omega_splitting
 from cokahler.exterior import Generator, GradedAlgebra
 from cokahler.geometry import LieModel
 from cokahler.lefschetz import (lefschetz_map, mapping_torus_model,
-                                model_automorphism, splitting_check,
-                                verify_lefschetz_iso)
+                                splitting_check, verify_lefschetz_iso)
 from cokahler.cli import main
 from cokahler.modelfile import CORPUS_MODELS, load_corpus
 from cokahler.report import run_section
@@ -120,20 +119,20 @@ def test_lefschetz_heisenberg_informational(heisenberg):
 def test_splitting_check(torus3, torus5):
     r3 = splitting_check(torus3)
     assert r3.ok
-    assert r3.dims_eta == (1, 3, 3, 1)
-    assert r3.dims_basic == (1, 2, 1, 0)
+    assert r3.betti_eta == [1, 3, 3, 1]
+    assert r3.betti_omega1 == [1, 2, 1, 0]
     # independent recomputation: (1,3,3,1) = (1,2,1,0) + shifted (0,1,2,1)
-    shifted = (0,) + r3.dims_basic[:-1]
-    assert tuple(a + b for a, b in zip(r3.dims_basic, shifted)) == r3.dims_eta
+    shifted = [0] + r3.betti_omega1[:-1]
+    assert [a + b for a, b in zip(r3.betti_omega1, shifted)] == r3.betti_eta
     r5 = splitting_check(torus5)
     assert r5.ok
-    shifted = (0,) + r5.dims_basic[:-1]
-    assert tuple(a + b for a, b in zip(r5.dims_basic, shifted)) == r5.dims_eta
+    shifted = [0] + r5.betti_omega1[:-1]
+    assert [a + b for a, b in zip(r5.betti_omega1, shifted)] == r5.betti_eta
 
 
 def test_splitting_degree_zero(torus3):
     r = splitting_check(torus3)
-    assert r.dims_eta[0] == r.dims_basic[0] == 1
+    assert r.betti_eta[0] == r.betti_omega1[0] == 1
 
 
 def oracle_fixed_betti(phi_matrices, dga):
@@ -154,9 +153,10 @@ def test_mapping_torus_rotation(torus3):
     e1, e2 = t2.algebra.gens()
     rot = AlgebraMap(t2.algebra, {"e1": e2, "e2": -e1})
     torus = mapping_torus_model(t2, rot, 4)
-    assert torus.fiber_fixed_betti == (1, 0, 1)
-    assert torus.betti == (1, 1, 1, 1)
-    assert kunneth_convolution(torus.fiber_fixed_betti, (1, 1)) == torus.betti
+    assert torus.fixed_betti == [1, 0, 1]
+    assert torus.betti == torus.fixed_convolved == [1, 1, 1, 1]
+    assert kunneth_convolution(torus.fixed_betti, (1, 1)) == \
+        tuple(torus.betti)
     # oracle: fixed dims straight from sympy.nullspace(phi - id)
     assert oracle_fixed_betti([[linalg.dense(row, t2.dim(p))
                                 for row in linalg.transpose(
@@ -170,7 +170,7 @@ def test_mapping_torus_negation():
     e1, e2 = t2.algebra.gens()
     neg = AlgebraMap(t2.algebra, {"e1": -e1, "e2": -e2})
     torus = mapping_torus_model(t2, neg, 2)
-    assert torus.betti == (1, 1, 1, 1)
+    assert torus.betti == [1, 1, 1, 1]
 
 
 def test_mapping_torus_identity_matches_tensor():
@@ -178,9 +178,9 @@ def test_mapping_torus_identity_matches_tensor():
     e1, e2 = t2.algebra.gens()
     ident = AlgebraMap(t2.algebra, {"e1": e1, "e2": e2})
     torus = mapping_torus_model(t2, ident, 1)
-    assert torus.betti == (1, 3, 3, 1)
+    assert torus.betti == [1, 3, 3, 1]
     direct = t2_dga().extend([Generator("h", 1)], {})
-    assert torus.betti == direct.cohomology().betti()
+    assert tuple(torus.betti) == direct.cohomology().betti()
 
 
 def test_mapping_torus_heisenberg_identity(heisenberg):
@@ -188,20 +188,20 @@ def test_mapping_torus_heisenberg_identity(heisenberg):
     gens = dga.algebra.gens()
     ident = AlgebraMap(dga.algebra, {f"e{i+1}": gens[i] for i in range(3)})
     torus = mapping_torus_model(dga, ident, 1)
-    assert torus.betti == kunneth_convolution((1, 2, 2, 1), (1, 1))
+    assert tuple(torus.betti) == kunneth_convolution((1, 2, 2, 1), (1, 1))
 
 
 def test_mapping_torus_from_model_files():
     rot = load_corpus("t2-rot4-mapping-torus").to_lie_model()
-    phi, order = model_automorphism(rot)
+    phi, order = rot.automorphism
     assert order == 4
     torus = mapping_torus_model(rot.ce(), phi, order)
-    assert torus.betti == (1, 1, 1, 1)
+    assert torus.betti == [1, 1, 1, 1]
     neg = load_corpus("t2-negid-mapping-torus").to_lie_model()
-    phi2, order2 = model_automorphism(neg)
+    phi2, order2 = neg.automorphism
     assert order2 == 2
     torus2 = mapping_torus_model(neg.ce(), phi2, order2)
-    assert torus2.betti == (1, 1, 1, 1)
+    assert torus2.betti == [1, 1, 1, 1]
 
 
 def test_mapping_torus_circle_name_collision():
@@ -213,7 +213,7 @@ def test_mapping_torus_circle_name_collision():
         phi = AlgebraMap(alg, {name: alg.gen(name) for name in names})
         torus = mapping_torus_model(dga, phi, 1)
         assert torus.circle_generator == expect
-        assert torus.betti == kunneth_convolution(dga.betti(), (1, 1))
+        assert tuple(torus.betti) == kunneth_convolution(dga.betti(), (1, 1))
 
 
 @pytest.mark.parametrize("name, expect", [("torus5", 17), ("rot5-1-2", 5),
@@ -261,7 +261,7 @@ def test_splitting_check_reduces_no_class(monkeypatch, name):
     m = lie_model(name)
     monkeypatch.setattr(cohomology.CohomologyRing, "class_of", refused)
     report = splitting_check(m)
-    assert report.ok and report.per_degree_ok == [True] * (m.dimension + 1)
+    assert report.ok and report.cohomology_split == [True] * (m.dimension + 1)
 
 
 def test_induced_map_rank_is_the_rank_of_its_matrix(monkeypatch):
