@@ -12,11 +12,13 @@ phi-derivation (``AlgebraMap.commutes_with``).  Each verdict has one name
 (d^2 = 0 is ``supercommutes_with_d(dga, dga.d)``).  The one per-monomial
 pass, ``Derivation.leibniz_failure``, which the report records, tests the
 tables themselves.  d_eta = L_xi needs no pass: when eta is the dual of
-xi, ``derivation`` hands out one operator for both.  Every kernel
-subcomplex is ``Subcomplex.kernel_of``, on a DGA or inside a subcomplex
-(Omega_1 in Omega_eta), except the kernel of an operator that vanishes on
-every basis monomial, which is the DGA itself (``eta.kernel_subcomplex``):
-a DGA is its own ``parent``, with identity ``parent_coords``.  A complex
+xi, ``derivation`` hands out one operator for both.  A kernel subcomplex
+is ``Subcomplex.kernel_of``, on a DGA or inside a subcomplex (Omega_1 in
+Omega_eta), except the kernel of an operator that vanishes on every basis
+monomial, which is the DGA itself (``eta.kernel_subcomplex``), and the
+complexes ``eta`` builds on the fibre, the monomials without e^k, when xi
+is a multiple of X_k (``Subcomplex(parent, spans)`` on rows it reduced).
+A DGA is its own ``parent``, with identity ``parent_coords``.  A complex
 owns what its cohomology has computed; ``cohomology()`` is a view of that
 store, and the complex keeps no reference to a view.  ``DGA.extend`` is
 the one way to adjoin generators (a Hirsch extension, or the circle of a

@@ -8,13 +8,16 @@ rho_eta is iota_xi, d_eta is L_xi and ker(d_eta) is the invariant forms, as
 objects: operators and kernels are shared.  When L_xi is zero in every
 degree (xi central, as on tori and K x S^1), ker(d_eta) is the full complex
 itself, with one cohomology and an identity inclusion.  The invariant forms
-split as Omega_1 + eta ^ Omega_1: Omega_1, the basic complex of the
-foliation spanned by xi, is iota_xi's kernel inside Omega_eta (every
-kernel subcomplex is ``Subcomplex.kernel_of``), and the eta-multiples are
-Omega_1 shifted up one degree, so they are counted, not built.  Each
-complex has one name, read wherever it is used: ``invariant_forms`` is
-Omega_eta and ``basic_complex`` Omega_1, which ``omega_splitting`` returns
-once the sum is checked.  On co-Kahler models the minimal model of Omega
+split as Omega_1 + eta ^ Omega_1, Omega_1 the basic complex of the
+foliation spanned by xi, and the fibre, the monomials without e^k when xi
+is a multiple of X_k, is the unit of work: Omega_1 is L_xi's kernel there,
+and Omega_eta, when L_xi e^k = 0, Omega_1 + e^k ^ Omega_1 with no
+elimination.  Off the fibre they are kernels on Omega and inside Omega_eta
+(``Subcomplex.kernel_of``).  The eta-multiples are Omega_1 shifted up one
+degree, so they are counted, not built.  Each complex has one name, read
+wherever it is used: ``invariant_forms`` is Omega_eta and
+``basic_complex`` Omega_1, which ``omega_splitting`` returns once the sum
+is checked.  On co-Kahler models the minimal model of Omega
 is built as ℳ(Omega_1) (x) Λ(eta): ℳ(Omega_1) once, extended by a closed
 t -> eta and checked as the minimal model of Omega itself, so ℳ(Omega_eta)
 ≅ ℳ(Omega_1) (x) Λ(eta) holds by construction and one Sullivan model is
@@ -84,16 +87,20 @@ def verify_d_eta_equals_lie(m: LieModel) -> bool:
     return True
 
 
+def _vanishes(dga, op: Derivation) -> bool:
+    """Whether op's table is zero on every basis monomial of ``dga``
+    (generator images fix the table only as their Leibniz extension)."""
+    return op.algebra is dga.algebra and not any(
+        op.image(key) for p in range(dga.top + 1)
+        for key in dga.algebra.basis(p))
+
+
 def kernel_subcomplex(dga, op: Derivation) -> CochainComplex:
     """Degreewise kernel of a derivation supercommuting with d
     (``Subcomplex.kernel_of``), built on each call: Omega_eta is built once
     per model by ``invariant_forms``.  When op's table is zero on every
-    basis monomial the kernel is ``dga`` itself, closed under any d.  The
-    test reads the table: generator images fix it only as their Leibniz
-    extension."""
-    if op.algebra is dga.algebra and not any(
-            op.image(key) for p in range(dga.top + 1)
-            for key in dga.algebra.basis(p)):
+    basis monomial the kernel is ``dga`` itself, closed under any d."""
+    if _vanishes(dga, op):
         return dga
     if not supercommutes_with_d(dga, op):
         raise StructureError(
@@ -102,10 +109,49 @@ def kernel_subcomplex(dga, op: Derivation) -> CochainComplex:
     return Subcomplex.kernel_of(dga, op.columns, op.degree)
 
 
+def _xi_axis(m: LieModel) -> int | None:
+    """k when xi is a multiple of X_k, else None."""
+    xi = m._require("xi")
+    return next(iter(xi)) if len(xi) == 1 else None
+
+
 @once_per_model
 def invariant_forms(m: LieModel) -> CochainComplex:
-    """Omega_eta: the forms annihilated by the Lie derivative along xi."""
-    return kernel_subcomplex(m.ce(), m.lie_xi())
+    """Omega_eta: the forms annihilated by the Lie derivative along xi:
+    Omega when L_xi is zero, else ``_fibre_sum`` when xi is a multiple of
+    X_k and L_xi e^k = 0, else L_xi's kernel on Omega."""
+    dga, lie, k = m.ce(), m.lie_xi(), _xi_axis(m)
+    if k is None or lie.image(1 << k) or _vanishes(dga, lie):
+        return kernel_subcomplex(dga, lie)
+    return _fibre_sum(m, k)
+
+
+def _fibre_sum(m: LieModel, k: int) -> Subcomplex:
+    """ker L_xi = Omega_1 + e^k ^ Omega_1 for xi a multiple of X_k with
+    L_xi e^k = 0: L_xi(alpha + e^k ^ beta) = L_xi alpha + e^k ^ L_xi beta
+    on the fibre.  e^k ^ maps the fibre onto the other monomials in order,
+    with signs, so Omega_1's rows and their e^k-multiples, each leading
+    with 1, sorted, are ker L_xi's reduced rows.  An e^k-multiple that L_xi
+    does not kill is a corrupt construction, and raises."""
+    dga, lie, omega1, bit = m.ce(), m.lie_xi(), basic_complex(m), 1 << k
+    alg, spans = dga.algebra, {}
+    for p in range(dga.top + 1):
+        source, index = alg.basis(p - 1), alg.basis_index(p)
+        shifted = []
+        for row in omega1.basis_vectors(p - 1):
+            # e^k ^ e^I = (-1)^popcount(I & (bit - 1)) e^(I + k), relative
+            # to the sign at the row's leading monomial
+            lead = (source[min(row)] & (bit - 1)).bit_count()
+            wedge = {index[source[j] | bit]:
+                     -v if ((source[j] & (bit - 1)).bit_count() - lead) & 1
+                     else v for j, v in row.items()}
+            if not lie.apply(alg.element(p, wedge)).is_zero():
+                raise StructureError(
+                    "construction inconsistency: L_xi does not vanish on "
+                    f"e{k + 1} ^ Omega_1 in degree {p}")
+            shifted.append(wedge)
+        spans[p] = sorted(omega1.basis_vectors(p) + shifted, key=min)
+    return Subcomplex(dga, spans)
 
 
 def splitting_obstruction(m: LieModel) -> str | None:
@@ -133,7 +179,8 @@ def omega_splitting(m: LieModel) -> Subcomplex:
     keeps eta ^ Omega_1 a subcomplex.  iota_xi(eta ^ alpha) = alpha on
     Omega_1, so eta ^ is injective there and the sum is direct; it is all
     of Omega_eta exactly when iota_xi maps Omega_eta^p onto Omega_1^{p-1},
-    that is when dim Omega_eta^p = dim Omega_1^p + dim Omega_1^{p-1}."""
+    that is when dim Omega_eta^p = dim Omega_1^p + dim Omega_1^{p-1}: by
+    construction where ``_fibre_sum`` stacks Omega_eta from Omega_1."""
     obstruction = splitting_obstruction(m)
     if obstruction:
         raise StructureError(obstruction)
@@ -153,9 +200,28 @@ def omega_splitting(m: LieModel) -> Subcomplex:
 @once_per_model
 def basic_complex(m: LieModel) -> Subcomplex:
     """Basic forms of the rank-1 foliation spanned by xi, Omega_1:
-    iota_xi alpha = 0 and L_xi alpha = 0, so iota_xi's kernel on Omega_eta,
-    a subcomplex of Omega_eta and of Omega."""
-    return Subcomplex.kernel_of(invariant_forms(m), m.iota_xi().columns, -1)
+    iota_xi alpha = 0 and L_xi alpha = 0, a subcomplex of Omega_eta and of
+    Omega.  For xi a multiple of X_k, ker iota_xi is the fibre, which L_xi
+    preserves ([L_xi, iota_xi] = 0), so Omega_1 is L_xi's kernel on the
+    fibre, whose reduced rows stay reduced in the parent's order; else
+    iota_xi's kernel on Omega_eta's basis."""
+    k = _xi_axis(m)
+    if k is None:
+        return Subcomplex.kernel_of(invariant_forms(m), m.iota_xi().columns,
+                                    -1)
+    dga, image, bit = m.ce(), m.lie_xi().image, 1 << k
+    spans = {}
+    for p in range(dga.top + 1):
+        keys = dga.algebra.basis(p)
+        fibre = [j for j, key in enumerate(keys) if not key & bit]
+        local = {keys[j]: i for i, j in enumerate(fibre)}
+        columns = [{local[key]: c for key, c in image(keys[j]).items()}
+                   for j in fibre]
+        kernel = linalg.kernel_span(linalg.transpose(columns, len(fibre)),
+                                    len(fibre))
+        spans[p] = [{fibre[i]: v for i, v in row.items()}
+                    for row in kernel.rows]
+    return Subcomplex(dga, spans)
 
 
 def verify_basic_match(m: LieModel) -> bool:

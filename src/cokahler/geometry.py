@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .cdga import DGA, AlgebraMap, Derivation, derivation, supercommutator
@@ -255,18 +256,26 @@ def _check_metric(g, n: int):
         for j in range(i):
             if g[i][j] != g[j][i]:
                 raise StructureError(f"metric is not symmetric at ({i},{j})")
-    # elimination without row exchanges: while the leading minors are
-    # positive, the k-th pivot is minor_k / minor_{k-1} (Sylvester), so the
-    # first pivot <= 0 names the first leading minor <= 0
-    rows = [[Fraction(v) for v in row] for row in g]
+    # each row scaled by its denominators' lcm > 0 keeps the sign of every
+    # leading minor; fraction-free (Bareiss) elimination without row
+    # exchanges then leaves the k-th leading minor as the k-th pivot, so
+    # the first pivot <= 0 names the first leading minor <= 0
+    rows = []
+    for row in g:
+        row = [v if type(v) is int else linalg.exact(v) for v in row]
+        mult = lcm(*(v.denominator for v in row))
+        rows.append(row if mult == 1 else
+                    [v.numerator * (mult // v.denominator) for v in row])
+    prev = 1
     for k in range(n):
-        if rows[k][k] <= 0:
+        pivot = rows[k][k]
+        if pivot <= 0:
             raise StructureError("metric is not positive definite "
                                  f"(leading {k + 1}x{k + 1} minor)")
         for row in rows[k + 1:]:
-            fac = row[k] / rows[k][k]
-            if fac:
-                row[k:] = [a - fac * b for a, b in zip(row[k:], rows[k][k:])]
+            row[k + 1:] = [(a * pivot - row[k] * b) // prev
+                           for a, b in zip(row[k + 1:], rows[k][k + 1:])]
+        prev = pivot
 
 
 def _check_connection(m: LieModel, gamma):

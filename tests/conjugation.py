@@ -89,6 +89,13 @@ def item15_basis(n: int) -> list[list[Fraction]]:
     return P
 
 
+def swap_basis(n: int, i: int, j: int) -> list[list[Fraction]]:
+    """The permutation P exchanging X_i and X_j (1-based)."""
+    P = identity(n)
+    P[i - 1], P[j - 1] = P[j - 1], P[i - 1]
+    return P
+
+
 @st.composite
 def bases(draw, n: int, unimodular: bool):
     """A seeded invertible P: the identity with row i sheared by c_i times

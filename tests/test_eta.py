@@ -6,12 +6,14 @@ derivative (coadjoint formula).
 """
 
 import functools
+import hashlib
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
 
-from cokahler import cdga, geometry, linalg
+from cokahler import cdga, geometry, linalg, render_json
 from cokahler import eta as eta_module
 from cokahler.cdga import Derivation, Subcomplex, supercommutes_with_d
 from cokahler.cohomology import CohomologyRing, induced_map
@@ -25,8 +27,11 @@ from cokahler.geometry import LieModel
 from cokahler.lefschetz import splitting_check
 from cokahler.modelfile import CORPUS_MODELS, load_corpus, loads
 from cokahler.report import build_report, operator_identity_report, run_section
+from omega_oracle import Oracle
+from test_generated_models import (family_text, structured_model_text,
+                                   transverse_weights)
 from test_memo import ROT7_123
-from test_report_bytes import PINNED, pinned_text
+from test_report_bytes import PINNED, perfbench_models, pinned_text
 
 
 def basis(cx, p):
@@ -598,12 +603,13 @@ def test_omega1_and_omega2_are_the_kernels_in_omega_eta(name):
     # Omega_1 and Omega_2 = eta ^ Omega_1 are ker iota_xi and ker(eta ^)
     # inside Omega_eta, each taken here by kernel_span on the operator
     # matrices stacked under L_xi's, on all of Omega: the reference for
-    # basic_complex, which reads iota_xi on Omega_eta's basis.  Every pinned
-    # model has its splitting computed.  On kx5-eta, kx5-p and torus5-eta,
-    # eta is not e1, so Omega_2 is not spanned by the monomials that contain
-    # e1; on rot7-1-2-3-conj xi is not X1 either, so Omega_1 is not spanned
-    # by the monomials without e1.  The report records Omega_1's dimensions,
-    # and Omega_2's are Omega_1's one degree down.
+    # basic_complex, which takes L_xi's kernel on the fibre (or iota_xi's on
+    # Omega_eta's basis where xi is off the basis vectors' lines).  Every
+    # pinned model has its splitting computed.  On kx5-eta, kx5-p and
+    # torus5-eta, eta is not e1, so Omega_2 is not spanned by the monomials
+    # that contain e1; on rot7-1-2-3-conj xi is not X1 either, so Omega_1
+    # is not spanned by the monomials without e1.  The report records
+    # Omega_1's dimensions, and Omega_2's are Omega_1's one degree down.
     m = loads(ROT7_123).to_lie_model() if name == "rot7-1-2-3" else \
         pinned_or_corpus(name)
     omega1, alg, lie = omega_splitting(m), m.algebra(), m.lie_xi()
@@ -676,3 +682,79 @@ def test_d_eta_equals_lie_makes_no_pass_over_the_basis(monkeypatch):
     assert sec.record is None
     assert [(a["check"], a["ok"]) for a in sec.asserted] == \
         [("d_eta_equals_lie", True)]
+
+
+def assert_omega_eta_and_omega1_are_the_kernels(m):
+    # Omega_eta and Omega_1 as every xi can take them: L_xi's kernel on
+    # Omega, and iota_xi's kernel inside it, on its basis
+    omega_eta = kernel_subcomplex(m.ce(), m.lie_xi())
+    omega1 = Subcomplex.kernel_of(omega_eta, m.iota_xi().columns, -1)
+    assert (invariant_forms(m) is m.ce()) == (omega_eta is m.ce())
+    for p in range(m.ce().top + 1):
+        if omega_eta is not m.ce():
+            assert invariant_forms(m).span(p) == omega_eta.span(p)
+        assert basic_complex(m).span(p) == omega1.span(p)
+
+
+# rot7-1-2-3-conj is the one corpus or pinned model with a xi that is not a
+# multiple of a basis vector: Omega_1 is not spanned by fibre monomials
+WITH_XI = sorted(name for name in {*CORPUS_MODELS, *PINNED, "rot7-1-2-3"}
+                 if name == "rot7-1-2-3" or pinned_or_corpus(name).xi)
+
+
+@pytest.mark.parametrize("name", WITH_XI)
+def test_the_fibre_builds_the_kernels_every_xi_can_take(name):
+    # with xi a multiple of X_k, Omega_1 is L_xi's kernel on the monomials
+    # without e^k and Omega_eta is Omega_1 + e^k ^ Omega_1; on rot7-1-2-3-xi4
+    # k = 4, and e4 ^ passes an odd or even number of e1, e2, e3 within one
+    # row of Omega_1
+    m = loads(ROT7_123).to_lie_model() if name == "rot7-1-2-3" else \
+        pinned_or_corpus(name)
+    assert (eta_module._xi_axis(m) is None) == (name == "rot7-1-2-3-conj")
+    assert_omega_eta_and_omega1_are_the_kernels(m)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(structured_model_text())
+def test_the_fibre_builds_the_kernels_on_structured_models(text):
+    assert_omega_eta_and_omega1_are_the_kernels(loads(text).to_lie_model())
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(transverse_weights())
+def test_the_fibre_builds_the_kernels_on_the_transverse_family(weights):
+    assert_omega_eta_and_omega1_are_the_kernels(
+        loads(family_text(*weights)).to_lie_model())
+
+
+# R x aff(R): [X1, X2] = X1, xi = X1 and eta = e1, so L_xi e1 = -e2 and
+# ker L_xi is not Omega_1 + e1 ^ Omega_1; d(eta) = -e1^e2, so the report
+# computes no splitting.  The SHA-256 was taken before Omega_eta was built
+# on the fibre.
+AFFXR2 = "14bd4977da0353b8d4f04a1bc6a4875590a9d14c39a4a30d9f7ebb3753ba70d7"
+
+
+def test_a_lie_derivative_that_moves_e_k_takes_the_kernel_path(monkeypatch):
+    text = perfbench_models().model_text("affxR2", 5, [(1, 2, 1, 1)])
+    mf = loads(text)
+    report = build_report(mf)
+    assert report["ok"]
+    assert hashlib.sha256(render_json(report).encode()).hexdigest() == AFFXR2
+    m = mf.to_lie_model()
+    assert m.lie_xi().image(0b1) == {0b10: -1}
+    # Omega_1 is still the fibre kernel: L_xi vanishes on e2 .. e5
+    assert [basic_complex(m).dim(p) for p in range(6)] == \
+        [1, 4, 6, 4, 1, 0]
+    # the fibre sum, forced, would be all of Omega: the guard raises
+    with pytest.raises(StructureError, match="construction inconsistency"):
+        eta_module._fibre_sum(m, 0)
+
+    def no_fibre_sum(*args):
+        raise AssertionError("Omega_eta stacked from Omega_1")
+
+    monkeypatch.setattr(eta_module, "_fibre_sum", no_fibre_sum)
+    oracle = Oracle(text)
+    assert [invariant_forms(m).dim(p) for p in range(6)] == \
+        [oracle.omega_eta(p).shape[1] for p in range(6)] == \
+        [1, 4, 7, 7, 4, 1]
+    assert_omega_eta_and_omega1_are_the_kernels(m)

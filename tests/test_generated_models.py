@@ -275,8 +275,9 @@ def assert_invariant_model_matches_the_report(mf, cap=3):
 # the co-Kahler pinned models, the curved rxaff3, rxaff5 and rxch2 among them
 COKAHLER_PINNED = ("kx5", "kx5-p", "kx5-q", "kx7", "rot5-1-1-g", "rot5-1-2",
                    "rot7-1-1-1", "rot7-1-1-3", "rot7-1-2-3-conj",
-                   "rot9-1-1-1-1", "rot9-1-2-3-4", "rxaff3", "rxaff5",
-                   "rxch2", "torus3", "torus5", "torus7", "torus9")
+                   "rot7-1-2-3-xi4", "rot9-1-1-1-1", "rot9-1-2-3-4",
+                   "rxaff3", "rxaff5", "rxch2", "torus3", "torus5", "torus7",
+                   "torus9")
 
 
 def pinned_or_corpus(name):

@@ -127,6 +127,53 @@ def test_metric_check_matches_sympy_leading_minors(seed):
     assert outcomes == {True, False}
 
 
+def fraction_pivot_failure(mat):
+    """The first leading minor <= 0 (1-based), or None, found by elimination
+    in Fractions without row exchanges: the k-th pivot is minor_k /
+    minor_{k-1} while the earlier minors are positive."""
+    rows = [[Fraction(v) for v in row] for row in mat]
+    for k in range(len(rows)):
+        if rows[k][k] <= 0:
+            return k + 1
+        for row in rows[k + 1:]:
+            fac = row[k] / rows[k][k]
+            row[k:] = [a - fac * b for a, b in zip(row[k:], rows[k][k:])]
+    return None
+
+
+METRIC_ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A symmetric matrix of ints and Fractions (integral ones among them),
+    its diagonal shifted by 0 or by enough to make it definite."""
+    n = draw(st.integers(1, 5))
+    shift = draw(st.sampled_from([0, 0, 30]))
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            mat[i][j] = mat[j][i] = draw(METRIC_ENTRIES) + shift * (i == j)
+    return mat
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_fraction_free_metric_check_matches_the_fraction_pivots(mat):
+    # the metric check eliminates in integers (Bareiss); it rejects exactly
+    # the metrics the elimination in Fractions rejects, naming the same
+    # leading minor
+    bad = fraction_pivot_failure(mat)
+    if bad is None:
+        assert LieModel(len(mat), {}, metric=mat).metric == sparse_rows(mat)
+    else:
+        with pytest.raises(StructureError,
+                           match=rf"\(leading {bad}x{bad} minor\)$"):
+            LieModel(len(mat), {}, metric=mat)
+
+
 def test_inverse_round_trip():
     # metric_inverse on a random symmetric positive definite A^t A + I,
     # against sympy's inverse

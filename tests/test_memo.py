@@ -2,6 +2,7 @@
 a derivation expands each basis monomial once, and equal derivations are one
 operator."""
 
+import math
 from collections import Counter
 
 import pytest
@@ -200,19 +201,22 @@ def test_a_report_keeps_one_contraction_at_a_time(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["rot7-1-2-3", "rot7-1-2-3-conj", "torus5"])
-def test_omega1_is_cut_out_inside_omega_eta(monkeypatch, name):
-    # Omega_1 is iota_xi's kernel on Omega_eta: each of its eliminations has
-    # one column per basis vector of Omega_eta, not of Omega, and a report
-    # reads L_xi's columns at most once per degree, for Omega_eta alone; on
-    # torus5 L_xi vanishes, Omega_eta is Omega, and only the zero test
-    # reads L_xi (through its table)
+def test_omega_eta_and_omega1_eliminate_on_the_fibre(monkeypatch, name):
+    # with xi = X1 and L_xi e1 = 0 (rot7-1-2-3, torus5), Omega_1 is one
+    # kernel of L_xi on the fibre, the monomials without e1, so each
+    # elimination has C(n-1, p) columns and reads L_xi's table, never its
+    # columns; Omega_eta is then Omega_1 + e1 ^ Omega_1, assembled with no
+    # kernel and no reduction, or Omega itself where L_xi vanishes (torus5).
+    # On rot7-1-2-3-conj xi is not a basis vector: Omega_eta is L_xi's
+    # kernel on Omega, its columns read once per degree, and Omega_1 is cut
+    # out inside it, each elimination dim Omega_eta^p wide
     text = pinned_text(name) if name != "rot7-1-2-3" else ROT7_123
     mf = load_corpus(name) if text is None else loads(text)
     m = mf.to_lie_model()
     monkeypatch.setattr(mf, "to_lie_model", lambda: m)
-    reads, widths = Counter(), []
-    honest_columns, honest_kernel = cdga._MonomialTable.columns, \
-        linalg.kernel_span
+    reads, widths, reductions = Counter(), [], []
+    honest_columns, honest_kernel, honest_rref = \
+        cdga._MonomialTable.columns, linalg.kernel_span, linalg.rref
 
     def counted_columns(op, p, start=0):
         if op is m.lie_xi():
@@ -223,16 +227,32 @@ def test_omega1_is_cut_out_inside_omega_eta(monkeypatch, name):
         widths.append(ncols)
         return honest_kernel(mat, ncols)
 
+    def counted_rref(mat):
+        reductions.append(mat)
+        return honest_rref(mat)
+
     monkeypatch.setattr(cdga._MonomialTable, "columns", counted_columns)
-    omega_eta = invariant_forms(m)
     monkeypatch.setattr(linalg, "kernel_span", measured_kernel)
-    basic_complex(m)
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    top = m.ce().top
+    if name == "rot7-1-2-3-conj":
+        omega_eta = invariant_forms(m)
+        del widths[:]
+        basic_complex(m)
+        assert widths == [omega_eta.dim(p) for p in range(top + 1)]
+    else:
+        basic_complex(m)
+        assert widths == [math.comb(top - 1, p) for p in range(top + 1)]
+        del widths[:]
+        omega_eta = invariant_forms(m)
+        assert widths == [] and reductions == []
     monkeypatch.setattr(linalg, "kernel_span", honest_kernel)
-    assert widths == [omega_eta.dim(p) for p in range(m.ce().top + 1)]
+    monkeypatch.setattr(linalg, "rref", honest_rref)
     assert build_report(mf)["ok"]
     if name == "torus5":
         assert omega_eta is m.ce() and reads == Counter()
+    elif name == "rot7-1-2-3":
+        assert omega_eta is not m.ce() and reads == Counter()
     else:
-        assert omega_eta is not m.ce()
-        assert sorted(reads) == list(range(m.ce().top + 1))
+        assert sorted(reads) == list(range(top + 1))
         assert max(reads.values()) == 1

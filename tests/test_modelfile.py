@@ -348,6 +348,8 @@ CANONICAL = {
         "1e641c172a4e4b9a542731efdfe098997f0aabeab3537ca6b116fb5b5c1948a0",
     "rot7-1-2-3-conj":
         "caad3c7652f6eec95b4c9552dab7d55da0d3d408637198d0a90c1eaac89b8ab9",
+    "rot7-1-2-3-xi4":
+        "05f2f3084fc80dc718708a6c9dcafb74e24bf4e20e34ba0c2da46bd7d09641c3",
     "rot9-1-1-1-1":
         "4a879e8702707140f3c813cdd5142159e185e601709d4c8091fcf33a22f81a28",
     "rot9-1-2-3-4":

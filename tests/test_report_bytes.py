@@ -30,7 +30,7 @@ from cokahler.eta import build_d_eta, invariant_forms, kernel_subcomplex
 from cokahler.modelfile import CORPUS_MODELS, corpus_path, serialize
 from cokahler.report import _plain, run_section
 
-from conjugation import conjugated, item15_basis
+from conjugation import conjugated, item15_basis, swap_basis
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LABELS = ("t2-rot4-mapping-torus", "t2-negid-mapping-torus")
@@ -49,7 +49,11 @@ LABELS = ("t2-rot4-mapping-torus", "t2-negid-mapping-torus")
 # with an eta off e1; rxkt5 (R xi x Kodaira-Thurston) is the one unimodular model
 # whose Lefschetz map is not an isomorphism; rot7-1-2-3-conj is rot7-1-2-3
 # in the basis of ``conjugation.item15_basis``, where xi is not a basis
-# vector, so ker iota_xi is not spanned by monomials; rxaff3, rxaff5 and
+# vector, so ker iota_xi is not spanned by monomials; rot7-1-2-3-xi4 is
+# rot7-1-2-3 with X1 and X4 exchanged, so xi = X4 and the rotated plane
+# (X1, X5) has one vector on each side of it: within one row of Omega_1,
+# moving e4 to the front of a monomial passes one or two of e1, e2, e3,
+# so Omega_eta's e4-multiples carry both signs; rxaff3, rxaff5 and
 # rxch2 are R x aff(R), R x aff(R)^2 and R x the solvable group of CH^2,
 # the curved co-Kahler models: not unimodular, so no compact quotient, and
 # their Lefschetz ranks carry a hypothesis note instead of a verdict, their
@@ -95,6 +99,8 @@ PINNED = {
         "a9431ac9b8123b9199dd3ed96a3600f43ee0df248038d232d89ce9d3a21f510f",
     "rot7-1-2-3-conj":
         "c09a518d24655cdf4c022e9ebb7e731eabfd8c2e797a5bff5bf4387039cab183",
+    "rot7-1-2-3-xi4":
+        "481cf418e2723f1d1e11795be55323eda506cabd26f55ddb38facde0ba1892d2",
     "rxaff3":
         "1d7f5efade56b65afcb79fbb52443621509318379d71ca9ddf62c50a34544ef0",
     "rxaff5":
@@ -175,6 +181,9 @@ def pinned_text(name: str) -> str | None:
         "rot7-1-2-3-conj": serialize(conjugated(
             loads(models.rot_text((1, 2, 3))), item15_basis(7))).replace(
                 "name: rot7-1-2-3\n", "name: rot7-1-2-3-conj\n"),
+        "rot7-1-2-3-xi4": serialize(conjugated(
+            loads(models.rot_text((1, 2, 3))), swap_basis(7, 1, 4))).replace(
+                "name: rot7-1-2-3\n", "name: rot7-1-2-3-xi4\n"),
     }[name]
 
 
